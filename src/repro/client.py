@@ -283,9 +283,9 @@ class Client:
         per-operator query/shard counters plus encode-time, shard CPU,
         and cache-eviction totals; empty when the server runs
         serial-only), ``snapshots`` (the MVCC snapshot manager's
-        capture/pin/reclaim counters), and ``sanitizer`` (the runtime
-        concurrency sanitizer's violation counters and live gauges;
-        empty unless the server runs with ``REPRO_SANITIZE=1``)."""
+        capture, capture-wait, pin and reclaim counters), and ``sanitizer``
+        (the runtime concurrency sanitizer's violation counters and live
+        gauges; empty unless the server runs with ``REPRO_SANITIZE=1``)."""
         response = self._request({"op": "stats"}, idempotent=True)
         return {
             "durability": dict(response.get("stats", {})),

@@ -31,11 +31,13 @@ Writing statements acquire table locks through the shared
 they write (auto-commit statements release at statement end; explicit
 transactions hold them to commit/rollback -- strict two-phase locking,
 including shared read locks inside an explicit transaction for
-read-your-writes).  **Read statements take no table locks at all**:
-they execute against an immutable pinned version set captured by the
-store's :class:`~repro.engine.storage.SnapshotManager` (MVCC snapshot
-reads) -- a multi-second ``conf()`` scan never blocks a writer, and a
-saturating write stream never starves readers.  Under a durable store,
+read-your-writes).  **Read statements hold no table locks while they
+run**: they execute against an immutable pinned version set captured by
+the store's :class:`~repro.engine.storage.SnapshotManager` (MVCC snapshot
+reads) under one momentary shared grant on the tables they read -- a
+multi-second ``conf()`` scan never blocks a writer, a reader waits only
+for writers of its own tables, and a saturating write stream never
+starves readers.  Under a durable store,
 concurrent commits coalesce in the group committer
 (:class:`~repro.engine.durability.DurabilityManager`): one fsync makes a
 whole batch of commits durable.
@@ -80,10 +82,6 @@ from repro.sql.executor import Executor, StatementResult
 from repro.sql.parser import parse_statement, parse_statements
 
 QueryOutput = Union[Relation, URelation]
-
-#: Back-compat alias; the gate lives in repro.engine.transactions now so
-#: the storage-layer SnapshotManager and the session facade share it.
-_STORE_GATE = STORE_GATE
 
 
 def _env_flag(name: str, default: bool) -> bool:
@@ -208,10 +206,10 @@ class _SessionBase:
         acquired: List[Tuple[str, str]] = []
         if store.mvcc and reads and not writes and not self.in_transaction:
             # MVCC read path: pin a transactionally consistent version set
-            # under a brief store-gate acquisition, then run entirely
-            # without table locks.  Writers keep exclusive 2PL; statements
-            # inside an explicit transaction keep strict 2PL above so
-            # read-your-writes still holds.
+            # under one momentary shared grant on the tables read, then run
+            # entirely without table locks.  Writers keep exclusive 2PL;
+            # statements inside an explicit transaction keep strict 2PL
+            # above so read-your-writes still holds.
             pinned = store.snapshots.capture(reads, timeout=self.lock_timeout)
         else:
             acquired = self._acquire_statement_locks(reads, writes)
@@ -246,7 +244,7 @@ class _SessionBase:
         acquired: List[Tuple[str, str]] = []
         try:
             if writes:
-                self._acquire_one(_STORE_GATE, "shared", acquired)
+                self._acquire_one(STORE_GATE, "shared", acquired)
             for name in sorted(reads | writes):
                 mode = "exclusive" if name in writes else "shared"
                 self._acquire_one(name, mode, acquired)
@@ -472,12 +470,15 @@ class _SessionBase:
         ``faults`` wire op)."""
         return _faults.stats()
 
-    def snapshot_stats(self) -> Dict[str, int]:
+    def snapshot_stats(self) -> Dict[str, float]:
         """MVCC snapshot counters of the store's
         :class:`~repro.engine.storage.SnapshotManager`:
         ``snapshot_captures`` (pinned version sets taken),
-        ``snapshot_pins_held`` (per-table pins currently held by
-        in-flight read statements), ``snapshot_versions_retained``
+        ``snapshot_capture_waits`` / ``snapshot_capture_wait_ms`` (captures
+        that found a writer on one of their tables, and how long they
+        waited for it in total), ``snapshot_pins_held`` (per-table pins
+        currently held by in-flight read statements),
+        ``snapshot_versions_retained``
         (distinct superseded versions kept alive right now), and
         ``snapshot_versions_reclaimed`` (superseded versions freed when
         their last pin dropped).  Available for in-memory stores too,
@@ -635,7 +636,7 @@ class MayBMS(_SessionBase):
         self.catalog = Catalog()
         self.registry = VariableRegistry()
         self.locks = LockManager()
-        self.snapshots = SnapshotManager(self.catalog, self.locks, _STORE_GATE)
+        self.snapshots = SnapshotManager(self.catalog, self.locks)
         self._store = self
         #: Which session is executing a statement on the current thread --
         #: the on_register hook routes variable registrations into that
@@ -763,7 +764,7 @@ class MayBMS(_SessionBase):
         ``db.transaction.insert(...)``) which never takes statement locks
         at all.  Any session with a dirty open transaction fails the
         checkpoint instead of corrupting it."""
-        self.locks.acquire_exclusive(_STORE_GATE, timeout=timeout)
+        self.locks.acquire_exclusive(STORE_GATE, timeout=timeout)
         capture = None
         try:
             with self._session_mutex:
@@ -790,7 +791,7 @@ class MayBMS(_SessionBase):
                 self.catalog, self.registry, timeout=timeout
             )
         finally:
-            self.locks.release_exclusive(_STORE_GATE)
+            self.locks.release_exclusive(STORE_GATE)
         self.storage.commit_checkpoint(capture)
         return True
 

@@ -32,10 +32,12 @@ class Relation:
     def __init__(self, schema: Schema, rows: Iterable[Row] = ()):
         self.schema = schema
         self.rows: List[Row] = [tuple(r) for r in rows]
-        # One immutable sequence per column: tuples when pivoted here,
-        # decoded lists when pre-seeded by the checkpoint recovery fast
-        # path (storage.Table.load_columns) -- never mutated either way.
-        self._columns: Optional[Tuple[Sequence[Any], ...]] = None
+        # A one-slot cell holding the column-wise pivot (None until someone
+        # asks), shared with every with_schema() alias so whichever pivots
+        # first fills it for all.  One immutable sequence per column:
+        # tuples when pivoted here, decoded lists when pre-seeded by the
+        # checkpoint recovery fast path (storage.Table.load_columns).
+        self._columns: List[Optional[Tuple[Sequence[Any], ...]]] = [None]
         # Grouped-lineage cache for the confidence dispatcher.  It lives on
         # the relation because table snapshots are cached per version
         # (storage.Table.snapshot), so "same relation object" means "same
@@ -66,7 +68,7 @@ class Relation:
         relation = Relation.__new__(Relation)
         relation.schema = schema
         relation.rows = rows
-        relation._columns = None
+        relation._columns = [None]
         relation._lineage_cache = None
         relation.source = None
         return relation
@@ -74,12 +76,14 @@ class Relation:
     def columns(self) -> Tuple[Sequence[Any], ...]:
         """The relation pivoted column-wise (cached; relations are
         immutable once built).  This is the batch engine's scan input."""
-        if self._columns is None:
+        columns = self._columns[0]
+        if columns is None:
             if self.rows:
-                self._columns = tuple(zip(*self.rows))
+                columns = tuple(zip(*self.rows))
             else:
-                self._columns = tuple(() for _ in self.schema)
-        return self._columns
+                columns = tuple(() for _ in self.schema)
+            self._columns[0] = columns
+        return columns
 
     # -- container protocol ------------------------------------------------
     def __len__(self) -> int:
@@ -126,8 +130,9 @@ class Relation:
     def with_schema(self, schema: Schema) -> "Relation":
         """The same rows under a different (equal-arity) schema.
 
-        Zero-copy: the row list and the cached column view are shared with
-        the new relation (both are immutable by convention).
+        Zero-copy: the row list and the column-view cell are shared with
+        the new relation (both are immutable by convention), so a pivot
+        done through either one serves both.
         """
         if len(schema) != len(self.schema):
             raise SchemaError("with_schema requires equal arity")

@@ -217,7 +217,9 @@ class ConcurrencySanitizer:
             if kind == "fsync":
                 # A committing writer fsyncs while holding its shared gate
                 # slot and exclusive table locks; only an *exclusive* store
-                # gate (checkpoint/snapshot capture window) must never fsync.
+                # gate (a checkpoint's capture window) must never fsync.  An
+                # MVCC capture's shared table grant is dropped before the
+                # statement runs, so it never reaches a blocking region.
                 return not (hold.name == _GATE_NODE and hold.mode == "exclusive")
             # pool submits happen inside statement execution, which always
             # runs under logical statement locks

@@ -17,14 +17,15 @@ its length never exceeds the number of distinct versions concurrently
 under read, and an unpinned non-current version is reclaimed eagerly on
 the last :meth:`Table.unpin_snapshot`.  The :class:`SnapshotManager`
 captures a transactionally consistent ``{table -> version}`` set across
-all the tables one statement references (under a brief store-gate
-acquisition, so the capture never splits a writer's statement), which is
-what lets read statements run entirely without shared table locks.
+all the tables one statement references (under one momentary shared
+grant on exactly those tables, so the capture never splits a writer's
+transaction), which is what lets read statements run without holding
+table locks.
 """
 
 from __future__ import annotations
 
-import threading
+import time
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine import sanitizer as _sanitizer
@@ -94,15 +95,23 @@ class Table:
         snapshots share the cached row list and column view -- only the
         schema object differs.
         """
-        cached = self._snapshot_cache
-        if cached is None or cached[0] != self._version:
-            base = Relation.from_trusted_rows(self.schema, list(self._rows.values()))
-            base.source = (self.name, self._version)
-            self._snapshot_cache = (self._version, base)
-        else:
-            base = cached[1]
+        with self._pin_mutex:
+            base = self._current_snapshot()
         if alias:
             return base.with_schema(self.schema.with_qualifier(alias))
+        return base
+
+    def _current_snapshot(self) -> Relation:
+        """Fill or reuse the snapshot cache.  Runs under ``_pin_mutex``: a
+        capture's pin and a checkpoint's :meth:`dump_columns` may both
+        arrive at an unfilled cache, and every reader of one version must
+        get the same Relation object."""
+        cached = self._snapshot_cache
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        base = Relation.from_trusted_rows(self.schema, list(self._rows.values()))
+        base.source = (self.name, self._version)
+        self._snapshot_cache = (self._version, base)
         return base
 
     # -- MVCC pinning ---------------------------------------------------------
@@ -114,10 +123,11 @@ class Table:
         version was reference-counted up, and the very same Relation
         object is returned -- which is what lets grouped-lineage caches
         and the parallel pool's payload cache be shared across statements
-        pinned to the same version).  Callers must hold the store gate so
-        no writer is mid-statement; the pin mutex only orders this
-        against concurrent :meth:`unpin_snapshot` calls from finishing
-        readers."""
+        pinned to the same version).  Callers must hold this table's lock
+        (shared is enough) so no writer is mid-transaction on it; the pin
+        mutex orders this against concurrent pins, :meth:`unpin_snapshot`
+        calls from finishing readers, and a checkpoint filling the
+        snapshot cache."""
         with self._pin_mutex:
             if self._san is not None:
                 self._san.note_pin()
@@ -127,7 +137,7 @@ class Table:
                 relation, count = entry
                 self._pinned_versions[version] = (relation, count + 1)
                 return version, relation, False
-            relation = self.snapshot()
+            relation = self._current_snapshot()
             self._pinned_versions[version] = (relation, 1)
             return version, relation, True
 
@@ -309,7 +319,8 @@ class Table:
         the matching tuple ids, the tid counter, and index definitions.
         The tid list and the snapshot iterate the same row dict, so they
         are positionally aligned as long as the table is not mutated in
-        between -- the checkpoint holds the store gate across the capture.
+        between -- the checkpoint holds the store gate across the capture
+        (concurrent MVCC captures only pin; they mutate nothing here).
         """
         return {
             "snapshot": self.snapshot(),
@@ -376,7 +387,7 @@ class Table:
         self._next_tid = max(int(next_tid), top)
         self._version += 1
         snapshot = Relation.from_trusted_rows(self.schema, rows)
-        snapshot._columns = tuple(columns)
+        snapshot._columns[0] = tuple(columns)
         snapshot.source = (self.name, self._version)
         self._snapshot_cache = (self._version, snapshot)
         for kind, name, positions, unique in indexes:
@@ -488,34 +499,38 @@ class PinnedVersionSet:
 class SnapshotManager:
     """Captures, pins, and reclaims MVCC read snapshots across tables.
 
-    One per store, shared by every session.  :meth:`capture` takes the
-    store gate exclusively for a *brief* moment -- long enough to read
-    ``len(tables)`` version counters and pin their snapshots, and by
-    construction free of mid-statement writers (every writing statement
-    holds the gate shared) -- then releases it before the statement runs.
-    From then on the reader touches no locks at all: writers proceed
-    under their exclusive 2PL table locks while the reader scans its
-    pinned versions.  :meth:`release` drops the pins at statement end
-    (success, error, or a killed reader session -- the dispatch path
-    releases in a ``finally``), eagerly garbage-collecting versions no
-    statement holds anymore.
+    One per store, shared by every session.  :meth:`capture` takes one
+    atomic shared grant on exactly the tables the statement reads
+    (:meth:`LockManager.acquire_shared_all`) for a *brief* moment -- long
+    enough to read ``len(tables)`` version counters and pin their
+    snapshots.  Writers hold their tables exclusively until their commit
+    is durable (strict 2PL), so the grant sees a committed prefix and
+    never half of a multi-table transaction; it waits only for writers of
+    its own tables, never for the store gate (other tables' writers,
+    checkpoints).  From then on the reader touches no locks at all:
+    writers proceed under their exclusive 2PL table locks while the reader
+    scans its pinned versions.  :meth:`release` drops the pins at
+    statement end (success, error, or a killed reader session -- the
+    dispatch path releases in a ``finally``), eagerly garbage-collecting
+    versions no statement holds anymore.
 
     The catalog and lock manager are duck-typed constructor arguments
     (the catalog module imports this one, so the types cannot be named
     here without a cycle).
     """
 
-    def __init__(self, catalog: Any, locks: Any, gate: str) -> None:
+    def __init__(self, catalog: Any, locks: Any) -> None:
         self.catalog = catalog
         self.locks = locks
-        self.gate = gate
         self._mutex = _sanitizer.wrap_lock("SnapshotManager._mutex")
         self._captures = 0
+        self._capture_waits = 0
+        self._capture_wait_s = 0.0
         self._pins_held = 0
         self._versions_retained = 0
         self._versions_reclaimed = 0
         #: Test seam: called with the fresh PinnedVersionSet after the
-        #: gate is released and before the statement executes -- the only
+        #: grant is released and before the statement executes -- the only
         #: deterministic window in which a test can commit a concurrent
         #: write *between* the pin and the read.
         self.on_capture: Optional[Callable[[PinnedVersionSet], None]] = None
@@ -527,15 +542,18 @@ class SnapshotManager:
 
         Names that do not exist are skipped (the executor raises its
         usual ``TableNotFoundError`` when the statement actually reads
-        them).  Raises :class:`~repro.errors.LockTimeout` when in-flight
-        writers keep the gate busy past ``timeout`` -- the LockManager
+        them).  Raises :class:`~repro.errors.LockTimeout` when writers
+        keep one of the tables busy past ``timeout`` -- the LockManager
         queues new writers behind this waiter, so a saturating write
         stream drains rather than starving the capture."""
-        self.locks.acquire_exclusive(self.gate, timeout=timeout)
+        keys = sorted({n.lower() for n in names})
+        started = time.perf_counter()
+        waited = self.locks.acquire_shared_all(keys, timeout=timeout)
+        wait_s = time.perf_counter() - started if waited else 0.0
         pins: Dict[str, Tuple[Any, int, Relation]] = {}
         fresh_entries = 0
         try:
-            for name in sorted({n.lower() for n in names}):
+            for name in keys:
                 if not self.catalog.has_table(name):
                     continue
                 entry = self.catalog.entry(name)
@@ -547,9 +565,12 @@ class SnapshotManager:
                 entry.table.unpin_snapshot(version)
             raise
         finally:
-            self.locks.release_exclusive(self.gate)
+            for name in keys:
+                self.locks.release_shared(name)
         with self._mutex:
             self._captures += 1
+            self._capture_waits += int(waited)
+            self._capture_wait_s += wait_s
             self._pins_held += len(pins)
             self._versions_retained += fresh_entries
         pinned = PinnedVersionSet(pins)
@@ -576,14 +597,18 @@ class SnapshotManager:
             self._versions_retained -= dropped
             self._versions_reclaimed += reclaimed
 
-    def stats(self) -> Dict[str, int]:
-        """Snapshot counters: total captures, pins currently held,
-        versions currently retained in table chains, and old versions
-        reclaimed so far.  Merged into ``durability_stats()`` and served
-        by the wire protocol's ``stats`` operation."""
+    def stats(self) -> Dict[str, float]:
+        """Snapshot counters: total captures, how many of them found a
+        writer on one of their tables and the milliseconds they waited in
+        total, pins currently held, versions currently retained in table
+        chains, and old versions reclaimed so far.  Merged into
+        ``durability_stats()`` and served by the wire protocol's ``stats``
+        operation."""
         with self._mutex:
             return {
                 "snapshot_captures": self._captures,
+                "snapshot_capture_waits": self._capture_waits,
+                "snapshot_capture_wait_ms": round(self._capture_wait_s * 1000.0, 3),
                 "snapshot_pins_held": self._pins_held,
                 "snapshot_versions_retained": self._versions_retained,
                 "snapshot_versions_reclaimed": self._versions_reclaimed,

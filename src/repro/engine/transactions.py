@@ -11,14 +11,14 @@ machinery so that the claim can be exercised:
 - :class:`LockManager` -- table-granularity reader/writer locks (MayBMS
   inherits PostgreSQL's concurrency control; table locks are the simplest
   faithful equivalent for an in-memory engine), with shared->exclusive
-  upgrade support.  Since the MVCC refactor, *read statements do not use
-  table locks at all*: they pin a version set through
-  :class:`repro.engine.storage.SnapshotManager` (a brief exclusive
-  acquisition of :data:`STORE_GATE`, then lock-free execution).  The
+  upgrade support and arrival-order granting.  Since the MVCC refactor,
+  *read statements hold no table lock while they run*: they pin a version
+  set through :class:`repro.engine.storage.SnapshotManager` (one momentary
+  shared grant on the tables they read, then lock-free execution).  The
   LockManager serves writers (exclusive 2PL), explicit read-write
   transactions (strict 2PL, including shared read locks for
-  read-your-writes), and the store gate itself.  Timed-out acquisitions
-  raise :class:`repro.errors.LockTimeout`.
+  read-your-writes), snapshot captures, and the store gate.  Timed-out
+  acquisitions raise :class:`repro.errors.LockTimeout`.
 - :class:`WriteAheadLog` -- a redo log of committed logical operations
   that can be replayed into an empty catalog to recover state.  When
   given a durable sink (:class:`repro.engine.durability.DurabilityManager`)
@@ -36,7 +36,17 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.engine import sanitizer as _sanitizer
 from repro.engine.catalog import Catalog, CatalogEntry
@@ -45,11 +55,11 @@ from repro.engine.storage import Table
 from repro.engine.types import type_from_name
 from repro.errors import LockTimeout, TransactionError
 
-#: Pseudo-table serializing whole-store operations against in-flight
-#: writers: every writing statement holds it shared (for the whole
-#: transaction, once the transaction has written); checkpoints and MVCC
-#: snapshot captures take it exclusive -- briefly -- so neither ever
-#: observes another session's half-applied statement.
+#: Pseudo-table serializing checkpoints against in-flight writers: every
+#: writing statement holds it shared (for the whole transaction, once the
+#: transaction has written); a checkpoint's capture phase takes it
+#: exclusive -- briefly -- so it never observes a half-applied statement.
+#: Reads do not touch it.
 STORE_GATE = "__store_gate__"
 
 
@@ -300,37 +310,52 @@ class Transaction:
         self._state = "aborted"
 
 
+@dataclass(eq=False)
+class _LockRequest:
+    """One not-yet-granted request in :class:`LockManager`'s arrival queue."""
+
+    ident: int
+    keys: Tuple[str, ...]
+    exclusive: bool
+    #: signalled when the request may have become grantable (set once the
+    #: request actually has to wait; shares the manager's mutex)
+    ready: Optional[threading.Condition] = None
+
+
 class LockManager:
     """Table-granularity shared/exclusive locks with upgrade support.
 
-    A multiple-readers / single-writer scheme with a condition variable
-    per manager.  Shared holds are tracked per thread, so a thread holding
-    a shared lock may call :meth:`acquire_exclusive` to *upgrade*: its own
+    A multiple-readers / single-writer scheme under one mutex, with a
+    condition variable per waiting request.  Holds are tracked per thread, so a thread holding a
+    shared lock may call :meth:`acquire_exclusive` to *upgrade*: its own
     shared holds are discounted from the reader count it waits on (the
     naive scheme deadlocks forever on its own reader).  If two threads
     holding shared locks both try to upgrade the same table, the second
     request fails fast with :class:`TransactionError` instead of
     deadlocking -- each would wait on the other's shared hold.
 
-    Exclusive requests have **writer preference**: while any thread waits
-    for an exclusive lock, *new* shared acquirers queue behind it (threads
-    already holding shared may re-enter, or the waiter could never drain).
-    Without this a saturating stream of shared holders -- e.g. writers
-    each taking the store gate shared -- starves an explicit CHECKPOINT's
-    exclusive gate acquisition indefinitely.
+    Conflicting requests on one table are granted in **arrival order**:
+    a request waits while an earlier, still-waiting request wants the same
+    table in a conflicting mode (shared never conflicts with shared), so
+    neither a stream of shared holders -- writers each taking the store
+    gate shared -- starves a CHECKPOINT's exclusive gate request, nor does
+    a thread that releases and immediately re-requests a table overtake
+    the threads already waiting for it.  Two kinds of request go ahead of
+    the queue because an earlier waiter may be waiting on *them*: a thread
+    re-entering or upgrading a table it already holds, and -- behind a
+    waiting :meth:`acquire_shared_all` only -- a thread that already holds
+    some table lock (an explicit transaction in its growing phase: the
+    multi-table request may be waiting for a table that transaction wrote).
     """
 
     def __init__(self) -> None:
         self._mutex = threading.Lock()
-        self._condition = threading.Condition(self._mutex)
         #: table -> {thread ident -> number of shared holds}
         self._readers: Dict[str, Dict[int, int]] = {}
-        self._writer: Dict[str, Optional[int]] = {}
-        #: table -> thread ident currently waiting to upgrade
-        self._upgrading: Dict[str, int] = {}
-        #: table -> number of threads currently waiting for exclusive
-        #: (the pending-checkpoint/writer-preference flag)
-        self._exclusive_waiters: Dict[str, int] = {}
+        #: table -> thread ident holding it exclusively (absent when free)
+        self._writer: Dict[str, int] = {}
+        #: waiting requests in arrival order, pending upgrades first
+        self._queue: List[_LockRequest] = []
         #: runtime concurrency sanitizer (None unless REPRO_SANITIZE=1);
         #: logical grants are noted record-only -- violations surface at
         #: end of test, never by raising out of a granted acquisition
@@ -340,39 +365,113 @@ class LockManager:
     def _san_node(key: str) -> str:
         return "lockmgr:__store_gate__" if key == STORE_GATE else "lockmgr:<table>"
 
-    def _other_readers(self, key: str, me: int) -> int:
-        holders = self._readers.get(key)
-        if not holders:
-            return 0
-        return sum(count for ident, count in holders.items() if ident != me)
+    def _holds(self, key: str, ident: int) -> bool:
+        return self._writer.get(key) == ident or ident in self._readers.get(key, ())
+
+    def _holds_table_lock(self, ident: int) -> bool:
+        return any(
+            key != STORE_GATE and self._holds(key, ident)
+            for key in (*self._writer, *self._readers)
+        )
+
+    def _grantable(self, request: _LockRequest) -> bool:
+        me = request.ident
+        for key in request.keys:
+            if self._writer.get(key, me) != me:
+                return False
+            if request.exclusive and any(
+                ident != me for ident in self._readers.get(key, ())
+            ):
+                return False
+        for earlier in self._queue:
+            if earlier is request:
+                break
+            if not (earlier.exclusive or request.exclusive):
+                continue  # shared never conflicts with shared
+            if not any(
+                key in earlier.keys and not self._holds(key, me)
+                for key in request.keys
+            ):
+                continue  # other tables, or re-entering one we already hold
+            if len(earlier.keys) > 1 and self._holds_table_lock(me):
+                # The multi-table request may be waiting for a table we
+                # hold; waiting behind it in turn would stop both.
+                continue
+            return False
+        return True
+
+    def _wake(self) -> None:
+        """Signal exactly the waiters a state change made grantable (waking
+        all of them costs a context switch per waiter per release)."""
+        for request in self._queue:
+            if request.ready is not None and self._grantable(request):
+                request.ready.notify()
+
+    def _acquire(
+        self, keys: Tuple[str, ...], exclusive: bool, timeout: Optional[float]
+    ) -> bool:
+        """Queue a request for ``keys`` and block until it is granted as a
+        whole; returns whether it had to wait."""
+        request = _LockRequest(threading.get_ident(), keys, exclusive)
+        me = request.ident
+        mode = "exclusive" if exclusive else "shared"
+        with self._mutex:
+            if exclusive and me in self._readers.get(keys[0], ()):
+                # An upgrade goes first: earlier waiters wait on our hold.
+                if any(
+                    q.exclusive and q.keys == keys and self._holds(keys[0], q.ident)
+                    for q in self._queue
+                ):
+                    # Both upgraders would wait on each other's shared hold.
+                    raise TransactionError(
+                        f"lock upgrade deadlock on {keys[0]!r}: another "
+                        "thread holding a shared lock is already upgrading; "
+                        "release the shared lock and retry"
+                    )
+                self._queue.insert(0, request)
+            else:
+                self._queue.append(request)
+            try:
+                waited = not self._grantable(request)
+                if waited:
+                    ready = request.ready = threading.Condition(self._mutex)
+                    if not ready.wait_for(
+                        lambda: self._grantable(request), timeout=timeout
+                    ):
+                        raise LockTimeout(
+                            f"timeout acquiring {mode} lock on "
+                            + ", ".join(repr(key) for key in keys)
+                        )
+                for key in keys:
+                    if exclusive:
+                        self._writer[key] = me
+                    else:
+                        holders = self._readers.setdefault(key, {})
+                        holders[me] = holders.get(me, 0) + 1
+                    if self._san is not None:
+                        self._san.note_acquired(self._san_node(key), mode=mode)
+            finally:
+                # Whoever queued behind this request must re-check, whether
+                # it was granted or timed out.
+                self._queue.remove(request)
+                self._wake()
+        return waited
 
     def acquire_shared(self, table_name: str, timeout: Optional[float] = None) -> None:
-        key = table_name.lower()
-        me = threading.get_ident()
-        with self._condition:
+        self._acquire((table_name.lower(),), False, timeout)
 
-            def admissible() -> bool:
-                if self._writer.get(key) not in (None, me):
-                    return False
-                # New readers queue behind a pending upgrader and behind
-                # any thread waiting for exclusive (otherwise the upgrade
-                # or the exclusive request starves); a thread already
-                # holding shared may re-enter freely.
-                already_reading = self._readers.get(key, {}).get(me, 0) > 0
-                pending = self._upgrading.get(key)
-                if pending is not None and pending != me:
-                    return already_reading
-                if self._exclusive_waiters.get(key, 0) > 0:
-                    return already_reading
-                return True
-
-            granted = self._condition.wait_for(admissible, timeout=timeout)
-            if not granted:
-                raise LockTimeout(f"timeout acquiring shared lock on {table_name!r}")
-            holders = self._readers.setdefault(key, {})
-            holders[me] = holders.get(me, 0) + 1
-            if self._san is not None:
-                self._san.note_acquired(self._san_node(key), mode="shared")
+    def acquire_shared_all(
+        self, table_names: Iterable[str], timeout: Optional[float] = None
+    ) -> bool:
+        """One atomic shared grant on every named table: granted at the
+        first instant none of them has a writer (and no earlier request
+        for one of them is still waiting), holding nothing meanwhile -- a
+        loop of :meth:`acquire_shared` calls would hold one table while
+        waiting for the next and deadlock against a transaction that
+        wrote the second and now wants the first.  Release each name with
+        :meth:`release_shared`.  Returns whether the grant had to wait."""
+        keys = tuple(sorted({name.lower() for name in table_names}))
+        return self._acquire(keys, False, timeout)
 
     def release_shared(self, table_name: str, ident: Optional[int] = None) -> None:
         """Release one shared hold.  ``ident`` names the owning thread when
@@ -380,7 +479,7 @@ class LockManager:
         its worker thread exited); defaults to the calling thread."""
         key = table_name.lower()
         me = ident if ident is not None else threading.get_ident()
-        with self._condition:
+        with self._mutex:
             holders = self._readers.get(key, {})
             count = holders.get(me, 0)
             if count <= 0:
@@ -393,66 +492,22 @@ class LockManager:
                 holders[me] = count - 1
             if self._san is not None:
                 self._san.note_released(self._san_node(key), ident=me)
-            self._condition.notify_all()
+            self._wake()
 
     def acquire_exclusive(self, table_name: str, timeout: Optional[float] = None) -> None:
-        key = table_name.lower()
-        me = threading.get_ident()
-        with self._condition:
-            upgrading = self._readers.get(key, {}).get(me, 0) > 0
-            if upgrading:
-                other = self._upgrading.get(key)
-                if other is not None and other != me:
-                    # Both upgraders would wait on each other's shared hold.
-                    raise TransactionError(
-                        f"lock upgrade deadlock on {table_name!r}: another "
-                        "thread holding a shared lock is already upgrading; "
-                        "release the shared lock and retry"
-                    )
-                self._upgrading[key] = me
-
-            def admissible() -> bool:
-                if self._writer.get(key) not in (None, me):
-                    return False
-                if self._other_readers(key, me) != 0:
-                    return False
-                pending = self._upgrading.get(key)
-                return pending is None or pending == me
-
-            self._exclusive_waiters[key] = self._exclusive_waiters.get(key, 0) + 1
-            try:
-                granted = self._condition.wait_for(admissible, timeout=timeout)
-            finally:
-                remaining = self._exclusive_waiters.get(key, 1) - 1
-                if remaining <= 0:
-                    self._exclusive_waiters.pop(key, None)
-                else:
-                    self._exclusive_waiters[key] = remaining
-                if self._upgrading.get(key) == me:
-                    del self._upgrading[key]
-                # Readers queue behind pending upgrades and exclusive
-                # waiters; once granted or timed out they must re-check
-                # the predicate.
-                self._condition.notify_all()
-            if not granted:
-                raise LockTimeout(
-                    f"timeout acquiring exclusive lock on {table_name!r}"
-                )
-            self._writer[key] = me
-            if self._san is not None:
-                self._san.note_acquired(self._san_node(key), mode="exclusive")
+        self._acquire((table_name.lower(),), True, timeout)
 
     def release_exclusive(self, table_name: str, ident: Optional[int] = None) -> None:
         """Release the exclusive lock; ``ident`` as in :meth:`release_shared`."""
         key = table_name.lower()
         me = ident if ident is not None else threading.get_ident()
-        with self._condition:
+        with self._mutex:
             if self._writer.get(key) != me:
                 raise TransactionError(f"exclusive lock on {table_name!r} not held")
-            self._writer[key] = None
+            del self._writer[key]
             if self._san is not None:
                 self._san.note_released(self._san_node(key), ident=me)
-            self._condition.notify_all()
+            self._wake()
 
 
 class WriteAheadLog:

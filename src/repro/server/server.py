@@ -489,10 +489,10 @@ class MayBMSServer:
                 # "serving" adds the backpressure counters, "parallel" the
                 # shared execution pool's per-operator counters (empty
                 # when no pool), "snapshots" the MVCC snapshot manager's
-                # capture/pin/reclaim counters (always present -- reads
-                # are lock-free for in-memory stores too), "sanitizer" the
-                # runtime concurrency sanitizer's violation counters
-                # (empty unless REPRO_SANITIZE=1).
+                # capture, capture-wait, pin and reclaim counters (always
+                # present -- reads are lock-free for in-memory stores too),
+                # "sanitizer" the runtime concurrency sanitizer's violation
+                # counters (empty unless REPRO_SANITIZE=1).
                 with self._threads_mutex:
                     active = len(self._connections)
                     errors = dict(self._error_counters)

@@ -768,6 +768,9 @@ class TestEpochFallback:
         txn.insert("t1", (88, 8.5, "post-rotation"))
         txn.commit()
         del capture
+        # A dead process holds no mutex: drop the two-phase handoff lock, or
+        # the sanitizer sees this thread hold it through every later test.
+        manager._checkpoint_lock.release()
         manager.close()
 
         recovered = Catalog()

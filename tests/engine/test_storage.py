@@ -176,6 +176,19 @@ class TestSnapshotCaching:
         assert aliased.rows is base.rows  # zero-copy requalification
         assert aliased.schema.columns[0].qualifier == "p"
 
+    def test_aliased_scan_fills_the_shared_column_cache(self, table):
+        """Regression: with_schema copied the column view by value, so an
+        aliased scan of a not-yet-pivoted snapshot pivoted privately and
+        every later alias pivoted the whole table again."""
+        base = table.snapshot()
+        pivoted = table.snapshot("p").columns()
+        assert base.columns() is pivoted  # the base learned of the pivot
+        assert table.snapshot("q").columns() is pivoted
+
+    def test_alias_does_not_force_a_pivot(self, table):
+        table.snapshot("p")
+        assert table.snapshot()._columns == [None]
+
     def test_restore_invalidates(self, table):
         table.snapshot()
         row = table.delete(2)

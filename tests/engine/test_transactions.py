@@ -6,6 +6,7 @@ machinery.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -23,6 +24,14 @@ def catalog():
     c.table("t").insert((1, "a"))
     c.table("t").insert((2, "b"))
     return c
+
+
+def _wait_for_queue(locks, length):
+    """Block until ``length`` requests are waiting in the lock manager."""
+    deadline = time.monotonic() + 5
+    while len(locks._queue) < length:
+        assert time.monotonic() < deadline, "request never started waiting"
+        time.sleep(0.001)
 
 
 class TestTransactionRollback:
@@ -460,6 +469,79 @@ class TestLockManager:
         let_upgrader_finish.set()
         upgrade_thread.join(timeout=5)
         locks.release_shared("t")
+
+    def test_conflicting_requests_granted_in_arrival_order(self):
+        """Regression: a thread that released and re-requested a table
+        re-acquired it before any waiter woke, starving the waiters."""
+        locks = LockManager()
+        locks.acquire_exclusive("t")
+        order = []
+
+        def writer(tag):
+            locks.acquire_exclusive("t", timeout=5)
+            order.append(tag)
+            locks.release_exclusive("t")
+
+        waiter = threading.Thread(target=writer, args=("waiter",))
+        waiter.start()
+        _wait_for_queue(locks, 1)
+        locks.release_exclusive("t")
+        writer("releaser")  # back at once: must queue behind the waiter
+        waiter.join(timeout=5)
+        assert order == ["waiter", "releaser"]
+
+    def test_shared_all_holds_nothing_while_it_waits(self):
+        locks = LockManager()
+        locks.acquire_exclusive("b")  # a transaction that wrote b ...
+        granted = []
+
+        def capture():
+            granted.append(locks.acquire_shared_all(["b", "a"], timeout=5))
+            locks.release_shared("a")
+            locks.release_shared("b")
+
+        thread = threading.Thread(target=capture)
+        thread.start()
+        _wait_for_queue(locks, 1)
+        # ... now takes a: the waiting multi-table request neither holds a
+        # nor holds back a thread that already owns a table lock.
+        locks.acquire_exclusive("a", timeout=0.5)
+        assert not granted
+        locks.release_exclusive("a")
+        locks.release_exclusive("b")
+        thread.join(timeout=5)
+        assert granted == [True]  # granted as a whole, after a wait
+
+    def test_waiting_shared_all_holds_back_new_writers(self):
+        """A write stream on one of its tables must not starve a
+        multi-table request: a thread that holds no table lock yet queues
+        behind it."""
+        locks = LockManager()
+        locks.acquire_exclusive("b")
+        events = []
+
+        def capture():
+            locks.acquire_shared_all(["a", "b"], timeout=5)
+            events.append("capture")
+            locks.release_shared("a")
+            locks.release_shared("b")
+
+        def new_writer():
+            locks.acquire_exclusive("a", timeout=5)
+            events.append("writer")
+            locks.release_exclusive("a")
+
+        first = threading.Thread(target=capture)
+        first.start()
+        _wait_for_queue(locks, 1)
+        second = threading.Thread(target=new_writer)
+        second.start()
+        _wait_for_queue(locks, 2)
+        assert events == []
+        locks.release_exclusive("b")
+        first.join(timeout=5)
+        second.join(timeout=5)
+        assert events == ["capture", "writer"]
 
     def test_concurrent_counter_with_exclusive_lock(self, catalog):
         """Many writers incrementing a row stay serializable under the lock."""

@@ -453,6 +453,9 @@ class TestParallelConfidenceOverTheWire:
             snapshots = client.server_stats()["snapshots"]
         assert snapshots["snapshot_captures"] >= 1
         assert snapshots["snapshot_pins_held"] == 0
+        # One connection: no capture ever found a writer on its table.
+        assert snapshots["snapshot_capture_waits"] == 0
+        assert snapshots["snapshot_capture_wait_ms"] == 0
 
 
 class TestDurabilityStatsOp:

@@ -400,6 +400,71 @@ class TestCheckpointFairness:
         store.close()
 
 
+class TestLockFairness:
+    """Conflicting table-lock requests are granted in arrival order: a
+    writer that releases a table and asks for it again queues behind the
+    sessions already waiting (it used to win the lock back before any of
+    them woke; on a durable store three of four writers never committed)."""
+
+    def _write_stream(self, tmp_path, seconds, during=lambda store: None):
+        store = MayBMS(
+            path=str(tmp_path / "db"), checkpoint_every=0, lock_timeout=2.0
+        )
+        store.execute("create table t (k integer, v integer)")
+        stop = threading.Event()
+        sessions = [store.session() for _ in range(4)]
+        commits = [0] * len(sessions)
+        errors = []
+
+        def write_loop(slot):
+            try:
+                while not stop.is_set():
+                    sessions[slot].execute(
+                        f"insert into t values ({slot}, {commits[slot]})"
+                    )
+                    commits[slot] += 1
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=write_loop, args=(slot,), daemon=True)
+            for slot in range(len(sessions))
+        ]
+        for thread in threads:
+            thread.start()
+        try:
+            deadline = time.monotonic() + seconds
+            during(store)
+            time.sleep(max(0.0, deadline - time.monotonic()))
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in threads)
+        store.close()
+        return commits, errors
+
+    def test_saturating_writers_on_one_table_all_commit(self, tmp_path):
+        commits, errors = self._write_stream(tmp_path, 3.0)
+        assert not errors, errors
+        assert all(count > 0 for count in commits), commits
+
+    def test_reader_of_the_written_table_is_not_starved(self, tmp_path):
+        slowest = [0.0]
+
+        def read(store):
+            reader = store.session(read_only=True)
+            for _ in range(20):
+                started = time.monotonic()
+                reader.query("select k, v from t where k = 0")
+                slowest[0] = max(slowest[0], time.monotonic() - started)
+
+        commits, errors = self._write_stream(tmp_path, 3.0, during=read)
+        assert not errors, errors
+        assert all(count > 0 for count in commits), commits
+        assert slowest[0] < 1.0
+
+
 class TestMvccWriterLatency:
     def test_long_conf_never_times_out_writers(self):
         """The lock-free read guarantee, end to end: a reader session

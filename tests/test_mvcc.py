@@ -2,18 +2,23 @@
 
 Read statements execute against an immutable pinned version set captured
 by the store's :class:`~repro.engine.storage.SnapshotManager` -- zero
-table locks.  These tests drive the one nondeterministic window
+table locks while they run, and no store gate at all.  These tests drive the one nondeterministic window
 deterministically: ``SnapshotManager.on_capture`` fires after the pins
-are taken and the store gate is released, *before* the statement
+are taken and the shared table grant is released, *before* the statement
 executes, so a test can commit a concurrent write exactly between the
 pin and the read and assert the reader still sees the pinned version
 bit-identically -- serial or parallel, batch or row engine.
 """
 
+import threading
+import time
+
 import pytest
 
+from repro import faults
 from repro.db import MayBMS
 from repro.engine import planner
+from repro.engine.transactions import STORE_GATE
 from repro.errors import AnalysisError, MayBMSError
 
 ENGINES = ["batch", "row"]
@@ -178,8 +183,8 @@ class TestLockFreeReads:
             def probe(pinned):
                 db.locks.acquire_exclusive("t", timeout=0.1)
                 db.locks.release_exclusive("t")
-                db.locks.acquire_exclusive(db.snapshots.gate, timeout=0.1)
-                db.locks.release_exclusive(db.snapshots.gate)
+                db.locks.acquire_exclusive(STORE_GATE, timeout=0.1)
+                db.locks.release_exclusive(STORE_GATE)
                 observed["lock_free"] = True
 
             arm_one_shot(db, probe)
@@ -199,6 +204,102 @@ class TestLockFreeReads:
             )
             db.query(SELECT_QUERY)
             assert db.snapshot_stats()["snapshot_captures"] == 0
+        finally:
+            db.close()
+
+
+def wait_until(condition, what):
+    deadline = time.monotonic() + 5
+    while not condition():
+        assert time.monotonic() < deadline, f"{what} never happened"
+        time.sleep(0.001)
+
+
+class TestTableScopedCapture:
+    def test_capture_never_touches_the_store_gate(self, monkeypatch):
+        db = build_store()
+        try:
+            requested = []
+            for method in ("acquire_shared", "acquire_shared_all", "acquire_exclusive"):
+                original = getattr(db.locks, method)
+
+                def spy(names, timeout=None, _original=original):
+                    requested.extend([names] if isinstance(names, str) else names)
+                    return _original(names, timeout=timeout)
+
+                monkeypatch.setattr(db.locks, method, spy)
+            db.query(SELECT_QUERY)
+            assert requested == ["t"]
+            requested.clear()
+            db.execute("insert into t values (9, 9, 1.0)")
+            assert requested == [STORE_GATE, "t"]  # the spy does see the gate
+        finally:
+            db.close()
+
+    def test_reader_waits_only_for_writers_of_its_own_tables(self, tmp_path):
+        db = MayBMS(path=str(tmp_path / "store"), checkpoint_every=0)
+        try:
+            db.execute_script(
+                "create table a (x integer); create table b (x integer);"
+                "insert into b values (1)"
+            )
+            writer = db.session()
+            reader = db.session(read_only=True)
+            registry = faults.arm("wal.fsync=delay:300")
+            thread = threading.Thread(
+                target=writer.execute, args=("insert into a values (7)",)
+            )
+            thread.start()
+            wait_until(
+                lambda: registry.stats()["fired"].get("wal.fsync", 0) == 1,
+                "the writer's fsync",
+            )
+            # The writer now sits in its commit fsync holding a (and the
+            # store gate, shared).  A reader of b has nothing to wait for.
+            started = time.monotonic()
+            assert reader.query("select x from b").rows == [(1,)]
+            assert time.monotonic() - started < 0.1
+            assert reader.snapshot_stats()["snapshot_capture_waits"] == 0
+            # A reader of a waits for the commit to become durable, then
+            # sees it.
+            assert reader.query("select x from a").rows == [(7,)]
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            stats = reader.snapshot_stats()
+            assert stats["snapshot_capture_waits"] == 1
+            assert stats["snapshot_capture_wait_ms"] > 0
+        finally:
+            faults.disarm()
+            db.close()
+
+    def test_capture_across_a_growing_transaction_does_not_deadlock(self):
+        """A reader of {a, b} arrives while an explicit transaction has
+        written b and is about to write a.  Taking the read set table by
+        table would hold a while waiting for b and stop the transaction
+        until ``lock_timeout``; the atomic grant holds nothing while it
+        waits, and the transaction is not queued behind it."""
+        db = MayBMS(lock_timeout=2.0)
+        try:
+            db.execute_script("create table a (x integer); create table b (x integer)")
+            writer = db.session()
+            reader = db.session(read_only=True)
+            writer.execute("begin")
+            writer.execute("insert into b values (1)")
+            seen = []
+            thread = threading.Thread(
+                target=lambda: seen.append(
+                    reader.query("select a.x, b.x from a, b").rows
+                )
+            )
+            thread.start()
+            wait_until(lambda: len(db.locks._queue) == 1, "the reader's wait")
+            writer.execute("insert into a values (1)")
+            writer.execute("commit")
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            # Both rows or neither, never half of the transaction; here the
+            # reader was already waiting, so it is granted after the commit.
+            assert seen == [[(1, 1)]]
         finally:
             db.close()
 

@@ -5,8 +5,8 @@ Builds a syntactic lock-order graph from ``engine/`` + ``db.py``:
 - ``with <lockish>:`` blocks and raw ``.acquire()``/``.release()`` calls
   maintain a per-function held-set (with local alias resolution, e.g.
   ``cond = self._gc_cond``).
-- ``LockManager`` calls (``acquire_shared``/``acquire_exclusive``) map to the
-  logical nodes ``lockmgr:__store_gate__`` and ``lockmgr:<table>``.
+- ``LockManager`` calls (``acquire_shared``/``acquire_shared_all``/
+  ``acquire_exclusive``) map to the logical nodes ``lockmgr:__store_gate__`` and ``lockmgr:<table>``.
 - ``with <something>_released(X):`` temporarily removes ``X`` from the held
   set, modelling the scoped-release pattern used by the group-commit leader.
 - Same-class ``self.method()`` calls propagate the callee's acquired-lock
@@ -30,13 +30,13 @@ from tools.reprolint.rules import attr_text, is_lockish, last_attr
 
 Site = Tuple[str, int]
 
-_GATE_NAMES = {"STORE_GATE", "_STORE_GATE", "gate", "__store_gate__"}
+_GATE_NAMES = {"STORE_GATE", "__store_gate__"}
 _GATE_NODE = "lockmgr:__store_gate__"
 _TABLE_NODE = "lockmgr:<table>"
 
 _ACQUIRE_METHODS = {"acquire"}
 _RELEASE_METHODS = {"release"}
-_LOCKMGR_ACQUIRE = {"acquire_shared", "acquire_exclusive"}
+_LOCKMGR_ACQUIRE = {"acquire_shared", "acquire_shared_all", "acquire_exclusive"}
 _LOCKMGR_RELEASE = {"release_shared", "release_exclusive"}
 
 
