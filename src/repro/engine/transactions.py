@@ -40,7 +40,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -317,16 +316,13 @@ class _LockRequest:
     ident: int
     keys: Tuple[str, ...]
     exclusive: bool
-    #: signalled when the request may have become grantable (set once the
-    #: request actually has to wait; shares the manager's mutex)
-    ready: Optional[threading.Condition] = None
 
 
 class LockManager:
     """Table-granularity shared/exclusive locks with upgrade support.
 
-    A multiple-readers / single-writer scheme under one mutex, with a
-    condition variable per waiting request.  Holds are tracked per thread, so a thread holding a
+    A multiple-readers / single-writer scheme under one mutex and one
+    condition variable.  Holds are tracked per thread, so a thread holding a
     shared lock may call :meth:`acquire_exclusive` to *upgrade*: its own
     shared holds are discounted from the reader count it waits on (the
     naive scheme deadlocks forever on its own reader).  If two threads
@@ -341,15 +337,19 @@ class LockManager:
     gate shared -- starves a CHECKPOINT's exclusive gate request, nor does
     a thread that releases and immediately re-requests a table overtake
     the threads already waiting for it.  Two kinds of request go ahead of
-    the queue because an earlier waiter may be waiting on *them*: a thread
-    re-entering or upgrading a table it already holds, and -- behind a
-    waiting :meth:`acquire_shared_all` only -- a thread that already holds
-    some table lock (an explicit transaction in its growing phase: the
-    multi-table request may be waiting for a table that transaction wrote).
+    the queue and wait for actual holders only, because an earlier waiter
+    may (through further waiters) be waiting on *them*: a thread
+    re-entering or upgrading a key it already holds, and a thread that
+    already holds some table lock -- an explicit transaction in its growing
+    phase.  Everything queued ahead of such a transaction can end up
+    waiting for a table it wrote: a multi-table :meth:`acquire_shared_all`
+    directly, a lock-less writer by queueing behind that request.
     """
 
     def __init__(self) -> None:
         self._mutex = threading.Lock()
+        #: notified whenever a hold is released or a request leaves the queue
+        self._changed = threading.Condition(self._mutex)
         #: table -> {thread ident -> number of shared holds}
         self._readers: Dict[str, Dict[int, int]] = {}
         #: table -> thread ident holding it exclusively (absent when free)
@@ -388,24 +388,15 @@ class LockManager:
                 break
             if not (earlier.exclusive or request.exclusive):
                 continue  # shared never conflicts with shared
-            if not any(
+            if any(
                 key in earlier.keys and not self._holds(key, me)
                 for key in request.keys
             ):
-                continue  # other tables, or re-entering one we already hold
-            if len(earlier.keys) > 1 and self._holds_table_lock(me):
-                # The multi-table request may be waiting for a table we
-                # hold; waiting behind it in turn would stop both.
-                continue
-            return False
+                # An earlier waiter wants one of our keys (and not one we
+                # merely re-enter): wait our turn, unless that waiter may
+                # in turn be waiting for a table we hold.
+                return self._holds_table_lock(me)
         return True
-
-    def _wake(self) -> None:
-        """Signal exactly the waiters a state change made grantable (waking
-        all of them costs a context switch per waiter per release)."""
-        for request in self._queue:
-            if request.ready is not None and self._grantable(request):
-                request.ready.notify()
 
     def _acquire(
         self, keys: Tuple[str, ...], exclusive: bool, timeout: Optional[float]
@@ -434,8 +425,7 @@ class LockManager:
             try:
                 waited = not self._grantable(request)
                 if waited:
-                    ready = request.ready = threading.Condition(self._mutex)
-                    if not ready.wait_for(
+                    if not self._changed.wait_for(
                         lambda: self._grantable(request), timeout=timeout
                     ):
                         raise LockTimeout(
@@ -454,24 +444,24 @@ class LockManager:
                 # Whoever queued behind this request must re-check, whether
                 # it was granted or timed out.
                 self._queue.remove(request)
-                self._wake()
+                self._changed.notify_all()
         return waited
 
     def acquire_shared(self, table_name: str, timeout: Optional[float] = None) -> None:
         self._acquire((table_name.lower(),), False, timeout)
 
     def acquire_shared_all(
-        self, table_names: Iterable[str], timeout: Optional[float] = None
+        self, keys: Sequence[str], timeout: Optional[float] = None
     ) -> bool:
-        """One atomic shared grant on every named table: granted at the
+        """One atomic shared grant on every table in ``keys`` (distinct
+        lower-case names, as :meth:`release_shared` sees them): granted at the
         first instant none of them has a writer (and no earlier request
         for one of them is still waiting), holding nothing meanwhile -- a
         loop of :meth:`acquire_shared` calls would hold one table while
         waiting for the next and deadlock against a transaction that
         wrote the second and now wants the first.  Release each name with
         :meth:`release_shared`.  Returns whether the grant had to wait."""
-        keys = tuple(sorted({name.lower() for name in table_names}))
-        return self._acquire(keys, False, timeout)
+        return self._acquire(tuple(keys), False, timeout)
 
     def release_shared(self, table_name: str, ident: Optional[int] = None) -> None:
         """Release one shared hold.  ``ident`` names the owning thread when
@@ -492,7 +482,7 @@ class LockManager:
                 holders[me] = count - 1
             if self._san is not None:
                 self._san.note_released(self._san_node(key), ident=me)
-            self._wake()
+            self._changed.notify_all()
 
     def acquire_exclusive(self, table_name: str, timeout: Optional[float] = None) -> None:
         self._acquire((table_name.lower(),), True, timeout)
@@ -507,7 +497,7 @@ class LockManager:
             del self._writer[key]
             if self._san is not None:
                 self._san.note_released(self._san_node(key), ident=me)
-            self._wake()
+            self._changed.notify_all()
 
 
 class WriteAheadLog:

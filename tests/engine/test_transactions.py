@@ -543,6 +543,39 @@ class TestLockManager:
         second.join(timeout=5)
         assert events == ["capture", "writer"]
 
+    def test_growing_transaction_skips_writer_queued_behind_shared_all(self):
+        """The exception has to be transitive: a lock-less writer queued
+        behind a multi-table request waits, through it, for the
+        transaction that holds b -- so that transaction must not queue
+        behind the writer either."""
+        locks = LockManager()
+        locks.acquire_exclusive("b")
+        events = []
+
+        def capture():
+            locks.acquire_shared_all(["a", "b"], timeout=5)
+            events.append("capture")
+            locks.release_shared("a")
+            locks.release_shared("b")
+
+        def new_writer():
+            locks.acquire_exclusive("a", timeout=5)
+            events.append("writer")
+            locks.release_exclusive("a")
+
+        threads = []
+        for length, target in enumerate((capture, new_writer), start=1):
+            threads.append(threading.Thread(target=target))
+            threads[-1].start()
+            _wait_for_queue(locks, length)
+        locks.acquire_exclusive("a", timeout=0.5)  # a is free: no wait
+        assert events == []
+        locks.release_exclusive("a")
+        locks.release_exclusive("b")
+        for thread in threads:
+            thread.join(timeout=5)
+        assert events == ["capture", "writer"]
+
     def test_concurrent_counter_with_exclusive_lock(self, catalog):
         """Many writers incrementing a row stay serializable under the lock."""
         locks = LockManager()

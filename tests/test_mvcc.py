@@ -303,6 +303,46 @@ class TestTableScopedCapture:
         finally:
             db.close()
 
+    def test_writer_queued_behind_a_capture_does_not_stop_the_transaction(self):
+        """Three parties: an explicit transaction wrote b, a reader of
+        {a, b} waits for it, and an autocommit insert into a queues behind
+        the reader.  The transaction's own insert into a must not queue
+        behind that writer in turn (reader -> transaction -> writer ->
+        reader, all stopped until ``lock_timeout`` although a is free)."""
+        db = MayBMS(lock_timeout=2.0)
+        try:
+            db.execute_script("create table a (x integer); create table b (x integer)")
+            txn, other = db.session(), db.session()
+            reader = db.session(read_only=True)
+            txn.execute("begin")
+            txn.execute("insert into b values (1)")
+            seen = []
+            read = threading.Thread(
+                target=lambda: seen.append(
+                    sorted(reader.query("select a.x, b.x from a, b").rows)
+                )
+            )
+            read.start()
+            wait_until(lambda: len(db.locks._queue) == 1, "the reader's wait")
+            write = threading.Thread(
+                target=other.execute, args=("insert into a values (2)",)
+            )
+            write.start()
+            wait_until(lambda: len(db.locks._queue) == 2, "the writer's wait")
+            started = time.monotonic()
+            txn.execute("insert into a values (1)")
+            txn.execute("commit")
+            assert time.monotonic() - started < 1.0
+            for thread in (read, write):
+                thread.join(timeout=5)
+                assert not thread.is_alive()
+            # Arrival order among the waiters: the reader (all of the
+            # transaction, none of the later insert), then the writer.
+            assert seen == [[(1, 1)]]
+            assert sorted(db.query("select x from a").rows) == [(1,), (2,)]
+        finally:
+            db.close()
+
 
 class TestDifferentialLockedVsMvcc:
     @pytest.mark.parametrize("engine", ENGINES)
