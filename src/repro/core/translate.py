@@ -25,6 +25,11 @@ Every rule emits ordinary relational plans over the wide integer encoding
 and is executed by the standard engine -- which is the whole point: a
 conventional RDBMS evaluates queries on probabilistic data with only a
 constant-factor overhead (benchmark C-TRANS measures it).
+
+Selection, projection, join and renaming do not run anything: each puts
+its plan nodes on top of its inputs' plans and returns a lazy
+:class:`URelation`, so a chain of them is *one* translated query, planned
+and executed once when the result's rows are first read.
 """
 
 from __future__ import annotations
@@ -57,15 +62,17 @@ from repro.errors import PlanError, SchemaError
 
 def u_select(urel: URelation, predicate: Expr) -> URelation:
     """σ_φ over a U-relation: the predicate sees only payload columns."""
-    plan = algebra.Select(algebra.RelationScan(urel.relation), predicate)
-    result = planner.run(plan)
-    return URelation(result, urel.payload_arity, urel.cond_arity, urel.registry)
+    return URelation.from_plan(
+        algebra.Select(urel.plan, predicate),
+        urel.payload_arity,
+        urel.cond_arity,
+        urel.registry,
+    )
 
 
 def u_project(urel: URelation, items: Sequence[Tuple[Expr, str]]) -> URelation:
     """π over payload expressions; condition columns are appended and no
     duplicate elimination takes place (parsimonious projection)."""
-    schema = urel.relation.schema
     out_items: List[Tuple[Expr, str]] = list(items)
     base = urel.payload_arity
     for i in range(urel.cond_arity):
@@ -74,9 +81,12 @@ def u_project(urel: URelation, items: Sequence[Tuple[Expr, str]]) -> URelation:
         ):
             position = base + 3 * i + offset
             out_items.append((PositionRef(position, typ), f"{prefix}{i}"))
-    plan = algebra.Project(algebra.RelationScan(urel.relation), out_items)
-    result = planner.run(plan)
-    return URelation(result, len(items), urel.cond_arity, urel.registry)
+    return URelation.from_plan(
+        algebra.Project(urel.plan, out_items),
+        len(items),
+        urel.cond_arity,
+        urel.registry,
+    )
 
 
 def consistency_predicate(
@@ -140,9 +150,6 @@ def u_join(
     # join schema has no duplicates.
     right = _shift_condition_names(right, left.cond_arity)
 
-    left_scan = algebra.RelationScan(left.relation)
-    right_scan = algebra.RelationScan(right.relation)
-
     join_predicate = predicate
     consistency = consistency_predicate(
         left.payload_arity, left.cond_arity, right.payload_arity, right.cond_arity
@@ -154,7 +161,7 @@ def u_join(
             else BoolOp("AND", [join_predicate, consistency])
         )
 
-    joined = algebra.Join(left_scan, right_scan, join_predicate)
+    joined = algebra.Join(left.plan, right.plan, join_predicate)
 
     # Rebuild the output as payload columns then renumbered condition
     # triples.  Projection items get positional placeholder names (payload
@@ -163,7 +170,7 @@ def u_join(
     combined = joined.schema()
     items: List[Tuple[Expr, str]] = []
     final_columns: List[Column] = []
-    left_width = len(left.relation.schema)
+    left_width = len(left.schema)
     for position in range(left.payload_arity):
         items.append((PositionRef(position, combined[position].type), f"_c{len(items)}"))
         final_columns.append(combined[position])
@@ -186,10 +193,12 @@ def u_join(
             final_columns.append(Column(f"{PROB_PREFIX}{out_index}", FLOAT))
             out_index += 1
 
-    plan = algebra.Project(joined, items)
-    result = planner.run(plan).with_schema(Schema(final_columns))
-    payload_arity = left.payload_arity + right.payload_arity
-    return URelation(result, payload_arity, left.cond_arity + right.cond_arity, left.registry)
+    return URelation.from_plan(
+        algebra.Relabel(algebra.Project(joined, items), Schema(final_columns)),
+        left.payload_arity + right.payload_arity,
+        left.cond_arity + right.cond_arity,
+        left.registry,
+    )
 
 
 def u_union(left: URelation, right: URelation) -> URelation:
@@ -225,31 +234,21 @@ def _shift_condition_names(urel: URelation, offset: int) -> URelation:
     """Rename the condition triples ``_v0.._vk`` to start at ``offset``."""
     if offset == 0 or urel.cond_arity == 0:
         return urel
-    columns = list(urel.relation.schema[: urel.payload_arity])
+    columns = list(urel.schema[: urel.payload_arity])
     for i in range(urel.cond_arity):
         columns.append(Column(f"{VAR_PREFIX}{offset + i}", INTEGER))
         columns.append(Column(f"{VAL_PREFIX}{offset + i}", INTEGER))
         columns.append(Column(f"{PROB_PREFIX}{offset + i}", FLOAT))
-    return URelation(
-        urel.relation.with_schema(Schema(columns)),
-        urel.payload_arity,
-        urel.cond_arity,
-        urel.registry,
-    )
+    return urel.with_schema(Schema(columns))
 
 
 def u_rename(urel: URelation, alias: str) -> URelation:
     """Re-qualify payload columns under a new alias (condition columns stay
     unqualified -- they are system columns)."""
     columns = []
-    for i, column in enumerate(urel.relation.schema):
+    for i, column in enumerate(urel.schema):
         if i < urel.payload_arity:
             columns.append(column.with_qualifier(alias))
         else:
             columns.append(column.with_qualifier(None))
-    return URelation(
-        urel.relation.with_schema(Schema(columns)),
-        urel.payload_arity,
-        urel.cond_arity,
-        urel.registry,
-    )
+    return urel.with_schema(Schema(columns))

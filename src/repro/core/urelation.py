@@ -24,6 +24,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 from repro.core.conditions import Condition, TRUE_CONDITION
 from repro.core.variables import TOP_VARIABLE, VariableRegistry
+from repro.engine import algebra, planner
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema
 from repro.engine.types import FLOAT, INTEGER, NULL
@@ -116,9 +117,18 @@ class URelation:
 
     ``relation`` holds payload columns followed by condition triples;
     ``registry`` is the variable table the conditions refer to.
+
+    A U-relation is either *materialized* (built from a relation) or
+    *lazy* (built by :meth:`from_plan` from a logical plan that computes
+    it).  The translation operators compose plans on lazy U-relations, so
+    a select-join-project chain is one plan; reading ``relation`` runs
+    it -- once, the result is kept and the plan dropped.  ``schema`` and
+    everything derived from it never run the plan.
     """
 
-    __slots__ = ("relation", "payload_arity", "cond_arity", "registry")
+    __slots__ = (
+        "_relation", "_plan", "schema", "payload_arity", "cond_arity", "registry"
+    )
 
     def __init__(
         self,
@@ -127,16 +137,80 @@ class URelation:
         cond_arity: int,
         registry: VariableRegistry,
     ):
+        self._relation: Optional[Relation] = relation
+        self._plan: Optional[algebra.PlanNode] = None
+        self._init(relation.schema, payload_arity, cond_arity, registry)
+
+    def _init(
+        self,
+        schema: Schema,
+        payload_arity: int,
+        cond_arity: int,
+        registry: VariableRegistry,
+    ) -> None:
         expected = payload_arity + 3 * cond_arity
-        if len(relation.schema) != expected:
+        if len(schema) != expected:
             raise SchemaError(
-                f"U-relation schema has {len(relation.schema)} columns, "
+                f"U-relation schema has {len(schema)} columns, "
                 f"expected {payload_arity} payload + {3 * cond_arity} condition"
             )
-        self.relation = relation
+        #: The wide schema: payload columns, then the condition triples.
+        self.schema = schema
         self.payload_arity = payload_arity
         self.cond_arity = cond_arity
         self.registry = registry
+
+    @staticmethod
+    def from_plan(
+        plan: algebra.PlanNode,
+        payload_arity: int,
+        cond_arity: int,
+        registry: VariableRegistry,
+    ) -> "URelation":
+        """A lazy U-relation: the rows ``plan`` produces, once someone
+        reads them.  The plan's schema is derived (and so the plan is
+        type-checked) here, not when it runs."""
+        urel = URelation.__new__(URelation)
+        urel._relation = None
+        urel._plan = plan
+        urel._init(plan.schema(), payload_arity, cond_arity, registry)
+        return urel
+
+    @property
+    def relation(self) -> Relation:
+        """The wide-encoded rows (runs a lazy U-relation's plan on first
+        read)."""
+        relation = self._relation
+        if relation is None:
+            relation = self._relation = planner.run(self._plan)
+            self._plan = None
+        return relation
+
+    @property
+    def plan(self) -> algebra.PlanNode:
+        """A logical plan producing this U-relation: its own while lazy,
+        a scan of the materialized rows afterwards."""
+        if self._relation is not None:
+            return algebra.RelationScan(self._relation)
+        return self._plan
+
+    def with_schema(self, schema: Schema) -> "URelation":
+        """The same rows under a different equal-arity wide schema, without
+        running a lazy plan (materialized rows and their column cell are
+        shared, see :meth:`Relation.with_schema`)."""
+        if self._relation is not None:
+            return URelation(
+                self._relation.with_schema(schema),
+                self.payload_arity,
+                self.cond_arity,
+                self.registry,
+            )
+        return URelation.from_plan(
+            algebra.Relabel(self._plan, schema),
+            self.payload_arity,
+            self.cond_arity,
+            self.registry,
+        )
 
     # -- constructors -----------------------------------------------------------
     @staticmethod
@@ -188,13 +262,15 @@ class URelation:
 
     @property
     def payload_schema(self) -> Schema:
-        return self.relation.schema.project(range(self.payload_arity))
+        return self.schema.project(range(self.payload_arity))
 
     def payload_row(self, row: tuple) -> tuple:
         return row[: self.payload_arity]
 
     def payload_relation(self) -> Relation:
         """The payload columns only (conditions dropped, duplicates kept)."""
+        if self.cond_arity == 0:
+            return self.relation  # t-certain: nothing to drop
         return self.relation.project_positions(list(range(self.payload_arity)))
 
     def condition_of(self, row: tuple) -> Optional[Condition]:

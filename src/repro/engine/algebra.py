@@ -12,7 +12,7 @@ subset needs: distinct, grouping/aggregation, sort, limit, values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.expressions import Expr
 from repro.engine.relation import Relation
@@ -31,11 +31,17 @@ class PlanNode:
         return ()
 
     # -- debugging ----------------------------------------------------------
-    def explain(self, indent: int = 0) -> str:
+    def explain(self, indent: int = 0, notes: Optional[Dict[int, List[str]]] = None) -> str:
+        """The plan as an indented tree.  ``notes`` maps ``id(node)`` to
+        what the node's operator reported at run time (see
+        :func:`repro.engine.planner.trace_plans`); each note is printed
+        under its node."""
         pad = "  " * indent
         lines = [pad + self._describe()]
+        if notes:
+            lines.extend(f"{pad}  -- {note}" for note in notes.get(id(self), ()))
         for child in self.children():
-            lines.append(child.explain(indent + 1))
+            lines.append(child.explain(indent + 1, notes))
         return "\n".join(lines)
 
     def _describe(self) -> str:
@@ -336,6 +342,27 @@ class Alias(PlanNode):
 
     def _describe(self) -> str:
         return f"Alias[{self.alias}]"
+
+
+@dataclass(frozen=True)
+class Relabel(PlanNode):
+    """The child's rows under a different equal-arity schema -- the plan
+    form of :meth:`Relation.with_schema`.  The translation uses it where
+    per-column qualifiers are needed that :class:`Alias` (one qualifier)
+    and :class:`Project` (unqualified names) cannot express."""
+
+    child: PlanNode
+    new_schema: Schema
+
+    def __post_init__(self):
+        if len(self.new_schema) != len(self.child.schema()):
+            raise PlanError("Relabel requires equal arity")
+
+    def children(self) -> Sequence[PlanNode]:
+        return (self.child,)
+
+    def schema(self) -> Schema:
+        return self.new_schema
 
 
 def walk(plan: PlanNode):

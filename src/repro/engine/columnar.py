@@ -44,15 +44,36 @@ class ColumnBatch:
     ``columns`` is a sequence of per-column sequences, all of length
     ``length``.  Batches are treated as immutable: operators build new
     batches (possibly sharing column objects) instead of mutating.
+
+    ``origin`` is set by scans only: ``(relation, rows)`` says the batch
+    holds exactly rows ``rows`` (a slice or an index array) of
+    ``relation``, column for column, so :meth:`int_mirror` can cut the
+    relation's cached mirror; a batch without one has no mirrors, and a
+    caller converts whatever rows it ends up needing.
     """
 
-    __slots__ = ("columns", "length")
+    __slots__ = ("columns", "length", "origin")
 
-    def __init__(self, columns: Sequence[Sequence[Any]], length: Optional[int] = None):
+    def __init__(
+        self,
+        columns: Sequence[Sequence[Any]],
+        length: Optional[int] = None,
+        origin: Optional[Tuple[Any, Any]] = None,
+    ):
         self.columns: Tuple[Sequence[Any], ...] = tuple(columns)
         if length is None:
             length = len(self.columns[0]) if self.columns else 0
         self.length = length
+        self.origin = origin
+
+    def int_mirror(self, position: int):
+        """Column ``position`` cut from its relation's cached int64 mirror;
+        None when the batch has no ``origin`` or the column no mirror."""
+        if self.origin is None:
+            return None
+        relation, rows = self.origin
+        mirror = relation.mirror(position, "int64")
+        return None if mirror is None else mirror[rows]
 
     # -- construction -------------------------------------------------------
     @staticmethod
@@ -126,20 +147,26 @@ def batches_of_columns(
     columns: Sequence[Sequence[Any]],
     total: int,
     batch_size: int = BATCH_SIZE,
+    relation: Any = None,
 ) -> Iterator[ColumnBatch]:
     """Slice full-length columns into batches.
 
     When everything fits in one batch the columns are passed through
     without copying -- the common case for base-table scans, and the
-    "zero-copy read path" the storage layer relies on.
+    "zero-copy read path" the storage layer relies on.  ``relation``,
+    when the columns are those of a relation with cached mirrors, becomes
+    each batch's ``origin``.
     """
     if total <= batch_size:
-        yield ColumnBatch(columns, total)
+        origin = (relation, slice(None)) if relation is not None else None
+        yield ColumnBatch(columns, total, origin)
         return
     for start in range(0, total, batch_size):
+        stop = start + batch_size
         yield ColumnBatch(
-            tuple(column[start : start + batch_size] for column in columns),
+            tuple(column[start:stop] for column in columns),
             min(batch_size, total - start),
+            (relation, slice(start, stop)) if relation is not None else None,
         )
 
 
@@ -176,25 +203,42 @@ def concat_batches(batches: Iterable[ColumnBatch], arity: int) -> ColumnBatch:
 
 # ---------------------------------------------------------------------------
 # Optional NumPy mirrors.
+#
+# A mirror is an exact typed copy of a NULL-free numeric column.  Both
+# builders are strict: anything a vectorized comparison could not
+# reproduce bit for bit (NULLs, booleans, non-integers in an int mirror,
+# integers a float64 cannot hold exactly) yields ``None`` and the caller
+# keeps the Python kernels.  The type scan is what makes that safe:
+# ``np.fromiter`` alone maps ``None`` to NaN and truncates ``1.5`` to 1.
 # ---------------------------------------------------------------------------
+
+#: Integers up to this magnitude convert to float64 without rounding.
+FLOAT_EXACT_INT = 2**53
 
 
 def int_array(column: Sequence[Any], length: int):
-    """Mirror an all-int column into an int64 ndarray, or None if NumPy is
-    unavailable or the column contains non-integers (e.g. NULLs)."""
-    if not HAVE_NUMPY:
+    """Mirror an all-``int`` column into an int64 ndarray, or None if
+    NumPy is unavailable or any value is not a plain int that fits."""
+    if not HAVE_NUMPY or set(map(type, column)) - {int}:
         return None
     try:
         return np.fromiter(column, dtype=np.int64, count=length)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         return None
 
 
 def float_array(column: Sequence[Any], length: int):
-    """Mirror an all-numeric column into a float64 ndarray, or None."""
+    """Mirror a column of floats (and exactly representable ints) into a
+    float64 ndarray, or None."""
     if not HAVE_NUMPY:
         return None
-    try:
-        return np.fromiter(column, dtype=np.float64, count=length)
-    except (TypeError, ValueError, OverflowError):
+    kinds = set(map(type, column))
+    if kinds - {float, int}:
         return None
+    if int in kinds and not all(
+        -FLOAT_EXACT_INT <= v <= FLOAT_EXACT_INT
+        for v in column
+        if type(v) is int
+    ):
+        return None
+    return np.fromiter(column, dtype=np.float64, count=length)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.engine.expressions import Evaluator
+from repro.engine.expressions import ConsistencyPredicate, Evaluator
 from repro.engine.relation import Relation, Row
 from repro.engine.schema import Schema
 from repro.engine.types import NULL, sort_key
@@ -343,16 +343,35 @@ def execute(op: PhysicalOp, schema: Schema) -> Relation:
 # differentially testable against each other.
 # ===========================================================================
 
-from repro.engine.columnar import (  # noqa: E402 (keeps the two engine halves adjacent)
+import functools  # noqa: E402 (keeps the two engine halves adjacent)
+from itertools import chain  # noqa: E402
+
+from repro.engine import columnar  # noqa: E402
+from repro.engine.columnar import (  # noqa: E402
     BATCH_SIZE,
     ColumnBatch,
     batches_of_columns,
     concat_batches,
 )
-from repro.engine.kernels import Kernel, compile_kernel  # noqa: E402
+from repro.engine.kernels import (  # noqa: E402
+    _NUMPY_MIN_ROWS,
+    Kernel,
+    VectorFilter,
+    compile_kernel,
+    consistency_mask,
+)
 
 BatchIterator = Iterator[ColumnBatch]
 BatchOp = Callable[[], BatchIterator]
+
+#: What an operator did at run time, told to EXPLAIN (None: nobody asks).
+Note = Optional[Callable[[str], None]]
+
+
+def _mirrored(relation: Relation) -> Optional[Relation]:
+    """``relation`` if its mirrors are cached (a base-table snapshot), so
+    that batches cut from it may point back at it."""
+    return relation if relation.source is not None else None
 
 
 def batch_scan(relation: Relation) -> BatchOp:
@@ -363,7 +382,66 @@ def batch_scan(relation: Relation) -> BatchOp:
     """
 
     def run() -> BatchIterator:
-        return batches_of_columns(relation.columns(), len(relation))
+        return batches_of_columns(
+            relation.columns(), len(relation), relation=_mirrored(relation)
+        )
+
+    return run
+
+
+def batch_scan_filter(
+    relation: Relation,
+    vector: Optional[VectorFilter],
+    predicate: Kernel,
+    note: Note = None,
+) -> BatchOp:
+    """Scan + filter in one operator.
+
+    When the predicate has a vectorized form and the relation is worth a
+    NumPy call, the comparison conjuncts run once over the whole typed
+    mirrors, the mask becomes a selection vector, and every column is
+    gathered once -- no 1024-row slicing, no three-valued list per
+    conjunct.  Otherwise (no NumPy, a tiny relation, NULLs or inexact
+    values in a compared column) it is ``batch_filter`` over
+    ``batch_scan``.  Same rows, same order, either way.
+
+    The mask is always computed over the whole relation, and the batches
+    are as large as the selection: the first ``BATCH_SIZE`` survivors go
+    out on their own, so that a consumer that stops early (a ``Limit``
+    node) never pays for gathering the rest, and everything after them is one
+    batch of unbounded length.
+    """
+    serial = batch_filter(batch_scan(relation), predicate)
+
+    def run() -> BatchIterator:
+        n = len(relation)
+        mask = None
+        if vector is not None and columnar.HAVE_NUMPY and n >= _NUMPY_MIN_ROWS:
+            mask = vector.mask(relation)
+        if mask is None:
+            if note is not None:
+                note("filter: python kernels")
+            yield from serial()
+            return
+        if note is not None:
+            note(f"filter: {vector.label}")
+        selected = columnar.np.flatnonzero(mask)
+        columns = relation.columns()
+        for part in (selected[:BATCH_SIZE], selected[BATCH_SIZE:]):
+            rows = part.tolist()
+            if not rows:
+                return
+            batch = ColumnBatch(
+                tuple([column[i] for i in rows] for column in columns),
+                len(rows),
+                (relation, part) if _mirrored(relation) else None,
+            )
+            if vector.residual is not None:
+                batch = batch.filter_by_mask(
+                    vector.residual(batch.columns, batch.length)
+                )
+            if batch.length:
+                yield batch
 
     return run
 
@@ -421,47 +499,151 @@ def batch_hash_join(
     right_keys: Sequence[Kernel],
     right_arity: int,
     residual: Optional[Kernel] = None,
+    consistency: Optional[Tuple[ConsistencyPredicate, Kernel]] = None,
+    build_scan: Optional[Tuple[Relation, int]] = None,
+    note: Note = None,
 ) -> BatchOp:
     """Equi-join: materialize + hash the right input, probe with left
     batches.  NULL keys never match (SQL equality), exactly as in the row
-    engine; output order is left order, bucket insertion order."""
+    engine; output order is left order, bucket insertion order.
+
+    ``consistency`` is the translated join's consistency filter (with
+    its Python kernel), kept apart from ``residual`` so that it can run
+    on mirrors.  ``build_scan`` is ``(relation, key position)`` when the
+    right input is an unfiltered scan keyed on a bare column: the build
+    side is then the relation itself, and its hash table is kept with
+    the relation's other derived structures.
+    """
+    kind = "single-key" if len(left_keys) == 1 else f"{len(left_keys)} keys"
 
     def run() -> BatchIterator:
-        build = concat_batches(right(), right_arity)
-        build_count = build.length
-        table: Dict[tuple, List[int]] = {}
-        if build_count:
-            key_columns = [k(build.columns, build_count) for k in right_keys]
-            for i, key in enumerate(zip(*key_columns)):
-                if any(v is None for v in key):
-                    continue
-                table.setdefault(key, []).append(i)
+        if build_scan is not None:
+            relation, position = build_scan
+            build = ColumnBatch(
+                relation.columns(),
+                len(relation),
+                (relation, slice(None)) if _mirrored(relation) else None,
+            )
+            cached = relation.has_derived(("hash", position))
+            state = "build cached" if cached else "built"
+            table, unique = relation.derived(
+                ("hash", position),
+                lambda: _hash_keys(relation.columns()[position]),
+            )
+        else:
+            build = concat_batches(right(), right_arity)
+            state = "built"
+            table, unique = _hash_keys(_join_keys(right_keys, build))
+        if note is not None:
+            note(f"hash join: {kind}, {state}")
         if not table:
             return
+        # Every probe batch reads the same build-side condition columns:
+        # cut them from the cached mirrors once per run, not once per batch.
+        build_mirror = functools.lru_cache(maxsize=None)(build.int_mirror)
         for batch in left():
-            n = batch.length
-            if n == 0:
+            if batch.length == 0:
                 continue
-            probe_columns = [k(batch.columns, n) for k in left_keys]
-            left_indices: List[int] = []
-            right_indices: List[int] = []
-            for i, key in enumerate(zip(*probe_columns)):
-                if any(v is None for v in key):
-                    continue
-                bucket = table.get(key)
-                if not bucket:
-                    continue
-                left_indices.extend([i] * len(bucket))
-                right_indices.extend(bucket)
-            if not left_indices:
+            left_indices, right_indices = _probe_keys(
+                table, unique, _join_keys(left_keys, batch)
+            )
+            if not right_indices:
                 continue
-            out = batch.take(left_indices).concat_columns(build.take(right_indices))
-            if residual is not None:
+            matched = batch if left_indices is None else batch.take(left_indices)
+            out = matched.concat_columns(build.take(right_indices))
+            if consistency is not None:
+                out = _filter_consistent(
+                    out, consistency, batch, left_indices, build_mirror, right_indices
+                )
+            if residual is not None and out.length:
                 out = out.filter_by_mask(residual(out.columns, out.length))
             if out.length:
                 yield out
 
     return run
+
+
+def _join_keys(kernels: Sequence[Kernel], batch: ColumnBatch) -> Sequence[Any]:
+    """The hash keys of a batch: the key column itself for one key, key
+    tuples for several -- None wherever a part is NULL (it never matches)."""
+    columns = [kernel(batch.columns, batch.length) for kernel in kernels]
+    if len(columns) == 1:
+        return columns[0]
+    return [None if None in key else key for key in zip(*columns)]
+
+
+def _hash_keys(keys: Sequence[Any]) -> Tuple[dict, bool]:
+    """Hash the build keys (see ``_join_keys``): ``(key -> row, True)``
+    when every key occurs once, else ``(key -> rows in order, False)``.
+    NULL keys are left out (they never match)."""
+    table: dict = dict(zip(keys, range(len(keys))))
+    if len(table) == len(keys):
+        table.pop(None, None)
+        return table, True
+    buckets: Dict[Any, List[int]] = {}
+    for i, key in enumerate(keys):
+        if key is not None:
+            buckets.setdefault(key, []).append(i)
+    return buckets, False
+
+
+def _probe_keys(
+    table: dict, unique: bool, keys: Sequence[Any]
+) -> Tuple[Optional[List[int]], List[int]]:
+    """Matching (probe rows, build rows) for the keys of a probe batch;
+    probe rows ``None`` means every row matched exactly once, in order.
+    The table holds no NULL key, so a NULL probe simply misses."""
+    hits = list(map(table.get, keys))
+    if not unique:
+        return (
+            [i for i, bucket in enumerate(hits) if bucket for _ in bucket],
+            list(chain.from_iterable(filter(None, hits))),
+        )
+    if None not in hits:
+        return None, hits
+    return (
+        [i for i, hit in enumerate(hits) if hit is not None],
+        [hit for hit in hits if hit is not None],
+    )
+
+
+def _filter_consistent(
+    out: ColumnBatch,
+    consistency: Tuple[ConsistencyPredicate, Kernel],
+    probe: ColumnBatch,
+    probe_rows: Optional[List[int]],
+    build_mirror: Callable[[int], Any],
+    build_rows: List[int],
+) -> ColumnBatch:
+    """Drop joined rows whose two conditions contradict each other.
+
+    A condition column of an input cut from a base-table snapshot is read
+    from that snapshot's cached int64 mirror (``build_mirror`` answers for
+    the build side, once per join run); any other is converted from the
+    joined rows in ``out``, so the work stays proportional to the output
+    and never to the size of a derived build side.  If a column has no
+    int64 form the Python kernel runs over ``out`` instead.
+    """
+    n = out.length
+    left_arity = probe.arity
+
+    def array_of(position: int):
+        if position < left_arity:
+            mirror, rows = probe.int_mirror(position), probe_rows
+        else:
+            mirror, rows = build_mirror(position - left_arity), build_rows
+        if mirror is None:
+            return columnar.int_array(out.columns[position], n)
+        return mirror if rows is None else mirror[rows]
+
+    mask = None
+    if columnar.HAVE_NUMPY and n >= _NUMPY_MIN_ROWS:
+        mask = consistency_mask(consistency[0].pairs, array_of)
+    if mask is None:
+        return out.filter_by_mask(consistency[1](out.columns, n))
+    if mask.all():
+        return out
+    return out.take(columnar.np.flatnonzero(mask).tolist())
 
 
 def batch_nested_loop_join(
@@ -571,6 +753,8 @@ def batch_limit(child: BatchOp, count: Optional[int], offset: int) -> BatchOp:
                 emitted += current.length
             if current.length:
                 yield current
+            if count is not None and emitted >= count:
+                return  # without asking the child for a batch nobody needs
 
     return run
 

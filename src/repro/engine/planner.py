@@ -27,15 +27,16 @@ interface:
 Select the engine per call (``run(plan, engine="row")``), per process
 (:func:`set_default_engine` or the ``REPRO_ENGINE`` environment
 variable), or lexically (:func:`forced_engine`).  :func:`trace_plans`
-records every executed plan fragment and the engine that ran it -- the
-substrate of the SQL ``EXPLAIN`` statement.
+records every executed plan fragment, the engine that ran it, and what
+its operators reported at run time (vectorized filter, cached join build
+table) -- the substrate of the SQL ``EXPLAIN`` statement.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine import algebra, physical
 from repro.engine.expressions import (
@@ -46,7 +47,11 @@ from repro.engine.expressions import (
     conjunction,
     conjuncts_of,
 )
-from repro.engine.kernels import compile_kernel
+from repro.engine.kernels import (
+    compile_kernel,
+    compile_vector_filter,
+    split_consistency,
+)
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
 from repro.errors import PlanError, SchemaError
@@ -63,8 +68,14 @@ DEFAULT_ENGINE = os.environ.get("REPRO_ENGINE", BATCH_ENGINE)
 #: per-call argument and the process default.  A stack so scopes nest.
 _FORCED: List[str] = []
 
+#: ``id(plan node)`` -> what its operator reported while running.
+PlanNotes = Dict[int, List[str]]
+
+#: One executed plan: the plan, the engine that ran it, its run-time notes.
+PlanTrace = Tuple[algebra.PlanNode, str, PlanNotes]
+
 #: Active plan-trace buffers (via :func:`trace_plans`).
-_TRACES: List[List[Tuple[algebra.PlanNode, str]]] = []
+_TRACES: List[List[PlanTrace]] = []
 
 #: Active parallel-execution pools (via :func:`parallel_execution`); a
 #: stack so scopes nest, and pushing ``None`` masks any outer pool.
@@ -96,10 +107,11 @@ def forced_engine(name: str) -> Iterator[None]:
 
 
 @contextmanager
-def trace_plans() -> Iterator[List[Tuple[algebra.PlanNode, str]]]:
-    """Collect (plan, engine) pairs for every plan executed in this scope;
-    the EXPLAIN statement renders them."""
-    buffer: List[Tuple[algebra.PlanNode, str]] = []
+def trace_plans() -> Iterator[List[PlanTrace]]:
+    """Collect (plan, engine, notes) for every plan executed in this
+    scope; the EXPLAIN statement renders them
+    (``plan.explain(notes=notes)``)."""
+    buffer: List[PlanTrace] = []
     _TRACES.append(buffer)
     try:
         yield buffer
@@ -127,7 +139,7 @@ def _active_pool():
 def _scan_of(node: algebra.PlanNode) -> Optional[algebra.RelationScan]:
     """The base-table scan under a chain of aliases, if that is all there
     is (aliases rename columns but never change rows)."""
-    while isinstance(node, algebra.Alias):
+    while isinstance(node, (algebra.Alias, algebra.Relabel)):
         node = node.child
     return node if isinstance(node, algebra.RelationScan) else None
 
@@ -159,10 +171,11 @@ def run(node: algebra.PlanNode, engine: Optional[str] = None) -> Relation:
     """Compile and execute, materializing a relation."""
     name = _resolve_engine(engine)
     backend = _backend_for(name)
-    compiled = _Planner(backend).compile(node)
+    notes: Optional[PlanNotes] = {} if _TRACES else None
+    compiled = _Planner(backend, notes).compile(node)
     result = backend.execute(compiled, node.schema())
     for buffer in _TRACES:
-        buffer.append((node, name))
+        buffer.append((node, name, notes))
     return result
 
 
@@ -194,6 +207,9 @@ class _RowBackend(_Backend):
     def filter(self, child, predicate: Expr, schema: Schema):
         return physical.filter_op(child, predicate.compile(schema))
 
+    def scan_filter(self, relation: Relation, predicate: Expr, schema: Schema, note):
+        return self.filter(self.scan(relation), predicate, schema)
+
     def project(self, child, items: Sequence[Expr], schema: Schema):
         return physical.project_op(child, [e.compile(schema) for e in items])
 
@@ -207,6 +223,8 @@ class _RowBackend(_Backend):
         right_schema: Schema,
         residual: Optional[Expr],
         combined_schema: Schema,
+        build_scan=None,
+        note=None,
     ):
         return physical.hash_join(
             left,
@@ -278,6 +296,14 @@ class _BatchBackend(_Backend):
     def filter(self, child, predicate: Expr, schema: Schema):
         return physical.batch_filter(child, compile_kernel(predicate, schema))
 
+    def scan_filter(self, relation: Relation, predicate: Expr, schema: Schema, note):
+        return physical.batch_scan_filter(
+            relation,
+            compile_vector_filter(predicate, schema),
+            compile_kernel(predicate, schema),
+            note,
+        )
+
     def project(self, child, items: Sequence[Expr], schema: Schema):
         return physical.batch_project(
             child, [compile_kernel(e, schema) for e in items]
@@ -293,7 +319,10 @@ class _BatchBackend(_Backend):
         right_schema: Schema,
         residual: Optional[Expr],
         combined_schema: Schema,
+        build_scan=None,
+        note=None,
     ):
+        consistency, residual = split_consistency(residual)
         return physical.batch_hash_join(
             left,
             right,
@@ -303,6 +332,11 @@ class _BatchBackend(_Backend):
             compile_kernel(residual, combined_schema)
             if residual is not None
             else None,
+            (consistency, compile_kernel(consistency, combined_schema))
+            if consistency is not None
+            else None,
+            build_scan,
+            note,
         )
 
     def nested_loop_join(
@@ -377,8 +411,16 @@ _BATCH_BACKEND = _BatchBackend()
 
 
 class _Planner:
-    def __init__(self, backend: _Backend):
+    def __init__(self, backend: _Backend, notes: Optional[PlanNotes] = None):
         self.backend = backend
+        self.notes = notes
+
+    def _note(self, node: algebra.PlanNode):
+        """Where ``node``'s operator reports what it did at run time, or
+        None when nobody is tracing."""
+        if self.notes is None:
+            return None
+        return self.notes.setdefault(id(node), []).append
 
     def compile(self, node: algebra.PlanNode):
         method = getattr(self, "_compile_" + type(node).__name__.lower(), None)
@@ -401,8 +443,22 @@ class _Planner:
         parallel = self._parallel_pipeline(node.child, node.predicate, None)
         if parallel is not None:
             return parallel
-        child = self.compile(node.child)
-        return self.backend.filter(child, node.predicate, node.child.schema())
+        return self._filtered(node.child, [node.predicate])
+
+    def _filtered(self, child: algebra.PlanNode, conjuncts: Sequence[Expr]):
+        """``child`` compiled, under the conjunction of ``conjuncts`` if
+        there are any.  A filter sitting directly on a scan becomes one
+        scan-level operator, so the batch engine can evaluate it over the
+        relation's whole columns."""
+        if not conjuncts:
+            return self.compile(child)
+        predicate = conjunction(conjuncts)
+        scan = _scan_of(child)
+        if scan is not None:
+            return self.backend.scan_filter(
+                scan.relation, predicate, child.schema(), self._note(child)
+            )
+        return self.backend.filter(self.compile(child), predicate, child.schema())
 
     def _compile_project(self, node: algebra.Project):
         items = [e for e, _ in node.items]
@@ -441,9 +497,7 @@ class _Planner:
         if scan is None or not pool.operator_eligible(len(scan.relation)):
             return None
         schema = child.schema()
-        serial = self.backend.scan(scan.relation)
-        if predicate is not None:
-            serial = self.backend.filter(serial, predicate, schema)
+        serial = self._filtered(child, [predicate] if predicate is not None else [])
         if projections is not None:
             serial = self.backend.project(serial, projections, schema)
         return physical.parallel_table_scan(
@@ -469,6 +523,8 @@ class _Planner:
     def _compile_alias(self, node: algebra.Alias):
         # Aliasing only changes the schema, not the rows.
         return self.compile(node.child)
+
+    _compile_relabel = _compile_alias
 
     def _compile_groupby(self, node: algebra.GroupBy):
         child = self.compile(node.child)
@@ -528,16 +584,8 @@ class _Planner:
                 else:
                     residual.append(conjunct)
 
-        left_op = self.compile(node.left)
-        if left_only:
-            left_op = self.backend.filter(
-                left_op, conjunction(left_only), left_schema
-            )
-        right_op = self.compile(node.right)
-        if right_only:
-            right_op = self.backend.filter(
-                right_op, conjunction(right_only), right_schema
-            )
+        left_op = self._filtered(node.left, left_only)
+        right_op = self._filtered(node.right, right_only)
 
         residual_expr = conjunction(residual) if residual else None
 
@@ -565,6 +613,12 @@ class _Planner:
                     if left_scan is not None
                     else None,
                 )
+            # An unfiltered scan keyed on one bare column is its own build
+            # side: nothing to materialize, and its hash table is kept.
+            right_scan = _scan_of(node.right)
+            build_scan = None
+            if right_scan is not None and not right_only and len(equi) == 1:
+                build_scan = (right_scan.relation, right_keys[0].position)
             return self.backend.hash_join(
                 left_op,
                 right_op,
@@ -574,6 +628,8 @@ class _Planner:
                 right_schema,
                 residual_expr,
                 combined,
+                build_scan,
+                self._note(node),
             )
         return self.backend.nested_loop_join(
             left_op, right_op, residual_expr, right_schema, combined

@@ -10,13 +10,40 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.engine import columnar
 from repro.engine.schema import Column, Schema
 from repro.engine.types import NULL, sort_key
 from repro.errors import SchemaError
 
 Row = Tuple[Any, ...]
+
+_UNSET = object()
+
+
+class ColumnCell:
+    """Everything derived from a relation's rows that is worth keeping:
+    the column-wise pivot and, for base-table snapshots, the typed NumPy
+    mirrors and single-key hash-join build tables made from it.
+
+    One cell is shared by a relation and all its ``with_schema()``
+    aliases, so whichever of them pivots, mirrors or hashes first does it
+    for all.  A snapshot lives as long as its table version (and as long
+    as some statement pins it), so the cell is implicitly keyed by table
+    version and dies with it.
+    """
+
+    __slots__ = ("columns", "derived")
+
+    def __init__(self) -> None:
+        # One immutable sequence per column (None until someone asks):
+        # tuples when pivoted here, decoded lists when pre-seeded by the
+        # checkpoint recovery fast path (storage.Table.load_columns).
+        self.columns: Optional[Tuple[Sequence[Any], ...]] = None
+        # Relation.derived()'s memo: ("mirror", position, dtype) -> ndarray
+        # or None for "not mirrorable"; ("hash", position) -> build table.
+        self.derived: Dict[tuple, Any] = {}
 
 
 class Relation:
@@ -32,12 +59,7 @@ class Relation:
     def __init__(self, schema: Schema, rows: Iterable[Row] = ()):
         self.schema = schema
         self.rows: List[Row] = [tuple(r) for r in rows]
-        # A one-slot cell holding the column-wise pivot (None until someone
-        # asks), shared with every with_schema() alias so whichever pivots
-        # first fills it for all.  One immutable sequence per column:
-        # tuples when pivoted here, decoded lists when pre-seeded by the
-        # checkpoint recovery fast path (storage.Table.load_columns).
-        self._columns: List[Optional[Tuple[Sequence[Any], ...]]] = [None]
+        self._columns = ColumnCell()
         # Grouped-lineage cache for the confidence dispatcher.  It lives on
         # the relation because table snapshots are cached per version
         # (storage.Table.snapshot), so "same relation object" means "same
@@ -68,7 +90,7 @@ class Relation:
         relation = Relation.__new__(Relation)
         relation.schema = schema
         relation.rows = rows
-        relation._columns = [None]
+        relation._columns = ColumnCell()
         relation._lineage_cache = None
         relation.source = None
         return relation
@@ -76,14 +98,45 @@ class Relation:
     def columns(self) -> Tuple[Sequence[Any], ...]:
         """The relation pivoted column-wise (cached; relations are
         immutable once built).  This is the batch engine's scan input."""
-        columns = self._columns[0]
+        columns = self._columns.columns
         if columns is None:
             if self.rows:
                 columns = tuple(zip(*self.rows))
             else:
                 columns = tuple(() for _ in self.schema)
-            self._columns[0] = columns
+            self._columns.columns = columns
         return columns
+
+    def derived(self, key: tuple, build: Callable[[], Any]) -> Any:
+        """``build()``, kept under ``key`` in the shared cell when this is
+        a base-table snapshot -- a table version then pays for a mirror or
+        a join build table once, whichever statement or alias asks first.
+        A derived relation is gone after its statement: it builds per use
+        and keeps nothing."""
+        if self.source is None:
+            return build()
+        memo = self._columns.derived
+        value = memo.get(key, _UNSET)
+        if value is _UNSET:
+            value = memo[key] = build()
+        return value
+
+    def has_derived(self, key: tuple) -> bool:
+        """Is ``key`` already in the shared cell?  (EXPLAIN's "build
+        cached" versus "built".)"""
+        return key in self._columns.derived
+
+    def mirror(self, position: int, dtype: str) -> Any:
+        """Column ``position`` as an ``"int64"`` or ``"float64"`` ndarray,
+        or None when it cannot be mirrored exactly (NumPy missing, NULLs,
+        non-numeric values; see :mod:`repro.engine.columnar`)."""
+        if not columnar.HAVE_NUMPY:
+            return None
+        build = columnar.int_array if dtype == "int64" else columnar.float_array
+        return self.derived(
+            ("mirror", position, dtype),
+            lambda: build(self.columns()[position], len(self.rows)),
+        )
 
     # -- container protocol ------------------------------------------------
     def __len__(self) -> int:

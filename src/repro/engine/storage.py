@@ -387,7 +387,7 @@ class Table:
         self._next_tid = max(int(next_tid), top)
         self._version += 1
         snapshot = Relation.from_trusted_rows(self.schema, rows)
-        snapshot._columns[0] = tuple(columns)
+        snapshot._columns.columns = tuple(columns)
         snapshot.source = (self.name, self._version)
         self._snapshot_cache = (self._version, snapshot)
         for kind, name, positions, unique in indexes:

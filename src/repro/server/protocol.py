@@ -140,7 +140,9 @@ def _recv_exact(
 
 
 def encode_result(result: StatementResult) -> Dict[str, Any]:
-    """A JSON-safe rendering of one statement's result."""
+    """A JSON-safe rendering of one statement's result.  Rows go out as
+    the relation's own tuples: ``json.dumps`` writes a tuple as an array,
+    so copying each row into a list would change nothing on the wire."""
     output = result.output
     if output is None:
         return {"kind": "none", "row_count": result.row_count}
@@ -149,7 +151,7 @@ def encode_result(result: StatementResult) -> Dict[str, Any]:
         return {
             "kind": "urelation",
             "columns": _encode_columns(relation),
-            "rows": [list(row) for row in relation.rows],
+            "rows": relation.rows,
             "row_count": result.row_count,
             "payload_arity": output.payload_arity,
             "cond_arity": output.cond_arity,
@@ -158,7 +160,7 @@ def encode_result(result: StatementResult) -> Dict[str, Any]:
     return {
         "kind": "relation",
         "columns": _encode_columns(output),
-        "rows": [list(row) for row in output.rows],
+        "rows": output.rows,
         "row_count": result.row_count,
     }
 

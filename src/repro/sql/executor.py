@@ -263,24 +263,26 @@ class Executor:
         if isinstance(statement, ast.Explain):
             return self._execute_explain(statement)
         # A query.
-        output = self.evaluate_query(statement)
-        return StatementResult(output=output)
+        return StatementResult(output=_materialized(self.evaluate_query(statement)))
 
     def _execute_explain(self, statement: ast.Explain) -> StatementResult:
         """EXPLAIN <query>: run the query with plan tracing enabled and
         return the executed plan fragments as a one-column relation.
 
-        MayBMS lowers a query into a *pipeline* of relational plans (the
-        parsimonious translation materializes per stage), so EXPLAIN
-        reports each fragment in execution order, with the engine (row or
-        batch) that evaluated it.  Confidence-computing aggregates run
-        outside the relational plans; their fragments report which
-        strategy the cost-based dispatcher chose per group component
-        (closed-form / sprout / exact / monte-carlo).
+        FROM, WHERE and the select list of a query are one relational
+        plan (the parsimonious translation composes it); grouping,
+        ordering and subqueries that must be evaluated first add their
+        own.  EXPLAIN reports each fragment in execution order, with the
+        engine (row or batch) that evaluated it and, under a node, what
+        its operator did at run time (``-- filter: vectorized[...]``,
+        ``-- hash join: single-key, build cached``).  Confidence-computing
+        aggregates run outside the relational plans; their fragments
+        report which strategy the cost-based dispatcher chose per group
+        component (closed-form / sprout / exact / monte-carlo).
         """
         with planner.trace_plans() as trace, dispatch.trace_confidence() as conf_trace:
             with parallel_exec.trace_parallel_ops() as par_trace:
-                output = self.evaluate_query(statement.query)
+                output = _materialized(self.evaluate_query(statement.query))
         kind = "U-relation" if isinstance(output, URelation) else "relation"
         lines = [
             f"result: {kind} ({len(output)} rows), "
@@ -292,9 +294,9 @@ class Executor:
                 for name, version in sorted(self.pinned.versions.items())
             )
             lines.append(f"snapshot: mvcc pinned {pins}")
-        for position, (node, engine) in enumerate(trace):
+        for position, (node, engine, notes) in enumerate(trace):
             lines.append(f"fragment {position + 1} [engine={engine}]:")
-            for plan_line in node.explain().splitlines():
+            for plan_line in node.explain(notes=notes).splitlines():
                 lines.append("  " + plan_line)
         for position, (op_kind, info) in enumerate(par_trace):
             lines.append(
@@ -351,7 +353,7 @@ class Executor:
                 properties: Optional[Dict[str, Any]] = None
                 rows = output.rows
             else:
-                schema = output.relation.schema.unqualified()
+                schema = output.schema.unqualified()
                 kind = KIND_URELATION
                 properties = {
                     "payload_arity": output.payload_arity,
@@ -807,9 +809,7 @@ class Executor:
         # the body's payload schema and rebase to positions so that a
         # same-named subquery column cannot shadow it.
         rebased_operand = _rebase_to_positions(operand, body.payload_schema)
-        inner_ref = PositionRef(
-            len(body.relation.schema), subquery.payload_schema[0].type
-        )
+        inner_ref = PositionRef(len(body.schema), subquery.payload_schema[0].type)
         predicate = Comparison("=", rebased_operand, inner_ref)
         joined = u_join(body, subquery, predicate)
         # Project back onto the outer payload columns.
@@ -819,14 +819,11 @@ class Executor:
         ]
         projected = u_project(joined, items)
         # Restore the outer qualifiers (u_project outputs unqualified names).
-        restored = projected.relation.with_schema(
+        return projected.with_schema(
             Schema(
                 list(body.payload_schema)
-                + list(projected.relation.schema[projected.payload_arity :])
+                + list(projected.schema[projected.payload_arity :])
             )
-        )
-        return URelation(
-            restored, projected.payload_arity, projected.cond_arity, self.registry
         )
 
     # -- aggregation -----------------------------------------------------------
@@ -866,6 +863,9 @@ class Executor:
             group_names = []
         else:
             prepared = u_project(body, project_items)
+        # Several aggregates share the prepared body (and ecount(expr)
+        # selects from it): run its plan once, here.
+        _materialized(prepared)
 
         # Compute each aggregate and merge results on the group key.
         merged: Dict[tuple, Dict[str, Any]] = {}
@@ -1281,6 +1281,16 @@ class Executor:
         return relation
 
 
+def _materialized(output: QueryOutput) -> QueryOutput:
+    """``output`` with its rows computed.  A query's U-relation result is
+    lazy until read (see :mod:`repro.core.translate`); it must be read
+    before the statement ends -- inside its locks, pins, transaction and
+    traces."""
+    if isinstance(output, URelation):
+        output.relation
+    return output
+
+
 def resolve_scalar_subqueries(expr: ast.SqlExpr, executor: "Executor") -> ast.SqlExpr:
     """Replace every scalar subquery in a syntactic expression by the
     literal it evaluates to.
@@ -1432,14 +1442,11 @@ def _project_qualified(
     placeholders = [(expr, f"_q{i}") for i, (expr, _) in enumerate(items)]
     projected = u_project(body, placeholders)
     columns = [
-        Column(name, projected.relation.schema[i].type, qualifiers[i])
+        Column(name, projected.schema[i].type, qualifiers[i])
         for i, (_, name) in enumerate(items)
     ]
-    columns.extend(projected.relation.schema[len(items):])
-    relation = projected.relation.with_schema(Schema(columns))
-    return URelation(
-        relation, projected.payload_arity, projected.cond_arity, projected.registry
-    )
+    columns.extend(projected.schema[len(items):])
+    return projected.with_schema(Schema(columns))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.core.translate import (
 from repro.core.urelation import URelation
 from repro.core.variables import VariableRegistry
 from repro.core.worlds import enumerate_worlds
+from repro.engine import algebra, planner
 from repro.engine.expressions import (
     Arithmetic,
     BoolOp,
@@ -33,7 +34,7 @@ from repro.engine.expressions import (
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
 from repro.engine.types import FLOAT, INTEGER, TEXT
-from repro.errors import PlanError, SchemaError
+from repro.errors import MayBMSError, PlanError, SchemaError
 
 
 @pytest.fixture
@@ -304,3 +305,75 @@ class TestComposition:
             return out
 
         assert_commutes(pipeline, oracle, registry)
+
+
+class TestLazyPlans:
+    """The translation operators compose one plan; reading ``relation``
+    runs it, once."""
+
+    @staticmethod
+    def _chain(r, s):
+        selected = u_select(r, Comparison("=", ColumnRef("a"), Literal(2)))
+        joined = u_join(
+            selected,
+            s,
+            Comparison("=", ColumnRef("a", "l"), ColumnRef("a", "r")),
+            left_alias="l",
+            right_alias="r",
+        )
+        return u_project(joined, [(ColumnRef("b"), "b"), (ColumnRef("c"), "c")])
+
+    def test_select_join_project_is_one_planner_run(self, r_and_s):
+        r, s, x, y = r_and_s
+        with planner.trace_plans() as trace:
+            chain = self._chain(r, s)
+            assert trace == []  # composing runs nothing
+            assert chain.schema.names[:2] == ["b", "c"]  # nor does the schema
+            assert chain.payload_schema.names == ["b", "c"]
+            assert trace == []
+            rows = chain.relation.rows
+        assert len(trace) == 1
+        plan, _, _ = trace[0]
+        kinds = [type(node).__name__ for node in algebra.walk(plan)]
+        assert kinds.count("Join") == 1 and kinds.count("Select") == 1
+        assert kinds[0] == "Project"
+        # (2, q) holds under x=1 and s's (2, 2.5) under x=0: inconsistent.
+        assert sorted(row[:2] for row in rows) == [("r", 2.5)]
+
+    def test_plan_runs_once_however_often_relation_is_read(self, r_and_s, monkeypatch):
+        r, s, x, y = r_and_s
+        runs = []
+        real_run = planner.run
+        monkeypatch.setattr(
+            planner, "run", lambda plan, *a, **kw: runs.append(plan) or real_run(plan, *a, **kw)
+        )
+        chain = self._chain(r, s)
+        first = chain.relation
+        assert chain.relation is first
+        assert len(chain) == len(first.rows)
+        assert list(chain.rows_with_conditions())
+        assert chain.conditions() and chain.condition_probabilities()
+        assert len(runs) == 1
+
+    def test_operators_on_a_read_urelation_scan_its_rows(self, r_and_s):
+        r, s, x, y = r_and_s
+        selected = u_select(r, Comparison("=", ColumnRef("a"), Literal(2)))
+        materialized = selected.relation
+        with planner.trace_plans() as trace:
+            again = u_select(selected, Comparison("=", ColumnRef("b"), Literal("q")))
+            assert again.relation.rows == [row for row in materialized.rows if row[1] == "q"]
+        (plan, _, _), = trace
+        scans = [n for n in algebra.walk(plan) if isinstance(n, algebra.RelationScan)]
+        assert [scan.relation for scan in scans] == [materialized]
+
+    def test_lazy_result_matches_the_eager_encoding(self, r_and_s, registry):
+        r, s, x, y = r_and_s
+        chain = self._chain(r, s)
+        assert chain.cond_arity == r.cond_arity + s.cond_arity
+        assert chain.relation.schema == chain.schema
+        assert len(chain.relation.schema) == chain.payload_arity + 3 * chain.cond_arity
+
+    def test_ill_typed_predicate_is_rejected_when_composed(self, r_and_s):
+        r, s, x, y = r_and_s
+        with pytest.raises(MayBMSError):
+            u_select(r, Comparison("=", ColumnRef("a"), Literal("two")))

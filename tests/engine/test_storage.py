@@ -187,7 +187,7 @@ class TestSnapshotCaching:
 
     def test_alias_does_not_force_a_pivot(self, table):
         table.snapshot("p")
-        assert table.snapshot()._columns == [None]
+        assert table.snapshot()._columns.columns is None
 
     def test_restore_invalidates(self, table):
         table.snapshot()

@@ -71,9 +71,20 @@ class TestExecution:
         result = db.execute(
             "explain select a from t where b > 0.1 order by a desc limit 2"
         )
-        text = "\n".join(row[0] for row in result.relation.rows)
-        # Filter runs before the final projection and sort fragments.
-        assert text.index("Select[") < text.index("Project[")
+        lines = [row[0] for row in result.relation.rows]
+        # One plan for WHERE + select list: the filter is the projection's
+        # input (indented below it); the sort is a later fragment.
+        project = next(i for i, l in enumerate(lines) if "Project[" in l)
+        select = next(i for i, l in enumerate(lines) if "Select[" in l)
+        sort = next(i for i, l in enumerate(lines) if "Sort" in l)
+        assert project < select < sort
+
+        def indent(line):
+            return len(line) - len(line.lstrip())
+
+        assert indent(lines[select]) > indent(lines[project])
+        assert lines[project - 1].startswith("fragment 1")
+        assert lines[sort - 1].startswith("fragment 2")
 
     def test_explain_analyzes_the_query(self, db):
         with pytest.raises(AnalysisError):
@@ -87,3 +98,60 @@ class TestExecution:
         )
         text = "\n".join(row[0] for row in result.relation.rows)
         assert "Join" in text
+        assert text.count("fragment") == 1  # join + select list: one plan
+
+
+class TestVectorizedMarks:
+    """EXPLAIN says, under the plan node, what its operator did."""
+
+    @pytest.fixture
+    def shop(self):
+        session = MayBMS()
+        session.execute("create table orders (okey integer, ckey integer, total float)")
+        session.execute("create table customers (ckey integer, name text)")
+        session.execute(
+            "insert into customers values "
+            + ", ".join(f"({c}, 'c{c}')" for c in range(20))
+        )
+        session.execute(
+            "insert into orders values "
+            + ", ".join(f"({o}, {o % 20}, {o}.5)" for o in range(100))
+        )
+        return session
+
+    @staticmethod
+    def _explain(session, sql):
+        return [row[0] for row in session.execute("explain " + sql).relation.rows]
+
+    def test_filter_and_join_marks(self, shop):
+        if planner.get_default_engine() != planner.BATCH_ENGINE:
+            pytest.skip("marks describe batch-engine operators")
+        pytest.importorskip("numpy")
+        sql = (
+            "select o.okey, c.name from orders o, customers c "
+            "where o.ckey = c.ckey and o.total > 10.0 and o.total <= 40.0"
+        )
+        lines = self._explain(shop, sql)
+        assert any("-- filter: vectorized[total:float64]" in l for l in lines)
+        assert any("-- hash join: single-key, built" in l for l in lines)
+        # The marks sit under the node whose operator wrote them.
+        mark = next(i for i, l in enumerate(lines) if "filter: vectorized" in l)
+        assert "Select[" in lines[mark - 2] and "Scan(100 rows)" in lines[mark - 1]
+        # Same table versions again: the build table is reused.
+        again = self._explain(shop, sql)
+        assert any("-- hash join: single-key, build cached" in l for l in again)
+        shop.execute("insert into customers values (99, 'late')")
+        assert any(
+            "-- hash join: single-key, built" in l for l in self._explain(shop, sql)
+        )
+
+    def test_tiny_table_reports_python_kernels(self, db):
+        if planner.get_default_engine() != planner.BATCH_ENGINE:
+            pytest.skip("marks describe batch-engine operators")
+        lines = self._explain(db, "select a from t where b > 0.3")
+        assert any("-- filter: python kernels" in l for l in lines)
+
+    def test_row_engine_has_no_marks(self, shop):
+        with planner.forced_engine("row"):
+            lines = self._explain(shop, "select okey from orders where total > 10.0")
+        assert not any("--" in l for l in lines)
