@@ -25,12 +25,12 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.confidence import dispatch
-from repro.core.confidence.dispatch import ConfidenceDispatcher
+from repro.core.confidence.columnar import hierarchical_confidences
+from repro.core.confidence.dispatch import ConfidenceDispatcher, DispatchPolicy
 from repro.core.confidence.dklr import aconf_unit_seed
 from repro.core.confidence.exact import ExactConfidenceEngine
 from repro.core.lineage import Lineage, group_lineages
 from repro.core.urelation import URelation
-from repro.engine.physical import group_key
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema
 from repro.engine.types import FLOAT, INTEGER
@@ -38,101 +38,102 @@ from repro.errors import ConfidenceError
 
 
 def _group_rows(
-    urel: URelation, group_columns: Sequence[str]
-) -> Tuple[List[int], Dict[tuple, Tuple[tuple, List[int]]], List[tuple]]:
-    """Group row indexes by the projection onto ``group_columns``.
-
-    Returns (positions, key -> (projected row, row indexes), key order).
-    Works off the relation's cached column view: only the grouping columns
-    are touched, not whole rows.
+    urel: URelation, positions: Sequence[int]
+) -> Tuple[List[tuple], List[List[int]]]:
+    """Group row indexes by the projection onto the columns at
+    ``positions``: (projected row per group, row indexes per group), in
+    order of first appearance.  Works off the relation's cached column
+    view: only the grouping columns are touched, not whole rows.
     """
-    positions = [urel.relation.schema.resolve(name) for name in group_columns]
-    groups: Dict[tuple, Tuple[tuple, List[int]]] = {}
-    order: List[tuple] = []
+    groups: Dict[tuple, List[int]] = {}
     n = len(urel.relation)
     if positions:
         columns = urel.relation.columns()
         projected_iter = zip(*(columns[p] for p in positions))
     else:
         projected_iter = (() for _ in range(n))
+    # NULL is None, which a dict key compares equal to itself: the
+    # projected tuples group NULLs together as SQL's GROUP BY does.
     for index, projected in enumerate(projected_iter):
-        key = group_key(projected)
-        entry = groups.get(key)
-        if entry is None:
-            entry = (projected, [])
-            groups[key] = entry
-            order.append(key)
-        entry[1].append(index)
-    return positions, groups, order
+        indexes = groups.get(projected)
+        if indexes is None:
+            indexes = groups[projected] = []
+        indexes.append(index)
+    return list(groups), list(groups.values())
 
 
-def _group_schema(
-    urel: URelation, group_columns: Sequence[str], result_name: str, result_type
-) -> Schema:
-    columns = [
-        Column(
-            urel.relation.schema[urel.relation.schema.resolve(name)].name,
-            urel.relation.schema[urel.relation.schema.resolve(name)].type,
-        )
-        for name in group_columns
-    ]
-    columns.append(Column(result_name, result_type))
-    return Schema(columns)
-
-
-def _relation_cache(urel: URelation) -> dict:
-    cache = urel.relation._lineage_cache
-    if cache is None:
-        cache = urel.relation._lineage_cache = {}
-    return cache
-
-
-def _cached_groups(
+def _groups(
     urel: URelation, group_columns: Sequence[str]
-) -> Tuple[Dict[tuple, Tuple[tuple, List[int]]], List[tuple]]:
-    """Group the relation's rows, cached on the relation object.
-
-    Table snapshots are cached per table version
-    (:meth:`repro.engine.storage.Table.snapshot`), and the MVCC pin
-    chain (:meth:`repro.engine.storage.Table.pin_snapshot`) hands every
-    statement pinned to a version that same per-version relation
-    object, so attaching the cache to the relation keys it by *pinned
-    table version + group columns*: any mutation produces a fresh
-    snapshot object and therefore a fresh cache, while consecutive read
-    statements pinned to an unchanged version share it.  Kept separate
-    from the lineage cache so the parallel path
-    (which builds lineages worker-side) shares grouping with a later
-    serial fallback without paying for coordinator-side lineages.
+) -> Tuple[Tuple[int, ...], List[tuple], List[List[int]]]:
+    """(group column positions, projected row per group, row indexes per
+    group).  The grouping of a base-table snapshot is kept for the life
+    of its table version (:meth:`Relation.derived`; the MVCC pin chain
+    hands every statement pinned to a version the same relation object);
+    a derived relation dies with its statement and is grouped per use.
     """
-    key = ("groups", tuple(group_columns), urel.payload_arity, urel.cond_arity)
-    cache = _relation_cache(urel)
-    entry = cache.get(key)
-    if entry is None:
-        _, groups, order = _group_rows(urel, group_columns)
-        entry = cache[key] = (groups, order)
-    return entry
+    positions = tuple(urel.relation.schema.resolve(name) for name in group_columns)
+    projections, row_groups = urel.relation.derived(
+        ("groups", positions), lambda: _group_rows(urel, positions)
+    )
+    return positions, projections, row_groups
 
 
-def _cached_group_lineages(
-    urel: URelation, group_columns: Sequence[str]
-) -> Tuple[Dict[tuple, Tuple[tuple, List[int]]], List[tuple], List[Lineage]]:
-    """Grouping plus per-group lineages, cached on the relation object: a
-    repeated ``conf()`` over an unchanged stored U-relation re-uses
-    grouping, interned clauses, and their probability caches."""
+def _lineages(
+    urel: URelation,
+    positions: Tuple[int, ...],
+    row_groups: Sequence[Sequence[int]],
+    ordinals: Sequence[int],
+) -> List[Lineage]:
+    """The lineages of the groups at ``ordinals``, kept like
+    :func:`_groups` keeps the grouping: a repeated ``conf()`` over an
+    unchanged stored U-relation re-uses interned clauses and their
+    probability caches."""
+    if not ordinals:
+        return []  # and no decode of the condition columns
     key = (
-        tuple(group_columns),
+        "lineages",
+        positions,
         urel.payload_arity,
         urel.cond_arity,
         id(urel.registry),
+        tuple(ordinals),
     )
-    cache = _relation_cache(urel)
-    entry = cache.get(key)
-    if entry is not None:
-        return entry
-    groups, order = _cached_groups(urel, group_columns)
-    lineages = group_lineages(urel, [groups[k][1] for k in order])
-    entry = cache[key] = (groups, order, lineages)
-    return entry
+    return urel.relation.derived(
+        key, lambda: group_lineages(urel, [row_groups[g] for g in ordinals])
+    )
+
+
+def _array_pass(
+    urel: URelation, row_groups: Sequence[Sequence[int]], policy: DispatchPolicy
+) -> Tuple[List[Optional[float]], List[int]]:
+    """What :func:`hierarchical_confidences` answers before any lineage
+    is built: (probability per group, ordinals of the groups it left to
+    the dispatcher).  It leaves all of them when the policy forces the
+    exact or the Monte-Carlo engine, and without NumPy."""
+    if policy.strategy in ("auto", dispatch.STRATEGY_SPROUT):
+        answer = hierarchical_confidences(urel, row_groups)
+        if answer is not None:
+            probabilities, answered = answer
+            return probabilities.tolist(), (~answered).nonzero()[0].tolist()
+    return [None] * len(row_groups), list(range(len(row_groups)))
+
+
+def _result(
+    urel: URelation,
+    positions: Sequence[int],
+    result_name: str,
+    projections: Sequence[tuple],
+    values: Sequence[Optional[float]],
+) -> Relation:
+    """One row per group, or the single row ``(0.0,)`` for an ungrouped
+    aggregate over no rows."""
+    rows = [projected + (value,) for projected, value in zip(projections, values)]
+    if not positions and not rows:
+        rows.append((0.0,))
+    schema = urel.relation.schema
+    columns = [Column(schema[p].name, schema[p].type) for p in positions]
+    columns.append(Column(result_name, FLOAT))
+    return Relation(Schema(columns), rows)
 
 
 def conf(
@@ -151,7 +152,10 @@ def conf(
     result is a single row -- the probability that the relation is
     non-empty.
 
-    Each group's lineage goes through the cost-based dispatcher
+    Groups whose clauses form a tree are answered straight from the
+    condition columns, all at once
+    (:func:`~repro.core.confidence.columnar.hierarchical_confidences`).
+    Every other group's lineage goes through the cost-based dispatcher
     (:mod:`repro.core.confidence.dispatch`), which picks closed-form /
     SPROUT safe evaluation / exact ws-trees / Monte Carlo per independent
     component.  Passing ``engine`` forces the exact ws-tree engine for
@@ -161,41 +165,49 @@ def conf(
     its cost gate are sharded across worker processes, and any parallel
     failure silently degrades back to the serial path below.
     """
+    positions, projections, row_groups = _groups(urel, group_columns)
     if engine is not None:
-        groups, order, lineages = _cached_group_lineages(urel, group_columns)
-        probabilities = [engine.probability(lineage) for lineage in lineages]
-    else:
-        if dispatcher is None:
-            dispatcher = ConfidenceDispatcher(urel.registry)
-        results = None
-        detail = ""
-        if parallel is not None and parallel.eligible(urel):
-            groups, order = _cached_groups(urel, group_columns)
-            attempt = parallel.conf_groups(
-                urel,
-                [groups[key][1] for key in order],
-                dispatcher.policy,
-                lineages=lambda: _cached_group_lineages(urel, group_columns)[2],
-                dispatcher=dispatcher,
+        lineages = _lineages(urel, positions, row_groups, range(len(row_groups)))
+        return _result(
+            urel,
+            positions,
+            result_name,
+            projections,
+            [engine.probability(lineage) for lineage in lineages],
+        )
+    if dispatcher is None:
+        dispatcher = ConfidenceDispatcher(urel.registry)
+    probabilities, pending = _array_pass(urel, row_groups, dispatcher.policy)
+
+    def lineages() -> List[Lineage]:
+        return _lineages(urel, positions, row_groups, pending)
+
+    results = None
+    detail = ""
+    if pending and parallel is not None and parallel.eligible(urel):
+        attempt = parallel.conf_groups(
+            urel,
+            [row_groups[g] for g in pending],
+            dispatcher.policy,
+            lineages=lineages,
+            dispatcher=dispatcher,
+        )
+        if attempt is not None:
+            results, info = attempt
+            detail = (
+                f"parallel: {info['workers']} workers, "
+                f"{info['shards']} {info['path']} shard(s)"
             )
-            if attempt is not None:
-                results, info = attempt
-                detail = (
-                    f"parallel: {info['workers']} workers, "
-                    f"{info['shards']} {info['path']} shard(s)"
-                )
-        if results is None:
-            groups, order, lineages = _cached_group_lineages(urel, group_columns)
-            results = dispatcher.group_probabilities(lineages)
-        dispatch.record_aggregate("conf", results, detail=detail)
-        probabilities = [result.probability for result in results]
-    rows = [
-        groups[key][0] + (probability,)
-        for key, probability in zip(order, probabilities)
-    ]
-    if not group_columns and not rows:
-        rows.append((0.0,))
-    return Relation(_group_schema(urel, group_columns, result_name, FLOAT), rows)
+    if results is None:
+        # No call at all for a relation the array pass answered whole: the
+        # traced run counts the groups that reach the dispatcher.
+        results = dispatcher.group_probabilities(lineages()) if pending else []
+    for g, result in zip(pending, results):
+        probabilities[g] = result.probability
+    dispatch.record_aggregate(
+        "conf", results, detail=detail, vectorized=len(row_groups) - len(pending)
+    )
+    return _result(urel, positions, result_name, projections, probabilities)
 
 
 def aconf(
@@ -211,10 +223,11 @@ def aconf(
 ) -> Relation:
     """Approximate confidence: ``aconf(ε, δ)``.
 
-    Per group, an estimate p̂ with P(|p̂ − p| > ε·p) < δ.  The dispatcher
-    takes exact shortcuts that satisfy the guarantee trivially (closed
-    forms, hierarchical lineages); everything else runs the Karp-Luby
-    estimator under the DKLR optimal Monte-Carlo driver.
+    Per group, an estimate p̂ with P(|p̂ − p| > ε·p) < δ.  Exact answers
+    satisfy the guarantee trivially, so the shortcuts of ``conf()`` are
+    taken first (the array pass over tree-shaped groups, then the
+    dispatcher's closed forms and safe evaluation); everything else runs
+    the Karp-Luby estimator under the DKLR optimal Monte-Carlo driver.
 
     With ``base_seed`` (the store/session seed, wired by the SQL
     executor) each group's Monte-Carlo run is pinned to its own
@@ -233,26 +246,32 @@ def aconf(
         dispatcher = ConfidenceDispatcher(
             urel.registry, dispatcher.policy, rng=rng
         )
+    positions, projections, row_groups = _groups(urel, group_columns)
+    probabilities, pending = _array_pass(urel, row_groups, dispatcher.policy)
     detail = f"epsilon={epsilon:g}, delta={delta:g}"
     results = None
-    if deterministic and parallel is not None and parallel.eligible(urel):
-        groups, order = _cached_groups(urel, group_columns)
+    if pending and deterministic and parallel is not None and parallel.eligible(urel):
+        # The pool numbers the Monte-Carlo streams by position, as the
+        # serial path below does by ordinal: an answered group keeps its
+        # place as an empty row list, which costs a worker nothing.
+        waiting = set(pending)
         attempt = parallel.aconf_groups(
             urel,
-            [groups[key][1] for key in order],
+            [rows if g in waiting else () for g, rows in enumerate(row_groups)],
             dispatcher.policy,
             epsilon,
             delta,
             base_seed,
         )
         if attempt is not None:
-            results, info = attempt
+            everyone, info = attempt
+            results = [everyone[g] for g in pending]
             detail += (
                 f"; parallel: {info['workers']} workers, "
                 f"{info['shards']} {info['path']} shard(s)"
             )
     if results is None:
-        groups, order, lineages = _cached_group_lineages(urel, group_columns)
+        lineages = _lineages(urel, positions, row_groups, pending)
         if deterministic:
             results = [
                 dispatcher.approximate(
@@ -261,21 +280,19 @@ def aconf(
                     delta,
                     unit_seed=aconf_unit_seed(base_seed, ordinal),
                 )
-                for ordinal, lineage in enumerate(lineages)
+                for ordinal, lineage in zip(pending, lineages)
             ]
         else:
             results = [
                 dispatcher.approximate(lineage, epsilon, delta)
                 for lineage in lineages
             ]
-    dispatch.record_aggregate("aconf", results, detail=detail)
-    rows = [
-        groups[key][0] + (result.probability,)
-        for key, result in zip(order, results)
-    ]
-    if not group_columns and not rows:
-        rows.append((0.0,))
-    return Relation(_group_schema(urel, group_columns, result_name, FLOAT), rows)
+    for g, result in zip(pending, results):
+        probabilities[g] = result.probability
+    dispatch.record_aggregate(
+        "aconf", results, detail=detail, vectorized=len(row_groups) - len(pending)
+    )
+    return _result(urel, positions, result_name, projections, probabilities)
 
 
 def tconf(urel: URelation, result_name: str = "tconf") -> Relation:
@@ -356,8 +373,7 @@ def _expectation(
     a group's total is a function of its term multiset alone -- serial
     and parallel answers are bit-identical at any worker count.
     """
-    _, groups, order = _group_rows(urel, group_columns)
-    row_groups = [groups[key][1] for key in order]
+    positions, projections, row_groups = _groups(urel, group_columns)
     totals: Optional[List[float]] = None
     if parallel is not None and parallel.eligible(urel):
         attempt = parallel.expectation_groups(urel, row_groups, value_position)
@@ -383,9 +399,4 @@ def _expectation(
                 )
                 for indexes in row_groups
             ]
-    rows = [
-        groups[key][0] + (total,) for key, total in zip(order, totals)
-    ]
-    if not group_columns and not rows:
-        rows.append((0.0,))
-    return Relation(_group_schema(urel, group_columns, result_name, FLOAT), rows)
+    return _result(urel, positions, result_name, projections, totals)

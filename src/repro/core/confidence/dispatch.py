@@ -22,6 +22,13 @@ and per independent lineage component -- which algorithm runs:
 Components share no variables, so their results combine by independence:
 P(⋁ all) = 1 − ∏(1 − P(componentᵢ)).
 
+Under ``auto`` and ``sprout`` the SQL aggregates ask the array pass first
+(:mod:`repro.core.confidence.columnar`): groups whose clauses form a tree
+are answered straight from the condition columns, all in one pass, and
+never become a :class:`~repro.core.lineage.Lineage`.  The dispatcher sees
+the groups that pass declined -- all of them without NumPy or under a
+forced ``exact`` / ``monte-carlo``.
+
 The decisions taken are recorded per aggregate call when a
 :func:`trace_confidence` scope is active; the SQL ``EXPLAIN`` statement
 renders them next to the relational plan fragments, and the
@@ -53,6 +60,8 @@ STRATEGY_CLOSED_FORM = "closed-form"
 STRATEGY_SPROUT = "sprout"
 STRATEGY_EXACT = "exact"
 STRATEGY_MONTE_CARLO = "monte-carlo"
+#: EXPLAIN's label for groups answered by the array pass, before dispatch.
+STRATEGY_VECTORIZED = "sprout[vectorized]"
 
 #: Legal values of the policy/facade strategy knob: "auto" is the cost
 #: model; the rest force one algorithm for the whole lineage.
@@ -180,20 +189,26 @@ def record_aggregate(
     aggregate: str,
     results: Sequence[DispatchResult],
     detail: str = "",
+    vectorized: int = 0,
 ) -> None:
-    """Summarize one aggregate call's dispatch results into a trace event
-    (no-op when no trace is active)."""
+    """Summarize one aggregate call into a trace event (no-op when no
+    trace is active): the ``vectorized`` groups the array pass answered
+    (:mod:`repro.core.confidence.columnar`), counted per group, then the
+    dispatch results of the others, counted per component."""
     if not _TRACES:
         return
     counts: Dict[str, int] = {}
     for result in results:
         for name, n in result.strategy_counts().items():
             counts[name] = counts.get(name, 0) + n
+    strategies = sorted(counts.items())
+    if vectorized:
+        strategies.insert(0, (STRATEGY_VECTORIZED, vectorized))
     record_event(
         ConfidenceEvent(
             aggregate=aggregate,
-            groups=len(results),
-            strategy_counts=tuple(sorted(counts.items())),
+            groups=len(results) + vectorized,
+            strategy_counts=tuple(strategies),
             detail=detail,
         )
     )

@@ -218,6 +218,13 @@ def safe_lineage_confidence(
     ``connected`` tells the evaluator the top-level clause set is already
     one connected component (the dispatcher hands components out one by
     one), skipping a redundant union-find pass.
+
+    The SQL ``conf()`` path reaches this per-lineage recursion only for
+    groups the array pass declined:
+    :func:`repro.core.confidence.columnar.hierarchical_confidences` runs
+    the same expansion for all tree-shaped groups of a relation at once,
+    as one sort and a few segmented reductions over the condition
+    columns -- the "sequence of SQL-like aggregations" of Section 2.3.
     """
     if registry is None:
         if not isinstance(lineage, Lineage):

@@ -24,7 +24,8 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 from repro.core.conditions import Condition, TRUE_CONDITION
 from repro.core.variables import TOP_VARIABLE, VariableRegistry
-from repro.engine import algebra, planner
+from repro.engine import algebra, columnar, planner
+from repro.engine.kernels import _NUMPY_MIN_ROWS
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema
 from repro.engine.types import FLOAT, INTEGER, NULL
@@ -288,20 +289,51 @@ class URelation:
             self.relation, self.payload_arity, self.cond_arity
         )
 
+    def _condition_mirrors(self, offset: int):
+        """The int64 mirrors of the variable (``offset`` 0) or value
+        (``offset`` 1) columns, or None when NumPy is missing, the
+        relation is shorter than the kernels' ``_NUMPY_MIN_ROWS``, or a
+        column has no exact mirror (a NULL)."""
+        relation = self.relation
+        if not columnar.HAVE_NUMPY or len(relation) < _NUMPY_MIN_ROWS:
+            return None
+        mirrors = [
+            relation.mirror(self.payload_arity + 3 * i + offset, "int64")
+            for i in range(self.cond_arity)
+        ]
+        return None if any(mirror is None for mirror in mirrors) else mirrors
+
+    def condition_arrays(self):
+        """The condition columns as two int64 arrays of shape
+        ``(cond_arity, rows)`` -- variables and values -- or None (no
+        condition columns, or see :meth:`_condition_mirrors`)."""
+        variables = self._condition_mirrors(0) if self.cond_arity else None
+        values = self._condition_mirrors(1) if variables is not None else None
+        if values is None:
+            return None
+        return columnar.np.stack(variables), columnar.np.stack(values)
+
     def condition_probabilities(self) -> List[float]:
         """Per-row marginal probability of each row's condition, straight
         from the condition columns.
 
-        The fast path multiplies atom marginals without materializing
-        Condition objects at all; rows with a repeated variable (possible
-        only before a consistency filter runs) fall back to the full
-        decode so duplicates count once and contradictions yield 0.
+        Atom marginals are multiplied without materializing Condition
+        objects at all -- a column at a time (one bulk registry look-up
+        per condition column, :meth:`VariableRegistry.probabilities`)
+        when the variable columns have int64 mirrors, row by row
+        otherwise; both compute ``1.0 * p1 * ... * pk`` in column order,
+        so they agree to the last bit.  Rows with a repeated variable
+        (possible only before a consistency filter runs) fall back to the
+        full decode so duplicates count once and contradictions yield 0.
         """
         n = len(self.relation)
         if self.cond_arity == 0:
             return [1.0] * n
         columns = self.relation.columns()
         base = self.payload_arity
+        variables = self._condition_mirrors(0)
+        if variables is not None:
+            return self._array_condition_probabilities(columns, variables)
         probability = self.registry.probability
         out: List[float] = []
         if self.cond_arity == 1:
@@ -333,11 +365,37 @@ class URelation:
                 seen.append(var)
                 p *= probability(var, flat[2 * k + 1])
             if duplicate:
-                atoms = [(flat[2 * k], flat[2 * k + 1]) for k in range(arity)]
-                condition = Condition.of(atoms)
-                p = 0.0 if condition is None else condition.probability(self.registry)
+                p = self._decoded_probability(flat)
             out.append(p)
         return out
+
+    def _array_condition_probabilities(self, columns, variables) -> List[float]:
+        np = columnar.np
+        base, arity = self.payload_arity, self.cond_arity
+        product = np.ones(len(variables[0]))
+        repeated = np.zeros(len(product), dtype=bool)
+        for i in range(arity):
+            marginals = np.array(
+                self.registry.probabilities(
+                    columns[base + 3 * i], columns[base + 3 * i + 1]
+                )
+            )
+            padding = variables[i] == TOP_VARIABLE
+            marginals[padding] = 1.0  # whatever the value
+            product *= marginals
+            for j in range(i):
+                repeated |= (variables[i] == variables[j]) & ~padding
+        out = product.tolist()
+        for row in np.flatnonzero(repeated).tolist():
+            out[row] = self._decoded_probability(
+                [columns[base + 3 * (k // 2) + k % 2][row] for k in range(2 * arity)]
+            )
+        return out
+
+    def _decoded_probability(self, flat: Sequence[int]) -> float:
+        """P(condition) of one row given as ``(v0, d0, v1, d1, ...)``."""
+        condition = Condition.of(zip(flat[0::2], flat[1::2]))
+        return 0.0 if condition is None else condition.probability(self.registry)
 
     def __len__(self) -> int:
         return len(self.relation)

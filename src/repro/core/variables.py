@@ -184,6 +184,20 @@ class VariableRegistry:
         self._require(var)
         return self._distributions[var].get(value, 0.0)
 
+    def probabilities(
+        self, variables: Iterable[int], values: Iterable[int]
+    ) -> List[float]:
+        """:meth:`probability` of each ``(variable, value)`` pair -- the
+        bulk look-up of the array kernels, one dict access per atom."""
+        distributions = self._distributions
+        try:
+            return [
+                distributions[var].get(value, 0.0)
+                for var, value in zip(variables, values)
+            ]
+        except KeyError as error:
+            raise VariableError(f"unknown variable id {error.args[0]}") from None
+
     def domain_size(self, var: int) -> int:
         self._require(var)
         return len(self._distributions[var])

@@ -42,7 +42,8 @@ class ColumnCell:
         # checkpoint recovery fast path (storage.Table.load_columns).
         self.columns: Optional[Tuple[Sequence[Any], ...]] = None
         # Relation.derived()'s memo: ("mirror", position, dtype) -> ndarray
-        # or None for "not mirrorable"; ("hash", position) -> build table.
+        # or None for "not mirrorable"; ("hash", position) -> build table;
+        # ("groups", ...) / ("lineages", ...) -> repro.core.aggregates.
         self.derived: Dict[tuple, Any] = {}
 
 
@@ -60,11 +61,11 @@ class Relation:
         self.schema = schema
         self.rows: List[Row] = [tuple(r) for r in rows]
         self._columns = ColumnCell()
-        # Grouped-lineage cache for the confidence dispatcher.  It lives on
-        # the relation because table snapshots are cached per version
-        # (storage.Table.snapshot), so "same relation object" means "same
-        # table contents": the cache is implicitly keyed by table version
-        # and dies with the snapshot.  See repro.core.aggregates.
+        # The worker pool's encoded table payload (parallel._table_payload).
+        # It lives on the relation because table snapshots are cached per
+        # version (storage.Table.snapshot), so "same relation object" means
+        # "same table contents": the cache is implicitly keyed by table
+        # version and dies with the snapshot.
         self._lineage_cache: Optional[dict] = None
         # Provenance tag for base-table snapshots: (table name, version)
         # stamped by storage.Table.snapshot(), None for derived relations.

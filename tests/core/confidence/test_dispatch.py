@@ -112,6 +112,38 @@ class TestStrategySelection:
             confidence_by_enumeration(lin, registry)
         )
 
+    def test_dense_random_dnfs_stay_exact_until_the_budget_is_tiny(self):
+        # Width-3 clauses over a shared pool of 10 variables: clause sets
+        # cross, no safe plan.  Under the default budget auto must reach
+        # the exact engine (never Monte Carlo) and match forced exact;
+        # with a budget of one sub-problem the same lineages degrade to
+        # Monte Carlo and stay near the exact answers.
+        registry = VariableRegistry()
+        rng = random.Random(7)
+        lineages = []
+        for _ in range(6):
+            variables = [
+                registry.fresh_boolean(rng.uniform(0.2, 0.8)) for _ in range(10)
+            ]
+            dnf, _ = random_dnf(
+                10, 12, 3, rng, domain_size=2, registry=registry, variables=variables
+            )
+            lineages.append(dnf.to_lineage(registry))
+        forced = ConfidenceDispatcher(registry, DispatchPolicy(strategy="exact"))
+        exact = [forced.probability(lineage).probability for lineage in lineages]
+        auto = ConfidenceDispatcher(registry).group_probabilities(lineages)
+        strategies = {d.strategy for result in auto for d in result.decisions}
+        assert STRATEGY_EXACT in strategies and STRATEGY_MONTE_CARLO not in strategies
+        assert [r.probability for r in auto] == pytest.approx(exact, abs=1e-9)
+        tiny = ConfidenceDispatcher(
+            registry,
+            DispatchPolicy(exact_budget=1, epsilon=0.1, delta=0.05),
+            random.Random(11),
+        ).group_probabilities(lineages)
+        assert {d.strategy for r in tiny for d in r.decisions} == {STRATEGY_MONTE_CARLO}
+        for result, truth in zip(tiny, exact):
+            assert result.probability == pytest.approx(truth, rel=0.3)
+
     def test_empty_lineage(self):
         registry = VariableRegistry()
         result = ConfidenceDispatcher(registry).probability(

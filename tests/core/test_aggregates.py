@@ -8,6 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import aggregates as agg
 from repro.core.conditions import Condition, TRUE_CONDITION
+from repro.core.confidence import dispatch
+from repro.core.confidence.dispatch import ConfidenceDispatcher, DispatchPolicy
+from repro.core.confidence.exact import ExactConfidenceEngine
+from repro.core.lineage import Lineage
 from repro.core.repair_key import repair_key
 from repro.core.urelation import URelation
 from repro.core.variables import VariableRegistry
@@ -15,9 +19,11 @@ from repro.core.worlds import (
     expected_aggregate_by_enumeration,
     tuple_confidence_by_enumeration,
 )
+from repro.engine import columnar
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
 from repro.engine.types import FLOAT, INTEGER, NULL, TEXT
+from repro.errors import UnsafeLineageError
 
 
 @pytest.fixture
@@ -194,3 +200,108 @@ class TestRandomWalkIntegration:
         assert by_row[("a", 1.0)] == pytest.approx(0.25)
         assert by_row[("a", 3.0)] == pytest.approx(0.75)
         assert by_row[("b", 2.0)] == pytest.approx(1.0)
+
+
+@pytest.mark.skipif(not columnar.HAVE_NUMPY, reason="the array pass needs NumPy")
+class TestArrayPass:
+    """What ``conf``/``aconf`` hand to the array pass
+    (``tests/core/confidence/test_confidence_columnar.py`` checks its answers)."""
+
+    @staticmethod
+    def mixed(registry, crossing=True):
+        """Groups 0-5: a root and three children each (a tree).  Group 6:
+        x1^y1, x1^y2, x2^y2 -- crossing, no safe plan."""
+        rows, conditions = [], []
+        for g in range(6):
+            root = registry.fresh_boolean(0.6)
+            for _ in range(3):
+                rows.append((g,))
+                conditions.append(
+                    Condition.of([(root, 1), (registry.fresh_boolean(0.5), 1)])
+                )
+        if crossing:
+            x1, y1, y2, x2 = (registry.fresh_boolean(0.5) for _ in range(4))
+            for a, b in ((x1, y1), (x1, y2), (y2, x2)):
+                rows.append((6,))
+                conditions.append(Condition.of([(a, 1), (b, 1)]))
+        return URelation.from_conditions(
+            Schema.of(("g", INTEGER)), rows, conditions, registry
+        )
+
+    @pytest.fixture
+    def lineages_built(self, monkeypatch):
+        built = []
+        init = Lineage.__init__
+
+        def counting(self, clauses, *args, **kwargs):
+            init(self, clauses, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(Lineage, "__init__", counting)
+        return built
+
+    def test_no_lineage_is_built_for_an_answered_group(self, registry, lineages_built):
+        result = agg.conf(self.mixed(registry, crossing=False), ["g"])
+        assert [row[1] for row in result] == [pytest.approx(0.6 * 0.875)] * 6
+        assert lineages_built == []
+
+    def test_lineages_are_built_for_declined_groups_only(self, registry, lineages_built):
+        urel = self.mixed(registry)
+        with dispatch.trace_confidence() as events:
+            result = agg.conf(urel, ["g"])
+        assert events[0].render() == (
+            "conf: 7 group(s) via sprout[vectorized] x6, exact"
+        )
+        assert result.rows[6][1] == pytest.approx(
+            tuple_confidence_by_enumeration(urel, (6,))
+        )
+        assert len(lineages_built) == 1  # the crossing group's, nobody else's
+        assert list(lineages_built[0]) == urel.conditions()[-3:]
+
+    def test_aconf_takes_the_same_shortcut(self, registry, lineages_built):
+        urel = self.mixed(registry, crossing=False)
+        with dispatch.trace_confidence() as events:
+            result = agg.aconf(urel, 0.1, 0.1, ["g"], base_seed=3)
+        assert result.rows == agg.conf(urel, ["g"]).rows
+        assert events[0].render() == (
+            "aconf: 6 group(s) via sprout[vectorized] x6 (epsilon=0.1, delta=0.1)"
+        )
+        assert lineages_built == []
+
+    def test_aconf_numbers_its_sample_streams_by_group(self, registry, monkeypatch):
+        # The declined group's Monte-Carlo stream is seeded with its
+        # ordinal among all groups, array pass or not.
+        urel = self.mixed(registry)
+        dispatcher = ConfidenceDispatcher(registry, DispatchPolicy(exact_budget=1))
+        with_pass = agg.aconf(urel, 0.2, 0.2, ["g"], dispatcher=dispatcher, base_seed=9)
+        monkeypatch.setattr(columnar, "HAVE_NUMPY", False)
+        without = agg.aconf(urel, 0.2, 0.2, ["g"], dispatcher=dispatcher, base_seed=9)
+        assert with_pass.rows[6] == without.rows[6]
+
+    def test_forced_engines_never_enter_the_array_pass(self, registry, monkeypatch):
+        urel = self.mixed(registry, crossing=False)
+
+        def forbidden(*args):
+            raise AssertionError("array pass entered under a forced engine")
+
+        monkeypatch.setattr(agg, "hierarchical_confidences", forbidden)
+        for strategy in ("exact", "monte-carlo"):
+            dispatcher = ConfidenceDispatcher(
+                registry, DispatchPolicy(strategy=strategy, epsilon=0.3, delta=0.3)
+            )
+            agg.conf(urel, ["g"], dispatcher=dispatcher)
+            agg.aconf(urel, 0.3, 0.3, ["g"], dispatcher=dispatcher, base_seed=1)
+        agg.conf(urel, ["g"], engine=ExactConfidenceEngine(registry))
+        with pytest.raises(AssertionError):
+            agg.conf(urel, ["g"])
+
+    def test_forced_sprout_answers_trees_and_still_refuses_the_rest(self, registry):
+        sprout = ConfidenceDispatcher(registry, DispatchPolicy(strategy="sprout"))
+        safe = self.mixed(registry, crossing=False)
+        with dispatch.trace_confidence() as events:
+            agg.conf(safe, ["g"], dispatcher=sprout)
+        assert events[0].render() == "conf: 6 group(s) via sprout[vectorized] x6"
+        with pytest.raises(UnsafeLineageError):
+            agg.conf(self.mixed(registry), ["g"], dispatcher=sprout)
+        with pytest.raises(UnsafeLineageError):
+            agg.aconf(self.mixed(registry), 0.1, 0.1, ["g"], dispatcher=sprout)

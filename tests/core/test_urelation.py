@@ -1,19 +1,23 @@
 """Tests for U-relations: the wide encoding, world semantics, and
 vertical decomposition."""
 
+import random
+
 import pytest
 
 from repro.core.conditions import Condition, TRUE_CONDITION
 from repro.core.urelation import (
     URelation,
+    condition_columns,
     decode_condition,
     encode_condition,
     vertical_decompose,
     vertical_recompose,
 )
 from repro.core.variables import TOP_VARIABLE, VariableRegistry
+from repro.engine import columnar
 from repro.engine.relation import Relation
-from repro.engine.schema import Schema
+from repro.engine.schema import Column, Schema
 from repro.engine.types import FLOAT, INTEGER, TEXT
 from repro.errors import ConditionError, SchemaError
 
@@ -241,3 +245,59 @@ class TestVerticalDecomposition:
         )
         combined = vertical_recompose({"a": part_a, "b": part_b}, ["a", "b"])
         assert sorted(combined.payload_relation().rows) == [("high", 20), ("low", 10)]
+
+
+class TestConditionProbabilities:
+    """The array product and the row loop are the same arithmetic."""
+
+    @staticmethod
+    def wide(registry, arity, atom_rows):
+        schema = Schema([Column("id", INTEGER)] + condition_columns(arity))
+        rows = []
+        for number, atoms in enumerate(atom_rows):
+            row = [number]
+            for var, value in atoms:
+                row += [var, value, 1.0]  # stored probabilities are not read
+            rows.append(tuple(row))
+        return URelation(Relation(schema, rows), 1, arity, registry)
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_bit_identical_with_and_without_numpy(self, registry, arity, monkeypatch):
+        rng = random.Random(arity)
+        pool = [registry.fresh([0.1, 0.2, 0.7]) for _ in range(12)]
+        top = (TOP_VARIABLE, 0)
+        atom_rows = [
+            [
+                top if rng.random() < 0.2 else (var, rng.randrange(4))
+                for var in rng.sample(pool, arity)
+            ]
+            for _ in range(60)
+        ]
+        urel = self.wide(registry, arity, atom_rows)
+        vectorized = urel.condition_probabilities()
+        monkeypatch.setattr(columnar, "HAVE_NUMPY", False)
+        assert urel.condition_arrays() is None
+        assert vectorized == urel.condition_probabilities()
+        # Condition.probability multiplies in variable order, not column
+        # order: equal up to rounding only.
+        assert vectorized == pytest.approx(
+            [Condition.of(atoms).probability(registry) for atoms in atom_rows]
+        )
+
+    def test_repeated_variable_rows_keep_the_decode(self, registry):
+        x, y = registry.fresh([0.25, 0.75]), registry.fresh([0.5, 0.5])
+        atom_rows = [[(x, 1), (y, 1)]] * 20
+        atom_rows[3] = [(x, 1), (x, 1)]  # a duplicate atom counts once
+        atom_rows[7] = [(x, 1), (x, 0)]  # a contradiction is no world
+        atom_rows[9] = [(TOP_VARIABLE, 0), (TOP_VARIABLE, 0)]
+        urel = self.wide(registry, 2, atom_rows)
+        if columnar.HAVE_NUMPY:
+            assert urel.condition_arrays() is not None
+        got = urel.condition_probabilities()
+        assert (got[0], got[3], got[7], got[9]) == (0.375, 0.75, 0.0, 1.0)
+
+    def test_short_relations_and_nulls_stay_on_the_loop(self, registry):
+        x = registry.fresh([0.25, 0.75])
+        assert self.wide(registry, 1, [[(x, 1)]] * 15).condition_arrays() is None
+        urel = self.wide(registry, 1, [[(x, 1)]] * 16)
+        assert (urel.condition_arrays() is not None) == columnar.HAVE_NUMPY

@@ -133,6 +133,55 @@ class TestDifferential:
         assert one != two
 
 
+class TestArrayPassThenPool:
+    """Tree-shaped groups are answered from the condition columns before
+    the pool is asked; it gets the declined groups, and serial and sharded
+    answers stay bit-identical."""
+
+    @staticmethod
+    def _mixed(registry, rng):
+        crossing = _group_workload(registry, rng, groups=8)
+        rows = list(crossing.relation.rows)
+        for g in range(8, 14):
+            root = registry.fresh_boolean(0.6)
+            for _ in range(4):
+                atoms = [(root, 1), (registry.fresh_boolean(rng.uniform(0.2, 0.8)), 1)]
+                rows.append(
+                    (g,) + encode_condition(Condition.of(atoms), COND_ARITY, registry)
+                )
+        rng.shuffle(rows)
+        return URelation(Relation(SCHEMA, rows), 1, COND_ARITY, registry)
+
+    def test_conf_shards_only_the_declined_groups(self):
+        pytest.importorskip("numpy")
+        registry = VariableRegistry()
+        urel = self._mixed(registry, random.Random(3))
+        expected = _serial(urel)
+        with ParallelConfidencePool(workers=2, min_rows=0, base_seed=3) as pool:
+            got = _parallel(urel, pool)
+            stats = pool.stats()
+        assert got == expected
+        assert stats["parallel_queries"] == 1 and stats["parallel_units"] == 8, stats
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_aconf_streams_keep_their_group_numbers(self, workers):
+        registry = VariableRegistry()
+        urel = self._mixed(registry, random.Random(4))
+        # A budget of one sub-problem: the crossing groups go to Monte Carlo.
+        policy = DispatchPolicy(exact_budget=1)
+
+        def run(pool):
+            dispatcher = ConfidenceDispatcher(registry, policy)
+            return agg.aconf(
+                urel, 0.3, 0.2, ["g"], dispatcher=dispatcher, parallel=pool, base_seed=5
+            ).rows
+
+        expected = run(None)
+        with ParallelConfidencePool(workers=workers, min_rows=0, base_seed=5) as pool:
+            assert run(pool) == expected
+            assert pool.stats()["parallel_aconf_queries"] == 1
+
+
 class TestCostGate:
     def test_small_relation_stays_serial(self):
         registry = VariableRegistry()
@@ -211,7 +260,8 @@ class TestLifecycle:
             "sys.path.insert(0, {src!r})\n"
             "from repro.db import MayBMS\n"
             "def main():\n"
-            "    db = MayBMS(seed=1, parallel_workers=2, parallel_min_rows=1)\n"
+            "    db = MayBMS(seed=1, parallel_workers=2, parallel_min_rows=1,\n"
+            "                confidence_strategy='exact')\n"
             "    db.execute('create table t (g integer, k integer, w float)')\n"
             "    rows = ', '.join(f'({{i % 5}}, {{i}}, 1.0)' for i in range(50))\n"
             "    db.execute('insert into t values ' + rows)\n"
@@ -243,7 +293,9 @@ class TestLifecycle:
 class TestFacade:
     @staticmethod
     def _build(**kwargs):
-        db = MayBMS(seed=11, **kwargs)
+        # Forced exact: under "auto" the array pass answers these
+        # one-atom-per-row groups before the pool is asked.
+        db = MayBMS(seed=11, confidence_strategy="exact", **kwargs)
         db.execute("create table t (g integer, k integer, w float)")
         values = [
             f"({g}, {k}, {1 + (g * 7 + k * 3) % 5})"

@@ -134,8 +134,12 @@ class TestDifferentialOps:
         # The serial store answers aconf through the same deterministic
         # per-group sample streams (aconf_unit_seed), so the sharded
         # estimates must match it exactly, not within (epsilon, delta).
-        with _build() as serial, _build(
-            parallel_workers=workers, parallel_min_rows=1
+        # Forced Monte Carlo: under "auto" the array pass answers these
+        # groups exactly and no sample stream would run.
+        with _build(confidence_strategy="monte-carlo") as serial, _build(
+            parallel_workers=workers,
+            parallel_min_rows=1,
+            confidence_strategy="monte-carlo",
         ) as par:
             expected = serial.execute(ACONF_QUERY).relation.rows
             got = par.execute(ACONF_QUERY).relation.rows

@@ -163,60 +163,75 @@ class TestSeededDeterminism:
         assert MayBMS(seed=9).seed == 9
 
 
+def _kept(relation, kind):
+    """The entries of ``kind`` ("groups" / "lineages") kept in the
+    relation's column cell."""
+    return {
+        key: value
+        for key, value in relation._columns.derived.items()
+        if key[0] == kind
+    }
+
+
 class TestLineageCache:
-    def test_repeated_conf_hits_cache(self, db):
+    """Grouping and group lineages are kept per table version on base-table
+    snapshots only; a query result keeps nothing (it dies with its
+    statement, and over SQL nobody ever asked twice)."""
+
+    STORE = (
+        "create table picks as "
+        "select * from (repair key player, init in ft weight by p) r"
+    )
+
+    def test_query_result_keeps_nothing(self, db):
         urel = db.uncertain_query(
             "select * from (repair key player, init in ft weight by p) r"
         )
         first = agg.conf(urel, ["player"])
-        cache = urel.relation._lineage_cache
-        # One grouping entry (shared with the parallel path) plus one
-        # lineage entry for this grouping.
-        assert cache is not None and len(cache) == 2
-        entries = list(cache.values())
         second = agg.conf(urel, ["player"])
-        # Same cache entry objects: grouping and lineages were reused.
-        after = list(urel.relation._lineage_cache.values())
-        assert len(after) == len(entries)
-        assert all(a is b for a, b in zip(after, entries))
+        assert urel.relation.source is None
+        assert not urel.relation._columns.derived
+        assert sorted(first.rows) == sorted(second.rows)
+
+    def test_repeated_conf_on_a_snapshot_reuses_grouping_and_lineages(self, db):
+        db.execute(self.STORE)
+        urel = db.urelation("picks")
+        first = agg.conf(urel, ["player"])
+        # One grouping entry (shared with the parallel path and with
+        # esum/ecount) plus one lineage entry for this grouping.
+        groups, lineages = _kept(urel.relation, "groups"), _kept(urel.relation, "lineages")
+        assert len(groups) == 1 and len(lineages) == 1
+        second = agg.conf(urel, ["player"])
+        assert _kept(urel.relation, "groups") == groups
+        after = _kept(urel.relation, "lineages")
+        assert after.keys() == lineages.keys()
+        assert all(after[key] is lineages[key] for key in after)
         assert sorted(first.rows) == sorted(second.rows)
 
     def test_distinct_groupings_get_distinct_entries(self, db):
-        urel = db.uncertain_query(
-            "select * from (repair key player, init in ft weight by p) r"
-        )
+        db.execute(self.STORE)
+        urel = db.urelation("picks")
         agg.conf(urel, ["player"])
         agg.conf(urel, ["player", "final"])
-        lineage_keys = [
-            key
-            for key in urel.relation._lineage_cache
-            if key[0] != "groups"
-        ]
-        assert len(lineage_keys) == 2
+        assert len(_kept(urel.relation, "lineages")) == 2
 
     def test_stored_urelation_snapshot_caches_across_reads(self, db):
-        db.execute(
-            "create table picks as "
-            "select * from (repair key player, init in ft weight by p) r"
-        )
+        db.execute(self.STORE)
         first = db.urelation("picks")
         agg.conf(first, ["player"])
         again = db.urelation("picks")
         # Unchanged table -> same snapshot object -> cache carried over.
         assert again.relation is first.relation
-        assert again.relation._lineage_cache
+        assert _kept(again.relation, "lineages")
 
     def test_mutation_invalidates_via_fresh_snapshot(self, db):
-        db.execute(
-            "create table picks2 as "
-            "select * from (repair key player, init in ft weight by p) r"
-        )
-        first = db.urelation("picks2")
+        db.execute(self.STORE)
+        first = db.urelation("picks")
         agg.conf(first, ["player"])
-        db.execute("delete from picks2 where player = 'Bryant'")
-        fresh = db.urelation("picks2")
+        db.execute("delete from picks where player = 'Bryant'")
+        fresh = db.urelation("picks")
         assert fresh.relation is not first.relation
-        assert fresh.relation._lineage_cache is None
+        assert not _kept(fresh.relation, "lineages")
 
 
 class TestDispatcherSharedAcrossQueries:

@@ -155,3 +155,68 @@ class TestVectorizedMarks:
         with planner.forced_engine("row"):
             lines = self._explain(shop, "select okey from orders where total > 10.0")
         assert not any("--" in l for l in lines)
+
+
+class TestConfidenceFragment:
+    """The confidence fragment says how many groups the array pass
+    answered, and which strategies the dispatcher ran for the others."""
+
+    @pytest.fixture
+    def shop(self):
+        session = MayBMS(seed=5)
+        session.execute("create table orders (okey integer, ckey integer, yr integer)")
+        session.execute("create table customers (ckey integer, nation integer)")
+        session.execute("create table years (yr integer)")
+        session.execute(
+            "insert into customers values "
+            + ", ".join(f"({c}, {c % 3})" for c in range(12))
+        )
+        session.execute(
+            "insert into orders values "
+            # Every customer orders in several years: the three-way join
+            # below crosses (customer x year), no tree.
+            + ", ".join(f"({o}, {o % 12}, {2000 + o // 12 % 4})" for o in range(60))
+        )
+        session.execute("insert into years values (2000), (2001), (2002), (2003)")
+        for table in ("orders", "customers", "years"):
+            session.execute(
+                f"create table u_{table} as select * from "
+                f"(pick tuples from {table} independently with probability 0.8) x"
+            )
+        return session
+
+    SAFE = (
+        "select o.ckey, conf() as p from u_orders o, u_customers c "
+        "where o.ckey = c.ckey group by o.ckey"
+    )
+    HARD = (
+        "select c.nation, conf() as p from u_orders o, u_customers c, u_years y "
+        "where o.ckey = c.ckey and o.yr = y.yr group by c.nation"
+    )
+
+    @staticmethod
+    def _fragment(session, sql):
+        lines = [row[0] for row in session.execute("explain " + sql).relation.rows]
+        return lines[lines.index("confidence fragment 1 [strategy=auto]:") + 1].strip()
+
+    def test_hierarchical_join_is_answered_by_the_array_pass(self, shop):
+        pytest.importorskip("numpy")
+        assert self._fragment(shop, self.SAFE) == (
+            "conf: 12 group(s) via sprout[vectorized] x12"
+        )
+        assert self._fragment(shop, self.SAFE.replace("conf()", "aconf(0.1, 0.1)")) == (
+            "aconf: 12 group(s) via sprout[vectorized] x12 (epsilon=0.1, delta=0.1)"
+        )
+
+    def test_declined_groups_show_their_dispatcher_strategies(self, shop, monkeypatch):
+        fragment = self._fragment(shop, self.HARD)
+        assert fragment.startswith("conf: 3 group(s) via ")
+        assert "vectorized" not in fragment and "exact" in fragment
+        # Without NumPy every group is declined: the old label, same groups.
+        from repro.engine import columnar
+
+        monkeypatch.setattr(columnar, "HAVE_NUMPY", False)
+        assert self._fragment(shop, self.HARD) == fragment
+        without = self._fragment(shop, self.SAFE)
+        assert without.startswith("conf: 12 group(s) via ") and "sprout" in without
+        assert "vectorized" not in without

@@ -268,7 +268,12 @@ class TestSiteCoverage:
 
     def test_pool_parent_sites_fire(self):
         faults.arm({site: "delay:0" for site in POOL_PARENT_SITES})
-        with MayBMS(seed=11, parallel_workers=2, parallel_min_rows=1) as db:
+        with MayBMS(
+            seed=11,
+            parallel_workers=2,
+            parallel_min_rows=1,
+            confidence_strategy="exact",  # "auto" answers these groups before the pool
+        ) as db:
             db.execute("create table t (g integer, w float)")
             db.execute(
                 "insert into t values "
@@ -286,7 +291,12 @@ class TestSiteCoverage:
         REPRO_FAULTS (import-time), so a worker-side fault surfaces as
         the query's error even though the parent registry stays empty."""
         monkeypatch.setenv("REPRO_FAULTS", "parallel.worker=fault")
-        with MayBMS(seed=11, parallel_workers=2, parallel_min_rows=1) as db:
+        with MayBMS(
+            seed=11,
+            parallel_workers=2,
+            parallel_min_rows=1,
+            confidence_strategy="exact",  # "auto" answers these groups before the pool
+        ) as db:
             db.execute("create table t (g integer, w float)")
             db.execute(
                 "insert into t values "
@@ -302,7 +312,12 @@ class TestSiteCoverage:
         and the query still answers correctly via the serial fallback --
         the degradation contract for a broken pool."""
         monkeypatch.setenv("REPRO_FAULTS", "parallel.worker=exit@1")
-        with MayBMS(seed=11, parallel_workers=2, parallel_min_rows=1) as db:
+        with MayBMS(
+            seed=11,
+            parallel_workers=2,
+            parallel_min_rows=1,
+            confidence_strategy="exact",  # "auto" answers these groups before the pool
+        ) as db:
             db.execute("create table t (g integer, w float)")
             db.execute(
                 "insert into t values "

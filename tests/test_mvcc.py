@@ -363,7 +363,7 @@ class TestDifferentialLockedVsMvcc:
 class TestPinnedVersionSet:
     def test_repeated_pins_share_one_relation_object(self):
         # Pin-stable relation identity is the cache-reuse contract:
-        # grouped-lineage and parallel-payload caches live on the
+        # mirrors, grouped lineages and the parallel payload live on the
         # relation, so two statements pinned to the same version share
         # them for free.
         db = build_store()
