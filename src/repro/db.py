@@ -84,13 +84,6 @@ from repro.sql.parser import parse_statement, parse_statements
 QueryOutput = Union[Relation, URelation]
 
 
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off")
-
-
 class _SessionBase:
     """Behaviour shared by the root :class:`MayBMS` facade and the
     lightweight :class:`Session` objects it spawns: SQL entry points,
@@ -204,7 +197,7 @@ class _SessionBase:
             )
         pinned = None
         acquired: List[Tuple[str, str]] = []
-        if store.mvcc and reads and not writes and not self.in_transaction:
+        if reads and not writes and not self.in_transaction:
             # MVCC read path: pin a transactionally consistent version set
             # under one momentary shared grant on the tables read, then run
             # entirely without table locks.  Writers keep exclusive 2PL;
@@ -551,10 +544,9 @@ class MayBMS(_SessionBase):
       snapshot checkpoint and rotate the WAL after this many commits
       (``REPRO_CHECKPOINT_EVERY``, default 256; 0 disables).  ``CHECKPOINT``
       is also a SQL statement, and :meth:`checkpoint` forces one.
-    - ``group_commit`` (durable sessions): concurrent commits coalesce
-      into one fsync performed by a group leader (``REPRO_GROUP_COMMIT``,
-      default on).  Single-threaded behaviour is identical -- one fsync
-      per commit -- and every commit still blocks until durable.
+      Concurrent commits of a durable store coalesce into one fsync
+      performed by a group leader; a single committer still gets one
+      fsync per commit, and every commit blocks until durable.
     - ``lock_timeout``: seconds a statement waits for a table lock before
       failing with :class:`TransactionError` (``REPRO_LOCK_TIMEOUT``,
       default 30).  The timeout is the deadlock backstop for explicit
@@ -568,11 +560,6 @@ class MayBMS(_SessionBase):
       :meth:`close`.  ``parallel_min_rows`` (``REPRO_PARALLEL_MIN_ROWS``,
       default 2048) is the per-operator cost gate: inputs with fewer
       rows stay serial.
-    - ``mvcc``: execute read statements against pinned MVCC snapshots
-      instead of shared table locks (``REPRO_MVCC``, default on).  Off
-      restores the pre-MVCC shared/exclusive 2PL read path -- useful as
-      a baseline for benchmarks and differential tests; results are
-      identical either way.
     - ``faults``: arm deterministic fault injection (a
       ``"site=action@trigger,..."`` spec string or a ``{site: action}``
       mapping; see :mod:`repro.faults`) before the store opens, so even
@@ -590,11 +577,9 @@ class MayBMS(_SessionBase):
         exact_budget: Optional[int] = DispatchPolicy.exact_budget,
         path: Optional[str] = None,
         checkpoint_every: Optional[int] = None,
-        group_commit: Optional[bool] = None,
         lock_timeout: Optional[float] = None,
         parallel_workers: Optional[int] = None,
         parallel_min_rows: Optional[int] = None,
-        mvcc: Optional[bool] = None,
         faults: Optional[Union[str, Dict[str, str]]] = None,
     ):
         if seed is None:
@@ -617,18 +602,13 @@ class MayBMS(_SessionBase):
             path = None
         if checkpoint_every is None:
             checkpoint_every = int(os.environ.get("REPRO_CHECKPOINT_EVERY", "256"))
-        if group_commit is None:
-            group_commit = _env_flag("REPRO_GROUP_COMMIT", True)
         if lock_timeout is None:
             lock_timeout = float(os.environ.get("REPRO_LOCK_TIMEOUT", "30"))
         if parallel_workers is None:
             parallel_workers = default_workers()
         if parallel_min_rows is None:
             parallel_min_rows = default_min_rows()
-        if mvcc is None:
-            mvcc = _env_flag("REPRO_MVCC", True)
         self.seed = seed
-        self.mvcc = mvcc
         self.path = path
         self.checkpoint_every = checkpoint_every
         self.lock_timeout = lock_timeout
@@ -648,15 +628,7 @@ class MayBMS(_SessionBase):
         if path is not None:
             # Recover BEFORE wiring the registry hook: restored variables
             # must not be re-logged to the WAL they came from.
-            self.storage = DurabilityManager(
-                path,
-                group_commit=group_commit,
-                # Escape hatch back to monolithic format-1 JSON snapshots
-                # (recovery always reads both formats).
-                snapshot_format=os.environ.get(
-                    "REPRO_SNAPSHOT_FORMAT", "columnar"
-                ),
-            )
+            self.storage = DurabilityManager(path)
             self.recovery_stats = self.storage.recover_into(
                 self.catalog, self.registry
             )

@@ -13,8 +13,10 @@ substrate in pure Python:
 - :mod:`repro.engine.physical` -- iterator-model physical operators,
 - :mod:`repro.engine.planner` -- logical-to-physical planning,
 - :mod:`repro.engine.catalog` -- the system catalog,
-- :mod:`repro.engine.storage` -- base tables and indexes,
-- :mod:`repro.engine.transactions` -- undo log, locks, write-ahead log.
+- :mod:`repro.engine.storage` -- base tables and MVCC read snapshots,
+- :mod:`repro.engine.transactions` -- undo log, locks, write-ahead log,
+- :mod:`repro.engine.durability` / :mod:`repro.engine.segments` -- the
+  on-disk WAL and columnar checkpoints.
 """
 
 from repro.engine.types import (

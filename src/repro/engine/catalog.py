@@ -127,37 +127,7 @@ class Catalog:
             entry.table.pinned_version_count() for entry in self._entries.values()
         )
 
-    # -- checkpoint serialization --------------------------------------------------
-    def dump_state(self) -> List[Dict[str, Any]]:
-        """JSON-safe snapshot of every table: schema, kind, kind-specific
-        properties, and rows with their tuple ids (see
-        :meth:`repro.engine.storage.Table.dump_state`).  Entries are emitted
-        in registration order so a restore reproduces iteration order."""
-        out: List[Dict[str, Any]] = []
-        for entry in self._entries.values():
-            state = {
-                "name": entry.table.name,
-                "kind": entry.kind,
-                "properties": dict(entry.properties),
-                "columns": [[c.name, c.type.name] for c in entry.table.schema],
-            }
-            state.update(entry.table.dump_state())
-            out.append(state)
-        return out
-
-    def restore_state(self, state: List[Dict[str, Any]]) -> None:
-        """Rebuild tables from a :meth:`dump_state` snapshot."""
-        for table_state in state:
-            schema = Schema(
-                Column(name, type_from_name(type_name))
-                for name, type_name in table_state["columns"]
-            )
-            entry = self.create_table(
-                table_state["name"], schema, table_state["kind"],
-                table_state["properties"],
-            )
-            entry.table.load_state(table_state)
-
+    # -- checkpoint recovery ------------------------------------------------------
     def restore_table_from_segment(self, decoded: Dict[str, Any]) -> CatalogEntry:
         """Create one table from a decoded binary column segment
         (:func:`repro.engine.segments.decode_table_segment`) and bulk-load
@@ -176,7 +146,6 @@ class Catalog:
             decoded["column_values"],
             decoded["row_count"],
             decoded["next_tid"],
-            decoded["indexes"],
         )
         return entry
 

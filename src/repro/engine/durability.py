@@ -16,9 +16,10 @@ On-disk layout (one directory per database)::
                                            table (+ registry slices),
                                            content-addressed by SHA-256
     <path>/wal.<epoch>.log              -- redo records since a checkpoint
-    <path>/checkpoint.json              -- legacy format-1 snapshot (read
-                                           for compatibility; superseded
-                                           by the next checkpoint)
+
+A format-1 ``checkpoint.json`` snapshot is no longer read: recovery
+refuses a directory that holds one instead of replaying its WAL tail over
+an empty catalog.
 
 Checkpoints are **incremental**: a checkpoint writes segments only for
 tables dirtied since the previous one (dirty tracking via the storage
@@ -68,10 +69,7 @@ from repro.engine import segments as segment_codec
 from repro.engine.catalog import Catalog
 from repro.errors import DegradedError, DurabilityError, RecoveryError
 
-CHECKPOINT_NAME = "checkpoint.json"
-CHECKPOINT_TMP = "checkpoint.json.tmp"
 LOCK_NAME = "LOCK"
-SNAPSHOT_FORMAT = 1
 MANIFEST_FORMAT = 2
 
 _HEADER = struct.Struct(">II")  # (payload length, crc32 of payload)
@@ -178,47 +176,6 @@ def count_commit_markers(records: Sequence[Sequence[Any]]) -> int:
     return sum(1 for record in records if record and record[0] == "commit")
 
 
-# -- legacy snapshot (format 1) serialization ----------------------------------
-
-
-def encode_snapshot_state(
-    catalog_state: List[Dict[str, Any]],
-    registry_state: Dict[str, Any],
-    wal_epoch: int,
-) -> bytes:
-    snapshot = {
-        "format": SNAPSHOT_FORMAT,
-        "wal_epoch": wal_epoch,
-        "registry": registry_state,
-        "catalog": catalog_state,
-    }
-    body = json.dumps(snapshot, separators=(",", ":"), sort_keys=True)
-    document = {"crc": zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF, "snapshot": snapshot}
-    return json.dumps(document, separators=(",", ":"), sort_keys=True).encode("utf-8")
-
-
-def encode_snapshot(catalog: Catalog, registry: Any, wal_epoch: int) -> bytes:
-    return encode_snapshot_state(catalog.dump_state(), registry.dump_state(), wal_epoch)
-
-
-def decode_snapshot(data: bytes) -> Dict[str, Any]:
-    try:
-        document = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise RecoveryError(f"checkpoint is not valid JSON: {exc}") from None
-    if not isinstance(document, dict) or "snapshot" not in document:
-        raise RecoveryError("checkpoint document missing 'snapshot'")
-    snapshot = document["snapshot"]
-    body = json.dumps(snapshot, separators=(",", ":"), sort_keys=True)
-    if zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF != document.get("crc"):
-        raise RecoveryError("checkpoint checksum mismatch (corrupt snapshot)")
-    if snapshot.get("format") != SNAPSHOT_FORMAT:
-        raise RecoveryError(
-            f"unsupported checkpoint format {snapshot.get('format')!r}"
-        )
-    return snapshot
-
-
 # -- manifest (format 2) serialization -----------------------------------------
 
 
@@ -281,15 +238,12 @@ class _CheckpointCapture:
     __slots__ = (
         "epoch",
         "started",
-        "format",
         "table_jobs",
         "reused",
         "registry_mode",
         "registry_state",
         "registry_segments",
         "registry_stamp",
-        "json_catalog",
-        "json_registry",
     )
 
 
@@ -300,40 +254,24 @@ class DurabilityManager:
     (:meth:`append` writes + fsyncs a batch of records) and performs
     recovery and checkpoint rotation for the session facade.
 
-    With ``group_commit`` enabled, concurrent :meth:`append` calls
-    coalesce: each caller encodes its frames, enqueues them, and waits;
-    one caller at a time becomes the *leader*, drains the whole queue,
-    and performs a single write + fsync for every queued commit.  Under
-    concurrent load this amortizes the per-commit fsync (the dominant
-    commit cost) across the batch; with a single committer it degrades
-    to exactly the one-fsync-per-commit behaviour of the plain path.
-    Every commit still blocks until its own bytes are durable, so crash
-    semantics are unchanged.  :attr:`fsync_count` / :attr:`commit_count`
-    expose the amortization (fsyncs-per-commit) to benchmarks.
-
-    ``snapshot_format`` selects the checkpoint encoding: ``"columnar"``
-    (the default: incremental manifest + binary column segments) or
-    ``"json"`` (the legacy monolithic ``checkpoint.json``, kept for
-    format-migration tests and A/B benchmarks).  Recovery reads both.
+    Concurrent :meth:`append` calls coalesce (group commit): each caller
+    encodes its frames, enqueues them, and waits; one caller at a time
+    becomes the *leader*, drains the whole queue, and performs a single
+    write + fsync for every queued commit.  Under concurrent load this
+    amortizes the per-commit fsync (the dominant commit cost) across the
+    batch; a single committer gets exactly one write + one fsync per
+    commit.  Every commit still blocks until its own bytes are durable,
+    so crash semantics are unchanged.  :attr:`fsync_count` /
+    :attr:`commit_count` expose the amortization (fsyncs-per-commit) to
+    benchmarks.
     """
 
-    def __init__(
-        self,
-        path: str,
-        group_commit: bool = False,
-        snapshot_format: str = "columnar",
-    ):
+    def __init__(self, path: str):
         self.path = path
         try:
             os.makedirs(path, exist_ok=True)
         except OSError as exc:
             raise DurabilityError(f"cannot create database directory {path!r}: {exc}")
-        if snapshot_format not in ("columnar", "json"):
-            raise DurabilityError(
-                f"unknown snapshot format {snapshot_format!r} "
-                "(expected 'columnar' or 'json')"
-            )
-        self.snapshot_format = snapshot_format
         self._epoch = 1
         self._wal_handle: Optional[Any] = None
         #: Read-only degraded mode: set after an unrecoverable write
@@ -357,7 +295,6 @@ class DurabilityManager:
         self.commits_since_checkpoint = 0
         self._closed = False
         self._lock_handle: Optional[Any] = None
-        self.group_commit = group_commit
         #: Total fsyncs of WAL data and total commit markers durably
         #: appended -- fsync_count < commit_count means group commit
         #: actually batched under the observed load.
@@ -378,7 +315,7 @@ class DurabilityManager:
         # previous checkpoint artifacts retained for epoch fallback.
         self._segment_map: Dict[str, Tuple[Any, int, str]] = {}
         self._registry_record: Optional[Tuple[int, int, List[str]]] = None
-        self._current_artifact: Optional[Tuple[str, int, Set[str]]] = None
+        self._current_artifact: Optional[Tuple[int, Set[str]]] = None
         #: Segment files physically written by the in-flight checkpoint
         #: commit (guarded by the checkpoint lock); removed wholesale if
         #: the commit fails so no partial epoch lingers on disk.
@@ -431,11 +368,6 @@ class DurabilityManager:
         return os.path.join(self.path, f"wal.{epoch:06d}.log")
 
     @property
-    def checkpoint_path(self) -> str:
-        """The legacy format-1 snapshot path (still read for migration)."""
-        return os.path.join(self.path, CHECKPOINT_NAME)
-
-    @property
     def wal_path(self) -> str:
         return self._wal_path(self._epoch)
 
@@ -475,7 +407,6 @@ class DurabilityManager:
     def stats(self) -> Dict[str, Any]:
         """Durability counters for benchmarks and the server wire protocol."""
         return {
-            "snapshot_format": self.snapshot_format,
             "wal_epoch": self._epoch,
             "checkpoint_ms": round(self.checkpoint_ms, 3),
             "checkpoint_bytes": self.checkpoint_bytes,
@@ -486,7 +417,6 @@ class DurabilityManager:
             "commits_since_checkpoint": self.commits_since_checkpoint,
             "fsync_count": self.fsync_count,
             "commit_count": self.commit_count,
-            "group_commit": self.group_commit,
             "degraded": self.degraded,
             "degraded_reason": self.degraded_reason,
             "wal_retries": self.wal_retries,
@@ -517,8 +447,10 @@ class DurabilityManager:
 
         Tries checkpoint manifests newest-first: a torn or corrupt segment
         (or manifest) falls back to the previous epoch, whose WAL is still
-        retained, so no committed data is lost.  A legacy format-1
-        ``checkpoint.json`` is the final fallback.  Returns counters
+        retained, so no committed data is lost.  Raises
+        :class:`RecoveryError`, deleting nothing, when no manifest loads
+        but the directory holds checkpointed data it cannot read (corrupt
+        manifests, or a format-1 ``checkpoint.json``).  Returns counters
         (``checkpoint_tables``, ``replayed_records``, ``fallbacks``,
         ``checkpoint_format``) for diagnostics.  The catalog and registry
         must be empty/fresh.
@@ -577,28 +509,24 @@ class DurabilityManager:
                 int(manifest.get("registry", {}).get("next_id", registry_stamp[2])),
                 list(manifest.get("registry", {}).get("segments", [])),
             )
-            self._current_artifact = (
-                "manifest", base_epoch, manifest_segment_names(manifest)
-            )
+            self._current_artifact = (base_epoch, manifest_segment_names(manifest))
             stats["checkpoint_tables"] = len(table_segments)
             stats["checkpoint_format"] = "columnar"
-        elif os.path.exists(self.checkpoint_path):
-            with open(self.checkpoint_path, "rb") as handle:
-                snapshot = decode_snapshot(handle.read())
-            registry.restore_state(snapshot["registry"])
-            catalog.restore_state(snapshot["catalog"])
-            base_epoch = int(snapshot["wal_epoch"])
-            self._current_artifact = ("legacy", base_epoch, set())
-            stats["checkpoint_tables"] = len(snapshot["catalog"])
-            stats["checkpoint_format"] = "json"
-        elif bad_manifests:
-            # Every checkpoint epoch on disk is torn/corrupt and there is
-            # no legacy snapshot either: replaying the WAL chain over an
-            # empty catalog would silently drop all checkpointed data.
-            raise RecoveryError(
-                f"all {len(bad_manifests)} checkpoint manifest(s) in "
-                f"{self.path!r} are corrupt; cannot recover"
-            )
+        else:
+            # No loadable checkpoint, yet checkpointed data on disk:
+            # replaying the WAL chain over an empty catalog would silently
+            # drop it, so refuse before anything is swept.
+            legacy = os.path.join(self.path, "checkpoint.json")
+            if os.path.exists(legacy):
+                raise RecoveryError(
+                    f"{legacy!r} is a format-1 JSON checkpoint, a format "
+                    "this version no longer reads; cannot recover"
+                )
+            if bad_manifests:
+                raise RecoveryError(
+                    f"all {len(bad_manifests)} checkpoint manifest(s) in "
+                    f"{self.path!r} are corrupt; cannot recover"
+                )
         for path in bad_manifests:
             try:
                 os.remove(path)
@@ -624,11 +552,6 @@ class DurabilityManager:
                         os.remove(self.manifest_path(epoch))
                     except OSError:
                         pass
-            if os.path.exists(self.checkpoint_path):
-                # Migration era: the legacy snapshot is the fallback and its
-                # epoch is unknown without parsing it -- keep every log; the
-                # next checkpoint's sweep prunes precisely.
-                wal_floor = 0
         self._sweep_stale_wal_files(wal_floor)
         self._sweep_orphan_files(chosen[1] if chosen is not None else None)
         # Replay the committed WAL chain from the checkpoint's epoch up to
@@ -744,11 +667,10 @@ class DurabilityManager:
     def append(self, records: Sequence[Sequence[Any]]) -> None:
         """Durably append a batch of records.
 
-        Plain mode: one write, one fsync, under the file mutex.  Group
-        mode: enqueue the encoded frames and wait until a leader has
-        fsynced them (possibly together with other sessions' commits).
-        Either way the call returns only once the records are durable,
-        and raises if they never became durable.
+        Enqueues the encoded frames and waits until a leader has fsynced
+        them (possibly together with other sessions' commits).  Returns
+        only once the records are durable, and raises if they never
+        became durable.
         """
         self._require_open()
         if not records:
@@ -756,47 +678,6 @@ class DurabilityManager:
         buffer = b"".join(encode_frame(record) for record in records)
         dml_units = count_dml_units(records)
         commit_markers = count_commit_markers(records)
-        if not self.group_commit:
-            self._append_with_retry(buffer)
-            with self._file_mutex:
-                # Flush batches always consist of whole units (the WAL
-                # appends complete begin..commit groups).
-                self.commits_since_checkpoint += dml_units
-                self.commit_count += commit_markers
-            return
-        self._append_grouped(buffer, dml_units, commit_markers)
-
-    def _append_with_retry(self, buffer: bytes) -> None:
-        """Write + fsync under the file mutex, absorbing transient I/O
-        failures with bounded exponential backoff (``REPRO_WAL_RETRIES`` /
-        ``REPRO_WAL_RETRY_BACKOFF``); each failed attempt has already been
-        truncated away by :meth:`_write_durably`, so a retry is a clean
-        re-append.  The backoff sleeps outside the mutex.  When the budget
-        is spent the store degrades to read-only."""
-        attempts = self._wal_retry_limit + 1
-        last: Optional[OSError] = None
-        for attempt in range(attempts):
-            if attempt:
-                time.sleep(self._wal_retry_backoff * (2 ** (attempt - 1)))
-            try:
-                with self._file_mutex:
-                    self._require_open()
-                    self._require_writable()
-                    self._write_durably(buffer)
-                if attempt:
-                    self.wal_retries += attempt
-                return
-            except OSError as exc:
-                last = exc
-        self.degrade(f"WAL append failed {attempts} times: {last}")
-        raise DegradedError(
-            f"durable store degraded to read-only after {attempts} failed "
-            f"WAL appends: {last}"
-        ) from last
-
-    def _append_grouped(
-        self, buffer: bytes, dml_units: int, commit_markers: int
-    ) -> None:
         cond = self._gc_cond
         with cond:
             self._gc_ticket += 1
@@ -851,6 +732,34 @@ class DurabilityManager:
             failure = self._gc_failures.pop(ticket, None)
         if failure is not None:
             raise failure
+
+    def _append_with_retry(self, buffer: bytes) -> None:
+        """Write + fsync under the file mutex, absorbing transient I/O
+        failures with bounded exponential backoff (``REPRO_WAL_RETRIES`` /
+        ``REPRO_WAL_RETRY_BACKOFF``); each failed attempt has already been
+        truncated away by :meth:`_write_durably`, so a retry is a clean
+        re-append.  The backoff sleeps outside the mutex.  When the budget
+        is spent the store degrades to read-only."""
+        attempts = self._wal_retry_limit + 1
+        last: Optional[OSError] = None
+        for attempt in range(attempts):
+            if attempt:
+                time.sleep(self._wal_retry_backoff * (2 ** (attempt - 1)))
+            try:
+                with self._file_mutex:
+                    self._require_open()
+                    self._require_writable()
+                    self._write_durably(buffer)
+                if attempt:
+                    self.wal_retries += attempt
+                return
+            except OSError as exc:
+                last = exc
+        self.degrade(f"WAL append failed {attempts} times: {last}")
+        raise DegradedError(
+            f"durable store degraded to read-only after {attempts} failed "
+            f"WAL appends: {last}"
+        ) from last
 
     def _write_durably(self, buffer: bytes) -> None:
         """Append ``buffer`` to the WAL file and fsync it (caller holds the
@@ -950,7 +859,6 @@ class DurabilityManager:
             _faults.failpoint("checkpoint.prepare")
             capture = _CheckpointCapture()
             capture.started = time.perf_counter()
-            capture.format = self.snapshot_format
             with self._file_mutex:
                 _faults.failpoint("wal.rotate")
                 if self._wal_handle is not None:
@@ -959,10 +867,6 @@ class DurabilityManager:
                 capture.epoch = self._epoch + 1
                 self._epoch = capture.epoch
                 self.commits_since_checkpoint = 0
-            if capture.format == "json":
-                capture.json_catalog = catalog.dump_state()
-                capture.json_registry = registry.dump_state()
-                return capture
             capture.table_jobs = []
             capture.reused = []
             for entry in catalog.entries():
@@ -986,7 +890,6 @@ class DurabilityManager:
                         "snapshot": dump["snapshot"],
                         "tids": dump["tids"],
                         "next_tid": dump["next_tid"],
-                        "indexes": dump["indexes"],
                         "ref": weakref.ref(table),
                         "version": table.version,
                     }
@@ -1020,7 +923,7 @@ class DurabilityManager:
     def commit_checkpoint(self, capture: _CheckpointCapture) -> str:
         """Phase 2 (store gate released): encode and durably write the new
         segments and the manifest, then sweep artifacts older than the
-        previous epoch.  Returns the manifest (or legacy snapshot) path.
+        previous epoch.  Returns the manifest path.
 
         An I/O failure here (ENOSPC is the canonical case) removes the
         partially written artifacts and flips the store into read-only
@@ -1029,8 +932,6 @@ class DurabilityManager:
         try:
             self._commit_written = []
             _faults.failpoint("checkpoint.prepared")
-            if capture.format == "json":
-                return self._commit_json_checkpoint(capture)
             return self._commit_columnar_checkpoint(capture)
         except OSError as exc:
             self._cleanup_failed_commit(capture)
@@ -1046,13 +947,10 @@ class DurabilityManager:
     def _cleanup_failed_commit(self, capture: _CheckpointCapture) -> None:
         """Remove the partial artifacts of a failed commit, so the on-disk
         state is exactly the previous checkpoint plus the WAL chain."""
+        target = self.manifest_path(capture.epoch)
         leftovers = list(self._commit_written)
         leftovers += [path + ".tmp" for path in self._commit_written]
-        if capture.format == "json":
-            leftovers.append(self.checkpoint_path + ".tmp")
-        else:
-            target = self.manifest_path(capture.epoch)
-            leftovers += [target, target + ".tmp"]
+        leftovers += [target, target + ".tmp"]
         for path in leftovers:
             try:
                 os.remove(path)
@@ -1079,7 +977,6 @@ class DurabilityManager:
                 job["tids"],
                 job["snapshot"].columns(),
                 job["next_tid"],
-                job["indexes"],
             )
             segment = segment_codec.segment_name(data)
             if self._write_segment_file(segment, data):
@@ -1114,7 +1011,6 @@ class DurabilityManager:
         written_bytes += len(manifest_data)
         previous = self._current_artifact
         self._current_artifact = (
-            "manifest",
             capture.epoch,
             {segment for _, segment in table_entries} | set(registry_segments),
         )
@@ -1131,29 +1027,6 @@ class DurabilityManager:
         self.segments_reused = reused
         self.checkpoints_total += 1
         return target
-
-    def _commit_json_checkpoint(self, capture: _CheckpointCapture) -> str:
-        self._require_open()
-        data = encode_snapshot_state(
-            capture.json_catalog, capture.json_registry, capture.epoch
-        )
-        with self._file_mutex:
-            self._require_open()
-            self._write_atomically(self.checkpoint_path, data, site="checkpoint.json")
-        self._current_artifact = ("legacy", capture.epoch, set())
-        self._segment_map = {}
-        self._registry_record = None
-        # The legacy format keeps exactly one snapshot (seed semantics):
-        # passing no predecessor sweeps every manifest and segment, so
-        # recovery cannot keep preferring a stale columnar manifest (and
-        # its ever-growing WAL chain) over the fresher checkpoint.json.
-        self._sweep_after_checkpoint(None)
-        self.checkpoint_ms = (time.perf_counter() - capture.started) * 1e3
-        self.checkpoint_bytes = len(data)
-        self.tables_snapshotted = len(capture.json_catalog)
-        self.segments_reused = 0
-        self.checkpoints_total += 1
-        return self.checkpoint_path
 
     def _write_segment_file(self, name: str, data: bytes) -> bool:
         """Write a content-addressed segment unless its bytes are already on
@@ -1190,45 +1063,37 @@ class DurabilityManager:
             self._fsync_directory()
 
     def _sweep_after_checkpoint(
-        self, previous: Optional[Tuple[str, int, Set[str]]]
+        self, previous: Optional[Tuple[int, Set[str]]]
     ) -> None:
         """Garbage-collect everything not needed by the new checkpoint or
-        its immediate predecessor.  The predecessor (manifest or legacy
-        snapshot) and every WAL epoch since it stay on disk until the
-        *next* checkpoint: they are the fallback if the new checkpoint's
-        segments turn out torn or corrupt at recovery."""
+        its immediate predecessor.  The predecessor manifest and every WAL
+        epoch since it stay on disk until the *next* checkpoint: they are
+        the fallback if the new checkpoint's segments turn out torn or
+        corrupt at recovery."""
         assert self._current_artifact is not None
-        kind, epoch, referenced = self._current_artifact
-        keep_manifest_epochs = {epoch} if kind == "manifest" else set()
+        epoch, referenced = self._current_artifact
+        keep_manifest_epochs = {epoch}
         keep_segments = set(referenced)
-        keep_legacy = kind == "legacy"
         wal_floor = epoch
         if previous is not None:
-            prev_kind, prev_epoch, prev_segments = previous
+            prev_epoch, prev_segments = previous
             wal_floor = min(wal_floor, prev_epoch)
-            if prev_kind == "manifest":
-                keep_manifest_epochs.add(prev_epoch)
-                keep_segments |= prev_segments
-            else:
-                keep_legacy = True
+            keep_manifest_epochs.add(prev_epoch)
+            keep_segments |= prev_segments
         try:
             names = os.listdir(self.path)
         except OSError:
             return
-        # Two passes, superseded *checkpoints* first: if the sweep dies
-        # midway, recovery must never find a manifest (or legacy snapshot)
-        # whose WAL chain has already been partially deleted.
+        # Two passes, superseded *manifests* first: if the sweep dies
+        # midway, recovery must never find a manifest whose WAL chain has
+        # already been partially deleted.
         for name in names:
-            path = os.path.join(self.path, name)
-            try:
-                match = _MANIFEST_RE.match(name)
-                if match:
-                    if int(match.group(1)) not in keep_manifest_epochs:
-                        os.remove(path)
-                elif name == CHECKPOINT_NAME and not keep_legacy:
-                    os.remove(path)
-            except OSError:
-                pass  # a stale artifact is harmless; the next sweep retries
+            match = _MANIFEST_RE.match(name)
+            if match and int(match.group(1)) not in keep_manifest_epochs:
+                try:
+                    os.remove(os.path.join(self.path, name))
+                except OSError:
+                    pass  # a stale artifact is harmless; the next sweep retries
         for name in names:
             path = os.path.join(self.path, name)
             try:

@@ -42,8 +42,7 @@ block:
 A segment carrying any compressed block is framed with the ``MBSEG002``
 magic; everything else keeps ``MBSEG001``, so checkpoints that do not
 use the new encodings remain readable by older readers and old segments
-always load (the reader accepts both magics).  Set
-``REPRO_SEGMENT_COMPRESSION=0`` to pin the writer to version-1 output.
+always load (the reader accepts both magics).
 
 Decoding verifies the CRC before trusting anything, so a torn or
 bit-rotten segment surfaces as :class:`~repro.errors.RecoveryError` and
@@ -58,7 +57,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 import zlib
 from typing import Any, Dict, List, Sequence, Tuple
@@ -73,11 +71,6 @@ SEGMENT_SUFFIX = ".seg"
 #: Encodings introduced by format version 2; their presence anywhere in a
 #: segment forces the v2 magic.
 V2_ENCODINGS = frozenset({"utf8d", "utf8d?", "i8d"})
-
-
-def compression_enabled() -> bool:
-    """Whether the writer may emit version-2 compressed encodings."""
-    return os.environ.get("REPRO_SEGMENT_COMPRESSION", "1") not in ("0", "false", "no")
 
 _U32 = struct.Struct(">I")
 _HEAD = struct.Struct(">II")  # (payload length, crc32 of payload)
@@ -198,7 +191,7 @@ def encode_column(type_name: str, values: Sequence[Any]) -> Tuple[str, bytes]:
     exactly (huge ints, lone surrogates) falls back to JSON.
     """
     has_null = any(v is None for v in values)
-    compress = compression_enabled() and len(values) >= 8
+    compress = len(values) >= 8
     try:
         if type_name == "BOOLEAN":
             return "bool", bytes(
@@ -379,7 +372,6 @@ def encode_table_segment(
     tids: Sequence[int],
     columns: Sequence[Sequence[Any]],
     next_tid: int,
-    indexes: Sequence[Sequence[Any]],
 ) -> bytes:
     """Serialize one table's contents + catalog metadata as a segment.
 
@@ -413,7 +405,6 @@ def encode_table_segment(
         "columns": [[n, t] for n, t in columns_meta],
         "row_count": row_count,
         "next_tid": int(next_tid),
-        "indexes": [list(ix) for ix in indexes],
         "tids": tid_spec,
         "encodings": encodings,
         "blocks": [len(b) for b in blocks],
@@ -426,7 +417,9 @@ def decode_table_segment(data: bytes) -> Dict[str, Any]:
 
     Returns a dict with ``table``, ``table_kind``, ``properties``,
     ``columns`` (name/type pairs), ``tids``, ``column_values`` (one list
-    per column), ``next_tid``, ``row_count``, ``indexes``.
+    per column), ``next_tid``, ``row_count``.  Segments written while
+    tables still had indexes carry an ``indexes`` header field; it is
+    ignored.
     """
     header, body = _unframe(data)
     if header.get("kind") != "table":
@@ -456,7 +449,6 @@ def decode_table_segment(data: bytes) -> Dict[str, Any]:
         "column_values": column_values,
         "next_tid": int(header["next_tid"]),
         "row_count": row_count,
-        "indexes": header.get("indexes", []),
     }
 
 

@@ -30,21 +30,19 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 
 from repro.engine import sanitizer as _sanitizer
 from repro.engine.columnar import columns_to_rows
-from repro.engine.indexes import HashIndex, SortedIndex
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
 from repro.errors import StorageError
 
 
 class Table:
-    """A mutable base table with stable tuple ids and optional indexes."""
+    """A mutable base table with stable tuple ids."""
 
     def __init__(self, name: str, schema: Schema) -> None:
         self.name = name
         self.schema = schema
         self._rows: Dict[int, tuple] = {}
         self._next_tid = 1
-        self._indexes: Dict[str, Any] = {}
         # Snapshot cache: (version when built, base relation).  The version
         # counter bumps on every mutation, so unchanged tables hand out the
         # same immutable Relation on every read -- the zero-copy read path
@@ -189,14 +187,10 @@ class Table:
         self._next_tid += 1
         self._version += 1
         self._rows[tid] = coerced
-        for index in self._indexes.values():
-            index.insert(tid, coerced)
         return tid
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> List[int]:
-        """Bulk insert: one coercion pass, one id range, and index
-        maintenance batched per index (instead of touching every index once
-        per row, which thrashes the index dict on large loads)."""
+        """Bulk insert: one coercion pass and one id range."""
         coerced_rows = [self._coerce(row) for row in rows]
         if not coerced_rows:
             return []
@@ -207,10 +201,6 @@ class Table:
         store = self._rows
         for tid, coerced in zip(tids, coerced_rows):
             store[tid] = coerced
-        for index in self._indexes.values():
-            insert = index.insert
-            for tid, coerced in zip(tids, coerced_rows):
-                insert(tid, coerced)
         return tids
 
     def delete(self, tid: int) -> tuple:
@@ -221,8 +211,6 @@ class Table:
         """Delete a row whose value the caller already holds (saves the
         redundant ``get()`` on scan-driven bulk deletes)."""
         self._version += 1
-        for index in self._indexes.values():
-            index.delete(tid, row)
         del self._rows[tid]
         return row
 
@@ -233,9 +221,6 @@ class Table:
     def _update_known(self, tid: int, old: tuple, row: Sequence[Any]) -> tuple:
         self._version += 1
         coerced = self._coerce(row)
-        for index in self._indexes.values():
-            index.delete(tid, old)
-            index.insert(tid, coerced)
         self._rows[tid] = coerced
         return old
 
@@ -247,8 +232,6 @@ class Table:
         self._version += 1
         self._rows[tid] = coerced
         self._next_tid = max(self._next_tid, tid + 1)
-        for index in self._indexes.values():
-            index.insert(tid, coerced)
 
     def delete_where(self, predicate: Callable[[tuple], bool]) -> List[Tuple[int, tuple]]:
         """Delete all rows satisfying ``predicate``; returns (tid, row) pairs.
@@ -278,45 +261,18 @@ class Table:
         removed = list(self._rows.items())
         self._version += 1
         self._rows.clear()
-        for index in self._indexes.values():
-            for tid, row in removed:
-                index.delete(tid, row)
         return removed
 
     # -- checkpoint serialization --------------------------------------------------
-    def _index_defs(self) -> List[List[Any]]:
-        """Serializable index *definitions* (entries re-derive from rows)."""
-        indexes: List[List[Any]] = []
-        for index in self._indexes.values():
-            if isinstance(index, HashIndex):
-                indexes.append(
-                    ["hash", index.name, list(index.positions), index.unique]
-                )
-            elif isinstance(index, SortedIndex):
-                indexes.append(
-                    ["sorted", index.name, list(index.positions), False]
-                )
-        return indexes
-
-    def dump_state(self) -> Dict[str, Any]:
-        """JSON-safe snapshot of rows keyed by tuple id, the tid counter,
-        and index *definitions* (entries re-derive from rows on load).
-        Tids must be preserved exactly: snapshot and lineage caches are
-        keyed by (version, tid), and WAL redo records address rows by
-        tid."""
-        return {
-            "next_tid": self._next_tid,
-            "rows": [[tid, list(row)] for tid, row in self._rows.items()],
-            "indexes": self._index_defs(),
-        }
-
     def dump_columns(self) -> Dict[str, Any]:
         """Capture the table for a binary-columnar checkpoint segment.
 
         Returns the cached immutable snapshot relation (whose rows the
         encoder pivots column-wise *after* the store gate is released --
         the capture itself is O(rows) of C-level list building at most),
-        the matching tuple ids, the tid counter, and index definitions.
+        the matching tuple ids, and the tid counter.  Tids must be
+        preserved exactly: snapshot and lineage caches are keyed by
+        (version, tid), and WAL redo records address rows by tid.
         The tid list and the snapshot iterate the same row dict, so they
         are positionally aligned as long as the table is not mutated in
         between -- the checkpoint holds the store gate across the capture
@@ -326,27 +282,7 @@ class Table:
             "snapshot": self.snapshot(),
             "tids": list(self._rows),
             "next_tid": self._next_tid,
-            "indexes": self._index_defs(),
         }
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        """Restore a :meth:`dump_state` snapshot into this (empty) table."""
-        if self._rows:
-            raise StorageError(
-                f"cannot load checkpoint state into non-empty table {self.name!r}"
-            )
-        for tid, row in state["rows"]:
-            self.restore(int(tid), row)
-        self._next_tid = max(self._next_tid, int(state["next_tid"]))
-        for kind, name, positions, unique in state.get("indexes", ()):
-            positions = [int(p) for p in positions]
-            if kind == "hash":
-                index: Any = HashIndex(name, positions, bool(unique))
-            else:
-                index = SortedIndex(name, positions)
-            for tid, row in self._rows.items():
-                index.insert(tid, row)
-            self._register_index(name, index)
 
     def load_columns(
         self,
@@ -354,16 +290,16 @@ class Table:
         columns: Sequence[Sequence[Any]],
         row_count: int,
         next_tid: int,
-        indexes: Sequence[Sequence[Any]] = (),
     ) -> None:
-        """Recovery fast path: bulk-load decoded checkpoint columns.
+        """Recovery fast path: bulk-load decoded checkpoint columns into
+        this (empty) table.
 
         Segment values were written from an already-typed table, so the
-        per-row ``restore()``/coercion machinery of :meth:`load_state` is
-        skipped entirely: rows are one ``zip`` pivot, the tid dict one
-        ``dict(zip(...))``, and the resulting column views are handed
-        straight to the batch engine by pre-seeding the snapshot cache --
-        the first scan after recovery reuses the decoded arrays zero-copy.
+        per-row ``restore()``/coercion machinery is skipped entirely: rows
+        are one ``zip`` pivot, the tid dict one ``dict(zip(...))``, and
+        the resulting column views are handed straight to the batch
+        engine by pre-seeding the snapshot cache -- the first scan after
+        recovery reuses the decoded arrays zero-copy.
         """
         if self._rows:
             raise StorageError(
@@ -390,65 +326,6 @@ class Table:
         snapshot._columns.columns = tuple(columns)
         snapshot.source = (self.name, self._version)
         self._snapshot_cache = (self._version, snapshot)
-        for kind, name, positions, unique in indexes:
-            positions = [int(p) for p in positions]
-            if kind == "hash":
-                index: Any = HashIndex(name, positions, bool(unique))
-            else:
-                index = SortedIndex(name, positions)
-            insert = index.insert
-            for tid, row in self._rows.items():
-                insert(tid, row)
-            self._register_index(name, index)
-
-    # -- indexes ---------------------------------------------------------------
-    def create_hash_index(
-        self, index_name: str, column_names: Sequence[str], unique: bool = False
-    ) -> HashIndex:
-        positions = [self.schema.resolve(n) for n in column_names]
-        index = HashIndex(index_name, positions, unique)
-        for tid, row in self._rows.items():
-            index.insert(tid, row)
-        self._register_index(index_name, index)
-        return index
-
-    def create_sorted_index(
-        self, index_name: str, column_names: Sequence[str]
-    ) -> SortedIndex:
-        positions = [self.schema.resolve(n) for n in column_names]
-        index = SortedIndex(index_name, positions)
-        for tid, row in self._rows.items():
-            index.insert(tid, row)
-        self._register_index(index_name, index)
-        return index
-
-    def _register_index(self, index_name: str, index: Any) -> None:
-        if index_name in self._indexes:
-            raise StorageError(f"index {index_name!r} already exists on {self.name!r}")
-        self._indexes[index_name] = index
-
-    def drop_index(self, index_name: str) -> None:
-        if index_name not in self._indexes:
-            raise StorageError(f"no index {index_name!r} on table {self.name!r}")
-        del self._indexes[index_name]
-
-    def index(self, index_name: str) -> Any:
-        try:
-            return self._indexes[index_name]
-        except KeyError:
-            raise StorageError(
-                f"no index {index_name!r} on table {self.name!r}"
-            ) from None
-
-    def index_names(self) -> List[str]:
-        return list(self._indexes)
-
-    def lookup(self, index_name: str, key_values: Sequence[Any]) -> List[tuple]:
-        """Fetch rows via a hash index."""
-        index = self.index(index_name)
-        if not isinstance(index, HashIndex):
-            raise StorageError(f"index {index_name!r} is not a hash index")
-        return [self._rows[tid] for tid in sorted(index.lookup(key_values))]
 
 
 # -- MVCC snapshot management ---------------------------------------------------

@@ -75,8 +75,6 @@ SITES = {
     "checkpoint.fsync": "fsync of a checkpoint artifact fails",
     "checkpoint.manifest.write": "writing the manifest tmp file fails",
     "checkpoint.manifest.rename": "atomic manifest rename fails",
-    "checkpoint.json.write": "writing the legacy snapshot tmp file fails",
-    "checkpoint.json.rename": "atomic legacy snapshot rename fails",
     "segment.write": "writing a column segment fails (e.g. ENOSPC)",
     "segment.read": "segment read fails (corrupt: bit flip; truncate)",
     "segment.decode": "segment payload decode fails",

@@ -44,11 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="auto-checkpoint after this many commits (default 256)",
     )
     parser.add_argument(
-        "--no-group-commit",
-        action="store_true",
-        help="fsync each commit individually instead of group commit",
-    )
-    parser.add_argument(
         "--lock-timeout",
         type=float,
         default=None,
@@ -94,7 +89,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         path=args.path,
         seed=args.seed,
         checkpoint_every=args.checkpoint_every,
-        group_commit=False if args.no_group_commit else None,
         lock_timeout=args.lock_timeout,
         max_connections=args.max_connections,
         max_active_statements=args.max_statements,
@@ -103,9 +97,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     store = args.path if args.path else "in-memory"
     print(
-        f"maybms-server listening on {server.host}:{server.port} "
-        f"(store={store}, group_commit="
-        f"{'off' if args.no_group_commit else 'on'})",
+        f"maybms-server listening on {server.host}:{server.port} (store={store})",
         flush=True,
     )
     try:

@@ -153,7 +153,6 @@ class MayBMSServer:
         path: Optional[str] = None,
         seed: Optional[int] = None,
         checkpoint_every: Optional[int] = None,
-        group_commit: Optional[bool] = None,
         lock_timeout: Optional[float] = None,
         backlog: int = 64,
         max_connections: Optional[int] = None,
@@ -166,7 +165,6 @@ class MayBMSServer:
                 seed=seed,
                 path=path if path is not None else "",
                 checkpoint_every=checkpoint_every,
-                group_commit=group_commit,
                 lock_timeout=lock_timeout,
                 parallel_workers=parallel_workers,
             )

@@ -1,6 +1,6 @@
-"""Tests for the on-disk WAL format, checkpoint snapshots (legacy JSON and
-incremental binary-columnar manifests + segments), and the durability
-manager's recovery / rotation / epoch-fallback protocol."""
+"""Tests for the on-disk WAL format, checkpoint snapshots (incremental
+binary-columnar manifests + segments), and the durability manager's
+recovery / rotation / epoch-fallback protocol."""
 
 import glob
 import json
@@ -15,10 +15,8 @@ from repro.engine.durability import (
     DurabilityManager,
     count_dml_units,
     decode_manifest,
-    decode_snapshot,
     encode_frame,
     encode_manifest,
-    encode_snapshot,
     manifest_name,
     manifest_segment_names,
     scan_committed,
@@ -89,82 +87,45 @@ class TestFrameFormat:
         ]) == 1
 
 
-class TestSnapshotFormat:
-    def _catalog(self):
-        catalog = Catalog()
-        catalog.create_table("t", Schema.of(("x", INTEGER), ("s", TEXT)))
-        catalog.table("t").insert((1, "a"))
-        catalog.table("t").insert((2, "b"))
-        return catalog
-
-    def test_roundtrip(self):
-        catalog = self._catalog()
-        registry = VariableRegistry()
-        var = registry.fresh({0: 0.25, 1: 0.75}, name="x1")
-        data = encode_snapshot(catalog, registry, wal_epoch=3)
-
-        snapshot = decode_snapshot(data)
-        assert snapshot["wal_epoch"] == 3
-        restored_catalog = Catalog()
-        restored_registry = VariableRegistry()
-        restored_registry.restore_state(snapshot["registry"])
-        restored_catalog.restore_state(snapshot["catalog"])
-        assert list(restored_catalog.table("t").items()) == [
-            (1, (1, "a")), (2, (2, "b")),
-        ]
-        assert restored_registry.distribution(var) == {0: 0.25, 1: 0.75}
-        assert restored_registry.name(var) == "x1"
-
-    def test_corrupt_snapshot_rejected(self):
-        data = encode_snapshot(self._catalog(), VariableRegistry(), wal_epoch=1)
-        document = json.loads(data)
-        document["snapshot"]["wal_epoch"] = 99  # tamper
-        with pytest.raises(RecoveryError):
-            decode_snapshot(json.dumps(document).encode())
-
-    def test_not_json_rejected(self):
-        with pytest.raises(RecoveryError):
-            decode_snapshot(b"\x00\x01 not json")
-
-
 class TestTableState:
+    """The columnar capture (``dump_columns``) and the recovery bulk load
+    (``load_columns``) a checkpoint segment round-trips through."""
+
+    @staticmethod
+    def _load(table, dump):
+        table.load_columns(
+            dump["tids"],
+            dump["snapshot"].columns(),
+            len(dump["tids"]),
+            dump["next_tid"],
+        )
+
     def test_dump_preserves_tids_and_counter(self):
         table = Table("t", Schema.of(("x", INTEGER)))
         table.insert((1,))
         tid = table.insert((2,))
         table.insert((3,))
         table.delete(tid)
-        state = table.dump_state()
 
         fresh = Table("t", Schema.of(("x", INTEGER)))
-        fresh.load_state(state)
+        self._load(fresh, table.dump_columns())
         assert list(fresh.items()) == [(1, (1,)), (3, (3,))]
         # The tid counter survives even past deleted tids: a new insert must
-        # not reuse tid 2.
+        # not reuse tid 2 (nor, after deleting the last row, tid 3).
         assert fresh.insert((9,)) == 4
-
-    def test_index_definitions_roundtrip(self):
-        """Checkpoints persist index definitions (entries re-derive from
-        rows); in particular unique constraints survive a reopen."""
-        table = Table("t", Schema.of(("k", INTEGER), ("s", TEXT)))
-        table.insert((1, "a"))
-        table.insert((2, "b"))
-        table.create_hash_index("by_k", ["k"], unique=True)
-        table.create_sorted_index("ord_k", ["k"])
-        state = table.dump_state()
-
-        fresh = Table("t", Schema.of(("k", INTEGER), ("s", TEXT)))
-        fresh.load_state(state)
-        assert sorted(fresh.index_names()) == ["by_k", "ord_k"]
-        assert fresh.lookup("by_k", (2,)) == [(2, "b")]
-        with pytest.raises(StorageError, match="unique"):
-            fresh.insert((1, "dup"))
+        table.delete(3)
+        emptied = Table("t", Schema.of(("x", INTEGER)))
+        self._load(emptied, table.dump_columns())
+        assert emptied.insert((9,)) == 4
 
     def test_load_into_nonempty_rejected(self):
+        source = Table("t", Schema.of(("x", INTEGER)))
+        source.insert((5,))
         table = Table("t", Schema.of(("x", INTEGER)))
         table.insert((1,))
-        with pytest.raises(StorageError):
-            table.load_state({"next_tid": 1, "rows": []})
+        with pytest.raises(StorageError, match="non-empty"):
+            self._load(table, source.dump_columns())
+        assert list(table.items()) == [(1, (1,))]
 
 
 class TestDurabilityManager:
@@ -215,6 +176,29 @@ class TestDurabilityManager:
         again = DurabilityManager(path)
         again.recover_into(recovered_catalog, VariableRegistry())
         assert sorted(recovered_catalog.table("t").rows()) == [(1,), (2,)]
+
+    def test_tid_counter_survives_checkpoint_and_reopen(self, tmp_path):
+        """The segment carries next_tid: a reopened table never reuses the
+        tid of a row deleted before the checkpoint."""
+        path = str(tmp_path / "db")
+        manager = DurabilityManager(path)
+        catalog = Catalog()
+        wal = WriteAheadLog(sink=manager)
+        txn = Transaction(catalog, wal)
+        txn.create_table("t", Schema.of(("x", INTEGER)))
+        for x in (1, 2, 3):
+            txn.insert("t", (x,))
+        txn.delete("t", 3)
+        txn.commit()
+        manager.checkpoint(catalog, VariableRegistry())
+        manager.close()
+
+        recovered = Catalog()
+        again = DurabilityManager(path)
+        stats = again.recover_into(recovered, VariableRegistry())
+        assert stats["replayed_records"] == 0  # everything from the segment
+        assert recovered.table("t").insert((9,)) == 4
+        again.close()
 
     def test_commit_counter_counts_dml_units_only(self, tmp_path):
         """Variable-registration units don't advance the auto-checkpoint
@@ -783,39 +767,49 @@ class TestEpochFallback:
         again.close()
 
 
-class TestLegacyMigration:
-    def test_json_store_opens_and_migrates(self, tmp_path):
+class TestFormat1Checkpoint:
+    def test_json_checkpoint_refused_and_nothing_swept(self, tmp_path):
+        """A directory whose only checkpoint is a format-1 checkpoint.json
+        must not recover as "WAL tail over an empty catalog": that would
+        silently lose everything the snapshot held."""
         path = str(tmp_path / "db")
-        legacy = DurabilityManager(path, snapshot_format="json")
-        catalog = _build_catalog(tables=2)
-        registry = VariableRegistry()
-        registry.fresh({0: 0.5, 1: 0.5}, name="coin")
-        legacy.checkpoint(catalog, registry)
-        assert os.path.exists(os.path.join(path, "checkpoint.json"))
-        assert not _manifests(path)
-        legacy.close()
+        os.makedirs(path)
+        snapshot = {
+            "format": 1,
+            "wal_epoch": 2,
+            "registry": {"next_id": 1, "variables": []},
+            "catalog": [{
+                "name": "t", "kind": "standard", "properties": {},
+                "columns": [["x", "INTEGER"]], "next_tid": 2,
+                "rows": [[1, [1]]], "indexes": [],
+            }],
+        }
+        with open(os.path.join(path, "checkpoint.json"), "w") as handle:
+            json.dump({"crc": 0, "snapshot": snapshot}, handle)
+        with open(os.path.join(path, "wal.000002.log"), "wb") as handle:
+            handle.write(b"".join(
+                encode_frame(r)
+                for r in [("begin",), ("insert", "t", 2, [2]), ("commit",)]
+            ))
+        with open(os.path.join(path, "wal.000001.log"), "wb") as handle:
+            handle.write(encode_frame(("begin",)))  # a stale older epoch
+        before = {
+            name: os.path.getsize(os.path.join(path, name))
+            for name in os.listdir(path)
+        }
 
-        recovered = Catalog()
-        recovered_registry = VariableRegistry()
-        manager = DurabilityManager(path)  # columnar by default
-        stats = manager.recover_into(recovered, recovered_registry)
-        assert stats["checkpoint_format"] == "json"
-        assert recovered_registry.distribution(1) == {0: 0.5, 1: 0.5}
-
-        # The next checkpoint writes the new format; the legacy snapshot is
-        # retained one epoch as the fallback, then swept.
-        manager.checkpoint(recovered, recovered_registry)
-        assert _manifests(path)
-        assert os.path.exists(os.path.join(path, "checkpoint.json"))
-        manager.checkpoint(recovered, recovered_registry)
-        assert not os.path.exists(os.path.join(path, "checkpoint.json"))
+        manager = DurabilityManager(path)
+        catalog = Catalog()
+        with pytest.raises(RecoveryError, match="checkpoint.json.*no longer"):
+            manager.recover_into(catalog, VariableRegistry())
         manager.close()
-
-    def test_unknown_snapshot_format_rejected(self, tmp_path):
-        from repro.errors import DurabilityError
-
-        with pytest.raises(DurabilityError, match="snapshot format"):
-            DurabilityManager(str(tmp_path / "db"), snapshot_format="parquet")
+        assert len(catalog) == 0
+        after = {
+            name: os.path.getsize(os.path.join(path, name))
+            for name in os.listdir(path)
+            if name != "LOCK"
+        }
+        assert after == before
 
 
 class TestDurabilityCounters:
@@ -1010,7 +1004,7 @@ class TestFailpointInjection:
 
         monkeypatch.setenv("REPRO_WAL_RETRIES", "0")
         path = str(tmp_path / "db")
-        manager = DurabilityManager(path, group_commit=True)
+        manager = DurabilityManager(path)
         manager.append([
             ("begin",),
             ("create_table", "t", [["x", "INTEGER"]], "standard", {}),

@@ -8,6 +8,9 @@ import pytest
 from repro.engine.segments import (
     MAGIC,
     MAGIC_V2,
+    _frame,
+    _split_blocks,
+    _unframe,
     decode_column,
     decode_registry_segment,
     decode_table_segment,
@@ -142,11 +145,6 @@ class TestCompressedEncodings:
         assert encoding == "utf8d?"
         assert decode_column(encoding, block, len(values)) == values
 
-    def test_compression_env_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEGMENT_COMPRESSION", "0")
-        assert encode_column("INTEGER", list(range(64)))[0] == "i8"
-        assert encode_column("TEXT", ["a", "b"] * 32)[0] == "utf8"
-
     def test_truncated_compressed_blocks_rejected(self):
         for type_name, values in (
             ("INTEGER", list(range(100, 164))),
@@ -166,7 +164,6 @@ def _table_segment(**overrides):
         tids=[1, 2, 3],
         columns=[[1, 2, 3], [0.5, 1.5, 2.5], ["a", "b", "c"]],
         next_tid=4,
-        indexes=[],
     )
     spec.update(overrides)
     return encode_table_segment(
@@ -177,7 +174,6 @@ def _table_segment(**overrides):
         spec["tids"],
         spec["columns"],
         spec["next_tid"],
-        spec["indexes"],
     )
 
 
@@ -186,7 +182,6 @@ class TestTableSegment:
         data = _table_segment(
             table_kind="urelation",
             properties={"payload_arity": 1, "cond_arity": 1},
-            indexes=[["hash", "by_k", [0], True]],
         )
         decoded = decode_table_segment(data)
         assert decoded["table"] == "t"
@@ -196,7 +191,16 @@ class TestTableSegment:
         assert decoded["tids"] == [1, 2, 3]
         assert decoded["column_values"] == [[1, 2, 3], [0.5, 1.5, 2.5], ["a", "b", "c"]]
         assert decoded["next_tid"] == 4
-        assert decoded["indexes"] == [["hash", "by_k", [0], True]]
+
+    def test_old_index_header_field_ignored(self):
+        """Segments written while tables had indexes carry an ``indexes``
+        header field; they still load, and the field is dropped."""
+        header, body = _unframe(_table_segment())
+        header["indexes"] = [["hash", "by_k", [0], True]]
+        blocks = _split_blocks(body, header["blocks"])
+        decoded = decode_table_segment(_frame(header, blocks))
+        assert "indexes" not in decoded
+        assert decoded == decode_table_segment(_table_segment())
 
     def test_dense_tids_encode_as_range(self):
         dense = _table_segment()
@@ -296,22 +300,25 @@ class TestFormatVersionGating:
         assert data.startswith(MAGIC_V2)
         assert decode_table_segment(data)["column_values"] == [list(range(n))]
 
-    def test_compression_off_reproduces_v1_bytes(self, monkeypatch):
-        """With the escape hatch set, the writer must emit exactly the
-        pre-compression format (stable content-addressed names)."""
+    def test_compression_off_reproduces_v1_bytes(self):
+        """When no block compresses -- unsorted ints, high-cardinality
+        text, sparse tids that delta coding cannot shrink -- the writer
+        emits exactly the pre-compression format (stable
+        content-addressed names)."""
         n = 64
-        build = lambda: _table_segment(
+        ints = [(i * 37) % n for i in range(n)]
+        texts = [f"row-{i}" for i in range(n)]
+        tids = [1 + i * (2**40) for i in range(n)]
+        data = _table_segment(
             columns_meta=[("k", "INTEGER"), ("s", "TEXT")],
-            columns=[list(range(n)), ["a", "b"] * (n // 2)],
-            tids=list(range(1, n + 1)),
-            next_tid=n + 1,
+            columns=[ints, texts],
+            tids=tids,
+            next_tid=tids[-1] + 1,
         )
-        compressed = build()
-        monkeypatch.setenv("REPRO_SEGMENT_COMPRESSION", "0")
-        plain = build()
-        assert compressed.startswith(MAGIC_V2)
-        assert plain.startswith(MAGIC)
-        assert decode_table_segment(plain) == decode_table_segment(compressed)
+        assert data.startswith(MAGIC)
+        decoded = decode_table_segment(data)
+        assert decoded["tids"] == tids
+        assert decoded["column_values"] == [ints, texts]
 
     def test_future_format_version_rejected_with_clear_error(self):
         data = _table_segment()

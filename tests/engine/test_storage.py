@@ -1,8 +1,7 @@
-"""Tests for base table storage, tuple ids, and indexes."""
+"""Tests for base table storage and tuple ids."""
 
 import pytest
 
-from repro.engine.indexes import HashIndex, SortedIndex
 from repro.engine.schema import Schema
 from repro.engine.storage import Table
 from repro.engine.types import FLOAT, INTEGER, NULL, TEXT
@@ -84,8 +83,8 @@ class TestBasicStorage:
 
     def test_delete_where(self, table):
         victims = table.delete_where(lambda row: row[1] > 15)
-        assert len(victims) == 2
-        assert len(table) == 1
+        assert victims == [(2, ("bob", 20)), (3, ("cy", 30))]
+        assert list(table.items()) == [(1, ("ann", 10))]
 
     def test_update_where(self, table):
         table.update_where(
@@ -115,38 +114,14 @@ class TestBulkMutations:
         t.insert_many([(1,), (2,)])
         assert t.get(1) == (1.0,)
 
-    def test_insert_many_maintains_indexes(self, table):
-        table.create_hash_index("by_name", ["name"])
-        table.create_sorted_index("by_score", ["score"])
-        table.insert_many([("dee", 40), ("dee", 41)])
-        assert [row[1] for row in table.lookup("by_name", ("dee",))] == [40, 41]
-        index = table.index("by_score")
-        assert [table.get(t)[0] for t in index.range((40,), (41,))] == ["dee", "dee"]
-
     def test_insert_many_equivalent_to_repeated_insert(self):
         a = Table("a", Schema.of(("x", INTEGER)))
         b = Table("b", Schema.of(("x", INTEGER)))
-        a.create_hash_index("ix", ["x"])
-        b.create_hash_index("ix", ["x"])
         rows = [(i % 3,) for i in range(10)]
         for row in rows:
             a.insert(row)
         b.insert_many(rows)
-        assert list(a.rows()) == list(b.rows())
-        assert a.lookup("ix", (1,)) == b.lookup("ix", (1,))
-
-    def test_delete_where_maintains_indexes(self, table):
-        table.create_hash_index("by_name", ["name"])
-        removed = table.delete_where(lambda row: row[1] >= 20)
-        assert [tid for tid, _ in removed] == [2, 3]
-        assert table.lookup("by_name", ("bob",)) == []
-        assert table.lookup("by_name", ("ann",)) == [("ann", 10)]
-
-    def test_update_where_maintains_indexes(self, table):
-        table.create_hash_index("by_score", ["score"])
-        table.update_where(lambda row: row[0] == "bob", lambda row: (row[0], 99))
-        assert table.lookup("by_score", (99,)) == [("bob", 99)]
-        assert table.lookup("by_score", (20,)) == []
+        assert list(a.items()) == list(b.items())
 
 
 class TestSnapshotCaching:
@@ -194,61 +169,3 @@ class TestSnapshotCaching:
         row = table.delete(2)
         table.restore(2, row)
         assert len(table.snapshot()) == 3
-
-
-class TestHashIndexes:
-    def test_lookup(self, table):
-        table.create_hash_index("by_name", ["name"])
-        assert table.lookup("by_name", ["bob"]) == [("bob", 20)]
-        assert table.lookup("by_name", ["zed"]) == []
-
-    def test_index_maintained_on_insert_delete(self, table):
-        table.create_hash_index("by_name", ["name"])
-        tid = table.insert(("bob", 99))
-        assert len(table.lookup("by_name", ["bob"])) == 2
-        table.delete(tid)
-        assert len(table.lookup("by_name", ["bob"])) == 1
-
-    def test_index_maintained_on_update(self, table):
-        table.create_hash_index("by_name", ["name"])
-        table.update(2, ("bobby", 20))
-        assert table.lookup("by_name", ["bob"]) == []
-        assert table.lookup("by_name", ["bobby"]) == [("bobby", 20)]
-
-    def test_unique_index_violation(self, table):
-        table.create_hash_index("uq", ["name"], unique=True)
-        with pytest.raises(StorageError):
-            table.insert(("ann", 99))
-
-    def test_duplicate_index_name_rejected(self, table):
-        table.create_hash_index("i", ["name"])
-        with pytest.raises(StorageError):
-            table.create_hash_index("i", ["score"])
-
-    def test_drop_index(self, table):
-        table.create_hash_index("i", ["name"])
-        table.drop_index("i")
-        with pytest.raises(StorageError):
-            table.index("i")
-
-    def test_null_keys_indexed(self, table):
-        table.create_hash_index("by_score", ["score"])
-        table.insert(("dee", NULL))
-        assert table.lookup("by_score", [NULL]) == [("dee", NULL)]
-
-
-class TestSortedIndex:
-    def test_range_scan(self, table):
-        index = table.create_sorted_index("by_score", ["score"])
-        assert index.range([15], [35]) == [2, 3]
-        assert index.range(None, [10]) == [1]
-        assert index.range([25], None) == [3]
-
-    def test_maintained_on_delete(self, table):
-        index = table.create_sorted_index("by_score", ["score"])
-        table.delete(2)
-        assert index.range([0], [100]) == [1, 3]
-
-    def test_full_range(self, table):
-        index = table.create_sorted_index("by_score", ["score"])
-        assert index.range() == [1, 2, 3]

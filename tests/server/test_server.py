@@ -268,7 +268,7 @@ class TestConcurrentClients:
                 assert f"c{i}" in names
 
     def test_group_commit_amortizes_fsyncs(self, tmp_path):
-        server = MayBMSServer(path=str(tmp_path / "store"), group_commit=True)
+        server = MayBMSServer(path=str(tmp_path / "store"))
         server.start()
         try:
             with Client(server.host, server.port) as setup:

@@ -17,9 +17,6 @@ import pytest
 
 from repro import MayBMS, faults
 from repro.client import Client
-from repro.engine.catalog import Catalog
-from repro.engine.durability import DurabilityManager
-from repro.core.variables import VariableRegistry
 from repro.errors import FaultInjected
 from repro.faults import FaultRegistry, parse_spec
 from repro.server.server import MayBMSServer
@@ -196,7 +193,6 @@ DURABILITY_SITES = [
     "segment.write", "segment.read", "segment.decode",
     "recovery.manifest.read",
 ]
-JSON_SITES = ["checkpoint.json.write", "checkpoint.json.rename"]
 WIRE_SITES = ["wire.send", "wire.recv", "server.reply.delay"]
 POOL_PARENT_SITES = ["parallel.submit", "parallel.shm.unlink"]
 WORKER_SITES = ["parallel.worker"]
@@ -205,7 +201,7 @@ WORKER_SITES = ["parallel.worker"]
 class TestSiteCoverage:
     def test_catalog_is_fully_covered(self):
         covered = set(
-            DURABILITY_SITES + JSON_SITES + WIRE_SITES
+            DURABILITY_SITES + WIRE_SITES
             + POOL_PARENT_SITES + WORKER_SITES
         )
         assert covered == set(faults.SITES), (
@@ -236,21 +232,6 @@ class TestSiteCoverage:
         for site in DURABILITY_SITES:
             assert hits.get(site, 0) >= 1, f"site {site} never hit: {hits}"
             assert fired.get(site, 0) >= 1, f"site {site} never fired: {fired}"
-        faults.disarm()
-
-    def test_json_checkpoint_sites_fire(self, tmp_path):
-        faults.arm({site: "delay:0" for site in JSON_SITES})
-        manager = DurabilityManager(str(tmp_path / "db"), snapshot_format="json")
-        manager.append([
-            ("begin",),
-            ("create_table", "t", [["x", "INTEGER"]], "standard", {}),
-            ("commit",),
-        ])
-        manager.checkpoint(Catalog(), VariableRegistry())
-        manager.close()
-        hits = faults.stats()["hits"]
-        for site in JSON_SITES:
-            assert hits.get(site, 0) >= 1, f"site {site} never hit: {hits}"
         faults.disarm()
 
     def test_wire_sites_fire(self):

@@ -303,7 +303,7 @@ class TestCheckpointGate:
 class TestDurableMultiSession:
     def test_group_commit_batches_under_concurrency(self, tmp_path):
         path = str(tmp_path / "store")
-        store = MayBMS(path=path, group_commit=True)
+        store = MayBMS(path=path)
         sessions = [store.session() for _ in range(8)]
         for i, session in enumerate(sessions):
             session.execute(f"create table t{i} (a integer)")

@@ -195,14 +195,19 @@ class TestLockFreeReads:
             db.close()
 
     def test_mvcc_off_reads_take_shared_locks(self):
-        # The locked-mode baseline still exists: with mvcc off, no
-        # capture happens and reads go through shared 2PL.
-        db = build_store(mvcc=False)
+        # The locked read path: inside an explicit transaction no capture
+        # happens, and reads hold shared 2PL locks until commit (so the
+        # transaction reads its own writes).
+        db = build_store()
         try:
             db.snapshots.on_capture = lambda pinned: pytest.fail(
-                "mvcc=False must not capture snapshots"
+                "a read inside a transaction must not capture snapshots"
             )
+            db.execute("begin")
             db.query(SELECT_QUERY)
+            assert db._held_locks["t"][0] == "shared"
+            db.execute("commit")
+            assert db._held_locks == {}
             assert db.snapshot_stats()["snapshot_captures"] == 0
         finally:
             db.close()
@@ -347,14 +352,20 @@ class TestTableScopedCapture:
 class TestDifferentialLockedVsMvcc:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_results_identical_mvcc_on_off(self, engine):
-        mvcc_db = build_store(mvcc=True)
-        locked_db = build_store(mvcc=False)
+        # The same read as an auto-commit statement (pinned snapshot) and
+        # inside begin ... commit (shared 2PL locks, no capture).
+        mvcc_db = build_store()
+        locked_db = build_store()
         try:
             with planner.forced_engine(engine):
                 for query in (SELECT_QUERY, CONF_QUERY):
-                    assert sorted(mvcc_db.query(query).rows) == sorted(
-                        locked_db.query(query).rows
-                    )
+                    pinned_rows = mvcc_db.query(query).rows
+                    locked_db.execute("begin")
+                    locked_rows = locked_db.query(query).rows
+                    locked_db.execute("commit")
+                    assert sorted(pinned_rows) == sorted(locked_rows)
+            assert mvcc_db.snapshot_stats()["snapshot_captures"] == 2
+            assert locked_db.snapshot_stats()["snapshot_captures"] == 0
         finally:
             mvcc_db.close()
             locked_db.close()
@@ -401,12 +412,14 @@ class TestExplainSnapshots:
             db.close()
 
     def test_explain_omits_snapshot_line_when_locked(self):
-        db = build_store(mvcc=False)
+        db = build_store()
         try:
+            db.execute("begin")
             explain = "\n".join(
                 row[0] for row in db.query("explain " + SELECT_QUERY)
             )
-            assert "snapshot: mvcc pinned" not in explain
+            db.execute("commit")
+            assert "snapshot:" not in explain
         finally:
             db.close()
 

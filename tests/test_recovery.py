@@ -497,74 +497,3 @@ class TestIncrementalCheckpointFacade:
         reopened.close()
         del calls
 
-
-class TestLegacyFormatMigration:
-    def test_legacy_json_store_opens_and_migrates(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "db")
-        monkeypatch.setenv("REPRO_SNAPSHOT_FORMAT", "json")
-        db = MayBMS(path=path, checkpoint_every=0)
-        populate(db)
-        db.checkpoint()
-        db.execute("insert into r values (7, 'x', 1.5)")  # WAL tail
-        live_select = db.query("select k, v, w from r order by k, v").rows
-        live_conf = db.query(CONF_QUERY).rows
-        db = crash(db)
-        assert os.path.exists(os.path.join(path, "checkpoint.json"))
-        assert not manifests(path)
-        monkeypatch.delenv("REPRO_SNAPSHOT_FORMAT")
-
-        reopened = MayBMS(path=path, checkpoint_every=0)
-        assert reopened.recovery_stats["checkpoint_format"] == "json"
-        assert reopened.query("select k, v, w from r order by k, v").rows == live_select
-        assert reopened.query(CONF_QUERY).rows == live_conf
-
-        # The next checkpoint migrates to the columnar format; the legacy
-        # snapshot sticks around one epoch as the fallback, then is swept.
-        reopened.checkpoint()
-        assert manifests(path)
-        assert os.path.exists(os.path.join(path, "checkpoint.json"))
-        reopened.checkpoint()
-        assert not os.path.exists(os.path.join(path, "checkpoint.json"))
-        reopened = crash(reopened)
-
-        final = MayBMS(path=path)
-        assert final.recovery_stats["checkpoint_format"] == "columnar"
-        assert final.query("select k, v, w from r order by k, v").rows == live_select
-        assert final.query(CONF_QUERY).rows == live_conf
-        final.close()
-
-    def test_json_format_knob_still_writes_legacy(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SNAPSHOT_FORMAT", "json")
-        path = str(tmp_path / "db")
-        with MayBMS(path=path) as db:
-            db.execute("create table t (x integer)")
-            db.execute("insert into t values (1)")
-        assert os.path.exists(os.path.join(path, "checkpoint.json"))
-        assert not segment_files(path)
-        with MayBMS(path=path) as again:
-            assert again.query("select x from t").rows == [(1,)]
-
-    def test_json_escape_hatch_supersedes_columnar_manifests(
-        self, tmp_path, monkeypatch
-    ):
-        """Switching an existing columnar store back to the JSON format
-        must not leave a stale manifest behind that every future recovery
-        would prefer over the fresher checkpoint.json (pinning the WAL
-        chain forever)."""
-        path = str(tmp_path / "db")
-        with MayBMS(path=path) as db:  # close() checkpoints in columnar
-            db.execute("create table t (x integer)")
-            db.execute("insert into t values (1)")
-        assert manifests(path)
-
-        monkeypatch.setenv("REPRO_SNAPSHOT_FORMAT", "json")
-        with MayBMS(path=path) as db:
-            db.execute("insert into t values (2)")
-        assert os.path.exists(os.path.join(path, "checkpoint.json"))
-        assert not manifests(path)  # superseded manifests swept
-        assert not segment_files(path)
-
-        reopened = MayBMS(path=path)
-        assert reopened.recovery_stats["checkpoint_format"] == "json"
-        assert sorted(reopened.query("select x from t").rows) == [(1,), (2,)]
-        reopened.close()
