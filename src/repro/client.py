@@ -279,10 +279,7 @@ class Client:
     def server_stats(self) -> Dict[str, Any]:
         """All server-side counter groups: ``durability`` (see
         :meth:`stats`), ``serving`` (active connections plus backpressure
-        rejections), ``parallel`` (the shared execution pool's
-        per-operator query/shard counters plus encode-time, shard CPU,
-        and cache-eviction totals; empty when the server runs
-        serial-only), ``snapshots`` (the MVCC snapshot manager's
+        rejections), ``snapshots`` (the MVCC snapshot manager's
         capture, capture-wait, pin and reclaim counters), and ``sanitizer``
         (the runtime concurrency sanitizer's violation counters and live
         gauges; empty unless the server runs with ``REPRO_SANITIZE=1``)."""
@@ -290,7 +287,6 @@ class Client:
         return {
             "durability": dict(response.get("stats", {})),
             "serving": dict(response.get("serving", {})),
-            "parallel": dict(response.get("parallel", {})),
             "snapshots": dict(response.get("snapshots", {})),
             "sanitizer": dict(response.get("sanitizer", {})),
             "faults": dict(response.get("faults", {})),

@@ -142,7 +142,6 @@ def conf(
     result_name: str = "conf",
     engine: Optional[ExactConfidenceEngine] = None,
     dispatcher: Optional[ConfidenceDispatcher] = None,
-    parallel=None,
 ) -> Relation:
     """Confidence computation (the ``conf()`` aggregate).
 
@@ -160,10 +159,7 @@ def conf(
     SPROUT safe evaluation / exact ws-trees / Monte Carlo per independent
     component.  Passing ``engine`` forces the exact ws-tree engine for
     every group (the pre-dispatcher behaviour, kept for ablations and
-    benchmarks).  ``parallel`` is a
-    :class:`~repro.engine.parallel.ParallelExecutionPool`: relations past
-    its cost gate are sharded across worker processes, and any parallel
-    failure silently degrades back to the serial path below.
+    benchmarks).
     """
     positions, projections, row_groups = _groups(urel, group_columns)
     if engine is not None:
@@ -178,34 +174,19 @@ def conf(
     if dispatcher is None:
         dispatcher = ConfidenceDispatcher(urel.registry)
     probabilities, pending = _array_pass(urel, row_groups, dispatcher.policy)
-
-    def lineages() -> List[Lineage]:
-        return _lineages(urel, positions, row_groups, pending)
-
-    results = None
-    detail = ""
-    if pending and parallel is not None and parallel.eligible(urel):
-        attempt = parallel.conf_groups(
-            urel,
-            [row_groups[g] for g in pending],
-            dispatcher.policy,
-            lineages=lineages,
-            dispatcher=dispatcher,
+    # No call at all for a relation the array pass answered whole: the
+    # traced run counts the groups that reach the dispatcher.
+    results = (
+        dispatcher.group_probabilities(
+            _lineages(urel, positions, row_groups, pending)
         )
-        if attempt is not None:
-            results, info = attempt
-            detail = (
-                f"parallel: {info['workers']} workers, "
-                f"{info['shards']} {info['path']} shard(s)"
-            )
-    if results is None:
-        # No call at all for a relation the array pass answered whole: the
-        # traced run counts the groups that reach the dispatcher.
-        results = dispatcher.group_probabilities(lineages()) if pending else []
+        if pending
+        else []
+    )
     for g, result in zip(pending, results):
         probabilities[g] = result.probability
     dispatch.record_aggregate(
-        "conf", results, detail=detail, vectorized=len(row_groups) - len(pending)
+        "conf", results, vectorized=len(row_groups) - len(pending)
     )
     return _result(urel, positions, result_name, projections, probabilities)
 
@@ -218,7 +199,6 @@ def aconf(
     result_name: str = "aconf",
     rng: Optional[random.Random] = None,
     dispatcher: Optional[ConfidenceDispatcher] = None,
-    parallel=None,
     base_seed: Optional[int] = None,
 ) -> Relation:
     """Approximate confidence: ``aconf(ε, δ)``.
@@ -232,12 +212,11 @@ def aconf(
     With ``base_seed`` (the store/session seed, wired by the SQL
     executor) each group's Monte-Carlo run is pinned to its own
     deterministic stream via :func:`~repro.core.confidence.dklr.aconf_unit_seed`,
-    so the answer is a pure function of (seed, data) -- which is what
-    lets ``parallel`` (a :class:`~repro.engine.parallel.ParallelExecutionPool`)
-    shard the sample loops across workers bit-identically to serial at
-    any worker count.  An explicit ``rng`` overrides both: draws come
-    from it sequentially (the legacy behaviour) and the query stays
-    serial.
+    so the answer is a pure function of (seed, data): the same store seed
+    gives the same values in any session, and a group's stream does not
+    depend on which other groups the array pass answered.  An explicit
+    ``rng`` overrides it: draws come from it sequentially (the legacy
+    behaviour).
     """
     deterministic = base_seed is not None and rng is None
     if dispatcher is None:
@@ -249,44 +228,24 @@ def aconf(
     positions, projections, row_groups = _groups(urel, group_columns)
     probabilities, pending = _array_pass(urel, row_groups, dispatcher.policy)
     detail = f"epsilon={epsilon:g}, delta={delta:g}"
-    results = None
-    if pending and deterministic and parallel is not None and parallel.eligible(urel):
-        # The pool numbers the Monte-Carlo streams by position, as the
-        # serial path below does by ordinal: an answered group keeps its
-        # place as an empty row list, which costs a worker nothing.
-        waiting = set(pending)
-        attempt = parallel.aconf_groups(
-            urel,
-            [rows if g in waiting else () for g, rows in enumerate(row_groups)],
-            dispatcher.policy,
-            epsilon,
-            delta,
-            base_seed,
-        )
-        if attempt is not None:
-            everyone, info = attempt
-            results = [everyone[g] for g in pending]
-            detail += (
-                f"; parallel: {info['workers']} workers, "
-                f"{info['shards']} {info['path']} shard(s)"
+    lineages = _lineages(urel, positions, row_groups, pending)
+    if deterministic:
+        # Streams are numbered by group ordinal, so a group's answer does
+        # not depend on which other groups the array pass answered.
+        results = [
+            dispatcher.approximate(
+                lineage,
+                epsilon,
+                delta,
+                unit_seed=aconf_unit_seed(base_seed, ordinal),
             )
-    if results is None:
-        lineages = _lineages(urel, positions, row_groups, pending)
-        if deterministic:
-            results = [
-                dispatcher.approximate(
-                    lineage,
-                    epsilon,
-                    delta,
-                    unit_seed=aconf_unit_seed(base_seed, ordinal),
-                )
-                for ordinal, lineage in zip(pending, lineages)
-            ]
-        else:
-            results = [
-                dispatcher.approximate(lineage, epsilon, delta)
-                for lineage in lineages
-            ]
+            for ordinal, lineage in zip(pending, lineages)
+        ]
+    else:
+        results = [
+            dispatcher.approximate(lineage, epsilon, delta)
+            for lineage in lineages
+        ]
     for g, result in zip(pending, results):
         probabilities[g] = result.probability
     dispatch.record_aggregate(
@@ -336,7 +295,6 @@ def esum(
     value_column: str,
     group_columns: Sequence[str] = (),
     result_name: str = "esum",
-    parallel=None,
 ) -> Relation:
     """Expected sum: Σ_rows value(row) · P(condition(row)) per group.
 
@@ -346,17 +304,16 @@ def esum(
     contribute nothing, mirroring SQL's sum.
     """
     value_position = urel.relation.schema.resolve(value_column)
-    return _expectation(urel, value_position, group_columns, result_name, parallel)
+    return _expectation(urel, value_position, group_columns, result_name)
 
 
 def ecount(
     urel: URelation,
     group_columns: Sequence[str] = (),
     result_name: str = "ecount",
-    parallel=None,
 ) -> Relation:
     """Expected count: Σ_rows P(condition(row)) per group."""
-    return _expectation(urel, None, group_columns, result_name, parallel)
+    return _expectation(urel, None, group_columns, result_name)
 
 
 def _expectation(
@@ -364,39 +321,22 @@ def _expectation(
     value_position: Optional[int],
     group_columns: Sequence[str],
     result_name: str,
-    parallel=None,
 ) -> Relation:
-    """Per-group expectations, serial or sharded.
-
-    Both paths sum with exact accumulation (``math.fsum`` serially;
-    Shewchuk partials per shard with an fsum reduction in the pool), so
-    a group's total is a function of its term multiset alone -- serial
-    and parallel answers are bit-identical at any worker count.
-    """
+    """Per-group expectations.  Sums use exact accumulation
+    (``math.fsum``), so a group's total is a function of its term
+    multiset alone, whatever the row order."""
     positions, projections, row_groups = _groups(urel, group_columns)
-    totals: Optional[List[float]] = None
-    if parallel is not None and parallel.eligible(urel):
-        attempt = parallel.expectation_groups(urel, row_groups, value_position)
-        if attempt is not None:
-            totals, _ = attempt
-    if totals is None:
-        weights = urel.condition_probabilities()
-        value_column = (
-            urel.relation.columns()[value_position]
-            if value_position is not None
-            else None
-        )
-        if value_column is None:
-            totals = [
-                math.fsum(weights[i] for i in indexes) for indexes in row_groups
-            ]
-        else:
-            totals = [
-                math.fsum(
-                    weights[i] * value_column[i]
-                    for i in indexes
-                    if value_column[i] is not None
-                )
-                for indexes in row_groups
-            ]
+    weights = urel.condition_probabilities()
+    if value_position is None:
+        totals = [math.fsum(weights[i] for i in indexes) for indexes in row_groups]
+    else:
+        value_column = urel.relation.columns()[value_position]
+        totals = [
+            math.fsum(
+                weights[i] * value_column[i]
+                for i in indexes
+                if value_column[i] is not None
+            )
+            for indexes in row_groups
+        ]
     return _result(urel, positions, result_name, projections, totals)

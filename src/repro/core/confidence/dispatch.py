@@ -86,29 +86,18 @@ class DispatchPolicy:
       (union bound); ε compounding through recombination makes the
       fallback best-effort -- ``aconf`` always uses its own SQL-given
       parameters on the whole lineage instead, keeping its guarantee.
-    - ``parallel_workers`` / ``parallel_min_rows``: the process-parallel
-      knobs (:mod:`repro.engine.parallel`): how many worker processes
-      ``conf()`` may shard across (0 = serial), and the cost gate --
-      relations with fewer condition-bearing rows stay serial because the
-      shared-memory handoff would cost more than the confidence work.
     """
 
     strategy: str = "auto"
     exact_budget: Optional[int] = 100_000
     epsilon: float = 0.05
     delta: float = 0.01
-    parallel_workers: int = 0
-    parallel_min_rows: int = 2048
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGY_CHOICES:
             raise ConfidenceError(
                 f"unknown confidence strategy {self.strategy!r}; expected "
                 f"one of {STRATEGY_CHOICES}"
-            )
-        if self.parallel_workers < 0 or self.parallel_min_rows < 0:
-            raise ConfidenceError(
-                "parallel_workers and parallel_min_rows must be non-negative"
             )
 
 
@@ -320,9 +309,8 @@ class ConfidenceDispatcher:
 
         ``unit_seed`` pins the Monte-Carlo route to a private deterministic
         stream (see :func:`approximate_confidence`); the exact routes are
-        deterministic regardless.  The parallel aconf path relies on this:
-        a worker's fresh dispatcher and the store's long-lived one return
-        bit-identical answers for the same (lineage, seed).
+        deterministic regardless, so a fresh dispatcher and the store's
+        long-lived one return the same answer for the same (lineage, seed).
         """
         lineage = Lineage.of(lineage, self.registry).simplified()
         stats = lineage.stats(test_hierarchy=False)
@@ -365,16 +353,6 @@ class ConfidenceDispatcher:
         self, lineages: Sequence[LineageLike]
     ) -> List[DispatchResult]:
         return [self.probability(lineage) for lineage in lineages]
-
-    def dispatch_component(
-        self, component: LineageLike, delta: Optional[float] = None
-    ) -> ComponentDecision:
-        """Dispatch one independent component (the unit of work a parallel
-        confidence worker runs; see :mod:`repro.engine.parallel`).  The
-        caller supplies the per-component δ share it computed when it
-        split the lineage."""
-        component = Lineage.of(component, self.registry)
-        return self._dispatch_component(component, delta)
 
     # -- internals ----------------------------------------------------------
     def _forced(self, lineage: Lineage, strategy: str) -> DispatchResult:

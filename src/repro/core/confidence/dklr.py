@@ -50,13 +50,12 @@ _E_MINUS_2 = math.e - 2.0
 
 #: Samples per seeded block of the deterministic main run (see
 #: :func:`approximate_confidence` with ``unit_seed``).  The block layout
-#: depends only on the main-run sample count, never on worker count or
-#: shard assignment, so blocked estimates are reproducible anywhere.
+#: depends only on the main-run sample count, so blocked estimates are
+#: reproducible anywhere.
 MAIN_BLOCK = 32_768
 
-#: Stream tag for per-group ``aconf`` seeds.  Must stay distinct from the
-#: component ordinals the conf() parallel path mixes in (-1 for a whole
-#: group, 0..n for components) so the two aggregates never share draws.
+#: Stream tag for per-group ``aconf`` seeds.  Changing it changes every
+#: seeded ``aconf()`` answer.
 ACONF_UNIT_STREAM = -2
 
 
@@ -65,9 +64,9 @@ def fnv_mix(seed: int, *parts: int) -> int:
     (seed, parts) tuple.
 
     This is the single seed-derivation formula of the engine: the
-    parallel pool's per-unit conf() seeds, the per-group aconf() seeds,
-    and the per-block main-run seeds below are all drawn from it, so
-    results are bit-identical across worker counts and shard layouts.
+    per-group aconf() seeds and the per-block main-run seeds below are
+    both drawn from it, so a seeded result is a pure function of its
+    seed.
     """
     h = 0x9E3779B97F4A7C15 ^ (seed & 0xFFFFFFFFFFFFFFFF)
     for part in parts:
@@ -77,9 +76,9 @@ def fnv_mix(seed: int, *parts: int) -> int:
 
 def aconf_unit_seed(base_seed: int, ordinal: int) -> int:
     """The per-group seed of ``aconf``'s Monte-Carlo run (group ``ordinal``
-    in group order).  Shared by the serial path and the parallel workers:
-    both call :func:`approximate_confidence` with this ``unit_seed``, so
-    an aconf() answer is a pure function of (store seed, group ordinal)."""
+    in group order).  :func:`approximate_confidence` runs with this
+    ``unit_seed``, so an aconf() answer is a pure function of (store
+    seed, group ordinal)."""
     return fnv_mix(base_seed, ordinal, ACONF_UNIT_STREAM)
 
 
@@ -146,8 +145,8 @@ def aa_estimate(
     """The DKLR Approximation Algorithm AA (pilot / variance / main runs).
 
     ``main_run`` overrides step 3: given the main-run sample count it
-    returns the sample mean.  The parallel/deterministic aconf path uses
-    it to draw the main run in fixed seeded blocks (vectorized, and
+    returns the sample mean.  The deterministic aconf path uses it to
+    draw the main run in fixed seeded blocks (vectorized, and
     independent of how the pilot RNG advanced); the default draws from
     ``sampler`` one at a time.
     """
@@ -204,8 +203,7 @@ def _blocked_main_run(
     Block ``j`` draws its hit count from a private RNG seeded with
     ``fnv_mix(unit_seed, j + 1)`` (stream 0 is the pilot/variance RNG), so
     the main-run estimate depends only on (unit seed, sample count) --
-    not on how far the pilot advanced a shared stream, and not on which
-    worker runs it.  Z is Bernoulli, so integer hit counts combine across
+    not on how far the pilot advanced a shared stream.  Z is Bernoulli, so integer hit counts combine across
     blocks with no float-order sensitivity at all.
     """
 
@@ -236,9 +234,9 @@ def approximate_confidence(
     With ``unit_seed`` the estimate is fully deterministic for that seed:
     the pilot/variance phases draw sequentially from a private RNG seeded
     with ``fnv_mix(unit_seed, 0)`` and the main run uses the blocked
-    layout of :func:`_blocked_main_run`.  This is how aconf() stays
-    bit-identical between serial execution and any parallel worker count
-    -- every group carries its own seed, derived from the store seed via
+    layout of :func:`_blocked_main_run`.  This is how a seeded aconf()
+    answer stays reproducible across stores and sessions -- every group
+    carries its own seed, derived from the store seed via
     :func:`aconf_unit_seed`.  Without it, draws come from ``rng`` (the
     session RNG), the legacy behaviour.
     """

@@ -135,8 +135,8 @@ class KarpLubyEstimator:
         With ``seed`` the draws come from a private ``random.Random(seed)``
         stream instead of this estimator's rng, which is what makes a
         block of samples a pure function of (lineage, seed, count): the
-        parallel aconf path hands each main-run block its own seed so any
-        worker -- or the serial path -- reproduces the identical count.
+        seeded aconf path hands each main-run block its own seed so the
+        count is reproduced exactly on any run.
         """
         if samples <= 0:
             raise ConfidenceError(f"need a positive sample count, got {samples}")

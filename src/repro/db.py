@@ -56,11 +56,6 @@ from repro.core.urelation import URelation
 from repro.core.variables import VariableRegistry
 from repro.engine.catalog import KIND_STANDARD, KIND_URELATION, Catalog
 from repro.engine.durability import DurabilityManager
-from repro.engine.parallel import (
-    ParallelExecutionPool,
-    default_min_rows,
-    default_workers,
-)
 from repro.engine import sanitizer as _sanitizer
 from repro.engine.relation import Relation
 from repro.engine.storage import SnapshotManager
@@ -127,8 +122,6 @@ class _SessionBase:
                 exact_budget=exact_budget,  # type: ignore[arg-type]
                 epsilon=current.epsilon,
                 delta=current.delta,
-                parallel_workers=current.parallel_workers,
-                parallel_min_rows=current.parallel_min_rows,
             )
         )
 
@@ -483,31 +476,12 @@ class _SessionBase:
         """Counters of the runtime concurrency sanitizer
         (:mod:`repro.engine.sanitizer`), or None unless the process runs
         with ``REPRO_SANITIZE=1``: lock-order cycles, locks held across
-        fsync/pool submits, pin and shared-memory leak totals, and the
-        live pin/segment gauges.  Also served over the wire protocol's
+        fsync, pin leak totals, and the live pin gauge.  Also served over the wire protocol's
         ``stats`` operation."""
         san = _sanitizer.get_sanitizer()
         if san is None:
             return None
         return san.stats()
-
-    def parallel_stats(self) -> Optional[Dict[str, int]]:
-        """Counters of the store's shared parallel execution pool, or
-        None when the store runs serial-only.  Per-operator counters
-        (``parallel_queries`` for ``conf``, plus ``parallel_scan_*``,
-        ``parallel_join_*``, ``parallel_aconf_*`` and
-        ``parallel_expect_*`` query/shard pairs) sit alongside the pool
-        totals: cost-gated serial decisions, worker crashes, fallbacks,
-        shared-memory bytes shipped, payload encode milliseconds
-        (``parallel_encode_ms``), accumulated worker CPU milliseconds
-        (``parallel_worker_cpu_ms``), and worker payload-cache evictions
-        (``parallel_cache_evictions``).  The ``durability_stats()``
-        counterpart for :mod:`repro.engine.parallel`; also served over
-        the wire protocol's ``stats`` operation."""
-        pool = self._store.parallel_pool
-        if pool is None:
-            return None
-        return pool.stats()
 
     # -- introspection ----------------------------------------------------------------
     def sys_tables(self) -> Relation:
@@ -525,7 +499,7 @@ class MayBMS(_SessionBase):
       defaults to the ``REPRO_SEED`` environment variable, then 0.
       ``aconf`` derives a per-group sample stream from the seed
       (:func:`repro.core.confidence.dklr.aconf_unit_seed`), so its
-      estimates are identical serial or sharded, at any worker count.
+      estimates are a pure function of the seed and the data.
     - ``confidence_strategy`` tunes the cost-based confidence dispatcher:
       ``"auto"`` (the default; closed-form → SPROUT → budgeted exact →
       Monte Carlo per independent lineage component) or a forced
@@ -551,15 +525,6 @@ class MayBMS(_SessionBase):
       failing with :class:`TransactionError` (``REPRO_LOCK_TIMEOUT``,
       default 30).  The timeout is the deadlock backstop for explicit
       transactions that acquire locks in conflicting orders.
-    - ``parallel_workers``: shard eligible work across this many worker
-      processes (:mod:`repro.engine.parallel`): batch-engine scans and
-      equi-joins, ``conf()``, ``aconf()``, and ``esum``/``ecount``.
-      Every sharded result is bit-identical to serial execution.  0 (the
-      default, ``REPRO_PARALLEL_WORKERS``) keeps everything serial.  The
-      pool is shared by every session of the store and shut down by
-      :meth:`close`.  ``parallel_min_rows`` (``REPRO_PARALLEL_MIN_ROWS``,
-      default 2048) is the per-operator cost gate: inputs with fewer
-      rows stay serial.
     - ``faults``: arm deterministic fault injection (a
       ``"site=action@trigger,..."`` spec string or a ``{site: action}``
       mapping; see :mod:`repro.faults`) before the store opens, so even
@@ -578,8 +543,6 @@ class MayBMS(_SessionBase):
         path: Optional[str] = None,
         checkpoint_every: Optional[int] = None,
         lock_timeout: Optional[float] = None,
-        parallel_workers: Optional[int] = None,
-        parallel_min_rows: Optional[int] = None,
         faults: Optional[Union[str, Dict[str, str]]] = None,
     ):
         if seed is None:
@@ -589,8 +552,7 @@ class MayBMS(_SessionBase):
             # failpoints (recovery.manifest.read, segment.read/decode)
             # fire during this constructor's own recovery pass.  The spec
             # syntax and site catalog live in :mod:`repro.faults`;
-            # REPRO_FAULTS covers the environment surface (including
-            # spawned pool workers).
+            # REPRO_FAULTS covers the environment surface.
             _faults.arm(faults, seed=seed)
         if confidence_strategy is None:
             confidence_strategy = os.environ.get("REPRO_CONF_STRATEGY", "auto")
@@ -604,10 +566,6 @@ class MayBMS(_SessionBase):
             checkpoint_every = int(os.environ.get("REPRO_CHECKPOINT_EVERY", "256"))
         if lock_timeout is None:
             lock_timeout = float(os.environ.get("REPRO_LOCK_TIMEOUT", "30"))
-        if parallel_workers is None:
-            parallel_workers = default_workers()
-        if parallel_min_rows is None:
-            parallel_min_rows = default_min_rows()
         self.seed = seed
         self.path = path
         self.checkpoint_every = checkpoint_every
@@ -635,20 +593,8 @@ class MayBMS(_SessionBase):
         self.wal = WriteAheadLog(sink=self.storage)
         self.registry.on_register = self._route_variable_registration
         policy = DispatchPolicy(
-            strategy=confidence_strategy,
-            exact_budget=exact_budget,
-            parallel_workers=max(0, int(parallel_workers)),
-            parallel_min_rows=max(0, int(parallel_min_rows)),
+            strategy=confidence_strategy, exact_budget=exact_budget
         )
-        #: One process pool per store, shared by every session (and every
-        #: server connection); None when the store runs serial-only.
-        self.parallel_pool: Optional[ParallelExecutionPool] = None
-        if policy.parallel_workers >= 1:
-            self.parallel_pool = ParallelExecutionPool(
-                workers=policy.parallel_workers,
-                min_rows=policy.parallel_min_rows,
-                base_seed=seed,
-            )
         self.executor = Executor(
             self.catalog,
             self.registry,
@@ -657,7 +603,6 @@ class MayBMS(_SessionBase):
             wal=self.wal,
             transaction_supplier=self._current_transaction,
             checkpoint_hook=self.checkpoint,
-            parallel_pool=self.parallel_pool,
             base_seed=seed,
         )
         self._transaction: Optional[Transaction] = None
@@ -811,8 +756,6 @@ class MayBMS(_SessionBase):
                 except DegradedError:
                     pass
             self.storage.close()
-        if self.parallel_pool is not None:
-            self.parallel_pool.shutdown()
         self._closed = True
 
     def __enter__(self) -> "MayBMS":
@@ -903,8 +846,6 @@ class Session(_SessionBase):
             exact_budget=base.exact_budget,
             epsilon=base.epsilon,
             delta=base.delta,
-            parallel_workers=base.parallel_workers,
-            parallel_min_rows=base.parallel_min_rows,
         )
         self.executor = Executor(
             self.catalog,
@@ -914,7 +855,6 @@ class Session(_SessionBase):
             wal=self.wal,
             transaction_supplier=self._current_transaction,
             checkpoint_hook=self.checkpoint,
-            parallel_pool=store.parallel_pool,
             base_seed=self.seed,
         )
         self._transaction: Optional[Transaction] = None

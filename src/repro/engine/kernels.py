@@ -79,28 +79,6 @@ def compile_kernel(expr: Expr, schema: Schema) -> Kernel:
         return _row_fallback(expr, schema)
 
 
-def compile_pipeline(
-    schema: Schema,
-    predicate: "Expr | None",
-    projections: "Sequence[Expr] | None",
-) -> "tuple[Kernel | None, List[Kernel] | None]":
-    """Compile an optional filter predicate and an optional projection
-    list into kernels over ``schema`` -- the shard-local scan pipeline of
-    the parallel executor.  Both the serial batch engine and the
-    parallel workers build their pipelines from :func:`compile_kernel`,
-    so a shard's filtered/projected columns are bit-identical to the
-    serial operator's over the same rows."""
-    predicate_kernel = (
-        compile_kernel(predicate, schema) if predicate is not None else None
-    )
-    projection_kernels = (
-        [compile_kernel(e, schema) for e in projections]
-        if projections is not None
-        else None
-    )
-    return predicate_kernel, projection_kernels
-
-
 def _row_fallback(expr: Expr, schema: Schema) -> Kernel:
     evaluate = expr.compile(schema)
 

@@ -357,7 +357,6 @@ from repro.engine.kernels import (  # noqa: E402
     _NUMPY_MIN_ROWS,
     Kernel,
     VectorFilter,
-    compile_kernel,
     consistency_mask,
 )
 
@@ -836,89 +835,3 @@ def execute_batches(op: BatchOp, schema: Schema) -> Relation:
     for batch in op():
         rows.extend(batch.rows())
     return Relation.from_trusted_rows(schema, rows)
-
-
-# ===========================================================================
-# Parallel batch operators: thin wrappers that hand a whole pipeline to
-# the store's ParallelExecutionPool at run time and fall back to the
-# serial batch operator when the pool declines (cost gate, unpicklable
-# plan, worker failure).  The pool guarantees bit-identical output order,
-# so these compose transparently with everything downstream.
-# ===========================================================================
-
-
-def parallel_table_scan(
-    pool,
-    relation: Relation,
-    schema: Schema,
-    predicate,
-    projections,
-    serial: BatchOp,
-) -> BatchOp:
-    """Scan/filter/project over a base relation, sharded by row range
-    across ``pool``'s workers.  ``predicate`` and ``projections`` are
-    logical expressions over ``schema`` (either may be None); ``serial``
-    is the pre-built serial operator used when the pool declines."""
-
-    def run() -> BatchIterator:
-        result = pool.table_pipeline(
-            relation, schema, predicate, projections, source=relation.source
-        )
-        if result is None:
-            yield from serial()
-        else:
-            yield result
-
-    return run
-
-
-def parallel_batch_hash_join(
-    pool,
-    left: BatchOp,
-    right: BatchOp,
-    left_keys,
-    left_schema: Schema,
-    right_keys,
-    right_schema: Schema,
-    residual,
-    combined_schema: Schema,
-    source=None,
-) -> BatchOp:
-    """Equi-join with the probe side partitioned across ``pool``'s
-    workers against a broadcast build side.  Inputs are materialized
-    (the serial join materializes the build side anyway; the probe side
-    is the price of sharding), then the pool gates on probe size; on
-    decline the serial batch join runs over the same materialized
-    batches.  ``source`` is the probe base table's (name, version)
-    provenance when the planner knows it (surfaced in EXPLAIN)."""
-
-    def run() -> BatchIterator:
-        probe = concat_batches(left(), len(left_schema))
-        build = concat_batches(right(), len(right_schema))
-        result = pool.hash_join(
-            probe,
-            build,
-            left_keys,
-            left_schema,
-            right_keys,
-            right_schema,
-            residual,
-            source=source,
-        )
-        if result is not None:
-            if result.length:
-                yield result
-            return
-        serial = batch_hash_join(
-            lambda: batches_of_columns(probe.columns, probe.length),
-            lambda: iter((build,)),
-            [compile_kernel(k, left_schema) for k in left_keys],
-            [compile_kernel(k, right_schema) for k in right_keys],
-            len(right_schema),
-            compile_kernel(residual, combined_schema)
-            if residual is not None
-            else None,
-        )
-        yield from serial()
-
-    return run

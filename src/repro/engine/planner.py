@@ -77,10 +77,6 @@ PlanTrace = Tuple[algebra.PlanNode, str, PlanNotes]
 #: Active plan-trace buffers (via :func:`trace_plans`).
 _TRACES: List[List[PlanTrace]] = []
 
-#: Active parallel-execution pools (via :func:`parallel_execution`); a
-#: stack so scopes nest, and pushing ``None`` masks any outer pool.
-_POOLS: List[object] = []
-
 
 def set_default_engine(name: str) -> None:
     global DEFAULT_ENGINE
@@ -117,23 +113,6 @@ def trace_plans() -> Iterator[List[PlanTrace]]:
         yield buffer
     finally:
         _TRACES.pop()
-
-
-@contextmanager
-def parallel_execution(pool) -> Iterator[None]:
-    """Route eligible batch-engine scans and hash joins in this scope
-    through ``pool`` (a :class:`~repro.engine.parallel.ParallelExecutionPool`).
-    ``None`` is accepted and masks any outer scope's pool, so callers can
-    pass their configured pool unconditionally."""
-    _POOLS.append(pool)
-    try:
-        yield
-    finally:
-        _POOLS.pop()
-
-
-def _active_pool():
-    return _POOLS[-1] if _POOLS else None
 
 
 def _scan_of(node: algebra.PlanNode) -> Optional[algebra.RelationScan]:
@@ -440,9 +419,6 @@ class _Planner:
         # Pushdown: if the child is a join, split conjuncts by side.
         if isinstance(node.child, algebra.Join):
             return self._compile_join_with_filter(node.child, node.predicate)
-        parallel = self._parallel_pipeline(node.child, node.predicate, None)
-        if parallel is not None:
-            return parallel
         return self._filtered(node.child, [node.predicate])
 
     def _filtered(self, child: algebra.PlanNode, conjuncts: Sequence[Expr]):
@@ -461,48 +437,9 @@ class _Planner:
         return self.backend.filter(self.compile(child), predicate, child.schema())
 
     def _compile_project(self, node: algebra.Project):
-        items = [e for e, _ in node.items]
-        # Fuse Project(Select(Scan)) / Project(Scan) into one parallel
-        # shard pipeline; Select preserves its child's schema, so both
-        # the predicate and the projections resolve against it.
-        inner = node.child
-        predicate = None
-        if isinstance(inner, algebra.Select) and not isinstance(
-            inner.child, algebra.Join
-        ):
-            scan_child = inner.child
-            if _scan_of(scan_child) is not None:
-                predicate = inner.predicate
-                inner = scan_child
-        parallel = self._parallel_pipeline(inner, predicate, items)
-        if parallel is not None:
-            return parallel
         child = self.compile(node.child)
         schema = node.child.schema()
-        return self.backend.project(child, items, schema)
-
-    def _parallel_pipeline(
-        self,
-        child: algebra.PlanNode,
-        predicate: Optional[Expr],
-        projections: Optional[Sequence[Expr]],
-    ):
-        """A parallel scan/filter/project operator over ``child`` when the
-        active pool, the engine, and the per-operator cost gate all say
-        yes; ``None`` otherwise (the caller compiles serially)."""
-        pool = _active_pool()
-        if pool is None or self.backend.name != BATCH_ENGINE:
-            return None
-        scan = _scan_of(child)
-        if scan is None or not pool.operator_eligible(len(scan.relation)):
-            return None
-        schema = child.schema()
-        serial = self._filtered(child, [predicate] if predicate is not None else [])
-        if projections is not None:
-            serial = self.backend.project(serial, projections, schema)
-        return physical.parallel_table_scan(
-            pool, scan.relation, schema, predicate, projections, serial
-        )
+        return self.backend.project(child, [e for e, _ in node.items], schema)
 
     def _compile_distinct(self, node: algebra.Distinct):
         return self.backend.distinct(self.compile(node.child))
@@ -594,25 +531,6 @@ class _Planner:
             # Right key expressions reference the combined schema positions;
             # rebase them onto the right schema.
             right_keys = [_rebase(rk, len(left_schema)) for _, rk in equi]
-            pool = _active_pool()
-            if pool is not None and self.backend.name == BATCH_ENGINE:
-                # Probe size is only known at run time (the left input may
-                # be filtered), so the pool's cost gate applies there.
-                left_scan = _scan_of(node.left)
-                return physical.parallel_batch_hash_join(
-                    pool,
-                    left_op,
-                    right_op,
-                    left_keys,
-                    left_schema,
-                    right_keys,
-                    right_schema,
-                    residual_expr,
-                    combined,
-                    source=left_scan.relation.source
-                    if left_scan is not None
-                    else None,
-                )
             # An unfiltered scan keyed on one bare column is its own build
             # side: nothing to materialize, and its hash table is kept.
             right_scan = _scan_of(node.right)

@@ -55,23 +55,15 @@ class Relation:
     paths; the storage layer validates types on insert instead).
     """
 
-    __slots__ = ("schema", "rows", "_columns", "_lineage_cache", "source")
+    __slots__ = ("schema", "rows", "_columns", "source")
 
     def __init__(self, schema: Schema, rows: Iterable[Row] = ()):
         self.schema = schema
         self.rows: List[Row] = [tuple(r) for r in rows]
         self._columns = ColumnCell()
-        # The worker pool's encoded table payload (parallel._table_payload).
-        # It lives on the relation because table snapshots are cached per
-        # version (storage.Table.snapshot), so "same relation object" means
-        # "same table contents": the cache is implicitly keyed by table
-        # version and dies with the snapshot.
-        self._lineage_cache: Optional[dict] = None
         # Provenance tag for base-table snapshots: (table name, version)
         # stamped by storage.Table.snapshot(), None for derived relations.
-        # Plans built over a pinned version set carry it into EXPLAIN and
-        # the parallel pool's shard traces, so a sharded scan can be shown
-        # to run against exactly the version the statement pinned.
+        # Only a tagged relation keeps what derived() builds.
         self.source: Optional[Tuple[str, int]] = None
         arity = len(schema)
         for row in self.rows:
@@ -92,7 +84,6 @@ class Relation:
         relation.schema = schema
         relation.rows = rows
         relation._columns = ColumnCell()
-        relation._lineage_cache = None
         relation.source = None
         return relation
 

@@ -1,4 +1,4 @@
-"""Runtime concurrency sanitizer for the lock/MVCC/WAL/pool stack.
+"""Runtime concurrency sanitizer for the lock/MVCC/WAL stack.
 
 Enabled with ``REPRO_SANITIZE=1``.  When on, the engine wraps its
 synchronisation primitives (:func:`wrap_lock` / :func:`wrap_condition`) and
@@ -7,13 +7,11 @@ sanitizer can:
 
 - record the runtime lock-acquisition-order graph and detect cycles
   (potential deadlocks) the moment the second edge direction appears;
-- flag locks held across blocking regions: ``fsync`` and worker-pool
-  submits (:func:`guard_blocking`), with a small allowlist for locks whose
-  job *is* to serialise the blocking call (the WAL file mutex, the
-  checkpoint handoff lock, and shared-mode logical locks held by a
+- flag locks held across ``fsync`` (:func:`guard_blocking`), with a small
+  allowlist for locks whose job *is* to serialise it (the WAL file mutex,
+  the checkpoint handoff lock, and shared-mode logical locks held by a
   committing writer);
-- track MVCC pin/unpin and shared-memory create/unlink balances, so leaks
-  surface as nonzero gauges.
+- track the MVCC pin/unpin balance, so leaks surface as a nonzero gauge.
 
 Violations raise :class:`~repro.errors.SanitizerError` when running under
 pytest (``PYTEST_CURRENT_TEST`` is set); otherwise they only increment
@@ -99,12 +97,9 @@ class ConcurrencySanitizer:
         self._counters: Dict[str, int] = {
             "cycles": 0,
             "fsync_violations": 0,
-            "submit_violations": 0,
             "pin_leaks": 0,
-            "shm_leaks": 0,
         }
         self._pins = 0
-        self._shm: Set[str] = set()
         self._waivers = threading.local()
 
     # -- lock acquisition graph ---------------------------------------------
@@ -192,7 +187,7 @@ class ConcurrencySanitizer:
     # -- blocking-region checks ----------------------------------------------
     def blocking(self, kind: str) -> Optional[str]:
         """Check the calling thread holds no disallowed locks across a
-        blocking region (``kind``: 'fsync' or 'pool-submit')."""
+        blocking region (``kind``: 'fsync', the one the engine guards)."""
         waived: Set[str] = getattr(self._waivers, "kinds", set())
         if kind in waived:
             return None
@@ -200,33 +195,24 @@ class ConcurrencySanitizer:
         with self._mutex:
             stack = self._held.get(tid, [])
             offenders = [
-                hold.name
-                for hold in stack
-                if not self._blocking_allowed(kind, hold)
+                hold.name for hold in stack if not self._fsync_allowed(hold)
             ]
             if not offenders:
                 return None
             message = "lock(s) held across %s: %s" % (kind, ", ".join(sorted(offenders)))
-            counter = "fsync_violations" if kind == "fsync" else "submit_violations"
-            self._record(counter, message)
+            self._record("fsync_violations", message)
             return message
 
     @staticmethod
-    def _blocking_allowed(kind: str, hold: _Hold) -> bool:
+    def _fsync_allowed(hold: _Hold) -> bool:
         if hold.name.startswith("lockmgr:"):
-            if kind == "fsync":
-                # A committing writer fsyncs while holding its shared gate
-                # slot and exclusive table locks; only an *exclusive* store
-                # gate (a checkpoint's capture window) must never fsync.  An
-                # MVCC capture's shared table grant is dropped before the
-                # statement runs, so it never reaches a blocking region.
-                return not (hold.name == _GATE_NODE and hold.mode == "exclusive")
-            # pool submits happen inside statement execution, which always
-            # runs under logical statement locks
-            return True
-        if kind == "fsync":
-            return hold.name in _FSYNC_ALLOWED
-        return False
+            # A committing writer fsyncs while holding its shared gate slot
+            # and exclusive table locks; only an *exclusive* store gate (a
+            # checkpoint's capture window) must never fsync.  An MVCC
+            # capture's shared table grant is dropped before the statement
+            # runs, so it never reaches a blocking region.
+            return not (hold.name == _GATE_NODE and hold.mode == "exclusive")
+        return hold.name in _FSYNC_ALLOWED
 
     @contextlib.contextmanager
     def allowed(self, kind: str) -> Iterator[None]:
@@ -261,14 +247,6 @@ class ConcurrencySanitizer:
                 )
                 self._pins = 0
 
-    def note_shm_created(self, name: str) -> None:
-        with self._mutex:
-            self._shm.add(name)
-
-    def note_shm_unlinked(self, name: str) -> None:
-        with self._mutex:
-            self._shm.discard(name)
-
     # -- reporting -------------------------------------------------------------
     def _record(self, counter: str, message: str) -> None:
         """Caller holds ``self._mutex``."""
@@ -282,18 +260,12 @@ class ConcurrencySanitizer:
             return {
                 "sanitizer_cycles": self._counters["cycles"],
                 "sanitizer_fsync_violations": self._counters["fsync_violations"],
-                "sanitizer_submit_violations": self._counters["submit_violations"],
                 "sanitizer_pin_leaks": self._counters["pin_leaks"],
-                "sanitizer_shm_leaks": self._counters["shm_leaks"],
                 "sanitizer_pins_active": active_pins,
-                "sanitizer_shm_active": len(self._shm),
                 "sanitizer_lock_nodes": len(
                     set(self._edges) | {n for targets in self._edges.values() for n in targets}
                 ),
-                "sanitizer_violations_total": sum(
-                    self._counters[k]
-                    for k in ("cycles", "fsync_violations", "submit_violations", "pin_leaks", "shm_leaks")
-                ),
+                "sanitizer_violations_total": sum(self._counters.values()),
             }
 
     def drain_violations(self) -> List[str]:
@@ -302,7 +274,7 @@ class ConcurrencySanitizer:
             return drained
 
     def assert_clean(self) -> None:
-        """Raise if any violation was recorded, or a pin/shm balance leaked.
+        """Raise if any violation was recorded, or the pin balance leaked.
 
         Intended for end-of-test fixtures: resets the violation list (but
         not the edge graph -- order knowledge accumulates across tests).
@@ -314,12 +286,6 @@ class ConcurrencySanitizer:
                 problems.append("pinned snapshot versions leaked: %d still pinned" % self._pins)
                 self._counters["pin_leaks"] += 1
                 self._pins = 0
-            if self._shm:
-                problems.append(
-                    "shared-memory segments leaked: %s" % ", ".join(sorted(self._shm))
-                )
-                self._counters["shm_leaks"] += len(self._shm)
-                self._shm.clear()
         if problems:
             raise SanitizerError(
                 "concurrency sanitizer found %d violation(s):\n  %s"

@@ -48,9 +48,7 @@ Decoding verifies the CRC before trusting anything, so a torn or
 bit-rotten segment surfaces as :class:`~repro.errors.RecoveryError` and
 recovery can fall back to the previous checkpoint epoch.  The codec is
 deliberately engine-free (stdlib only); :mod:`repro.engine.durability`
-supplies the glue to tables and the registry, and
-:mod:`repro.engine.parallel` reuses the framing for shared-memory
-handoff to confidence workers.
+supplies the glue to tables and the registry.
 """
 
 from __future__ import annotations

@@ -120,8 +120,7 @@ class Table:
         chain entry was created (False: an existing pin of the same
         version was reference-counted up, and the very same Relation
         object is returned -- which is what lets grouped-lineage caches
-        and the parallel pool's payload cache be shared across statements
-        pinned to the same version).  Callers must hold this table's lock
+        be shared across statements pinned to the same version).  Callers must hold this table's lock
         (shared is enough) so no writer is mid-transaction on it; the pin
         mutex orders this against concurrent pins, :meth:`unpin_snapshot`
         calls from finishing readers, and a checkpoint filling the

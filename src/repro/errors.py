@@ -70,8 +70,8 @@ class LockTimeout(TransactionError):
 
 class SanitizerError(EngineError):
     """The runtime concurrency sanitizer (``REPRO_SANITIZE=1``) detected a
-    violation: a lock-order cycle, a lock held across fsync or a pool
-    submit, or a pin/shared-memory leak.  Raised eagerly under pytest;
+    violation: a lock-order cycle, a lock held across fsync, or a pinned
+    snapshot leak.  Raised eagerly under pytest;
     outside tests violations only increment stats counters."""
 
 

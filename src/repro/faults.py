@@ -1,8 +1,8 @@
 """Deterministic fault injection: failpoints for the durability stack.
 
 Every production-shaped failure surface of the engine -- the fsynced WAL,
-two-phase checkpoints, content-addressed segments, the spawned worker
-pool, and the socket server -- carries named *failpoint* sites::
+two-phase checkpoints, content-addressed segments, and the socket
+server -- carries named *failpoint* sites::
 
     from repro import faults
     ...
@@ -40,8 +40,8 @@ Probabilistic triggers draw from one :class:`random.Random` seeded like
 ``REPRO_SEED`` (explicitly via :func:`arm`, or ``REPRO_FAULTS_SEED``),
 so a failing torture run replays bit-identically from its printed seed.
 
-Arming surfaces: ``REPRO_FAULTS`` (read at import, so spawned worker
-processes inherit armed faults through the environment),
+Arming surfaces: ``REPRO_FAULTS`` (read at import, so a server started
+as a child process inherits armed faults through the environment),
 ``MayBMS(faults=...)``, and the server's ``faults`` wire operation
 (subprocess tests arm a live server without restarting it).  Per-site
 hit/fired counters are exported by :func:`stats` and merged into the
@@ -79,9 +79,6 @@ SITES = {
     "segment.read": "segment read fails (corrupt: bit flip; truncate)",
     "segment.decode": "segment payload decode fails",
     "recovery.manifest.read": "reading a checkpoint manifest fails",
-    "parallel.worker": "worker-side shard fails (error) or dies (exit)",
-    "parallel.submit": "submitting shards to the process pool fails",
-    "parallel.shm.unlink": "unlinking a published shared-memory segment fails",
     "wire.send": "connection drops mid-response (drop/torn) or errors",
     "wire.recv": "connection drops mid-request",
     "server.reply.delay": "server delays a statement reply (delay:<ms>)",
@@ -174,9 +171,8 @@ def parse_spec(text: str) -> Dict[str, _Spec]:
 class FaultRegistry:
     """Armed failpoints plus per-site hit accounting.
 
-    Thread-safe: sites fire from server connection threads, the group
-    commit leader, and pool worker processes (each worker arms its own
-    registry from the inherited ``REPRO_FAULTS``).
+    Thread-safe: sites fire from server connection threads and the
+    group commit leader.
     """
 
     def __init__(self, seed: int = 0):
@@ -322,7 +318,7 @@ def _arm_from_environment() -> None:
     arm(spec, seed=seed)
 
 
-# Import-time arming makes REPRO_FAULTS reach spawned pool workers: the
-# child re-imports this module with the parent's environment, so
-# worker-side sites (parallel.worker) are armed without any plumbing.
+# Import-time arming makes REPRO_FAULTS reach a server started as a child
+# process: it imports this module with the parent's environment, so its
+# sites are armed without any plumbing.
 _arm_from_environment()

@@ -18,6 +18,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from repro.errors import ServingError
 from repro.server.server import DEFAULT_HOST, MayBMSServer
 
 
@@ -49,30 +50,22 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="seconds a statement waits for a table lock (default 30)",
     )
+    # The three limits are validated by MayBMSServer, exactly as the
+    # environment variables that back them are.
     parser.add_argument(
         "--max-connections",
-        type=int,
         default=None,
         help="refuse connections beyond this many concurrent clients "
         "(default: REPRO_SERVER_MAX_CONNECTIONS, else unlimited)",
     )
     parser.add_argument(
         "--max-statements",
-        type=int,
         default=None,
         help="refuse statements beyond this many in flight across all "
         "clients (default: REPRO_SERVER_MAX_STATEMENTS, else unlimited)",
     )
     parser.add_argument(
-        "--parallel-workers",
-        type=int,
-        default=None,
-        help="confidence worker processes shared by all sessions "
-        "(default: REPRO_PARALLEL_WORKERS, else 0 = serial)",
-    )
-    parser.add_argument(
         "--statement-timeout",
-        type=float,
         default=None,
         help="abort statements running longer than this many seconds with "
         "a StatementTimeout wire error (default: REPRO_STATEMENT_TIMEOUT, "
@@ -82,19 +75,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    server = MayBMSServer(
-        host=args.host,
-        port=args.port,
-        path=args.path,
-        seed=args.seed,
-        checkpoint_every=args.checkpoint_every,
-        lock_timeout=args.lock_timeout,
-        max_connections=args.max_connections,
-        max_active_statements=args.max_statements,
-        parallel_workers=args.parallel_workers,
-        statement_timeout=args.statement_timeout,
-    )
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        server = MayBMSServer(
+            host=args.host,
+            port=args.port,
+            path=args.path,
+            seed=args.seed,
+            checkpoint_every=args.checkpoint_every,
+            lock_timeout=args.lock_timeout,
+            max_connections=args.max_connections,
+            max_active_statements=args.max_statements,
+            statement_timeout=args.statement_timeout,
+        )
+    except ServingError as exc:
+        parser.error(str(exc))
     store = args.path if args.path else "in-memory"
     print(
         f"maybms-server listening on {server.host}:{server.port} (store={store})",

@@ -28,16 +28,13 @@ Over-capacity work is refused with a clean
 :class:`~repro.errors.ServerBusyError` on the wire -- a refused
 connection is closed after the error, a refused statement keeps its
 connection and transaction -- so overload degrades to explicit client
-retries instead of unbounded thread/queue growth.  The store's
-process-parallel execution pool (``parallel_workers``) is owned by the
-shared :class:`~repro.db.MayBMS`, so every client session shards its
-eligible scans, joins, ``conf``/``aconf``, and ``esum``/``ecount``
-work over the same worker pool.
+retries instead of unbounded thread/queue growth.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import socket
 import threading
@@ -50,6 +47,7 @@ from repro.errors import (
     MayBMSError,
     ProtocolError,
     ServerBusyError,
+    ServingError,
     StatementTimeout,
 )
 from repro.server import protocol
@@ -57,28 +55,26 @@ from repro.server import protocol
 DEFAULT_HOST = "127.0.0.1"
 
 
-def _env_positive(name: str) -> Optional[int]:
-    """A positive integer from the environment, else None."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
+def _limit(value: Any, setting: str, env: str, parse: type) -> Any:
+    """One server limit: ``value`` (a keyword argument or command-line
+    flag) when given, else the environment variable ``env``, else None
+    (unlimited).  Whichever source it comes from, a value that does not
+    ``parse`` to a positive finite number raises :class:`ServingError`
+    naming that source."""
+    if value is None:
+        value = os.environ.get(env, "").strip()
+        if not value:
+            return None
+        setting = env
     try:
-        value = int(raw)
+        number = parse(str(value).strip())
     except ValueError:
-        return None
-    return value if value > 0 else None
-
-
-def _env_seconds(name: str) -> Optional[float]:
-    """A positive float (seconds) from the environment, else None."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
+        number = None
+    if number is None or not 0 < number < math.inf:
+        raise ServingError(
+            f"{setting} must be a positive {parse.__name__}, got {value!r}"
+        )
+    return number
 
 
 class _StatementDeadline:
@@ -142,7 +138,9 @@ class MayBMSServer:
     ``REPRO_SERVER_MAX_CONNECTIONS`` / ``REPRO_SERVER_MAX_STATEMENTS``;
     None = unlimited) are the backpressure caps; refusals are counted in
     :attr:`connections_rejected` / :attr:`statements_rejected` and
-    surfaced by the ``stats`` wire op.
+    surfaced by the ``stats`` wire op.  ``statement_timeout`` (env default
+    ``REPRO_STATEMENT_TIMEOUT``) is in seconds.  A limit that is not a
+    positive number raises :class:`~repro.errors.ServingError`.
     """
 
     def __init__(
@@ -157,37 +155,45 @@ class MayBMSServer:
         backlog: int = 64,
         max_connections: Optional[int] = None,
         max_active_statements: Optional[int] = None,
-        parallel_workers: Optional[int] = None,
         statement_timeout: Optional[float] = None,
     ):
+        # Validated before anything is opened or bound.
+        self.max_connections: Optional[int] = _limit(
+            max_connections,
+            "max_connections (--max-connections)",
+            "REPRO_SERVER_MAX_CONNECTIONS",
+            int,
+        )
+        self.max_active_statements: Optional[int] = _limit(
+            max_active_statements,
+            "max_active_statements (--max-statements)",
+            "REPRO_SERVER_MAX_STATEMENTS",
+            int,
+        )
+        #: Seconds a statement may run before it is aborted with a
+        #: :class:`StatementTimeout` wire error (None = unlimited).
+        self.statement_timeout: Optional[float] = _limit(
+            statement_timeout,
+            "statement_timeout (--statement-timeout)",
+            "REPRO_STATEMENT_TIMEOUT",
+            float,
+        )
+        self._statement_gate: Optional[threading.BoundedSemaphore] = (
+            threading.BoundedSemaphore(self.max_active_statements)
+            if self.max_active_statements is not None
+            else None
+        )
         if db is None:
             db = MayBMS(
                 seed=seed,
                 path=path if path is not None else "",
                 checkpoint_every=checkpoint_every,
                 lock_timeout=lock_timeout,
-                parallel_workers=parallel_workers,
             )
             self._owns_db = True
         else:
             self._owns_db = False
         self.db = db
-        if max_connections is None:
-            max_connections = _env_positive("REPRO_SERVER_MAX_CONNECTIONS")
-        if max_active_statements is None:
-            max_active_statements = _env_positive("REPRO_SERVER_MAX_STATEMENTS")
-        self.max_connections = max_connections
-        self.max_active_statements = max_active_statements
-        self._statement_gate: Optional[threading.BoundedSemaphore] = (
-            threading.BoundedSemaphore(max_active_statements)
-            if max_active_statements is not None
-            else None
-        )
-        if statement_timeout is None:
-            statement_timeout = _env_seconds("REPRO_STATEMENT_TIMEOUT")
-        #: Seconds a statement may run before it is aborted with a
-        #: :class:`StatementTimeout` wire error (None = unlimited).
-        self.statement_timeout = statement_timeout
         self.connections_rejected = 0
         self.statements_rejected = 0
         #: Named failure counters (guarded by ``_threads_mutex``) for the
@@ -484,13 +490,12 @@ class MayBMSServer:
                 # Durability counters (checkpoint_ms, checkpoint_bytes,
                 # tables_snapshotted, segments_reused, recovery_ms, fsync
                 # and commit totals); empty object for in-memory stores.
-                # "serving" adds the backpressure counters, "parallel" the
-                # shared execution pool's per-operator counters (empty
-                # when no pool), "snapshots" the MVCC snapshot manager's
-                # capture, capture-wait, pin and reclaim counters (always
-                # present -- reads are lock-free for in-memory stores too),
-                # "sanitizer" the runtime concurrency sanitizer's violation
-                # counters (empty unless REPRO_SANITIZE=1).
+                # "serving" adds the backpressure counters, "snapshots" the
+                # MVCC snapshot manager's capture, capture-wait, pin and
+                # reclaim counters (always present -- reads are lock-free
+                # for in-memory stores too), "sanitizer" the runtime
+                # concurrency sanitizer's violation counters (empty unless
+                # REPRO_SANITIZE=1).
                 with self._threads_mutex:
                     active = len(self._connections)
                     errors = dict(self._error_counters)
@@ -507,7 +512,6 @@ class MayBMSServer:
                         "durable": session.is_durable,
                         "stats": session.durability_stats() or {},
                         "serving": serving,
-                        "parallel": session.parallel_stats() or {},
                         "snapshots": session.snapshot_stats(),
                         "sanitizer": session.sanitizer_stats() or {},
                         "faults": faults.stats() or {},

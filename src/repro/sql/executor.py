@@ -28,7 +28,6 @@ from repro.core.translate import u_join, u_project, u_rename, u_select, u_union
 from repro.core.urelation import URelation
 from repro.core.variables import VariableRegistry
 from repro.engine import algebra, planner
-from repro.engine import parallel as parallel_exec
 from repro.engine.catalog import KIND_STANDARD, KIND_URELATION, Catalog
 from repro.engine.expressions import (
     Arithmetic,
@@ -105,7 +104,6 @@ class Executor:
         wal: Optional[WriteAheadLog] = None,
         transaction_supplier: Optional[Callable[[], Optional[Transaction]]] = None,
         checkpoint_hook: Optional[Callable[[], Any]] = None,
-        parallel_pool=None,
         base_seed: Optional[int] = None,
     ):
         self.catalog = catalog
@@ -128,15 +126,10 @@ class Executor:
         #: Wired by the session facade to its durable checkpoint; None for
         #: a bare executor (CHECKPOINT is then a no-op).
         self.checkpoint_hook = checkpoint_hook
-        #: Shared :class:`~repro.engine.parallel.ParallelExecutionPool`
-        #: (or None).  Eligible scans, equi-joins, ``conf``, ``aconf``,
-        #: and ``esum``/``ecount`` shard across it; every sharded result
-        #: is bit-identical to serial execution at any worker count.
-        self.parallel_pool = parallel_pool
         #: Session seed for the deterministic ``aconf`` sample streams
         #: (:func:`repro.core.confidence.dklr.aconf_unit_seed`).  None for
         #: a bare executor: ``aconf`` then draws from the session RNG as
-        #: before and never shards.
+        #: before.
         self.base_seed = base_seed
         #: The transaction of the statement currently inside
         #: :meth:`write_transaction`, if any.  The session facade routes
@@ -148,7 +141,7 @@ class Executor:
         #: (a :class:`~repro.engine.storage.PinnedVersionSet`), or None
         #: when the statement runs under table locks.  Base-table reads
         #: resolve through it (:meth:`_table_snapshot`) so every scan of
-        #: the statement -- serial or sharded -- sees exactly the versions
+        #: the statement sees exactly the versions
         #: pinned at statement start, regardless of concurrent writers.
         self.pinned = None
 
@@ -281,8 +274,7 @@ class Executor:
         component (closed-form / sprout / exact / monte-carlo).
         """
         with planner.trace_plans() as trace, dispatch.trace_confidence() as conf_trace:
-            with parallel_exec.trace_parallel_ops() as par_trace:
-                output = _materialized(self.evaluate_query(statement.query))
+            output = _materialized(self.evaluate_query(statement.query))
         kind = "U-relation" if isinstance(output, URelation) else "relation"
         lines = [
             f"result: {kind} ({len(output)} rows), "
@@ -298,17 +290,6 @@ class Executor:
             lines.append(f"fragment {position + 1} [engine={engine}]:")
             for plan_line in node.explain(notes=notes).splitlines():
                 lines.append("  " + plan_line)
-        for position, (op_kind, info) in enumerate(par_trace):
-            lines.append(
-                f"parallel fragment {position + 1} [operator={op_kind}]:"
-            )
-            lines.append(
-                f"  parallel: {info['workers']} workers, "
-                f"{info['shards']} {info['path']} shard(s)"
-            )
-            source = info.get("source")
-            if source is not None:
-                lines.append(f"  source: {source[0]}@v{source[1]}")
         for position, event in enumerate(conf_trace):
             lines.append(
                 f"confidence fragment {position + 1} "
@@ -468,14 +449,6 @@ class Executor:
 
     # -- queries ---------------------------------------------------------------
     def evaluate_query(self, query: ast.SqlQuery) -> QueryOutput:
-        # Make the session's worker pool visible to the planner for the
-        # duration of this query: eligible batch-engine scans and
-        # equi-joins then shard across it (degrading to serial in-place
-        # on any pool failure).
-        with planner.parallel_execution(self.parallel_pool):
-            return self._evaluate_query(query)
-
-    def _evaluate_query(self, query: ast.SqlQuery) -> QueryOutput:
         if isinstance(query, ast.UnionQuery):
             return self._evaluate_union(query)
         if isinstance(query, ast.RepairKeyRef):
@@ -989,7 +962,6 @@ class Executor:
                 group_names,
                 result_name,
                 dispatcher=self.dispatcher,
-                parallel=self.parallel_pool,
             )
         if node.name == "aconf":
             epsilon = _literal_float(node.args[0], "aconf epsilon")
@@ -1001,18 +973,11 @@ class Executor:
                 group_names,
                 result_name,
                 dispatcher=self.dispatcher,
-                parallel=self.parallel_pool,
                 base_seed=self.base_seed,
             )
         if node.name == "esum":
             assert value_name is not None
-            return agg.esum(
-                prepared,
-                value_name,
-                group_names,
-                result_name,
-                parallel=self.parallel_pool,
-            )
+            return agg.esum(prepared, value_name, group_names, result_name)
         if node.name == "ecount":
             if value_name is not None:
                 # ecount(expr): count rows whose expr is non-NULL -- weight
@@ -1020,15 +985,8 @@ class Executor:
                 filtered = u_select(
                     prepared, IsNull(ColumnRef(value_name), negated=True)
                 )
-                return agg.ecount(
-                    filtered,
-                    group_names,
-                    result_name,
-                    parallel=self.parallel_pool,
-                )
-            return agg.ecount(
-                prepared, group_names, result_name, parallel=self.parallel_pool
-            )
+                return agg.ecount(filtered, group_names, result_name)
+            return agg.ecount(prepared, group_names, result_name)
         raise AnalysisError(f"unknown uncertain aggregate {node.name!r}")
 
     def _group_index(

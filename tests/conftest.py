@@ -3,9 +3,9 @@
 When the suite runs with ``REPRO_SANITIZE=1`` (the CI sanitizer job), every
 test is followed by a cleanliness assertion: any violation the runtime
 concurrency sanitizer recorded during the test -- lock-order cycles, locks
-held across fsync/pool submits, pin or shared-memory leaks -- fails the
-test even if the violating code path did not raise inline (logical
-LockManager notes are record-only by design).
+held across fsync, pin leaks -- fails the test even if the violating code
+path did not raise inline (logical LockManager notes are record-only by
+design).
 """
 
 import os

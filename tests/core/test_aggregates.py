@@ -19,6 +19,7 @@ from repro.core.worlds import (
     expected_aggregate_by_enumeration,
     tuple_confidence_by_enumeration,
 )
+from repro.db import MayBMS
 from repro.engine import columnar
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
@@ -277,6 +278,36 @@ class TestArrayPass:
         monkeypatch.setattr(columnar, "HAVE_NUMPY", False)
         without = agg.aconf(urel, 0.2, 0.2, ["g"], dispatcher=dispatcher, base_seed=9)
         assert with_pass.rows[6] == without.rows[6]
+
+    def test_seeded_answers_are_a_function_of_the_seed(self):
+        # Seeded aconf() and Monte-Carlo conf() answers repeat on a fresh
+        # store and in a fresh session with the same seed, and move with it.
+        queries = [
+            "select k, aconf(0.3, 0.3) as p from u group by k order by k",
+            "select k, conf() as p from u group by k order by k",
+        ]
+
+        def store(seed):
+            db = MayBMS(seed=seed, confidence_strategy="monte-carlo")
+            values = ", ".join(
+                f"({g}, {k}, {1 + (g + k) % 3})" for g in range(4) for k in range(6)
+            )
+            db.execute_script(
+                "create table t (g integer, k integer, w float);"
+                f"insert into t values {values};"
+                "create table u as repair key g in t weight by w"
+            )
+            return db
+
+        def answers(session):
+            return [session.query(sql).rows for sql in queries]
+
+        with store(5) as first, store(5) as second, store(6) as other:
+            expected = answers(first)
+            assert answers(second) == expected
+            with first.session() as session:
+                assert answers(session) == expected
+            assert answers(other)[0] != expected[0]
 
     def test_forced_engines_never_enter_the_array_pass(self, registry, monkeypatch):
         urel = self.mixed(registry, crossing=False)

@@ -1,14 +1,14 @@
-"""Parallel relational execution (engine/parallel.py beyond conf()):
-differential serial == parallel answers for sharded scans, partitioned
-hash joins, deterministic aconf, and esum/ecount across worker counts,
-plus EXPLAIN shard-plan rendering, the worker payload cache, the new
-per-operator counters, and worker-crash degradation on the new paths.
+"""Relational operators under parallel sessions: a scan split into
+shards and a hash join split into key partitions, each piece run by its
+own session on its own thread, reassemble into the serial answer; aconf(),
+esum(), ecount() and Monte-Carlo conf() answered by several sessions at
+once equal one serial session's answers bit for bit.  The sessions share
+each table version's column mirrors, join build tables and groupings
+(:meth:`~repro.engine.relation.Relation.derived`), built by whichever
+statement asks first.  EXPLAIN renders no parallel fragment.
 """
 
-import os
 import random
-import signal
-import time
 
 import pytest
 
@@ -18,23 +18,9 @@ from repro.core.confidence.dispatch import ConfidenceDispatcher, DispatchPolicy
 from repro.core.urelation import URelation, condition_columns, encode_condition
 from repro.core.variables import VariableRegistry
 from repro.db import MayBMS
-from repro.engine import planner
-from repro.engine.parallel import ParallelExecutionPool
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema
 from repro.engine.types import INTEGER
-
-pytestmark = pytest.mark.usefixtures("batch_engine")
-
-
-@pytest.fixture
-def batch_engine():
-    """The parallel scan/join paths are batch-engine operators; pin the
-    default engine so the suite behaves the same under REPRO_ENGINE=row
-    (aconf/esum/ecount shard at the aggregate layer, engine-independent,
-    but the differential queries still plan scans)."""
-    with planner.forced_engine(planner.BATCH_ENGINE):
-        yield
 
 
 def _build(**kwargs):
@@ -50,7 +36,7 @@ def _build(**kwargs):
     db.execute(
         "insert into d values " + ", ".join(f"({g}, 'g{g}')" for g in range(10))
     )
-    db.execute("create table u as repair key g, k in t weight by w")
+    db.execute("create table u as repair key g in t weight by w")
     return db
 
 
@@ -74,221 +60,144 @@ def _mc_workload(registry, rng, groups=8, vars_per_group=6, clauses=8):
     return URelation(Relation(COND_SCHEMA, rows), 1, COND_ARITY, registry)
 
 
-def _mc_aconf(urel, base_seed, pool=None):
+def _mc_aconf(urel, base_seed):
     dispatcher = ConfidenceDispatcher(
         urel.registry, DispatchPolicy(strategy="monte-carlo")
     )
     return list(
         agg.aconf(
-            urel,
-            0.4,
-            0.2,
-            ["g"],
-            dispatcher=dispatcher,
-            parallel=pool,
-            base_seed=base_seed,
+            urel, 0.4, 0.2, ["g"], dispatcher=dispatcher, base_seed=base_seed
         ).rows
     )
 
 
+def _sessions(db, workers):
+    return [db.session(read_only=True) for _ in range(workers)]
+
+
 SCAN_QUERY = "select g, k, w * 2 as w2 from t where k % 2 = 0 order by g, k"
+SCAN_SHARD = (
+    "select g, k, w * 2 as w2 from t where k % 2 = 0 and g % {n} = {i} "
+    "order by g, k"
+)
 JOIN_QUERY = (
     "select t.g, d.label, t.k from t, d "
     "where t.g = d.g and t.k < 5 order by t.g, t.k"
 )
-ACONF_QUERY = "select g, aconf(0.05, 0.05) as p from u group by g order by g"
-ESUM_QUERY = "select g, esum(w) as s from u group by g order by g"
-ECOUNT_QUERY = "select g, ecount() as c from u group by g order by g"
+JOIN_PARTITION = (
+    "select t.g, d.label, t.k from t, d "
+    "where t.g = d.g and t.k < 5 and t.g % {n} = {i} order by t.g, t.k"
+)
+# u picks one k per g: grouped by k, each lineage is a disjunction over
+# ten independent choices -- overlapping clauses, so a Monte-Carlo run
+# really samples.
+ACONF_QUERY = (
+    "select k, aconf(0.05, 0.05) as p from u where k < 6 group by k order by k"
+)
+CONF_QUERY = "select k, conf() as p from u where k < 3 group by k order by k"
+ESUM_QUERY = "select k, esum(w) as s from u group by k order by k"
+ECOUNT_QUERY = "select k, ecount() as c from u group by k order by k"
 
 
 class TestDifferentialOps:
-    """Every sharded operator must equal serial execution bit-for-bit --
-    not approximately -- at any worker count."""
+    """Every operator answered in parallel sessions must equal serial
+    execution bit-for-bit -- not approximately -- at any worker count."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_sharded_scan_bit_identical(self, workers):
-        with _build() as serial, _build(
-            parallel_workers=workers, parallel_min_rows=1
-        ) as par:
-            expected = serial.execute(SCAN_QUERY).relation.rows
-            got = par.execute(SCAN_QUERY).relation.rows
-            assert got == expected
-            stats = par.parallel_stats()
-            assert stats["parallel_scan_queries"] >= 1, stats
-            assert stats["parallel_scan_shards"] >= 2, stats
+    def test_sharded_scan_bit_identical(self, workers, in_parallel):
+        with _build() as db:
+            expected = db.query(SCAN_QUERY).rows
+            sessions = _sessions(db, workers)
+            shards = in_parallel(
+                workers,
+                lambda i: sessions[i].query(SCAN_SHARD.format(n=workers, i=i)).rows,
+            )
+        assert all(shards)
+        # (g, k) is unique, so sorting the pieces restores ORDER BY g, k.
+        assert sorted(row for shard in shards for row in shard) == expected
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_partitioned_join_bit_identical(self, workers):
-        with _build() as serial, _build(
-            parallel_workers=workers, parallel_min_rows=1
-        ) as par:
-            expected = serial.execute(JOIN_QUERY).relation.rows
-            got = par.execute(JOIN_QUERY).relation.rows
-            assert got == expected
-            stats = par.parallel_stats()
-            assert stats["parallel_join_queries"] >= 1, stats
-            assert stats["parallel_join_shards"] >= 2, stats
+    def test_partitioned_join_bit_identical(self, workers, in_parallel):
+        with _build() as db:
+            expected = db.query(JOIN_QUERY).rows
+            sessions = _sessions(db, workers)
+            partitions = in_parallel(
+                workers,
+                lambda i: sessions[i]
+                .query(JOIN_PARTITION.format(n=workers, i=i))
+                .rows,
+            )
+        assert all(partitions)
+        # The label is a function of g: sorting restores ORDER BY t.g, t.k.
+        assert sorted(row for part in partitions for row in part) == expected
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_aconf_bit_identical(self, workers):
-        # The serial store answers aconf through the same deterministic
-        # per-group sample streams (aconf_unit_seed), so the sharded
-        # estimates must match it exactly, not within (epsilon, delta).
+    def test_aconf_bit_identical(self, workers, in_parallel):
+        # Every session answers aconf through the same deterministic
+        # per-group sample streams (aconf_unit_seed over the store seed),
+        # so the estimates match exactly, not within (epsilon, delta).
         # Forced Monte Carlo: under "auto" the array pass answers these
         # groups exactly and no sample stream would run.
-        with _build(confidence_strategy="monte-carlo") as serial, _build(
-            parallel_workers=workers,
-            parallel_min_rows=1,
-            confidence_strategy="monte-carlo",
-        ) as par:
-            expected = serial.execute(ACONF_QUERY).relation.rows
-            got = par.execute(ACONF_QUERY).relation.rows
-            assert got == expected
-            stats = par.parallel_stats()
-            assert stats["parallel_aconf_queries"] == 1, stats
-            assert stats["parallel_aconf_shards"] >= 2, stats
+        with _build(confidence_strategy="monte-carlo") as db:
+            expected = db.query(ACONF_QUERY).rows
+            sessions = _sessions(db, workers)
+            answers = in_parallel(
+                workers, lambda i: sessions[i].query(ACONF_QUERY).rows
+            )
+        assert answers == [expected] * workers
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_esum_ecount_bit_identical(self, workers):
-        with _build() as serial, _build(
-            parallel_workers=workers, parallel_min_rows=1
-        ) as par:
-            for query in (ESUM_QUERY, ECOUNT_QUERY):
-                expected = serial.execute(query).relation.rows
-                got = par.execute(query).relation.rows
-                assert got == expected, query
-            stats = par.parallel_stats()
-            assert stats["parallel_expect_queries"] == 2, stats
-            assert stats["parallel_expect_shards"] >= 2, stats
+    def test_esum_ecount_bit_identical(self, workers, in_parallel):
+        with _build() as db:
+            expected = [db.query(q).rows for q in (ESUM_QUERY, ECOUNT_QUERY)]
+            sessions = _sessions(db, workers)
+            answers = in_parallel(
+                workers,
+                lambda i: [
+                    sessions[i].query(q).rows for q in (ESUM_QUERY, ECOUNT_QUERY)
+                ],
+            )
+        assert answers == [expected] * workers
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_aconf_monte_carlo_bit_identical(self, workers):
-        # A hard DNF workload forced onto the Karp-Luby estimator: the
-        # sharded sample loops must reproduce the serial deterministic
-        # stream exactly, not just within the (epsilon, delta) guarantee.
+    def test_monte_carlo_conf_bit_identical(self, workers, in_parallel):
+        # A session's Monte-Carlo conf() draws from its own RNG, seeded
+        # with the store seed: sessions never share or advance each
+        # other's stream.
+        with _build(confidence_strategy="monte-carlo") as db:
+            sessions = _sessions(db, workers + 1)
+            expected = sessions[-1].query(CONF_QUERY).rows
+            answers = in_parallel(
+                workers, lambda i: sessions[i].query(CONF_QUERY).rows
+            )
+        assert answers == [expected] * workers
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_aconf_monte_carlo_bit_identical(self, workers, in_parallel):
+        # A hard DNF workload forced onto the Karp-Luby estimator: sample
+        # loops running on several threads at once must reproduce the
+        # serial deterministic stream exactly, not just within the
+        # (epsilon, delta) guarantee.
         registry = VariableRegistry()
         urel = _mc_workload(registry, random.Random(7))
         expected = _mc_aconf(urel, base_seed=3)
-        with ParallelExecutionPool(workers=workers, min_rows=0) as pool:
-            got = _mc_aconf(urel, base_seed=3, pool=pool)
-            stats = pool.stats()
-        assert stats["parallel_aconf_queries"] == 1, stats
-        assert stats["parallel_aconf_shards"] >= 2, stats
-        assert got == expected
+        answers = in_parallel(workers, lambda i: _mc_aconf(urel, base_seed=3))
+        assert answers == [expected] * workers
 
-    def test_aconf_base_seed_changes_monte_carlo_answers(self):
+    def test_aconf_base_seed_changes_monte_carlo_answers(self, in_parallel):
         registry = VariableRegistry()
         urel = _mc_workload(registry, random.Random(7))
-        with ParallelExecutionPool(workers=2, min_rows=0) as pool:
-            one = _mc_aconf(urel, base_seed=1, pool=pool)
-            two = _mc_aconf(urel, base_seed=2, pool=pool)
+        one, two = in_parallel(2, lambda i: _mc_aconf(urel, base_seed=i + 1))
         assert one != two
+        assert two == _mc_aconf(urel, base_seed=2)
 
 
 class TestExplain:
-    def test_scan_and_join_fragments_render_shard_plans(self):
-        with _build(parallel_workers=2, parallel_min_rows=1) as par:
-            explain = "\n".join(
-                row[0]
-                for row in par.execute("explain " + JOIN_QUERY).relation.rows
-            )
-        assert "[operator=scan]" in explain, explain
-        assert "[operator=join]" in explain, explain
-        assert "parallel: 2 workers" in explain, explain
-        assert "shard(s)" in explain, explain
-        assert "probe shard(s)" in explain, explain
-
     def test_serial_store_renders_no_parallel_fragments(self):
         with _build() as serial:
             explain = "\n".join(
                 row[0]
                 for row in serial.execute("explain " + JOIN_QUERY).relation.rows
             )
-        assert "parallel fragment" not in explain, explain
-
-
-class TestStatsSurface:
-    def test_per_operator_counters_and_timings(self):
-        with _build(parallel_workers=2, parallel_min_rows=1) as par:
-            for query in (SCAN_QUERY, JOIN_QUERY, ACONF_QUERY, ESUM_QUERY):
-                par.execute(query)
-            stats = par.parallel_stats()
-            info = par.parallel_pool.last_call
-        for key in (
-            "parallel_scan_queries",
-            "parallel_scan_shards",
-            "parallel_join_queries",
-            "parallel_join_shards",
-            "parallel_aconf_queries",
-            "parallel_aconf_shards",
-            "parallel_expect_queries",
-            "parallel_expect_shards",
-            "parallel_encode_ms",
-            "parallel_worker_cpu_ms",
-            "parallel_cache_evictions",
-        ):
-            assert key in stats, key
-        assert stats["parallel_encode_ms"] > 0
-        # conf() did not run: its query counter stays untouched by the
-        # new operators.
-        assert stats["parallel_queries"] == 0, stats
-        # Per-query observability: the last attempt records its payload
-        # encode time and one CPU-seconds sample per shard.
-        assert info["encode_ms"] >= 0
-        assert len(info["shard_cpu_s"]) == info["shards"]
-        assert all(cpu >= 0 for cpu in info["shard_cpu_s"])
-
-    def test_worker_cache_eviction_counter(self, monkeypatch):
-        # A one-entry worker cache cannot hold both the table payload and
-        # the per-query aggregate payloads: decoding must evict, and the
-        # workers report the evictions back to the coordinator's counter.
-        monkeypatch.setenv("REPRO_PARALLEL_WORKER_CACHE", "1")
-        with _build(parallel_workers=2, parallel_min_rows=1) as par:
-            for query in (SCAN_QUERY, ESUM_QUERY, SCAN_QUERY, ESUM_QUERY):
-                par.execute(query)
-            stats = par.parallel_stats()
-        assert stats["parallel_cache_evictions"] >= 1, stats
-
-    def test_table_payload_reused_across_queries(self):
-        # The coordinator caches the encoded table payload on the relation
-        # snapshot under a stable key, so a repeated scan re-encodes
-        # nothing and workers can reuse their decoded columns.
-        relation = Relation(
-            Schema([Column("a", INTEGER), Column("b", INTEGER)]),
-            [(i, i * 3) for i in range(100)],
-        )
-        with ParallelExecutionPool(workers=2, min_rows=1) as pool:
-            one = pool.table_pipeline(relation, relation.schema, None, None)
-            first = relation._lineage_cache["parallel-payload"]
-            two = pool.table_pipeline(relation, relation.schema, None, None)
-            second = relation._lineage_cache["parallel-payload"]
-            assert pool.stats()["parallel_scan_queries"] == 2
-        assert one is not None and two is not None
-        assert list(one.rows()) == list(two.rows()) == relation.rows
-        assert second[0] is first[0]  # the encoded bytes, not re-encoded
-        assert second[1] == first[1]  # the stable worker cache key
-
-
-class TestDegradation:
-    def test_worker_crash_degrades_new_paths_to_serial(self):
-        with _build() as serial, _build(
-            parallel_workers=2, parallel_min_rows=1
-        ) as par:
-            expected = {
-                query: serial.execute(query).relation.rows
-                for query in (SCAN_QUERY, JOIN_QUERY, ACONF_QUERY, ESUM_QUERY)
-            }
-            # Warm the executor, then kill a worker mid-pool.
-            assert par.execute(SCAN_QUERY).relation.rows == expected[SCAN_QUERY]
-            pool = par.parallel_pool
-            victims = list(pool._executor._processes)
-            os.kill(victims[0], signal.SIGKILL)
-            time.sleep(0.1)
-            # Every new path answers identically through the serial
-            # fallback, and the pool recovers for later queries.
-            for query, rows in expected.items():
-                assert par.execute(query).relation.rows == rows, query
-            stats = par.parallel_stats()
-            assert stats["parallel_worker_crashes"] >= 1, stats
-            for query, rows in expected.items():
-                assert par.execute(query).relation.rows == rows, query
+        assert "Join[" in explain, explain  # the plan itself is rendered
+        assert "parallel" not in explain, explain

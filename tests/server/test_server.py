@@ -20,8 +20,9 @@ import time
 import pytest
 
 from repro.client import Client, ClientResult
-from repro.errors import ProtocolError, ServerError
+from repro.errors import ProtocolError, ServerError, ServingError
 from repro.server import MayBMSServer, protocol
+from repro.server.__main__ import main as server_main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -445,6 +446,35 @@ class TestBackpressure:
         finally:
             server.close()
 
+    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
+    @pytest.mark.parametrize("source", ["keyword", "cli", "env"])
+    @pytest.mark.parametrize(
+        "keyword, flag, env",
+        [
+            ("max_connections", "--max-connections", "REPRO_SERVER_MAX_CONNECTIONS"),
+            ("max_active_statements", "--max-statements", "REPRO_SERVER_MAX_STATEMENTS"),
+            ("statement_timeout", "--statement-timeout", "REPRO_STATEMENT_TIMEOUT"),
+        ],
+    )
+    def test_invalid_limit_is_refused_from_every_source(
+        self, keyword, flag, env, source, value, monkeypatch, capsys
+    ):
+        # Each limit means the same from every source: a non-positive or
+        # malformed value is refused before the server binds, by name.
+        if source == "cli":
+            with pytest.raises(SystemExit) as exit_info:
+                server_main(["--port", "0", flag, value])
+            assert exit_info.value.code == 2
+            assert flag in capsys.readouterr().err
+            return
+        if source == "env":
+            monkeypatch.setenv(env, value)
+            kwargs, named = {}, env
+        else:
+            kwargs, named = {keyword: value}, keyword
+        with pytest.raises(ServingError, match=named):
+            MayBMSServer(**kwargs)
+
     def test_env_default_caps_connections(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVER_MAX_CONNECTIONS", "1")
         server = MayBMSServer().start()
@@ -459,41 +489,62 @@ class TestBackpressure:
 
 
 class TestParallelConfidenceOverTheWire:
-    def test_server_shares_one_pool_across_sessions(self):
-        server = MayBMSServer(parallel_workers=2).start()
+    """Clients on parallel connections each get, bit for bit, the answer
+    one client gets alone: every server session starts its Monte-Carlo
+    draws and aconf() streams from the store seed.  The stats op reports
+    the MVCC snapshots such reads pin."""
+
+    CLIENTS = 4
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "select k, conf() as p from u where k < 3 group by k order by k",
+            "select k, aconf(0.1, 0.1) as p from u where k < 3 group by k order by k",
+            "select k, esum(w) as s from u group by k order by k",
+            "select k, ecount() as c from u group by k order by k",
+        ],
+        ids=["conf", "aconf", "esum", "ecount"],
+    )
+    def test_parallel_clients_get_the_lone_answer(self, query):
+        server = MayBMSServer(seed=3).start()
         try:
-            server.db.parallel_pool.min_rows = 1
-            # Under "auto" the array pass answers these groups first.
-            server.db.set_confidence_strategy("exact")
+            # Forced Monte Carlo: conf() and aconf() really sample.
+            server.db.set_confidence_strategy("monte-carlo")
+            values = ", ".join(
+                f"({g}, {k}, {1 + (g + 2 * k) % 3})" for g in range(6) for k in range(8)
+            )
             with Client(server.host, server.port) as setup:
-                values = ", ".join(
-                    f"({g}, {k}, {1 + (g + k) % 3})"
-                    for g in range(8)
-                    for k in range(10)
-                )
                 setup.execute_script(
                     "create table t (g integer, k integer, w float);"
                     f"insert into t values {values};"
-                    "create table u as repair key g, k in t weight by w"
+                    "create table u as repair key g in t weight by w"
                 )
-            query = "select g, conf() as c from u group by g"
-            with Client(server.host, server.port) as one:
-                first = sorted(one.query(query).rows)
-            with Client(server.host, server.port) as two:
-                second = sorted(two.query(query).rows)
-                parallel = two.server_stats()["parallel"]
-            assert first == second
-            # Both sessions ran over the same store-owned pool.
-            assert parallel["parallel_workers"] == 2
-            assert parallel["parallel_queries"] == 2, parallel
-            assert parallel["parallel_segments_active"] == 0
+            with Client(server.host, server.port) as alone:
+                expected = alone.query(query).rows
+            barrier = threading.Barrier(self.CLIENTS)
+            answers = [None] * self.CLIENTS
+            errors = []
+
+            def ask(index):
+                try:
+                    with Client(server.host, server.port) as client:
+                        barrier.wait(timeout=30)
+                        answers[index] = client.query(query).rows
+                except Exception as exc:  # pragma: no cover - failure reporting
+                    errors.append((index, exc))
+
+            threads = [
+                threading.Thread(target=ask, args=(i,)) for i in range(self.CLIENTS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not errors, errors
+            assert answers == [expected] * self.CLIENTS
         finally:
             server.close()
-        assert server.db.parallel_pool._executor is None
-
-    def test_serial_server_reports_empty_parallel_stats(self, memory_server):
-        with Client(memory_server.host, memory_server.port) as client:
-            assert client.server_stats()["parallel"] == {}
 
     def test_snapshot_counters_over_the_wire(self, memory_server):
         with Client(memory_server.host, memory_server.port) as client:
@@ -506,6 +557,15 @@ class TestParallelConfidenceOverTheWire:
         # One connection: no capture ever found a writer on its table.
         assert snapshots["snapshot_capture_waits"] == 0
         assert snapshots["snapshot_capture_wait_ms"] == 0
+
+
+class TestStatsGroupsOverTheWire:
+    def test_stats_op_serves_the_counter_groups(self, memory_server):
+        with Client(memory_server.host, memory_server.port) as client:
+            groups = client.server_stats()
+        assert set(groups) == {
+            "durability", "serving", "snapshots", "sanitizer", "faults",
+        }
 
 
 class TestDurabilityStatsOp:

@@ -197,8 +197,8 @@ class TestLineageCache:
         db.execute(self.STORE)
         urel = db.urelation("picks")
         first = agg.conf(urel, ["player"])
-        # One grouping entry (shared with the parallel path and with
-        # esum/ecount) plus one lineage entry for this grouping.
+        # One grouping entry (shared with esum/ecount) plus one lineage
+        # entry for this grouping.
         groups, lineages = _kept(urel.relation, "groups"), _kept(urel.relation, "lineages")
         assert len(groups) == 1 and len(lineages) == 1
         second = agg.conf(urel, ["player"])

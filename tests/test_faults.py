@@ -1,8 +1,7 @@
 """Deterministic fault injection: registry semantics and site coverage.
 
 The second half is the failpoint *catalog audit*: every site listed in
-:data:`repro.faults.SITES` must provably fire (or, for worker-side
-sites, provably change behavior) under a real workload.  A site that is
+:data:`repro.faults.SITES` must provably fire under a real workload.  A site that is
 compiled into the engine but never hit would let torture runs pass
 vacuously, so ``test_catalog_is_fully_covered`` fails the suite whenever
 a new site is added without coverage here.
@@ -154,8 +153,8 @@ class TestModuleArming:
         faults.disarm()
 
     def test_environment_arms_spawned_interpreter(self):
-        """REPRO_FAULTS is read at import time, which is exactly how
-        spawned pool workers inherit armed faults."""
+        """REPRO_FAULTS is read at import time, which is exactly how a
+        server started as a child process inherits armed faults."""
         env = dict(os.environ)
         env["REPRO_FAULTS"] = "wal.fsync=error@3"
         env["REPRO_FAULTS_SEED"] = "7"
@@ -194,16 +193,11 @@ DURABILITY_SITES = [
     "recovery.manifest.read",
 ]
 WIRE_SITES = ["wire.send", "wire.recv", "server.reply.delay"]
-POOL_PARENT_SITES = ["parallel.submit", "parallel.shm.unlink"]
-WORKER_SITES = ["parallel.worker"]
 
 
 class TestSiteCoverage:
     def test_catalog_is_fully_covered(self):
-        covered = set(
-            DURABILITY_SITES + WIRE_SITES
-            + POOL_PARENT_SITES + WORKER_SITES
-        )
+        covered = set(DURABILITY_SITES + WIRE_SITES)
         assert covered == set(faults.SITES), (
             "failpoint catalog and coverage tests diverged: "
             f"uncovered={set(faults.SITES) - covered} "
@@ -246,69 +240,3 @@ class TestSiteCoverage:
         for site in WIRE_SITES:
             assert hits.get(site, 0) >= 1, f"site {site} never hit: {hits}"
         faults.disarm()
-
-    def test_pool_parent_sites_fire(self):
-        faults.arm({site: "delay:0" for site in POOL_PARENT_SITES})
-        with MayBMS(
-            seed=11,
-            parallel_workers=2,
-            parallel_min_rows=1,
-            confidence_strategy="exact",  # "auto" answers these groups before the pool
-        ) as db:
-            db.execute("create table t (g integer, w float)")
-            db.execute(
-                "insert into t values "
-                + ", ".join(f"({g}, 1.0)" for g in range(24))
-            )
-            db.execute("create table u as repair key g in t weight by w")
-            db.execute("select g, conf() as p from u group by g order by g")
-        hits = faults.stats()["hits"]
-        for site in POOL_PARENT_SITES:
-            assert hits.get(site, 0) >= 1, f"site {site} never hit: {hits}"
-        faults.disarm()
-
-    def test_worker_site_fires_in_spawned_worker(self, monkeypatch):
-        """Worker processes arm their own registry from the inherited
-        REPRO_FAULTS (import-time), so a worker-side fault surfaces as
-        the query's error even though the parent registry stays empty."""
-        monkeypatch.setenv("REPRO_FAULTS", "parallel.worker=fault")
-        with MayBMS(
-            seed=11,
-            parallel_workers=2,
-            parallel_min_rows=1,
-            confidence_strategy="exact",  # "auto" answers these groups before the pool
-        ) as db:
-            db.execute("create table t (g integer, w float)")
-            db.execute(
-                "insert into t values "
-                + ", ".join(f"({g}, 1.0)" for g in range(24))
-            )
-            db.execute("create table u as repair key g in t weight by w")
-            with pytest.raises(FaultInjected, match="parallel.worker"):
-                db.execute("select g, conf() as p from u group by g")
-        assert faults.active() is None  # the parent was never armed
-
-    def test_worker_crash_falls_back_to_serial(self, monkeypatch):
-        """`exit` kills the worker mid-shard: the pool records the crash
-        and the query still answers correctly via the serial fallback --
-        the degradation contract for a broken pool."""
-        monkeypatch.setenv("REPRO_FAULTS", "parallel.worker=exit@1")
-        with MayBMS(
-            seed=11,
-            parallel_workers=2,
-            parallel_min_rows=1,
-            confidence_strategy="exact",  # "auto" answers these groups before the pool
-        ) as db:
-            db.execute("create table t (g integer, w float)")
-            db.execute(
-                "insert into t values "
-                + ", ".join(f"({g}, 1.0)" for g in range(24))
-            )
-            db.execute("create table u as repair key g in t weight by w")
-            rows = db.execute(
-                "select g, conf() as p from u group by g order by g"
-            ).relation.rows
-            assert len(rows) == 24
-            stats = db.parallel_stats()
-            assert stats["parallel_worker_crashes"] >= 1, stats
-            assert stats["parallel_fallbacks"] >= 1, stats

@@ -7,7 +7,7 @@ deterministically: ``SnapshotManager.on_capture`` fires after the pins
 are taken and the shared table grant is released, *before* the statement
 executes, so a test can commit a concurrent write exactly between the
 pin and the read and assert the reader still sees the pinned version
-bit-identically -- serial or parallel, batch or row engine.
+bit-identically -- in memory or durable, on the batch and the row engine.
 """
 
 import threading
@@ -56,10 +56,9 @@ def arm_one_shot(db, action):
 
 class TestSnapshotIsolation:
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_select_isolated_from_concurrent_commit(self, engine, parallel):
-        kwargs = {"parallel_workers": 2, "parallel_min_rows": 0} if parallel else {}
-        db = build_store(**kwargs)
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_select_isolated_from_concurrent_commit(self, engine, durable, tmp_path):
+        db = build_store(path=str(tmp_path / "store") if durable else None)
         try:
             with planner.forced_engine(engine):
                 expected = sorted(db.query(SELECT_QUERY).rows)
@@ -81,10 +80,9 @@ class TestSnapshotIsolation:
             db.close()
 
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_conf_isolated_from_concurrent_commit(self, engine, parallel):
-        kwargs = {"parallel_workers": 2, "parallel_min_rows": 0} if parallel else {}
-        db = build_store(**kwargs)
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_conf_isolated_from_concurrent_commit(self, engine, durable, tmp_path):
+        db = build_store(path=str(tmp_path / "store") if durable else None)
         try:
             with planner.forced_engine(engine):
                 expected = sorted(db.query(CONF_QUERY).rows)
@@ -374,7 +372,7 @@ class TestDifferentialLockedVsMvcc:
 class TestPinnedVersionSet:
     def test_repeated_pins_share_one_relation_object(self):
         # Pin-stable relation identity is the cache-reuse contract:
-        # mirrors, grouped lineages and the parallel payload live on the
+        # mirrors, join build tables and grouped lineages live on the
         # relation, so two statements pinned to the same version share
         # them for free.
         db = build_store()

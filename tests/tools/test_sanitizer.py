@@ -123,19 +123,10 @@ class TestBlockingGuards:
         san.note_acquired("lockmgr:__store_gate__", mode="exclusive")
         assert san.blocking("fsync") is not None
 
-    def test_pool_submit_under_logical_locks_allowed(self, san):
-        san.note_acquired("lockmgr:<table>", mode="shared")
-        assert san.blocking("pool-submit") is None
-        san.note_acquired("ParallelExecutionPool._mutex")
-        message = san.blocking("pool-submit")
-        assert message is not None and "ParallelExecutionPool._mutex" in message
-
     def test_waiver_is_scoped_and_thread_local(self, san):
         san.note_acquired("SnapshotManager._mutex")
         with san.allowed("fsync"):
             assert san.blocking("fsync") is None
-            # other kinds are still checked
-            assert san.blocking("pool-submit") is not None
         assert san.blocking("fsync") is not None
 
         seen = []
@@ -168,19 +159,9 @@ class TestBalances:
         with pytest.raises(SanitizerError, match="without matching pin"):
             san.assert_clean()
 
-    def test_shm_leak_fails_assert_clean(self, san):
-        san.note_shm_created("psm_test_a")
-        san.note_shm_created("psm_test_b")
-        san.note_shm_unlinked("psm_test_a")
-        with pytest.raises(SanitizerError, match="psm_test_b"):
-            san.assert_clean()
-        san.assert_clean()
-
     def test_balanced_usage_is_clean(self, san):
         san.note_pin(3)
         san.note_unpin(3)
-        san.note_shm_created("psm_x")
-        san.note_shm_unlinked("psm_x")
         san.assert_clean()
         assert san.stats()["sanitizer_violations_total"] == 0
 
@@ -232,15 +213,9 @@ class TestEnablement:
         assert get_sanitizer() is get_sanitizer()
 
     def test_engine_end_to_end_clean_under_sanitizer(self, sanitized_env, tmp_path):
-        """A durable store with MVCC reads, parallel execution, and a
-        checkpoint runs clean: no cycles, no blocking violations, balanced
-        pins and shared-memory segments."""
-        db = MayBMS(
-            path=str(tmp_path / "store"),
-            seed=7,
-            parallel_workers=2,
-            parallel_min_rows=0,
-        )
+        """A durable store with MVCC reads and a checkpoint runs clean: no
+        cycles, no blocking violations, balanced pins."""
+        db = MayBMS(path=str(tmp_path / "store"), seed=7)
         try:
             assert isinstance(db._session_mutex, SanitizedLock)
             values = ", ".join(
@@ -259,7 +234,6 @@ class TestEnablement:
             stats = db.durability_stats()
             assert stats["sanitizer_violations_total"] == 0
             assert stats["sanitizer_pins_active"] == 0
-            assert stats["sanitizer_shm_active"] == 0
             assert stats["sanitizer_lock_nodes"] > 0
             assert db.sanitizer_stats() == get_sanitizer().stats()
             get_sanitizer().assert_clean()

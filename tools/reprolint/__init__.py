@@ -2,7 +2,7 @@
 
 The engine makes promises the test suite can only spot-check: strict 2PL
 with a fixed lock hierarchy, MVCC pin/unpin pairing, fsync-before-rename
-checkpoints, and bit-identical parallel execution.  reprolint encodes those
+checkpoints, and seeded, bit-reproducible confidence.  reprolint encodes those
 invariants as lint rules so they are checked on every tree, not just on the
 interleavings a test run happens to hit.
 

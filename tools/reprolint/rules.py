@@ -1,13 +1,12 @@
-"""Rule implementations for reprolint (codes R001..R006).
+"""Rule implementations for reprolint (codes R001..R006; R004 is retired).
 
-Each rule encodes a project invariant from the lock/MVCC/WAL/pool stack:
+Each rule encodes a project invariant from the lock/MVCC/WAL stack:
 
 R001  paired-lock-release      .acquire() without release on all exit paths
 R002  lock-hierarchy           static lock-order graph vs committed manifest
 R003  determinism              nondeterminism bans in bit-identical paths
-R004  shm-cleanup              SharedMemory create without unlink cleanup
 R005  pin-balance              pin_snapshot without unpin_snapshot cleanup
-R006  swallowed-failure        bare except / uncounted BrokenProcessPool
+R006  swallowed-failure        bare except
 
 The rules are deliberately syntactic: they over-approximate in a few places
 and rely on inline suppressions (with justification comments) for the rare
@@ -25,10 +24,7 @@ from tools.reprolint import FileContext, Rule, Violation, register
 _LOCKISH_FRAGMENTS = ("lock", "mutex", "cond", "gate", "sem")
 
 # Paths subject to the bit-identical determinism bans (R003).
-_DETERMINISM_PATHS = ("engine/parallel", "core/confidence")
-
-# Function names treated as cleanup scopes for resource-release rules.
-_CLEANUP_NAMES = ("close", "shutdown", "cleanup", "__exit__", "__del__", "unlink")
+_DETERMINISM_PATHS = ("core/confidence",)
 
 
 def attr_text(node: ast.AST) -> Optional[str]:
@@ -172,8 +168,7 @@ _SEEDISH_CALL_FRAGMENTS = ("seed", "random", "rng", "mix", "hash")
 
 @register
 class DeterminismRule(Rule):
-    """R003: the bit-identical paths (engine/parallel.py, core/confidence/)
-    must not consume ambient nondeterminism: no module-level ``random.*``
+    """R003: the bit-identical paths (core/confidence/) must not consume ambient nondeterminism: no module-level ``random.*``
     draws, no unseeded ``random.Random()``, no ``time.time()``, no ``id()``
     feeding seed computation, no iteration over unordered sets."""
 
@@ -275,61 +270,6 @@ class DeterminismRule(Rule):
 
 
 @register
-class SharedMemoryCleanupRule(Rule):
-    """R004: a module that creates SharedMemory segments (``create=True``)
-    must unlink them in a cleanup path: an ``unlink()`` call inside a
-    ``finally`` block, or inside a close/shutdown/cleanup-style function."""
-
-    code = "R004"
-    name = "shm-cleanup"
-    description = "SharedMemory create without matching unlink in a cleanup path"
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        creates: List[ast.Call] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = None
-            if isinstance(node.func, ast.Attribute):
-                name = node.func.attr
-            elif isinstance(node.func, ast.Name):
-                name = node.func.id
-            if name != "SharedMemory":
-                continue
-            for kw in node.keywords:
-                if kw.arg == "create" and isinstance(kw.value, ast.Constant) and kw.value.value is True:
-                    creates.append(node)
-                    break
-        if not creates:
-            return
-        if self._has_cleanup_unlink(ctx.tree):
-            return
-        for call in creates:
-            yield Violation(
-                path=ctx.path,
-                line=call.lineno,
-                col=call.col_offset,
-                code=self.code,
-                message=(
-                    "SharedMemory(create=True) without a .unlink() in a cleanup path "
-                    "(finally block or close/shutdown/cleanup function)"
-                ),
-            )
-
-    def _has_cleanup_unlink(self, tree: ast.Module) -> bool:
-        for fn, stmts in iter_scopes(tree):
-            in_cleanup_fn = fn is not None and any(
-                frag in fn.name.lower() for frag in _CLEANUP_NAMES
-            )
-            if in_cleanup_fn and _method_calls(stmts, "unlink"):
-                return True
-            for block in _finally_blocks(stmts):
-                if _method_calls(block, "unlink"):
-                    return True
-        return False
-
-
-@register
 class PinBalanceRule(Rule):
     """R005: a scope that calls ``pin_snapshot()`` must call
     ``unpin_snapshot()`` from a ``finally`` or ``except`` cleanup block of
@@ -363,78 +303,22 @@ class PinBalanceRule(Rule):
                 )
 
 
-def _handler_catches(handler: ast.ExceptHandler, exc_name: str) -> bool:
-    node = handler.type
-    candidates: List[ast.AST] = []
-    if node is None:
-        return False
-    if isinstance(node, ast.Tuple):
-        candidates.extend(node.elts)
-    else:
-        candidates.append(node)
-    for cand in candidates:
-        name = None
-        if isinstance(cand, ast.Name):
-            name = cand.id
-        elif isinstance(cand, ast.Attribute):
-            name = cand.attr
-        if name == exc_name:
-            return True
-    return False
-
-
-def _has_counter_increment(stmts: Sequence[ast.stmt]) -> bool:
-    for node in walk_scope(stmts):
-        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
-            return True
-        if isinstance(node, ast.Call):
-            name = None
-            if isinstance(node.func, ast.Attribute):
-                name = node.func.attr
-            elif isinstance(node.func, ast.Name):
-                name = node.func.id
-            if name and ("count" in name.lower() or name.lower() in {"increment", "incr"}):
-                return True
-    return False
-
-
-def _reraises(stmts: Sequence[ast.stmt]) -> bool:
-    return any(isinstance(node, ast.Raise) for node in walk_scope(stmts))
-
-
 @register
 class SwallowedFailureRule(Rule):
-    """R006: no bare ``except:``, and a handler that swallows
-    ``BrokenProcessPool`` (worker crash) must increment a crash/fallback
-    counter so the degradation is observable in stats."""
+    """R006: no bare ``except:`` -- it swallows ``KeyboardInterrupt`` and
+    ``SystemExit`` along with the failure it meant to catch."""
 
     code = "R006"
     name = "swallowed-failure"
-    description = "bare except, or BrokenProcessPool swallowed without a counter increment"
+    description = "bare except"
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
-            if node.type is None:
+            if isinstance(node, ast.ExceptHandler) and node.type is None:
                 yield Violation(
                     path=ctx.path,
                     line=node.lineno,
                     col=node.col_offset,
                     code=self.code,
                     message="bare 'except:' swallows KeyboardInterrupt/SystemExit; name the exceptions",
-                )
-                continue
-            if _handler_catches(node, "BrokenProcessPool"):
-                if _reraises(node.body) or _has_counter_increment(node.body):
-                    continue
-                yield Violation(
-                    path=ctx.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    code=self.code,
-                    message=(
-                        "BrokenProcessPool swallowed without a counter increment; "
-                        "worker crashes must be observable in stats"
-                    ),
                 )

@@ -4,8 +4,7 @@ Each *life* launches a child interpreter running a deterministic
 workload against one durable store directory, then ends it one of four
 ways chosen by a seeded RNG:
 
-    clean    the child performs its ops and exits 0 (sometimes with the
-             parallel pool enabled, so shm hygiene is exercised too)
+    clean    the child performs its ops and exits 0
     kill     SIGKILL after a random delay -- power loss at an arbitrary
              instant
     fault    a ``crash`` failpoint spec in ``REPRO_FAULTS`` makes the
@@ -24,12 +23,7 @@ invariants:
        query over a repair-key repair, so the probabilistic layer is
        compared too;
     3. no ``*.tmp`` debris and no orphan ``seg-*.seg`` files survive
-       recovery;
-    4. no ``maybms-*`` shared-memory segments owned by this run's
-       processes leak in ``/dev/shm``.  Segment names embed the
-       creating pid, so segments published by unrelated processes
-       sharing the machine (e.g. a concurrent test run) are reported
-       and ignored rather than blamed on the store.
+       recovery.
 
 The workload is a pure function of the op index, so the shadow oracle
 needs only the recovered op count.  Each op is acknowledged in an
@@ -148,19 +142,6 @@ def read_acks(ack_path: str) -> List[int]:
     return acked
 
 
-def shm_segments() -> List[str]:
-    return sorted(glob.glob("/dev/shm/maybms-*"))
-
-
-def shm_owner(segment: str) -> Optional[int]:
-    """The pid embedded in a pool segment name
-    (``maybms-<pid>-<counter>-<hex>``), or None if unparseable."""
-    parts = os.path.basename(segment).split("-")
-    if len(parts) >= 2 and parts[1].isdigit():
-        return int(parts[1])
-    return None
-
-
 def verify_store(path: str, acked: Sequence[int], seed: int) -> Dict[str, Any]:
     """Reopen the store and check every crash invariant; returns the
     life's verification record or raises AssertionError."""
@@ -245,15 +226,13 @@ def choose_life(rng: random.Random) -> Dict[str, Any]:
         ["clean", "kill", "fault", "enospc"], weights=[2, 3, 4, 1]
     )[0]
     life: Dict[str, Any] = {"mode": mode}
-    if mode == "clean":
-        life["parallel"] = rng.random() < 0.5
-    elif mode == "kill":
+    if mode == "kill":
         life["delay"] = rng.random() * 0.25
     elif mode == "fault":
         site = rng.choice(CRASH_SITES)
         nth = rng.randint(1, 12)
         life["spec"] = f"{site}=crash@{nth}"
-    else:
+    elif mode == "enospc":
         site = rng.choice(ENOSPC_SITES)
         nth = rng.randint(1, 6)
         life["spec"] = f"{site}=enospc@{nth}"
@@ -273,13 +252,9 @@ def run_life(
                     env.get("PYTHONPATH", "")] if p
     )
     env.pop("REPRO_FAULTS", None)
-    env.pop("REPRO_PARALLEL_WORKERS", None)
     if life.get("spec"):
         env["REPRO_FAULTS"] = life["spec"]
         env["REPRO_FAULTS_SEED"] = str(seed)
-    if life.get("parallel"):
-        env["REPRO_PARALLEL_WORKERS"] = "2"
-        env["REPRO_PARALLEL_MIN_ROWS"] = "1"
     try:
         os.remove(ack_path)
     except OSError:
@@ -310,7 +285,6 @@ def run_life(
     _, stderr = child.communicate(timeout=120)
     record = dict(life)
     record["exit_code"] = child.returncode
-    record["pid"] = child.pid
     if life["mode"] == "clean":
         assert child.returncode == 0, (
             f"clean life failed (exit {child.returncode}): "
@@ -338,8 +312,6 @@ def torture(
     rng = random.Random(seed)
     ack_path = path + ".ack"
     os.makedirs(path, exist_ok=True)
-    shm_before = set(shm_segments())
-    owned_pids = {os.getpid()}
     log = open(log_path, "a") if log_path else None
     print(f"torture: seed={seed} iterations={iterations} "
           f"ops-per-life={ops_per_life} path={path}", flush=True)
@@ -348,27 +320,9 @@ def torture(
             life = choose_life(rng)
             began = time.monotonic()
             record = run_life(path, ack_path, life, ops_per_life, seed)
-            owned_pids.add(record["pid"])
             acked = read_acks(ack_path)
             record.update(verify_store(path, acked, seed))
             verify_directory_hygiene(path)
-            # /dev/shm is machine-global: only segments created by this
-            # run's own processes count as leaks.  A concurrent test run
-            # publishes transient maybms-* segments under *its* pids;
-            # those are noted and baselined, not blamed on the store.
-            leaked, foreign = [], []
-            for segment in shm_segments():
-                if segment in shm_before:
-                    continue
-                if shm_owner(segment) in owned_pids:
-                    leaked.append(segment)
-                else:
-                    foreign.append(segment)
-            assert not leaked, f"shared-memory leak: {leaked}"
-            if foreign:
-                shm_before.update(foreign)
-                print(f"  (ignoring foreign shm segments: {foreign})",
-                      flush=True)
             record.update(
                 life=life_index,
                 acked=len(acked),
