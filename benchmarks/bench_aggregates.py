@@ -26,8 +26,9 @@ from repro.engine.types import FLOAT, INTEGER
 
 def chained_urelation(n_rows, chain_width=2):
     """Rows whose conditions chain consecutive variables: clause i uses
-    variables i..i+width-1.  One payload group, so conf sees one DNF with
-    n_rows clauses and heavy variable sharing; esum sees n_rows marginals.
+    variables i..i+width-1.  One payload group, so conf sees one lineage
+    with n_rows clauses and heavy variable sharing; esum sees n_rows
+    marginals.
     """
     registry = VariableRegistry()
     variables = [registry.fresh([0.6, 0.4]) for _ in range(n_rows + chain_width)]

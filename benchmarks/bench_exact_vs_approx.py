@@ -8,10 +8,11 @@ The sweep holds the clause count fixed and varies the variable pool, so
 the variable-to-clause ratio runs from << 1 (few, heavily shared
 variables: shallow elimination trees, tiny world count) to >> 1 (near-
 disjoint clauses: one decomposition step).  The approximation's cost is
-roughly flat -- the DKLR sample count depends on ε, δ and the DNF's mean,
+roughly flat -- the DKLR sample count depends on ε, δ and the lineage's mean,
 not its ratio -- so the exact algorithm wins at both ends and the
 approximation is competitive only in the middle band, which is the
-paper's claimed shape.
+paper's claimed shape.  Instances are :class:`repro.core.lineage.Lineage`
+values from :mod:`repro.datagen.random_dnf`.
 
 C-ACONF additionally validates the (ε,δ) guarantee and DKLR's
 variance-adaptive sample counts.
@@ -23,9 +24,9 @@ import pytest
 
 from conftest import timed
 
-from repro.core.confidence.dklr import aconf, approximate_confidence
-from repro.core.confidence.exact import ExactConfidenceEngine, exact_confidence
-from repro.core.confidence.karp_luby import karp_luby_confidence
+from repro.core.confidence.dklr import approximate_confidence
+from repro.core.confidence.exact import ExactConfidenceEngine
+from repro.core.confidence.karp_luby import KarpLubyEstimator
 from repro.datagen.random_dnf import random_dnf, ratio_sweep_instances
 
 CLAUSES = 40
@@ -38,6 +39,10 @@ EPSILON = 0.25
 DELTA = 0.1
 
 
+def aconf(lineage, registry, epsilon, delta, rng):
+    return approximate_confidence(lineage, registry, epsilon, delta, rng).estimate
+
+
 def sweep_instances(seed=101):
     rng = random.Random(seed)
     return ratio_sweep_instances(CLAUSES, RATIOS, WIDTH, rng)
@@ -48,19 +53,19 @@ class TestCrossoverShape:
         """The C-EXACT series: per ratio, exact vs aconf runtime."""
         rows = []
         exact_times, approx_times = [], []
-        for ratio, dnf, registry in sweep_instances():
+        for ratio, lineage, registry in sweep_instances():
             engine = ExactConfidenceEngine(registry)
-            exact_seconds, p_exact = timed(engine.probability, dnf)
+            exact_seconds, p_exact = timed(engine.probability, lineage)
             rng = random.Random(7)
             approx_seconds, p_approx = timed(
-                aconf, dnf, registry, EPSILON, DELTA, rng
+                aconf, lineage, registry, EPSILON, DELTA, rng
             )
             exact_times.append(exact_seconds)
             approx_times.append(approx_seconds)
             rows.append(
                 (
                     ratio,
-                    dnf.variable_count(),
+                    len(lineage.variables()),
                     exact_seconds * 1e3,
                     approx_seconds * 1e3,
                     p_exact,
@@ -92,15 +97,15 @@ class TestCrossoverShape:
         rows = []
         for n_clauses in (4, 8, 16, 32, 64):
             rng = random.Random(300 + n_clauses)
-            dnf, registry = random_dnf(
+            lineage, registry = random_dnf(
                 max(2, n_clauses // 2), n_clauses, WIDTH, rng
             )
             engine = ExactConfidenceEngine(registry)
-            seconds, _ = timed(engine.probability, dnf)
+            seconds, _ = timed(engine.probability, lineage)
             rows.append(
                 (
                     n_clauses,
-                    dnf.variable_count(),
+                    len(lineage.variables()),
                     seconds * 1e3,
                     engine.statistics.subproblems,
                 )
@@ -115,32 +120,31 @@ class TestCrossoverShape:
 
 class TestHeadlineBenchmarks:
     def test_exact_low_ratio(self, benchmark):
-        ratio, dnf, registry = sweep_instances()[0]
-        engine = ExactConfidenceEngine(registry)
-        p = benchmark(lambda: ExactConfidenceEngine(registry).probability(dnf))
+        ratio, lineage, registry = sweep_instances()[0]
+        p = benchmark(lambda: ExactConfidenceEngine(registry).probability(lineage))
         assert 0.0 <= p <= 1.0
 
     def test_exact_high_ratio(self, benchmark):
-        ratio, dnf, registry = sweep_instances()[-1]
-        p = benchmark(lambda: ExactConfidenceEngine(registry).probability(dnf))
+        ratio, lineage, registry = sweep_instances()[-1]
+        p = benchmark(lambda: ExactConfidenceEngine(registry).probability(lineage))
         assert 0.0 <= p <= 1.0
 
     def test_aconf_mid_ratio(self, benchmark):
         instances = sweep_instances()
-        ratio, dnf, registry = instances[len(instances) // 2]
+        ratio, lineage, registry = instances[len(instances) // 2]
         rng = random.Random(5)
         p = benchmark.pedantic(
-            lambda: aconf(dnf, registry, EPSILON, DELTA, rng),
+            lambda: aconf(lineage, registry, EPSILON, DELTA, rng),
             rounds=3,
             iterations=1,
         )
         assert 0.0 <= p <= 1.2
 
     def test_karp_luby_fixed_budget(self, benchmark):
-        ratio, dnf, registry = sweep_instances()[2]
-        rng = random.Random(5)
+        ratio, lineage, registry = sweep_instances()[2]
+        estimator = KarpLubyEstimator(lineage, registry, random.Random(5))
         p = benchmark.pedantic(
-            lambda: karp_luby_confidence(dnf, registry, 5_000, rng),
+            lambda: estimator.estimate(5_000),
             rounds=3,
             iterations=1,
         )
@@ -151,14 +155,14 @@ class TestAconfGuarantee:
     def test_epsilon_delta_guarantee_sweep(self, benchmark, report):
         """C-ACONF: empirical failure rate of the (ε,δ) promise."""
         rng = random.Random(9)
-        dnf, registry = random_dnf(8, 10, 2, rng)
-        exact = exact_confidence(dnf, registry)
+        lineage, registry = random_dnf(8, 10, 2, rng)
+        exact = ExactConfidenceEngine(registry).probability(lineage)
         failures = 0
         runs = 25
         total_samples = 0
         for seed in range(runs):
             result = approximate_confidence(
-                dnf, registry, 0.2, 0.2, random.Random(9000 + seed)
+                lineage, registry, 0.2, 0.2, random.Random(9000 + seed)
             )
             total_samples += result.total_samples
             if abs(result.estimate - exact) > 0.2 * exact:
@@ -176,11 +180,11 @@ class TestAconfGuarantee:
         main-run samples than high-variance ones at equal (ε, δ)."""
         registry_rng = random.Random(42)
         # High-variance instance: p around 0.5 with many clauses.
-        dnf_hi, registry_hi = random_dnf(10, 10, 2, registry_rng)
+        lineage_hi, registry_hi = random_dnf(10, 10, 2, registry_rng)
         # Low-variance instance: single clause (Z is constant 1).
-        dnf_lo, registry_lo = random_dnf(4, 1, 2, registry_rng)
-        hi = approximate_confidence(dnf_hi, registry_hi, 0.05, 0.05, random.Random(1))
-        lo = approximate_confidence(dnf_lo, registry_lo, 0.05, 0.05, random.Random(1))
+        lineage_lo, registry_lo = random_dnf(4, 1, 2, registry_rng)
+        hi = approximate_confidence(lineage_hi, registry_hi, 0.05, 0.05, random.Random(1))
+        lo = approximate_confidence(lineage_lo, registry_lo, 0.05, 0.05, random.Random(1))
         report(
             "C-ACONF: DKLR sample adaptivity (ε=δ=0.05)",
             ["instance", "pilot", "variance", "main", "total"],

@@ -4,112 +4,111 @@ Section 2.3: "For tractable queries on probabilistic databases, MayBMS
 uses the SPROUT codebase for scalable query processing by reduction of
 confidence computation to a sequence of SQL-like aggregations."
 
-This example builds a tuple-independent probabilistic TPC-H-like database
-(every tuple carries a presence probability -- think uncertain data
-integration), then:
+This example loads a TPC-H-like database and makes every customer, order
+and (year, status) row uncertain with ``pick tuples ... independently
+with probability p`` -- the tuple-independent tables SPROUT is about.
+Then, through SQL only:
 
-1. checks which queries are *hierarchical* (tractable),
-2. evaluates a hierarchical query with SPROUT's eager and lazy safe
-   plans and with the general-purpose exact engine, confirming agreement,
-3. demonstrates the unsafe query H0, where safe plans must refuse and the
-   exact (#P-hard) engine takes over.
+1. the hierarchical query "which nations have a customer with an
+   expensive order" -- EXPLAIN shows every ``conf()`` group answered by
+   the array pass over the condition columns, ``sprout[vectorized]``;
+2. the three-way join that also requires the order's (year, status) row
+   -- not hierarchical, so EXPLAIN shows groups going to the ``exact``
+   ws-tree engine;
+3. both answered again under a forced ``exact`` strategy: the safe plans
+   and the general exact algorithm must agree.
 
 Run:  python examples/sprout_safe_plans.py
 """
 
 import time
 
-from repro.core.confidence.exact import ExactConfidenceEngine
-from repro.core.confidence.sprout import (
-    ConjunctiveQuery,
-    Subgoal,
-    Var,
-    is_hierarchical,
-    query_lineage,
-    sprout_confidence,
-)
+from repro import INTEGER, TEXT, MayBMS, Relation, Schema
 from repro.datagen.tpch import TpchGenerator
-from repro.errors import UnsafeQueryError
+
+EXPENSIVE = "o.totalprice > 250000"
+
+HIERARCHICAL = (
+    "select c.nation, conf() as p from u_orders o, u_customer c "
+    f"where o.custkey = c.custkey and {EXPENSIVE} group by c.nation"
+)
+
+THREE_WAY = (
+    "select c.nation, conf() as p from u_orders o, u_customer c, u_yr y "
+    "where o.custkey = c.custkey and o.orderyear = y.orderyear "
+    f"and o.status = y.status and {EXPENSIVE} group by c.nation"
+)
+
+
+def load(db: MayBMS) -> None:
+    gen = TpchGenerator(scale=0.3, seed=11)
+    db.create_table_from_relation("customer", gen.customers())
+    db.create_table_from_relation("orders", gen.orders())
+    years = sorted({row[4] for row in gen.orders().rows})
+    db.create_table_from_relation(
+        "yr",
+        Relation(
+            Schema.of(("orderyear", INTEGER), ("status", TEXT)),
+            [(year, status) for year in years for status in ("O", "F", "P")],
+        ),
+    )
+    for target, source, p in (
+        ("u_customer", "customer", 0.8),
+        ("u_orders", "orders", 0.8),
+        ("u_yr", "yr", 0.6),
+    ):
+        db.execute(
+            f"create table {target} as select * from "
+            f"(pick tuples from {source} independently with probability {p}) x"
+        )
+    print(
+        f"Tuple-independent tables: {len(gen.customers())} customers, "
+        f"{len(gen.orders())} orders, {3 * len(years)} (year, status) rows\n"
+    )
+
+
+def confidence_line(db: MayBMS, sql: str) -> str:
+    """The strategy line EXPLAIN prints for the query's conf() call."""
+    plan = [row[0].strip() for row in db.query("explain " + sql)]
+    return next(line for line in plan if line.startswith("conf:"))
+
+
+def answers(db: MayBMS, sql: str):
+    started = time.perf_counter()
+    rows = dict(db.query(sql).rows)
+    return rows, (time.perf_counter() - started) * 1e3
 
 
 def main() -> None:
-    gen = TpchGenerator(scale=0.3, seed=11)
-    db = gen.tuple_independent_database()
-    print(
-        f"Tuple-independent database: {len(db['customer'])} customers, "
-        f"{len(db['orders'])} orders, {len(db['lineitem'])} lineitems\n"
-    )
+    db = MayBMS(seed=7)
+    load(db)
 
-    # Q: which customers (by key) have some order with some lineitem?
-    # q(c) :- orders(o, c, ...), lineitem(o, ...)
-    query = ConjunctiveQuery(
-        ["c"],
-        [
-            Subgoal("orders", [Var("o"), Var("c"), Var("st"), Var("tp"), Var("yr")]),
-            Subgoal("lineitem", [Var("o"), Var("ln"), Var("q"), Var("pr"), Var("d")]),
-        ],
-    )
-    print(f"Query: {query!r}")
-    print(f"Hierarchical (tractable)? {is_hierarchical(query)}\n")
+    results = {}
+    for name, sql, strategy in (
+        ("hierarchical", HIERARCHICAL, "sprout[vectorized]"),
+        ("three-way", THREE_WAY, "exact"),
+    ):
+        line = confidence_line(db, sql)
+        print(f"{name} query, EXPLAIN says:  {line}")
+        assert strategy in line, line
+        results[name] = answers(db, sql)
 
-    started = time.perf_counter()
-    eager = sprout_confidence(query, db, "eager")
-    eager_time = time.perf_counter() - started
-
-    started = time.perf_counter()
-    lazy = sprout_confidence(query, db, "lazy")
-    lazy_time = time.perf_counter() - started
-
-    started = time.perf_counter()
-    lineages, registry = query_lineage(query, db)
-    engine = ExactConfidenceEngine(registry)
-    exact = {key: engine.probability(dnf) for key, dnf in lineages.items()}
-    exact_time = time.perf_counter() - started
-
-    lazy_by_key = {row[:-1]: row[-1] for row in lazy}
-    worst = max(
-        max(abs(row[-1] - lazy_by_key[row[:-1]]) for row in eager),
-        max(abs(row[-1] - exact[row[:-1]]) for row in eager),
-    )
-    print(f"{len(eager)} answers; max deviation eager/lazy/exact: {worst:.2e}")
-    print(
-        f"timings: eager plan {eager_time * 1e3:7.1f} ms | "
-        f"lazy plan {lazy_time * 1e3:7.1f} ms | "
-        f"general exact {exact_time * 1e3:7.1f} ms"
-    )
-
-    print("\nTop-5 most probable answers (customer keys):")
-    for row in sorted(eager.rows, key=lambda r: -r[-1])[:5]:
-        print(f"  custkey={row[0]:<6}  P(answer) = {row[1]:.4f}")
-
-    # The unsafe query H0: exists customer-order-lineitem chain through
-    # *shared attributes* in a pattern that is provably #P-hard.
-    h0 = ConjunctiveQuery(
-        [],
-        [
-            Subgoal("customer", [Var("c"), Var("n"), Var("na"), Var("sg"), Var("ab")]),
-            Subgoal("orders", [Var("o"), Var("c"), Var("st"), Var("tp"), Var("yr")]),
-            Subgoal("lineitem", [Var("o"), Var("ln"), Var("q"), Var("pr"), Var("d")]),
-        ],
-    )
-    print(f"\nUnsafe query H0-shaped: {h0!r}")
-    print(f"Hierarchical? {is_hierarchical(h0)}")
-    try:
-        sprout_confidence(h0, db)
-    except UnsafeQueryError as exc:
-        print(f"SPROUT refuses, as it must: {str(exc)[:72]}...")
-
-    # The general-purpose path still answers it (on a smaller instance --
-    # the exact algorithm is exponential in the worst case).
-    small = TpchGenerator(scale=0.02, seed=11).tuple_independent_database()
-    lineages, registry = query_lineage(h0, small)
-    engine = ExactConfidenceEngine(registry)
-    for key, dnf in lineages.items():
+    db.set_confidence_strategy("exact", exact_budget=None)
+    print()
+    for name, sql in (("hierarchical", HIERARCHICAL), ("three-way", THREE_WAY)):
+        (auto, auto_ms), (exact, exact_ms) = results[name], answers(db, sql)
+        assert auto.keys() == exact.keys()
+        worst = max(abs(auto[key] - exact[key]) for key in auto)
+        assert worst < 1e-9, (name, worst)
         print(
-            f"exact engine on small instance: P(H0) = "
-            f"{engine.probability(dnf):.6f} "
-            f"({dnf.clause_count()} clauses, {dnf.variable_count()} variables)"
+            f"{name:12}: {len(auto)} nations, auto {auto_ms:6.1f} ms, "
+            f"forced exact {exact_ms:6.1f} ms, max difference {worst:.1e}"
         )
+
+    print("\nMost probable nations for the hierarchical query:")
+    ranked = sorted(results["hierarchical"][0].items(), key=lambda kv: -kv[1])
+    for nation, p in ranked[:5]:
+        print(f"  {nation:<12} P = {p:.4f}")
 
 
 if __name__ == "__main__":

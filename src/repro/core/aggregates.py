@@ -158,8 +158,7 @@ def conf(
     (:mod:`repro.core.confidence.dispatch`), which picks closed-form /
     SPROUT safe evaluation / exact ws-trees / Monte Carlo per independent
     component.  Passing ``engine`` forces the exact ws-tree engine for
-    every group (the pre-dispatcher behaviour, kept for ablations and
-    benchmarks).
+    every group, skipping the array pass (the pre-dispatcher behaviour).
     """
     positions, projections, row_groups = _groups(urel, group_columns)
     if engine is not None:

@@ -60,8 +60,8 @@ class AtomTable(NamedTuple):
 
     def probabilities(self, registry: VariableRegistry):
         """Per distinct atom, its marginal: one registry look-up each.
-        The stored ``_p{i}`` columns are not used -- under a conditioned
-        registry clone they are stale.  Atoms on the top variable are
+        The stored ``_p{i}`` columns are not used -- under a registry
+        clone with other distributions they are stale.  Atoms on the top variable are
         padding and always true."""
         np = columnar.np
         out = np.array(

@@ -39,12 +39,12 @@ renders them next to the relational plan fragments, and the
 from __future__ import annotations
 
 import random
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.confidence.dklr import approximate_confidence
-from repro.core.confidence.dnf import LineageLike
 from repro.core.confidence.exact import ExactConfidenceEngine
 from repro.core.confidence.sprout import safe_lineage_confidence
 from repro.core.lineage import Lineage, combine_independent
@@ -150,27 +150,36 @@ class ConfidenceEvent:
         return text
 
 
-_TRACES: List[List[ConfidenceEvent]] = []
+class _TraceStack(threading.local):
+    """The calling thread's active event buffers: one session's EXPLAIN
+    records only its own statements' events (the server runs one thread
+    per connection)."""
+
+    def __init__(self) -> None:
+        self.buffers: List[List[ConfidenceEvent]] = []
+
+
+_TRACES = _TraceStack()
 
 
 @contextmanager
 def trace_confidence() -> Iterator[List[ConfidenceEvent]]:
     """Collect a :class:`ConfidenceEvent` per confidence aggregate executed
-    in this scope; the EXPLAIN statement renders them."""
+    in this scope, on this thread; the EXPLAIN statement renders them."""
     buffer: List[ConfidenceEvent] = []
-    _TRACES.append(buffer)
+    _TRACES.buffers.append(buffer)
     try:
         yield buffer
     finally:
-        _TRACES.pop()
+        _TRACES.buffers.pop()
 
 
 def tracing_active() -> bool:
-    return bool(_TRACES)
+    return bool(_TRACES.buffers)
 
 
 def record_event(event: ConfidenceEvent) -> None:
-    for buffer in _TRACES:
+    for buffer in _TRACES.buffers:
         buffer.append(event)
 
 
@@ -184,7 +193,7 @@ def record_aggregate(
     trace is active): the ``vectorized`` groups the array pass answered
     (:mod:`repro.core.confidence.columnar`), counted per group, then the
     dispatch results of the others, counted per component."""
-    if not _TRACES:
+    if not _TRACES.buffers:
         return
     counts: Dict[str, int] = {}
     for result in results:
@@ -248,11 +257,11 @@ class ConfidenceDispatcher:
         return self._budgeted_exact
 
     # -- public API ---------------------------------------------------------
-    def probability(self, lineage: LineageLike) -> DispatchResult:
+    def probability(self, lineage: Lineage) -> DispatchResult:
         """P(lineage) with per-component strategy choice (the ``conf()``
         semantics: exact unless the exact budget blows, in which case the
         affected component degrades to an (ε,δ) estimate)."""
-        lineage = Lineage.of(lineage, self.registry).simplified()
+        lineage = lineage.simplified()
         strategy = self.policy.strategy
         if strategy != "auto":
             return self._forced(lineage, strategy)
@@ -292,7 +301,7 @@ class ConfidenceDispatcher:
 
     def approximate(
         self,
-        lineage: LineageLike,
+        lineage: Lineage,
         epsilon: float,
         delta: float,
         unit_seed: Optional[int] = None,
@@ -312,7 +321,7 @@ class ConfidenceDispatcher:
         deterministic regardless, so a fresh dispatcher and the store's
         long-lived one return the same answer for the same (lineage, seed).
         """
-        lineage = Lineage.of(lineage, self.registry).simplified()
+        lineage = lineage.simplified()
         stats = lineage.stats(test_hierarchy=False)
         decision_shape = (stats.clause_count, stats.variable_count)
         if self.policy.strategy in ("auto", STRATEGY_SPROUT):
@@ -350,7 +359,7 @@ class ConfidenceDispatcher:
         )
 
     def group_probabilities(
-        self, lineages: Sequence[LineageLike]
+        self, lineages: Sequence[Lineage]
     ) -> List[DispatchResult]:
         return [self.probability(lineage) for lineage in lineages]
 

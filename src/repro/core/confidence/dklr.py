@@ -38,9 +38,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from repro.core.confidence.dnf import DNF
-from repro.core.confidence.dnf import LineageLike
 from repro.core.confidence.karp_luby import KarpLubyEstimator
+from repro.core.lineage import Lineage
 from repro.core.variables import VariableRegistry
 from repro.errors import ConfidenceError
 
@@ -218,14 +217,14 @@ def _blocked_main_run(
 
 
 def approximate_confidence(
-    dnf: LineageLike,
+    lineage: Lineage,
     registry: VariableRegistry,
     epsilon: float = 0.1,
     delta: float = 0.05,
     rng: Optional[random.Random] = None,
     unit_seed: Optional[int] = None,
 ) -> ApproximationResult:
-    """``aconf(ε, δ)``: DKLR-driven Karp-Luby approximation of P(dnf).
+    """``aconf(ε, δ)``: DKLR-driven Karp-Luby approximation of P(lineage).
 
     The AA guarantee on the Bernoulli mean μ_Z = p/U transfers to
     p = U·μ_Z because U is a known constant: relative error is preserved
@@ -242,7 +241,7 @@ def approximate_confidence(
     """
     if unit_seed is not None:
         rng = random.Random(fnv_mix(unit_seed, 0))
-    estimator = KarpLubyEstimator(dnf, registry, rng)
+    estimator = KarpLubyEstimator(lineage, registry, rng)
     if estimator.is_trivial:
         return ApproximationResult(estimator.trivial_probability, 0, 0, 0)
     main_run = (
@@ -256,13 +255,3 @@ def approximate_confidence(
         main_samples=result.main_samples,
     )
 
-
-def aconf(
-    dnf: LineageLike,
-    registry: VariableRegistry,
-    epsilon: float = 0.1,
-    delta: float = 0.05,
-    rng: Optional[random.Random] = None,
-) -> float:
-    """The scalar form of :func:`approximate_confidence`."""
-    return approximate_confidence(dnf, registry, epsilon, delta, rng).estimate

@@ -21,11 +21,13 @@ worlds partition by x's value, so
 where D | x = v drops clauses disagreeing on x and consumes agreeing
 atoms.
 
-The recursion terminates because every step either removes a variable or
-splits the clause set.  The computation is recorded as a decomposition
-tree (*ws-tree*) that callers can inspect; sub-DNF results are memoized on
-the DNF's canonical form (two duplicates of a tuple often induce
-overlapping sub-problems).
+The recursion runs on the lineage IR itself
+(:class:`~repro.core.lineage.Lineage`: components, cofactors and
+canonical keys over one clause arena) and terminates because every step
+either removes a variable or splits the clause set.  The computation is
+recorded as a decomposition tree (*ws-tree*) that callers can inspect;
+sub-lineage results are memoized on their canonical form (two duplicates
+of a tuple often induce overlapping sub-problems).
 
 Heuristics: decomposition is applied whenever it makes progress (it only
 multiplies independent results -- always beneficial).  Otherwise the
@@ -37,11 +39,9 @@ fastest), then smaller domain, then lower id for determinism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.confidence.dnf import DNF, LineageLike
 from repro.core.lineage import Lineage
-from repro.core.lineage import group_lineages as _lineage_groups
 from repro.core.variables import VariableRegistry
 from repro.errors import ConfidenceError, CostBudgetExceededError
 
@@ -51,7 +51,7 @@ class WSTreeNode:
     """One node of the decomposition (ws-)tree.
 
     ``kind`` is one of:
-    - ``"false"`` / ``"true"`` -- leaves (empty DNF / empty clause);
+    - ``"false"`` / ``"true"`` -- leaves (empty lineage / empty clause);
     - ``"clause"`` -- a single-clause leaf, probability = atom product;
     - ``"decompose"`` -- children are independent components;
     - ``"eliminate"`` -- children are the cofactors per domain value of
@@ -96,83 +96,57 @@ class ExactStatistics:
     subproblems: int = 0
 
 
-#: Variable-elimination heuristics (for the ablation study, C-ABLATE):
-#: - "frequency": most-occurring variable first (the cost-estimation
-#:   heuristic described in [3]) -- the default;
-#: - "min-domain": fewest branches first;
-#: - "first": lowest variable id (no cost estimation at all).
-VARIABLE_HEURISTICS = ("frequency", "min-domain", "first")
-
-
 class ExactConfidenceEngine:
     """Reusable exact engine with memoization across calls.
 
     One engine per registry: memoized probabilities depend on the variable
-    distributions.  ``variable_heuristic``/``memoize``/``decompose`` exist
-    so the ablation benchmarks can quantify each design choice; production
-    callers use the defaults.
+    distributions.
     """
 
     def __init__(
         self,
         registry: VariableRegistry,
         build_tree: bool = False,
-        variable_heuristic: str = "frequency",
-        memoize: bool = True,
-        decompose: bool = True,
         max_subproblems: Optional[int] = None,
     ):
-        if variable_heuristic not in VARIABLE_HEURISTICS:
-            raise ConfidenceError(
-                f"unknown variable heuristic {variable_heuristic!r}; "
-                f"expected one of {VARIABLE_HEURISTICS}"
-            )
         self.registry = registry
         self.build_tree = build_tree
-        self.variable_heuristic = variable_heuristic
-        self.memoize = memoize
-        self.decompose = decompose
         self.max_subproblems = max_subproblems
         self.statistics = ExactStatistics()
         self._memo: Dict[tuple, float] = {}
         self._budget_base = 0
 
     # -- public API ---------------------------------------------------------
-    def probability(self, dnf: LineageLike) -> float:
-        """P(dnf), exactly.
+    def probability(self, lineage: Lineage) -> float:
+        """P(lineage), exactly.
 
-        Accepts the shared lineage IR or a legacy DNF.  An
-        already-simplified lineage skips re-normalization (the IR did the
-        zero-probability/duplicate/subsumption work once for all engines).
-        Raises :class:`CostBudgetExceededError` when ``max_subproblems``
-        is set and the decomposition exceeds it.
+        An already-simplified lineage skips re-simplification (the IR did
+        the zero-probability/duplicate/subsumption work once for all
+        engines).  Raises :class:`CostBudgetExceededError` when
+        ``max_subproblems`` is set and the decomposition exceeds it.
         """
-        probability, _ = self._solve(self._prepare(dnf))
+        probability, _ = self._solve(self._prepare(lineage))
         return probability
 
-    def probability_with_tree(self, dnf: LineageLike) -> Tuple[float, WSTreeNode]:
-        """P(dnf) plus the decomposition tree (forces tree construction)."""
+    def probability_with_tree(self, lineage: Lineage) -> Tuple[float, WSTreeNode]:
+        """P(lineage) plus the decomposition tree (forces tree construction)."""
         saved = self.build_tree
         self.build_tree = True
         try:
-            probability, tree = self._solve(self._prepare(dnf))
+            probability, tree = self._solve(self._prepare(lineage))
             assert tree is not None
             return probability, tree
         finally:
             self.build_tree = saved
 
-    def _prepare(self, dnf: LineageLike) -> DNF:
+    def _prepare(self, lineage: Lineage) -> Lineage:
         # The budget is per top-level call (the engine is reused across
         # groups for memo sharing, so the lifetime counter keeps growing).
         self._budget_base = self.statistics.subproblems
-        if isinstance(dnf, Lineage):
-            # Clauses are shared Condition objects; wrapping them in the
-            # recursion's DNF container copies nothing.
-            return DNF(dnf.simplified().clauses)
-        return dnf.normalized(self.registry)
+        return lineage.simplified()
 
     # -- recursion ------------------------------------------------------------
-    def _solve(self, dnf: DNF) -> Tuple[float, Optional[WSTreeNode]]:
+    def _solve(self, lineage: Lineage) -> Tuple[float, Optional[WSTreeNode]]:
         self.statistics.subproblems += 1
         if (
             self.max_subproblems is not None
@@ -184,23 +158,23 @@ class ExactConfidenceEngine:
                 f"{self.max_subproblems} subproblems"
             )
 
-        if dnf.is_false:
+        if lineage.is_false:
             return 0.0, self._leaf("false", 0.0)
-        if dnf.is_true:
+        if lineage.is_true:
             return 1.0, self._leaf("true", 1.0)
 
-        key = dnf.canonical_key()
-        if self.memoize and key in self._memo and not self.build_tree:
+        key = lineage.canonical_key()
+        if key in self._memo and not self.build_tree:
             self.statistics.memo_hits += 1
             return self._memo[key], None
 
-        if len(dnf) == 1:
+        if len(lineage) == 1:
             self.statistics.clause_leaves += 1
-            p = dnf.clauses[0].probability(self.registry)
+            p = lineage.clauses[0].probability(self.registry)
             self._remember(key, p)
             return p, self._leaf("clause", p)
 
-        components = dnf.independent_components() if self.decompose else [dnf]
+        components = lineage.components()
         if len(components) > 1:
             self.statistics.decompositions += 1
             probability = 1.0
@@ -217,14 +191,14 @@ class ExactConfidenceEngine:
                 return probability, WSTreeNode("decompose", probability, children=children)
             return probability, None
 
-        variable = self._choose_variable(dnf)
+        variable = self._choose_variable(lineage)
         self.statistics.eliminations += 1
         probability = 0.0
         values, value_probs, children = [], [], []
         for value, p_value in self.registry.distribution(variable).items():
             if p_value == 0.0:
                 continue
-            cofactor = dnf.restrict(variable, value)
+            cofactor = lineage.restrict(variable, value)
             p_cofactor, child = self._solve(cofactor)
             probability += p_value * p_cofactor
             values.append(value)
@@ -243,25 +217,17 @@ class ExactConfidenceEngine:
             )
         return probability, None
 
-    def _choose_variable(self, dnf: DNF) -> int:
+    def _choose_variable(self, lineage: Lineage) -> int:
         """Cost-estimation heuristic for the elimination variable.
 
-        The default ("frequency") prefers the variable occurring in the
-        most clauses: each branch of the expansion then touches (removes
-        or shrinks) the most clauses, maximizing the chance that cofactors
-        decompose.  Ties break toward smaller domains (fewer branches),
-        then smaller ids (determinism).
+        Prefers the variable occurring in the most clauses: each branch of
+        the expansion then touches (removes or shrinks) the most clauses,
+        maximizing the chance that cofactors decompose.  Ties break toward
+        smaller domains (fewer branches), then smaller ids (determinism).
         """
-        counts = dnf.occurrence_counts()
+        counts = lineage.occurrence_counts()
         if not counts:
-            raise ConfidenceError("cannot eliminate: DNF has no variables")
-        if self.variable_heuristic == "first":
-            return min(counts)
-        if self.variable_heuristic == "min-domain":
-            return min(
-                counts,
-                key=lambda var: (self.registry.domain_size(var), -counts[var], var),
-            )
+            raise ConfidenceError("cannot eliminate: lineage has no variables")
         return min(
             counts,
             key=lambda var: (-counts[var], self.registry.domain_size(var), var),
@@ -274,40 +240,12 @@ class ExactConfidenceEngine:
     MAX_MEMO_ENTRIES = 1_000_000
 
     def _remember(self, key: tuple, probability: float) -> None:
-        if self.memoize:
-            if len(self._memo) >= self.MAX_MEMO_ENTRIES:
-                self._memo.clear()
-            self._memo[key] = probability
+        if len(self._memo) >= self.MAX_MEMO_ENTRIES:
+            self._memo.clear()
+        self._memo[key] = probability
 
     def _leaf(self, kind: str, probability: float) -> Optional[WSTreeNode]:
         if not self.build_tree:
             return None
         return WSTreeNode(kind, probability)
 
-
-def exact_confidence(
-    dnf: LineageLike, registry: VariableRegistry
-) -> float:
-    """One-shot exact probability of a lineage (IR or DNF)."""
-    return ExactConfidenceEngine(registry).probability(dnf)
-
-
-def group_lineages(
-    urel, row_groups: Sequence[Sequence[int]]
-) -> List[Lineage]:
-    """Per-group lineages read straight off a U-relation's condition
-    columns -- a thin alias of :func:`repro.core.lineage.group_lineages`,
-    kept here because the ``conf()`` aggregate historically imported it
-    from the exact engine."""
-    return _lineage_groups(urel, row_groups)
-
-
-def group_probabilities(
-    urel,
-    row_groups: Sequence[Sequence[int]],
-    engine: Optional[ExactConfidenceEngine] = None,
-) -> List[float]:
-    """Exact confidence per group of row indexes of a U-relation: the
-    column-consuming entry point behind the forced-exact ``conf()`` path."""
-    engine = engine if engine is not None else ExactConfidenceEngine(urel.registry)
-    return [engine.probability(lineage) for lineage in group_lineages(urel, row_groups)]

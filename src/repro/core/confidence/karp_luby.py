@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
-from repro.core.confidence.dnf import DNF, LineageLike
 from repro.core.lineage import Lineage
 from repro.core.variables import VariableRegistry
 from repro.engine.columnar import HAVE_NUMPY, np
@@ -47,33 +46,27 @@ _VECTOR_MIN_SAMPLES = 64
 class KarpLubyEstimator:
     """Sampler for the Karp-Luby Bernoulli variable of a lineage.
 
-    Accepts the shared lineage IR or a legacy DNF; construction simplifies
-    (drops inconsistent / zero-probability / subsumed clauses) unless the
-    lineage is already simplified, and reads clause probabilities from the
-    IR's interned-clause cache.  ``is_trivial`` reports lineages whose
-    probability is 0 or 1 outright; callers must check it before sampling.
+    Construction simplifies the lineage (drops zero-probability /
+    duplicate / subsumed clauses) unless it is already simplified, and
+    reads clause probabilities from the IR's interned-clause cache.
+    ``is_trivial`` reports lineages whose probability is 0 or 1 outright;
+    callers must check it before sampling.
     """
 
     def __init__(
         self,
-        dnf: LineageLike,
+        lineage: Lineage,
         registry: VariableRegistry,
         rng: Optional[random.Random] = None,
     ):
         self.registry = registry
         self.rng = rng if rng is not None else random.Random(0)
-        self.lineage = Lineage.of(dnf, registry).simplified()
+        self.lineage = lineage.simplified()
         self.clause_probabilities = self.lineage.clause_probabilities()
         self.total_weight = sum(self.clause_probabilities)  # U = Σ pᵢ
         self.variables = sorted(self.lineage.variables())
         self._cumulative = list(itertools.accumulate(self.clause_probabilities))
         self.samples_drawn = 0
-
-    @property
-    def dnf(self) -> DNF:
-        """The simplified lineage as a DNF (kept for callers that predate
-        the IR; the clause objects are shared, not copied)."""
-        return DNF(self.lineage.clauses)
 
     # -- trivial cases ------------------------------------------------------
     @property
@@ -86,7 +79,7 @@ class KarpLubyEstimator:
             return 0.0
         if self.lineage.is_true:
             return 1.0
-        raise ConfidenceError("DNF is not trivial")
+        raise ConfidenceError("lineage is not trivial")
 
     # -- sampling -------------------------------------------------------------
     def _sample_clause_index(self) -> int:
@@ -101,7 +94,7 @@ class KarpLubyEstimator:
     def sample(self) -> int:
         """Draw one Bernoulli sample Z (see module docstring)."""
         if self.is_trivial:
-            raise ConfidenceError("sampling a trivial DNF; use trivial_probability")
+            raise ConfidenceError("sampling a trivial lineage; use trivial_probability")
         self.samples_drawn += 1
         index = self._sample_clause_index()
         clause = self.lineage.clauses[index]
@@ -204,15 +197,3 @@ class KarpLubyEstimator:
             return 0.0
         return max(self.clause_probabilities) / self.total_weight
 
-
-def karp_luby_confidence(
-    dnf: LineageLike,
-    registry: VariableRegistry,
-    samples: int,
-    rng: Optional[random.Random] = None,
-) -> float:
-    """Convenience wrapper: fixed-budget Karp-Luby estimate of P(dnf)."""
-    estimator = KarpLubyEstimator(dnf, registry, rng)
-    if estimator.is_trivial:
-        return estimator.trivial_probability
-    return estimator.estimate(samples)

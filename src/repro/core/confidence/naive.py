@@ -3,7 +3,7 @@
 Two independent ground-truth implementations:
 
 - :func:`confidence_by_enumeration` sums world probabilities over all
-  assignments of the DNF's variables;
+  assignments of the lineage's variables;
 - :func:`confidence_by_inclusion_exclusion` applies inclusion-exclusion
   over clause subsets.
 
@@ -17,17 +17,13 @@ from __future__ import annotations
 import itertools
 from typing import List
 
-from repro.core.confidence.dnf import DNF
 from repro.core.conditions import Condition
 from repro.core.variables import VariableRegistry
 from repro.core.worlds import enumerate_worlds
 
 
 def confidence_by_enumeration(dnf, registry: VariableRegistry) -> float:
-    """P(dnf) by summing over all worlds of the lineage's variables.
-
-    Accepts the lineage IR or a DNF (both expose ``is_false``/``is_true``/
-    ``variables``/``satisfied_by``)."""
+    """P(dnf) by summing over all worlds of the lineage's variables."""
     if dnf.is_false:
         return 0.0
     if dnf.is_true:

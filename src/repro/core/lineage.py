@@ -1,11 +1,8 @@
-"""The shared lineage IR every confidence method consumes.
+"""The lineage IR: the one input of every confidence method.
 
 The lineage of a (distinct) result tuple is a disjunction of conjunctive
-local conditions -- one clause per duplicate of the tuple.  Historically
-each confidence engine rebuilt its own DNF from the U-relation's rows and
-re-derived clause probabilities, variable sets, and independence structure
-on every call.  This module centralizes that work into one intermediate
-representation:
+local conditions -- one clause per duplicate of the tuple.  This module
+holds the single representation of it:
 
 - a :class:`ClauseArena` *interns* clauses and caches, per interned
   clause, its variable set and marginal probability -- computed once no
@@ -19,22 +16,25 @@ representation:
   * **independence partitioning** -- union-find over shared variables
     splits the clause set into components whose disjunctions are
     independent events (probabilities combine as 1 − ∏(1 − pᵢ));
+  * **the recursion steps** -- cofactors (:meth:`Lineage.restrict`),
+    occurrence counts and canonical keys, which the exact ws-tree engine
+    and SPROUT's safe evaluation expand on;
   * **closed forms** -- ⊥/⊤, single clause (atom product), and fully
     independent clause sets (no shared variables at all:
     1 − ∏(1 − P(clause)));
   * **structural statistics** -- clause/variable/atom counts, width, and
-    the hierarchicity test (are the variables' clause sets laminar?) that
-    tells the dispatcher whether SPROUT-style safe evaluation applies.
+    the hierarchicity test (are the variables' clause sets laminar?).
 
 The cost-based dispatcher (:mod:`repro.core.confidence.dispatch`) reads
-these statistics to pick an algorithm per independent component; the
-engines (:mod:`~repro.core.confidence.exact`,
+these statistics to pick an algorithm per independent component; every
+engine (:mod:`~repro.core.confidence.exact`,
 :mod:`~repro.core.confidence.karp_luby`,
-:mod:`~repro.core.confidence.dklr`, :mod:`~repro.core.confidence.naive`,
-:mod:`~repro.core.confidence.sprout`) all accept a ``Lineage`` directly.
+:mod:`~repro.core.confidence.dklr`, :mod:`~repro.core.confidence.sprout`)
+takes a ``Lineage``, and so do the enumeration oracles of
+:mod:`~repro.core.confidence.naive` that the tests check them against.
 
 This module deliberately imports only :mod:`repro.core.conditions` and
-:mod:`repro.core.variables`, so every layer above (DNF, engines, SQL) can
+:mod:`repro.core.variables`, so every layer above (engines, SQL) can
 depend on it without cycles.
 """
 
@@ -178,14 +178,6 @@ class Lineage:
         conditions, representing no world) are dropped."""
         arena = arena if arena is not None else ClauseArena(registry)
         return Lineage((c for c in clauses if c is not None), arena)
-
-    @staticmethod
-    def of(obj, registry: VariableRegistry) -> "Lineage":
-        """Coerce a DNF-shaped object (anything with ``.clauses``) or a
-        Lineage to a Lineage; the universal engine entry-point adapter."""
-        if isinstance(obj, Lineage):
-            return obj
-        return Lineage.from_clauses(obj.clauses, registry)
 
     # -- protocol -----------------------------------------------------------
     def __len__(self) -> int:
@@ -529,7 +521,3 @@ def group_lineages(
         for indexes in row_groups
     ]
 
-
-def relation_lineage(urel, arena: Optional[ClauseArena] = None) -> Lineage:
-    """The lineage of "at least one tuple present" for a whole U-relation."""
-    return group_lineages(urel, [range(len(urel.relation))], arena)[0]

@@ -218,8 +218,8 @@ class VariableRegistry:
 
     def copy(self) -> "VariableRegistry":
         """An independent copy.  The :attr:`on_register` hook is deliberately
-        not copied: clones are scratch registries (conditioning, what-if
-        evaluation) whose variables must not be logged as durable state."""
+        not copied: clones are scratch registries (what-if evaluation)
+        whose variables must not be logged as durable state."""
         clone = VariableRegistry()
         with self._mutex:
             clone._distributions = {v: dict(d) for v, d in self._distributions.items()}

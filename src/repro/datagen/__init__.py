@@ -5,7 +5,8 @@ substitutes for the paper's www.nba.com data (see DESIGN.md);
 :mod:`repro.datagen.markov` builds stochastic matrices and their relational
 encodings (Figure 1); :mod:`repro.datagen.random_dnf` drives the
 exact-vs-approximate crossover study; :mod:`repro.datagen.tpch` is the
-scaled-down TPC-H-like generator for the SPROUT and translation benches.
+scaled-down TPC-H-like generator behind the benchmark's ``tpch`` dataset
+and the SPROUT example.
 """
 
 from importlib import import_module

@@ -1,10 +1,11 @@
-"""Random lineage DNFs with controlled variable-to-clause ratio.
+"""Random lineages with controlled variable-to-clause ratio.
 
 The exact-vs-approximate crossover claim (Section 2.3, citing [3]) is
 about where the exact algorithm wins as a function of the
 variable-to-clause count ratio.  This generator produces monotone-ish
-random DNFs over a registry of finite random variables, sweeping that
-ratio while holding other shape parameters fixed.
+random lineages (DNFs of conjunctive clauses) over a registry of finite
+random variables, sweeping that ratio while holding other shape
+parameters fixed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 from typing import List, Optional, Tuple
 
 from repro.core.conditions import Condition
-from repro.core.confidence.dnf import DNF
+from repro.core.lineage import Lineage
 from repro.core.variables import VariableRegistry
 
 
@@ -43,8 +44,8 @@ def random_dnf(
     domain_size: int = 2,
     registry: Optional[VariableRegistry] = None,
     variables: Optional[List[int]] = None,
-) -> Tuple[DNF, VariableRegistry]:
-    """A random DNF: each clause picks ``clause_width`` distinct variables
+) -> Tuple[Lineage, VariableRegistry]:
+    """A random lineage: each clause picks ``clause_width`` distinct variables
     and one domain value each.  Contradictory clauses cannot arise (one
     atom per variable per clause); duplicate clauses can and are kept, as
     real lineage has duplicates too."""
@@ -58,7 +59,7 @@ def random_dnf(
         condition = Condition.of(atoms)
         assert condition is not None
         clauses.append(condition)
-    return DNF(clauses), registry
+    return Lineage.from_clauses(clauses, registry), registry
 
 
 def ratio_sweep_instances(
@@ -67,7 +68,7 @@ def ratio_sweep_instances(
     clause_width: int,
     rng: random.Random,
     domain_size: int = 2,
-) -> List[Tuple[float, DNF, VariableRegistry]]:
+) -> List[Tuple[float, Lineage, VariableRegistry]]:
     """One instance per requested variable-to-clause ratio.
 
     The clause count stays fixed at ``base_clauses``; the variable pool is
@@ -78,8 +79,8 @@ def ratio_sweep_instances(
     instances = []
     for ratio in ratios:
         n_variables = max(clause_width, int(round(ratio * base_clauses)))
-        dnf, registry = random_dnf(
+        lineage, registry = random_dnf(
             n_variables, base_clauses, clause_width, rng, domain_size
         )
-        instances.append((ratio, dnf, registry))
+        instances.append((ratio, lineage, registry))
     return instances

@@ -1,19 +1,17 @@
-"""A scaled-down TPC-H-like generator with probabilistic variants.
+"""A scaled-down TPC-H-like generator.
 
-The U-relations paper [1] and SPROUT [5] evaluate on TPC-H data (certain
-and tuple-independent probabilistic versions).  This generator produces
-the three-level customer / orders / lineitem hierarchy at a configurable
-scale, deterministic under a seed, plus tuple-independent probabilistic
-versions where every tuple carries a presence probability -- the standard
-way those papers obtain uncertain TPC-H instances.
+The U-relations paper [1] and SPROUT [5] evaluate on TPC-H data, made
+uncertain tuple by tuple.  This generator produces the three-level
+customer / orders / lineitem hierarchy at a configurable scale,
+deterministic under a seed; SQL makes the tables tuple-independent with
+``pick tuples from ... independently with probability p``.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
-from repro.core.confidence.sprout import TupleIndependentTable
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
 from repro.engine.types import FLOAT, INTEGER, TEXT
@@ -114,46 +112,3 @@ class TpchGenerator:
                     )
             self._lineitems = Relation(schema, rows)
         return self._lineitems
-
-    # -- probabilistic variants ---------------------------------------------------
-    def _probabilities(self, count: int, low: float, high: float) -> List[float]:
-        return [round(self.rng.uniform(low, high), 6) for _ in range(count)]
-
-    def probabilistic_customers(
-        self, low: float = 0.2, high: float = 1.0
-    ) -> TupleIndependentTable:
-        relation = self.customers()
-        return TupleIndependentTable(
-            "customer", relation, self._probabilities(len(relation), low, high)
-        )
-
-    def probabilistic_orders(
-        self, low: float = 0.2, high: float = 1.0
-    ) -> TupleIndependentTable:
-        relation = self.orders()
-        return TupleIndependentTable(
-            "orders", relation, self._probabilities(len(relation), low, high)
-        )
-
-    def probabilistic_lineitems(
-        self, low: float = 0.2, high: float = 1.0
-    ) -> TupleIndependentTable:
-        relation = self.lineitems()
-        return TupleIndependentTable(
-            "lineitem", relation, self._probabilities(len(relation), low, high)
-        )
-
-    def tuple_independent_database(self) -> Dict[str, TupleIndependentTable]:
-        """The full probabilistic database for SPROUT queries."""
-        return {
-            "customer": self.probabilistic_customers(),
-            "orders": self.probabilistic_orders(),
-            "lineitem": self.probabilistic_lineitems(),
-        }
-
-    # -- wide-encoding variant for translation benchmarks ---------------------------
-    def uncertain_orders_relation(self) -> Tuple[Relation, List[float]]:
-        """Orders plus per-tuple probabilities, for building U-relations via
-        ``pick tuples`` in the translation benchmark."""
-        relation = self.orders()
-        return relation, self._probabilities(len(relation), 0.2, 1.0)

@@ -27,14 +27,16 @@ interface:
 Select the engine per call (``run(plan, engine="row")``), per process
 (:func:`set_default_engine` or the ``REPRO_ENGINE`` environment
 variable), or lexically (:func:`forced_engine`).  :func:`trace_plans`
-records every executed plan fragment, the engine that ran it, and what
-its operators reported at run time (vectorized filter, cached join build
-table) -- the substrate of the SQL ``EXPLAIN`` statement.
+records every plan fragment the calling thread executes, the engine that
+ran it, and what its operators reported at run time (vectorized filter,
+cached join build table) -- the substrate of the SQL ``EXPLAIN``
+statement.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -74,8 +76,18 @@ PlanNotes = Dict[int, List[str]]
 #: One executed plan: the plan, the engine that ran it, its run-time notes.
 PlanTrace = Tuple[algebra.PlanNode, str, PlanNotes]
 
-#: Active plan-trace buffers (via :func:`trace_plans`).
-_TRACES: List[List[PlanTrace]] = []
+
+class _TraceStack(threading.local):
+    """The calling thread's active plan-trace buffers (via
+    :func:`trace_plans`).  Per thread, because the server runs one thread
+    per connection: one session's EXPLAIN must neither see another
+    session's plans nor lose its buffer to another session's exit."""
+
+    def __init__(self) -> None:
+        self.buffers: List[List[PlanTrace]] = []
+
+
+_TRACES = _TraceStack()
 
 
 def set_default_engine(name: str) -> None:
@@ -108,11 +120,11 @@ def trace_plans() -> Iterator[List[PlanTrace]]:
     scope; the EXPLAIN statement renders them
     (``plan.explain(notes=notes)``)."""
     buffer: List[PlanTrace] = []
-    _TRACES.append(buffer)
+    _TRACES.buffers.append(buffer)
     try:
         yield buffer
     finally:
-        _TRACES.pop()
+        _TRACES.buffers.pop()
 
 
 def _scan_of(node: algebra.PlanNode) -> Optional[algebra.RelationScan]:
@@ -150,10 +162,11 @@ def run(node: algebra.PlanNode, engine: Optional[str] = None) -> Relation:
     """Compile and execute, materializing a relation."""
     name = _resolve_engine(engine)
     backend = _backend_for(name)
-    notes: Optional[PlanNotes] = {} if _TRACES else None
+    buffers = _TRACES.buffers
+    notes: Optional[PlanNotes] = {} if buffers else None
     compiled = _Planner(backend, notes).compile(node)
     result = backend.execute(compiled, node.schema())
-    for buffer in _TRACES:
+    for buffer in buffers:
         buffer.append((node, name, notes))
     return result
 

@@ -213,12 +213,9 @@ class ConfidenceError(ProbabilisticError):
     """Confidence computation failed."""
 
 
-class NotTupleIndependentError(ConfidenceError):
-    """A SPROUT plan was requested for data that is not tuple-independent."""
-
-
 class UnsafeQueryError(ConfidenceError):
-    """A SPROUT safe plan was requested for a non-hierarchical query."""
+    """A SPROUT safe plan was requested for a non-hierarchical query (the
+    base of :class:`UnsafeLineageError`, the only form that is raised)."""
 
 
 class UnsafeLineageError(UnsafeQueryError):

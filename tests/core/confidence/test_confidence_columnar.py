@@ -16,7 +16,6 @@ import pytest
 from repro.core import aggregates as agg
 from repro.core import urelation as urelation_module
 from repro.core.confidence.columnar import hierarchical_confidences
-from repro.core.confidence.conditioning import restrict_variable
 from repro.core.confidence.dispatch import STRATEGY_VECTORIZED, trace_confidence
 from repro.core.urelation import URelation, condition_columns
 from repro.core.variables import TOP_VARIABLE, VariableRegistry
@@ -300,15 +299,16 @@ class TestEdges:
         urel = URelation(Relation(urel.relation.schema, holed), 1, 1, registry)
         assert hierarchical_confidences(urel, [[i] for i in range(20)]) is None
 
-    def test_conditioned_clone_is_read_not_the_stored_probabilities(self, monkeypatch):
+    def test_registry_clone_is_read_not_the_stored_probabilities(self, monkeypatch):
         # The _p columns were written under the original registry; the
-        # clone renormalises x over {1, 2}.
+        # clone gives x another distribution (all mass on {1, 2}).
         registry = VariableRegistry()
         x = registry.fresh([0.5, 0.25, 0.25])
         y = registry.fresh_boolean(0.5)
         rows = [(0, [(x, 0), (y, 1)]), (0, [(x, 1), (y, 1)]), (1, [(x, 2), (y, 1)])]
         stored = build(registry, 2, rows)
-        clone = restrict_variable(registry, x, [1, 2])
+        clone = registry.copy()
+        clone.restore(x, {0: 0.0, 1: 0.5, 2: 0.5})
         conditioned = URelation(stored.relation, 1, 2, clone)
         assert [row[3] for row in conditioned.relation.rows] == [0.5, 0.25, 0.25]
         got = assert_agree(conditioned, monkeypatch)

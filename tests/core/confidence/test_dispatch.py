@@ -125,10 +125,10 @@ class TestStrategySelection:
             variables = [
                 registry.fresh_boolean(rng.uniform(0.2, 0.8)) for _ in range(10)
             ]
-            dnf, _ = random_dnf(
+            lineage, _ = random_dnf(
                 10, 12, 3, rng, domain_size=2, registry=registry, variables=variables
             )
-            lineages.append(dnf.to_lineage(registry))
+            lineages.append(lineage)
         forced = ConfidenceDispatcher(registry, DispatchPolicy(strategy="exact"))
         exact = [forced.probability(lineage).probability for lineage in lineages]
         auto = ConfidenceDispatcher(registry).group_probabilities(lineages)
@@ -204,17 +204,17 @@ class TestDifferentialRandomized:
             n_vars = rng.randrange(2, 9)
             n_clauses = rng.randrange(1, 7)
             width = rng.randrange(1, min(4, n_vars) + 1)
-            dnf, registry = random_dnf(
+            lin, registry = random_dnf(
                 n_vars, n_clauses, width, rng, domain_size=rng.choice([2, 3])
             )
             registry_count += 1
             dispatcher = ConfidenceDispatcher(registry)
-            result = dispatcher.probability(dnf.to_lineage(registry))
-            truth = confidence_by_enumeration(dnf, registry)
+            result = dispatcher.probability(lin)
+            truth = confidence_by_enumeration(lin, registry)
             strategies_seen.update(d.strategy for d in result.decisions)
             assert result.probability == pytest.approx(truth, abs=1e-9), (
                 trial,
-                repr(dnf),
+                repr(lin),
             )
         # The sweep must actually exercise more than one strategy.
         assert STRATEGY_CLOSED_FORM in strategies_seen
@@ -275,11 +275,11 @@ class TestApproximate:
         rng = random.Random(2024)
         epsilon = 0.1
         for trial in range(10):
-            dnf, registry = random_dnf(6, 5, 3, rng, domain_size=2)
-            lin = dnf.to_lineage(registry).simplified()
+            lin, registry = random_dnf(6, 5, 3, rng, domain_size=2)
+            lin = lin.simplified()
             if lin.is_false or lin.is_true:
                 continue
-            truth = confidence_by_enumeration(dnf, registry)
+            truth = confidence_by_enumeration(lin, registry)
             dispatcher = ConfidenceDispatcher(
                 registry,
                 DispatchPolicy(strategy="monte-carlo"),
@@ -296,8 +296,7 @@ class TestApproximate:
 class TestDeterminism:
     def test_same_seed_same_estimates(self):
         rng = random.Random(7)
-        dnf, registry = random_dnf(8, 6, 3, rng)
-        lin = dnf.to_lineage(registry)
+        lin, registry = random_dnf(8, 6, 3, rng)
         policy = DispatchPolicy(strategy="monte-carlo")
         a = ConfidenceDispatcher(registry, policy, random.Random(42))
         b = ConfidenceDispatcher(registry, policy, random.Random(42))
@@ -305,8 +304,7 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self):
         rng = random.Random(7)
-        dnf, registry = random_dnf(10, 8, 3, rng)
-        lin = dnf.to_lineage(registry)
+        lin, registry = random_dnf(10, 8, 3, rng)
         policy = DispatchPolicy(strategy="monte-carlo")
         a = ConfidenceDispatcher(registry, policy, random.Random(1))
         b = ConfidenceDispatcher(registry, policy, random.Random(2))

@@ -13,15 +13,26 @@ from repro.core.conditions import Condition
 from repro.core.confidence.dklr import (
     ApproximationResult,
     aa_estimate,
-    aconf,
     approximate_confidence,
     stopping_rule_estimate,
 )
-from repro.core.confidence.dnf import DNF
-from repro.core.confidence.exact import exact_confidence
+from repro.core.confidence.exact import ExactConfidenceEngine
+from repro.core.lineage import Lineage
 from repro.core.variables import VariableRegistry
 from repro.datagen.random_dnf import random_dnf
 from repro.errors import ConfidenceError
+
+
+def lineage(registry, *clauses):
+    return Lineage.from_clauses(clauses, registry)
+
+
+def exact_probability(lin, registry):
+    return ExactConfidenceEngine(registry).probability(lin)
+
+
+def aconf(lin, registry, epsilon, delta, rng):
+    return approximate_confidence(lin, registry, epsilon, delta, rng).estimate
 
 
 def bernoulli_sampler(p, rng):
@@ -102,40 +113,39 @@ class TestAconf:
         return r
 
     def test_trivial_dnfs_exact_without_sampling(self, registry):
-        result = approximate_confidence(DNF([]), registry)
+        result = approximate_confidence(lineage(registry), registry)
         assert result.estimate == 0.0
         assert result.total_samples == 0
 
     def test_matches_exact_within_epsilon(self, registry):
-        dnf = DNF(
-            [
-                Condition.of([(1, 0), (2, 0)]),
-                Condition.atom(3, 1),
-                Condition.of([(2, 1), (4, 0)]),
-            ]
+        lin = lineage(
+            registry,
+            Condition.of([(1, 0), (2, 0)]),
+            Condition.atom(3, 1),
+            Condition.of([(2, 1), (4, 0)]),
         )
-        exact = exact_confidence(dnf, registry)
-        estimate = aconf(dnf, registry, 0.05, 0.05, random.Random(7))
+        exact = exact_probability(lin, registry)
+        estimate = aconf(lin, registry, 0.05, 0.05, random.Random(7))
         assert abs(estimate - exact) <= 2 * 0.05 * exact  # 2x slack
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_dnfs_guarantee(self, seed):
         rng = random.Random(seed)
-        dnf, registry = random_dnf(5, 5, 2, rng)
-        exact = exact_confidence(dnf, registry)
-        estimate = aconf(dnf, registry, 0.1, 0.1, random.Random(seed + 30))
+        lin, registry = random_dnf(5, 5, 2, rng)
+        exact = exact_probability(lin, registry)
+        estimate = aconf(lin, registry, 0.1, 0.1, random.Random(seed + 30))
         assert abs(estimate - exact) <= 3 * 0.1 * max(exact, 1e-9)
 
     def test_scaling_transfer(self, registry):
         """The relative guarantee on μ_Z transfers through U: confirm the
         result is U * mean, not mean."""
         clause = Condition.atom(1, 1)  # p = 0.6
-        result = approximate_confidence(DNF([clause]), registry, 0.1, 0.1)
+        result = approximate_confidence(lineage(registry, clause), registry, 0.1, 0.1)
         # Single clause: Z == 1 always, estimate must be exactly U = 0.6.
         assert result.estimate == pytest.approx(0.6)
 
     def test_tighter_epsilon_uses_more_samples(self, registry):
-        dnf = DNF([Condition.atom(1, 0), Condition.of([(2, 0), (3, 0)])])
-        loose = approximate_confidence(dnf, registry, 0.2, 0.1, random.Random(8))
-        tight = approximate_confidence(dnf, registry, 0.05, 0.1, random.Random(8))
+        lin = lineage(registry, Condition.atom(1, 0), Condition.of([(2, 0), (3, 0)]))
+        loose = approximate_confidence(lin, registry, 0.2, 0.1, random.Random(8))
+        tight = approximate_confidence(lin, registry, 0.05, 0.1, random.Random(8))
         assert tight.total_samples > loose.total_samples

@@ -1,226 +1,138 @@
-"""Tests for SPROUT: hierarchy detection, safe plans, lazy == eager ==
-exact lineage."""
+"""Tests for SPROUT-style safe evaluation on one lineage
+(:func:`safe_lineage_confidence`): against world enumeration and the exact
+engine on hierarchical lineages, and refusal on the rest."""
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.core.confidence.exact import exact_confidence
-from repro.core.confidence.sprout import (
-    ConjunctiveQuery,
-    Subgoal,
-    TupleIndependentTable,
-    Var,
-    is_hierarchical,
-    query_lineage,
-    sprout_confidence,
-    subgoals_of_variable,
-)
-from repro.engine.relation import Relation
-from repro.engine.schema import Schema
-from repro.engine.types import INTEGER, TEXT
-from repro.errors import (
-    ConfidenceError,
-    NotTupleIndependentError,
-    UnsafeQueryError,
-)
+from repro.core.conditions import Condition
+from repro.core.confidence import sprout
+from repro.core.confidence.exact import ExactConfidenceEngine
+from repro.core.confidence.naive import confidence_by_enumeration
+from repro.core.confidence.sprout import safe_lineage_confidence
+from repro.core.lineage import Lineage
+from repro.core.variables import VariableRegistry
+from repro.errors import ConfidenceError, UnsafeLineageError, UnsafeQueryError
 
 
-def make_table(name, columns, rows, probs):
-    schema = Schema.of(*columns)
-    return TupleIndependentTable(name, Relation(schema, rows), probs)
+def clause(*atoms):
+    condition = Condition.of(list(atoms))
+    assert condition is not None
+    return condition
 
 
-@pytest.fixture
-def db():
-    rng = random.Random(31)
-    r = make_table("R", (("a", INTEGER),), [(i,) for i in range(4)],
-                   [rng.uniform(0.1, 0.9) for _ in range(4)])
-    s_rows = [(rng.randrange(4), rng.randrange(3)) for _ in range(10)]
-    s = make_table("S", (("a", INTEGER), ("b", INTEGER)), s_rows,
-                   [rng.uniform(0.1, 0.9) for _ in range(10)])
-    t = make_table("T", (("b", INTEGER),), [(i,) for i in range(3)],
-                   [rng.uniform(0.1, 0.9) for _ in range(3)])
-    return {"R": r, "S": s, "T": t}
+def fresh(registry, rng):
+    """A variable of domain 2 or 3 with a random distribution."""
+    weights = [rng.uniform(0.1, 1.0) for _ in range(rng.choice([2, 3]))]
+    return registry.fresh([w / sum(weights) for w in weights])
 
 
-class TestQueryStructure:
-    def test_subgoal_variables(self):
-        sg = Subgoal("R", [Var("x"), 5, Var("y")])
-        assert sg.variables() == {"x", "y"}
-
-    def test_self_join_rejected(self):
-        with pytest.raises(UnsafeQueryError):
-            ConjunctiveQuery([], [Subgoal("R", [Var("x")]), Subgoal("R", [Var("y")])])
-
-    def test_unused_head_variable_rejected(self):
-        with pytest.raises(ConfidenceError):
-            ConjunctiveQuery(["z"], [Subgoal("R", [Var("x")])])
-
-    def test_subgoals_of_variable(self):
-        q = ConjunctiveQuery(
-            [], [Subgoal("R", [Var("x")]), Subgoal("S", [Var("x"), Var("y")])]
-        )
-        sg = subgoals_of_variable(q)
-        assert sg["x"] == {0, 1} and sg["y"] == {1}
+def hierarchical_clauses(registry, rng, depth):
+    """Clauses whose variables' clause sets are laminar: a root variable,
+    and under each of some of its values an independent set of subtrees
+    (or nothing -- the root atom alone)."""
+    root = fresh(registry, rng)
+    clauses = []
+    for value in rng.sample(registry.domain(root), rng.randint(1, 2)):
+        if depth == 0 or rng.random() < 0.25:
+            clauses.append(((root, value),))
+            continue
+        for _ in range(rng.randint(1, 2)):
+            for below in hierarchical_clauses(registry, rng, depth - 1):
+                clauses.append(((root, value),) + below)
+    return clauses
 
 
-class TestHierarchyDetection:
-    def test_h0_is_not_hierarchical(self):
-        q = ConjunctiveQuery(
-            [],
-            [
-                Subgoal("R", [Var("x")]),
-                Subgoal("S", [Var("x"), Var("y")]),
-                Subgoal("T", [Var("y")]),
-            ],
-        )
-        assert not is_hierarchical(q)
-
-    def test_nested_is_hierarchical(self):
-        q = ConjunctiveQuery(
-            [], [Subgoal("R", [Var("x")]), Subgoal("S", [Var("x"), Var("y")])]
-        )
-        assert is_hierarchical(q)
-
-    def test_head_variables_exempt(self):
-        """H0 becomes hierarchical when x is a head variable."""
-        q = ConjunctiveQuery(
-            ["x"],
-            [
-                Subgoal("R", [Var("x")]),
-                Subgoal("S", [Var("x"), Var("y")]),
-                Subgoal("T", [Var("y")]),
-            ],
-        )
-        assert is_hierarchical(q)
-
-    def test_disjoint_variables_hierarchical(self):
-        q = ConjunctiveQuery(
-            [], [Subgoal("R", [Var("x")]), Subgoal("T", [Var("y")])]
-        )
-        assert is_hierarchical(q)
-
-    def test_unsafe_query_raises(self, db):
-        q = ConjunctiveQuery(
-            [],
-            [
-                Subgoal("R", [Var("x")]),
-                Subgoal("S", [Var("x"), Var("y")]),
-                Subgoal("T", [Var("y")]),
-            ],
-        )
-        with pytest.raises(UnsafeQueryError):
-            sprout_confidence(q, db)
+def random_hierarchical(seed, depth=2, max_worlds=4096):
+    """A random hierarchical lineage small enough to enumerate."""
+    rng = random.Random(seed)
+    while True:
+        registry = VariableRegistry()
+        clauses = []
+        for _ in range(rng.randint(1, 2)):  # one or two independent components
+            clauses.extend(hierarchical_clauses(registry, rng, depth))
+        lineage = Lineage.from_clauses([clause(*atoms) for atoms in clauses], registry)
+        if registry.world_count(lineage.variables()) <= max_worlds:
+            return lineage, registry
 
 
-class TestTupleIndependentTable:
-    def test_probability_count_mismatch(self):
-        with pytest.raises(NotTupleIndependentError):
-            make_table("R", (("a", INTEGER),), [(1,)], [0.5, 0.5])
-
-    def test_probability_range(self):
-        with pytest.raises(NotTupleIndependentError):
-            make_table("R", (("a", INTEGER),), [(1,)], [1.5])
-
-    def test_from_prob_column(self):
-        schema = Schema.of(("a", INTEGER), ("_p", INTEGER))
-        relation = Relation(Schema.of(("a", INTEGER), ("_p", INTEGER)), [])
-        # use floats via generic path
-        rel = Relation(Schema.of(("a", INTEGER), ("_p", INTEGER)), [(1, 1), (2, 0)])
-        table = TupleIndependentTable.from_prob_column("R", rel)
-        assert table.relation.schema.names == ["a"]
-        assert table.probabilities == [1.0, 0.0]
+@pytest.mark.parametrize("seed", range(10))
+def test_random_hierarchical_lineages_match_enumeration_and_exact(seed):
+    lineage, registry = random_hierarchical(seed)
+    assert lineage.stats().hierarchical is not False
+    p = safe_lineage_confidence(lineage)
+    assert p == pytest.approx(confidence_by_enumeration(lineage, registry), abs=1e-12)
+    assert p == pytest.approx(
+        ExactConfidenceEngine(registry).probability(lineage), abs=1e-12
+    )
 
 
-QUERIES = [
-    ConjunctiveQuery([], [Subgoal("R", [Var("x")])]),
-    ConjunctiveQuery(["x"], [Subgoal("R", [Var("x")])]),
-    ConjunctiveQuery([], [Subgoal("R", [Var("x")]), Subgoal("S", [Var("x"), Var("y")])]),
-    ConjunctiveQuery(["x"], [Subgoal("S", [Var("x"), Var("y")]), Subgoal("T", [Var("y")])]),
-    ConjunctiveQuery(["y"], [Subgoal("S", [Var("x"), Var("y")])]),
-    ConjunctiveQuery(["x", "y"], [Subgoal("S", [Var("x"), Var("y")]), Subgoal("T", [Var("y")]), Subgoal("R", [Var("x")])]),
-    ConjunctiveQuery([], [Subgoal("S", [Var("x"), 0])]),
-    ConjunctiveQuery([], [Subgoal("R", [Var("x")]), Subgoal("T", [Var("y")])]),
-]
+@pytest.mark.parametrize("seed", range(5))
+def test_two_level_closed_form_equals_the_recursion(seed, monkeypatch):
+    rng = random.Random(100 + seed)
+    registry = VariableRegistry()
+    root = fresh(registry, rng)
+    clauses = [
+        clause((root, value), (registry.fresh_boolean(rng.uniform(0.1, 0.9)), 1))
+        for value in registry.domain(root)
+        for _ in range(rng.randint(1, 4))
+    ]
+    clauses.append(clause((root, registry.domain(root)[0])))
+    lineage = Lineage.from_clauses(clauses, registry)
+    fast = safe_lineage_confidence(lineage)
+    monkeypatch.setattr(sprout, "_two_level_closed_form", lambda *args: None)
+    assert fast == pytest.approx(safe_lineage_confidence(lineage), abs=1e-15)
 
 
-class TestCorrectness:
-    @pytest.mark.parametrize("query", QUERIES, ids=[repr(q) for q in QUERIES])
-    def test_eager_equals_lazy_equals_exact(self, query, db):
-        eager = sprout_confidence(query, db, "eager")
-        lazy = sprout_confidence(query, db, "lazy")
-        lineages, registry = query_lineage(query, db)
-        assert len(eager) == len(lazy) == len(lineages)
-        lazy_by_key = {row[:-1]: row[-1] for row in lazy}
-        for row in eager:
-            key, p_eager = row[:-1], row[-1]
-            assert p_eager == pytest.approx(lazy_by_key[key], abs=1e-12)
-            p_exact = exact_confidence(lineages[key], registry)
-            assert p_eager == pytest.approx(p_exact, abs=1e-9)
+def test_connected_flag_skips_only_the_partition():
+    lineage, _ = random_hierarchical(3)
+    component = lineage.components()[0]
+    connected = safe_lineage_confidence(component, connected=True)
+    assert connected == safe_lineage_confidence(component)
 
-    def test_constants_filter(self, db):
-        q = ConjunctiveQuery([], [Subgoal("S", [Var("x"), 0])])
-        result = sprout_confidence(q, db, "eager")
-        lineages, registry = query_lineage(q, db)
-        expected = exact_confidence(lineages[()], registry) if lineages else 0.0
-        assert result.rows[0][-1] == pytest.approx(expected)
 
-    def test_no_matches_empty_result(self, db):
-        q = ConjunctiveQuery([], [Subgoal("S", [Var("x"), 999])])
-        result = sprout_confidence(q, db, "eager")
-        # The boolean query with no satisfying assignments has no answer row.
-        assert len(result) == 0
+def test_duplicate_and_subsumed_clauses_are_simplified_first():
+    registry = VariableRegistry()
+    r = registry.fresh_boolean(0.6)
+    s = registry.fresh_boolean(0.5)
+    lineage = Lineage.from_clauses(
+        [clause((r, 1), (s, 1)), clause((r, 1), (s, 1)), clause((r, 1))], registry
+    )
+    assert safe_lineage_confidence(lineage) == pytest.approx(0.6)
 
-    @pytest.mark.parametrize("strategy", ["eager", "lazy"])
-    def test_empty_table_yields_empty_result(self, db, strategy):
-        """Regression: with an empty first subgoal the hash-join fold
-        stops early; the lazy plan must still resolve every query
-        variable's position and return an empty relation, not crash."""
-        empty_db = dict(db)
-        empty_db["R"] = make_table("R", (("a", INTEGER),), [], [])
-        q = ConjunctiveQuery(
-            ["x", "y"],
-            [Subgoal("R", [Var("x")]), Subgoal("S", [Var("x"), Var("y")])],
-        )
-        assert len(sprout_confidence(q, empty_db, strategy)) == 0
-        lineages, _ = query_lineage(q, empty_db)
-        assert lineages == {}
 
-    def test_repeated_variable_in_subgoal(self, db):
-        q = ConjunctiveQuery([], [Subgoal("S", [Var("x"), Var("x")])])
-        eager = sprout_confidence(q, db, "eager")
-        lineages, registry = query_lineage(q, db)
-        if lineages:
-            assert eager.rows[0][-1] == pytest.approx(
-                exact_confidence(lineages[()], registry)
-            )
+def test_component_without_a_root_variable_is_refused():
+    # x1∧y1, x1∧y2, x2∧y2: a connected component no variable spans.
+    registry = VariableRegistry()
+    x1, y1, y2, x2 = (registry.fresh_boolean(0.5) for _ in range(4))
+    lineage = Lineage.from_clauses(
+        [clause((x1, 1), (y1, 1)), clause((x1, 1), (y2, 1)), clause((x2, 1), (y2, 1))],
+        registry,
+    )
+    with pytest.raises(UnsafeLineageError):
+        safe_lineage_confidence(lineage)
 
-    def test_unknown_strategy(self, db):
-        with pytest.raises(ConfidenceError):
-            sprout_confidence(QUERIES[0], db, "sideways")
 
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=15, deadline=None)
-    def test_random_instances(self, seed):
-        rng = random.Random(seed)
-        r = make_table("R", (("a", INTEGER),),
-                       [(i,) for i in range(3)],
-                       [rng.uniform(0.05, 0.95) for _ in range(3)])
-        s_rows = list({(rng.randrange(3), rng.randrange(3)) for _ in range(6)})
-        s = make_table("S", (("a", INTEGER), ("b", INTEGER)), s_rows,
-                       [rng.uniform(0.05, 0.95) for _ in range(len(s_rows))])
-        database = {"R": r, "S": s}
-        q = ConjunctiveQuery(
-            [], [Subgoal("R", [Var("x")]), Subgoal("S", [Var("x"), Var("y")])]
-        )
-        eager = sprout_confidence(q, database, "eager")
-        lazy = sprout_confidence(q, database, "lazy")
-        lineages, registry = query_lineage(q, database)
-        if not lineages:
-            assert len(eager) == 0
-            return
-        expected = exact_confidence(lineages[()], registry)
-        assert eager.rows[0][-1] == pytest.approx(expected, abs=1e-9)
-        assert lazy.rows[0][-1] == pytest.approx(expected, abs=1e-9)
+def test_refusal_below_the_root_is_detected_too():
+    # The root r spans everything, but its cofactor is the crossing shape.
+    registry = VariableRegistry()
+    r = registry.fresh_boolean(0.7)
+    x1, y1, y2, x2 = (registry.fresh_boolean(0.5) for _ in range(4))
+    lineage = Lineage.from_clauses(
+        [
+            clause((r, 1), (x1, 1), (y1, 1)),
+            clause((r, 1), (x1, 1), (y2, 1)),
+            clause((r, 1), (x2, 1), (y2, 1)),
+        ],
+        registry,
+    )
+    with pytest.raises(UnsafeLineageError):
+        safe_lineage_confidence(lineage)
+
+
+def test_refusal_keeps_its_error_names():
+    # Wire frames carry the class name; code that caught the query-level
+    # UnsafeQueryError still catches the lineage-level refusal.
+    assert issubclass(UnsafeLineageError, UnsafeQueryError)
+    assert issubclass(UnsafeQueryError, ConfidenceError)

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.core.conditions import Condition, TRUE_CONDITION
-from repro.core.confidence.dnf import DNF
 from repro.core.confidence.naive import confidence_by_enumeration
 from repro.core.lineage import (
     ClauseArena,
@@ -15,6 +14,8 @@ from repro.core.lineage import (
 )
 from repro.core.urelation import URelation
 from repro.core.variables import VariableRegistry
+from repro.core.worlds import tuple_confidence_by_enumeration
+from repro.datagen.random_dnf import random_dnf
 from repro.engine.schema import Column, Schema
 from repro.engine.types import INTEGER
 
@@ -70,6 +71,13 @@ class TestClassification:
         assert lin.is_true
         assert lin.simplified().closed_form_probability() == 1.0
 
+    def test_duplicates_kept_until_simplified(self, registry):
+        # Construction interns (one shared object) but keeps the sequence:
+        # clause order is the Karp-Luby canonical-witness order.
+        x = registry.fresh_boolean(0.5)
+        lin = Lineage.from_clauses([atom(x), atom(x)], registry)
+        assert len(lin) == 2 and lin.clauses[0] is lin.clauses[1]
+
     def test_contradictory_conditions_dropped_at_construction(self, registry):
         x = registry.fresh_boolean(0.5)
         lin = Lineage.from_clauses([None, atom(x), None], registry)
@@ -82,12 +90,30 @@ class TestClassification:
         lin = Lineage.from_clauses([clause((x, 1), (y, 1)), atom(z)], registry)
         assert lin.variables() == frozenset({x, y, z})
 
-    def test_coercion_from_dnf(self, registry):
+    def test_occurrence_counts(self, registry):
         x = registry.fresh_boolean(0.5)
-        dnf = DNF([atom(x)])
-        lin = Lineage.of(dnf, registry)
-        assert isinstance(lin, Lineage)
-        assert Lineage.of(lin, registry) is lin
+        y = registry.fresh_boolean(0.5)
+        lin = Lineage.from_clauses(
+            [clause((x, 1), (y, 1)), atom(x, 0), atom(y, 0)], registry
+        )
+        assert lin.occurrence_counts() == {x: 2, y: 2}
+
+    def test_satisfied_by_and_first_satisfied_clause(self, registry):
+        x = registry.fresh_boolean(0.5)
+        y = registry.fresh_boolean(0.5)
+        lin = Lineage.from_clauses([atom(x, 0), atom(y, 1)], registry)
+        assert lin.satisfied_by({x: 0, y: 0})
+        assert not lin.satisfied_by({x: 1, y: 0})
+        assert lin.first_satisfied_clause({x: 0, y: 1}) == 0
+        assert lin.first_satisfied_clause({x: 1, y: 1}) == 1
+        assert lin.first_satisfied_clause({x: 1, y: 0}) is None
+
+    def test_canonical_key_ignores_clause_order(self, registry):
+        x = registry.fresh_boolean(0.5)
+        y = registry.fresh_boolean(0.5)
+        a = Lineage.from_clauses([atom(x), atom(y, 0)], registry)
+        b = Lineage.from_clauses([atom(y, 0), atom(x)], registry)
+        assert a.canonical_key() == b.canonical_key()
 
 
 class TestSimplification:
@@ -110,6 +136,11 @@ class TestSimplification:
             [clause((x, 1), (y, 1)), atom(x)], registry
         ).simplified()
         assert list(lin.clauses) == [atom(x)]
+
+    def test_certain_clause_absorbs_everything(self, registry):
+        x = registry.fresh_boolean(0.5)
+        lin = Lineage.from_clauses([atom(x), TRUE_CONDITION], registry)
+        assert list(lin.simplified().clauses) == [TRUE_CONDITION]
 
     def test_simplified_idempotent(self, registry):
         x = registry.fresh_boolean(0.5)
@@ -137,6 +168,18 @@ class TestComponents:
     def test_certain_clauses_each_own_component(self, registry):
         lin = Lineage((TRUE_CONDITION, TRUE_CONDITION), ClauseArena(registry))
         assert len(lin.components()) == 2
+
+    def test_connected_lineage_is_its_own_component(self, registry):
+        x = registry.fresh_boolean(0.5)
+        y = registry.fresh_boolean(0.5)
+        lin = Lineage.from_clauses([clause((x, 1), (y, 1)), atom(x, 0)], registry)
+        assert lin.components() == [lin] and lin.components()[0] is lin
+
+    def test_components_keep_the_simplified_mark(self, registry):
+        x = registry.fresh_boolean(0.5)
+        y = registry.fresh_boolean(0.5)
+        lin = Lineage.from_clauses([atom(x), atom(y), atom(x)], registry).simplified()
+        assert all(part.simplified() is part for part in lin.components())
 
     def test_components_share_arena(self, registry):
         x = registry.fresh_boolean(0.5)
@@ -201,6 +244,14 @@ class TestStats:
         )
         assert lin.stats().hierarchical is True
 
+    def test_hierarchy_test_skipped_above_the_variable_limit(self, registry):
+        variables = [registry.fresh_boolean(0.5) for _ in range(70)]
+        lin = Lineage.from_clauses(
+            [clause((a, 1), (b, 1)) for a, b in zip(variables, variables[1:])],
+            registry,
+        )
+        assert lin.stats().hierarchical is None
+
     def test_non_hierarchical_crossing(self, registry):
         # {x∧y, y∧z, z∧w}: cl(y)={0,1}, cl(z)={1,2} cross.
         x, y, z, w = (registry.fresh_boolean(0.5) for _ in range(4))
@@ -224,6 +275,28 @@ class TestRestrict:
         )
         restricted = lin.restrict(x, 1)
         assert list(restricted.clauses) == [atom(y)]
+
+    def test_cofactors_are_interned_in_the_same_arena(self, registry):
+        # The exact engine's recursion shares probability/variable caches
+        # between a lineage and every cofactor it expands.
+        x = registry.fresh_boolean(0.5)
+        y = registry.fresh_boolean(0.5)
+        lin = Lineage.from_clauses([clause((x, 1), (y, 1)), atom(y)], registry)
+        restricted = lin.restrict(x, 1)
+        assert restricted.arena is lin.arena
+        assert restricted.clauses[0] is lin.clauses[1]
+
+    def test_restrict_on_an_absent_variable_keeps_every_clause(self, registry):
+        x = registry.fresh_boolean(0.5)
+        y = registry.fresh_boolean(0.5)
+        lin = Lineage.from_clauses([atom(x), atom(x, 0)], registry)
+        assert list(lin.restrict(y, 1).clauses) == list(lin.clauses)
+
+    def test_restrict_can_make_the_lineage_certain(self, registry):
+        x = registry.fresh_boolean(0.5)
+        lin = Lineage.from_clauses([atom(x)], registry)
+        assert lin.restrict(x, 1).is_true
+        assert lin.restrict(x, 0).is_false
 
     def test_root_variables(self, registry):
         r = registry.fresh_boolean(0.5)
@@ -259,20 +332,22 @@ class TestGroupLineages:
     def test_agrees_with_enumeration(self, registry):
         urel = self._urelation(registry)
         lineages = group_lineages(urel, [[0, 1], [2]])
-        dnf = DNF(lineages[0].clauses)
-        assert confidence_by_enumeration(
-            lineages[0], registry
-        ) == pytest.approx(confidence_by_enumeration(dnf, registry))
+        for lineage, key in zip(lineages, [(1,), (2,)]):
+            assert confidence_by_enumeration(lineage, registry) == pytest.approx(
+                tuple_confidence_by_enumeration(urel, key)
+            )
 
 
-class TestRandomizedAgainstDnf:
-    def test_components_match_dnf_partition(self):
-        from repro.datagen.random_dnf import random_dnf
-
+class TestRandomized:
+    def test_components_partition_into_connected_independent_parts(self):
         rng = random.Random(11)
         for _ in range(20):
-            dnf, registry = random_dnf(8, 6, 3, rng, domain_size=3)
-            lin = dnf.to_lineage(registry)
-            dnf_sizes = sorted(len(c) for c in dnf.independent_components())
-            lin_sizes = sorted(len(c) for c in lin.components())
-            assert dnf_sizes == lin_sizes
+            lin, registry = random_dnf(8, 6, 3, rng, domain_size=3)
+            components = lin.components()
+            assert sorted(c.atoms for part in components for c in part) == sorted(
+                c.atoms for c in lin
+            )
+            for i, part in enumerate(components):
+                assert len(part.components()) == 1
+                for other in components[i + 1:]:
+                    assert not part.variables() & other.variables()

@@ -5,7 +5,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.confidence.dnf import DNF
 from repro.datagen.markov import (
     FIGURE1_MATRIX,
     figure1_relation,
@@ -16,6 +15,7 @@ from repro.datagen.markov import (
 from repro.datagen.nba import FITNESS_STATES, SKILLS, NBADataGenerator
 from repro.datagen.random_dnf import random_dnf, random_registry, ratio_sweep_instances
 from repro.datagen.tpch import TpchGenerator
+from repro.db import MayBMS
 
 
 class TestMarkov:
@@ -108,30 +108,38 @@ class TestNBA:
 class TestRandomDnf:
     def test_shape(self):
         rng = random.Random(1)
-        dnf, registry = random_dnf(8, 5, 3, rng)
-        assert dnf.clause_count() == 5
-        assert all(len(c) == 3 for c in dnf)
-        assert dnf.variables() <= set(registry.variables())
+        lineage, registry = random_dnf(8, 5, 3, rng)
+        assert len(lineage) == 5
+        assert all(len(c) == 3 for c in lineage)
+        assert lineage.variables() <= set(registry.variables())
+        assert lineage.arena.registry is registry
 
     def test_width_clamped_to_pool(self):
         rng = random.Random(1)
-        dnf, _ = random_dnf(2, 4, 5, rng)
-        assert all(len(c) <= 2 for c in dnf)
+        lineage, _ = random_dnf(2, 4, 5, rng)
+        assert all(len(c) <= 2 for c in lineage)
+
+    def test_duplicate_clauses_are_kept_and_shared(self):
+        rng = random.Random(2)
+        lineage, _ = random_dnf(2, 12, 2, rng)
+        assert len(lineage) == 12  # only 4 distinct clauses exist
+        assert len({c.atoms for c in lineage}) < 12
+        assert len({id(c) for c in lineage}) == len({c.atoms for c in lineage})
 
     def test_registry_reuse(self):
         rng = random.Random(1)
         registry, variables = random_registry(5, rng)
-        dnf, same = random_dnf(5, 3, 2, rng, registry=registry, variables=variables)
+        _, same = random_dnf(5, 3, 2, rng, registry=registry, variables=variables)
         assert same is registry
 
     def test_ratio_sweep(self):
         rng = random.Random(1)
         instances = ratio_sweep_instances(10, [0.2, 1.0, 3.0], 2, rng)
         assert len(instances) == 3
-        for ratio, dnf, _ in instances:
-            assert dnf.clause_count() == 10
+        for ratio, lineage, _ in instances:
+            assert len(lineage) == 10
             pool = max(2, int(round(ratio * 10)))
-            assert dnf.variable_count() <= pool
+            assert len(lineage.variables()) <= pool
 
 
 class TestTpch:
@@ -156,13 +164,16 @@ class TestTpch:
         for item in gen.lineitems():
             assert item[0] in order_keys
 
-    def test_probabilistic_variants(self):
+    def test_tables_become_tuple_independent_through_sql(self):
         gen = TpchGenerator(scale=0.05, seed=3)
-        db = gen.tuple_independent_database()
-        assert set(db) == {"customer", "orders", "lineitem"}
-        for table in db.values():
-            assert all(0.0 <= p <= 1.0 for p in table.probabilities)
-            assert len(table.probabilities) == len(table.relation)
+        db = MayBMS()
+        db.create_table_from_relation("customer", gen.customers())
+        rows = db.query(
+            "select custkey, tconf() as p from "
+            "(pick tuples from customer independently with probability 0.8) c"
+        ).rows
+        assert sorted(key for key, _ in rows) == list(gen.customers().column("custkey"))
+        assert {p for _, p in rows} == {0.8}
 
     def test_tables_cached(self):
         gen = TpchGenerator(scale=0.05, seed=4)

@@ -1,9 +1,16 @@
 """Tests for the EXPLAIN statement (parser -> analyzer -> executor)."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.core.confidence import dispatch
 from repro.db import MayBMS
-from repro.engine import planner
+from repro.engine import algebra, planner
+from repro.engine.relation import Relation
+from repro.engine.schema import Schema
+from repro.engine.types import INTEGER
 from repro.errors import AnalysisError
 from repro.sql import ast_nodes as ast
 from repro.sql.parser import parse_statement
@@ -220,3 +227,118 @@ class TestConfidenceFragment:
         without = self._fragment(shop, self.SAFE)
         assert without.startswith("conf: 12 group(s) via ") and "sprout" in without
         assert "vectorized" not in without
+
+
+class TestTraceBuffersPerThread:
+    """EXPLAIN's trace buffers belong to the thread that opened them.  The
+    server runs one thread per connection, so a session leaving its
+    EXPLAIN must not take another session's buffer with it, and neither
+    session may record the other's plans."""
+
+    def test_interleaved_sessions_keep_their_own_buffers(self):
+        plan = algebra.RelationScan(Relation(Schema.of(("a", INTEGER)), [(1,), (2,)]))
+        event = dispatch.ConfidenceEvent("conf", 1, (("exact", 1),))
+        step = threading.Barrier(2)
+        buffers = {}
+
+        def session_a():
+            with planner.trace_plans() as plans, dispatch.trace_confidence() as events:
+                buffers["a"] = plans, events
+                step.wait()  # A has entered
+                step.wait()  # B has entered
+            step.wait()  # A has left
+
+        def session_b():
+            step.wait()
+            with planner.trace_plans() as plans, dispatch.trace_confidence() as events:
+                buffers["b"] = plans, events
+                step.wait()
+                step.wait()
+                planner.run(plan)
+                dispatch.record_event(event)
+            buffers["b_active_after"] = dispatch.tracing_active()
+
+        threads = [threading.Thread(target=f) for f in (session_a, session_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+
+        (plans_a, events_a), (plans_b, events_b) = buffers["a"], buffers["b"]
+        assert [traced for traced, _, _ in plans_b] == [plan]
+        assert events_b == [event]
+        assert plans_a == [] and events_a == []
+        assert buffers["b_active_after"] is False
+        assert planner._TRACES.buffers == [] and not dispatch.tracing_active()
+
+    def test_a_thread_outside_explain_records_nothing(self):
+        plan = algebra.RelationScan(Relation(Schema.of(("a", INTEGER)), [(1,)]))
+        inside, done = threading.Event(), threading.Event()
+        seen = {}
+
+        def explaining():
+            with planner.trace_plans() as plans, dispatch.trace_confidence() as events:
+                inside.set()
+                done.wait(timeout=30)
+                seen["plans"], seen["events"] = list(plans), list(events)
+
+        thread = threading.Thread(target=explaining)
+        thread.start()
+        assert inside.wait(timeout=30)
+        assert not dispatch.tracing_active()
+        planner.run(plan)
+        dispatch.record_event(dispatch.ConfidenceEvent("conf", 1, (("exact", 1),)))
+        done.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert seen == {"plans": [], "events": []}
+
+    def test_nested_scopes_on_one_thread_both_record(self):
+        plan = algebra.RelationScan(Relation(Schema.of(("a", INTEGER)), [(1,)]))
+        with planner.trace_plans() as outer:
+            with planner.trace_plans() as inner:
+                planner.run(plan)
+            planner.run(plan)
+        assert len(inner) == 1 and len(outer) == 2
+        assert planner._TRACES.buffers == []
+
+    def test_concurrent_explains_over_one_store_show_only_their_own_plans(self):
+        names = ("north", "south", "east", "west")  # more sessions than cores
+        store = MayBMS()
+        for name in names:
+            store.execute(f"create table {name} (a integer, p float)")
+            store.execute(f"insert into {name} values (1, 0.5), (2, 0.25)")
+            store.execute(
+                f"create table u_{name} as select * from "
+                f"(pick tuples from {name} independently with probability p) x"
+            )
+        start = threading.Barrier(len(names))
+        outcomes = []
+
+        def explain_many(name):
+            session = store.session(read_only=True)
+            start.wait(timeout=30)
+            sql = f"explain select a, conf() as c from u_{name} group by a"
+            try:
+                for _ in range(25):
+                    lines = [row[0] for row in session.query(sql).rows]
+                    fragments = [line for line in lines if "fragment" in line]
+                    outcomes.append((len(fragments), lines[-1].strip()))
+            except Exception as error:  # noqa: BLE001 - reported below
+                outcomes.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=explain_many, args=(n,)) for n in names]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        # One relational and one confidence fragment each, never another
+        # session's.
+        assert outcomes == [(2, "conf: 2 group(s) via closed-form x2")] * 100

@@ -30,5 +30,4 @@ def test_all_examples_present():
         "nba_whatif.py",
         "data_cleaning.py",
         "sprout_safe_plans.py",
-        "conditioning_beliefs.py",
     } <= set(EXAMPLES)
