@@ -100,6 +100,8 @@ class TestCrossoverShape:
             lineage, registry = random_dnf(
                 max(2, n_clauses // 2), n_clauses, WIDTH, rng
             )
+            # One engine per call, as the dispatcher builds them: its
+            # statistics (and memo) are this call's alone.
             engine = ExactConfidenceEngine(registry)
             seconds, _ = timed(engine.probability, lineage)
             rows.append(
@@ -108,11 +110,12 @@ class TestCrossoverShape:
                     len(lineage.variables()),
                     seconds * 1e3,
                     engine.statistics.subproblems,
+                    engine.statistics.memo_hits,
                 )
             )
         report(
             "C-EXACT: clause-count scaling (ratio fixed at 0.5)",
-            ["clauses", "vars", "ms", "subproblems"],
+            ["clauses", "vars", "ms", "subproblems", "memo_hits"],
             rows,
         )
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)

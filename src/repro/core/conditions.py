@@ -86,12 +86,6 @@ class Condition:
     def variables(self) -> FrozenSet[int]:
         return frozenset(var for var, _ in self.atoms)
 
-    def value_of(self, var: int) -> Optional[int]:
-        for v, value in self.atoms:
-            if v == var:
-                return value
-        return None
-
     def conjoin(self, other: "Condition") -> Optional["Condition"]:
         """Conjunction of two conditions; None if contradictory."""
         if not self.atoms:
@@ -99,25 +93,6 @@ class Condition:
         if not other.atoms:
             return self
         return Condition.of(self.atoms + other.atoms)
-
-    def without(self, var: int) -> "Condition":
-        """Drop the atom on ``var`` (no-op if absent)."""
-        return Condition(tuple(a for a in self.atoms if a[0] != var))
-
-    def restrict(self, var: int, value: int) -> Optional["Condition"]:
-        """Condition on the event ``var = value``.
-
-        Returns the residual condition with the atom on ``var`` removed if
-        it agrees, unchanged if ``var`` does not occur, or None if the
-        condition requires a different value (the tuple is absent from all
-        such worlds).
-        """
-        existing = self.value_of(var)
-        if existing is None:
-            return self
-        if existing != value:
-            return None
-        return self.without(var)
 
     def subsumes(self, other: "Condition") -> bool:
         """self ⊆ other as atom sets: every world satisfying ``other`` also

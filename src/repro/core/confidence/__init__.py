@@ -14,11 +14,12 @@ one path:
   the groups that pass declines, choosing per independent component
   among:
 
-  * :mod:`repro.core.confidence.sprout` -- the same safe evaluation on
-    one lineage (:func:`safe_lineage_confidence`);
   * :mod:`repro.core.confidence.exact` -- the Koch-Olteanu exact
     algorithm: variable elimination + decomposition into independent
-    clause subsets, with cost-estimation heuristics [3];
+    clause subsets, with cost-estimation heuristics [3], as one recursion
+    that labels a run with root eliminations only as SPROUT's safe plan;
+  * :mod:`repro.core.confidence.sprout` -- that recursion's root-only
+    mode on one lineage (:func:`safe_lineage_confidence`);
   * :mod:`repro.core.confidence.karp_luby` -- the Karp-Luby unbiased
     estimator adapted to confidence computation, under
     :mod:`repro.core.confidence.dklr` -- the Dagum-Karp-Luby-Ross optimal

@@ -27,9 +27,9 @@ guessed; its lineage goes through the per-group dispatcher
 
 Given (b) and (c), expanding on the root column's variable splits the
 group's clauses into sub-formulas over disjoint variable sets, one per
-value, and so on down the columns -- the recursion
-:func:`~repro.core.confidence.sprout.safe_lineage_confidence` runs per
-lineage in Python, taken here for all groups in one pass.
+value, and so on down the columns -- the root eliminations the ws-tree
+recursion (:mod:`repro.core.confidence.exact`) runs per lineage in
+Python, taken here for all groups in one pass.
 """
 
 from __future__ import annotations

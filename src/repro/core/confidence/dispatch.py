@@ -4,23 +4,27 @@ Section 2.3 presents confidence computation as a *portfolio*: exact
 ws-tree decomposition where tractable, SPROUT's safe plans for
 hierarchical (tractable) cases, and (ε,δ) Monte Carlo everywhere else.
 This module is the piece that actually chooses -- per ``conf()`` group
-and per independent lineage component -- which algorithm runs:
+and per independent lineage component -- which algorithm runs.  A whole
+lineage whose clauses are pairwise variable-disjoint is answered in
+closed form (:meth:`~repro.core.lineage.Lineage.closed_form_probability`);
+otherwise each component takes one call of the exact ws-tree recursion
+(:mod:`repro.core.confidence.exact`), which labels what it did:
 
-1. **closed form** -- ⊥/⊤, a single clause, or pairwise
-   variable-disjoint clauses: read the answer off the IR's cached clause
-   probabilities (:meth:`~repro.core.lineage.Lineage.closed_form_probability`);
-2. **sprout** -- the component is hierarchical (its variables' clause
-   sets are laminar): SPROUT-style safe evaluation on the lineage
-   (:func:`~repro.core.confidence.sprout.safe_lineage_confidence`),
-   polynomial-time and exact;
-3. **exact** -- the Koch-Olteanu ws-tree engine, under a *cost budget*
-   (``max_subproblems``): still exact, but bounded;
+1. **closed form** -- the component is a single clause;
+2. **sprout** -- every elimination was on a root variable: SPROUT's safe
+   plan for a hierarchical component, polynomial-time and exact;
+3. **exact** -- a non-root elimination happened: the Koch-Olteanu
+   ws-tree under a *cost budget* (``exact_budget`` subproblems below the
+   first non-root elimination): still exact, but bounded;
 4. **monte-carlo** -- the Karp-Luby estimator under the DKLR driver when
    the budget blows: an (ε,δ)-approximation with the policy's default
    parameters.
 
 Components share no variables, so their results combine by independence:
-P(⋁ all) = 1 − ∏(1 − P(componentᵢ)).
+P(⋁ all) = 1 − ∏(1 − P(componentᵢ)).  One engine, and so one ws-tree
+memo, serves one ``group_probabilities`` / ``approximate`` call -- one
+aggregate of one statement; the dispatcher itself keeps no per-statement
+state.
 
 Under ``auto`` and ``sprout`` the SQL aggregates ask the array pass first
 (:mod:`repro.core.confidence.columnar`): groups whose clauses form a tree
@@ -31,7 +35,8 @@ forced ``exact`` / ``monte-carlo``.
 
 The decisions taken are recorded per aggregate call when a
 :func:`trace_confidence` scope is active; the SQL ``EXPLAIN`` statement
-renders them next to the relational plan fragments, and the
+renders them next to the relational plan fragments (with the call's
+ws-tree subproblem and memo-hit counts when the recursion expanded), and the
 :class:`~repro.db.MayBMS` facade exposes the policy as a tuning knob
 (``confidence_strategy`` / ``REPRO_CONF_STRATEGY``).
 """
@@ -45,8 +50,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.confidence.dklr import approximate_confidence
-from repro.core.confidence.exact import ExactConfidenceEngine
-from repro.core.confidence.sprout import safe_lineage_confidence
+from repro.core.confidence.exact import (
+    LABELS,
+    ExactConfidenceEngine,
+    ExactStatistics,
+)
 from repro.core.lineage import Lineage, combine_independent
 from repro.core.variables import VariableRegistry
 from repro.errors import (
@@ -55,10 +63,9 @@ from repro.errors import (
     UnsafeLineageError,
 )
 
-#: Strategy labels, in the order the dispatcher prefers them.
-STRATEGY_CLOSED_FORM = "closed-form"
-STRATEGY_SPROUT = "sprout"
-STRATEGY_EXACT = "exact"
+#: Strategy labels, in the order the dispatcher prefers them; the first
+#: three are the exact engine's labels.
+STRATEGY_CLOSED_FORM, STRATEGY_SPROUT, STRATEGY_EXACT = LABELS
 STRATEGY_MONTE_CARLO = "monte-carlo"
 #: EXPLAIN's label for groups answered by the array pass, before dispatch.
 STRATEGY_VECTORIZED = "sprout[vectorized]"
@@ -79,8 +86,9 @@ class DispatchPolicy:
 
     - ``strategy``: ``"auto"`` (the cost model) or a forced algorithm
       (``"sprout"`` / ``"exact"`` / ``"monte-carlo"``);
-    - ``exact_budget``: maximum ws-tree subproblems per component before
-      ``conf()`` falls back to Monte Carlo (None = never fall back);
+    - ``exact_budget``: maximum ws-tree subproblems per component below
+      a non-root elimination before ``conf()`` falls back to Monte Carlo
+      (None = never fall back; a hierarchical component never does);
     - ``epsilon`` / ``delta``: the (ε,δ) parameters of that fallback,
       applied per component with δ split across a lineage's components
       (union bound); ε compounding through recombination makes the
@@ -113,10 +121,13 @@ class ComponentDecision:
 
 @dataclass
 class DispatchResult:
-    """Probability of one lineage plus the per-component decisions."""
+    """Probability of one lineage plus the per-component decisions, and
+    the statistics of the ws-tree engine of the call that produced it
+    (one object shared by every result of that call)."""
 
     probability: float
     decisions: Tuple[ComponentDecision, ...]
+    ws_tree: Optional[ExactStatistics] = None
 
     def strategy_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -132,12 +143,15 @@ class DispatchResult:
 
 @dataclass(frozen=True)
 class ConfidenceEvent:
-    """One confidence-computing aggregate call: which strategies ran."""
+    """One confidence-computing aggregate call: which strategies ran, and
+    (subproblems, memo hits) of its ws-tree engines when they expanded
+    anything."""
 
     aggregate: str  # "conf" | "aconf" | "tconf"
     groups: int
     strategy_counts: Tuple[Tuple[str, int], ...]
     detail: str = ""
+    ws_tree: Optional[Tuple[int, int]] = None
 
     def render(self) -> str:
         strategies = ", ".join(
@@ -196,18 +210,28 @@ def record_aggregate(
     if not _TRACES.buffers:
         return
     counts: Dict[str, int] = {}
+    engines: Dict[int, ExactStatistics] = {}
     for result in results:
         for name, n in result.strategy_counts().items():
             counts[name] = counts.get(name, 0) + n
+        if result.ws_tree is not None:
+            engines[id(result.ws_tree)] = result.ws_tree
     strategies = sorted(counts.items())
     if vectorized:
         strategies.insert(0, (STRATEGY_VECTORIZED, vectorized))
+    ws_tree = None
+    if any(stats.eliminations for stats in engines.values()):
+        ws_tree = (
+            sum(stats.subproblems for stats in engines.values()),
+            sum(stats.memo_hits for stats in engines.values()),
+        )
     record_event(
         ConfidenceEvent(
             aggregate=aggregate,
             groups=len(results) + vectorized,
             strategy_counts=tuple(strategies),
             detail=detail,
+            ws_tree=ws_tree,
         )
     )
 
@@ -220,9 +244,10 @@ def record_aggregate(
 class ConfidenceDispatcher:
     """Chooses and runs a confidence algorithm per independent component.
 
-    One dispatcher per session: it owns a shared exact engine (whose memo
-    amortizes across groups and queries) and the Monte-Carlo RNG (seeded
-    by the facade, so approximate results are reproducible).
+    One dispatcher per session: it owns the policy and the Monte-Carlo RNG
+    (seeded by the facade, so approximate results are reproducible).  Each
+    call builds its own exact engine, whose memo serves that call's groups
+    and components and goes with it.
     """
 
     def __init__(
@@ -234,37 +259,104 @@ class ConfidenceDispatcher:
         self.registry = registry
         self.policy = policy if policy is not None else DispatchPolicy()
         self.rng = rng if rng is not None else random.Random(0)
-        self._exact: Optional[ExactConfidenceEngine] = None
-        self._budgeted_exact: Optional[ExactConfidenceEngine] = None
 
     def set_policy(self, policy: DispatchPolicy) -> None:
-        """Swap the policy (the facade's tuning knob); engines built under
-        the old policy's budget are discarded."""
+        """Swap the policy (the facade's tuning knob)."""
         self.policy = policy
-        self._budgeted_exact = None
-
-    # -- engines (lazy, shared memoization) ---------------------------------
-    def _exact_engine(self) -> ExactConfidenceEngine:
-        if self._exact is None:
-            self._exact = ExactConfidenceEngine(self.registry)
-        return self._exact
-
-    def _budgeted_engine(self) -> ExactConfidenceEngine:
-        if self._budgeted_exact is None:
-            self._budgeted_exact = ExactConfidenceEngine(
-                self.registry, max_subproblems=self.policy.exact_budget
-            )
-        return self._budgeted_exact
 
     # -- public API ---------------------------------------------------------
     def probability(self, lineage: Lineage) -> DispatchResult:
         """P(lineage) with per-component strategy choice (the ``conf()``
         semantics: exact unless the exact budget blows, in which case the
         affected component degrades to an (ε,δ) estimate)."""
+        return self._probability(lineage, self._engine())
+
+    def group_probabilities(
+        self, lineages: Sequence[Lineage]
+    ) -> List[DispatchResult]:
+        """:meth:`probability` of each lineage, sharing one ws-tree memo."""
+        engine = self._engine()
+        return [self._probability(lineage, engine) for lineage in lineages]
+
+    def approximate(
+        self,
+        lineage: Lineage,
+        epsilon: float,
+        delta: float,
+        unit_seed: Optional[int] = None,
+    ) -> DispatchResult:
+        """The ``aconf(ε, δ)`` semantics: any estimate p̂ with
+        P(|p̂ − p| > ε·p) < δ.
+
+        Exact answers satisfy the guarantee trivially, so cheap exact
+        routes are taken when available: closed forms always, the ws-tree
+        recursion when it needs root eliminations only (SPROUT's safe
+        plan).  Otherwise the whole lineage goes to the DKLR-driven
+        Karp-Luby estimator (whole, not per component: the (ε,δ)
+        guarantee is proved for a single estimator run and does not
+        survive per-component recombination).
+
+        ``unit_seed`` pins the Monte-Carlo route to a private deterministic
+        stream (see :func:`approximate_confidence`); the exact routes are
+        deterministic regardless, so a fresh dispatcher and the store's
+        long-lived one return the same answer for the same (lineage, seed).
+        """
+        lineage = lineage.simplified()
+        stats = lineage.stats(test_hierarchy=False)
+        decision_shape = (stats.clause_count, stats.variable_count)
+        strategy = self.policy.strategy
+        engine = ExactConfidenceEngine(self.registry)
+        if strategy in ("auto", STRATEGY_SPROUT):
+            closed = lineage.closed_form_probability()
+            if closed is not None:
+                return DispatchResult(
+                    closed,
+                    (ComponentDecision(STRATEGY_CLOSED_FORM, closed, *decision_shape),),
+                )
+            try:
+                p = engine.probability(lineage, roots_only=True)
+                return DispatchResult(
+                    p,
+                    (ComponentDecision(STRATEGY_SPROUT, p, *decision_shape),),
+                    engine.statistics,
+                )
+            except UnsafeLineageError:
+                # A forced "sprout" policy means *only* safe plans, for
+                # aconf as for conf; only "auto" may fall through.
+                if strategy == STRATEGY_SPROUT:
+                    raise
+        if strategy == STRATEGY_EXACT:
+            p = engine.probability(lineage)
+            return DispatchResult(
+                p,
+                (ComponentDecision(STRATEGY_EXACT, p, *decision_shape),),
+                engine.statistics,
+            )
+        result = approximate_confidence(
+            lineage, self.registry, epsilon, delta, self.rng, unit_seed=unit_seed
+        )
+        return DispatchResult(
+            result.estimate,
+            (
+                ComponentDecision(
+                    STRATEGY_MONTE_CARLO, result.estimate, *decision_shape
+                ),
+            ),
+        )
+
+    # -- internals ----------------------------------------------------------
+    def _engine(self) -> ExactConfidenceEngine:
+        """The exact engine of one call; only ``auto`` has a budget."""
+        budget = self.policy.exact_budget if self.policy.strategy == "auto" else None
+        return ExactConfidenceEngine(self.registry, max_subproblems=budget)
+
+    def _probability(
+        self, lineage: Lineage, engine: ExactConfidenceEngine
+    ) -> DispatchResult:
         lineage = lineage.simplified()
         strategy = self.policy.strategy
         if strategy != "auto":
-            return self._forced(lineage, strategy)
+            return self._forced(lineage, strategy, engine)
 
         # Whole-lineage closed form first: the common fully-independent
         # case (e.g. tuple-independent lineage) finishes here without
@@ -293,85 +385,18 @@ class ConfidenceDispatcher:
         # guarantee.)
         delta = self.policy.delta / max(1, len(components))
         decisions = [
-            self._dispatch_component(component, delta)
+            self._dispatch_component(component, delta, engine)
             for component in components
         ]
         probability = combine_independent(d.probability for d in decisions)
-        return DispatchResult(probability, tuple(decisions))
+        return DispatchResult(probability, tuple(decisions), engine.statistics)
 
-    def approximate(
-        self,
-        lineage: Lineage,
-        epsilon: float,
-        delta: float,
-        unit_seed: Optional[int] = None,
+    def _forced(
+        self, lineage: Lineage, strategy: str, engine: ExactConfidenceEngine
     ) -> DispatchResult:
-        """The ``aconf(ε, δ)`` semantics: any estimate p̂ with
-        P(|p̂ − p| > ε·p) < δ.
-
-        Exact answers satisfy the guarantee trivially, so cheap exact
-        routes are taken when available: closed forms always, SPROUT safe
-        evaluation when the lineage is known hierarchical.  Otherwise the
-        whole lineage goes to the DKLR-driven Karp-Luby estimator (whole,
-        not per component: the (ε,δ) guarantee is proved for a single
-        estimator run and does not survive per-component recombination).
-
-        ``unit_seed`` pins the Monte-Carlo route to a private deterministic
-        stream (see :func:`approximate_confidence`); the exact routes are
-        deterministic regardless, so a fresh dispatcher and the store's
-        long-lived one return the same answer for the same (lineage, seed).
-        """
-        lineage = lineage.simplified()
-        stats = lineage.stats(test_hierarchy=False)
-        decision_shape = (stats.clause_count, stats.variable_count)
-        if self.policy.strategy in ("auto", STRATEGY_SPROUT):
-            closed = lineage.closed_form_probability()
-            if closed is not None:
-                return DispatchResult(
-                    closed,
-                    (ComponentDecision(STRATEGY_CLOSED_FORM, closed, *decision_shape),),
-                )
-            try:
-                p = safe_lineage_confidence(lineage)
-                return DispatchResult(
-                    p, (ComponentDecision(STRATEGY_SPROUT, p, *decision_shape),)
-                )
-            except UnsafeLineageError:
-                # A forced "sprout" policy means *only* safe plans, for
-                # aconf as for conf; only "auto" may fall through.
-                if self.policy.strategy == STRATEGY_SPROUT:
-                    raise
-        if self.policy.strategy == STRATEGY_EXACT:
-            p = self._exact_engine().probability(lineage)
-            return DispatchResult(
-                p, (ComponentDecision(STRATEGY_EXACT, p, *decision_shape),)
-            )
-        result = approximate_confidence(
-            lineage, self.registry, epsilon, delta, self.rng, unit_seed=unit_seed
-        )
-        return DispatchResult(
-            result.estimate,
-            (
-                ComponentDecision(
-                    STRATEGY_MONTE_CARLO, result.estimate, *decision_shape
-                ),
-            ),
-        )
-
-    def group_probabilities(
-        self, lineages: Sequence[Lineage]
-    ) -> List[DispatchResult]:
-        return [self.probability(lineage) for lineage in lineages]
-
-    # -- internals ----------------------------------------------------------
-    def _forced(self, lineage: Lineage, strategy: str) -> DispatchResult:
         stats = lineage.stats(test_hierarchy=False)
         shape = (stats.clause_count, stats.variable_count)
-        if strategy == STRATEGY_EXACT:
-            p = self._exact_engine().probability(lineage)
-        elif strategy == STRATEGY_SPROUT:
-            p = safe_lineage_confidence(lineage)  # raises UnsafeLineageError
-        else:  # monte-carlo
+        if strategy == STRATEGY_MONTE_CARLO:
             if lineage.is_false or lineage.is_true:
                 p = 0.0 if lineage.is_false else 1.0
             else:
@@ -382,40 +407,28 @@ class ConfidenceDispatcher:
                     self.policy.delta,
                     self.rng,
                 ).estimate
-        return DispatchResult(p, (ComponentDecision(strategy, p, *shape),))
+            return DispatchResult(p, (ComponentDecision(strategy, p, *shape),))
+        # Forced sprout raises UnsafeLineageError on a non-root elimination.
+        p = engine.probability(lineage, roots_only=strategy == STRATEGY_SPROUT)
+        return DispatchResult(
+            p, (ComponentDecision(strategy, p, *shape),), engine.statistics
+        )
 
     def _dispatch_component(
-        self, component: Lineage, delta: Optional[float] = None
+        self, component: Lineage, delta: float, engine: ExactConfidenceEngine
     ) -> ComponentDecision:
         stats = component.stats(test_hierarchy=False)
         shape = (stats.clause_count, stats.variable_count)
-
-        closed = component.closed_form_probability()
-        if closed is not None:
-            return ComponentDecision(STRATEGY_CLOSED_FORM, closed, *shape)
-
-        # Hierarchical components run SPROUT-style safe evaluation:
-        # polynomial and exact.  Safety is probed constructively rather
-        # than pre-tested (the O(V^2) laminarity test would dominate on
-        # the very lineages safe evaluation makes cheap): the evaluator
-        # raises on the first root-less component, typically at the top.
+        # One ws-tree call labels itself closed-form / sprout / exact.
+        # Safety is found constructively rather than pre-tested (the
+        # O(V^2) laminarity test would dominate on the very lineages safe
+        # evaluation makes cheap).
         try:
-            p = safe_lineage_confidence(component, connected=True)
-            return ComponentDecision(STRATEGY_SPROUT, p, *shape)
-        except UnsafeLineageError:
-            pass
-
-        try:
-            p = self._budgeted_engine().probability(component)
-            return ComponentDecision(STRATEGY_EXACT, p, *shape)
+            p = engine.probability(component)
+            return ComponentDecision(engine.label, p, *shape)
         except CostBudgetExceededError:
             pass
-
         result = approximate_confidence(
-            component,
-            self.registry,
-            self.policy.epsilon,
-            delta if delta is not None else self.policy.delta,
-            self.rng,
+            component, self.registry, self.policy.epsilon, delta, self.rng
         )
         return ComponentDecision(STRATEGY_MONTE_CARLO, result.estimate, *shape)

@@ -21,73 +21,60 @@ worlds partition by x's value, so
 where D | x = v drops clauses disagreeing on x and consumes agreeing
 atoms.
 
-The recursion runs on the lineage IR itself
-(:class:`~repro.core.lineage.Lineage`: components, cofactors and
-canonical keys over one clause arena) and terminates because every step
-either removes a variable or splits the clause set.  The computation is
-recorded as a decomposition tree (*ws-tree*) that callers can inspect;
-sub-lineage results are memoized on their canonical form (two duplicates
-of a tuple often induce overlapping sub-problems).
+**One recursion.**  A subproblem is a sorted tuple of clause atom tuples
+(the keys a :class:`~repro.core.lineage.ClauseArena` interns clauses by),
+never a ``Lineage`` object.  At each node one pass over the clauses
+computes the variables' occurrence counts and the union-find partition
+together; then the node takes the first case that applies:
 
-Heuristics: decomposition is applied whenever it makes progress (it only
-multiplies independent results -- always beneficial).  Otherwise the
-variable to eliminate is chosen by estimated cost: occurrence count first
-(eliminating a variable present in many clauses shrinks the problem
-fastest), then smaller domain, then lower id for determinism.
+1. ⊥ → 0, ⊤ → 1, a single clause → its atom product;
+2. pairwise variable-disjoint clauses → 1 − ∏(1 − P(clauseᵢ));
+3. several components → decompose;
+4. otherwise eliminate a variable: the one occurring in the most clauses
+   (each branch then removes or shrinks the most clauses), then the one
+   with the smaller domain (fewer branches), then the lower id.
+
+**SPROUT is a mode of it.**  A *root* variable occurs in every clause, so
+it always has the most occurrences and the heuristic eliminates roots
+first.  An evaluation that eliminated roots only is SPROUT's safe plan
+for a hierarchical lineage (:mod:`repro.core.confidence.sprout`), so each
+call is labelled with how it went: ``closed-form`` if the lineage closed
+at its top (case 1 or 2), ``sprout`` if every elimination was on a root,
+``exact`` otherwise.  ``roots_only`` refuses a non-root elimination with
+:class:`~repro.errors.UnsafeLineageError`.
+
+**Memo scope.**  Subproblem results (with their label rank) are memoized
+for the life of the engine, which the dispatcher creates per confidence
+call -- one aggregate of one statement -- so groups and components of a
+statement share sub-lineages, and nothing outlives the statement (a
+rolled-back variable id reused with another distribution can never hit a
+stale entry).  ``max_subproblems`` bounds only the subproblems below a
+non-root elimination, so a hierarchical lineage never exceeds it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.conditions import Atom
 from repro.core.lineage import Lineage
 from repro.core.variables import VariableRegistry
-from repro.errors import ConfidenceError, CostBudgetExceededError
+from repro.errors import CostBudgetExceededError, UnsafeLineageError
 
+Clause = Tuple[Atom, ...]
+Subproblem = Tuple[Clause, ...]
 
-@dataclass
-class WSTreeNode:
-    """One node of the decomposition (ws-)tree.
-
-    ``kind`` is one of:
-    - ``"false"`` / ``"true"`` -- leaves (empty lineage / empty clause);
-    - ``"clause"`` -- a single-clause leaf, probability = atom product;
-    - ``"decompose"`` -- children are independent components;
-    - ``"eliminate"`` -- children are the cofactors per domain value of
-      the eliminated variable (``variable``/``branch_values``/
-      ``branch_probabilities`` describe the split).
-    """
-
-    kind: str
-    probability: float
-    variable: Optional[int] = None
-    branch_values: Tuple[int, ...] = ()
-    branch_probabilities: Tuple[float, ...] = ()
-    children: List["WSTreeNode"] = field(default_factory=list)
-
-    def size(self) -> int:
-        return 1 + sum(child.size() for child in self.children)
-
-    def depth(self) -> int:
-        if not self.children:
-            return 1
-        return 1 + max(child.depth() for child in self.children)
-
-    def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        label = self.kind
-        if self.kind == "eliminate":
-            label += f"(x{self.variable})"
-        lines = [f"{pad}{label} p={self.probability:.6g}"]
-        for child in self.children:
-            lines.append(child.render(indent + 1))
-        return "\n".join(lines)
+#: How a call was evaluated, indexed by rank (a node's rank is the highest
+#: of its own step and its children's): closed at the top, root
+#: eliminations only, or a non-root elimination somewhere.
+LABELS = ("closed-form", "sprout", "exact")
+_CLOSED, _ROOTS, _ANY = 0, 1, 2
 
 
 @dataclass
 class ExactStatistics:
-    """Counters for benchmarking the engine's behaviour."""
+    """Counters of one engine, i.e. of one confidence call."""
 
     decompositions: int = 0
     eliminations: int = 0
@@ -96,156 +83,185 @@ class ExactStatistics:
     subproblems: int = 0
 
 
-class ExactConfidenceEngine:
-    """Reusable exact engine with memoization across calls.
+def _product(clause: Clause, distributions: Dict[int, Dict[int, float]]) -> float:
+    p = 1.0
+    for var, value in clause:
+        p *= distributions[var].get(value, 0.0)
+    return p
 
-    One engine per registry: memoized probabilities depend on the variable
-    distributions.
-    """
+
+class ExactConfidenceEngine:
+    """The exact engine of one confidence call: the memo and the
+    statistics live as long as the engine."""
 
     def __init__(
         self,
         registry: VariableRegistry,
-        build_tree: bool = False,
         max_subproblems: Optional[int] = None,
     ):
         self.registry = registry
-        self.build_tree = build_tree
         self.max_subproblems = max_subproblems
         self.statistics = ExactStatistics()
-        self._memo: Dict[tuple, float] = {}
-        self._budget_base = 0
+        #: The label (see ``LABELS``) of the latest :meth:`probability` call.
+        self.label = LABELS[_CLOSED]
+        self._memo: Dict[Subproblem, Tuple[float, int]] = {}
+        self._distributions: Dict[int, Dict[int, float]] = {}
+        self._roots_only = False
+        self._spent = 0
 
-    # -- public API ---------------------------------------------------------
-    def probability(self, lineage: Lineage) -> float:
-        """P(lineage), exactly.
+    def probability(self, lineage: Lineage, roots_only: bool = False) -> float:
+        """P(lineage), exactly; :attr:`label` says how it was evaluated.
 
-        An already-simplified lineage skips re-simplification (the IR did
-        the zero-probability/duplicate/subsumption work once for all
-        engines).  Raises :class:`CostBudgetExceededError` when
-        ``max_subproblems`` is set and the decomposition exceeds it.
+        Raises :class:`CostBudgetExceededError` when ``max_subproblems``
+        is set and this call exceeds it below a non-root elimination, and
+        :class:`UnsafeLineageError` under ``roots_only`` when the lineage
+        needs a non-root elimination.
         """
-        probability, _ = self._solve(self._prepare(lineage))
+        clauses = tuple(sorted(clause.atoms for clause in lineage.simplified().clauses))
+        distributions = self._distributions
+        for clause in clauses:
+            for var, _ in clause:
+                if var not in distributions:
+                    distributions[var] = self.registry.distribution(var)
+        self._roots_only = roots_only
+        self._spent = 0
+        probability, rank = self._solve(clauses, False)
+        self.label = LABELS[rank]
         return probability
 
-    def probability_with_tree(self, lineage: Lineage) -> Tuple[float, WSTreeNode]:
-        """P(lineage) plus the decomposition tree (forces tree construction)."""
-        saved = self.build_tree
-        self.build_tree = True
-        try:
-            probability, tree = self._solve(self._prepare(lineage))
-            assert tree is not None
-            return probability, tree
-        finally:
-            self.build_tree = saved
+    def _solve(self, clauses: Subproblem, counted: bool) -> Tuple[float, int]:
+        statistics = self.statistics
+        statistics.subproblems += 1
+        if counted and self.max_subproblems is not None:
+            self._spent += 1
+            if self._spent > self.max_subproblems:
+                raise CostBudgetExceededError(
+                    f"exact decomposition exceeded its budget of "
+                    f"{self.max_subproblems} subproblems"
+                )
+        if not clauses:
+            return 0.0, _CLOSED
+        if not clauses[0]:  # the empty clause sorts first
+            return 1.0, _CLOSED
+        distributions = self._distributions
+        if len(clauses) == 1:
+            statistics.clause_leaves += 1
+            return _product(clauses[0], distributions), _CLOSED
+        memo = self._memo
+        hit = memo.get(clauses)
+        if hit is not None:
+            statistics.memo_hits += 1
+            if self._roots_only and hit[1] == _ANY:
+                raise _unsafe()
+            return hit
 
-    def _prepare(self, lineage: Lineage) -> Lineage:
-        # The budget is per top-level call (the engine is reused across
-        # groups for memo sharing, so the lifetime counter keeps growing).
-        self._budget_base = self.statistics.subproblems
-        return lineage.simplified()
+        # One pass: occurrence counts and the union-find partition.
+        counts: Dict[int, int] = {}
+        parent: Dict[int, int] = {}
+        atoms = 0
+        components = 0
+        for clause in clauses:
+            atoms += len(clause)
+            first = -1  # the root of this clause's set; variable ids are > 0
+            for var, _ in clause:
+                count = counts.get(var)
+                if count is None:
+                    counts[var] = 1
+                    if first < 0:
+                        parent[var] = first = var
+                        components += 1
+                    else:
+                        parent[var] = first
+                    continue
+                counts[var] = count + 1
+                root = var
+                while parent[root] != root:
+                    parent[root] = parent[parent[root]]
+                    root = parent[root]
+                if first < 0:
+                    first = root
+                elif root != first:
+                    parent[root] = first
+                    components -= 1
 
-    # -- recursion ------------------------------------------------------------
-    def _solve(self, lineage: Lineage) -> Tuple[float, Optional[WSTreeNode]]:
-        self.statistics.subproblems += 1
-        if (
-            self.max_subproblems is not None
-            and self.statistics.subproblems - self._budget_base
-            > self.max_subproblems
-        ):
-            raise CostBudgetExceededError(
-                f"exact decomposition exceeded its budget of "
-                f"{self.max_subproblems} subproblems"
-            )
-
-        if lineage.is_false:
-            return 0.0, self._leaf("false", 0.0)
-        if lineage.is_true:
-            return 1.0, self._leaf("true", 1.0)
-
-        key = lineage.canonical_key()
-        if key in self._memo and not self.build_tree:
-            self.statistics.memo_hits += 1
-            return self._memo[key], None
-
-        if len(lineage) == 1:
-            self.statistics.clause_leaves += 1
-            p = lineage.clauses[0].probability(self.registry)
-            self._remember(key, p)
-            return p, self._leaf("clause", p)
-
-        components = lineage.components()
-        if len(components) > 1:
-            self.statistics.decompositions += 1
-            probability = 1.0
-            children = []
+        if atoms == len(counts):  # no variable occurs twice
             complement = 1.0
-            for component in components:
-                p, child = self._solve(component)
-                complement *= 1.0 - p
-                if child is not None:
-                    children.append(child)
-            probability = 1.0 - complement
-            self._remember(key, probability)
-            if self.build_tree:
-                return probability, WSTreeNode("decompose", probability, children=children)
-            return probability, None
+            for clause in clauses:
+                complement *= 1.0 - _product(clause, distributions)
+            return 1.0 - complement, _CLOSED
 
-        variable = self._choose_variable(lineage)
-        self.statistics.eliminations += 1
+        if components > 1:
+            statistics.decompositions += 1
+            groups: Dict[int, List[Clause]] = {}
+            for clause in clauses:
+                root = clause[0][0]
+                while parent[root] != root:
+                    root = parent[root]
+                group = groups.get(root)
+                if group is None:
+                    groups[root] = [clause]
+                else:
+                    group.append(clause)
+            complement = 1.0
+            rank = _CLOSED
+            for group in groups.values():
+                p, child_rank = self._solve(tuple(group), counted)
+                complement *= 1.0 - p
+                if child_rank > rank:
+                    rank = child_rank
+            result = (1.0 - complement, rank)
+            memo[clauses] = result
+            return result
+
+        most = max(counts.values())
+        tied = [var for var, count in counts.items() if count == most]
+        variable = (
+            tied[0]
+            if len(tied) == 1
+            else min(tied, key=lambda var: (len(distributions[var]), var))
+        )
+        on_root = most == len(clauses)
+        if not on_root and self._roots_only:
+            raise _unsafe()
+        statistics.eliminations += 1
+        below = counted or not on_root
+        kept: List[Clause] = []
+        rests: Dict[int, List[Clause]] = {}
+        for clause in clauses:
+            for index, (var, value) in enumerate(clause):
+                if var == variable:
+                    rest = clause[:index] + clause[index + 1 :]
+                    bucket = rests.get(value)
+                    if bucket is None:
+                        rests[value] = [rest]
+                    else:
+                        bucket.append(rest)
+                    break
+            else:
+                kept.append(clause)
         probability = 0.0
-        values, value_probs, children = [], [], []
-        for value, p_value in self.registry.distribution(variable).items():
+        rank = _ROOTS if on_root else _ANY
+        for value, p_value in distributions[variable].items():
             if p_value == 0.0:
                 continue
-            cofactor = lineage.restrict(variable, value)
-            p_cofactor, child = self._solve(cofactor)
-            probability += p_value * p_cofactor
-            values.append(value)
-            value_probs.append(p_value)
-            if child is not None:
-                children.append(child)
-        self._remember(key, probability)
-        if self.build_tree:
-            return probability, WSTreeNode(
-                "eliminate",
-                probability,
-                variable=variable,
-                branch_values=tuple(values),
-                branch_probabilities=tuple(value_probs),
-                children=children,
-            )
-        return probability, None
+            bucket = rests.get(value)
+            if bucket is None:
+                if not kept:
+                    continue  # the cofactor is ⊥
+                cofactor = tuple(kept)
+            else:
+                cofactor = tuple(sorted(kept + bucket))
+            p, child_rank = self._solve(cofactor, below)
+            probability += p_value * p
+            if child_rank > rank:
+                rank = child_rank
+        result = (probability, rank)
+        memo[clauses] = result
+        return result
 
-    def _choose_variable(self, lineage: Lineage) -> int:
-        """Cost-estimation heuristic for the elimination variable.
 
-        Prefers the variable occurring in the most clauses: each branch of
-        the expansion then touches (removes or shrinks) the most clauses,
-        maximizing the chance that cofactors decompose.  Ties break toward
-        smaller domains (fewer branches), then smaller ids (determinism).
-        """
-        counts = lineage.occurrence_counts()
-        if not counts:
-            raise ConfidenceError("cannot eliminate: lineage has no variables")
-        return min(
-            counts,
-            key=lambda var: (-counts[var], self.registry.domain_size(var), var),
-        )
-
-    #: Memo-size safety valve.  The executor keeps one engine per session,
-    #: so without a bound the memo would grow for the process lifetime;
-    #: past this many entries the memo resets wholesale (crude epoch
-    #: eviction -- losing it costs recomputation, never correctness).
-    MAX_MEMO_ENTRIES = 1_000_000
-
-    def _remember(self, key: tuple, probability: float) -> None:
-        if len(self._memo) >= self.MAX_MEMO_ENTRIES:
-            self._memo.clear()
-        self._memo[key] = probability
-
-    def _leaf(self, kind: str, probability: float) -> Optional[WSTreeNode]:
-        if not self.build_tree:
-            return None
-        return WSTreeNode(kind, probability)
-
+def _unsafe() -> UnsafeLineageError:
+    return UnsafeLineageError(
+        "lineage is not hierarchical: a connected clause component "
+        "has no variable occurring in all of its clauses"
+    )

@@ -16,9 +16,6 @@ holds the single representation of it:
   * **independence partitioning** -- union-find over shared variables
     splits the clause set into components whose disjunctions are
     independent events (probabilities combine as 1 − ∏(1 − pᵢ));
-  * **the recursion steps** -- cofactors (:meth:`Lineage.restrict`),
-    occurrence counts and canonical keys, which the exact ws-tree engine
-    and SPROUT's safe evaluation expand on;
   * **closed forms** -- ⊥/⊤, single clause (atom product), and fully
     independent clause sets (no shared variables at all:
     1 − ∏(1 − P(clause)));
@@ -32,6 +29,9 @@ engine (:mod:`~repro.core.confidence.exact`,
 :mod:`~repro.core.confidence.dklr`, :mod:`~repro.core.confidence.sprout`)
 takes a ``Lineage``, and so do the enumeration oracles of
 :mod:`~repro.core.confidence.naive` that the tests check them against.
+Below a lineage's top the exact ws-tree recursion works on the clauses'
+atom tuples -- the arena's interning keys -- rather than on ``Lineage``
+objects.
 
 This module deliberately imports only :mod:`repro.core.conditions` and
 :mod:`repro.core.variables`, so every layer above (engines, SQL) can
@@ -209,30 +209,9 @@ class Lineage:
             self._variables = frozenset(out)
         return self._variables
 
-    def occurrence_counts(self) -> Dict[int, int]:
-        """How many clauses each variable occurs in."""
-        counts: Dict[int, int] = {}
-        variables_of = self.arena.variables
-        for clause in self.clauses:
-            for var in variables_of(clause):
-                counts[var] = counts.get(var, 0) + 1
-        return counts
-
     def clause_probabilities(self) -> List[float]:
         probability = self.arena.probability
         return [probability(clause) for clause in self.clauses]
-
-    def root_variables(self) -> FrozenSet[int]:
-        """Variables occurring in *every* clause (SPROUT's root test)."""
-        if not self.clauses:
-            return frozenset()
-        variables_of = self.arena.variables
-        roots = set(variables_of(self.clauses[0]))
-        for clause in self.clauses[1:]:
-            roots &= variables_of(clause)
-            if not roots:
-                break
-        return frozenset(roots)
 
     # -- statistics ---------------------------------------------------------
     def stats(self, test_hierarchy: bool = True) -> LineageStats:
@@ -291,9 +270,11 @@ class Lineage:
         any two variables be nested or disjoint.  The lineage analog uses
         clause-index sets: when they form a laminar family, every
         connected component has a variable occurring in all its clauses (a
-        *root*), recursively -- exactly the shape SPROUT-style safe
-        evaluation (``repro.core.confidence.sprout.safe_lineage_confidence``)
-        needs to run to completion.
+        *root*), recursively -- so SPROUT-style safe evaluation
+        (``repro.core.confidence.sprout.safe_lineage_confidence``) runs to
+        completion.  The converse needs one value per variable: with
+        several, root eliminations can succeed on a family that is not
+        laminar (clauses on different values of a root never meet).
         """
         clause_sets: Dict[int, Set[int]] = {}
         variables_of = self.arena.variables
@@ -430,17 +411,7 @@ class Lineage:
         self._components = out
         return out
 
-    # -- operations the evaluators use --------------------------------------
-    def restrict(self, var: int, value: int) -> "Lineage":
-        """Condition on ``var = value``: clauses disagreeing on ``var``
-        disappear, agreeing atoms are consumed."""
-        clauses = []
-        for clause in self.clauses:
-            restricted = clause.restrict(var, value)
-            if restricted is not None:
-                clauses.append(restricted)
-        return Lineage(clauses, self.arena)
-
+    # -- semantics (the enumeration oracles) ---------------------------------
     def satisfied_by(self, assignment: Mapping[int, int]) -> bool:
         return any(clause.satisfied_by(assignment) for clause in self.clauses)
 
@@ -449,10 +420,6 @@ class Lineage:
             if clause.satisfied_by(assignment):
                 return i
         return None
-
-    def canonical_key(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        """Hashable canonical form (sorted clause atom tuples)."""
-        return tuple(sorted(clause.atoms for clause in self.clauses))
 
     # -- closed forms ---------------------------------------------------------
     def closed_form_probability(self) -> Optional[float]:

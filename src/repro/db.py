@@ -501,13 +501,14 @@ class MayBMS(_SessionBase):
       (:func:`repro.core.confidence.dklr.aconf_unit_seed`), so its
       estimates are a pure function of the seed and the data.
     - ``confidence_strategy`` tunes the cost-based confidence dispatcher:
-      ``"auto"`` (the default; closed-form → SPROUT → budgeted exact →
-      Monte Carlo per independent lineage component) or a forced
+      ``"auto"`` (the default; one budgeted ws-tree run per independent
+      lineage component, labelled closed-form / sprout / exact, and Monte
+      Carlo when the budget blows) or a forced
       ``"sprout"`` / ``"exact"`` / ``"monte-carlo"``.  Defaults to the
       ``REPRO_CONF_STRATEGY`` environment variable, then ``"auto"``.
     - ``exact_budget`` caps the exact engine's ws-tree subproblems per
-      component before ``conf()`` degrades to an (ε,δ) estimate; None
-      means never degrade.
+      component below a non-root elimination before ``conf()`` degrades
+      to an (ε,δ) estimate; None means never degrade.
     - ``path`` makes the session durable: committed statements are
       appended to an on-disk write-ahead log (fsynced per commit) under
       that directory, and reopening ``MayBMS(path=...)`` recovers the

@@ -221,7 +221,7 @@ class UnsafeQueryError(ConfidenceError):
 class UnsafeLineageError(UnsafeQueryError):
     """SPROUT-style safe evaluation was attempted on a lineage that is not
     hierarchical (some connected clause component has no root variable).
-    The dispatcher catches this and falls back to the exact engine."""
+    ``aconf()`` under ``auto`` catches it and falls back to Monte Carlo."""
 
 
 class CostBudgetExceededError(ConfidenceError):

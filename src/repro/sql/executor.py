@@ -110,9 +110,8 @@ class Executor:
         self.registry = registry
         self.analyzer = Analyzer(catalog)
         self.rng = rng if rng is not None else random.Random(0)
-        # One dispatcher per executor: its exact-engine memo amortizes
-        # across queries and its RNG is the session RNG, so approximate
-        # confidence is reproducible under a fixed seed.
+        # One dispatcher per executor: its RNG is the session RNG, so
+        # approximate confidence is reproducible under a fixed seed.
         self.dispatcher = ConfidenceDispatcher(
             registry, confidence_policy, rng=self.rng
         )
@@ -271,7 +270,9 @@ class Executor:
         ``-- hash join: single-key, build cached``).  Confidence-computing
         aggregates run outside the relational plans; their fragments
         report which strategy the cost-based dispatcher chose per group
-        component (closed-form / sprout / exact / monte-carlo).
+        component (closed-form / sprout / exact / monte-carlo), and what
+        the ws-tree recursion cost when it expanded
+        (``ws-tree: N subproblems, M memo hits``).
         """
         with planner.trace_plans() as trace, dispatch.trace_confidence() as conf_trace:
             output = _materialized(self.evaluate_query(statement.query))
@@ -296,6 +297,8 @@ class Executor:
                 f"[strategy={self.dispatcher.policy.strategy}]:"
             )
             lines.append("  " + event.render())
+            if event.ws_tree is not None:
+                lines.append("  ws-tree: %d subproblems, %d memo hits" % event.ws_tree)
         relation = Relation(
             Schema([Column("plan", type_from_name("text"))]),
             [(line,) for line in lines],

@@ -19,7 +19,7 @@ from repro.core.confidence.naive import (
 from repro.core.lineage import Lineage
 from repro.core.variables import VariableRegistry
 from repro.datagen.random_dnf import random_dnf
-from repro.errors import CostBudgetExceededError
+from repro.errors import CostBudgetExceededError, UnsafeLineageError
 
 
 def exact_probability(clauses, registry):
@@ -125,42 +125,55 @@ class TestEngineInternals:
         assert stats.subproblems > 0
         assert stats.eliminations + stats.decompositions + stats.clause_leaves > 0
 
-    def test_ws_tree_structure(self):
+    def test_independent_clauses_close_at_the_top(self):
         registry = VariableRegistry()
         x = registry.fresh([0.5, 0.5])
         y = registry.fresh([0.5, 0.5])
-        # Two independent clauses: root must be a decompose node.
         lineage = Lineage.from_clauses(
             [Condition.atom(x, 0), Condition.atom(y, 0)], registry
         )
         engine = ExactConfidenceEngine(registry)
-        probability, tree = engine.probability_with_tree(lineage)
-        assert probability == pytest.approx(0.75)
-        assert tree.kind == "decompose"
-        assert len(tree.children) == 2
-        assert tree.size() >= 3 and tree.depth() == 2
+        assert engine.probability(lineage) == pytest.approx(0.75)
+        assert engine.label == "closed-form"
+        assert engine.statistics.subproblems == 1
+        assert engine.statistics.decompositions == engine.statistics.eliminations == 0
 
-    def test_ws_tree_elimination_node(self):
+    def test_independent_clauses_close_below_the_top_too(self):
+        # r ∧ a, r ∧ b, r ∧ c: eliminating the root r leaves {a, b, c},
+        # pairwise disjoint -- one closed-form node, not three leaves.
+        registry = VariableRegistry()
+        r = registry.fresh_boolean(0.5)
+        rest = [registry.fresh_boolean(0.5) for _ in range(3)]
+        lineage = Lineage.from_clauses(
+            [Condition.of([(r, 1), (v, 1)]) for v in rest], registry
+        )
+        engine = ExactConfidenceEngine(registry)
+        assert engine.probability(lineage) == pytest.approx(0.5 * (1 - 0.5 ** 3))
+        assert engine.statistics.subproblems == 2
+        assert engine.statistics.clause_leaves == 0
+
+    def test_elimination_on_a_shared_variable(self):
         registry = VariableRegistry()
         x = registry.fresh([0.5, 0.5])
         y = registry.fresh([0.5, 0.5])
-        # Chained clauses sharing x: elimination must occur.
+        # Chained clauses sharing x and y: elimination must occur.
         lineage = Lineage.from_clauses(
             [Condition.of([(x, 0), (y, 0)]), Condition.of([(x, 1), (y, 1)])],
             registry,
         )
         engine = ExactConfidenceEngine(registry)
-        probability, tree = engine.probability_with_tree(lineage)
-        assert tree.kind == "eliminate"
-        assert tree.variable in (x, y)
-        assert tree.render()  # renders without error
+        assert engine.probability(lineage) == pytest.approx(0.5)
+        assert engine.statistics.eliminations == 1
+        assert engine.label == "sprout"  # x and y are both roots
 
     def test_variable_choice_prefers_frequent(self):
         registry = VariableRegistry()
         a = registry.fresh([0.5, 0.5])
         b = registry.fresh([0.5, 0.5])
         c = registry.fresh([0.5, 0.5])
-        # a occurs in all three clauses; b, c in one each.
+        # a occurs in all three clauses; b, c in one or two each.  Only
+        # eliminating a first finishes in one elimination: a=0 leaves the
+        # independent {b=0, c=0}, a=1 the single clause b=1.
         lineage = Lineage.from_clauses(
             [
                 Condition.of([(a, 0), (b, 0)]),
@@ -170,7 +183,22 @@ class TestEngineInternals:
             registry,
         )
         engine = ExactConfidenceEngine(registry)
-        assert engine._choose_variable(lineage) == a
+        engine.probability(lineage)
+        assert engine.statistics.eliminations == 1
+        assert engine.statistics.clause_leaves == 1
+        assert engine.label == "sprout"
+
+    def test_non_root_elimination_is_labelled_exact(self):
+        registry = VariableRegistry()
+        v = [registry.fresh_boolean(0.5) for _ in range(4)]
+        lineage = Lineage.from_clauses(
+            [Condition.of([(v[i], 1), (v[i + 1], 1)]) for i in range(3)], registry
+        )
+        engine = ExactConfidenceEngine(registry)
+        engine.probability(lineage)
+        assert engine.label == "exact"
+        with pytest.raises(UnsafeLineageError):
+            ExactConfidenceEngine(registry).probability(lineage, roots_only=True)
 
     def test_large_independent_dnf_is_fast(self):
         """100 disjoint clauses: decomposition keeps this linear, whereas
@@ -184,9 +212,9 @@ class TestEngineInternals:
         assert p == pytest.approx(1 - 0.9 ** 100)
 
 
-class TestRecursionOnLineage:
-    """The engine expands the lineage IR itself: components, cofactors and
-    canonical keys over one clause arena."""
+class TestRecursionOnClauseTuples:
+    """The engine expands sorted tuples of the arena's clause atom tuples,
+    with a memo that lives as long as the engine."""
 
     def test_clause_order_does_not_change_the_answer(self):
         rng = random.Random(21)
@@ -198,7 +226,7 @@ class TestRecursionOnLineage:
             exact_probability(lineage, registry), abs=1e-12
         )
 
-    def test_memo_is_keyed_by_the_canonical_form(self):
+    def test_memo_is_keyed_by_the_sorted_clause_tuples(self):
         # The same clauses in another order, in another arena: one memo
         # entry serves both.
         rng = random.Random(4)
@@ -210,13 +238,22 @@ class TestRecursionOnLineage:
         assert engine.probability(reversed_copy) == first
         assert engine.statistics.memo_hits == hits + 1
 
-    def test_cofactors_reuse_the_lineage_arena(self):
+    def test_memo_lives_with_its_engine(self):
+        rng = random.Random(4)
+        lineage, registry = random_dnf(6, 8, 2, rng)
+        first = ExactConfidenceEngine(registry)
+        first.probability(lineage)
+        assert first._memo
+        second = ExactConfidenceEngine(registry)
+        second.probability(lineage)
+        assert second.statistics.memo_hits == first.statistics.memo_hits
+
+    def test_cofactors_leave_the_lineage_arena_alone(self):
         rng = random.Random(9)
         lineage, registry = random_dnf(5, 10, 3, rng)
         interned = len(lineage.arena)
         ExactConfidenceEngine(registry).probability(lineage)
-        # Restricted clauses were interned next to the originals.
-        assert len(lineage.arena) > interned
+        assert len(lineage.arena) == interned
 
     def test_zero_probability_clauses_are_simplified_away(self, registry):
         impossible = registry.fresh({0: 1.0, 1: 0.0})
@@ -253,16 +290,25 @@ class TestRecursionOnLineage:
             )
         assert engine.statistics.subproblems == sum(needed) > max(needed)
 
-    def test_memo_resets_wholesale_at_its_bound(self, monkeypatch):
-        monkeypatch.setattr(ExactConfidenceEngine, "MAX_MEMO_ENTRIES", 3)
-        rng = random.Random(5)
-        lineage, registry = random_dnf(6, 10, 2, rng)
-        engine = ExactConfidenceEngine(registry)
-        p = engine.probability(lineage)
-        assert len(engine._memo) <= 3
-        assert p == pytest.approx(confidence_by_enumeration(lineage, registry), abs=1e-12)
+    def test_budget_counts_only_below_a_non_root_elimination(self):
+        # r ∧ x_i ∧ y_i: hierarchical, many subproblems, none below a
+        # non-root elimination -- a budget of one never trips.
+        registry = VariableRegistry()
+        r = registry.fresh([0.3, 0.3, 0.4])
+        clauses = []
+        for value in range(3):
+            for _ in range(3):
+                x, y = registry.fresh_boolean(0.5), registry.fresh_boolean(0.4)
+                clauses.append(Condition.of([(r, value), (x, 1), (y, 1)]))
+                clauses.append(Condition.of([(r, value), (x, 0)]))
+        lineage = Lineage.from_clauses(clauses, registry)
+        engine = ExactConfidenceEngine(registry, max_subproblems=1)
+        assert engine.probability(lineage) == pytest.approx(
+            ExactConfidenceEngine(registry).probability(lineage), abs=1e-15
+        )
+        assert engine.label == "sprout" and engine.statistics.subproblems > 1
 
-    def test_ws_tree_has_true_and_clause_leaves(self):
+    def test_true_and_clause_leaves(self):
         registry = VariableRegistry()
         x = registry.fresh([0.5, 0.5])
         y = registry.fresh([0.5, 0.5])
@@ -270,7 +316,7 @@ class TestRecursionOnLineage:
         lineage = Lineage.from_clauses(
             [Condition.atom(x, 0), Condition.of([(x, 1), (y, 1)])], registry
         )
-        probability, tree = ExactConfidenceEngine(registry).probability_with_tree(lineage)
-        assert probability == pytest.approx(0.75)
-        assert tree.kind == "eliminate" and tree.variable == x
-        assert sorted(child.kind for child in tree.children) == ["clause", "true"]
+        engine = ExactConfidenceEngine(registry)
+        assert engine.probability(lineage) == pytest.approx(0.75)
+        stats = engine.statistics
+        assert (stats.subproblems, stats.eliminations, stats.clause_leaves) == (3, 1, 1)

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from repro.core.conditions import Condition
-from repro.core.confidence import sprout
 from repro.core.confidence.exact import ExactConfidenceEngine
 from repro.core.confidence.naive import confidence_by_enumeration
 from repro.core.confidence.sprout import safe_lineage_confidence
@@ -69,7 +68,10 @@ def test_random_hierarchical_lineages_match_enumeration_and_exact(seed):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_two_level_closed_form_equals_the_recursion(seed, monkeypatch):
+def test_two_level_shape_is_one_root_elimination(seed):
+    # R(x), S(x, y) per group: a root plus pairwise-disjoint single atoms
+    # below each of its values.  Every cofactor closes as 1 − ∏(1 − p), so
+    # the recursion needs exactly one elimination.
     rng = random.Random(100 + seed)
     registry = VariableRegistry()
     root = fresh(registry, rng)
@@ -80,16 +82,10 @@ def test_two_level_closed_form_equals_the_recursion(seed, monkeypatch):
     ]
     clauses.append(clause((root, registry.domain(root)[0])))
     lineage = Lineage.from_clauses(clauses, registry)
-    fast = safe_lineage_confidence(lineage)
-    monkeypatch.setattr(sprout, "_two_level_closed_form", lambda *args: None)
-    assert fast == pytest.approx(safe_lineage_confidence(lineage), abs=1e-15)
-
-
-def test_connected_flag_skips_only_the_partition():
-    lineage, _ = random_hierarchical(3)
-    component = lineage.components()[0]
-    connected = safe_lineage_confidence(component, connected=True)
-    assert connected == safe_lineage_confidence(component)
+    engine = ExactConfidenceEngine(registry)
+    p = engine.probability(lineage, roots_only=True)
+    assert p == pytest.approx(confidence_by_enumeration(lineage, registry), abs=1e-12)
+    assert engine.statistics.eliminations == 1 and engine.label == "sprout"
 
 
 def test_duplicate_and_subsumed_clauses_are_simplified_first():

@@ -32,8 +32,7 @@ class TestConstruction:
 
     def test_top_atoms_dropped(self):
         c = Condition.of([(TOP_VARIABLE, 0), (1, 2)])
-        assert len(c) == 1
-        assert c.value_of(1) == 2
+        assert c.atoms == ((1, 2),)
 
     def test_atom_constructor(self):
         assert Condition.atom(1, 2).atoms == ((1, 2),)
@@ -63,23 +62,6 @@ class TestAlgebra:
         a = Condition.atom(1, 0)
         assert TRUE_CONDITION.conjoin(a) == a
         assert a.conjoin(TRUE_CONDITION) == a
-
-    def test_without(self):
-        c = Condition.of([(1, 0), (2, 1)])
-        assert c.without(1) == Condition.atom(2, 1)
-        assert c.without(9) == c
-
-    def test_restrict_agreeing_consumes_atom(self):
-        c = Condition.of([(1, 0), (2, 1)])
-        assert c.restrict(1, 0) == Condition.atom(2, 1)
-
-    def test_restrict_disagreeing_is_none(self):
-        c = Condition.atom(1, 0)
-        assert c.restrict(1, 1) is None
-
-    def test_restrict_absent_variable_unchanged(self):
-        c = Condition.atom(1, 0)
-        assert c.restrict(5, 2) == c
 
     def test_subsumes(self):
         weak = Condition.atom(1, 0)

@@ -90,14 +90,6 @@ class TestClassification:
         lin = Lineage.from_clauses([clause((x, 1), (y, 1)), atom(z)], registry)
         assert lin.variables() == frozenset({x, y, z})
 
-    def test_occurrence_counts(self, registry):
-        x = registry.fresh_boolean(0.5)
-        y = registry.fresh_boolean(0.5)
-        lin = Lineage.from_clauses(
-            [clause((x, 1), (y, 1)), atom(x, 0), atom(y, 0)], registry
-        )
-        assert lin.occurrence_counts() == {x: 2, y: 2}
-
     def test_satisfied_by_and_first_satisfied_clause(self, registry):
         x = registry.fresh_boolean(0.5)
         y = registry.fresh_boolean(0.5)
@@ -107,13 +99,6 @@ class TestClassification:
         assert lin.first_satisfied_clause({x: 0, y: 1}) == 0
         assert lin.first_satisfied_clause({x: 1, y: 1}) == 1
         assert lin.first_satisfied_clause({x: 1, y: 0}) is None
-
-    def test_canonical_key_ignores_clause_order(self, registry):
-        x = registry.fresh_boolean(0.5)
-        y = registry.fresh_boolean(0.5)
-        a = Lineage.from_clauses([atom(x), atom(y, 0)], registry)
-        b = Lineage.from_clauses([atom(y, 0), atom(x)], registry)
-        assert a.canonical_key() == b.canonical_key()
 
 
 class TestSimplification:
@@ -264,47 +249,6 @@ class TestStats:
             registry,
         )
         assert lin.stats().hierarchical is False
-
-
-class TestRestrict:
-    def test_restrict_consumes_and_drops(self, registry):
-        x = registry.fresh_boolean(0.5)
-        y = registry.fresh_boolean(0.5)
-        lin = Lineage.from_clauses(
-            [clause((x, 1), (y, 1)), clause((x, 0), (y, 1))], registry
-        )
-        restricted = lin.restrict(x, 1)
-        assert list(restricted.clauses) == [atom(y)]
-
-    def test_cofactors_are_interned_in_the_same_arena(self, registry):
-        # The exact engine's recursion shares probability/variable caches
-        # between a lineage and every cofactor it expands.
-        x = registry.fresh_boolean(0.5)
-        y = registry.fresh_boolean(0.5)
-        lin = Lineage.from_clauses([clause((x, 1), (y, 1)), atom(y)], registry)
-        restricted = lin.restrict(x, 1)
-        assert restricted.arena is lin.arena
-        assert restricted.clauses[0] is lin.clauses[1]
-
-    def test_restrict_on_an_absent_variable_keeps_every_clause(self, registry):
-        x = registry.fresh_boolean(0.5)
-        y = registry.fresh_boolean(0.5)
-        lin = Lineage.from_clauses([atom(x), atom(x, 0)], registry)
-        assert list(lin.restrict(y, 1).clauses) == list(lin.clauses)
-
-    def test_restrict_can_make_the_lineage_certain(self, registry):
-        x = registry.fresh_boolean(0.5)
-        lin = Lineage.from_clauses([atom(x)], registry)
-        assert lin.restrict(x, 1).is_true
-        assert lin.restrict(x, 0).is_false
-
-    def test_root_variables(self, registry):
-        r = registry.fresh_boolean(0.5)
-        s = [registry.fresh_boolean(0.5) for _ in range(2)]
-        lin = Lineage.from_clauses(
-            [clause((r, 1), (s[0], 1)), clause((r, 1), (s[1], 1))], registry
-        )
-        assert lin.root_variables() == frozenset({r})
 
 
 class TestGroupLineages:

@@ -228,6 +228,45 @@ class TestConfidenceFragment:
         assert without.startswith("conf: 12 group(s) via ") and "sprout" in without
         assert "vectorized" not in without
 
+    def test_ws_tree_line_carries_the_calls_statistics(self, shop, monkeypatch):
+        engines = []
+
+        class Recording(dispatch.ExactConfidenceEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self)
+
+        monkeypatch.setattr(dispatch, "ExactConfidenceEngine", Recording)
+
+        def explain(sql):
+            return [row[0] for row in shop.execute("explain " + sql).relation.rows]
+
+        lines = explain(self.HARD)
+        at = lines.index("confidence fragment 1 [strategy=auto]:")
+        assert lines[at + 1].startswith("  conf: 3 group(s) via ")
+        [engine] = engines  # one engine for the aggregate's whole call
+        stats = engine.statistics
+        assert stats.subproblems > 0
+        assert lines[at + 2] == (
+            f"  ws-tree: {stats.subproblems} subproblems, {stats.memo_hits} memo hits"
+        )
+        assert lines[at + 2:] == lines[-1:]
+        # The memo lives for one call: the same statement costs the same.
+        assert explain(self.HARD)[at + 2] == lines[at + 2]
+
+    def test_no_ws_tree_line_when_everything_closed(self, db):
+        db.execute(
+            "create table u as select * from "
+            "(pick tuples from t independently with probability b) x"
+        )
+        lines = [
+            row[0]
+            for row in db.execute(
+                "explain select a, conf() as p from u group by a"
+            ).relation.rows
+        ]
+        assert lines[-1] == "  conf: 3 group(s) via closed-form x3"
+
 
 class TestTraceBuffersPerThread:
     """EXPLAIN's trace buffers belong to the thread that opened them.  The
