@@ -11,6 +11,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
+    install_requires=["numpy"],
     entry_points={
         "console_scripts": [
             "maybms-server=repro.server.__main__:main",

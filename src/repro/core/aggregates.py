@@ -31,6 +31,7 @@ from repro.core.confidence.dklr import aconf_unit_seed
 from repro.core.confidence.exact import ExactConfidenceEngine
 from repro.core.lineage import Lineage, group_lineages
 from repro.core.urelation import URelation
+from repro.engine.physical import key_rows
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema
 from repro.engine.types import FLOAT, INTEGER
@@ -43,17 +44,17 @@ def _group_rows(
     """Group row indexes by the projection onto the columns at
     ``positions``: (projected row per group, row indexes per group), in
     order of first appearance.  Works off the relation's cached column
-    view: only the grouping columns are touched, not whole rows.
+    view: only the grouping columns are touched, not whole rows.  NULLs
+    form one group, and so do NaNs (:func:`~repro.engine.physical.key_rows`).
     """
     groups: Dict[tuple, List[int]] = {}
-    n = len(urel.relation)
-    if positions:
-        columns = urel.relation.columns()
-        projected_iter = zip(*(columns[p] for p in positions))
-    else:
-        projected_iter = (() for _ in range(n))
-    # NULL is None, which a dict key compares equal to itself: the
-    # projected tuples group NULLs together as SQL's GROUP BY does.
+    relation = urel.relation
+    columns = relation.columns() if positions else ()
+    projected_iter = key_rows(
+        [columns[p] for p in positions],
+        [relation.schema[p].type for p in positions],
+        len(relation),
+    )
     for index, projected in enumerate(projected_iter):
         indexes = groups.get(projected)
         if indexes is None:
@@ -109,7 +110,8 @@ def _array_pass(
     """What :func:`hierarchical_confidences` answers before any lineage
     is built: (probability per group, ordinals of the groups it left to
     the dispatcher).  It leaves all of them when the policy forces the
-    exact or the Monte-Carlo engine, and without NumPy."""
+    exact or the Monte-Carlo engine, and when the condition columns have
+    no int64 arrays (:meth:`URelation.condition_arrays`)."""
     if policy.strategy in ("auto", dispatch.STRATEGY_SPROUT):
         answer = hierarchical_confidences(urel, row_groups)
         if answer is not None:

@@ -37,9 +37,10 @@ from __future__ import annotations
 from itertools import chain
 from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.urelation import URelation
 from repro.core.variables import TOP_VARIABLE, VariableRegistry
-from repro.engine import columnar
 
 
 class AtomTable(NamedTuple):
@@ -63,7 +64,6 @@ class AtomTable(NamedTuple):
         The stored ``_p{i}`` columns are not used -- under a registry
         clone with other distributions they are stale.  Atoms on the top variable are
         padding and always true."""
-        np = columnar.np
         out = np.array(
             registry.probabilities(
                 self.atom_variables.tolist(), self.atom_values.tolist()
@@ -78,7 +78,6 @@ def intern_atoms(variables, values) -> AtomTable:
     """Number the distinct variables and the distinct ``(variable,
     value)`` atoms of two equal-shape int64 arrays.  All atoms on the top
     variable are one atom, whatever their value."""
-    np = columnar.np
     shape = variables.shape
     flat = variables.ravel()
     names, variable_index = np.unique(flat, return_inverse=True)
@@ -106,7 +105,6 @@ def hierarchical_confidences(
     arrays = urel.condition_arrays()
     if arrays is None:
         return None
-    np = columnar.np
     n_groups = len(row_groups)
     sizes = np.fromiter(map(len, row_groups), dtype=np.int64, count=n_groups)
     rows = np.fromiter(
@@ -175,7 +173,6 @@ def _reduce(group, variables, atoms, marginal) -> Tuple[Any, Any]:
     """Evaluate tree-shaped groups bottom-up.  ``variables`` and ``atoms``
     hold one array per level, root first; returns the groups present and
     their probabilities."""
-    np = columnar.np
     order = np.lexsort(tuple(reversed(atoms)) + (group,))
     group = group[order]
     atoms = [level[order] for level in atoms]

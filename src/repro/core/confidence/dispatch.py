@@ -30,8 +30,9 @@ Under ``auto`` and ``sprout`` the SQL aggregates ask the array pass first
 (:mod:`repro.core.confidence.columnar`): groups whose clauses form a tree
 are answered straight from the condition columns, all in one pass, and
 never become a :class:`~repro.core.lineage.Lineage`.  The dispatcher sees
-the groups that pass declined -- all of them without NumPy or under a
-forced ``exact`` / ``monte-carlo``.
+the groups that pass declined -- all of them under a forced ``exact`` /
+``monte-carlo``, or when the relation is below the array kernels' size
+threshold.
 
 The decisions taken are recorded per aggregate call when a
 :func:`trace_confidence` scope is active; the SQL ``EXPLAIN`` statement

@@ -34,9 +34,10 @@ import itertools
 import random
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.core.lineage import Lineage
 from repro.core.variables import VariableRegistry
-from repro.engine.columnar import HAVE_NUMPY, np
 from repro.errors import ConfidenceError
 
 #: Below this sample count the NumPy batch setup outweighs the win.
@@ -113,7 +114,7 @@ class KarpLubyEstimator:
     def estimate(self, samples: int) -> float:
         """Fixed-sample-count estimate U · mean(Z) of the confidence.
 
-        With NumPy available, sampling consumes the clause-probability and
+        From ``_VECTOR_MIN_SAMPLES`` samples on, sampling consumes the clause-probability and
         per-variable distribution *columns* in one vectorized block: all
         clause choices, all world draws, and all first-satisfied-clause
         tests happen array-at-a-time instead of per sample per variable.
@@ -134,7 +135,7 @@ class KarpLubyEstimator:
         if samples <= 0:
             raise ConfidenceError(f"need a positive sample count, got {samples}")
         rng = self.rng if seed is None else random.Random(seed)
-        if HAVE_NUMPY and samples >= _VECTOR_MIN_SAMPLES and self.variables:
+        if samples >= _VECTOR_MIN_SAMPLES and self.variables:
             return self._hits_vectorized(samples, rng)
         if seed is None:
             return sum(self.sample() for _ in range(samples))

@@ -17,7 +17,8 @@ SQL ``conf()`` runs this plan in two places.  The array pass
 (:mod:`repro.core.confidence.columnar`) evaluates every tree-shaped group
 of a relation at once, as one sort and a few segmented reductions over
 the condition columns.  Per lineage, for the groups the array pass
-declined (and for every group without NumPy), the plan is the exact
+declined (and for every group of a relation below the array kernels'
+size threshold), the plan is the exact
 ws-tree recursion of :mod:`repro.core.confidence.exact` restricted to
 root eliminations: its heuristic eliminates a root whenever one exists,
 so a lineage it evaluates with root eliminations only is labelled

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.conditions import Condition, TRUE_CONDITION
 from repro.core.variables import TOP_VARIABLE, VariableRegistry
-from repro.engine import algebra, columnar, planner
+from repro.engine import algebra, planner
 from repro.engine.kernels import _NUMPY_MIN_ROWS
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema
@@ -291,11 +293,11 @@ class URelation:
 
     def _condition_mirrors(self, offset: int):
         """The int64 mirrors of the variable (``offset`` 0) or value
-        (``offset`` 1) columns, or None when NumPy is missing, the
-        relation is shorter than the kernels' ``_NUMPY_MIN_ROWS``, or a
-        column has no exact mirror (a NULL)."""
+        (``offset`` 1) columns, or None when the relation is shorter than
+        the kernels' ``_NUMPY_MIN_ROWS`` or a column has no exact mirror
+        (a NULL)."""
         relation = self.relation
-        if not columnar.HAVE_NUMPY or len(relation) < _NUMPY_MIN_ROWS:
+        if len(relation) < _NUMPY_MIN_ROWS:
             return None
         mirrors = [
             relation.mirror(self.payload_arity + 3 * i + offset, "int64")
@@ -311,7 +313,7 @@ class URelation:
         values = self._condition_mirrors(1) if variables is not None else None
         if values is None:
             return None
-        return columnar.np.stack(variables), columnar.np.stack(values)
+        return np.stack(variables), np.stack(values)
 
     def condition_probabilities(self) -> List[float]:
         """Per-row marginal probability of each row's condition, straight
@@ -370,7 +372,6 @@ class URelation:
         return out
 
     def _array_condition_probabilities(self, columns, variables) -> List[float]:
-        np = columnar.np
         base, arity = self.payload_arity, self.cond_arity
         product = np.ones(len(variables[0]))
         repeated = np.zeros(len(product), dtype=bool)

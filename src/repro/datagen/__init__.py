@@ -9,20 +9,14 @@ scaled-down TPC-H-like generator behind the benchmark's ``tpch`` dataset
 and the SPROUT example.
 """
 
-from importlib import import_module
-
+from repro.datagen.markov import (
+    matrix_power_distribution,
+    random_stochastic_matrix,
+    transition_relation,
+)
+from repro.datagen.nba import NBADataGenerator
 from repro.datagen.random_dnf import random_dnf, random_registry
 from repro.datagen.tpch import TpchGenerator
-
-#: ``markov`` and ``nba`` need NumPy, the generators above do not: these
-#: names are resolved on first access (PEP 562) so that the package -- and
-#: with it ``repro.datagen.random_dnf`` -- imports without NumPy.
-_NUMPY_EXPORTS = {
-    "random_stochastic_matrix": "markov",
-    "transition_relation": "markov",
-    "matrix_power_distribution": "markov",
-    "NBADataGenerator": "nba",
-}
 
 __all__ = [
     "random_stochastic_matrix",
@@ -33,10 +27,3 @@ __all__ = [
     "random_registry",
     "TpchGenerator",
 ]
-
-
-def __getattr__(name: str):
-    module = _NUMPY_EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{module}"), name)

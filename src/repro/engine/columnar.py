@@ -1,11 +1,8 @@
-"""Columnar batches: the unit of work of the batch execution engine.
+"""Columnar batches: the unit of work of the execution engine.
 
-The row engine (the original iterator model in
-:mod:`repro.engine.physical`) moves one Python tuple at a time through a
-tree of closures; every expression node costs a Python call per row.  The
-batch engine instead moves a :class:`ColumnBatch` -- a fixed-length slice
-of the input held as per-column sequences -- through the operator tree,
-and evaluates expressions as *column kernels* (see
+The executor moves a :class:`ColumnBatch` -- a fixed-length slice of the
+input held as per-column sequences -- through the operator tree, and
+evaluates expressions as *column kernels* (see
 :mod:`repro.engine.kernels`) that produce a whole output column in one
 pass.  This is the MayBMS thesis taken seriously: the wide U-relation
 encoding makes probabilistic query processing ordinary relational
@@ -13,25 +10,16 @@ processing, so the relational engine's constant factor is the whole ball
 game.
 
 Columns are plain Python sequences (lists or tuples) holding SQL values
-(``None`` is NULL).  When NumPy is available, purely numeric columns can
-be mirrored into ``ndarray``s for vectorized kernels -- see
-:func:`int_array` / :func:`float_array`; everything degrades gracefully
-to pure Python when it is not.
+(``None`` is NULL).  Purely numeric columns are mirrored into NumPy
+``ndarray``s for vectorized kernels -- see :func:`int_array` /
+:func:`float_array`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-try:  # NumPy is optional: the batch engine works without it.
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except Exception:  # pragma: no cover - exercised only without numpy
-    _np = None
-    HAVE_NUMPY = False
-
-np = _np
+import numpy as np
 
 #: Rows per batch.  Large enough to amortize per-batch overhead, small
 #: enough that intermediate columns stay cache-friendly.
@@ -202,7 +190,7 @@ def concat_batches(batches: Iterable[ColumnBatch], arity: int) -> ColumnBatch:
 
 
 # ---------------------------------------------------------------------------
-# Optional NumPy mirrors.
+# NumPy mirrors.
 #
 # A mirror is an exact typed copy of a NULL-free numeric column.  Both
 # builders are strict: anything a vectorized comparison could not
@@ -217,9 +205,9 @@ FLOAT_EXACT_INT = 2**53
 
 
 def int_array(column: Sequence[Any], length: int):
-    """Mirror an all-``int`` column into an int64 ndarray, or None if
-    NumPy is unavailable or any value is not a plain int that fits."""
-    if not HAVE_NUMPY or set(map(type, column)) - {int}:
+    """Mirror an all-``int`` column into an int64 ndarray, or None if any
+    value is not a plain int that fits."""
+    if set(map(type, column)) - {int}:
         return None
     try:
         return np.fromiter(column, dtype=np.int64, count=length)
@@ -230,8 +218,6 @@ def int_array(column: Sequence[Any], length: int):
 def float_array(column: Sequence[Any], length: int):
     """Mirror a column of floats (and exactly representable ints) into a
     float64 ndarray, or None."""
-    if not HAVE_NUMPY:
-        return None
     kinds = set(map(type, column))
     if kinds - {float, int}:
         return None

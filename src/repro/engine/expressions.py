@@ -600,7 +600,8 @@ _FUNCTIONS = {
     "coalesce": (
         1,
         None,
-        lambda ts: ts[0],
+        # INTEGER widens to FLOAT when a FLOAT (maybe NaN) can be returned.
+        lambda ts: FLOAT if ts[0] == INTEGER and FLOAT in ts else ts[0],
         lambda *args: next((a for a in args if a is not NULL), NULL),
     ),
     "least": (

@@ -1,26 +1,25 @@
-"""Expression compilation for the batch engine: position-based column kernels.
+"""Expression compilation for the executor: position-based column kernels.
 
 A *kernel* maps ``(columns, n)`` -- the input batch's columns and row
-count -- to one output column of length ``n``.  Compared to the row
-engine's per-row closures (:meth:`repro.engine.expressions.Expr.compile`),
-a kernel is compiled **once per pipeline** and then amortizes all
-per-node Python dispatch over a whole batch: a comparison is one list
-comprehension instead of ``n`` nested closure calls through
-``compare_values``.
+count -- to one output column of length ``n``.  Compared to per-row
+closures (:meth:`repro.engine.expressions.Expr.compile`), a kernel is
+compiled **once per pipeline** and then amortizes all per-node Python
+dispatch over a whole batch: a comparison is one list comprehension
+instead of ``n`` nested closure calls through ``compare_values``.
 
-Semantics are identical to the row engine:
+Semantics are those of the per-row evaluator:
 
 - SQL three-valued logic: boolean kernels produce columns of Python
   ``True`` / ``False`` / ``None`` (NULL);
 - comparisons use the same total ordering as ``compare_values``
   (including its NaN behaviour, via the ``not (a <= b)`` formulation);
 - short-circuiting contexts (AND/OR over operands that can raise, CASE,
-  IN) fall back to the row evaluator applied row-wise, so a guarded
-  ``b <> 0 AND a / b > 1`` never divides by zero in either engine.
+  IN) fall back to the per-row evaluator applied row-wise, so a guarded
+  ``b <> 0 AND a / b > 1`` never divides by zero.
 
 The :class:`~repro.engine.expressions.ConsistencyPredicate` -- the join
 consistency filter of the parsimonious translation, the hottest loop in
-translated query plans -- gets a dedicated kernel with a NumPy fast path
+translated query plans -- gets a dedicated kernel that runs on NumPy
 over the integer condition columns.
 
 Numeric comparisons over whole base columns have a second, vectorized
@@ -60,7 +59,8 @@ from repro.errors import ExpressionError, MayBMSError
 #: A compiled column kernel: (input columns, row count) -> output column.
 Kernel = Callable[[Sequence[Sequence[Any]], int], Sequence[Any]]
 
-#: Below this batch size the NumPy conversion overhead outweighs the win.
+#: Below this batch size the NumPy conversion overhead outweighs the win:
+#: smaller inputs take the Python kernels.
 _NUMPY_MIN_ROWS = 16
 
 
@@ -68,8 +68,7 @@ def compile_kernel(expr: Expr, schema: Schema) -> Kernel:
     """Compile an expression into a column kernel over ``schema``.
 
     Never fails on expression shape: anything without a specialized
-    columnar form falls back to the row evaluator applied row-wise, which
-    is exactly the row engine's behaviour.
+    columnar form falls back to the per-row evaluator applied row-wise.
     """
     try:
         return _compile(expr, schema)
@@ -94,8 +93,8 @@ def _row_fallback(expr: Expr, schema: Schema) -> Kernel:
 def _eager_safe(expr: Expr) -> bool:
     """Can this expression be evaluated eagerly on *all* rows without
     changing semantics?  False for anything that can raise (division,
-    casts, scalar functions) or that the row engine evaluates lazily
-    (CASE branches, IN item lists)."""
+    casts, scalar functions) or that the per-row evaluator evaluates
+    lazily (CASE branches, IN item lists)."""
     if isinstance(expr, (Literal, ColumnRef, PositionRef, ConsistencyPredicate)):
         return True
     if isinstance(expr, Comparison):
@@ -186,7 +185,8 @@ def _compile(expr: Expr, schema: Schema) -> Kernel:
         return _arithmetic_kernel(expr, schema)
 
     # CASE / CAST / IN / function calls: lazily-evaluated or raising
-    # constructs keep the row engine's exact semantics via the fallback.
+    # constructs keep the per-row evaluator's exact semantics via the
+    # fallback.
     return _row_fallback(expr, schema)
 
 
@@ -302,9 +302,9 @@ def consistency_mask(pairs, array_of: Callable[[int], Any]):
 def _consistency_kernel(expr: ConsistencyPredicate) -> Kernel:
     """The consistency filter over integer condition columns.
 
-    Vectorized with NumPy when available (the condition columns are
-    system-maintained integers, never NULL); pure-Python single pass
-    otherwise.
+    Vectorized with NumPy (the condition columns are system-maintained
+    integers, never NULL); a pure-Python single pass below
+    ``_NUMPY_MIN_ROWS`` rows or when a column has no int64 form.
     """
     pairs = expr.pairs
     positions = sorted({p for quad in pairs for p in quad})
@@ -312,7 +312,7 @@ def _consistency_kernel(expr: ConsistencyPredicate) -> Kernel:
     def kernel(columns: Sequence[Sequence[Any]], n: int) -> List[Any]:
         if n == 0:
             return []
-        if columnar.HAVE_NUMPY and n >= _NUMPY_MIN_ROWS:
+        if n >= _NUMPY_MIN_ROWS:
             mask = consistency_mask(
                 pairs, lambda position: columnar.int_array(columns[position], n)
             )
@@ -403,8 +403,8 @@ def compile_vector_filter(predicate: Expr, schema: Schema) -> Optional[VectorFil
 
     Conjuncts without an array form stay Python kernels and run after
     the mask, on the surviving rows only.  That reorders evaluation, so
-    it is allowed only when none of them can raise (the row engine, which
-    evaluates left to right, might have raised on a row the mask drops).
+    it is allowed only when none of them can raise (left-to-right
+    evaluation might have raised on a row the mask drops).
     """
     needs: List[Tuple[int, str]] = []
     vector: List[Callable[[_Arrays], Any]] = []

@@ -1,178 +1,84 @@
-"""Physical operators (iterator model).
+"""Physical operators over column batches.
 
-Each operator is a callable that yields row tuples.  The planner wires
-logical plans into trees of these; :func:`execute` materializes the result
-into a :class:`~repro.engine.relation.Relation`.
+Each operator is a callable yielding :class:`ColumnBatch` slices
+(~1024 rows); predicates and projections are column kernels compiled
+once per plan (:mod:`repro.engine.kernels`).  The planner wires logical
+plans into trees of these, and :func:`execute_batches` materializes the
+result into a :class:`~repro.engine.relation.Relation`.
 
-The operator set mirrors a textbook executor: sequential scan, values
-scan, filter, projection, nested-loop and hash joins, hash aggregation,
-sort, limit, union-all, distinct.  Hash-based operators key rows with NULL-safe keys so
-NULL groups correctly (SQL GROUP BY treats NULLs as equal).
+The operator set is a textbook executor's: scan (with a filter fused in
+when it sits on a base table), values, filter, projection, hash and
+nested-loop joins, hash aggregation, sort, limit, union-all, distinct.
+
+Keys follow one rule, SQL equality's.  A join key that is NULL or NaN
+never matches anything.  A grouping key (GROUP BY, DISTINCT, the
+grouping of ``conf()`` and friends) puts all NULLs in one group and all
+NaNs in one group, as ORDER BY puts them together.  The operators take
+their key columns' types and look for NaNs only in FLOAT ones
+(:func:`key_column`).
 """
 
 from __future__ import annotations
 
+import functools
+from itertools import chain
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.engine.expressions import ConsistencyPredicate, Evaluator
+import numpy as np
+
+from repro.engine import columnar, kernels
+from repro.engine.columnar import (
+    BATCH_SIZE,
+    ColumnBatch,
+    batches_of_columns,
+    concat_batches,
+)
+from repro.engine.expressions import ConsistencyPredicate
+from repro.engine.kernels import Kernel, VectorFilter, consistency_mask
 from repro.engine.relation import Relation, Row
 from repro.engine.schema import Schema
-from repro.engine.types import NULL, sort_key
-from repro.errors import PlanError, SchemaError
+from repro.engine.types import FLOAT, NULL, SqlType, sort_key
+from repro.errors import SchemaError
 
-RowIterator = Iterator[Row]
-PhysicalOp = Callable[[], RowIterator]
+BatchIterator = Iterator[ColumnBatch]
+BatchOp = Callable[[], BatchIterator]
+
+#: What an operator did at run time, told to EXPLAIN (None: nobody asks).
+Note = Optional[Callable[[str], None]]
 
 # A sentinel used in hash keys so that NULL == NULL for grouping purposes
 # while staying distinct from any real value.
 _NULL_KEY = ("__null__",)
 
+#: The one NaN that stands for every NaN of a FLOAT grouping key: a dict
+#: finds it by identity, so all NaNs fall into one group.
+GROUP_NAN = float("nan")
+
 
 def group_key(values: Iterable[Any]) -> tuple:
-    """Hashable grouping key where NULLs compare equal to each other."""
+    """Hashable grouping key where NULLs compare equal to each other (for
+    NaNs, see :func:`key_rows`)."""
     return tuple(_NULL_KEY if v is NULL else v for v in values)
 
 
-def seq_scan(relation: Relation) -> PhysicalOp:
-    def run() -> RowIterator:
-        return iter(relation.rows)
-
-    return run
-
-
-def values_scan(rows: Sequence[Row]) -> PhysicalOp:
-    def run() -> RowIterator:
-        return iter(rows)
-
-    return run
+def key_column(column: Sequence[Any], sql_type: SqlType, nan: Any) -> Sequence[Any]:
+    """``column`` ready to be hashed as a key.  Unchanged unless it is
+    FLOAT; then every NaN becomes ``nan``: None for a join key (NaN equals
+    nothing, so it never matches, like NULL), :data:`GROUP_NAN` for a
+    grouping key.  Integer and text keys pay nothing."""
+    if sql_type != FLOAT:
+        return column
+    return [nan if v != v else v for v in column]
 
 
-def filter_op(child: PhysicalOp, predicate: Evaluator) -> PhysicalOp:
-    """Keep rows for which the predicate is SQL TRUE (not NULL)."""
-
-    def run() -> RowIterator:
-        for row in child():
-            if predicate(row) is True:
-                yield row
-
-    return run
-
-
-def project_op(child: PhysicalOp, evaluators: Sequence[Evaluator]) -> PhysicalOp:
-    def run() -> RowIterator:
-        for row in child():
-            yield tuple(e(row) for e in evaluators)
-
-    return run
-
-
-def nested_loop_join(
-    left: PhysicalOp,
-    right: PhysicalOp,
-    predicate: Optional[Evaluator],
-) -> PhysicalOp:
-    """Materializes the right input and loops.  Used for non-equi joins and
-    cross products."""
-
-    def run() -> RowIterator:
-        right_rows = list(right())
-        for lrow in left():
-            for rrow in right_rows:
-                combined = lrow + rrow
-                if predicate is None or predicate(combined) is True:
-                    yield combined
-
-    return run
-
-
-def hash_join(
-    left: PhysicalOp,
-    right: PhysicalOp,
-    left_key: Sequence[Evaluator],
-    right_key: Sequence[Evaluator],
-    residual: Optional[Evaluator] = None,
-) -> PhysicalOp:
-    """Equi-join: build a hash table on the right input, probe with the left.
-
-    SQL equality semantics: rows whose key contains NULL never match, so
-    they are simply not inserted / probed.
-    """
-
-    def run() -> RowIterator:
-        table: Dict[tuple, List[Row]] = {}
-        for rrow in right():
-            key = tuple(e(rrow) for e in right_key)
-            if any(v is NULL for v in key):
-                continue
-            table.setdefault(key, []).append(rrow)
-        for lrow in left():
-            key = tuple(e(lrow) for e in left_key)
-            if any(v is NULL for v in key):
-                continue
-            bucket = table.get(key)
-            if not bucket:
-                continue
-            for rrow in bucket:
-                combined = lrow + rrow
-                if residual is None or residual(combined) is True:
-                    yield combined
-
-    return run
-
-
-def union_all(left: PhysicalOp, right: PhysicalOp) -> PhysicalOp:
-    def run() -> RowIterator:
-        yield from left()
-        yield from right()
-
-    return run
-
-
-def distinct_op(child: PhysicalOp) -> PhysicalOp:
-    def run() -> RowIterator:
-        seen = set()
-        for row in child():
-            key = group_key(row)
-            if key not in seen:
-                seen.add(key)
-                yield row
-
-    return run
-
-
-def sort_op(
-    child: PhysicalOp,
-    key_evaluators: Sequence[Evaluator],
-    ascendings: Sequence[bool],
-) -> PhysicalOp:
-    """Stable multi-key sort; NULLs last in ascending order (PostgreSQL
-    default), first in descending."""
-
-    def run() -> RowIterator:
-        rows = list(child())
-        # Stable sorts compose: apply keys right-to-left.
-        for evaluator, ascending in reversed(list(zip(key_evaluators, ascendings))):
-            rows.sort(key=lambda r: sort_key(evaluator(r)), reverse=not ascending)
-        return iter(rows)
-
-    return run
-
-
-def limit_op(child: PhysicalOp, count: Optional[int], offset: int) -> PhysicalOp:
-    def run() -> RowIterator:
-        it = child()
-        for _ in range(offset):
-            try:
-                next(it)
-            except StopIteration:
-                return
-        if count is None:
-            yield from it
-            return
-        for _, row in zip(range(count), it):
-            yield row
-
-    return run
+def key_rows(
+    columns: Sequence[Sequence[Any]], types: Sequence[SqlType], n: int
+) -> Iterable[tuple]:
+    """The ``n`` rows of ``columns`` as grouping keys: tuples that a dict
+    matches as SQL groups do, NULL with NULL and NaN with NaN."""
+    if not columns:
+        return (() for _ in range(n))
+    return zip(*(key_column(c, t, GROUP_NAN) for c, t in zip(columns, types)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +106,7 @@ class _AggState:
         if value is NULL:
             return  # SQL aggregates ignore NULLs
         if self.seen is not None:
-            key = value if value is not NULL else _NULL_KEY
+            key = value if value == value else GROUP_NAN  # one NaN, as in a group
             if key in self.seen:
                 return
             self.seen.add(key)
@@ -228,7 +134,7 @@ class _AggState:
         if self.function in ("min", "max"):
             return self.extreme if self.extreme is not None else NULL
         if self.function == "argmax":
-            # Handled specially by hash_aggregate (may emit several rows).
+            # Handled by _emit_group_rows (may emit several rows).
             raise AssertionError("argmax result is multi-valued")
         raise AssertionError(self.function)
 
@@ -245,65 +151,8 @@ class _AggState:
         return [a for a, v in self.argmax_pairs if v is not NULL and v == best]
 
 
-def hash_aggregate(
-    child: PhysicalOp,
-    group_evaluators: Sequence[Evaluator],
-    agg_functions: Sequence[str],
-    agg_arg_evaluators: Sequence[Optional[Evaluator]],
-    agg_second_evaluators: Sequence[Optional[Evaluator]],
-    agg_distinct: Sequence[bool],
-) -> PhysicalOp:
-    """Hash grouping with accumulation.
-
-    With no group expressions and no input rows, emits the SQL-mandated
-    single row of "empty" aggregates (count = 0, sum = NULL, ...).
-
-    If an ``argmax`` aggregate is present it may multiply rows: the group
-    emits one row per maximizing argument (the paper: "outputs *all* the
-    arg values").  Several argmax aggregates produce a cross product of
-    their maximizer lists, though in practice queries use one.
-    """
-
-    def run() -> RowIterator:
-        groups: Dict[tuple, Tuple[Row, List[_AggState]]] = {}
-        order: List[tuple] = []
-        for row in child():
-            key_values = tuple(e(row) for e in group_evaluators)
-            key = group_key(key_values)
-            entry = groups.get(key)
-            if entry is None:
-                states = [
-                    _AggState(fn, dis)
-                    for fn, dis in zip(agg_functions, agg_distinct)
-                ]
-                groups[key] = (key_values, states)
-                order.append(key)
-                entry = groups[key]
-            _, states = entry
-            for state, arg_eval, second_eval in zip(
-                states, agg_arg_evaluators, agg_second_evaluators
-            ):
-                value = arg_eval(row) if arg_eval is not None else None
-                second = second_eval(row) if second_eval is not None else None
-                state.update(value, second)
-
-        if not groups and not group_evaluators:
-            # Scalar aggregate over an empty input.
-            states = [
-                _AggState(fn, dis) for fn, dis in zip(agg_functions, agg_distinct)
-            ]
-            groups[()] = ((), states)
-            order.append(())
-
-        for key in order:
-            key_values, states = groups[key]
-            yield from _emit_group_rows(key_values, states)
-
-    return run
-
-
 def _emit_group_rows(key_values: tuple, states: List[_AggState]) -> Iterator[Row]:
-    """Finalize one group into result rows (shared by both engines).
+    """Finalize one group into result rows.
 
     ``argmax`` may emit several rows per group -- one per maximizing
     argument (cross product if several argmax aggregates are present).
@@ -327,44 +176,9 @@ def _emit_group_rows(key_values: tuple, states: List[_AggState]) -> Iterator[Row
         yield key_values + agg_row
 
 
-def execute(op: PhysicalOp, schema: Schema) -> Relation:
-    """Drain a physical operator into a relation."""
-    return Relation(schema, list(op()))
-
-
-# ===========================================================================
-# Batch (columnar) operators.
-#
-# The batch engine mirrors the row operator set above, but each operator is
-# a callable yielding ColumnBatch slices (~1024 rows) instead of single
-# tuples, and predicates/projections are pre-compiled column kernels
-# (:mod:`repro.engine.kernels`) instead of per-row closures.  Output row
-# order is identical to the row engine's, so the two engines are
-# differentially testable against each other.
-# ===========================================================================
-
-import functools  # noqa: E402 (keeps the two engine halves adjacent)
-from itertools import chain  # noqa: E402
-
-from repro.engine import columnar  # noqa: E402
-from repro.engine.columnar import (  # noqa: E402
-    BATCH_SIZE,
-    ColumnBatch,
-    batches_of_columns,
-    concat_batches,
-)
-from repro.engine.kernels import (  # noqa: E402
-    _NUMPY_MIN_ROWS,
-    Kernel,
-    VectorFilter,
-    consistency_mask,
-)
-
-BatchIterator = Iterator[ColumnBatch]
-BatchOp = Callable[[], BatchIterator]
-
-#: What an operator did at run time, told to EXPLAIN (None: nobody asks).
-Note = Optional[Callable[[str], None]]
+# ---------------------------------------------------------------------------
+# Scans and filters.
+# ---------------------------------------------------------------------------
 
 
 def _mirrored(relation: Relation) -> Optional[Relation]:
@@ -400,8 +214,8 @@ def batch_scan_filter(
     NumPy call, the comparison conjuncts run once over the whole typed
     mirrors, the mask becomes a selection vector, and every column is
     gathered once -- no 1024-row slicing, no three-valued list per
-    conjunct.  Otherwise (no NumPy, a tiny relation, NULLs or inexact
-    values in a compared column) it is ``batch_filter`` over
+    conjunct.  Otherwise (a tiny relation, NULLs or inexact values in a
+    compared column) it is ``batch_filter`` over
     ``batch_scan``.  Same rows, same order, either way.
 
     The mask is always computed over the whole relation, and the batches
@@ -415,7 +229,7 @@ def batch_scan_filter(
     def run() -> BatchIterator:
         n = len(relation)
         mask = None
-        if vector is not None and columnar.HAVE_NUMPY and n >= _NUMPY_MIN_ROWS:
+        if vector is not None and n >= kernels._NUMPY_MIN_ROWS:
             mask = vector.mask(relation)
         if mask is None:
             if note is not None:
@@ -424,7 +238,7 @@ def batch_scan_filter(
             return
         if note is not None:
             note(f"filter: {vector.label}")
-        selected = columnar.np.flatnonzero(mask)
+        selected = np.flatnonzero(mask)
         columns = relation.columns()
         for part in (selected[:BATCH_SIZE], selected[BATCH_SIZE:]):
             rows = part.tolist()
@@ -448,8 +262,8 @@ def batch_scan_filter(
 def batch_values(rows: Sequence[Row], arity: int) -> BatchOp:
     def run() -> BatchIterator:
         # Values rows come from outside the engine; validate arity exactly
-        # as the row engine does when it materializes into a Relation
-        # (ColumnBatch.from_rows would silently truncate ragged rows).
+        # as a Relation does (ColumnBatch.from_rows would silently truncate
+        # ragged rows).
         for row in rows:
             if len(row) != arity:
                 raise SchemaError(
@@ -480,11 +294,11 @@ def batch_filter(child: BatchOp, predicate: Kernel) -> BatchOp:
     return run
 
 
-def batch_project(child: BatchOp, kernels: Sequence[Kernel]) -> BatchOp:
+def batch_project(child: BatchOp, items: Sequence[Kernel]) -> BatchOp:
     def run() -> BatchIterator:
         for batch in child():
             yield ColumnBatch(
-                tuple(kernel(batch.columns, batch.length) for kernel in kernels),
+                tuple(kernel(batch.columns, batch.length) for kernel in items),
                 batch.length,
             )
 
@@ -496,6 +310,7 @@ def batch_hash_join(
     right: BatchOp,
     left_keys: Sequence[Kernel],
     right_keys: Sequence[Kernel],
+    right_key_types: Sequence[SqlType],
     right_arity: int,
     residual: Optional[Kernel] = None,
     consistency: Optional[Tuple[ConsistencyPredicate, Kernel]] = None,
@@ -503,8 +318,10 @@ def batch_hash_join(
     note: Note = None,
 ) -> BatchOp:
     """Equi-join: materialize + hash the right input, probe with left
-    batches.  NULL keys never match (SQL equality), exactly as in the row
-    engine; output order is left order, bucket insertion order.
+    batches.  NULL keys never match (SQL equality), and neither do NaN
+    keys: the build side's FLOAT keys turn NaN into NULL
+    (:func:`key_column`), so the table holds no NaN that a probe could
+    find.  Output order is left order, bucket insertion order.
 
     ``consistency`` is the translated join's consistency filter (with
     its Python kernel), kept apart from ``residual`` so that it can run
@@ -527,12 +344,12 @@ def batch_hash_join(
             state = "build cached" if cached else "built"
             table, unique = relation.derived(
                 ("hash", position),
-                lambda: _hash_keys(relation.columns()[position]),
+                lambda: _hash_keys(_join_keys(right_keys, build, right_key_types)),
             )
         else:
             build = concat_batches(right(), right_arity)
             state = "built"
-            table, unique = _hash_keys(_join_keys(right_keys, build))
+            table, unique = _hash_keys(_join_keys(right_keys, build, right_key_types))
         if note is not None:
             note(f"hash join: {kind}, {state}")
         if not table:
@@ -562,10 +379,17 @@ def batch_hash_join(
     return run
 
 
-def _join_keys(kernels: Sequence[Kernel], batch: ColumnBatch) -> Sequence[Any]:
+def _join_keys(
+    key_kernels: Sequence[Kernel],
+    batch: ColumnBatch,
+    types: Optional[Sequence[SqlType]] = None,
+) -> Sequence[Any]:
     """The hash keys of a batch: the key column itself for one key, key
-    tuples for several -- None wherever a part is NULL (it never matches)."""
-    columns = [kernel(batch.columns, batch.length) for kernel in kernels]
+    tuples for several -- None wherever a part is NULL (it never matches),
+    or NaN when the key ``types`` are given."""
+    columns = [kernel(batch.columns, batch.length) for kernel in key_kernels]
+    if types is not None:
+        columns = [key_column(c, t, None) for c, t in zip(columns, types)]
     if len(columns) == 1:
         return columns[0]
     return [None if None in key else key for key in zip(*columns)]
@@ -636,13 +460,13 @@ def _filter_consistent(
         return mirror if rows is None else mirror[rows]
 
     mask = None
-    if columnar.HAVE_NUMPY and n >= _NUMPY_MIN_ROWS:
+    if n >= kernels._NUMPY_MIN_ROWS:
         mask = consistency_mask(consistency[0].pairs, array_of)
     if mask is None:
         return out.filter_by_mask(consistency[1](out.columns, n))
     if mask.all():
         return out
-    return out.take(columnar.np.flatnonzero(mask).tolist())
+    return out.take(np.flatnonzero(mask).tolist())
 
 
 def batch_nested_loop_join(
@@ -688,13 +512,15 @@ def batch_union_all(left: BatchOp, right: BatchOp) -> BatchOp:
     return run
 
 
-def batch_distinct(child: BatchOp) -> BatchOp:
+def batch_distinct(child: BatchOp, types: Sequence[SqlType]) -> BatchOp:
+    """The first of each set of equal rows (``types``: the child's column
+    types, for the NaN rule of :func:`key_rows`)."""
+
     def run() -> BatchIterator:
         seen = set()
         for batch in child():
             keep: List[int] = []
-            for i, row in enumerate(batch.rows()):
-                key = group_key(row)
+            for i, key in enumerate(key_rows(batch.columns, types, batch.length)):
                 if key not in seen:
                     seen.add(key)
                     keep.append(i)
@@ -761,20 +587,24 @@ def batch_limit(child: BatchOp, count: Optional[int], offset: int) -> BatchOp:
 def batch_hash_aggregate(
     child: BatchOp,
     group_kernels: Sequence[Kernel],
+    group_types: Sequence[SqlType],
     agg_functions: Sequence[str],
     agg_arg_kernels: Sequence[Optional[Kernel]],
     agg_second_kernels: Sequence[Optional[Kernel]],
     agg_distinct: Sequence[bool],
 ) -> BatchOp:
     """Hash grouping over batches: group keys and aggregate arguments are
-    computed as whole columns per batch, then accumulated into the same
-    :class:`_AggState` machinery the row engine uses."""
+    computed as whole columns per batch, then accumulated into one
+    :class:`_AggState` per aggregate and group.  Groups are keyed by
+    :func:`key_rows`, so NaN keys form one group."""
 
     out_arity = len(group_kernels) + len(agg_functions)
 
+    def new_states() -> List[_AggState]:
+        return [_AggState(fn, dis) for fn, dis in zip(agg_functions, agg_distinct)]
+
     def run() -> BatchIterator:
-        groups: Dict[tuple, Tuple[Row, List[_AggState]]] = {}
-        order: List[tuple] = []
+        groups: Dict[tuple, List[_AggState]] = {}
         for batch in child():
             n = batch.length
             if n == 0:
@@ -788,22 +618,10 @@ def batch_hash_aggregate(
                 k(batch.columns, n) if k is not None else None
                 for k in agg_second_kernels
             ]
-            if group_columns:
-                keys_iter: Iterable[tuple] = zip(*group_columns)
-            else:
-                keys_iter = (() for _ in range(n))
-            for i, key_values in enumerate(keys_iter):
-                key = group_key(key_values)
-                entry = groups.get(key)
-                if entry is None:
-                    states = [
-                        _AggState(fn, dis)
-                        for fn, dis in zip(agg_functions, agg_distinct)
-                    ]
-                    entry = (key_values, states)
-                    groups[key] = entry
-                    order.append(key)
-                _, states = entry
+            for i, key in enumerate(key_rows(group_columns, group_types, n)):
+                states = groups.get(key)
+                if states is None:
+                    states = groups[key] = new_states()
                 for state, arg_column, second_column in zip(
                     states, arg_columns, second_columns
                 ):
@@ -813,16 +631,11 @@ def batch_hash_aggregate(
                     )
 
         if not groups and not group_kernels:
-            states = [
-                _AggState(fn, dis) for fn, dis in zip(agg_functions, agg_distinct)
-            ]
-            groups[()] = ((), states)
-            order.append(())
+            groups[()] = new_states()
 
         rows: List[Row] = []
-        for key in order:
-            key_values, states = groups[key]
-            rows.extend(_emit_group_rows(key_values, states))
+        for key, states in groups.items():
+            rows.extend(_emit_group_rows(key, states))
         yield ColumnBatch.from_rows(rows, out_arity)
 
     return run

@@ -120,10 +120,8 @@ class Relation:
 
     def mirror(self, position: int, dtype: str) -> Any:
         """Column ``position`` as an ``"int64"`` or ``"float64"`` ndarray,
-        or None when it cannot be mirrored exactly (NumPy missing, NULLs,
-        non-numeric values; see :mod:`repro.engine.columnar`)."""
-        if not columnar.HAVE_NUMPY:
-            return None
+        or None when it cannot be mirrored exactly (NULLs, non-numeric
+        values; see :mod:`repro.engine.columnar`)."""
         build = columnar.int_array if dtype == "int64" else columnar.float_array
         return self.derived(
             ("mirror", position, dtype),

@@ -264,9 +264,8 @@ class Executor:
         FROM, WHERE and the select list of a query are one relational
         plan (the parsimonious translation composes it); grouping,
         ordering and subqueries that must be evaluated first add their
-        own.  EXPLAIN reports each fragment in execution order, with the
-        engine (row or batch) that evaluated it and, under a node, what
-        its operator did at run time (``-- filter: vectorized[...]``,
+        own.  EXPLAIN reports each fragment in execution order and, under
+        a node, what its operator did at run time (``-- filter: vectorized[...]``,
         ``-- hash join: single-key, build cached``).  Confidence-computing
         aggregates run outside the relational plans; their fragments
         report which strategy the cost-based dispatcher chose per group
@@ -277,18 +276,15 @@ class Executor:
         with planner.trace_plans() as trace, dispatch.trace_confidence() as conf_trace:
             output = _materialized(self.evaluate_query(statement.query))
         kind = "U-relation" if isinstance(output, URelation) else "relation"
-        lines = [
-            f"result: {kind} ({len(output)} rows), "
-            f"default engine: {planner.get_default_engine()}"
-        ]
+        lines = [f"result: {kind} ({len(output)} rows)"]
         if self.pinned is not None and len(self.pinned):
             pins = ", ".join(
                 f"{name}@v{version}"
                 for name, version in sorted(self.pinned.versions.items())
             )
             lines.append(f"snapshot: mvcc pinned {pins}")
-        for position, (node, engine, notes) in enumerate(trace):
-            lines.append(f"fragment {position + 1} [engine={engine}]:")
+        for position, (node, notes) in enumerate(trace):
+            lines.append(f"fragment {position + 1}:")
             for plan_line in node.explain(notes=notes).splitlines():
                 lines.append("  " + plan_line)
         for position, event in enumerate(conf_trace):

@@ -6,11 +6,23 @@ concurrency sanitizer recorded during the test -- lock-order cycles, locks
 held across fsync, pin leaks -- fails the test even if the violating code
 path did not raise inline (logical LockManager notes are record-only by
 design).
+
+The ``engine`` fixture runs a test twice: on the executor (id ``batch``)
+and on the reference row evaluator of ``tests/reference`` (id ``row``),
+which every ``planner.run`` of the test then reaches.
 """
 
 import os
 
 import pytest
+
+from reference import ENGINES, running_on
+
+
+@pytest.fixture(params=ENGINES)
+def engine(request):
+    with running_on(request.param):
+        yield request.param
 
 
 @pytest.fixture(autouse=True)

@@ -2,7 +2,8 @@
 
 Every generated U-relation is answered three ways: by
 :func:`hierarchical_confidences` (through ``agg.conf`` and directly), by
-the per-lineage dispatcher with ``columnar.HAVE_NUMPY`` switched off, and
+the per-lineage dispatcher with the array pass held off (its size
+threshold ``_NUMPY_MIN_ROWS`` raised above every input), and
 by possible-worlds enumeration (:mod:`repro.core.worlds`, at most 12
 variables per group).  The exact paths must agree to 1e-12, and a group
 the array pass cannot evaluate must be *declined* -- left to the
@@ -21,14 +22,9 @@ from repro.core.urelation import URelation, condition_columns
 from repro.core.variables import TOP_VARIABLE, VariableRegistry
 from repro.core.worlds import tuple_confidence_by_enumeration
 from repro.db import MayBMS
-from repro.engine import columnar
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema
 from repro.engine.types import INTEGER
-
-pytestmark = pytest.mark.skipif(
-    not columnar.HAVE_NUMPY, reason="the array pass needs NumPy"
-)
 
 EXACT = 1e-12
 TOP = (TOP_VARIABLE, 0)
@@ -38,6 +34,11 @@ TOP = (TOP_VARIABLE, 0)
 def no_size_cutoff(monkeypatch):
     """Let hand-sized relations through (the cut-off has its own test)."""
     monkeypatch.setattr(urelation_module, "_NUMPY_MIN_ROWS", 1)
+
+
+def array_pass_off(patch):
+    """Leave every group to the per-lineage dispatcher."""
+    patch.setattr(urelation_module, "_NUMPY_MIN_ROWS", 2**62)
 
 
 def build(registry, arity, rows):
@@ -62,7 +63,7 @@ def answers(urel, monkeypatch):
     assert result is not None
     probabilities, answered = result
     with monkeypatch.context() as patch:
-        patch.setattr(columnar, "HAVE_NUMPY", False)
+        array_pass_off(patch)
         assert hierarchical_confidences(urel, row_groups) is None
         reference = dict(agg.conf(urel, ["g"]).rows)
     out = {}
@@ -282,7 +283,7 @@ class TestEdges:
             got = agg.conf(urel, []).rows
         assert events[0].render() == "conf: 1 group(s) via sprout[vectorized]"
         with monkeypatch.context() as patch:
-            patch.setattr(columnar, "HAVE_NUMPY", False)
+            array_pass_off(patch)
             assert got[0][0] == pytest.approx(agg.conf(urel, []).rows[0][0], abs=EXACT)
         assert got == [(pytest.approx(0.5 * (1 - 0.5 ** 3)),)]
 
@@ -327,7 +328,7 @@ def explain(db, sql):
 def both_ways(db, sql, monkeypatch):
     rows = sorted(db.query(sql).rows)
     with monkeypatch.context() as patch:
-        patch.setattr(columnar, "HAVE_NUMPY", False)
+        array_pass_off(patch)
         reference = sorted(db.query(sql).rows)
     assert [row[:-1] for row in rows] == [row[:-1] for row in reference]
     for row, expected in zip(rows, reference):

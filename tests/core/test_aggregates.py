@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import aggregates as agg
+from repro.core import urelation
 from repro.core.conditions import Condition, TRUE_CONDITION
 from repro.core.confidence import dispatch
 from repro.core.confidence.dispatch import ConfidenceDispatcher, DispatchPolicy
@@ -19,7 +20,6 @@ from repro.core.worlds import (
     tuple_confidence_by_enumeration,
 )
 from repro.db import MayBMS
-from repro.engine import columnar
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
 from repro.engine.types import FLOAT, INTEGER, NULL, TEXT
@@ -202,7 +202,6 @@ class TestRandomWalkIntegration:
         assert by_row[("b", 2.0)] == pytest.approx(1.0)
 
 
-@pytest.mark.skipif(not columnar.HAVE_NUMPY, reason="the array pass needs NumPy")
 class TestArrayPass:
     """What ``conf``/``aconf`` hand to the array pass
     (``tests/core/confidence/test_confidence_columnar.py`` checks its answers)."""
@@ -277,7 +276,7 @@ class TestArrayPass:
         urel = self.mixed(registry)
         dispatcher = ConfidenceDispatcher(registry, DispatchPolicy(exact_budget=1))
         with_pass = agg.aconf(urel, 0.2, 0.2, ["g"], dispatcher=dispatcher, base_seed=9)
-        monkeypatch.setattr(columnar, "HAVE_NUMPY", False)
+        monkeypatch.setattr(urelation, "_NUMPY_MIN_ROWS", 2**62)
         without = agg.aconf(urel, 0.2, 0.2, ["g"], dispatcher=dispatcher, base_seed=9)
         assert with_pass.rows[6] == without.rows[6]
 
@@ -311,7 +310,7 @@ class TestArrayPass:
                 assert answers(session) == expected
             assert answers(other)[0] != expected[0]
 
-    def test_forced_engines_never_enter_the_array_pass(self, registry, monkeypatch):
+    def test_forced_strategies_never_enter_the_array_pass(self, registry, monkeypatch):
         urel = self.mixed(registry, crossing=False)
 
         def forbidden(*args):

@@ -333,7 +333,7 @@ class TestLazyPlans:
             assert trace == []
             rows = chain.relation.rows
         assert len(trace) == 1
-        plan, _, _ = trace[0]
+        plan, _ = trace[0]
         kinds = [type(node).__name__ for node in algebra.walk(plan)]
         assert kinds.count("Join") == 1 and kinds.count("Select") == 1
         assert kinds[0] == "Project"
@@ -362,7 +362,7 @@ class TestLazyPlans:
         with planner.trace_plans() as trace:
             again = u_select(selected, Comparison("=", ColumnRef("b"), Literal("q")))
             assert again.relation.rows == [row for row in materialized.rows if row[1] == "q"]
-        (plan, _, _), = trace
+        (plan, _), = trace
         scans = [n for n in algebra.walk(plan) if isinstance(n, algebra.RelationScan)]
         assert [scan.relation for scan in scans] == [materialized]
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core import urelation as urelation_module
 from repro.core.conditions import Condition, TRUE_CONDITION
 from repro.core.urelation import (
     URelation,
@@ -15,7 +16,6 @@ from repro.core.urelation import (
     vertical_recompose,
 )
 from repro.core.variables import TOP_VARIABLE, VariableRegistry
-from repro.engine import columnar
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema
 from repro.engine.types import FLOAT, INTEGER, TEXT
@@ -275,7 +275,8 @@ class TestConditionProbabilities:
         ]
         urel = self.wide(registry, arity, atom_rows)
         vectorized = urel.condition_probabilities()
-        monkeypatch.setattr(columnar, "HAVE_NUMPY", False)
+        # Below the size threshold the loop runs, with no NumPy arrays.
+        monkeypatch.setattr(urelation_module, "_NUMPY_MIN_ROWS", 2**62)
         assert urel.condition_arrays() is None
         assert vectorized == urel.condition_probabilities()
         # Condition.probability multiplies in variable order, not column
@@ -291,8 +292,7 @@ class TestConditionProbabilities:
         atom_rows[7] = [(x, 1), (x, 0)]  # a contradiction is no world
         atom_rows[9] = [(TOP_VARIABLE, 0), (TOP_VARIABLE, 0)]
         urel = self.wide(registry, 2, atom_rows)
-        if columnar.HAVE_NUMPY:
-            assert urel.condition_arrays() is not None
+        assert urel.condition_arrays() is not None
         got = urel.condition_probabilities()
         assert (got[0], got[3], got[7], got[9]) == (0.375, 0.75, 0.0, 1.0)
 
@@ -300,4 +300,4 @@ class TestConditionProbabilities:
         x = registry.fresh([0.25, 0.75])
         assert self.wide(registry, 1, [[(x, 1)]] * 15).condition_arrays() is None
         urel = self.wide(registry, 1, [[(x, 1)]] * 16)
-        assert (urel.condition_arrays() is not None) == columnar.HAVE_NUMPY
+        assert urel.condition_arrays() is not None

@@ -1,15 +1,17 @@
-"""Unit tests for the columnar batch engine.
+"""Unit tests for the columnar executor.
 
-Covers the three new layers: :class:`ColumnBatch` itself, the expression
-kernel compiler (:mod:`repro.engine.kernels`) including SQL NULL
-semantics and the specialized consistency-filter kernel, and operator
-equivalence between the row and batch engines on hand-built plans.
+Covers three layers: :class:`ColumnBatch` itself, the expression kernel
+compiler (:mod:`repro.engine.kernels`) including SQL NULL semantics and
+the specialized consistency-filter kernel, and operator equivalence
+between the executor and the reference row evaluator on hand-built
+plans.
 """
 
 import random
 
 import pytest
 
+from reference import ENGINES, running_on, row_engine
 from repro.engine import algebra, planner
 from repro.engine.columnar import (
     BATCH_SIZE,
@@ -227,12 +229,10 @@ def _random_relation(rng, count):
 
 
 def _assert_engines_agree(plan):
-    with planner.forced_engine("row"):
-        row_result = planner.run(plan)
-    with planner.forced_engine("batch"):
-        batch_result = planner.run(plan)
-    # Exact row order, not just multiset equality: the batch engine
-    # promises the row engine's ordering operator by operator.
+    row_result = row_engine.run(plan)
+    batch_result = planner.run(plan)
+    # Exact row order, not just multiset equality: the executor promises
+    # the reference's ordering operator by operator.
     assert batch_result.rows == row_result.rows
     assert batch_result.schema.names == row_result.schema.names
 
@@ -353,16 +353,16 @@ class TestOperatorEquivalence:
         _assert_engines_agree(plan)
 
     def test_values_ragged_rows_rejected_by_both_engines(self):
-        """Regression: the batch engine must reject malformed Values rows
-        with the same SchemaError the row engine raises, not silently
+        """Regression: the executor must reject malformed Values rows
+        with the same SchemaError a Relation raises, not silently
         truncate them."""
         from repro.errors import SchemaError
 
         plan = algebra.Values(
             Schema.of(("x", INTEGER), ("y", INTEGER)), ((1,), (2,))
         )
-        for engine in ("row", "batch"):
-            with planner.forced_engine(engine):
+        for engine in ENGINES:
+            with running_on(engine):
                 with pytest.raises(SchemaError):
                     planner.run(plan)
 

@@ -1,10 +1,11 @@
-"""Differential tests for the vectorized half of the batch engine.
+"""Differential tests for the vectorized paths of the executor.
 
-Every plan here runs three ways -- the batch engine with NumPy, the batch
-engine with ``columnar.HAVE_NUMPY`` switched off (pure-Python kernels),
-and the row engine -- and must produce the same rows in the same order.
-Rows are compared by ``repr`` so that NaN equals NaN, ``-0.0`` differs
-from ``0.0`` and ``1`` differs from ``1.0``.
+Every plan here runs three ways -- the executor as it is, the executor
+with ``_NUMPY_MIN_ROWS`` raised above every input (the Python kernels
+that serve small inputs), and the reference row evaluator -- and must
+produce the same rows in the same order.  Rows are compared by ``repr``
+so that NaN equals NaN, ``-0.0`` differs from ``0.0`` and ``1`` differs
+from ``1.0``.
 
 The second half pins where mirrors and join build tables are cached: in
 the column cell of a base-table snapshot (once per table version, shared
@@ -16,11 +17,12 @@ import random
 
 import pytest
 
+from reference import row_engine
 from repro.core.translate import u_rename
 from repro.core.urelation import URelation
 from repro.core.variables import VariableRegistry
 from repro.db import MayBMS
-from repro.engine import algebra, columnar, physical, planner
+from repro.engine import algebra, columnar, kernels, physical, planner
 from repro.engine.expressions import (
     Arithmetic,
     Between,
@@ -37,12 +39,6 @@ from repro.engine.relation import Relation
 from repro.engine.schema import Schema
 from repro.engine.storage import Table
 from repro.engine.types import FLOAT, INTEGER, TEXT
-
-#: Tests that assert *which* path ran; the three-way comparisons themselves
-#: also hold (two-way) on an installation without NumPy.
-needs_numpy = pytest.mark.skipif(
-    not columnar.HAVE_NUMPY, reason="asserts on mirrors / vectorized operators"
-)
 
 NAN = float("nan")
 BIG = 2**53
@@ -87,13 +83,13 @@ def _canon(relation):
 
 
 def three_ways(plan, monkeypatch):
-    """Run ``plan`` on the vectorized batch engine, the pure-Python batch
-    engine and the row engine; assert equal rows in equal order."""
-    vectorized = _canon(planner.run(plan, engine="batch"))
+    """Run ``plan`` on the executor, on the executor's Python kernels and
+    on the reference; assert equal rows in equal order."""
+    vectorized = _canon(planner.run(plan))
     with monkeypatch.context() as patch:
-        patch.setattr(columnar, "HAVE_NUMPY", False)
-        python = _canon(planner.run(plan, engine="batch"))
-    row = _canon(planner.run(plan, engine="row"))
+        patch.setattr(kernels, "_NUMPY_MIN_ROWS", 2**62)
+        python = _canon(planner.run(plan))
+    row = _canon(row_engine.run(plan))
     assert vectorized == row
     assert python == row
     return row
@@ -101,8 +97,8 @@ def three_ways(plan, monkeypatch):
 
 def notes_of(plan):
     with planner.trace_plans() as trace:
-        planner.run(plan, engine="batch")
-    (_, _, notes), = trace
+        planner.run(plan)
+    (_, notes), = trace
     return [note for lines in notes.values() for note in lines]
 
 
@@ -162,7 +158,6 @@ class TestFilterSemantics:
     def _select(self, rows, predicate, schema=SCHEMA):
         return algebra.Select(algebra.RelationScan(_base(rows, schema)), predicate)
 
-    @needs_numpy
     def test_band_filter_is_vectorized_and_exact(self, monkeypatch):
         rows = _rows(random.Random(1), 500)
         band = BoolOp(
@@ -177,7 +172,6 @@ class TestFilterSemantics:
         got = three_ways(plan, monkeypatch)
         assert got and len(got) < len(rows)
 
-    @needs_numpy
     def test_nan_sorts_above_everything(self, monkeypatch):
         """compare_values() has no 'unordered': NaN > x and x > NaN both hold."""
         schema = Schema.of(("f", FLOAT))
@@ -206,7 +200,6 @@ class TestFilterSemantics:
         assert notes_of(plan) == ["filter: python kernels"]
         three_ways(plan, monkeypatch)
 
-    @needs_numpy
     def test_ints_beyond_2_53_compare_exactly(self, monkeypatch):
         """Python compares int with float exactly: 2**60 + 1 <= 2.0**60 is
         false, but true once the int is rounded to float64.  The INTEGER
@@ -223,7 +216,6 @@ class TestFilterSemantics:
         assert notes_of(plan) == ["filter: vectorized[w:int64]"]
         assert three_ways(plan, monkeypatch) == got
 
-    @needs_numpy
     def test_integer_column_against_float_literal(self, monkeypatch):
         rows = _rows(random.Random(4), 200)
         plan = self._select(rows, Comparison(">=", ColumnRef("i"), Literal(1.5)))
@@ -240,7 +232,6 @@ class TestFilterSemantics:
             assert compile_vector_filter(predicate, SCHEMA) is None
             three_ways(self._select(rows, predicate), monkeypatch)
 
-    @needs_numpy
     def test_text_conjunct_runs_after_the_mask(self, monkeypatch):
         rows = _rows(random.Random(6), 300)
         predicate = BoolOp(
@@ -268,7 +259,6 @@ class TestFilterSemantics:
         assert compile_vector_filter(predicate, SCHEMA) is None
         three_ways(self._select(rows, predicate), monkeypatch)
 
-    @needs_numpy
     def test_a_conjunct_that_did_not_compile_asks_for_no_mirror(self, monkeypatch):
         """``(n > 1 OR t = 'a') AND i = 3``: the OR has no array form, so the
         NULLs in ``n`` must not push ``i = 3`` back to the Python kernels,
@@ -323,7 +313,6 @@ class TestFilterSemantics:
         got = three_ways(plan, monkeypatch)
         assert [int(row[0]) for row in got] == (kept if count is None else kept[:count])
 
-    @needs_numpy
     def test_limit_stops_the_scan_after_the_first_batch(self, monkeypatch):
         """The mask covers the whole relation, but only the first
         BATCH_SIZE survivors are gathered when the consumer stops there."""
@@ -362,7 +351,6 @@ class TestFilterSemantics:
 # -- mirrors -----------------------------------------------------------------------
 
 
-@needs_numpy
 class TestStrictMirrors:
     def test_float_mirror_rejects_what_it_cannot_hold(self):
         assert columnar.float_array([None, 2.0], 2) is None
@@ -435,14 +423,7 @@ _JOIN = (
 )
 
 
-@needs_numpy
 class TestDerivedStructureCaching:
-    @pytest.fixture(autouse=True)
-    def _batch_engine(self):
-        # The SQL statements below must not follow REPRO_ENGINE=row.
-        with planner.forced_engine("batch"):
-            yield
-
     def test_second_statement_on_the_same_version_builds_nothing(self, shop, builders):
         first = shop.query(_JOIN).rows
         built = {name: counter.calls for name, counter in builders.items()}
@@ -501,13 +482,6 @@ class TestDerivedStructureCaching:
         assert notes_of(join) == ["hash join: single-key, built"]
         assert derived._columns.derived == {}
 
-    def test_without_numpy_nothing_is_mirrored_or_remembered(self, monkeypatch):
-        snapshot = _base([(1.0,)] * 20, Schema.of(("f", FLOAT)))
-        with monkeypatch.context() as patch:
-            patch.setattr(columnar, "HAVE_NUMPY", False)
-            assert snapshot.mirror(0, "float64") is None
-        assert snapshot.mirror(0, "float64") is not None
-
 
 # -- joins ---------------------------------------------------------------------------
 
@@ -546,8 +520,7 @@ class TestHashJoin:
         )
         notes = notes_of(plan)
         assert "hash join: single-key, built" in notes
-        if columnar.HAVE_NUMPY:
-            assert "filter: vectorized[x:float64]" in notes
+        assert "filter: vectorized[x:float64]" in notes
         got = three_ways(plan, monkeypatch)
         assert got and all(row[0] == row[3] != "None" for row in got)
 
@@ -579,15 +552,25 @@ class TestHashJoin:
         assert got and all("None" not in (row[0], row[1]) for row in got)
 
     def test_nan_and_mixed_numeric_keys_match_as_in_the_row_engine(self, monkeypatch):
-        schema = Schema.of(("k", FLOAT))
-        left = _base([(NAN,), (1.0,), (2.0,), (-0.0,)] * 8, schema, "l")
+        """SQL equality, as the reference row evaluator applies it: NaN = NaN
+        is not TRUE, so a NaN key matches nothing -- not even the very same
+        NaN object on the other side -- while -0.0 = 0.0 and 1 = 1.0 match."""
+        left = _base([(NAN,), (1.0,), (2.0,), (-0.0,)] * 8, Schema.of(("k", FLOAT)), "l")
         right = _base([(NAN,), (1.0,), (0.0,)], Schema.of(("k2", FLOAT)), "r")
-        plan = algebra.Join(
-            algebra.RelationScan(left),
-            algebra.RelationScan(right),
-            Comparison("=", ColumnRef("k"), ColumnRef("k2")),
-        )
-        three_ways(plan, monkeypatch)
+        ints = _base([(1,), (0,), (2,)] * 8, Schema.of(("i", INTEGER)), "i")
+        floats = Relation(Schema.of(("g", FLOAT), ("f", FLOAT)), [(NAN, NAN), (1.0, NAN), (1.0, 1.0)])
+        for probe, build, keys, expected in (
+            (left, right, [("k", "k2")], [("1.0", "1.0"), ("-0.0", "0.0")] * 8),
+            (ints, right, [("i", "k2")], [("1", "1.0"), ("0", "0.0")] * 8),
+            (floats, floats.with_schema(Schema.of(("g2", FLOAT), ("f2", FLOAT))),
+             [("g", "g2"), ("f", "f2")], [("1.0", "1.0", "1.0", "1.0")]),
+        ):
+            plan = algebra.Join(
+                algebra.RelationScan(probe),
+                algebra.RelationScan(build),
+                BoolOp("AND", [Comparison("=", ColumnRef(a), ColumnRef(b)) for a, b in keys]),
+            )
+            assert three_ways(plan, monkeypatch) == expected
 
     @pytest.mark.parametrize("filtered", [False, True])
     def test_consistency_filter_on_mirrors(self, filtered, monkeypatch):
@@ -616,7 +599,6 @@ class TestHashJoin:
             assert 0 < len(got) < (500 if filtered else 600)
             assert all(row[2] != row[5] or row[3] == row[6] for row in got)
 
-    @needs_numpy
     def test_derived_build_side_costs_the_output_not_batches_times_build(self, monkeypatch):
         """A build side that is no base snapshot has no cached mirrors.  Its
         condition columns are converted from the joined rows -- work
@@ -647,12 +629,11 @@ class TestHashJoin:
 
         with monkeypatch.context() as patch:
             patch.setattr(columnar, "int_array", counting)
-            got = planner.run(plan, engine="batch")
+            got = planner.run(plan)
         assert 0 < len(got) < n
         assert sum(converted) == 4 * n  # four condition columns of n joined rows
-        assert got.rows == planner.run(plan, engine="row").rows
+        assert got.rows == row_engine.run(plan).rows
 
-    @needs_numpy
     def test_base_build_side_cuts_its_mirrors_once_per_run(self, monkeypatch):
         """Filtered or not, a base-snapshot build side hands every probe
         batch the same arrays: one cut per condition column per join run."""
@@ -683,9 +664,9 @@ class TestHashJoin:
 
             with monkeypatch.context() as patch:
                 patch.setattr(columnar.ColumnBatch, "int_mirror", counting)
-                got = planner.run(plan, engine="batch")
+                got = planner.run(plan)
             assert sorted(cuts) == [(30 if filtered else 40, 2), (30 if filtered else 40, 3)]
-            assert got.rows == planner.run(plan, engine="row").rows
+            assert got.rows == row_engine.run(plan).rows
 
     def test_build_table_is_cached_on_the_base_scan(self):
         rng = random.Random(17)

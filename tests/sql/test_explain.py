@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.core import urelation
 from repro.core.confidence import dispatch
 from repro.db import MayBMS
 from repro.engine import algebra, planner
@@ -51,19 +52,13 @@ class TestExecution:
         assert "Scan(" in text
         assert "fragment 1" in text
 
-    def test_explain_reports_default_engine(self, db):
-        text = "\n".join(
-            row[0] for row in db.execute("explain select a from t").relation.rows
-        )
-        assert f"default engine: {planner.get_default_engine()}" in text
-
-    def test_explain_reports_forced_engine(self, db):
-        with planner.forced_engine("row"):
-            text = "\n".join(
-                row[0]
-                for row in db.execute("explain select a from t").relation.rows
-            )
-        assert "[engine=row]" in text
+    def test_explain_header_reports_the_result(self, db):
+        lines = [row[0] for row in db.execute("explain select a from t").relation.rows]
+        assert lines[:3] == [
+            "result: relation (3 rows)",
+            "snapshot: mvcc pinned t@v1",
+            "fragment 1:",
+        ]
 
     def test_explain_uncertain_query(self, db):
         result = db.execute(
@@ -131,9 +126,6 @@ class TestVectorizedMarks:
         return [row[0] for row in session.execute("explain " + sql).relation.rows]
 
     def test_filter_and_join_marks(self, shop):
-        if planner.get_default_engine() != planner.BATCH_ENGINE:
-            pytest.skip("marks describe batch-engine operators")
-        pytest.importorskip("numpy")
         sql = (
             "select o.okey, c.name from orders o, customers c "
             "where o.ckey = c.ckey and o.total > 10.0 and o.total <= 40.0"
@@ -153,15 +145,8 @@ class TestVectorizedMarks:
         )
 
     def test_tiny_table_reports_python_kernels(self, db):
-        if planner.get_default_engine() != planner.BATCH_ENGINE:
-            pytest.skip("marks describe batch-engine operators")
         lines = self._explain(db, "select a from t where b > 0.3")
         assert any("-- filter: python kernels" in l for l in lines)
-
-    def test_row_engine_has_no_marks(self, shop):
-        with planner.forced_engine("row"):
-            lines = self._explain(shop, "select okey from orders where total > 10.0")
-        assert not any("--" in l for l in lines)
 
 
 class TestConfidenceFragment:
@@ -207,7 +192,6 @@ class TestConfidenceFragment:
         return lines[lines.index("confidence fragment 1 [strategy=auto]:") + 1].strip()
 
     def test_hierarchical_join_is_answered_by_the_array_pass(self, shop):
-        pytest.importorskip("numpy")
         assert self._fragment(shop, self.SAFE) == (
             "conf: 12 group(s) via sprout[vectorized] x12"
         )
@@ -219,10 +203,9 @@ class TestConfidenceFragment:
         fragment = self._fragment(shop, self.HARD)
         assert fragment.startswith("conf: 3 group(s) via ")
         assert "vectorized" not in fragment and "exact" in fragment
-        # Without NumPy every group is declined: the old label, same groups.
-        from repro.engine import columnar
-
-        monkeypatch.setattr(columnar, "HAVE_NUMPY", False)
+        # Below the array pass's size threshold every group is declined:
+        # the old label, same groups.
+        monkeypatch.setattr(urelation, "_NUMPY_MIN_ROWS", 2**62)
         assert self._fragment(shop, self.HARD) == fragment
         without = self._fragment(shop, self.SAFE)
         assert without.startswith("conf: 12 group(s) via ") and "sprout" in without
@@ -305,7 +288,7 @@ class TestTraceBuffersPerThread:
         assert not any(thread.is_alive() for thread in threads)
 
         (plans_a, events_a), (plans_b, events_b) = buffers["a"], buffers["b"]
-        assert [traced for traced, _, _ in plans_b] == [plan]
+        assert [traced for traced, _ in plans_b] == [plan]
         assert events_b == [event]
         assert plans_a == [] and events_a == []
         assert buffers["b_active_after"] is False

@@ -5,21 +5,16 @@
 qualified columns -- the output schema dropped the table aliases.  The
 paper's example queries are self-joins over U-relations, so every select
 shape (plain projection, star expansion, standard aggregation,
-conf/tconf aggregation, ordering) must handle colliding output names on
-both engines by qualifying the output columns with their table alias.
+conf/tconf aggregation, ordering) must handle colliding output names by
+qualifying the output columns with their table alias -- on the executor
+and on the reference row evaluator (the ``engine`` fixture).
 """
 
 import pytest
 
+from reference import ENGINES, running_on
 from repro.db import MayBMS
-from repro.engine import planner
 from repro.errors import DuplicateColumnError
-
-
-@pytest.fixture(params=["row", "batch"])
-def engine(request):
-    with planner.forced_engine(request.param):
-        yield request.param
 
 
 @pytest.fixture
@@ -149,7 +144,7 @@ class TestUncertainSelfJoin:
 
 
 class TestRowBatchAgreement:
-    """The fix must behave identically on both engines."""
+    """The fix must behave identically on the executor and the reference."""
 
     QUERIES = [
         "select x.a, y.a from t x, t y where x.a = y.a",
@@ -163,8 +158,8 @@ class TestRowBatchAgreement:
     @pytest.mark.parametrize("sql", QUERIES)
     def test_agreement(self, sql):
         outputs = []
-        for engine_name in ("row", "batch"):
-            with planner.forced_engine(engine_name):
+        for engine_name in ENGINES:
+            with running_on(engine_name):
                 db = MayBMS(seed=3)
                 db.execute("create table t (a integer, b integer)")
                 db.execute("insert into t values (1, 10), (2, 20), (1, 30)")

@@ -15,10 +15,10 @@ import random
 
 import pytest
 
+from repro.core import urelation
 from repro.core.confidence.naive import confidence_by_enumeration
 from repro.core.lineage import group_lineages
 from repro.db import MayBMS
-from repro.engine import columnar
 
 #: r(a, g) ⋈ s(a, b): per group g, the clauses r_a ∧ s_ab -- every r
 #: variable is the root of its clauses.
@@ -33,7 +33,7 @@ SEEDS = range(16)
 def load(seed):
     """Groups of 2-3 ``r`` rows, each joined to 1-3 ``s`` rows over three
     ``t`` rows: at most a dozen variables per group, few enough to
-    enumerate, and (with NumPy) enough rows for the array pass."""
+    enumerate, and enough rows for the array pass."""
     rng = random.Random(seed)
     db = MayBMS(seed=seed)
     db.execute("create table r (a integer, g integer, p float)")
@@ -89,7 +89,7 @@ def test_auto_exact_and_enumeration_agree(seed, body, monkeypatch):
     truth = by_enumeration(db, body)
     auto = conf(db, body)
     with monkeypatch.context() as patch:
-        patch.setattr(columnar, "HAVE_NUMPY", False)
+        patch.setattr(urelation, "_NUMPY_MIN_ROWS", 2**62)
         per_lineage = conf(db, body)
     db.set_confidence_strategy("exact", exact_budget=None)
     exact = conf(db, body)

@@ -1,9 +1,9 @@
-"""Differential testing: the row and batch engines must agree.
+"""Differential testing: the executor must agree with the reference.
 
 Every query here runs twice through the full SQL stack -- parser,
-analyzer, translation, confidence computation -- once with the planner
-forced onto the row engine and once onto the batch engine, over two
-identically-seeded MayBMS sessions.  Results must match exactly:
+analyzer, translation, confidence computation -- once with every plan
+answered by the reference row evaluator (``tests/reference``) and once by
+the executor, over two identically-seeded MayBMS sessions.  Results must match exactly:
 order-sensitively for ordered queries, as multisets otherwise (including
 the wide U-relation encoding of uncertain results).
 
@@ -15,9 +15,9 @@ import random
 
 import pytest
 
+from reference import running_on
 from repro.core.urelation import URelation
 from repro.db import MayBMS
-from repro.engine import planner
 from repro.engine.relation import Relation
 
 
@@ -101,10 +101,10 @@ def _canonical(output):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_row_and_batch_engines_agree(seed):
-    with planner.forced_engine("row"):
+    with running_on("row"):
         row_db = _build_session(seed)
         row_results = [row_db.execute(q).output for q in QUERIES]
-    with planner.forced_engine("batch"):
+    with running_on("batch"):
         batch_db = _build_session(seed)
         batch_results = [batch_db.execute(q).output for q in QUERIES]
 
@@ -125,10 +125,10 @@ def test_uncertain_worlds_agree(seed):
         "select cand, src from (repair key src in votes weight by w) r "
         "where w > 0.2"
     )
-    with planner.forced_engine("row"):
+    with running_on("row"):
         row_urel = _build_session(seed).execute(sql).urelation
         row_probs = row_urel.condition_probabilities()
-    with planner.forced_engine("batch"):
+    with running_on("batch"):
         batch_urel = _build_session(seed).execute(sql).urelation
         batch_probs = batch_urel.condition_probabilities()
     row_summary = sorted(
@@ -140,11 +140,3 @@ def test_uncertain_worlds_agree(seed):
         for row, p in zip(batch_urel.relation, batch_probs)
     )
     assert row_summary == batch_summary
-
-
-def test_explain_reports_engine_choice():
-    db = _build_session(0)
-    result = db.query("explain select okey from orders where total > 100.0")
-    text = "\n".join(row[0] for row in result.rows)
-    assert "engine=batch" in text or "engine=row" in text
-    assert "Scan" in text

@@ -7,7 +7,8 @@ deterministically: ``SnapshotManager.on_capture`` fires after the pins
 are taken and the shared table grant is released, *before* the statement
 executes, so a test can commit a concurrent write exactly between the
 pin and the read and assert the reader still sees the pinned version
-bit-identically -- in memory or durable, on the batch and the row engine.
+bit-identically -- in memory or durable, on the executor and on the
+reference row evaluator.
 """
 
 import threading
@@ -15,9 +16,9 @@ import time
 
 import pytest
 
+from reference import running_on
 from repro import faults
 from repro.db import MayBMS
-from repro.engine import planner
 from repro.engine.transactions import STORE_GATE
 from repro.errors import AnalysisError, MayBMSError
 
@@ -60,7 +61,7 @@ class TestSnapshotIsolation:
     def test_select_isolated_from_concurrent_commit(self, engine, durable, tmp_path):
         db = build_store(path=str(tmp_path / "store") if durable else None)
         try:
-            with planner.forced_engine(engine):
+            with running_on(engine):
                 expected = sorted(db.query(SELECT_QUERY).rows)
                 writer = db.session()
                 arm_one_shot(
@@ -84,7 +85,7 @@ class TestSnapshotIsolation:
     def test_conf_isolated_from_concurrent_commit(self, engine, durable, tmp_path):
         db = build_store(path=str(tmp_path / "store") if durable else None)
         try:
-            with planner.forced_engine(engine):
+            with running_on(engine):
                 expected = sorted(db.query(CONF_QUERY).rows)
                 writer = db.session()
                 arm_one_shot(
@@ -355,7 +356,7 @@ class TestDifferentialLockedVsMvcc:
         mvcc_db = build_store()
         locked_db = build_store()
         try:
-            with planner.forced_engine(engine):
+            with running_on(engine):
                 for query in (SELECT_QUERY, CONF_QUERY):
                     pinned_rows = mvcc_db.query(query).rows
                     locked_db.execute("begin")
