@@ -96,7 +96,7 @@ def _lineages(
         positions,
         urel.payload_arity,
         urel.cond_arity,
-        id(urel.registry),
+        id(urel.registry.durable),
         tuple(ordinals),
     )
     return urel.relation.derived(
@@ -173,7 +173,7 @@ def conf(
             [engine.probability(lineage) for lineage in lineages],
         )
     if dispatcher is None:
-        dispatcher = ConfidenceDispatcher(urel.registry)
+        dispatcher = ConfidenceDispatcher()
     probabilities, pending = _array_pass(urel, row_groups, dispatcher.policy)
     # No call at all for a relation the array pass answered whole: the
     # traced run counts the groups that reach the dispatcher.
@@ -221,11 +221,9 @@ def aconf(
     """
     deterministic = base_seed is not None and rng is None
     if dispatcher is None:
-        dispatcher = ConfidenceDispatcher(urel.registry, rng=rng)
+        dispatcher = ConfidenceDispatcher(rng=rng)
     elif rng is not None:
-        dispatcher = ConfidenceDispatcher(
-            urel.registry, dispatcher.policy, rng=rng
-        )
+        dispatcher = ConfidenceDispatcher(dispatcher.policy, rng=rng)
     positions, projections, row_groups = _groups(urel, group_columns)
     probabilities, pending = _array_pass(urel, row_groups, dispatcher.policy)
     detail = f"epsilon={epsilon:g}, delta={delta:g}"

@@ -248,16 +248,16 @@ class ConfidenceDispatcher:
     One dispatcher per session: it owns the policy and the Monte-Carlo RNG
     (seeded by the facade, so approximate results are reproducible).  Each
     call builds its own exact engine, whose memo serves that call's groups
-    and components and goes with it.
+    and components and goes with it.  Distributions come from the registry
+    of the lineage's arena -- the one its U-relation is bound to, which
+    may be a statement's scope -- never from the session's.
     """
 
     def __init__(
         self,
-        registry: VariableRegistry,
         policy: Optional[DispatchPolicy] = None,
         rng: Optional[random.Random] = None,
     ):
-        self.registry = registry
         self.policy = policy if policy is not None else DispatchPolicy()
         self.rng = rng if rng is not None else random.Random(0)
 
@@ -270,13 +270,15 @@ class ConfidenceDispatcher:
         """P(lineage) with per-component strategy choice (the ``conf()``
         semantics: exact unless the exact budget blows, in which case the
         affected component degrades to an (ε,δ) estimate)."""
-        return self._probability(lineage, self._engine())
+        return self._probability(lineage, self._engine(lineage.arena.registry))
 
     def group_probabilities(
         self, lineages: Sequence[Lineage]
     ) -> List[DispatchResult]:
         """:meth:`probability` of each lineage, sharing one ws-tree memo."""
-        engine = self._engine()
+        if not lineages:
+            return []
+        engine = self._engine(lineages[0].arena.registry)
         return [self._probability(lineage, engine) for lineage in lineages]
 
     def approximate(
@@ -306,7 +308,8 @@ class ConfidenceDispatcher:
         stats = lineage.stats(test_hierarchy=False)
         decision_shape = (stats.clause_count, stats.variable_count)
         strategy = self.policy.strategy
-        engine = ExactConfidenceEngine(self.registry)
+        registry = lineage.arena.registry
+        engine = ExactConfidenceEngine(registry)
         if strategy in ("auto", STRATEGY_SPROUT):
             closed = lineage.closed_form_probability()
             if closed is not None:
@@ -334,7 +337,7 @@ class ConfidenceDispatcher:
                 engine.statistics,
             )
         result = approximate_confidence(
-            lineage, self.registry, epsilon, delta, self.rng, unit_seed=unit_seed
+            lineage, registry, epsilon, delta, self.rng, unit_seed=unit_seed
         )
         return DispatchResult(
             result.estimate,
@@ -346,10 +349,10 @@ class ConfidenceDispatcher:
         )
 
     # -- internals ----------------------------------------------------------
-    def _engine(self) -> ExactConfidenceEngine:
+    def _engine(self, registry: VariableRegistry) -> ExactConfidenceEngine:
         """The exact engine of one call; only ``auto`` has a budget."""
         budget = self.policy.exact_budget if self.policy.strategy == "auto" else None
-        return ExactConfidenceEngine(self.registry, max_subproblems=budget)
+        return ExactConfidenceEngine(registry, max_subproblems=budget)
 
     def _probability(
         self, lineage: Lineage, engine: ExactConfidenceEngine
@@ -403,7 +406,7 @@ class ConfidenceDispatcher:
             else:
                 p = approximate_confidence(
                     lineage,
-                    self.registry,
+                    engine.registry,
                     self.policy.epsilon,
                     self.policy.delta,
                     self.rng,
@@ -430,6 +433,6 @@ class ConfidenceDispatcher:
         except CostBudgetExceededError:
             pass
         result = approximate_confidence(
-            component, self.registry, self.policy.epsilon, delta, self.rng
+            component, engine.registry, self.policy.epsilon, delta, self.rng
         )
         return ComponentDecision(STRATEGY_MONTE_CARLO, result.estimate, *shape)

@@ -12,19 +12,27 @@ variable among *duplicate* tuples -- duplicates live or die together, so
 with duplicates present the result is not tuple-independent -- while
 ``independently`` gives every tuple occurrence its own fresh variable,
 which guarantees tuple-independence unconditionally.  On duplicate-free
-inputs the two modes coincide (tested).
+inputs the two modes coincide (tested).  Duplicates are found through
+:func:`~repro.engine.physical.key_rows`, so NaNs of a FLOAT column match
+each other, as in GROUP BY.
+
+Like ``repair key``, the construct is one pass: probabilities are checked
+once, the variables are minted as one block of ids, and the wide rows
+``row + (var, 1, p)`` are emitted directly.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Union
 
-from repro.core.conditions import Condition
-from repro.core.urelation import URelation
+import numpy as np
+
+from repro.core.urelation import URelation, condition_columns
 from repro.core.variables import VariableRegistry
 from repro.engine.expressions import Expr
-from repro.engine.physical import group_key
+from repro.engine.physical import key_rows
 from repro.engine.relation import Relation
+from repro.engine.schema import Schema
 from repro.errors import PickTuplesError
 
 ProbabilitySpec = Union[None, float, str, Expr, Callable[[tuple], float]]
@@ -48,7 +56,8 @@ def pick_tuples(
     relation:
         The input t-certain relation.
     registry:
-        The registry in which fresh Boolean variables are created.
+        The registry (inside SQL: the statement's scope) that mints the
+        Boolean variables.
     probability:
         ``None`` (default 0.5), a constant, a column name, an engine
         expression, or a callable on rows.  Must evaluate into [0, 1].
@@ -56,55 +65,72 @@ def pick_tuples(
         Fresh variable per tuple occurrence (guarantees a
         tuple-independent result) instead of one per distinct tuple value.
     """
-    prob_fn = _probability_function(relation, probability)
+    schema = relation.schema
+    rows = relation.rows
+    probabilities = _probabilities(relation, probability)
 
-    rows: List[tuple] = []
-    conditions: List[Condition] = []
-    shared: Dict[tuple, int] = {}
+    # Per row, the ordinal of its variable; per variable, its first row.
+    firsts: List[int] = list(range(len(rows)))
+    ordinals = firsts
+    if not independently:
+        shared: Dict[tuple, int] = {}
+        firsts, ordinals = [], []
+        for index, key in enumerate(
+            key_rows(relation.columns(), schema.types, len(rows))
+        ):
+            ordinal = shared.setdefault(key, len(firsts))
+            if ordinal == len(firsts):
+                firsts.append(index)
+            ordinals.append(ordinal)
 
-    for position, row in enumerate(relation):
-        p = prob_fn(row)
-        if p is None:
-            raise PickTuplesError(f"probability evaluated to NULL on row {row!r}")
-        p = float(p)
-        if not (0.0 <= p <= 1.0):
-            raise PickTuplesError(
-                f"probability {p} outside [0, 1] on row {row!r}"
-            )
-        if independently:
-            label = f"{name_hint}[{position}]" if name_hint else None
-            var = registry.fresh_boolean(p, name=label)
-        else:
-            key = group_key(row)
-            if key in shared:
-                var = shared[key]
-            else:
-                label = f"{name_hint}[{','.join(map(str, row))}]" if name_hint else None
-                var = registry.fresh_boolean(p, name=label)
-                shared[key] = var
-        rows.append(row)
-        conditions.append(Condition.atom(var, 1))
+    namer: Optional[Callable[[int], str]] = None
+    if name_hint:
+        def label(i: int) -> str:
+            if independently:
+                return f"{name_hint}[{i}]"
+            return f"{name_hint}[{','.join(map(str, rows[firsts[i]]))}]"
 
-    return URelation.from_conditions(
-        relation.schema, rows, conditions, registry,
-        cond_arity=1 if rows else 0,
+        namer = label
+    kept = [probabilities[i] for i in firsts]
+    start = registry.mint([{0: 1.0 - p, 1: p} for p in kept], namer)
+    out = [
+        row + (start + ordinal, 1, kept[ordinal])
+        for row, ordinal in zip(rows, ordinals)
+    ]
+
+    cond_arity = 1 if out else 0
+    wide = Schema(tuple(schema) + tuple(condition_columns(cond_arity)))
+    return URelation(
+        Relation.from_trusted_rows(wide, out), len(schema), cond_arity, registry
     )
 
 
-def _probability_function(
-    relation: Relation, probability: ProbabilitySpec
-) -> Callable[[tuple], Optional[float]]:
-    """Resolve the ``with probability`` argument into a row -> p callable."""
+def _probabilities(relation: Relation, probability: ProbabilitySpec) -> List[float]:
+    """Every row's probability as a float, checked in [0, 1] in one array
+    pass (a bad one is reported with the first bad row)."""
+    rows = relation.rows
     if probability is None:
-        return lambda row: DEFAULT_PICK_PROBABILITY
+        return [DEFAULT_PICK_PROBABILITY] * len(rows)
     if isinstance(probability, (int, float)) and not isinstance(probability, bool):
         constant = float(probability)
-        return lambda row: constant
-    if isinstance(probability, str):
+        raw: List[object] = [constant] * len(rows)
+    elif isinstance(probability, str):
         position = relation.schema.resolve(probability)
-        return lambda row: row[position]
-    if isinstance(probability, Expr):
-        return probability.compile(relation.schema)
-    if callable(probability):
-        return probability
-    raise PickTuplesError(f"unsupported probability specification {probability!r}")
+        raw = [row[position] for row in rows]
+    elif isinstance(probability, Expr):
+        raw = list(map(probability.compile(relation.schema), rows))
+    elif callable(probability):
+        raw = list(map(probability, rows))
+    else:
+        raise PickTuplesError(f"unsupported probability specification {probability!r}")
+    array = np.array(raw, dtype=float)  # NULL becomes NaN: out of range
+    if not np.all((array >= 0.0) & (array <= 1.0)):
+        for p, row in zip(raw, rows):
+            if p is None:
+                raise PickTuplesError(f"probability evaluated to NULL on row {row!r}")
+            p = float(p)  # type: ignore[arg-type]
+            if not (0.0 <= p <= 1.0):
+                raise PickTuplesError(
+                    f"probability {p} outside [0, 1] on row {row!r}"
+                )
+    return array.tolist()

@@ -43,7 +43,7 @@ from repro.core.urelation import (
     VAR_PREFIX,
     condition_columns,
 )
-from repro.core.variables import TOP_VARIABLE
+from repro.core.variables import TOP_VARIABLE, VariableRegistry
 from repro.engine import algebra, planner
 from repro.engine.expressions import (
     BoolOp,
@@ -139,8 +139,7 @@ def u_join(
     U-relation with itself.  The combined condition columns are renamed to
     the canonical ``_v0.._v{k-1}`` sequence.
     """
-    if left.registry is not right.registry:
-        raise PlanError("joining U-relations over different variable registries")
+    registry = _shared_registry(left, right)
     if left_alias is not None:
         left = u_rename(left, left_alias)
     if right_alias is not None:
@@ -197,14 +196,13 @@ def u_join(
         algebra.Relabel(algebra.Project(joined, items), Schema(final_columns)),
         left.payload_arity + right.payload_arity,
         left.cond_arity + right.cond_arity,
-        left.registry,
+        registry,
     )
 
 
 def u_union(left: URelation, right: URelation) -> URelation:
     """Multiset union with ⊤-padding to a common condition arity."""
-    if left.registry is not right.registry:
-        raise PlanError("union of U-relations over different variable registries")
+    registry = _shared_registry(left, right)
     left_payload = left.payload_schema
     right_payload = right.payload_schema
     if not left_payload.union_compatible_with(right_payload):
@@ -227,7 +225,19 @@ def u_union(left: URelation, right: URelation) -> URelation:
         algebra.RelationScan(rw_rel),
     )
     result = planner.run(plan)
-    return URelation(result, left.payload_arity, arity, left.registry)
+    return URelation(result, left.payload_arity, arity, registry)
+
+
+def _shared_registry(left: URelation, right: URelation) -> VariableRegistry:
+    """The registry a combination of ``left`` and ``right`` is bound to:
+    theirs when they share one, else the statement scope when the other
+    side is bound to the durable registry it falls through to."""
+    a, b = left.registry, right.registry
+    if a is b or a.durable is b:
+        return a
+    if b.durable is a:
+        return b
+    raise PlanError("combining U-relations over different variable registries")
 
 
 def _shift_condition_names(urel: URelation, offset: int) -> URelation:

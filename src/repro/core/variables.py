@@ -7,18 +7,33 @@ columns store the probabilities of the variable assignments."
 
 A :class:`VariableRegistry` is the world table: each variable has a finite
 integer domain and a probability distribution over it.  Variables are
-created by ``repair key`` (one per key group, one alternative per
+minted by ``repair key`` (one per key group, one alternative per
 candidate tuple) and ``pick tuples`` (Boolean, one per tuple or duplicate
-group).  Variable id ``0`` is reserved for the always-true atom used to
-pad condition columns in the wide relational encoding.
+group) into the running statement's scope, and become durable only when
+stored rows name them.  Variable id ``0`` is reserved for the always-true
+atom used to pad condition columns in the wide relational encoding.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 import threading
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from collections import ChainMap
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    MutableMapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.errors import InvalidDistributionError, VariableError
 
@@ -38,36 +53,81 @@ class VariableRegistry:
     summing to 1.  Zero-probability alternatives are allowed (they arise
     from zero weights and zero pick probabilities) and simply never occur
     in any world with positive probability.
+
+    A registry is either *durable* -- the store's world table, the one
+    stored U-relations are bound to -- or a *statement scope* over one
+    (:meth:`scope`): the variables one statement's ``repair key`` /
+    ``pick tuples`` mint.  A scope takes its ids from the durable
+    registry's frontier (so ids never collide and are never reused), its
+    look-ups fall through to the durable registry, and nothing it mints
+    is journaled, logged or checkpointed.  A scope's variables become
+    durable only when a statement stores rows naming them
+    (:meth:`promotions`); the rest go with the scope.  Registration,
+    removal and checkpoint serialization apply to durable registries only.
     """
 
-    def __init__(self):
-        self._distributions: Dict[int, Dict[int, float]] = {
-            TOP_VARIABLE: {0: 1.0}
-        }
-        self._names: Dict[int, str] = {TOP_VARIABLE: "top"}
+    def __init__(self, durable: Optional["VariableRegistry"] = None):
+        #: The registry stored rows are bound to: ``self``, or the one a
+        #: scope falls through to.
+        self.durable: VariableRegistry = self if durable is None else durable
+        #: The variables registered here (a scope: the ones it minted).
+        self._own: Dict[int, Dict[int, float]] = {}
+        self._names: Dict[int, str] = {}
+        #: Lazily named id blocks ``(start, stop, namer)``, in id order:
+        #: ``namer(i)`` names the block's ``i``-th variable when asked.
+        self._blocks: List[Tuple[int, int, Callable[[int], str]]] = []
+        self._block_starts: List[int] = []
+        self._distributions: MutableMapping[int, Dict[int, float]]
+        if durable is not None:
+            self._distributions = ChainMap(self._own, durable._own)
+            return
+        self._own[TOP_VARIABLE] = {0: 1.0}
+        self._names[TOP_VARIABLE] = "top"
+        self._distributions = self._own
         self._next_id = 1
         #: Mutation counter (any change) and the counter value of the most
-        #: recent change that touched an id *below* the then-current
-        #: ``_next_id`` frontier.  Together they let incremental
-        #: checkpoints prove that everything below a recorded frontier is
-        #: untouched, so only a delta of newer variables needs snapshotting
-        #: (see :meth:`mutation_stamp` and ``engine/durability.py``).
+        #: recent change that touched an id below ``_sealed``, the frontier
+        #: of the last :meth:`dump_state` / :meth:`restore_state`.  Together
+        #: they let incremental checkpoints prove that every snapshotted id
+        #: is untouched, so only a delta of newer variables needs
+        #: snapshotting (see :meth:`mutation_stamp` and
+        #: ``engine/durability.py``).
         self._version = 0
         self._nonappend_version = 0
+        self._sealed = 0
         #: Guards id allocation and the distribution maps: concurrent
-        #: sessions register variables (repair key inside queries) while a
-        #: checkpoint thread serializes the whole registry.
+        #: statements reserve ids and promote variables while a checkpoint
+        #: thread serializes the whole registry.
         self._mutex = threading.RLock()
-        #: Optional hook called as ``on_register(var, name, distribution)``
-        #: after every :meth:`fresh` creation.  The session facade routes it
-        #: into the registering transaction (so a rollback unregisters the
-        #: variable and the registration never reaches a committed WAL
-        #: unit) or, outside any transaction, straight to the write-ahead
-        #: log -- condition columns are meaningless without it.  Restores
-        #: during recovery go through :meth:`restore` and do NOT fire it.
-        self.on_register = None
+
+    def scope(self) -> "VariableRegistry":
+        """A fresh statement scope over this registry's durable one."""
+        return VariableRegistry(self.durable)
 
     # -- creation -------------------------------------------------------------
+    def mint(
+        self,
+        distributions: Sequence[Dict[int, float]],
+        namer: Optional[Callable[[int], str]] = None,
+    ) -> int:
+        """Register one variable per (already validated) distribution
+        under one contiguous block of fresh ids, reserved from the durable
+        frontier under one lock acquisition; returns the block's first id.
+        ``namer(i)`` names the ``i``-th variable when someone asks
+        (:meth:`name`); without it the name is ``x<id>``."""
+        durable = self.durable
+        count = len(distributions)
+        with durable._mutex:
+            start = durable._next_id
+            durable._next_id = start + count
+            self._own.update(zip(range(start, start + count), distributions))
+            if durable is self and count:
+                self._version += 1  # pure append: snapshotted ids untouched
+        if namer is not None and count:
+            self._blocks.append((start, start + count, namer))
+            self._block_starts.append(start)
+        return start
+
     def fresh(
         self,
         distribution: Union[Sequence[float], Mapping[int, float]],
@@ -83,37 +143,21 @@ class VariableRegistry:
         else:
             dist = {i: float(p) for i, p in enumerate(distribution)}
         _validate_distribution(dist)
-        with self._mutex:
-            var = self._next_id
-            self._next_id += 1
-            self._distributions[var] = dist
-            self._names[var] = name if name is not None else f"x{var}"
-            self._version += 1  # pure append: ids below the frontier untouched
-        if self.on_register is not None:
-            self.on_register(var, self._names[var], dict(dist))
-        return var
+        return self.mint([dist], None if name is None else lambda _: name)
 
     def unregister(self, var: int) -> None:
-        """Remove a variable (rollback of the statement that created it).
+        """Remove a variable (rollback of the statement that promoted it).
 
-        The id is reclaimed only when it is the most recently allocated
-        one, so undoing a transaction in reverse order restores the
-        registry -- including ``_next_id`` -- to its exact prior state.
-        """
+        Ids are never reclaimed: a statement scope may still name it."""
         var = int(var)
         if var == TOP_VARIABLE:
             raise VariableError("variable id 0 (the top atom) cannot be unregistered")
         with self._mutex:
-            if var not in self._distributions:
+            if var not in self._own:
                 raise VariableError(f"unknown variable id {var}")
-            del self._distributions[var]
-            del self._names[var]
-            if var == self._next_id - 1:
-                self._next_id = var
-            self._version += 1
-            # Removal touches an id below the (post-reclaim) frontier: a
-            # delta snapshot anchored before this mutation could miss it.
-            self._nonappend_version = self._version
+            del self._own[var]
+            self._names.pop(var, None)
+            self._touch(var)
 
     def restore(
         self,
@@ -121,11 +165,8 @@ class VariableRegistry:
         distribution: Union[Mapping[int, float], Sequence[Tuple[int, float]]],
         name: Optional[str] = None,
     ) -> int:
-        """Re-register a variable under its original id (crash recovery).
-
-        Unlike :meth:`fresh` this pins the id, advances ``_next_id`` past
-        it, and never fires :attr:`on_register` (recovery must not re-log).
-        """
+        """Re-register a variable under its original id (crash recovery),
+        advancing the id frontier past it."""
         var = int(var)
         if var == TOP_VARIABLE:
             raise VariableError("variable id 0 is reserved for the top atom")
@@ -137,14 +178,44 @@ class VariableRegistry:
         dist = {int(v): float(p) for v, p in items}
         _validate_distribution(dist)
         with self._mutex:
-            appends = var >= self._next_id
-            self._distributions[var] = dist
+            self._own[var] = dist
             self._names[var] = name if name is not None else f"x{var}"
             self._next_id = max(self._next_id, var + 1)
-            self._version += 1
-            if not appends:
-                self._nonappend_version = self._version
+            self._touch(var)
         return var
+
+    def promote(self, var: int, distribution: Mapping[int, float], name: str) -> bool:
+        """Make a variable a statement scope minted durable under its id;
+        False, changing nothing, when it already is (two statements
+        storing one held result: the check and the insertion are one step
+        under the mutex)."""
+        with self._mutex:
+            if var in self._own:
+                return False
+            self._own[var] = dict(distribution)
+            self._names[var] = name
+            self._touch(var)
+        return True
+
+    def _touch(self, var: int) -> None:
+        """Count a mutation of ``var``; one below the sealed frontier is a
+        non-append (a delta snapshot could miss it).  Under the mutex."""
+        self._version += 1
+        if var < self._sealed:
+            self._nonappend_version = self._version
+
+    def promotions(
+        self, variables: Iterable[int]
+    ) -> List[Tuple[int, str, Dict[int, float]]]:
+        """``(var, name, distribution)`` of each of ``variables`` this
+        scope minted, in id order -- what storing rows that name
+        ``variables`` must make durable (:meth:`promote`)."""
+        own = self._own
+        return [
+            (var, self.name(var), own[var])
+            for var in sorted(set(variables))
+            if var in own
+        ]
 
     def fresh_boolean(self, probability_true: float, name: Optional[str] = None) -> int:
         """A Boolean variable: domain {0, 1}, P(1) = probability_true."""
@@ -169,7 +240,17 @@ class VariableRegistry:
 
     def name(self, var: int) -> str:
         self._require(var)
-        return self._names[var]
+        if var not in self._own:
+            return self.durable.name(var)
+        name = self._names.get(var)
+        if name is None:
+            block = bisect.bisect_right(self._block_starts, var) - 1
+            if block >= 0 and var < self._blocks[block][1]:
+                start, _, namer = self._blocks[block]
+                name = namer(var - start)
+            else:
+                name = f"x{var}"
+        return name
 
     def domain(self, var: int) -> Tuple[int, ...]:
         self._require(var)
@@ -189,10 +270,10 @@ class VariableRegistry:
     ) -> List[float]:
         """:meth:`probability` of each ``(variable, value)`` pair -- the
         bulk look-up of the array kernels, one dict access per atom."""
-        distributions = self._distributions
+        own, durable = self._own, self.durable._own
         try:
             return [
-                distributions[var].get(value, 0.0)
+                (own.get(var) or durable[var]).get(value, 0.0)
                 for var, value in zip(variables, values)
             ]
         except KeyError as error:
@@ -217,29 +298,32 @@ class VariableRegistry:
         return count
 
     def copy(self) -> "VariableRegistry":
-        """An independent copy.  The :attr:`on_register` hook is deliberately
-        not copied: clones are scratch registries (what-if evaluation)
-        whose variables must not be logged as durable state."""
+        """An independent copy of a durable registry (what-if evaluation)."""
         clone = VariableRegistry()
         with self._mutex:
-            clone._distributions = {v: dict(d) for v, d in self._distributions.items()}
-            clone._names = dict(self._names)
+            clone._own.update((v, dict(d)) for v, d in self._own.items())
+            clone._names.update((v, self.name(v)) for v in self._own)
             clone._next_id = self._next_id
         return clone
 
     # -- checkpoint serialization ------------------------------------------------
     def mutation_stamp(self) -> Tuple[int, int, int]:
-        """``(version, nonappend_version, next_id)`` under the mutex.
+        """``(version, nonappend_version, next_id)`` of the durable
+        registry, under its mutex (``next_id`` is the shared id frontier,
+        so a scope's stamp counts what it minted).
 
         A checkpoint that recorded ``(version=V, next_id=N)`` can later
         snapshot only the *delta* of variables with id >= N iff no
-        mutation after V touched an id below its frontier, i.e. iff the
-        current ``nonappend_version <= V`` -- ``repair key`` only ever
-        appends, so in practice full registry rewrites happen only after
-        rollbacks and recovery races.
+        mutation after V touched an id below the frontier sealed by its
+        dump, i.e. iff the current ``nonappend_version <= V``.  Promotion
+        inside a writing statement only ever appends (the statement holds
+        the store gate, so its ids were reserved after the last dump);
+        full registry rewrites follow rollbacks of earlier promotions,
+        late promotions of a held query result, and recovery races.
         """
-        with self._mutex:
-            return (self._version, self._nonappend_version, self._next_id)
+        durable = self.durable
+        with durable._mutex:
+            return (durable._version, durable._nonappend_version, durable._next_id)
 
     def dump_state(self, min_id: int = 0) -> Dict[str, object]:
         """JSON-safe snapshot of every user variable (for checkpoints).
@@ -248,23 +332,29 @@ class VariableRegistry:
         the registry delta an incremental checkpoint appends on top of the
         segments it re-links from the previous epoch.  ``next_id`` is
         always the full frontier, so restoring base + deltas in order
-        reproduces the id allocator exactly.
+        reproduces the id allocator exactly.  The dump seals that
+        frontier: a later change below it is a non-append.
         """
         with self._mutex:
+            self._sealed = self._next_id
             return {
                 "next_id": self._next_id,
                 "variables": [
-                    [var, self._names[var], sorted(self._distributions[var].items())]
-                    for var in self._distributions
+                    [var, self.name(var), sorted(self._own[var].items())]
+                    for var in self._own
                     if var != TOP_VARIABLE and var >= min_id
                 ],
             }
 
     def restore_state(self, state: Mapping[str, object]) -> None:
-        """Restore a :meth:`dump_state` snapshot into this registry."""
+        """Restore a :meth:`dump_state` snapshot into this registry (and
+        seal its frontier, as the dump did)."""
         for var, name, dist in state["variables"]:  # type: ignore[index]
             self.restore(var, dist, name)
-        self._next_id = max(self._next_id, int(state["next_id"]))  # type: ignore[arg-type]
+        next_id = int(state["next_id"])  # type: ignore[arg-type]
+        with self._mutex:
+            self._next_id = max(self._next_id, next_id)
+            self._sealed = max(self._sealed, next_id)
 
     # -- sampling --------------------------------------------------------------
     def sample_value(self, var: int, rng: random.Random) -> int:

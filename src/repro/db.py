@@ -72,8 +72,8 @@ from repro.errors import (
     TransactionError,
 )
 from repro.sql import ast_nodes as ast
-from repro.sql.analyzer import creates_variables, referenced_tables
-from repro.sql.executor import Executor, StatementResult
+from repro.sql.analyzer import referenced_tables
+from repro.sql.executor import Executor, StatementResult, promote_variables
 from repro.sql.parser import parse_statement, parse_statements
 
 QueryOutput = Union[Relation, URelation]
@@ -166,20 +166,11 @@ class _SessionBase:
                 self.rollback()
             return StatementResult()
         reads, writes = referenced_tables(statement)
-        if self.read_only:
-            if writes or isinstance(statement, ast.Checkpoint):
-                raise TransactionError(
-                    "session is read-only; open a read-write session for "
-                    "DML, DDL, and CHECKPOINT"
-                )
-            if creates_variables(statement):
-                # repair key / pick tuples mint durable shared registry
-                # state even inside a SELECT.
-                raise TransactionError(
-                    "session is read-only; repair key / pick tuples create "
-                    "random variables in the shared store -- use a "
-                    "read-write session"
-                )
+        if self.read_only and (writes or isinstance(statement, ast.Checkpoint)):
+            raise TransactionError(
+                "session is read-only; open a read-write session for "
+                "DML, DDL, and CHECKPOINT"
+            )
         store = self._store
         if writes and store.storage is not None and store.storage.degraded:
             # Fail the write before it does any work (and before it takes
@@ -199,13 +190,10 @@ class _SessionBase:
             pinned = store.snapshots.capture(reads, timeout=self.lock_timeout)
         else:
             acquired = self._acquire_statement_locks(reads, writes)
-        previous = getattr(store._executing, "session", None)
-        store._executing.session = self
         try:
             with self.executor.pinned_versions(pinned):
                 result = self.executor.execute(statement)
         finally:
-            store._executing.session = previous
             if pinned is not None:
                 store.snapshots.release(pinned)
             if not self.in_transaction:
@@ -355,7 +343,10 @@ class _SessionBase:
 
     def create_table_from_urelation(self, name: str, urel: URelation) -> None:
         """Register a U-relation (wide encoding) as a catalog table
-        (WAL-logged and lock-protected like any other DML)."""
+        (WAL-logged and lock-protected like any other DML).  A query
+        result still bound to its statement's scope (``uncertain_query``)
+        promotes the variables its rows name, as ``create table ... as``
+        does."""
 
         def build(txn: Transaction) -> None:
             txn.create_table(
@@ -367,7 +358,9 @@ class _SessionBase:
                     "cond_arity": urel.cond_arity,
                 },
             )
-            txn.insert_many(name, urel.relation.rows)
+            rows = urel.relation.rows
+            promote_variables(txn, urel, rows)
+            txn.insert_many(name, rows)
 
         self._programmatic_write(name, build)
 
@@ -577,22 +570,15 @@ class MayBMS(_SessionBase):
         self.locks = LockManager()
         self.snapshots = SnapshotManager(self.catalog, self.locks)
         self._store = self
-        #: Which session is executing a statement on the current thread --
-        #: the on_register hook routes variable registrations into that
-        #: session's in-flight transaction.
-        self._executing = threading.local()
         self._sessions: List["Session"] = []
         self._session_mutex = _sanitizer.wrap_lock("MayBMS._session_mutex")
         self.storage: Optional[DurabilityManager] = None
         if path is not None:
-            # Recover BEFORE wiring the registry hook: restored variables
-            # must not be re-logged to the WAL they came from.
             self.storage = DurabilityManager(path)
             self.recovery_stats = self.storage.recover_into(
                 self.catalog, self.registry
             )
         self.wal = WriteAheadLog(sink=self.storage)
-        self.registry.on_register = self._route_variable_registration
         policy = DispatchPolicy(
             strategy=confidence_strategy, exact_budget=exact_budget
         )
@@ -609,23 +595,6 @@ class MayBMS(_SessionBase):
         self._transaction: Optional[Transaction] = None
         self._held_locks: Dict[str, Tuple[str, int]] = {}
         self._closed = False
-
-    # -- variable registration routing ---------------------------------------------
-    def _route_variable_registration(self, var, name, distribution) -> None:
-        """The registry's ``on_register`` hook: journal fresh variables in
-        the registering session's in-flight transaction when there is one
-        (rollback then unregisters them, and they reach the WAL only
-        inside that transaction's committed unit); otherwise log them
-        straight to the WAL as their own units (plain SELECT with repair
-        key)."""
-        session = getattr(self._executing, "session", None) or self
-        txn = session.executor.active_write_transaction
-        if txn is None:
-            txn = session._current_transaction()
-        if txn is not None and txn.is_active:
-            txn.register_variable(self.registry, var, name, distribution)
-        else:
-            self.wal.log_variable(var, name, distribution)
 
     # -- concurrent sessions ---------------------------------------------------
     def session(
@@ -698,12 +667,6 @@ class MayBMS(_SessionBase):
                         "cannot checkpoint: a session has an open "
                         "transaction with uncommitted writes"
                     )
-            # Buffered variable-only units must reach the pre-rotation WAL
-            # epoch; the flush (usually a no-op) may fsync while we hold the
-            # gate exclusively -- an audited exception to the sanitizer's
-            # no-fsync-under-exclusive-gate rule.
-            with _sanitizer.allowed_blocking("fsync"):
-                self.wal.flush()
             assert self.storage is not None
             capture = self.storage.prepare_checkpoint(
                 self.catalog, self.registry, timeout=timeout
@@ -729,9 +692,9 @@ class MayBMS(_SessionBase):
                 pass
 
     def close(self) -> None:
-        """Close spawned sessions, flush the WAL, write a final checkpoint,
-        and release file handles.  Idempotent; in-memory stores just flush
-        (a no-op)."""
+        """Close spawned sessions, roll back an open transaction, write a
+        final checkpoint (durable stores), and release file handles.
+        Idempotent."""
         if self._closed:
             return
         with self._session_mutex:
@@ -741,13 +704,6 @@ class MayBMS(_SessionBase):
         if self.in_transaction:
             self.rollback()
         self._release_all_locks()
-        try:
-            self.wal.flush()
-        except DegradedError:
-            # Closing a degraded store must succeed: what the WAL holds
-            # cannot be made durable any more, but everything previously
-            # acknowledged already is.
-            pass
         if self.storage is not None:
             # Skip the snapshot when nothing committed since the last one:
             # close() on a read-only session must not pay O(database size).

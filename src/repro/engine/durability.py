@@ -154,8 +154,9 @@ def scan_committed(data: bytes) -> Tuple[List[Tuple[Any, ...]], int]:
 def count_dml_units(records: Sequence[Sequence[Any]]) -> int:
     """Commit units carrying DML (anything beyond variable registrations).
 
-    Drives the auto-checkpoint cadence: one repair-key statement can log
-    hundreds of variable-only units, which must not count as commits.
+    Drives the auto-checkpoint cadence.  Logs written before SELECTs
+    minted into statement scopes hold hundreds of variable-only units per
+    repair-key statement; recovery must not count them as commits.
     """
     count = 0
     unit_has_dml = False
@@ -290,8 +291,8 @@ class DurabilityManager:
             0.0, float(os.environ.get("REPRO_WAL_RETRY_BACKOFF", "0.02"))
         )
         #: Commit units with DML content appended since the last checkpoint
-        #: (drives the session's periodic auto-checkpoint; variable-only
-        #: units don't count -- one repair-key statement can log hundreds).
+        #: (drives the session's periodic auto-checkpoint; see
+        #: :func:`count_dml_units`).
         self.commits_since_checkpoint = 0
         self._closed = False
         self._lock_handle: Optional[Any] = None

@@ -30,10 +30,9 @@ from __future__ import annotations
 # receivers (self._lock delegation, the singleton guard) have no static lock
 # identity; the hierarchy is enforced on the wrapped engine locks themselves.
 
-import contextlib
 import os
 import threading
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import SanitizerError
 
@@ -46,7 +45,6 @@ __all__ = [
     "wrap_lock",
     "wrap_condition",
     "guard_blocking",
-    "allowed_blocking",
 ]
 
 _MAX_VIOLATIONS = 64
@@ -100,7 +98,6 @@ class ConcurrencySanitizer:
             "pin_leaks": 0,
         }
         self._pins = 0
-        self._waivers = threading.local()
 
     # -- lock acquisition graph ---------------------------------------------
     def note_acquired(
@@ -188,9 +185,6 @@ class ConcurrencySanitizer:
     def blocking(self, kind: str) -> Optional[str]:
         """Check the calling thread holds no disallowed locks across a
         blocking region (``kind``: 'fsync', the one the engine guards)."""
-        waived: Set[str] = getattr(self._waivers, "kinds", set())
-        if kind in waived:
-            return None
         tid = threading.get_ident()
         with self._mutex:
             stack = self._held.get(tid, [])
@@ -213,24 +207,6 @@ class ConcurrencySanitizer:
             # runs, so it never reaches a blocking region.
             return not (hold.name == _GATE_NODE and hold.mode == "exclusive")
         return hold.name in _FSYNC_ALLOWED
-
-    @contextlib.contextmanager
-    def allowed(self, kind: str) -> Iterator[None]:
-        """Waive ``kind`` blocking checks for this thread in this scope
-        (used for audited call sites, with a justification comment)."""
-        kinds: Set[str] = getattr(self._waivers, "kinds", set())
-        fresh = kind not in kinds
-        if fresh:
-            kinds = set(kinds)
-            kinds.add(kind)
-            self._waivers.kinds = kinds
-        try:
-            yield
-        finally:
-            if fresh:
-                kinds = set(getattr(self._waivers, "kinds", set()))
-                kinds.discard(kind)
-                self._waivers.kinds = kinds
 
     # -- resource balances -----------------------------------------------------
     def note_pin(self, count: int = 1) -> None:
@@ -390,14 +366,3 @@ def guard_blocking(kind: str) -> None:
     message = sanitizer.blocking(kind)
     if message and _in_pytest():
         raise SanitizerError(message)
-
-
-@contextlib.contextmanager
-def allowed_blocking(kind: str) -> Iterator[None]:
-    """Scoped waiver for an audited blocking call site."""
-    sanitizer = get_sanitizer()
-    if sanitizer is None:
-        yield
-        return
-    with sanitizer.allowed(kind):
-        yield

@@ -28,7 +28,8 @@ Redo records address rows by tuple id, not by value: tables may hold
 duplicate rows, and value-matching replay can assign different tids than
 the pre-crash state, which invalidates every (version, tid)-keyed snapshot
 and lineage cache.  Variable registrations (``repair key`` / ``pick
-tuples``) are logged too -- a replayed catalog whose condition columns
+tuples`` variables promoted by the statement that stores rows naming
+them) are logged too -- a replayed catalog whose condition columns
 reference variables with no distribution cannot answer ``conf()``.
 """
 
@@ -262,12 +263,14 @@ class Transaction:
         name: str,
         distribution: Mapping[int, float],
     ) -> None:
-        """Journal a fresh-variable registration (``repair key`` / ``pick
-        tuples``) so it is *undoable*: rollback unregisters the variable,
-        and the registration only reaches the WAL inside this
-        transaction's committed unit.  Called (via the session facade's
-        ``on_register`` hook) *after* the registry created the variable."""
+        """Promote a statement-minted variable (``repair key`` / ``pick
+        tuples``) into the durable ``registry`` so that it is *undoable*:
+        rollback unregisters the variable, and the registration reaches
+        the WAL only inside this transaction's committed unit, ahead of
+        the rows that name it.  A variable already durable is left alone."""
         self._require_active()
+        if not registry.promote(var, distribution, name):
+            return
         self._undo.append(_UndoRegisterVariable(registry, var))
         self._redo.append(
             ("register_variable", int(var), name, sorted(distribution.items()))
@@ -520,14 +523,13 @@ class WriteAheadLog:
         ("truncate", name)
         ("register_variable", var, name, [[value, p], ...])
 
-    When ``sink`` is given, every commit unit is flushed (written +
-    fsynced) before :meth:`append_committed` returns.  Variable
-    registrations made inside a transaction travel in that transaction's
-    redo records; registrations outside any transaction (plain SELECT with
-    ``repair key``) are buffered as their own units and ride along with
-    the next flush: nothing durable can reference a variable before some
-    committed DML does, so lazily flushing them preserves recoverability
-    at one fsync per commit.
+    When ``sink`` is given, every commit unit is written and fsynced
+    before :meth:`append_committed` returns, and nothing is kept in
+    memory.  Variable registrations travel only in the redo records of
+    the transaction that stores rows naming them: a SELECT's ``repair
+    key`` / ``pick tuples`` variables live in its statement scope and are
+    never logged.  Recovery still reads older logs in which they appear
+    as variable-only units.
 
     The log is thread-safe: one WAL is shared by every session of a
     multi-session store, and concurrent commits must not interleave their
@@ -546,65 +548,19 @@ class WriteAheadLog:
         unit: List[Tuple[Any, ...]] = [("begin",)]
         unit.extend(tuple(r) for r in records)
         unit.append(("commit",))
-        if self.sink is None:
-            with self._mutex:
-                self._records.extend(unit)
+        if self.sink is not None:
+            # Outside the mutex, so concurrent commits group-commit in the
+            # sink.
+            self.sink.append(unit)
             return
-        # Take any buffered variable-only units along (they must precede
-        # DML that references them only in memory -- replay order is
-        # irrelevant across units) and release the mutex before the
-        # durable append so concurrent commits group-commit in the sink.
         with self._mutex:
-            pending = self._records
-            self._records = []
-        try:
-            self.sink.append(pending + unit)
-        except BaseException:
-            # The unit never became durable: drop it, so a later flush
-            # cannot resurrect the transaction the caller is about to roll
-            # back.  Buffered variable units are re-queued -- registry
-            # state still exists in memory, and their replay is idempotent.
-            with self._mutex:
-                self._records = pending + self._records
-            raise
-
-    def log_variable(
-        self, var: int, name: str, distribution: Mapping[int, float]
-    ) -> None:
-        """Log a fresh-variable registration as its own committed unit.
-
-        Used for registrations outside any transaction.  Durability is
-        lazy (see class docstring); the in-memory record is visible to
-        :meth:`replay` immediately.
-        """
-        with self._mutex:
-            self._records.append(("begin",))
-            self._records.append(
-                ("register_variable", int(var), name, sorted(distribution.items()))
-            )
-            self._records.append(("commit",))
+            self._records.extend(unit)
 
     def flush(self) -> None:
-        """Push pending records to the durable sink (no-op without one).
-
-        Durable sessions drop flushed records from memory -- the on-disk
-        log is the source of truth and a long-lived session would otherwise
-        grow its redo list without bound.  In-memory sessions keep them
-        (they ARE the log, and :meth:`replay` / ``MayBMS.recover()`` read
-        them back)."""
-        if self.sink is None:
-            return
-        with self._mutex:
-            if not self._records:
-                return
-            pending = self._records
-            self._records = []
-        try:
-            self.sink.append(pending)
-        except BaseException:
-            with self._mutex:
-                self._records = pending + self._records
-            raise
+        """A no-op: :meth:`append_committed` hands every unit to the
+        durable sink before returning, so nothing is ever pending.  An
+        in-memory log keeps its records (they ARE the log, and
+        :meth:`replay` / ``MayBMS.recover()`` read them back)."""
 
     def __len__(self) -> int:
         with self._mutex:

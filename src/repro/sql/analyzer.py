@@ -187,9 +187,11 @@ def referenced_tables(statement: ast.Statement) -> Tuple[Set[str], Set[str]]:
 def creates_variables(statement: ast.Statement) -> bool:
     """Does the statement contain ``repair key`` / ``pick tuples``?
 
-    These constructs mint fresh random variables in the *shared* registry
-    (and, on a durable store, append ``register_variable`` WAL units), so
-    read-only sessions reject them: a read must never grow store state.
+    No statement path asks any more: the constructs mint into the
+    statement's own scope, so read-only sessions run them like any read.
+    The function stays only because the benchmark harness's tracer
+    (``benchmarks/harness/layers.py``) patches it by name; it goes when
+    the harness stops naming it.
     """
     found = False
 

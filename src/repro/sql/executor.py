@@ -112,9 +112,7 @@ class Executor:
         self.rng = rng if rng is not None else random.Random(0)
         # One dispatcher per executor: its RNG is the session RNG, so
         # approximate confidence is reproducible under a fixed seed.
-        self.dispatcher = ConfidenceDispatcher(
-            registry, confidence_policy, rng=self.rng
-        )
+        self.dispatcher = ConfidenceDispatcher(confidence_policy, rng=self.rng)
         self._repair_counter = 0
         #: Redo destination for DML.  With a WAL, every statement outside an
         #: explicit transaction auto-commits (undo journal discarded, redo
@@ -130,12 +128,10 @@ class Executor:
         #: a bare executor: ``aconf`` then draws from the session RNG as
         #: before.
         self.base_seed = base_seed
-        #: The transaction of the statement currently inside
-        #: :meth:`write_transaction`, if any.  The session facade routes
-        #: variable registrations (``repair key`` / ``pick tuples``) into
-        #: it so they are undone by rollback and reach the WAL only inside
-        #: the statement's committed unit.
-        self.active_write_transaction: Optional[Transaction] = None
+        #: The running statement's variable scope: created by its first
+        #: ``repair key`` / ``pick tuples`` (:meth:`_statement_scope`),
+        #: dropped when the statement ends.
+        self._scope: Optional[VariableRegistry] = None
         #: The MVCC pinned version set of the statement currently running
         #: (a :class:`~repro.engine.storage.PinnedVersionSet`), or None
         #: when the statement runs under table locks.  Base-table reads
@@ -183,35 +179,30 @@ class Executor:
         supplied = (
             self.transaction_supplier() if self.transaction_supplier else None
         )
-        txn = supplied if supplied is not None else Transaction(self.catalog, self.wal)
-        previous = self.active_write_transaction
-        self.active_write_transaction = txn
+        if supplied is not None:
+            mark = supplied.savepoint()
+            try:
+                yield supplied
+            except BaseException:
+                supplied.rollback_to(mark)
+                raise
+            return
+        txn = Transaction(self.catalog, self.wal)
         try:
-            if supplied is not None:
-                mark = supplied.savepoint()
-                try:
-                    yield supplied
-                except BaseException:
-                    supplied.rollback_to(mark)
-                    raise
-                return
-            try:
-                yield txn
-            except BaseException:
-                txn.rollback()
-                raise
-            try:
-                txn.commit()
-            except BaseException:
-                # A commit-time durability failure (closed storage, full
-                # disk) must not leave the statement's effects applied in
-                # memory when they never reached the log -- the undo
-                # journal is still intact because commit raises before
-                # clearing it.
-                txn.rollback()
-                raise
-        finally:
-            self.active_write_transaction = previous
+            yield txn
+        except BaseException:
+            txn.rollback()
+            raise
+        try:
+            txn.commit()
+        except BaseException:
+            # A commit-time durability failure (closed storage, full
+            # disk) must not leave the statement's effects applied in
+            # memory when they never reached the log -- the undo
+            # journal is still intact because commit raises before
+            # clearing it.
+            txn.rollback()
+            raise
 
     def _lower(self, expr: ast.SqlExpr) -> Expr:
         """Lower a syntactic expression, pre-evaluating any t-certain
@@ -229,6 +220,20 @@ class Executor:
 
     def execute(self, statement: ast.Statement) -> StatementResult:
         self.analyzer.analyze_statement(statement)
+        try:
+            return self._execute(statement)
+        finally:
+            self._scope = None
+
+    def _statement_scope(self) -> VariableRegistry:
+        """The registry ``repair key`` / ``pick tuples`` mint into: the
+        running statement's scope, created on its first mint, so a
+        statement that mints nothing pays nothing."""
+        if self._scope is None:
+            self._scope = self.registry.scope()
+        return self._scope
+
+    def _execute(self, statement: ast.Statement) -> StatementResult:
         if isinstance(statement, ast.CreateTable):
             return self._execute_create_table(statement)
         if isinstance(statement, ast.CreateTableAs):
@@ -321,10 +326,6 @@ class Executor:
         return StatementResult()
 
     def _execute_create_table_as(self, statement: ast.CreateTableAs) -> StatementResult:
-        # The query is evaluated *inside* the write transaction: repair-key
-        # and pick-tuples sources register fresh variables, which must roll
-        # back with the statement (and must ride in the statement's commit
-        # unit so a recovered table never references unknown variables).
         with self.write_transaction() as txn:
             output = self.evaluate_query(statement.query)
             if isinstance(output, Relation):
@@ -340,6 +341,7 @@ class Executor:
                     "cond_arity": output.cond_arity,
                 }
                 rows = output.relation.rows
+                promote_variables(txn, output, rows)
             if statement.if_not_exists and self.catalog.has_table(statement.name):
                 entry = self.catalog.entry(statement.name)
             else:
@@ -378,9 +380,6 @@ class Executor:
 
     def _execute_insert_query(self, statement: ast.InsertQuery) -> StatementResult:
         entry = self.catalog.entry(statement.table)
-        # Evaluate inside the write transaction so variables registered by
-        # the source query roll back with the statement (see
-        # _execute_create_table_as).
         with self.write_transaction() as txn:
             output = self.evaluate_query(statement.query)
             if isinstance(output, URelation):
@@ -395,7 +394,9 @@ class Executor:
                         f"uncertain result needs {output.cond_arity} condition "
                         f"columns, table has {target_arity}"
                     )
-                rows = output.pad_to(target_arity).relation.rows
+                output = output.pad_to(target_arity)
+                rows = output.relation.rows
+                promote_variables(txn, output, rows)
             else:
                 if entry.is_urelation:
                     raise AnalysisError(
@@ -498,7 +499,7 @@ class Executor:
         return repair_key(
             source,
             key_columns,
-            self.registry,
+            self._statement_scope(),
             weight_by=weight,
             name_hint=f"rk{self._repair_counter}",
         )
@@ -513,7 +514,7 @@ class Executor:
         self._repair_counter += 1
         return pick_tuples(
             source,
-            self.registry,
+            self._statement_scope(),
             probability=probability,
             independently=query.independently,
             name_hint=f"pt{self._repair_counter}",
@@ -1236,6 +1237,20 @@ class Executor:
                 )],
             )
         return relation
+
+
+def promote_variables(txn: Transaction, urel: URelation, rows: Sequence[tuple]) -> None:
+    """Register in the durable registry, inside ``txn`` and ahead of the
+    rows' inserts, exactly the statement-minted variables that ``rows`` --
+    wide rows of ``urel`` about to be stored -- name.  Nothing to do for a
+    U-relation bound to the durable registry (nothing minted)."""
+    registry = urel.registry
+    if registry is registry.durable:
+        return
+    base = urel.payload_arity
+    named = {row[base + 3 * i] for row in rows for i in range(urel.cond_arity)}
+    for var, name, distribution in registry.promotions(named):
+        txn.register_variable(registry.durable, var, name, distribution)
 
 
 def _materialized(output: QueryOutput) -> QueryOutput:

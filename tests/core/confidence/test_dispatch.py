@@ -62,14 +62,14 @@ class TestStrategySelection:
         lin = Lineage.from_clauses(
             [Condition.atom(v, 1) for v in variables], registry
         )
-        result = ConfidenceDispatcher(registry).probability(lin)
+        result = ConfidenceDispatcher().probability(lin)
         assert {d.strategy for d in result.decisions} == {STRATEGY_CLOSED_FORM}
         assert result.probability == pytest.approx(1.0 - 0.6 ** 4)
 
     def test_hierarchical_lineage_uses_sprout(self):
         registry = VariableRegistry()
         lin = two_level_hierarchical(registry)
-        result = ConfidenceDispatcher(registry).probability(lin)
+        result = ConfidenceDispatcher().probability(lin)
         assert {d.strategy for d in result.decisions} == {STRATEGY_SPROUT}
         assert result.probability == pytest.approx(
             confidence_by_enumeration(lin, registry)
@@ -78,7 +78,7 @@ class TestStrategySelection:
     def test_non_hierarchical_falls_to_exact(self):
         registry = VariableRegistry()
         lin = non_hierarchical_chain(registry)
-        result = ConfidenceDispatcher(registry).probability(lin)
+        result = ConfidenceDispatcher().probability(lin)
         assert {d.strategy for d in result.decisions} == {STRATEGY_EXACT}
         assert result.probability == pytest.approx(
             confidence_by_enumeration(lin, registry)
@@ -88,7 +88,7 @@ class TestStrategySelection:
         registry = VariableRegistry()
         lin = non_hierarchical_chain(registry, length=6)
         policy = DispatchPolicy(exact_budget=1, epsilon=0.05, delta=0.01)
-        dispatcher = ConfidenceDispatcher(registry, policy, random.Random(3))
+        dispatcher = ConfidenceDispatcher(policy, random.Random(3))
         result = dispatcher.probability(lin)
         assert {d.strategy for d in result.decisions} == {STRATEGY_MONTE_CARLO}
         truth = confidence_by_enumeration(lin, registry)
@@ -105,7 +105,7 @@ class TestStrategySelection:
             + [Condition.atom(lone, 1)],
             registry,
         )
-        result = ConfidenceDispatcher(registry).probability(lin)
+        result = ConfidenceDispatcher().probability(lin)
         strategies = sorted(d.strategy for d in result.decisions)
         assert strategies == [STRATEGY_CLOSED_FORM, STRATEGY_EXACT, STRATEGY_SPROUT]
         assert result.probability == pytest.approx(
@@ -129,14 +129,13 @@ class TestStrategySelection:
                 10, 12, 3, rng, domain_size=2, registry=registry, variables=variables
             )
             lineages.append(lineage)
-        forced = ConfidenceDispatcher(registry, DispatchPolicy(strategy="exact"))
+        forced = ConfidenceDispatcher(DispatchPolicy(strategy="exact"))
         exact = [forced.probability(lineage).probability for lineage in lineages]
-        auto = ConfidenceDispatcher(registry).group_probabilities(lineages)
+        auto = ConfidenceDispatcher().group_probabilities(lineages)
         strategies = {d.strategy for result in auto for d in result.decisions}
         assert STRATEGY_EXACT in strategies and STRATEGY_MONTE_CARLO not in strategies
         assert [r.probability for r in auto] == pytest.approx(exact, abs=1e-9)
         tiny = ConfidenceDispatcher(
-            registry,
             DispatchPolicy(exact_budget=1, epsilon=0.1, delta=0.05),
             random.Random(11),
         ).group_probabilities(lineages)
@@ -146,7 +145,7 @@ class TestStrategySelection:
 
     def test_empty_lineage(self):
         registry = VariableRegistry()
-        result = ConfidenceDispatcher(registry).probability(
+        result = ConfidenceDispatcher().probability(
             Lineage.from_clauses([], registry)
         )
         assert result.probability == 0.0
@@ -158,7 +157,7 @@ class TestForcedStrategies:
         registry = VariableRegistry()
         lin = two_level_hierarchical(registry)
         dispatcher = ConfidenceDispatcher(
-            registry, DispatchPolicy(strategy="exact")
+            DispatchPolicy(strategy="exact")
         )
         result = dispatcher.probability(lin)
         assert [d.strategy for d in result.decisions] == [STRATEGY_EXACT]
@@ -170,7 +169,7 @@ class TestForcedStrategies:
         registry = VariableRegistry()
         lin = non_hierarchical_chain(registry)
         dispatcher = ConfidenceDispatcher(
-            registry, DispatchPolicy(strategy="sprout")
+            DispatchPolicy(strategy="sprout")
         )
         with pytest.raises(UnsafeLineageError):
             dispatcher.probability(lin)
@@ -179,7 +178,6 @@ class TestForcedStrategies:
         registry = VariableRegistry()
         lin = two_level_hierarchical(registry)
         dispatcher = ConfidenceDispatcher(
-            registry,
             DispatchPolicy(strategy="monte-carlo", epsilon=0.05, delta=0.01),
             random.Random(5),
         )
@@ -208,7 +206,7 @@ class TestDifferentialRandomized:
                 n_vars, n_clauses, width, rng, domain_size=rng.choice([2, 3])
             )
             registry_count += 1
-            dispatcher = ConfidenceDispatcher(registry)
+            dispatcher = ConfidenceDispatcher()
             result = dispatcher.probability(lin)
             truth = confidence_by_enumeration(lin, registry)
             strategies_seen.update(d.strategy for d in result.decisions)
@@ -243,7 +241,7 @@ class TestDifferentialRandomized:
             ],
             registry,
         )
-        result = ConfidenceDispatcher(registry).probability(lin)
+        result = ConfidenceDispatcher().probability(lin)
         assert result.probability == pytest.approx(
             confidence_by_enumeration(lin, registry)
         )
@@ -254,14 +252,14 @@ class TestApproximate:
         registry = VariableRegistry()
         x = registry.fresh_boolean(0.3)
         lin = Lineage.from_clauses([Condition.atom(x, 1)], registry)
-        result = ConfidenceDispatcher(registry).approximate(lin, 0.1, 0.05)
+        result = ConfidenceDispatcher().approximate(lin, 0.1, 0.05)
         assert result.decisions[0].strategy == STRATEGY_CLOSED_FORM
         assert result.probability == pytest.approx(0.3)
 
     def test_hierarchical_shortcut(self):
         registry = VariableRegistry()
         lin = two_level_hierarchical(registry)
-        result = ConfidenceDispatcher(registry).approximate(lin, 0.1, 0.05)
+        result = ConfidenceDispatcher().approximate(lin, 0.1, 0.05)
         assert result.decisions[0].strategy == STRATEGY_SPROUT
         assert result.probability == pytest.approx(
             confidence_by_enumeration(lin, registry)
@@ -281,7 +279,6 @@ class TestApproximate:
                 continue
             truth = confidence_by_enumeration(lin, registry)
             dispatcher = ConfidenceDispatcher(
-                registry,
                 DispatchPolicy(strategy="monte-carlo"),
                 random.Random(100 + trial),
             )
@@ -298,16 +295,16 @@ class TestDeterminism:
         rng = random.Random(7)
         lin, registry = random_dnf(8, 6, 3, rng)
         policy = DispatchPolicy(strategy="monte-carlo")
-        a = ConfidenceDispatcher(registry, policy, random.Random(42))
-        b = ConfidenceDispatcher(registry, policy, random.Random(42))
+        a = ConfidenceDispatcher(policy, random.Random(42))
+        b = ConfidenceDispatcher(policy, random.Random(42))
         assert a.probability(lin).probability == b.probability(lin).probability
 
     def test_different_seeds_differ(self):
         rng = random.Random(7)
         lin, registry = random_dnf(10, 8, 3, rng)
         policy = DispatchPolicy(strategy="monte-carlo")
-        a = ConfidenceDispatcher(registry, policy, random.Random(1))
-        b = ConfidenceDispatcher(registry, policy, random.Random(2))
+        a = ConfidenceDispatcher(policy, random.Random(1))
+        b = ConfidenceDispatcher(policy, random.Random(2))
         assert a.probability(lin).probability != b.probability(lin).probability
 
 
@@ -317,7 +314,7 @@ class TestTracing:
 
         registry = VariableRegistry()
         lin = two_level_hierarchical(registry)
-        dispatcher = ConfidenceDispatcher(registry)
+        dispatcher = ConfidenceDispatcher()
         with trace_confidence() as events:
             result = dispatcher.probability(lin)
             dispatch_module.record_aggregate("conf", [result])

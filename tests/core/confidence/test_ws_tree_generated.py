@@ -175,7 +175,7 @@ def test_one_recursion_against_enumeration_and_hierarchy(shape, seed):
             roots_only.probability(lineage, roots_only=True)
 
     tiny = ConfidenceDispatcher(
-        registry, DispatchPolicy(exact_budget=1), random.Random(seed)
+        DispatchPolicy(exact_budget=1), random.Random(seed)
     )
     decisions = tiny.probability(lineage).decisions
     for component, decision in zip(_components(simplified), decisions):

@@ -274,7 +274,7 @@ class TestArrayPass:
         # The declined group's Monte-Carlo stream is seeded with its
         # ordinal among all groups, array pass or not.
         urel = self.mixed(registry)
-        dispatcher = ConfidenceDispatcher(registry, DispatchPolicy(exact_budget=1))
+        dispatcher = ConfidenceDispatcher(DispatchPolicy(exact_budget=1))
         with_pass = agg.aconf(urel, 0.2, 0.2, ["g"], dispatcher=dispatcher, base_seed=9)
         monkeypatch.setattr(urelation, "_NUMPY_MIN_ROWS", 2**62)
         without = agg.aconf(urel, 0.2, 0.2, ["g"], dispatcher=dispatcher, base_seed=9)
@@ -319,7 +319,7 @@ class TestArrayPass:
         monkeypatch.setattr(agg, "hierarchical_confidences", forbidden)
         for strategy in ("exact", "monte-carlo"):
             dispatcher = ConfidenceDispatcher(
-                registry, DispatchPolicy(strategy=strategy, epsilon=0.3, delta=0.3)
+                DispatchPolicy(strategy=strategy, epsilon=0.3, delta=0.3)
             )
             agg.conf(urel, ["g"], dispatcher=dispatcher)
             agg.aconf(urel, 0.3, 0.3, ["g"], dispatcher=dispatcher, base_seed=1)
@@ -328,7 +328,7 @@ class TestArrayPass:
             agg.conf(urel, ["g"])
 
     def test_forced_sprout_answers_trees_and_still_refuses_the_rest(self, registry):
-        sprout = ConfidenceDispatcher(registry, DispatchPolicy(strategy="sprout"))
+        sprout = ConfidenceDispatcher(DispatchPolicy(strategy="sprout"))
         safe = self.mixed(registry, crossing=False)
         with dispatch.trace_confidence() as events:
             agg.conf(safe, ["g"], dispatcher=sprout)

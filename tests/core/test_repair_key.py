@@ -180,6 +180,14 @@ class TestWeights:
         with pytest.raises(RepairKeyError):
             repair_key(relation, ["k"], registry, weight_by="w")
 
+    def test_overflowing_total_weight_rejected(self):
+        schema = Schema.of(("k", INTEGER), ("w", FLOAT))
+        relation = Relation(schema, [(1, 1e308), (1, 1e308)])
+        registry = VariableRegistry()
+        with pytest.raises(RepairKeyError):
+            repair_key(relation, ["k"], registry, weight_by="w")
+        assert len(registry) == 0
+
 
 class TestAgainstWorldsOracle:
     def test_distribution_equals_product_of_group_choices(self, fitness):

@@ -414,9 +414,9 @@ class TestDurabilityManager:
         catalog = Catalog()
         registry = VariableRegistry()
         wal = WriteAheadLog(sink=manager)
-        registry.on_register = wal.log_variable
-        var = registry.fresh({0: 0.5, 1: 0.5}, name="coin")
         txn = Transaction(catalog, wal)
+        var = registry.scope().mint([{0: 0.5, 1: 0.5}], lambda _: "coin")
+        txn.register_variable(registry, var, "coin", {0: 0.5, 1: 0.5})
         txn.create_table(
             "u",
             Schema.of(("a", INTEGER), ("_v0", INTEGER), ("_d0", INTEGER), ("_p0", FLOAT)),

@@ -85,7 +85,7 @@ def _table_version(rows, registry):
 
 def _conf(urel, policy=None, rng=None):
     dispatcher = ConfidenceDispatcher(
-        urel.registry, policy or DispatchPolicy(), rng=rng
+        policy or DispatchPolicy(), rng=rng
     )
     return list(agg.conf(urel, ["g"], dispatcher=dispatcher).rows)
 
@@ -171,7 +171,7 @@ class TestArrayPassThenPool:
 
         def unit(job):
             ordinal, lineage = job
-            dispatcher = ConfidenceDispatcher(urel.registry, policy)
+            dispatcher = ConfidenceDispatcher(policy)
             return answer(dispatcher, ordinal, lineage)
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -190,7 +190,7 @@ class TestArrayPassThenPool:
         urel = self._mixed(registry, random.Random(3))
         policy = DispatchPolicy()
         expected = agg.conf(
-            urel, ["g"], dispatcher=ConfidenceDispatcher(registry, policy)
+            urel, ["g"], dispatcher=ConfidenceDispatcher(policy)
         ).rows
         rows, declined = self._pooled(
             urel,
@@ -214,7 +214,7 @@ class TestArrayPassThenPool:
             0.3,
             0.2,
             ["g"],
-            dispatcher=ConfidenceDispatcher(registry, policy),
+            dispatcher=ConfidenceDispatcher(policy),
             base_seed=5,
         ).rows
         rows, declined = self._pooled(

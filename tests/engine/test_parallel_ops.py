@@ -62,7 +62,7 @@ def _mc_workload(registry, rng, groups=8, vars_per_group=6, clauses=8):
 
 def _mc_aconf(urel, base_seed):
     dispatcher = ConfidenceDispatcher(
-        urel.registry, DispatchPolicy(strategy="monte-carlo")
+        DispatchPolicy(strategy="monte-carlo")
     )
     return list(
         agg.aconf(

@@ -4,9 +4,10 @@ Rolling back ``CREATE TABLE u AS REPAIR KEY a IN t WEIGHT BY p`` dropped
 the table but left its variables registered in the VariableRegistry --
 and in durable mode the phantom variables survived close/reopen (their
 ``register_variable`` units were flushed with the *next* commit even
-though the creating transaction rolled back).  Registration is now
-journaled in the registering transaction: rollback unregisters, and the
-records reach the WAL only inside the transaction's committed unit.
+though the creating transaction rolled back).  Variables are now
+promoted from the statement's scope inside the transaction that stores
+rows naming them: rollback unregisters, and the records reach the WAL
+only inside the transaction's committed unit.
 """
 
 import pytest
@@ -27,15 +28,15 @@ def db():
 
 
 class TestUnregister:
-    def test_unregister_removes_and_reclaims_last_id(self):
+    def test_unregister_removes_and_never_reuses_ids(self):
         registry = VariableRegistry()
         first = registry.fresh([0.5, 0.5])
         second = registry.fresh([0.2, 0.8])
         registry.unregister(second)
         registry.unregister(first)
         assert len(registry) == 0
-        # Ids were reclaimed in reverse order: the next variable reuses them.
-        assert registry.fresh([1.0]) == first
+        # A statement scope may still name an unregistered id: never reused.
+        assert registry.fresh([1.0]) > second
 
     def test_unregister_middle_keeps_counter(self):
         registry = VariableRegistry()
@@ -102,13 +103,16 @@ class TestRollbackUnregisters:
         db.commit()
         assert len(db.registry) == 2
 
-    def test_select_repair_key_outside_transaction_keeps_variables(self, db):
-        # A plain SELECT registers variables that back the returned
-        # URelation; without a transaction there is nothing to undo.
+    def test_select_repair_key_outside_transaction_registers_nothing(self, db):
+        # A plain SELECT mints into its statement scope: the returned
+        # URelation is bound to it, and the durable registry and the WAL
+        # are untouched.
         result = db.uncertain_query("select * from repair key k in t weight by p r")
-        assert len(db.registry) == 2
-        assert db.wal.has_variable_records()
+        assert len(db.registry) == 0
+        assert not db.wal.has_variable_records()
         assert len(result.relation) == 4
+        assert result.registry.durable is db.registry
+        assert [result.registry.name(v) for v in (1, 2)] == ["rk1[1]", "rk1[2]"]
 
 
 class TestDurableRollback:
@@ -160,8 +164,8 @@ class TestDurableRollback:
             durable.begin()
             durable.execute("create table u as repair key k in t weight by p")
             durable.rollback()
-            # Recreate after rollback: variable ids were reclaimed, so the
-            # committed encoding references exactly the recovered registry.
+            # Recreate after rollback: the committed encoding references
+            # exactly the recovered registry.
             durable.execute("create table u as repair key k in t weight by p")
             before = sorted(
                 durable.query("select a, conf() as c from u group by a").rows

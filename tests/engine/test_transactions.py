@@ -166,8 +166,10 @@ class TestWalReplayFidelity:
 
         wal = WriteAheadLog()
         registry = VariableRegistry()
-        registry.on_register = wal.log_variable
-        var = registry.fresh({0: 0.2, 1: 0.8}, name="choice")
+        var = registry.scope().mint([{0: 0.2, 1: 0.8}])
+        txn = Transaction(catalog, wal)
+        txn.register_variable(registry, var, "choice", {0: 0.2, 1: 0.8})
+        txn.commit()
 
         recovered_registry = VariableRegistry()
         wal.replay(registry=recovered_registry)

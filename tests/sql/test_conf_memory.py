@@ -61,4 +61,4 @@ def test_fresh_conf_statements_leave_no_state_behind():
 
     # Flat: a session-lived memo adds kilobytes per statement here.
     assert after_200 - after_50 < 100_000, after_200 - after_50
-    assert set(vars(dispatcher)) == {"registry", "policy", "rng"}
+    assert set(vars(dispatcher)) == {"policy", "rng"}

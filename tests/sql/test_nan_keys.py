@@ -95,3 +95,31 @@ def test_nan_join_keys_never_match_on_a_large_build(engine, keys):
     )
     on = " and ".join(f"x.{c} = y.{c}" for c in keys.split(", "))
     assert db.query(f"select x.k from t x, t y where {on}").rows == [(0,)]
+
+
+def test_repair_key_groups_nan_keys_as_one_group():
+    """Two NaN keys from separate inserts are one key group: one variable,
+    each alternative at 0.5."""
+    db = MayBMS(seed=1)
+    db.execute("create table t (k float, v integer)")
+    db.execute("insert into t values (cast('nan' as float), 1)")
+    db.execute("insert into t values (cast('nan' as float), 2)")
+    repair = "(repair key k in t) r"
+    urel = db.uncertain_query(f"select * from {repair}")
+    assert len({row[2] for row in urel.relation.rows}) == 1
+    assert db.query(
+        f"select v, conf() as p from {repair} group by v order by v"
+    ).rows == [(1, 0.5), (2, 0.5)]
+
+
+def test_pick_tuples_shares_one_variable_among_nan_duplicates():
+    db = MayBMS(seed=1)
+    db.execute("create table d (f float)")
+    db.execute("insert into d values (cast('nan' as float))")
+    db.execute("insert into d values (cast('nan' as float))")
+    urel = db.uncertain_query("select * from pick tuples from d r")
+    assert len({row[1] for row in urel.relation.rows}) == 1
+    # Shared fate: the NaN group exists with 0.5, not 1 - 0.5 * 0.5.
+    assert db.query(
+        "select conf() as p from (pick tuples from d) r"
+    ).rows == [(0.5,)]

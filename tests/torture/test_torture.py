@@ -33,14 +33,19 @@ class TestWorkloadDeterminism:
     def test_inserts_to_ops_inverts_the_stream(self):
         inserts = 0
         for index in range(120):
-            if op_statement(index).startswith("insert"):
+            if op_statement(index).startswith("insert into r "):
                 inserts += 1
-                # inserts_to_ops maps a prefix's insert count back to
-                # the next op index (checkpoint ops insert nothing).
-        assert inserts_to_ops(inserts) == 120 or op_statement(
-            inserts_to_ops(inserts)
-        ).startswith("checkpoint")
+        # inserts_to_ops maps a prefix's row-insert count back to the next
+        # op index (checkpoint, promotion and read ops insert no row of r).
+        after = inserts_to_ops(inserts)
+        assert after == 120 or not op_statement(after).startswith("insert into r ")
         assert inserts_to_ops(0) == 0
+
+    def test_stream_crosses_promotion_and_scoped_reads(self):
+        kinds = [op_statement(i).split(" from ")[0] for i in range(40)]
+        assert kinds.count("create table s as select 6 as op, k, g") == 1
+        assert sum(kind.startswith("insert into s ") for kind in kinds) >= 2
+        assert sum(kind.startswith("select g, conf()") for kind in kinds) >= 3
 
     def test_crash_specs_use_cataloged_sites(self):
         assert set(CRASH_SITES) <= set(faults.SITES)

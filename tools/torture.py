@@ -21,14 +21,21 @@ invariants:
     2. the recovered state is bit-identical to an in-memory shadow
        oracle replaying the same op prefix -- including a ``conf()``
        query over a repair-key repair, so the probabilistic layer is
-       compared too;
+       compared too, and ``conf()`` over the stored U-relation ``s``
+       whose variables the workload's promotion ops made durable;
     3. no ``*.tmp`` debris and no orphan ``seg-*.seg`` files survive
        recovery.
 
 The workload is a pure function of the op index, so the shadow oracle
-needs only the recovered op count.  Each op is acknowledged in an
-fsynced ack file only after its statement returned; a torn final ack
-line (killed mid-write) is tolerated.  Every run prints its seed, and a
+needs only the recovered op count.  Besides single-row inserts and
+checkpoints it stores a repair of ``r`` every ``PROMOTE_EVERY`` ops
+(``create table s as ...`` once, then ``insert into s select ...``),
+which promotes the repair's variables into the durable registry, and
+runs a ``conf()`` read over a repair every ``READ_EVERY`` ops, whose
+statement scope leaves a gap in the variable ids; so lives cross
+promotion, registry delta checkpoints and id gaps.  Each op is
+acknowledged in an fsynced ack file only after its statement returned;
+a torn final ack line (killed mid-write) is tolerated.  Every run prints its seed, and a
 failing seed replays bit-identically::
 
     python -m tools.torture --path /tmp/t --iterations 200 --seed 42
@@ -64,6 +71,12 @@ CONF_QUERY = (
 )
 
 CHECKPOINT_EVERY_OPS = 17
+PROMOTE_EVERY = 13
+READ_EVERY = 11
+
+#: The stored repairs, compared through ``conf()`` (variable ids depend on
+#: the store's history, probabilities do not).
+PROMOTED_QUERY = "select op, k, conf() as p from s group by op, k order by op, k"
 
 
 def op_statement(index: int) -> str:
@@ -71,8 +84,42 @@ def op_statement(index: int) -> str:
     and the shadow oracle derive identical statements."""
     if index % CHECKPOINT_EVERY_OPS == CHECKPOINT_EVERY_OPS - 1:
         return "checkpoint"
+    if is_promotion(index):
+        # Only the recent rows are stored: promotion registers just the
+        # variables they name.
+        repair = (
+            f"select {index} as op, k, g from (repair key g in r weight by w) u "
+            f"where k >= {index - PROMOTE_EVERY * 2}"
+        )
+        if index == PROMOTE_EVERY // 2:
+            return f"create table s as {repair}"
+        return f"insert into s {repair}"
+    if index % READ_EVERY == READ_EVERY // 2:
+        return CONF_QUERY
     weight = 1.0 + (index * 7) % 3
     return f"insert into r values ({index}, {index % 5}, {weight})"
+
+
+def is_promotion(index: int) -> bool:
+    return (
+        index % PROMOTE_EVERY == PROMOTE_EVERY // 2
+        and index % CHECKPOINT_EVERY_OPS != CHECKPOINT_EVERY_OPS - 1
+    )
+
+
+def promoted_ops(db) -> List[int]:
+    """The op indices whose promotion ``s`` holds."""
+    if "s" not in db.tables():
+        return []
+    ops = db.query("select op, conf() as p from s group by op order by op")
+    return [row[0] for row in ops.rows]
+
+
+def recovered_op_count(db, insert_count: int) -> int:
+    """Ops ``[0, n)`` the store holds: past the last durable insert and
+    the last durable promotion (the other ops change nothing durable)."""
+    promoted = promoted_ops(db)
+    return max(inserts_to_ops(insert_count), promoted[-1] + 1 if promoted else 0)
 
 
 # -- child ----------------------------------------------------------------------
@@ -88,9 +135,9 @@ def run_child(path: str, ops: int, ack_path: str) -> int:
             db.execute("create table r (k integer, g integer, w float)")
         # Resume where the last life left off: ops are pure functions of
         # their index and inserts are one row each, so the recovered row
-        # count pins the next index.
+        # count and promotions pin the next index.
         done = db.query("select count(*) as n from r").rows[0][0]
-        start = inserts_to_ops(done)
+        start = recovered_op_count(db, done)
         with open(ack_path, "ab", buffering=0) as ack:
             for index in range(start, start + ops):
                 try:
@@ -111,16 +158,16 @@ def inserts_to_ops(insert_count: int) -> int:
     index = 0
     remaining = insert_count
     while remaining > 0:
-        if op_statement(index).startswith("insert"):
+        if op_statement(index).startswith("insert into r "):
             remaining -= 1
         index += 1
     return index
 
 
 def inserts_in_prefix(op_count: int) -> int:
-    """How many of ops ``[0, op_count)`` are inserts."""
+    """How many of ops ``[0, op_count)`` insert a row of ``r``."""
     return sum(
-        1 for i in range(op_count) if op_statement(i).startswith("insert")
+        1 for i in range(op_count) if op_statement(i).startswith("insert into r ")
     )
 
 
@@ -154,37 +201,46 @@ def verify_store(path: str, acked: Sequence[int], seed: int) -> Dict[str, Any]:
             assert not acked, f"acked ops {acked[:5]}... but table r lost"
             return {"recovered_inserts": 0, "recovered_ops": 0}
         rows = reopened.query("select k, g, w from r order by k").rows
-        recovered_ops = inserts_to_ops(len(rows))
+        recovered_ops = recovered_op_count(reopened, len(rows))
 
-        # 1. Every acked op's effects are recovered.  Checkpoint ops
-        # insert nothing, so a trailing acked checkpoint is invisible to
-        # the row count -- the durable obligation of acked op N is that
-        # every *insert* among ops [0, N] reached disk.
-        for index in acked:
-            required = inserts_in_prefix(index + 1)
+        # 1. Every acked op's effects are recovered.  Checkpoint and read
+        # ops change nothing durable, so a trailing acked one is invisible
+        # -- the durable obligation of acked op N is that every *insert*
+        # and *promotion* among ops [0, N] reached disk.
+        if acked:
+            last = max(acked)
+            required = inserts_in_prefix(last + 1)
             assert len(rows) >= required, (
-                f"acked op {index} lost: it implies {required} durable "
+                f"acked op {last} lost: it implies {required} durable "
                 f"inserts but the store recovered only {len(rows)}"
             )
+            missing = set(filter(is_promotion, range(last + 1))) - set(
+                promoted_ops(reopened)
+            )
+            assert not missing, f"acked promotions {sorted(missing)} lost"
 
         # 2. Bit-identical against the in-memory shadow oracle.
         shadow = MayBMS(seed=seed)
         shadow.execute("create table r (k integer, g integer, w float)")
         for index in range(recovered_ops):
             statement = op_statement(index)
-            if statement.startswith("insert"):
+            if statement.startswith(("insert", "create")):
                 shadow.execute(statement)
         shadow_rows = shadow.query("select k, g, w from r order by k").rows
         assert rows == shadow_rows, (
             f"recovered rows diverge from the oracle at op {recovered_ops}: "
             f"{_first_diff(rows, shadow_rows)}"
         )
-        if rows:
-            conf = reopened.query(CONF_QUERY).rows
-            shadow_conf = shadow.query(CONF_QUERY).rows
-            assert conf == shadow_conf, (
+        assert ("s" in reopened.tables()) == ("s" in shadow.tables())
+        queries = [CONF_QUERY] if rows else []
+        if "s" in shadow.tables():
+            queries.append(PROMOTED_QUERY)
+        for query in queries:
+            answer = reopened.query(query).rows
+            shadow_answer = shadow.query(query).rows
+            assert answer == shadow_answer, (
                 f"conf() diverges from the oracle: "
-                f"{_first_diff(conf, shadow_conf)}"
+                f"{_first_diff(answer, shadow_answer)}"
             )
         shadow.close()
         return {"recovered_inserts": len(rows), "recovered_ops": recovered_ops}
