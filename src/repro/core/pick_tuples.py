@@ -83,16 +83,15 @@ def pick_tuples(
                 firsts.append(index)
             ordinals.append(ordinal)
 
-    namer: Optional[Callable[[int], str]] = None
-    if name_hint:
-        def label(i: int) -> str:
-            if independently:
-                return f"{name_hint}[{i}]"
-            return f"{name_hint}[{','.join(map(str, rows[firsts[i]]))}]"
+    def label(i: int) -> str:
+        if independently:
+            return f"{name_hint}[{i}]"
+        return f"{name_hint}[{','.join(map(str, rows[firsts[i]]))}]"
 
-        namer = label
     kept = [probabilities[i] for i in firsts]
-    start = registry.mint([{0: 1.0 - p, 1: p} for p in kept], namer)
+    start = registry.mint(
+        [{0: 1.0 - p, 1: p} for p in kept], label if name_hint else None
+    )
     out = [
         row + (start + ordinal, 1, kept[ordinal])
         for row, ordinal in zip(rows, ordinals)
@@ -112,8 +111,7 @@ def _probabilities(relation: Relation, probability: ProbabilitySpec) -> List[flo
     if probability is None:
         return [DEFAULT_PICK_PROBABILITY] * len(rows)
     if isinstance(probability, (int, float)) and not isinstance(probability, bool):
-        constant = float(probability)
-        raw: List[object] = [constant] * len(rows)
+        raw: List[object] = [float(probability)] * len(rows)
     elif isinstance(probability, str):
         position = relation.schema.resolve(probability)
         raw = [row[position] for row in rows]

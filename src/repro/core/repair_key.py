@@ -17,8 +17,9 @@ for key groups (Bryant, F), (Bryant, SE), (Bryant, SL).
 The construct runs as one pass: key groups come from
 :func:`~repro.engine.physical.key_rows` (NULLs group together, and so do
 NaNs of a FLOAT key, as in GROUP BY), the weights are checked in one
-array pass and each group's total once, the group variables are minted as one block of ids, and
-the wide rows ``row + (var, alternative, p)`` are emitted directly.
+array pass and each group's total once, the group variables are minted
+as one block of ids, and the wide rows ``row + (var, alternative, p)``
+are emitted directly.
 Inside SQL the registry is the statement's scope, so nothing is logged
 until a statement stores the rows.
 """
@@ -88,7 +89,7 @@ def repair_key(
             groups[key] = [index]
         else:
             members.append(index)
-    weights = _weights(relation, weight_by, groups.values())
+    weights, unchecked = _weights(relation, weight_by)
     zero = 0.0 in weights
 
     # One plan entry per group, in first-seen order: the surviving row
@@ -98,6 +99,9 @@ def repair_key(
     distributions: List[Dict[int, float]] = []
     keyed: List[int] = []
     for members in groups.values():
+        if unchecked is not None:
+            for i in members:
+                _check_weight(unchecked[i], rows[i])
         group_weights = [weights[i] for i in members]
         total = sum(group_weights)  # left to right, as the answers pin it
         # Finite non-negative weights with a finite positive total make a
@@ -120,13 +124,10 @@ def repair_key(
         distributions.append(distribution)
         keyed.append(members[0])
 
-    namer: Optional[Callable[[int], str]] = None
-    if name_hint is not None:
-        def label(i: int) -> str:
-            return f"{name_hint}[{','.join(map(str, _key(rows[keyed[i]], positions)))}]"
+    def label(i: int) -> str:
+        return f"{name_hint}[{','.join(map(str, _key(rows[keyed[i]], positions)))}]"
 
-        namer = label
-    var = registry.mint(distributions, namer)
+    var = registry.mint(distributions, None if name_hint is None else label)
     out: List[tuple] = []
     append = out.append
     for survivors, distribution in plan:
@@ -148,13 +149,16 @@ def _key(row: tuple, positions: Sequence[int]) -> tuple:
     return group_key(row[p] for p in positions)
 
 
-def _weights(relation: Relation, weight_by: WeightSpec, groups) -> List[float]:
-    """Every row's weight as a float, checked in one array pass.  On a bad
-    weight the groups are walked in order, so the first bad weight -- or a
-    zero-total group before it, which the caller reports -- comes first."""
+def _weights(
+    relation: Relation, weight_by: WeightSpec
+) -> Tuple[List[float], Optional[list]]:
+    """Every row's weight as a float, checked in one array pass, and --
+    only when that pass found a bad weight -- the raw weights, which the
+    caller checks group by group (:func:`_check_weight`) for the precise
+    error."""
     rows = relation.rows
     if weight_by is None:
-        return [1.0] * len(rows)
+        return [1.0] * len(rows), None
     if isinstance(weight_by, str):
         raw = list(relation.columns()[relation.schema.resolve(weight_by)]) if rows else []
     elif isinstance(weight_by, Expr):
@@ -165,13 +169,7 @@ def _weights(relation: Relation, weight_by: WeightSpec, groups) -> List[float]:
         raise RepairKeyError(f"unsupported weight specification {weight_by!r}")
     # NULL becomes NaN here, which the finiteness test catches.
     array = np.array(raw, dtype=float)
-    if not np.all(np.isfinite(array) & (array >= 0.0)):
-        for members in groups:
-            for i in members:
-                _check_weight(raw[i], rows[i])
-            if sum(float(raw[i]) for i in members) <= 0:
-                break
-    return array.tolist()
+    return array.tolist(), None if np.all(np.isfinite(array) & (array >= 0.0)) else raw
 
 
 def _check_weight(w: object, row: tuple) -> None:

@@ -20,19 +20,11 @@ import bisect
 import math
 import random
 import threading
+import weakref
 from collections import ChainMap
 from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    MutableMapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
+    Callable, Dict, Iterable, Iterator, List, Mapping, MutableMapping,
+    Optional, Sequence, Tuple, Union,
 )
 
 from repro.errors import InvalidDistributionError, VariableError
@@ -61,9 +53,11 @@ class VariableRegistry:
     registry's frontier (so ids never collide and are never reused), its
     look-ups fall through to the durable registry, and nothing it mints
     is journaled, logged or checkpointed.  A scope's variables become
-    durable only when a statement stores rows naming them
-    (:meth:`promotions`); the rest go with the scope.  Registration,
-    removal and checkpoint serialization apply to durable registries only.
+    durable only when a transaction stores rows naming them (the durable
+    registry finds them in its live scopes, :meth:`minted`, and
+    :meth:`promote` registers them); the rest go with the scope.
+    Registration, removal and checkpoint serialization apply to durable
+    registries only.
     """
 
     def __init__(self, durable: Optional["VariableRegistry"] = None):
@@ -80,6 +74,8 @@ class VariableRegistry:
         self._distributions: MutableMapping[int, Dict[int, float]]
         if durable is not None:
             self._distributions = ChainMap(self._own, durable._own)
+            with durable._mutex:
+                durable._scopes.add(self)
             return
         self._own[TOP_VARIABLE] = {0: 1.0}
         self._names[TOP_VARIABLE] = "top"
@@ -99,6 +95,13 @@ class VariableRegistry:
         #: statements reserve ids and promote variables while a checkpoint
         #: thread serializes the whole registry.
         self._mutex = threading.RLock()
+        #: The statement scopes still alive (a running statement's, or one
+        #: a caller holds through a query result): where stored rows'
+        #: not-yet-durable variables are found.
+        self._scopes: "weakref.WeakSet[VariableRegistry]" = weakref.WeakSet()
+        #: How many transactions promoted a variable, where more than one
+        #: did: a rollback releases one hold, the last one unregisters.
+        self._holds: Dict[int, int] = {}
 
     def scope(self) -> "VariableRegistry":
         """A fresh statement scope over this registry's durable one."""
@@ -143,10 +146,16 @@ class VariableRegistry:
         else:
             dist = {i: float(p) for i, p in enumerate(distribution)}
         _validate_distribution(dist)
-        return self.mint([dist], None if name is None else lambda _: name)
+        var = self.mint([dist])
+        if name is not None:
+            with self.durable._mutex:
+                self._names[var] = name
+        return var
 
     def unregister(self, var: int) -> None:
-        """Remove a variable (rollback of the statement that promoted it).
+        """Remove a variable (rollback of the statement that promoted it),
+        or release one hold on it while another transaction still holds
+        it (:meth:`promote`).
 
         Ids are never reclaimed: a statement scope may still name it."""
         var = int(var)
@@ -155,6 +164,9 @@ class VariableRegistry:
         with self._mutex:
             if var not in self._own:
                 raise VariableError(f"unknown variable id {var}")
+            if self._holds.get(var, 1) > 1:
+                self._holds[var] -= 1
+                return
             del self._own[var]
             self._names.pop(var, None)
             self._touch(var)
@@ -184,18 +196,19 @@ class VariableRegistry:
             self._touch(var)
         return var
 
-    def promote(self, var: int, distribution: Mapping[int, float], name: str) -> bool:
-        """Make a variable a statement scope minted durable under its id;
-        False, changing nothing, when it already is (two statements
+    def promote(self, var: int, distribution: Mapping[int, float], name: str) -> None:
+        """Make a variable a statement scope minted durable under its id,
+        or take one more hold on it when it already is (two transactions
         storing one held result: the check and the insertion are one step
-        under the mutex)."""
+        under the mutex).  Each promotion is undone by one
+        :meth:`unregister`."""
         with self._mutex:
             if var in self._own:
-                return False
+                self._holds[var] = self._holds.get(var, 1) + 1
+                return
             self._own[var] = dict(distribution)
             self._names[var] = name
             self._touch(var)
-        return True
 
     def _touch(self, var: int) -> None:
         """Count a mutation of ``var``; one below the sealed frontier is a
@@ -204,18 +217,21 @@ class VariableRegistry:
         if var < self._sealed:
             self._nonappend_version = self._version
 
-    def promotions(
+    def minted(
         self, variables: Iterable[int]
     ) -> List[Tuple[int, str, Dict[int, float]]]:
-        """``(var, name, distribution)`` of each of ``variables`` this
-        scope minted, in id order -- what storing rows that name
-        ``variables`` must make durable (:meth:`promote`)."""
-        own = self._own
-        return [
-            (var, self.name(var), own[var])
-            for var in sorted(set(variables))
-            if var in own
-        ]
+        """``(var, name, distribution)`` of each of ``variables`` that a
+        live statement scope over this durable registry minted, in id
+        order -- what storing rows that name ``variables`` must promote
+        (:meth:`promote`)."""
+        with self._mutex:
+            scopes = list(self._scopes)
+        wanted = set(variables)
+        return sorted(
+            (var, scope.name(var), scope._own[var])
+            for scope in scopes
+            for var in wanted & scope._own.keys()
+        )
 
     def fresh_boolean(self, probability_true: float, name: Optional[str] = None) -> int:
         """A Boolean variable: domain {0, 1}, P(1) = probability_true."""

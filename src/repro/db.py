@@ -73,7 +73,7 @@ from repro.errors import (
 )
 from repro.sql import ast_nodes as ast
 from repro.sql.analyzer import referenced_tables
-from repro.sql.executor import Executor, StatementResult, promote_variables
+from repro.sql.executor import Executor, StatementResult
 from repro.sql.parser import parse_statement, parse_statements
 
 QueryOutput = Union[Relation, URelation]
@@ -302,7 +302,7 @@ class _SessionBase:
             )
         if self.in_transaction:
             raise TransactionError("a transaction is already in progress")
-        self._transaction = Transaction(self.catalog, self.wal)
+        self._transaction = Transaction(self.catalog, self.wal, self.registry)
         return self._transaction
 
     def commit(self) -> None:
@@ -343,10 +343,8 @@ class _SessionBase:
 
     def create_table_from_urelation(self, name: str, urel: URelation) -> None:
         """Register a U-relation (wide encoding) as a catalog table
-        (WAL-logged and lock-protected like any other DML).  A query
-        result still bound to its statement's scope (``uncertain_query``)
-        promotes the variables its rows name, as ``create table ... as``
-        does."""
+        (WAL-logged and lock-protected like any other DML).  A held query
+        result (``uncertain_query``) promotes the variables its rows name."""
 
         def build(txn: Transaction) -> None:
             txn.create_table(
@@ -358,9 +356,7 @@ class _SessionBase:
                     "cond_arity": urel.cond_arity,
                 },
             )
-            rows = urel.relation.rows
-            promote_variables(txn, urel, rows)
-            txn.insert_many(name, rows)
+            txn.insert_many(name, urel.relation.rows)
 
         self._programmatic_write(name, build)
 

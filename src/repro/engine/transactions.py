@@ -45,6 +45,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -53,7 +54,7 @@ from repro.engine.catalog import Catalog, CatalogEntry
 from repro.engine.schema import Column, Schema
 from repro.engine.storage import Table
 from repro.engine.types import type_from_name
-from repro.errors import LockTimeout, TransactionError
+from repro.errors import LockTimeout, TransactionError, VariableError
 
 #: Pseudo-table serializing checkpoints against in-flight writers: every
 #: writing statement holds it shared (for the whole transaction, once the
@@ -117,9 +118,11 @@ class _UndoDropTable:
 class _UndoRegisterVariable:
     registry: Any
     var: int
+    registered: Set[int]
 
     def undo(self) -> None:
         self.registry.unregister(self.var)
+        self.registered.discard(self.var)
 
 
 class Transaction:
@@ -127,14 +130,25 @@ class Transaction:
 
     All mutations must flow through the transaction's methods to be
     undoable.  ``commit`` publishes redo records to the WAL (if any);
-    ``rollback`` applies the undo journal in reverse.
+    ``rollback`` applies the undo journal in reverse.  Given the durable
+    variable ``registry``, rows inserted into a U-relation table promote
+    the statement-minted variables they name, and a row naming an unknown
+    variable is refused.
     """
 
-    def __init__(self, catalog: Catalog, wal: Optional["WriteAheadLog"] = None) -> None:
+    def __init__(
+        self,
+        catalog: Catalog,
+        wal: Optional["WriteAheadLog"] = None,
+        registry: Any = None,
+    ) -> None:
         self.catalog = catalog
         self.wal = wal
+        self.registry = registry
         self._undo: List[Any] = []
         self._redo: List[Tuple[Any, ...]] = []
+        #: The variables this transaction has promoted (and not undone).
+        self._registered: Set[int] = set()
         self._state = "active"
 
     # -- state ------------------------------------------------------------
@@ -155,7 +169,7 @@ class Transaction:
     # -- mutations ----------------------------------------------------------
     def insert(self, table_name: str, row: Sequence[Any]) -> int:
         self._require_active()
-        table = self.catalog.table(table_name)
+        table = self._promote_named(table_name, (row,))
         tid = table.insert(row)
         self._undo.append(_UndoInsert(table, tid))
         self._redo.append(("insert", table_name, tid, list(table.get(tid))))
@@ -165,7 +179,7 @@ class Transaction:
         self, table_name: str, rows: Sequence[Sequence[Any]]
     ) -> List[int]:
         self._require_active()
-        table = self.catalog.table(table_name)
+        table = self._promote_named(table_name, rows)
         tids = table.insert_many(rows)
         for tid in tids:
             self._undo.append(_UndoInsert(table, tid))
@@ -264,17 +278,37 @@ class Transaction:
         distribution: Mapping[int, float],
     ) -> None:
         """Promote a statement-minted variable (``repair key`` / ``pick
-        tuples``) into the durable ``registry`` so that it is *undoable*:
-        rollback unregisters the variable, and the registration reaches
-        the WAL only inside this transaction's committed unit, ahead of
-        the rows that name it.  A variable already durable is left alone."""
+        tuples``) into the durable ``registry``, undoably: rollback
+        releases it, and the registration reaches the WAL in this
+        transaction's committed unit, ahead of the rows naming it -- also
+        when another transaction promoted it first, as either may roll back."""
         self._require_active()
-        if not registry.promote(var, distribution, name):
+        if var in self._registered:
             return
-        self._undo.append(_UndoRegisterVariable(registry, var))
+        registry.promote(var, distribution, name)
+        self._registered.add(var)
+        self._undo.append(_UndoRegisterVariable(registry, var, self._registered))
         self._redo.append(
             ("register_variable", int(var), name, sorted(distribution.items()))
         )
+
+    def _promote_named(self, table_name: str, rows: Sequence[Sequence[Any]]) -> Table:
+        """The table ``rows`` go into, after promoting the variables they
+        name when it is a U-relation table (see the class docstring)."""
+        entry = self.catalog.entry(table_name)
+        registry = self.registry
+        if registry is None or not entry.is_urelation or not rows:
+            return entry.table
+        props = entry.properties
+        base, arity = int(props.get("payload_arity", 0)), int(props.get("cond_arity", 0))
+        named = {row[base + 3 * i] for row in rows for i in range(arity)}
+        minted = registry.minted(named)
+        for var in named.difference(var for var, _, _ in minted):
+            if var not in registry:
+                raise VariableError(f"row names unknown variable id {var}")
+        for var, name, distribution in minted:
+            self.register_variable(registry, var, name, distribution)
+        return entry.table
 
     # -- savepoints ----------------------------------------------------------
     def savepoint(self) -> Tuple[int, int]:

@@ -187,7 +187,7 @@ class Executor:
                 supplied.rollback_to(mark)
                 raise
             return
-        txn = Transaction(self.catalog, self.wal)
+        txn = Transaction(self.catalog, self.wal, self.registry)
         try:
             yield txn
         except BaseException:
@@ -341,7 +341,6 @@ class Executor:
                     "cond_arity": output.cond_arity,
                 }
                 rows = output.relation.rows
-                promote_variables(txn, output, rows)
             if statement.if_not_exists and self.catalog.has_table(statement.name):
                 entry = self.catalog.entry(statement.name)
             else:
@@ -394,9 +393,7 @@ class Executor:
                         f"uncertain result needs {output.cond_arity} condition "
                         f"columns, table has {target_arity}"
                     )
-                output = output.pad_to(target_arity)
-                rows = output.relation.rows
-                promote_variables(txn, output, rows)
+                rows = output.pad_to(target_arity).relation.rows
             else:
                 if entry.is_urelation:
                     raise AnalysisError(
@@ -1237,20 +1234,6 @@ class Executor:
                 )],
             )
         return relation
-
-
-def promote_variables(txn: Transaction, urel: URelation, rows: Sequence[tuple]) -> None:
-    """Register in the durable registry, inside ``txn`` and ahead of the
-    rows' inserts, exactly the statement-minted variables that ``rows`` --
-    wide rows of ``urel`` about to be stored -- name.  Nothing to do for a
-    U-relation bound to the durable registry (nothing minted)."""
-    registry = urel.registry
-    if registry is registry.durable:
-        return
-    base = urel.payload_arity
-    named = {row[base + 3 * i] for row in rows for i in range(urel.cond_arity)}
-    for var, name, distribution in registry.promotions(named):
-        txn.register_variable(registry.durable, var, name, distribution)
 
 
 def _materialized(output: QueryOutput) -> QueryOutput:

@@ -88,13 +88,22 @@ class TestEndToEndRecovery:
         db.commit()
 
         # Create the uncertain table through a WAL-logged transaction:
-        # materialize the repair into a stored U-relation, which promotes
-        # the query's variables into the durable registry.
+        # materialize the repair into a stored U-relation.
         urel = db.uncertain_query(
             "select k, v from (repair key k in r weight by w) x"
         )
         db.begin()
-        db.create_table_from_urelation("maybe", urel)
+        db.transaction.create_table(
+            "maybe",
+            urel.relation.schema.unqualified(),
+            kind="urelation",
+            properties={
+                "payload_arity": urel.payload_arity,
+                "cond_arity": urel.cond_arity,
+            },
+        )
+        for row in urel.relation:
+            db.transaction.insert("maybe", row)
         db.commit()
 
         before = db.query("select k, v, conf() as p from maybe group by k, v")

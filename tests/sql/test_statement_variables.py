@@ -14,9 +14,12 @@ import sys
 import threading
 import tracemalloc
 
+import pytest
+
 from repro.core import aggregates
 from repro.db import MayBMS
 from repro.engine.durability import decode_manifest
+from repro.errors import VariableError
 
 WALK = (
     "select v, conf() as p from (repair key k in t weight by p) r "
@@ -217,3 +220,85 @@ def test_repeated_conf_over_a_stored_urelation_hits_its_lineage_cache(monkeypatc
     count = len(built)
     assert conf_of_u() == first
     assert len(built) == count  # u's lineages came from the cache
+
+
+def test_raw_transaction_inserts_promote_live_scopes_and_refuse_dead_ones():
+    db = MayBMS(seed=3)
+    populate(db)
+    held = db.uncertain_query("select * from (repair key k in t weight by p) r")
+    rows = held.relation.rows
+    db.begin()
+    db.transaction.create_table(
+        "maybe",
+        held.relation.schema.unqualified(),
+        kind="urelation",
+        properties={"payload_arity": held.payload_arity, "cond_arity": held.cond_arity},
+    )
+    db.transaction.insert_many("maybe", rows[:2])
+    for row in rows[2:]:
+        db.transaction.insert("maybe", row)
+    db.commit()
+    named = stored_variables(db, "maybe")
+    assert set(db.registry.variables()) == named
+    registered = [r[1] for r in db.wal.records() if r[0] == "register_variable"]
+    assert sorted(registered) == sorted(named)  # once each
+    answer = db.query("select v, conf() as p from maybe group by v order by v").rows
+    assert db.recover().query(
+        "select v, conf() as p from maybe group by v order by v"
+    ).rows == answer
+
+    # A result nobody holds any more names ids no registry knows.
+    orphans = db.uncertain_query("select * from (repair key k in t) r").relation.rows
+    gc.collect()
+    db.begin()
+    with pytest.raises(VariableError, match="unknown variable id"):
+        db.transaction.insert_many("maybe", orphans)
+    db.rollback()
+    with pytest.raises(VariableError, match="unknown variable id"):
+        db.execute("insert into maybe values (0, 1, 0.5, 99999, 0, 1.0)")
+    assert set(db.registry.variables()) == named
+    assert len(db.urelation("maybe").relation) == len(rows)
+
+
+def held_by_two_sessions():
+    """A store with earlier promotions logged, a held result, and two
+    sessions storing it: ``a`` inside an open transaction, ``b`` in
+    auto-commit."""
+    store = MayBMS(seed=3)
+    populate(store)
+    store.execute("create table base as select * from (repair key k in t) r")
+    held = store.uncertain_query("select * from (repair key k in t weight by p) r")
+    a, b = store.session(), store.session()
+    a.begin()
+    a.create_table_from_urelation("t1", held)
+    b.create_table_from_urelation("t2", held)
+    return store, a, b
+
+
+def test_one_held_result_stored_by_two_sessions_survives_a_rollback():
+    store, a, b = held_by_two_sessions()
+    answer = b.query("select v, conf() as p from t2 group by v order by v").rows
+    a.rollback()
+    assert b.query("select v, conf() as p from t2 group by v order by v").rows == answer
+    assert set(store.registry.variables()) == (
+        stored_variables(store, "base") | stored_variables(store, "t2")
+    )
+    a.close()
+    b.close()
+
+
+def test_one_held_result_stored_by_two_sessions_recovers_before_the_commit():
+    store, a, b = held_by_two_sessions()
+    answer = b.query("select v, conf() as p from t2 group by v order by v").rows
+    recovered = store.recover()  # the open transaction never committed
+    assert recovered.query(
+        "select v, conf() as p from t2 group by v order by v"
+    ).rows == answer
+    a.commit()
+    assert set(store.recover().registry.variables()) == (
+        stored_variables(store, "base")
+        | stored_variables(store, "t1")
+        | stored_variables(store, "t2")
+    )
+    a.close()
+    b.close()
