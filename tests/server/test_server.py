@@ -7,11 +7,9 @@ count under concurrent load; and ``kill -9`` of the server followed by a
 restart recovers bit-identical SELECT / conf() answers.
 """
 
-import json
 import os
 import re
 import signal
-import socket
 import subprocess
 import sys
 import threading
@@ -157,53 +155,6 @@ class TestRoundTrips:
             # The connection (and session) survived.
             assert client.ping()
             assert client.query("select count(*) as n from t").scalar() == 1
-
-
-class TestResultFrames:
-    """``encode_result`` hands the relation's row tuples to ``json.dumps``
-    instead of copying each into a list; the bytes on the wire must be
-    what the list form produced."""
-
-    @staticmethod
-    def _frame(message):
-        left, right = socket.socketpair()
-        try:
-            protocol.send_message(left, message)
-            left.close()
-            chunks = []
-            while True:
-                chunk = right.recv(65536)
-                if not chunk:
-                    return b"".join(chunks)
-                chunks.append(chunk)
-        finally:
-            right.close()
-
-    @pytest.mark.parametrize(
-        "sql, kind",
-        [
-            ("select k, v, p, s from t where p > 0.1", "relation"),
-            ("select * from u where v >= 1", "urelation"),
-        ],
-    )
-    def test_frame_bytes_equal_the_list_encoding(self, sql, kind):
-        from repro.db import MayBMS
-
-        db = MayBMS(seed=1)
-        db.execute_script(
-            "create table t (k integer, v integer, p float, s text);"
-            "insert into t values (1, 1, 0.4, 'a'), (1, 2, 0.6, null), (2, 3, 1.0, 'é');"
-            "create table u as repair key k in t weight by p"
-        )
-        result = db.execute(sql)
-        encoded = protocol.encode_result(result)
-        assert encoded["kind"] == kind and len(encoded["rows"]) == 3
-        as_lists = dict(encoded, rows=[list(row) for row in encoded["rows"]])
-        frame = self._frame({"ok": True, "result": encoded})
-        assert frame == self._frame({"ok": True, "result": as_lists})
-        # And the client decodes it to the same rows.
-        payload = json.loads(frame[4:].decode("utf-8"))["result"]
-        assert [tuple(row) for row in payload["rows"]] == list(encoded["rows"])
 
 
 class TestShutdown:

@@ -1,4 +1,4 @@
-"""Every answer of the benchmark's statement streams, pinned.
+"""Every answer of the benchmark's statement streams, pinned, and the same over the wire.
 
 ``tools/answers.py`` replays the six workloads in-process at ``smoke``
 scale and hashes what each statement answered (``conf()`` reads also as
@@ -23,3 +23,11 @@ def test_answers_match_the_committed_digests(monkeypatch):
     got = answers.digests(answers.answers())
     assert {k for k in got if got[k] != expected.get(k)} == set()
     assert got.keys() == expected.keys()
+
+
+def test_the_wire_preserves_every_answer(monkeypatch, capsys):
+    """``--wire`` at one seed: every plain statement answers the same
+    through the server and client as in-process."""
+    monkeypatch.syspath_prepend(os.path.join(answers.ROOT, "benchmarks"))
+    differ = answers.wire(seeds=(1,))
+    assert differ == 0, capsys.readouterr().out

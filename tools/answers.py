@@ -13,6 +13,7 @@ never modified.
 Usage (from the repository root)::
 
     python tools/answers.py --against HEAD~1 # diff every answer against a ref
+    python tools/answers.py --wire           # diff in-process answers against the wire's
     python tools/answers.py --write tests/golden/answers.json
 
 ``--against`` extracts the ref with ``git archive`` into a temporary
@@ -21,6 +22,12 @@ answer whose ``repr`` differs.  ``--write`` stores the per-workload
 digests that ``tests/tools/test_answers.py`` checks; they round floats
 to 12 significant digits, so that NumPy and platform differences in the
 last bits do not change them, while ``--against`` compares exact reprs.
+
+``--wire`` checks the wire instead of a ref: each workload's plain
+statements (no re-runs) go both to an in-process store and, through
+:class:`~repro.server.MayBMSServer` and :class:`~repro.client.Client`, to
+an identically seeded and loaded one.  Kind, column names, and rows must
+agree by ``repr``; errors by type name and message.
 """
 
 from __future__ import annotations
@@ -139,6 +146,70 @@ def answers() -> Iterator[Answer]:
             yield from replay(name, seed)
 
 
+def _fetch(client, sql: str) -> Any:
+    """What a statement answered over the wire, shaped like :func:`_value`."""
+    from repro.errors import ServerError
+
+    try:
+        result = client.execute(sql)
+    except ServerError as error:
+        return ("error", error.error_type, error.server_message)
+    if result.kind == "none":
+        return ("count", result.row_count)
+    return (result.kind, tuple(result.columns), tuple(result.rows))
+
+
+def served(name: str, seed: int) -> Iterator[Tuple[str, str, Any, Any]]:
+    """(workload/seed, statement label, in-process answer, wire answer) of
+    every plain statement of one workload's stream at one seed."""
+    from harness.datasets import SCALES
+    from harness.workloads import WORKLOADS
+    from repro.client import Client
+    from repro.db import MayBMS
+    from repro.server import MayBMSServer
+
+    workload = WORKLOADS[name](seed, SCALES["smoke"])
+    workload.generate()
+    key = f"{name}/{seed}"
+    with MayBMS(seed=seed) as local, MayBMS(seed=seed) as remote:
+        workload.load(local)
+        workload.load(remote)
+        # Both sides run every connection in a fresh session, as the
+        # server opens one per client.
+        sessions = [local.session() for _ in range(workload.connections)]
+        with MayBMSServer(db=remote) as server:
+            server.start()
+            clients = [Client(server.host, server.port) for _ in sessions]
+            try:
+                for number, (conn, sql, _) in enumerate(_statements(workload)):
+                    yield (
+                        key,
+                        f"{number}@{conn}: {sql}",
+                        _run(sessions[conn], sql),
+                        _fetch(clients[conn], sql),
+                    )
+            finally:
+                for client in clients:
+                    client.close()
+
+
+def wire(seeds=SEEDS) -> int:
+    """Print every statement whose wire answer differs from its
+    in-process one; the number that differ."""
+    from harness.workloads import WORKLOADS
+
+    count = differ = 0
+    for name in WORKLOADS:
+        for seed in seeds:
+            for key, label, ours, theirs in served(name, seed):
+                count += 1
+                if repr(ours) != repr(theirs):
+                    differ += 1
+                    print(f"{key} {label}\n  in-process: {ours!r}\n  wire: {theirs!r}")
+    print(f"{count} answers, {differ} differ over the wire")
+    return differ
+
+
 def _rounded(value: Any) -> Any:
     if isinstance(value, float):
         return float(f"{value:.12g}")
@@ -199,15 +270,20 @@ def against(ref: str) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="REF", help="diff every answer against a git ref")
+    parser.add_argument(
+        "--wire", action="store_true", help="diff in-process answers against the wire's"
+    )
     parser.add_argument("--write", metavar="JSON", help="write the digests to a file")
     parser.add_argument("--tree", default=ROOT, help=argparse.SUPPRESS)
     parser.add_argument("--dump", metavar="JSON", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.against:
         return against(args.against)
-    if not (args.write or args.dump):
-        parser.error("give --against REF or --write JSON")
+    if not (args.wire or args.write or args.dump):
+        parser.error("give --against REF, --wire or --write JSON")
     _use_tree(args.tree)
+    if args.wire:
+        return 1 if wire() else 0
     if args.dump:
         _dump(args.dump)
         return 0
