@@ -264,20 +264,19 @@ def tconf(urel: URelation, result_name: str = "tconf") -> Relation:
     computation of a query.
     """
     columns = list(urel.payload_schema) + [Column(result_name, FLOAT)]
-    payload_arity = urel.payload_arity
-    rows = [
-        row[:payload_arity] + (probability,)
-        for row, probability in zip(urel.relation, urel.condition_probabilities())
-    ]
+    n = len(urel.relation)
+    payload = urel.relation.columns()[: urel.payload_arity]
     if dispatch.tracing_active():
         dispatch.record_event(
             dispatch.ConfidenceEvent(
                 aggregate="tconf",
-                groups=len(rows),
-                strategy_counts=(("marginal", len(rows)),),
+                groups=n,
+                strategy_counts=(("marginal", n),),
             )
         )
-    return Relation(Schema(columns), rows)
+    return Relation.from_columns(
+        Schema(columns), payload + (urel.condition_probabilities(),), n
+    )
 
 
 def possible(urel: URelation) -> Relation:

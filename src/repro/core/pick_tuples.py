@@ -13,24 +13,26 @@ with duplicates present the result is not tuple-independent -- while
 ``independently`` gives every tuple occurrence its own fresh variable,
 which guarantees tuple-independence unconditionally.  On duplicate-free
 inputs the two modes coincide (tested).  Duplicates are found through
-:func:`~repro.engine.physical.key_rows`, so NaNs of a FLOAT column match
+:func:`~repro.engine.physical.group_codes`, so NaNs of a FLOAT column match
 each other, as in GROUP BY.
 
-Like ``repair key``, the construct is one pass: probabilities are checked
-once, the variables are minted as one block of ids, and the wide rows
-``row + (var, 1, p)`` are emitted directly.
+Like ``repair key``, the construct is one array pass over the input's
+columns: probabilities are checked once, the variables are minted as
+one block of ids, and the output columns ``columns + (var, 1, p)`` are
+built without any row tuple.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.urelation import URelation, condition_columns
 from repro.core.variables import VariableRegistry
 from repro.engine.expressions import Expr
-from repro.engine.physical import key_rows
+from repro.engine.kernels import compile_kernel
+from repro.engine.physical import group_codes
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
 from repro.errors import PickTuplesError
@@ -66,69 +68,62 @@ def pick_tuples(
         tuple-independent result) instead of one per distinct tuple value.
     """
     schema = relation.schema
-    rows = relation.rows
-    probabilities = _probabilities(relation, probability)
+    n = len(relation)
+    columns = relation.columns()
+    chances = _probabilities(relation, probability)
 
     # Per row, the ordinal of its variable; per variable, its first row.
-    firsts: List[int] = list(range(len(rows)))
-    ordinals = firsts
-    if not independently:
-        shared: Dict[tuple, int] = {}
-        firsts, ordinals = [], []
-        for index, key in enumerate(
-            key_rows(relation.columns(), schema.types, len(rows))
-        ):
-            ordinal = shared.setdefault(key, len(firsts))
-            if ordinal == len(firsts):
-                firsts.append(index)
-            ordinals.append(ordinal)
+    if independently:
+        codes = firsts = np.arange(n)
+    else:
+        codes, firsts = group_codes(columns, schema.types, n)
+    named = firsts.tolist()
 
     def label(i: int) -> str:
         if independently:
             return f"{name_hint}[{i}]"
-        return f"{name_hint}[{','.join(map(str, rows[firsts[i]]))}]"
+        return f"{name_hint}[{','.join(str(c[named[i]]) for c in columns)}]"
 
-    kept = [probabilities[i] for i in firsts]
+    kept = chances[firsts]
     start = registry.mint(
-        [{0: 1.0 - p, 1: p} for p in kept], label if name_hint else None
+        [{0: 1.0 - p, 1: p} for p in kept.tolist()], label if name_hint else None
     )
-    out = [
-        row + (start + ordinal, 1, kept[ordinal])
-        for row, ordinal in zip(rows, ordinals)
-    ]
-
-    cond_arity = 1 if out else 0
+    cond_arity = 1 if n else 0
+    condition = ((codes + start).tolist(), [1] * n, kept[codes].tolist())
     wide = Schema(tuple(schema) + tuple(condition_columns(cond_arity)))
     return URelation(
-        Relation.from_trusted_rows(wide, out), len(schema), cond_arity, registry
+        Relation.from_columns(wide, columns + condition[: 3 * cond_arity], n),
+        len(schema),
+        cond_arity,
+        registry,
     )
 
 
-def _probabilities(relation: Relation, probability: ProbabilitySpec) -> List[float]:
-    """Every row's probability as a float, checked in [0, 1] in one array
-    pass (a bad one is reported with the first bad row)."""
-    rows = relation.rows
+def _probabilities(relation: Relation, probability: ProbabilitySpec) -> np.ndarray:
+    """Every row's probability as a float64 array, checked in [0, 1] in
+    one array pass (a bad one is reported with the first bad row)."""
+    n = len(relation)
     if probability is None:
-        return [DEFAULT_PICK_PROBABILITY] * len(rows)
+        return np.full(n, DEFAULT_PICK_PROBABILITY)
     if isinstance(probability, (int, float)) and not isinstance(probability, bool):
-        raw: List[object] = [float(probability)] * len(rows)
+        raw: Sequence[object] = [float(probability)] * n
     elif isinstance(probability, str):
-        position = relation.schema.resolve(probability)
-        raw = [row[position] for row in rows]
+        raw = relation.columns()[relation.schema.resolve(probability)]
     elif isinstance(probability, Expr):
-        raw = list(map(probability.compile(relation.schema), rows))
+        raw = compile_kernel(probability, relation.schema)(relation.columns(), n)
     elif callable(probability):
-        raw = list(map(probability, rows))
+        raw = list(map(probability, relation.rows))
     else:
         raise PickTuplesError(f"unsupported probability specification {probability!r}")
     array = np.array(raw, dtype=float)  # NULL becomes NaN: out of range
-    if not np.all((array >= 0.0) & (array <= 1.0)):
-        for p, row in zip(raw, rows):
-            if p is None:
-                raise PickTuplesError(f"probability evaluated to NULL on row {row!r}")
-            p = float(p)  # type: ignore[arg-type]
-            if not (0.0 <= p <= 1.0):
-                raise PickTuplesError(
-                    f"probability {p} outside [0, 1] on row {row!r}"
-                )
-    return array.tolist()
+    bad = np.flatnonzero(~((array >= 0.0) & (array <= 1.0)))
+    if len(bad):
+        i = int(bad[0])
+        row = tuple(c[i] for c in relation.columns())
+        p = raw[i]
+        if p is None:
+            raise PickTuplesError(f"probability evaluated to NULL on row {row!r}")
+        raise PickTuplesError(
+            f"probability {float(p)} outside [0, 1] on row {row!r}"  # type: ignore[arg-type]
+        )
+    return array

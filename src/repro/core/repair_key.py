@@ -14,12 +14,15 @@ is conditioned on its group's variable taking its alternative.  This is
 exactly how Figure 1 encodes the one-step random walk: variables x, y, z
 for key groups (Bryant, F), (Bryant, SE), (Bryant, SL).
 
-The construct runs as one pass: key groups come from
-:func:`~repro.engine.physical.key_rows` (NULLs group together, and so do
-NaNs of a FLOAT key, as in GROUP BY), the weights are checked in one
-array pass and each group's total once, the group variables are minted
-as one block of ids, and the wide rows ``row + (var, alternative, p)``
-are emitted directly.
+The construct is one array pass over the input's columns: key groups
+are numbered in first-seen order
+(:func:`~repro.engine.physical.group_codes`; NULLs group
+together, and so do NaNs of a FLOAT key, as in GROUP BY), each group's
+total weight is one ``np.bincount`` (which adds a group's weights left
+to right in row order), every row gets its rank in its group and
+``p = w / total``, the group variables are minted as one block of ids,
+and the output columns ``columns + (var, alternative, p)`` are gathered
+in group order.  Rows are built only if a caller reads them.
 Inside SQL the registry is the statement's scope, so nothing is logged
 until a statement stores the rows.
 """
@@ -27,14 +30,16 @@ until a statement stores the rows.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.urelation import URelation, condition_columns
 from repro.core.variables import TOP_VARIABLE, VariableRegistry
+from repro.engine.columnar import ColumnBatch
 from repro.engine.expressions import Expr
-from repro.engine.physical import group_key, key_rows
+from repro.engine.kernels import compile_kernel
+from repro.engine.physical import group_codes, group_key
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
 from repro.errors import RepairKeyError
@@ -73,103 +78,91 @@ def repair_key(
         formatted ``hint[key,...]`` only when a name is asked for.
     """
     schema = relation.schema
-    rows = relation.rows
+    n = len(relation)
+    columns = relation.columns()
     positions = [schema.resolve(c) for c in key_columns]
-    columns = relation.columns() if positions else ()
-    groups: Dict[tuple, List[int]] = {}
-    for index, key in enumerate(
-        key_rows(
-            [columns[p] for p in positions],
-            [schema[p].type for p in positions],
-            len(rows),
-        )
-    ):
-        members = groups.get(key)
-        if members is None:
-            groups[key] = [index]
-        else:
-            members.append(index)
-    weights, unchecked = _weights(relation, weight_by)
-    zero = 0.0 in weights
 
-    # One plan entry per group, in first-seen order: the surviving row
-    # indices, and the group variable's distribution (None when a single
-    # candidate is chosen with certainty -- no variable needed).
-    plan: List[Tuple[List[int], Optional[Dict[int, float]]]] = []
-    distributions: List[Dict[int, float]] = []
-    keyed: List[int] = []
-    for members in groups.values():
-        if unchecked is not None:
-            for i in members:
-                _check_weight(unchecked[i], rows[i])
-        group_weights = [weights[i] for i in members]
-        total = sum(group_weights)  # left to right, as the answers pin it
-        # Finite non-negative weights with a finite positive total make a
-        # distribution: this is the group's one validation.
-        if not 0 < total < math.inf:
-            raise RepairKeyError(
-                f"key group {_key(rows[members[0]], positions)!r} has total "
-                f"weight {total!r}; no repair can choose a tuple"
-            )
-        if zero:
-            survivors = [i for i, w in zip(members, group_weights) if w > 0]
-            group_weights = [w for w in group_weights if w > 0]
-        else:
-            survivors = members
-        if len(survivors) == 1:
-            plan.append((survivors, None))
-            continue
-        distribution = dict(enumerate([w / total for w in group_weights]))
-        plan.append((survivors, distribution))
-        distributions.append(distribution)
-        keyed.append(members[0])
+    def key(row: int) -> tuple:
+        return group_key(columns[p][row] for p in positions)
+
+    # The first row of each group names it (in errors and variable names).
+    codes, firsts = group_codes(
+        [columns[p] for p in positions], [schema[p].type for p in positions], n
+    )
+    weights, raw = _weights(relation, weight_by)
+    # Each group's weights summed left to right, as the answers pin it.
+    totals = np.bincount(codes, weights=weights, minlength=len(firsts))
+    # Finite non-negative weights with a finite positive total make a
+    # distribution.  The first group (in first-seen order) without one
+    # is reported, at its first bad weight if it has any.
+    bad = ~(np.isfinite(weights) & (weights >= 0.0))
+    broken = ~((totals > 0.0) & (totals < math.inf))
+    broken[codes[bad]] = True
+    if broken.any():
+        group = int(np.argmax(broken))
+        hits = np.flatnonzero(bad & (codes == group))
+        if len(hits):
+            i = int(hits[0])
+            _check_weight(raw[i], tuple(c[i] for c in columns))  # type: ignore[index]
+        raise RepairKeyError(
+            f"key group {key(int(firsts[group]))!r} has total weight "
+            f"{float(totals[group])!r}; no repair can choose a tuple"
+        )
+
+    # Row indices grouped by first-seen key, input order within a group.
+    order = np.argsort(codes, kind="stable")
+    if (weights == 0.0).any():  # zero weights appear in no repair
+        order = order[weights[order] > 0.0]
+    group = codes[order]
+    survivors = np.bincount(group, minlength=len(firsts))
+    chosen = survivors[group] > 1  # rows of groups that need a variable
+    chance = np.where(chosen, weights[order] / totals[group], 1.0)
+    keyed = survivors > 1
+    chances = chance[chosen].tolist()
+    ends = np.cumsum(survivors[keyed]).tolist()
+    distributions = [dict(enumerate(chances[a:b])) for a, b in zip([0] + ends, ends)]
+    named = firsts[keyed].tolist()
 
     def label(i: int) -> str:
-        return f"{name_hint}[{','.join(map(str, _key(rows[keyed[i]], positions)))}]"
+        return f"{name_hint}[{','.join(map(str, key(named[i])))}]"
 
-    var = registry.mint(distributions, None if name_hint is None else label)
-    out: List[tuple] = []
-    append = out.append
-    for survivors, distribution in plan:
-        if distribution is None:
-            append(rows[survivors[0]] + (TOP_VARIABLE, 0, 1.0))
-            continue
-        for alternative, index in enumerate(survivors):
-            append(rows[index] + (var, alternative, distribution[alternative]))
-        var += 1
-
-    cond_arity = 1 if out else 0
+    start = registry.mint(distributions, None if name_hint is None else label)
+    alternative = np.arange(len(order)) - (np.cumsum(survivors) - survivors)[group]
+    condition = (
+        np.where(chosen, (np.cumsum(keyed) - 1 + start)[group], TOP_VARIABLE).tolist(),
+        np.where(chosen, alternative, 0).tolist(),
+        chance.tolist(),
+    )
+    payload = columns
+    if len(order) < n or (order != np.arange(n)).any():
+        payload = ColumnBatch(columns, n).take(order.tolist()).columns
+    cond_arity = 1 if len(order) else 0
     wide = Schema(tuple(schema) + tuple(condition_columns(cond_arity)))
     return URelation(
-        Relation.from_trusted_rows(wide, out), len(schema), cond_arity, registry
+        Relation.from_columns(wide, payload + condition[: 3 * cond_arity], len(order)),
+        len(schema),
+        cond_arity,
+        registry,
     )
-
-
-def _key(row: tuple, positions: Sequence[int]) -> tuple:
-    return group_key(row[p] for p in positions)
 
 
 def _weights(
     relation: Relation, weight_by: WeightSpec
-) -> Tuple[List[float], Optional[list]]:
-    """Every row's weight as a float, checked in one array pass, and --
-    only when that pass found a bad weight -- the raw weights, which the
-    caller checks group by group (:func:`_check_weight`) for the precise
-    error."""
-    rows = relation.rows
+) -> Tuple[np.ndarray, Optional[Sequence[object]]]:
+    """Every row's weight as a float64 array (NULL becomes NaN), and the
+    weights as given (None when uniform), for the error messages."""
+    n = len(relation)
     if weight_by is None:
-        return [1.0] * len(rows), None
+        return np.ones(n), None
     if isinstance(weight_by, str):
-        raw = list(relation.columns()[relation.schema.resolve(weight_by)]) if rows else []
+        raw: Sequence[object] = relation.columns()[relation.schema.resolve(weight_by)]
     elif isinstance(weight_by, Expr):
-        raw = list(map(weight_by.compile(relation.schema), rows))
+        raw = compile_kernel(weight_by, relation.schema)(relation.columns(), n)
     elif callable(weight_by):
-        raw = list(map(weight_by, rows))
+        raw = list(map(weight_by, relation.rows))
     else:
         raise RepairKeyError(f"unsupported weight specification {weight_by!r}")
-    # NULL becomes NaN here, which the finiteness test catches.
-    array = np.array(raw, dtype=float)
-    return array.tolist(), None if np.all(np.isfinite(array) & (array >= 0.0)) else raw
+    return np.array(raw, dtype=float), raw
 
 
 def _check_weight(w: object, row: tuple) -> None:

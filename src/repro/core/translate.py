@@ -89,6 +89,29 @@ def u_project(urel: URelation, items: Sequence[Tuple[Expr, str]]) -> URelation:
     )
 
 
+def u_columns(
+    plan: algebra.PlanNode,
+    payload: Sequence[int],
+    triples: Sequence[int],
+    registry: VariableRegistry,
+) -> URelation:
+    """The U-relation made of ``plan``'s columns at positions
+    ``payload`` and its condition triples starting at positions
+    ``triples``, in that order: payload columns keep their names and
+    qualifiers (positional item names let them clash across the inputs
+    of a join), the triples are renumbered ``_v0..``."""
+    schema = plan.schema()
+    positions = list(payload) + [start + k for start in triples for k in range(3)]
+    items = [(PositionRef(p, schema[p].type), f"_c{k}") for k, p in enumerate(positions)]
+    columns = [schema[p] for p in payload] + condition_columns(len(triples))
+    return URelation.from_plan(
+        algebra.Relabel(algebra.Project(plan, items), Schema(columns)),
+        len(payload),
+        len(triples),
+        registry,
+    )
+
+
 def consistency_predicate(
     left_payload: int,
     left_cond: int,
@@ -161,41 +184,14 @@ def u_join(
         )
 
     joined = algebra.Join(left.plan, right.plan, join_predicate)
-
-    # Rebuild the output as payload columns then renumbered condition
-    # triples.  Projection items get positional placeholder names (payload
-    # names may clash across the two sides as long as qualifiers differ);
-    # the real schema is attached afterwards.
-    combined = joined.schema()
-    items: List[Tuple[Expr, str]] = []
-    final_columns: List[Column] = []
+    # Payload columns, then the renumbered condition triples.
     left_width = len(left.schema)
-    for position in range(left.payload_arity):
-        items.append((PositionRef(position, combined[position].type), f"_c{len(items)}"))
-        final_columns.append(combined[position])
-    for position in range(right.payload_arity):
-        absolute = left_width + position
-        items.append((PositionRef(absolute, combined[absolute].type), f"_c{len(items)}"))
-        final_columns.append(combined[absolute])
-
-    out_index = 0
-    for base, cond_arity in (
-        (left.payload_arity, left.cond_arity),
-        (left_width + right.payload_arity, right.cond_arity),
-    ):
-        for i in range(cond_arity):
-            items.append((PositionRef(base + 3 * i, INTEGER), f"_c{len(items)}"))
-            items.append((PositionRef(base + 3 * i + 1, INTEGER), f"_c{len(items)}"))
-            items.append((PositionRef(base + 3 * i + 2, FLOAT), f"_c{len(items)}"))
-            final_columns.append(Column(f"{VAR_PREFIX}{out_index}", INTEGER))
-            final_columns.append(Column(f"{VAL_PREFIX}{out_index}", INTEGER))
-            final_columns.append(Column(f"{PROB_PREFIX}{out_index}", FLOAT))
-            out_index += 1
-
-    return URelation.from_plan(
-        algebra.Relabel(algebra.Project(joined, items), Schema(final_columns)),
-        left.payload_arity + right.payload_arity,
-        left.cond_arity + right.cond_arity,
+    right_start = left_width + right.payload_arity
+    return u_columns(
+        joined,
+        [*range(left.payload_arity), *range(left_width, right_start)],
+        [left.payload_arity + 3 * i for i in range(left.cond_arity)]
+        + [right_start + 3 * i for i in range(right.cond_arity)],
         registry,
     )
 

@@ -190,6 +190,11 @@ class URelation:
         return relation
 
     @property
+    def known_length(self) -> Optional[int]:
+        """The row count if the rows are materialized, else None."""
+        return None if self._relation is None else len(self._relation)
+
+    @property
     def plan(self) -> algebra.PlanNode:
         """A logical plan producing this U-relation: its own while lazy,
         a scan of the materialized rows afterwards."""

@@ -98,9 +98,6 @@ class ColumnBatch:
             return iter(() for _ in range(self.length))
         return zip(*self.columns)
 
-    def row(self, i: int) -> Tuple[Any, ...]:
-        return tuple(column[i] for column in self.columns)
-
     # -- restructuring ------------------------------------------------------
     def take(self, indices: Sequence[int]) -> "ColumnBatch":
         """Gather the given row positions into a new batch."""
@@ -166,8 +163,8 @@ def columns_to_rows(
     The inverse of :meth:`Relation.columns` / a whole-relation
     :meth:`ColumnBatch.rows`, sharing its caveat: a zero-arity input
     still carries ``length`` empty rows, which ``zip`` alone would drop.
-    Used by the checkpoint recovery fast path to materialize storage rows
-    from decoded column segments in one C-level pass.
+    Builds a column-backed relation's ``rows`` and, on the checkpoint
+    recovery fast path, storage rows from decoded column segments.
     """
     if not columns:
         return [() for _ in range(length)]

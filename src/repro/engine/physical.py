@@ -81,6 +81,25 @@ def key_rows(
     return zip(*(key_column(c, t, GROUP_NAN) for c, t in zip(columns, types)))
 
 
+def group_codes(
+    columns: Sequence[Sequence[Any]], types: Sequence[SqlType], n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each of the ``n`` rows' group (as :func:`key_rows` forms groups),
+    numbered in first-seen order, and each group's first row."""
+    keys = (
+        key_column(columns[0], types[0], GROUP_NAN)
+        if len(columns) == 1
+        else key_rows(columns, types, n)
+    )
+    index: Dict[Any, int] = {}
+    codes = np.fromiter(
+        (index.setdefault(key, len(index)) for key in keys), dtype=np.intp, count=n
+    )
+    # A group's first row is where the running maximum code goes up.
+    seen = np.maximum.accumulate(codes)
+    return codes, np.flatnonzero(np.diff(seen, prepend=-1) > 0)
+
+
 # ---------------------------------------------------------------------------
 # Aggregation.
 # ---------------------------------------------------------------------------
@@ -642,9 +661,8 @@ def batch_hash_aggregate(
 
 
 def execute_batches(op: BatchOp, schema: Schema) -> Relation:
-    """Drain a batch operator into a relation (trusted fast path: batch
-    rows are well-formed tuples by construction)."""
-    rows: List[Row] = []
-    for batch in op():
-        rows.extend(batch.rows())
-    return Relation.from_trusted_rows(schema, rows)
+    """Drain a batch operator into a column-backed relation: the batches'
+    columns are concatenated, and row tuples are built only if a caller
+    reads ``rows``."""
+    result = concat_batches(op(), len(schema))
+    return Relation.from_columns(schema, result.columns, result.length)

@@ -1,6 +1,7 @@
 """In-memory relations.
 
-A :class:`Relation` is a schema plus a list of rows (plain Python tuples).
+A :class:`Relation` is a schema plus a multiset of rows, held as plain
+Python tuples, as columns, or both (see :class:`ColumnCell`).
 Relations are *multisets*: duplicates are kept, as required by SQL semantics
 and, crucially, by U-relations, where duplicate payload tuples with
 different conditions encode disjunction of their lineages.
@@ -23,9 +24,14 @@ _UNSET = object()
 
 
 class ColumnCell:
-    """Everything derived from a relation's rows that is worth keeping:
-    the column-wise pivot and, for base-table snapshots, the typed NumPy
-    mirrors and single-key hash-join build tables made from it.
+    """A relation's rows in both forms, and everything derived from them
+    that is worth keeping: for base-table snapshots, the typed NumPy
+    mirrors and single-key hash-join build tables.
+
+    ``rows`` (row tuples) and ``columns`` (one immutable sequence per
+    column) may each be None until someone asks; the missing form is
+    built from the other once and kept.  ``length`` is stored, so a
+    zero-arity relation built from columns keeps its row count.
 
     One cell is shared by a relation and all its ``with_schema()``
     aliases, so whichever of them pivots, mirrors or hashes first does it
@@ -34,13 +40,12 @@ class ColumnCell:
     version and dies with it.
     """
 
-    __slots__ = ("columns", "derived")
+    __slots__ = ("rows", "columns", "length", "derived")
 
-    def __init__(self) -> None:
-        # One immutable sequence per column (None until someone asks):
-        # tuples when pivoted here, decoded lists when pre-seeded by the
-        # checkpoint recovery fast path (storage.Table.load_columns).
-        self.columns: Optional[Tuple[Sequence[Any], ...]] = None
+    def __init__(self, rows: Optional[List[Row]], columns: Any, length: int) -> None:
+        self.rows = rows
+        self.columns: Optional[Tuple[Sequence[Any], ...]] = columns
+        self.length = length
         # Relation.derived()'s memo: ("mirror", position, dtype) -> ndarray
         # or None for "not mirrorable"; ("hash", position) -> build table;
         # ("groups", ...) / ("lineages", ...) -> repro.core.aggregates.
@@ -48,55 +53,75 @@ class ColumnCell:
 
 
 class Relation:
-    """A schema and a multiset of rows.
+    """A schema and a multiset of rows, held as row tuples, as columns,
+    or both (:class:`ColumnCell`): planner, ``repair key`` and ``pick
+    tuples`` results are built from columns and build their rows only
+    when ``rows`` is first read.
 
-    Rows are stored as tuples whose arity matches the schema.  Construction
-    validates arity (not per-value types, which would be too slow on hot
-    paths; the storage layer validates types on insert instead).
+    Construction from rows validates arity (not per-value types, which
+    would be too slow on hot paths; the storage layer validates types on
+    insert instead).
     """
 
-    __slots__ = ("schema", "rows", "_columns", "source")
+    __slots__ = ("schema", "_columns", "source")
 
     def __init__(self, schema: Schema, rows: Iterable[Row] = ()):
         self.schema = schema
-        self.rows: List[Row] = [tuple(r) for r in rows]
-        self._columns = ColumnCell()
+        rows = [tuple(r) for r in rows]
+        self._columns = ColumnCell(rows, None, len(rows))
         # Provenance tag for base-table snapshots: (table name, version)
         # stamped by storage.Table.snapshot(), None for derived relations.
         # Only a tagged relation keeps what derived() builds.
         self.source: Optional[Tuple[str, int]] = None
         arity = len(schema)
-        for row in self.rows:
+        for row in rows:
             if len(row) != arity:
                 raise SchemaError(
                     f"row {row!r} has arity {len(row)}, schema expects {arity}"
                 )
 
     @staticmethod
-    def from_trusted_rows(schema: Schema, rows: List[Row]) -> "Relation":
-        """Adopt an already-validated list of row tuples without copying.
-
-        The fast path for engine-internal results (the batch executor and
-        the storage layer produce correctly-shaped tuples by construction);
-        the adopted list must not be mutated afterwards.
-        """
+    def _adopt(schema: Schema, cell: ColumnCell) -> "Relation":
         relation = Relation.__new__(Relation)
         relation.schema = schema
-        relation.rows = rows
-        relation._columns = ColumnCell()
+        relation._columns = cell
         relation.source = None
         return relation
 
+    @staticmethod
+    def from_trusted_rows(schema: Schema, rows: List[Row]) -> "Relation":
+        """Adopt an already-validated list of row tuples without copying
+        (the storage layer's snapshots); it must not be mutated after."""
+        return Relation._adopt(schema, ColumnCell(rows, None, len(rows)))
+
+    @staticmethod
+    def from_columns(
+        schema: Schema, columns: Sequence[Sequence[Any]], length: int
+    ) -> "Relation":
+        """Adopt one sequence of ``length`` values per schema column
+        without copying; they must not be mutated after."""
+        return Relation._adopt(schema, ColumnCell(None, tuple(columns), length))
+
+    @property
+    def rows(self) -> List[Row]:
+        """The row tuples (built on first read, then kept)."""
+        cell = self._columns
+        rows = cell.rows
+        if rows is None:
+            rows = cell.rows = columnar.columns_to_rows(cell.columns, cell.length)
+        return rows
+
     def columns(self) -> Tuple[Sequence[Any], ...]:
-        """The relation pivoted column-wise (cached; relations are
-        immutable once built).  This is the batch engine's scan input."""
-        columns = self._columns.columns
+        """The relation column-wise (built on first read, then kept).
+        This is the batch engine's scan input."""
+        cell = self._columns
+        columns = cell.columns
         if columns is None:
-            if self.rows:
-                columns = tuple(zip(*self.rows))
+            if cell.rows:
+                columns = tuple(zip(*cell.rows))
             else:
                 columns = tuple(() for _ in self.schema)
-            self._columns.columns = columns
+            cell.columns = columns
         return columns
 
     def derived(self, key: tuple, build: Callable[[], Any]) -> Any:
@@ -125,18 +150,18 @@ class Relation:
         build = columnar.int_array if dtype == "int64" else columnar.float_array
         return self.derived(
             ("mirror", position, dtype),
-            lambda: build(self.columns()[position], len(self.rows)),
+            lambda: build(self.columns()[position], len(self)),
         )
 
     # -- container protocol ------------------------------------------------
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._columns.length
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)
 
     def __bool__(self) -> bool:
-        return bool(self.rows)
+        return self._columns.length > 0
 
     def __eq__(self, other: object) -> bool:
         """Multiset equality: same schema types/names and same rows up to
@@ -149,7 +174,7 @@ class Relation:
         return sorted(map(_row_key, self.rows)) == sorted(map(_row_key, other.rows))
 
     def __repr__(self) -> str:
-        return f"<Relation {self.schema.names} with {len(self.rows)} rows>"
+        return f"<Relation {self.schema.names} with {len(self)} rows>"
 
     # -- constructors --------------------------------------------------------
     @staticmethod
@@ -173,21 +198,21 @@ class Relation:
     def with_schema(self, schema: Schema) -> "Relation":
         """The same rows under a different (equal-arity) schema.
 
-        Zero-copy: the row list and the column-view cell are shared with
-        the new relation (both are immutable by convention), so a pivot
-        done through either one serves both.
+        Zero-copy: the cell holding both forms is shared with the new
+        relation (both are immutable by convention), so a pivot or a row
+        build done through either one serves both.
         """
         if len(schema) != len(self.schema):
             raise SchemaError("with_schema requires equal arity")
-        relation = Relation.from_trusted_rows(schema, self.rows)
-        relation._columns = self._columns
+        relation = Relation._adopt(schema, self._columns)
         relation.source = self.source
         return relation
 
     def project_positions(self, positions: Sequence[int]) -> "Relation":
-        schema = self.schema.project(positions)
-        rows = [tuple(row[i] for i in positions) for row in self.rows]
-        return Relation(schema, rows)
+        columns = self.columns()
+        return Relation.from_columns(
+            self.schema.project(positions), [columns[i] for i in positions], len(self)
+        )
 
     def project(self, names: Sequence[str]) -> "Relation":
         return self.project_positions([self.schema.resolve(n) for n in names])
@@ -215,14 +240,13 @@ class Relation:
         return Relation(self.schema, rows)
 
     def column(self, name: str) -> List[Any]:
-        i = self.schema.resolve(name)
-        return [row[i] for row in self.rows]
+        return list(self.columns()[self.schema.resolve(name)])
 
     def single_value(self) -> Any:
         """The value of a 1x1 relation (e.g. a scalar aggregate query)."""
-        if len(self.rows) != 1 or len(self.schema) != 1:
+        if len(self) != 1 or len(self.schema) != 1:
             raise SchemaError(
-                f"expected a 1x1 relation, got {len(self.rows)} rows x "
+                f"expected a 1x1 relation, got {len(self)} rows x "
                 f"{len(self.schema)} columns"
             )
         return self.rows[0][0]
@@ -247,10 +271,10 @@ class Relation:
         ]
         for row in body:
             lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
-        omitted = len(self.rows) - len(shown)
+        omitted = len(self) - len(shown)
         if omitted > 0:
             lines.append(f"... ({omitted} more rows)")
-        lines.append(f"({len(self.rows)} rows)")
+        lines.append(f"({len(self)} rows)")
         return "\n".join(lines)
 
     def to_csv(self) -> str:

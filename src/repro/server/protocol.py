@@ -390,10 +390,9 @@ def encode_result(result: StatementResult) -> Dict[str, Any]:
 
 
 def _rows_or_columns(relation: Relation) -> Any:
-    rows = relation.rows
-    if len(rows) < _COLUMNAR_MIN_ROWS or not relation.schema.columns:
-        return rows
-    return ColumnBlocks(len(rows), relation.columns())
+    if len(relation) < _COLUMNAR_MIN_ROWS or not relation.schema.columns:
+        return relation.rows
+    return ColumnBlocks(len(relation), relation.columns())
 
 
 def _encode_columns(relation: Relation) -> List[List[Any]]:

@@ -24,7 +24,7 @@ from repro.core.confidence import dispatch
 from repro.core.confidence.dispatch import ConfidenceDispatcher, DispatchPolicy
 from repro.core.pick_tuples import pick_tuples
 from repro.core.repair_key import repair_key
-from repro.core.translate import u_join, u_project, u_rename, u_select, u_union
+from repro.core.translate import u_columns, u_join, u_project, u_rename, u_select, u_union
 from repro.core.urelation import URelation
 from repro.core.variables import VariableRegistry
 from repro.engine import algebra, planner
@@ -128,6 +128,8 @@ class Executor:
         #: a bare executor: ``aconf`` then draws from the session RNG as
         #: before.
         self.base_seed = base_seed
+        #: The join-order lines of the running EXPLAIN (None otherwise).
+        self._join_orders: Optional[List[str]] = None
         #: The running statement's variable scope: created by its first
         #: ``repair key`` / ``pick tuples`` (:meth:`_statement_scope`),
         #: dropped when the statement ends.
@@ -223,7 +225,7 @@ class Executor:
         try:
             return self._execute(statement)
         finally:
-            self._scope = None
+            self._scope = self._join_orders = None
 
     def _statement_scope(self) -> VariableRegistry:
         """The registry ``repair key`` / ``pick tuples`` mint into: the
@@ -269,7 +271,9 @@ class Executor:
         FROM, WHERE and the select list of a query are one relational
         plan (the parsimonious translation composes it); grouping,
         ordering and subqueries that must be evaluated first add their
-        own.  EXPLAIN reports each fragment in execution order and, under
+        own.  A FROM clause of three or more inputs adds a
+        ``join order:`` line (see :meth:`_join_order`).  EXPLAIN reports
+        each fragment in execution order and, under
         a node, what its operator did at run time (``-- filter: vectorized[...]``,
         ``-- hash join: single-key, build cached``).  Confidence-computing
         aggregates run outside the relational plans; their fragments
@@ -278,6 +282,7 @@ class Executor:
         the ws-tree recursion cost when it expanded
         (``ws-tree: N subproblems, M memo hits``).
         """
+        self._join_orders = join_orders = []  # reset when the statement ends
         with planner.trace_plans() as trace, dispatch.trace_confidence() as conf_trace:
             output = _materialized(self.evaluate_query(statement.query))
         kind = "U-relation" if isinstance(output, URelation) else "relation"
@@ -288,6 +293,7 @@ class Executor:
                 for name, version in sorted(self.pinned.versions.items())
             )
             lines.append(f"snapshot: mvcc pinned {pins}")
+        lines.extend(join_orders)
         for position, (node, notes) in enumerate(trace):
             lines.append(f"fragment {position + 1}:")
             for plan_line in node.explain(notes=notes).splitlines():
@@ -694,6 +700,7 @@ class Executor:
 
         lowered = [self._lower(e) for e in plain]
         pending: List[Expr] = list(lowered)
+        order = self._join_order(query.from_items, sources, lowered)
 
         def attachable(expr: Expr, schema: Schema) -> bool:
             try:
@@ -712,7 +719,8 @@ class Executor:
             applied.extend(attach_now)
             pending = [e for e in pending if e not in attach_now]
 
-        for source in sources[1:]:
+        for position in order[1:]:
+            source = sources[position]
             combined_schema = body.payload_schema.concat(source.payload_schema)
             attach_now = [e for e in pending if attachable(e, combined_schema)]
             body = u_join(body, source, conjunction(attach_now))
@@ -720,6 +728,8 @@ class Executor:
 
         if pending:
             body = u_select(body, conjunction(pending))
+        if order != sorted(order):
+            body = _in_from_order(body, sources, order)
 
         # IN-subqueries: t-certain ones become IN-lists; uncertain ones
         # become joins (positive occurrence guarantees correctness of the
@@ -730,6 +740,66 @@ class Executor:
                 body_certain = False
 
         return body, body_certain
+
+    def _join_order(
+        self,
+        items: Sequence[ast.FromItem],
+        sources: List[URelation],
+        conjuncts: List[Expr],
+    ) -> List[int]:
+        """The order in which to fold three or more FROM inputs: the first
+        stays the anchor (the probe side of the whole chain), then each
+        step adds the smallest remaining input that a pending equi-join
+        conjunct connects to the inputs joined so far.  Only a size known
+        without running anything counts (a materialized input that no
+        WHERE conjunct filters on its own): an input of unknown size is
+        never moved forward, and nothing is moved ahead of it.  A column
+        name that is not one input's keeps the FROM order.
+
+        The rows are the same multiset (the caller restores the FROM
+        order of the columns), in the same order whenever every input
+        that is moved forward has at most one match per probe row.
+        """
+        order = list(range(len(sources)))
+        if len(sources) < 3:
+            return order
+        reads: List[set] = []
+        for conjunct in conjuncts:
+            owners = [
+                [i for i, s in enumerate(sources) if s.payload_schema.has(r.name, r.qualifier)]
+                for r in conjunct.column_refs()
+            ]
+            if any(len(owner) != 1 for owner in owners):
+                return order
+            reads.append({owner[0] for owner in owners})
+        filtered = [{i} in reads for i in order]
+        sizes = [None if f else s.known_length for f, s in zip(filtered, sources)]
+        equi = [
+            pair
+            for c, pair in zip(conjuncts, reads)
+            if len(pair) == 2 and isinstance(c, Comparison) and c.op == "="
+            and isinstance(c.left, ColumnRef) and isinstance(c.right, ColumnRef)
+        ]
+        for step in range(1, len(order)):
+            placed = set(order[:step])
+            joinable = [
+                i for i in order[step:]
+                if sizes[i] is not None
+                and any(i in pair and pair - {i} <= placed for pair in equi)
+            ]
+            if sizes[order[step]] is not None and joinable:
+                pick = min(joinable, key=lambda i: (sizes[i], i))
+                order.remove(pick)
+                order.insert(step, pick)
+        if self._join_orders is not None:
+            described = []
+            for i in order:
+                name = items[i].alias or getattr(items[i], "name", f"#{i + 1}")
+                size = sources[i].known_length
+                rows = "size unknown" if size is None else f"{size} rows"
+                described.append(f"{name} ({rows}{', filtered' if filtered[i] else ''})")
+            self._join_orders.append("join order: " + " ⋈ ".join(described))
+        return order
 
     def _evaluate_from_item(self, item: ast.FromItem) -> URelation:
         if isinstance(item, ast.TableRef):
@@ -1234,6 +1304,25 @@ class Executor:
                 )],
             )
         return relation
+
+
+def _in_from_order(
+    body: URelation, sources: Sequence[URelation], order: Sequence[int]
+) -> URelation:
+    """``body``, the join of ``sources`` folded in ``order``, with its
+    payload columns and condition triples back in FROM order."""
+    payload_at, triples_at = {}, {}
+    payload, triples = 0, body.payload_arity
+    for i in order:
+        payload_at[i], triples_at[i] = payload, triples
+        payload += sources[i].payload_arity
+        triples += 3 * sources[i].cond_arity
+    return u_columns(
+        body.plan,
+        [payload_at[i] + k for i, s in enumerate(sources) for k in range(s.payload_arity)],
+        [triples_at[i] + 3 * k for i, s in enumerate(sources) for k in range(s.cond_arity)],
+        body.registry,
+    )
 
 
 def _materialized(output: QueryOutput) -> QueryOutput:

@@ -1,17 +1,42 @@
-"""Tests for in-memory relations (multiset semantics, I/O, utilities)."""
+"""Tests for in-memory relations (multiset semantics, I/O, utilities).
+
+Every case runs on both forms of a relation: one built from row tuples
+and one built from columns (as the planner, ``repair key`` and ``pick
+tuples`` build theirs).
+"""
 
 import pytest
 
+from repro.engine import algebra, planner
+from repro.engine.expressions import ColumnRef, Comparison, Literal
 from repro.engine.relation import Relation, single_row_relation
 from repro.engine.schema import Column, Schema
 from repro.engine.types import FLOAT, INTEGER, NULL, TEXT
 from repro.errors import SchemaError
+from repro.server import protocol
+from repro.sql.executor import StatementResult
+
+
+def _from_columns(schema, rows):
+    rows = [tuple(row) for row in rows]
+    columns = [[row[i] for row in rows] for i in range(len(schema))]
+    return Relation.from_columns(schema, columns, len(rows))
+
+
+@pytest.fixture(params=[Relation, _from_columns], ids=["rows", "columns"])
+def make(request):
+    """Build a relation from ``(schema, rows)`` in one of the two forms."""
+    return request.param
 
 
 @pytest.fixture
-def people():
+def people(make):
     schema = Schema.of(("name", TEXT), ("age", INTEGER))
-    return Relation(schema, [("ann", 30), ("bob", 25), ("ann", 30), ("cy", NULL)])
+    return make(schema, [("ann", 30), ("bob", 25), ("ann", 30), ("cy", NULL)])
+
+
+def _rows_built(relation):
+    return relation._columns.rows is not None
 
 
 class TestConstruction:
@@ -36,22 +61,22 @@ class TestConstruction:
 
 
 class TestEquality:
-    def test_order_insensitive(self):
+    def test_order_insensitive(self, make):
         schema = Schema.of(("a", INTEGER))
-        assert Relation(schema, [(1,), (2,)]) == Relation(schema, [(2,), (1,)])
+        assert make(schema, [(1,), (2,)]) == make(schema, [(2,), (1,)])
 
-    def test_multiplicity_sensitive(self):
+    def test_multiplicity_sensitive(self, make):
         schema = Schema.of(("a", INTEGER))
-        assert Relation(schema, [(1,), (1,)]) != Relation(schema, [(1,)])
+        assert make(schema, [(1,), (1,)]) != make(schema, [(1,)])
 
-    def test_ignores_qualifiers(self):
-        a = Relation(Schema([Column("x", INTEGER, "t")]), [(1,)])
-        b = Relation(Schema([Column("x", INTEGER)]), [(1,)])
+    def test_ignores_qualifiers(self, make):
+        a = make(Schema([Column("x", INTEGER, "t")]), [(1,)])
+        b = make(Schema([Column("x", INTEGER)]), [(1,)])
         assert a == b
 
-    def test_null_rows_compare(self):
+    def test_null_rows_compare(self, make):
         schema = Schema.of(("a", INTEGER))
-        assert Relation(schema, [(NULL,)]) == Relation(schema, [(NULL,)])
+        assert make(schema, [(NULL,)]) == make(schema, [(NULL,)])
 
 
 class TestOperations:
@@ -103,7 +128,73 @@ class TestPresentation:
         back = Relation.from_csv(people.schema, text)
         assert back == people
 
-    def test_csv_preserves_null(self):
+    def test_csv_preserves_null(self, make):
         schema = Schema.of(("a", INTEGER), ("b", FLOAT))
-        relation = Relation(schema, [(1, NULL), (NULL, 2.5)])
+        relation = make(schema, [(1, NULL), (NULL, 2.5)])
         assert Relation.from_csv(schema, relation.to_csv()) == relation
+
+
+class TestTwoForms:
+    def test_rows_and_columns_agree(self, people):
+        assert people.rows == [("ann", 30), ("bob", 25), ("ann", 30), ("cy", NULL)]
+        assert [list(c) for c in people.columns()] == [
+            ["ann", "bob", "ann", "cy"],
+            [30, 25, 30, NULL],
+        ]
+
+    def test_each_form_is_built_once(self, people):
+        assert people.rows is people.rows
+        assert people.columns() is people.columns()
+
+    def test_with_schema_shares_both_forms(self, people):
+        alias = people.with_schema(people.schema.with_qualifier("p"))
+        assert alias.rows is people.rows
+        assert alias.columns() is people.columns()
+
+    def test_zero_arity_keeps_its_length(self, make):
+        relation = make(Schema([]), [(), (), ()])
+        assert len(relation) == 3 and relation
+        assert relation.rows == [(), (), ()]
+        assert relation.columns() == ()
+        assert len(relation.project_positions([])) == 3
+
+    def test_empty_is_false(self, make):
+        relation = make(Schema.of(("a", INTEGER)), [])
+        assert len(relation) == 0 and not relation
+        assert relation.rows == [] and [list(c) for c in relation.columns()] == [[]]
+
+    def test_length_does_not_build_rows(self):
+        relation = _from_columns(Schema.of(("a", INTEGER)), [(1,), (2,)])
+        assert len(relation) == 2 and bool(relation)
+        relation.columns()
+        relation.project_positions([0])
+        assert not _rows_built(relation)
+
+
+def _planner_result(n):
+    schema = Schema.of(("a", INTEGER), ("b", FLOAT), ("c", TEXT))
+    source = Relation(schema, [(i, i / 4, f"t{i % 3}") for i in range(n)])
+    keep = Comparison(">=", ColumnRef("a"), Literal(0))
+    return planner.run(algebra.Select(algebra.RelationScan(source), keep))
+
+
+def test_planner_result_builds_no_rows_until_read():
+    result = _planner_result(100)
+    assert len(result) == 100
+    assert not _rows_built(result)
+    assert result.rows[7] == (7, 1.75, "t1")
+    assert _rows_built(result)
+
+
+def test_encode_result_reads_columns_only():
+    """A result of 32 rows or more goes out as column blocks without its
+    rows ever being built, and frames exactly like its row-built twin."""
+    result = _planner_result(protocol._COLUMNAR_MIN_ROWS)
+    frame = _frame(result)
+    assert not _rows_built(result)
+    assert frame == _frame(Relation(result.schema, result.rows))
+
+
+def _frame(relation):
+    encoded = protocol.encode_result(StatementResult(output=relation))
+    return protocol._frame({"ok": True, "result": encoded})

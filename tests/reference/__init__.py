@@ -6,6 +6,9 @@ of code on it: under ``"row"`` every plan that :func:`planner.run
 <repro.engine.planner.run>` would execute goes to the reference instead,
 so a whole SQL statement -- parser, translation, confidence -- can be
 answered by both and compared.
+
+:mod:`reference.constructs` is the row-at-a-time ``repair key`` and
+``pick tuples`` that the constructs' array passes are checked against.
 """
 
 from contextlib import contextmanager

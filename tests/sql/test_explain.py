@@ -14,6 +14,7 @@ from repro.engine.schema import Schema
 from repro.engine.types import INTEGER
 from repro.errors import AnalysisError
 from repro.sql import ast_nodes as ast
+from repro.sql.executor import Executor
 from repro.sql.parser import parse_statement
 
 
@@ -101,6 +102,77 @@ class TestExecution:
         text = "\n".join(row[0] for row in result.relation.rows)
         assert "Join" in text
         assert text.count("fragment") == 1  # join + select list: one plan
+
+
+class TestJoinOrder:
+    """Three or more FROM inputs: the first is the anchor, then each step
+    joins the smallest remaining input of known size that an equi-join
+    conjunct connects; EXPLAIN prints the order chosen."""
+
+    WALK = (
+        "select R1.player, R2.final, conf() as p from "
+        "(repair key player, init in ft weight by p) R1, "
+        "(repair key player, init in ft weight by p) R2, states S "
+        "where R1.player = S.player and R1.init = S.state "
+        "and R1.final = R2.init and R1.player = R2.player "
+        "group by R1.player, R2.final"
+    )
+
+    @pytest.fixture
+    def walk(self):
+        session = MayBMS()
+        session.execute("create table ft (player text, init text, final text, p float)")
+        session.execute("create table states (player text, state text)")
+        moves = [
+            f"('{player}', '{init}', '{final}', {0.1 + 0.2 * ((i + j) % 4)})"
+            for player in ("ann", "bob")
+            for i, init in enumerate(("F", "SE", "SL"))
+            for j, final in enumerate(("F", "SE", "SL"))
+        ]
+        session.execute("insert into ft values " + ", ".join(moves))
+        session.execute("insert into states values ('ann', 'F'), ('bob', 'SL')")
+        return session
+
+    @staticmethod
+    def _order_lines(session, sql):
+        lines = [row[0] for row in session.execute("explain " + sql).relation.rows]
+        return [line for line in lines if line.startswith("join order:")]
+
+    def test_walk_joins_states_first(self, walk):
+        assert self._order_lines(walk, self.WALK) == [
+            "join order: r1 (18 rows) ⋈ s (2 rows) ⋈ r2 (18 rows)"
+        ]
+
+    def test_walk_answer_is_unchanged(self, walk, monkeypatch):
+        reordered = walk.query(self.WALK).rows
+        monkeypatch.setattr(
+            Executor, "_join_order", lambda self, items, sources, conjuncts: [0, 1, 2]
+        )
+        assert repr(walk.query(self.WALK).rows) == repr(reordered)
+
+    def test_filtered_input_is_not_moved_forward(self, walk):
+        sql = (
+            "select R1.player from (repair key player, init in ft weight by p) R1, "
+            "ft f, states S where R1.player = f.player and R1.init = f.init "
+            "and R1.final = f.final and R1.player = S.player and f.p > 0.2"
+        )
+        assert self._order_lines(walk, sql) == [
+            "join order: r1 (18 rows) ⋈ f (18 rows, filtered) ⋈ s (2 rows)"
+        ]
+
+    def test_unknown_size_keeps_from_order(self, walk):
+        sql = (
+            "select R1.player from (repair key player, init in ft weight by p) R1, "
+            "(select player from (pick tuples from ft) q) x, states S "
+            "where R1.player = x.player and R1.player = S.player"
+        )
+        assert self._order_lines(walk, sql) == [
+            "join order: r1 (18 rows) ⋈ x (size unknown) ⋈ s (2 rows)"
+        ]
+
+    def test_two_inputs_print_no_order(self, walk):
+        sql = "select f.player from ft f, states s where f.player = s.player"
+        assert self._order_lines(walk, sql) == []
 
 
 class TestVectorizedMarks:
