@@ -41,29 +41,8 @@ def repair_key(
     weight_by: WeightSpec = None,
     name_hint: Optional[str] = None,
 ) -> URelation:
-    """Apply ``repair key`` to a (t-certain) relation.
-
-    Parameters
-    ----------
-    relation:
-        The input; must be certain data (the construct maps t-certain
-        tables to uncertain ones).
-    key_columns:
-        The attributes ``K`` to repair into a key.  May be empty: then the
-        whole relation is one group and exactly one tuple survives
-        (a categorical choice among all tuples).
-    registry:
-        The registry (inside SQL: the statement's scope) that mints the
-        group variables.
-    weight_by:
-        ``None`` for uniform weights, a column name, an engine expression,
-        or a Python callable on row tuples.  Weights must be non-negative
-        and each group must have positive total weight; zero-weight tuples
-        appear in no repair and are dropped from the hypothesis space.
-    name_hint:
-        Optional prefix for the generated variable names (diagnostics),
-        formatted ``hint[key,...]`` only when a name is asked for.
-    """
+    """Row-at-a-time ``repair key``: the contract of
+    :func:`repro.core.repair_key.repair_key`."""
     schema = relation.schema
     rows = relation.rows
     positions = [schema.resolve(c) for c in key_columns]
@@ -184,22 +163,8 @@ def pick_tuples(
     independently: bool = False,
     name_hint: Optional[str] = None,
 ) -> URelation:
-    """Apply ``pick tuples`` to a (t-certain) relation.
-
-    Parameters
-    ----------
-    relation:
-        The input t-certain relation.
-    registry:
-        The registry (inside SQL: the statement's scope) that mints the
-        Boolean variables.
-    probability:
-        ``None`` (default 0.5), a constant, a column name, an engine
-        expression, or a callable on rows.  Must evaluate into [0, 1].
-    independently:
-        Fresh variable per tuple occurrence (guarantees a
-        tuple-independent result) instead of one per distinct tuple value.
-    """
+    """Row-at-a-time ``pick tuples``: the contract of
+    :func:`repro.core.pick_tuples.pick_tuples`."""
     schema = relation.schema
     rows = relation.rows
     probabilities = _probabilities(relation, probability)
