@@ -90,7 +90,8 @@ def repair_key(
         [columns[p] for p in positions], [schema[p].type for p in positions], n
     )
     weights, raw = _weights(relation, weight_by)
-    # Each group's weights summed left to right, as the answers pin it.
+    # Each group's weights summed left to right in row order on every
+    # Python (``sum`` compensates its rounding from 3.12 on).
     totals = np.bincount(codes, weights=weights, minlength=len(firsts))
     # Finite non-negative weights with a finite positive total make a
     # distribution.  The first group (in first-seen order) without one

@@ -85,16 +85,15 @@ def group_codes(
     columns: Sequence[Sequence[Any]], types: Sequence[SqlType], n: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Each of the ``n`` rows' group (as :func:`key_rows` forms groups),
-    numbered in first-seen order, and each group's first row."""
-    keys = (
-        key_column(columns[0], types[0], GROUP_NAN)
-        if len(columns) == 1
-        else key_rows(columns, types, n)
-    )
-    index: Dict[Any, int] = {}
-    codes = np.fromiter(
-        (index.setdefault(key, len(index)) for key in keys), dtype=np.intp, count=n
-    )
+    numbered in first-seen order, and each group's first row.
+
+    ``conf()``'s grouping (``aggregates._group_rows``) keeps its own dict
+    of row lists: splitting a stable argsort of these codes into those
+    lists took 1.6-2.3x as long (7 200 rows in 300 groups: 1.8 against
+    0.9 ms on 2 CPUs, Python 3.11)."""
+    index: Dict[tuple, int] = {}
+    keys = key_rows(columns, types, n)
+    codes = np.fromiter((index.setdefault(k, len(index)) for k in keys), np.intp, n)
     # A group's first row is where the running maximum code goes up.
     seen = np.maximum.accumulate(codes)
     return codes, np.flatnonzero(np.diff(seen, prepend=-1) > 0)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core import aggregates as agg
@@ -782,12 +783,13 @@ class Executor:
         ]
         for step in range(1, len(order)):
             placed = set(order[:step])
+            # Candidates stop at the first input of unknown size.
+            window = takewhile(lambda i: sizes[i] is not None, order[step:])
             joinable = [
-                i for i in order[step:]
-                if sizes[i] is not None
-                and any(i in pair and pair - {i} <= placed for pair in equi)
+                i for i in window
+                if any(i in pair and pair - {i} <= placed for pair in equi)
             ]
-            if sizes[order[step]] is not None and joinable:
+            if joinable:
                 pick = min(joinable, key=lambda i: (sizes[i], i))
                 order.remove(pick)
                 order.insert(step, pick)

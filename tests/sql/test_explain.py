@@ -170,6 +170,17 @@ class TestJoinOrder:
             "join order: r1 (18 rows) ⋈ x (size unknown) ⋈ s (2 rows)"
         ]
 
+    def test_nothing_moves_ahead_of_an_unknown_size(self, walk):
+        subquery = "(select player from (pick tuples from ft) q) x"
+        head = "select R1.player from (repair key player, init in ft weight by p) R1, "
+        where = " where R1.player = f.player and R1.player = x.player and R1.player = S.player"
+        assert self._order_lines(walk, head + f"ft f, {subquery}, states S" + where) == [
+            "join order: r1 (18 rows) ⋈ f (18 rows) ⋈ x (size unknown) ⋈ s (2 rows)"
+        ]
+        assert self._order_lines(walk, head + f"ft f, states S, {subquery}" + where) == [
+            "join order: r1 (18 rows) ⋈ s (2 rows) ⋈ f (18 rows) ⋈ x (size unknown)"
+        ]
+
     def test_two_inputs_print_no_order(self, walk):
         sql = "select f.player from ft f, states s where f.player = s.player"
         assert self._order_lines(walk, sql) == []
