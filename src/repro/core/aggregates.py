@@ -28,8 +28,7 @@ from repro.core.confidence import dispatch
 from repro.core.confidence.columnar import hierarchical_confidences
 from repro.core.confidence.dispatch import ConfidenceDispatcher, DispatchPolicy
 from repro.core.confidence.dklr import aconf_unit_seed
-from repro.core.confidence.exact import ExactConfidenceEngine
-from repro.core.lineage import Lineage, group_lineages
+from repro.core.lineage import Lineage, group_lineages, row_clauses
 from repro.core.urelation import URelation
 from repro.engine.physical import key_rows
 from repro.engine.relation import Relation
@@ -86,7 +85,7 @@ def _lineages(
     ordinals: Sequence[int],
 ) -> List[Lineage]:
     """The lineages of the groups at ``ordinals``, kept like
-    :func:`_groups` keeps the grouping: a repeated ``conf()`` over an
+    :func:`_groups` keeps the grouping: a repeated ``aconf()`` over an
     unchanged stored U-relation re-uses interned clauses and their
     probability caches."""
     if not ordinals:
@@ -107,8 +106,8 @@ def _lineages(
 def _array_pass(
     urel: URelation, row_groups: Sequence[Sequence[int]], policy: DispatchPolicy
 ) -> Tuple[List[Optional[float]], List[int]]:
-    """What :func:`hierarchical_confidences` answers before any lineage
-    is built: (probability per group, ordinals of the groups it left to
+    """What :func:`hierarchical_confidences` answers before any clause
+    is decoded: (probability per group, ordinals of the groups it left to
     the dispatcher).  It leaves all of them when the policy forces the
     exact or the Monte-Carlo engine, and when the condition columns have
     no int64 arrays (:meth:`URelation.condition_arrays`)."""
@@ -142,7 +141,6 @@ def conf(
     urel: URelation,
     group_columns: Sequence[str] = (),
     result_name: str = "conf",
-    engine: Optional[ExactConfidenceEngine] = None,
     dispatcher: Optional[ConfidenceDispatcher] = None,
 ) -> Relation:
     """Confidence computation (the ``conf()`` aggregate).
@@ -156,34 +154,31 @@ def conf(
     Groups whose clauses form a tree are answered straight from the
     condition columns, all at once
     (:func:`~repro.core.confidence.columnar.hierarchical_confidences`).
-    Every other group's lineage goes through the cost-based dispatcher
-    (:mod:`repro.core.confidence.dispatch`), which picks closed-form /
-    SPROUT safe evaluation / exact ws-trees / Monte Carlo per independent
-    component.  Passing ``engine`` forces the exact ws-tree engine for
-    every group, skipping the array pass (the pre-dispatcher behaviour).
+    Every other group's clauses, read off the condition columns as atom
+    tuples (:func:`~repro.core.lineage.row_clauses`), go through the
+    cost-based dispatcher (:mod:`repro.core.confidence.dispatch`), which
+    picks closed-form / SPROUT safe evaluation / exact ws-trees / Monte
+    Carlo per independent component.
     """
     positions, projections, row_groups = _groups(urel, group_columns)
-    if engine is not None:
-        lineages = _lineages(urel, positions, row_groups, range(len(row_groups)))
-        return _result(
-            urel,
-            positions,
-            result_name,
-            projections,
-            [engine.probability(lineage) for lineage in lineages],
-        )
     if dispatcher is None:
         dispatcher = ConfidenceDispatcher()
     probabilities, pending = _array_pass(urel, row_groups, dispatcher.policy)
+    results = []
     # No call at all for a relation the array pass answered whole: the
     # traced run counts the groups that reach the dispatcher.
-    results = (
-        dispatcher.group_probabilities(
-            _lineages(urel, positions, row_groups, pending)
+    if pending:
+        # Kept like the grouping: one entry per relation, whatever the
+        # grouping.
+        clauses = urel.relation.derived(
+            ("clauses", urel.payload_arity, urel.cond_arity),
+            lambda: row_clauses(urel),
         )
-        if pending
-        else []
-    )
+        groups = [
+            [clauses[i] for i in row_groups[g] if clauses[i] is not None]
+            for g in pending
+        ]
+        results = dispatcher.group_probabilities(groups, urel.registry)
     for g, result in zip(pending, results):
         probabilities[g] = result.probability
     dispatch.record_aggregate(

@@ -4,11 +4,19 @@ Section 2.3 presents confidence computation as a *portfolio*: exact
 ws-tree decomposition where tractable, SPROUT's safe plans for
 hierarchical (tractable) cases, and (ε,δ) Monte Carlo everywhere else.
 This module is the piece that actually chooses -- per ``conf()`` group
-and per independent lineage component -- which algorithm runs.  A whole
-lineage whose clauses are pairwise variable-disjoint is answered in
-closed form (:meth:`~repro.core.lineage.Lineage.closed_form_probability`);
-otherwise each component takes one call of the exact ws-tree recursion
-(:mod:`repro.core.confidence.exact`), which labels what it did:
+and per independent component -- which algorithm runs.
+
+Under ``auto`` and ``sprout`` the SQL aggregates ask the array pass first
+(:mod:`repro.core.confidence.columnar`), which answers the groups whose
+clauses form a tree.  :meth:`ConfidenceDispatcher.group_probabilities`
+gets the others -- all groups under a forced ``exact`` / ``monte-carlo``,
+or below the array kernels' size threshold -- as canonical clauses
+(:func:`~repro.core.lineage.row_clauses`), not ``Lineage`` objects.  It
+simplifies each group (:func:`~repro.core.lineage.simplify_clauses`),
+answers pairwise variable-disjoint clauses in closed form, and otherwise
+splits the group into independent components
+(:func:`~repro.core.confidence.exact.components`), each taking one call
+of the exact ws-tree recursion, which labels what it did:
 
 1. **closed form** -- the component is a single clause;
 2. **sprout** -- every elimination was on a root variable: SPROUT's safe
@@ -18,21 +26,14 @@ otherwise each component takes one call of the exact ws-tree recursion
    first non-root elimination): still exact, but bounded;
 4. **monte-carlo** -- the Karp-Luby estimator under the DKLR driver when
    the budget blows: an (ε,δ)-approximation with the policy's default
-   parameters.
+   parameters, on a ``Lineage`` built for that component only.
 
 Components share no variables, so their results combine by independence:
 P(⋁ all) = 1 − ∏(1 − P(componentᵢ)).  One engine, and so one ws-tree
 memo, serves one ``group_probabilities`` / ``approximate`` call -- one
 aggregate of one statement; the dispatcher itself keeps no per-statement
-state.
-
-Under ``auto`` and ``sprout`` the SQL aggregates ask the array pass first
-(:mod:`repro.core.confidence.columnar`): groups whose clauses form a tree
-are answered straight from the condition columns, all in one pass, and
-never become a :class:`~repro.core.lineage.Lineage`.  The dispatcher sees
-the groups that pass declined -- all of them under a forced ``exact`` /
-``monte-carlo``, or when the relation is below the array kernels' size
-threshold.
+state.  ``aconf()`` goes through :meth:`ConfidenceDispatcher.approximate`
+with one ``Lineage`` per group.
 
 The decisions taken are recorded per aggregate call when a
 :func:`trace_confidence` scope is active; the SQL ``EXPLAIN`` statement
@@ -48,15 +49,24 @@ import random
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.conditions import Condition
 from repro.core.confidence.dklr import approximate_confidence
 from repro.core.confidence.exact import (
     LABELS,
     ExactConfidenceEngine,
     ExactStatistics,
+    components,
 )
-from repro.core.lineage import Lineage, combine_independent
+from repro.core.lineage import (
+    Clause,
+    Lineage,
+    closed_form,
+    combine_independent,
+    simplify_clauses,
+)
 from repro.core.variables import VariableRegistry
 from repro.errors import (
     ConfidenceError,
@@ -249,8 +259,8 @@ class ConfidenceDispatcher:
     (seeded by the facade, so approximate results are reproducible).  Each
     call builds its own exact engine, whose memo serves that call's groups
     and components and goes with it.  Distributions come from the registry
-    of the lineage's arena -- the one its U-relation is bound to, which
-    may be a statement's scope -- never from the session's.
+    the groups' U-relation is bound to, which may be a statement's scope,
+    never from the session's.
     """
 
     def __init__(
@@ -270,16 +280,20 @@ class ConfidenceDispatcher:
         """P(lineage) with per-component strategy choice (the ``conf()``
         semantics: exact unless the exact budget blows, in which case the
         affected component degrades to an (ε,δ) estimate)."""
-        return self._probability(lineage, self._engine(lineage.arena.registry))
+        clauses = [clause.atoms for clause in lineage.clauses]
+        return self.group_probabilities([clauses], lineage.arena.registry)[0]
 
     def group_probabilities(
-        self, lineages: Sequence[Lineage]
+        self, groups: Sequence[Sequence[Clause]], registry: VariableRegistry
     ) -> List[DispatchResult]:
-        """:meth:`probability` of each lineage, sharing one ws-tree memo."""
-        if not lineages:
-            return []
-        engine = self._engine(lineages[0].arena.registry)
-        return [self._probability(lineage, engine) for lineage in lineages]
+        """:meth:`probability` of each group, sharing one ws-tree memo.  A
+        group is the canonical clauses of its rows, in row order, over the
+        variables of ``registry``."""
+        engine = self._engine(registry)
+        engine.load(chain.from_iterable(groups))
+        if self.policy.strategy == "auto":
+            return [self._auto(clauses, engine) for clauses in groups]
+        return [self._forced(clauses, engine) for clauses in groups]
 
     def approximate(
         self,
@@ -305,7 +319,7 @@ class ConfidenceDispatcher:
         long-lived one return the same answer for the same (lineage, seed).
         """
         lineage = lineage.simplified()
-        stats = lineage.stats(test_hierarchy=False)
+        stats = lineage.stats()
         decision_shape = (stats.clause_count, stats.variable_count)
         strategy = self.policy.strategy
         registry = lineage.arena.registry
@@ -354,32 +368,20 @@ class ConfidenceDispatcher:
         budget = self.policy.exact_budget if self.policy.strategy == "auto" else None
         return ExactConfidenceEngine(registry, max_subproblems=budget)
 
-    def _probability(
-        self, lineage: Lineage, engine: ExactConfidenceEngine
+    def _auto(
+        self, clauses: Sequence[Clause], engine: ExactConfidenceEngine
     ) -> DispatchResult:
-        lineage = lineage.simplified()
-        strategy = self.policy.strategy
-        if strategy != "auto":
-            return self._forced(lineage, strategy, engine)
-
-        # Whole-lineage closed form first: the common fully-independent
-        # case (e.g. tuple-independent lineage) finishes here without
-        # materializing per-clause components.
-        closed = lineage.closed_form_probability()
+        clauses = simplify_clauses(clauses, engine.clause_probability)
+        # Whole-group closed form first: the common fully-independent
+        # case (e.g. tuple-independent lineage) finishes here without a
+        # split into components.
+        closed = closed_form(clauses, engine.clause_probability)
         if closed is not None:
-            stats = lineage.stats(test_hierarchy=False)
-            return DispatchResult(
-                closed,
-                (
-                    ComponentDecision(
-                        STRATEGY_CLOSED_FORM,
-                        closed,
-                        stats.clause_count,
-                        stats.variable_count,
-                    ),
-                ),
+            decision = ComponentDecision(
+                STRATEGY_CLOSED_FORM, closed, len(clauses), _variable_count(clauses)
             )
-        components = lineage.components()
+            return DispatchResult(closed, (decision,))
+        parts = components(clauses)
         # Union bound: splitting δ across components keeps the total
         # chance of any Monte-Carlo component exceeding its ε bound below
         # the policy's δ.  (Per-component relative errors can still
@@ -387,25 +389,28 @@ class ConfidenceDispatcher:
         # budget fallback is best-effort by design -- aconf() runs one
         # whole-lineage estimation precisely to keep the strict
         # guarantee.)
-        delta = self.policy.delta / max(1, len(components))
+        delta = self.policy.delta / len(parts)
         decisions = [
-            self._dispatch_component(component, delta, engine)
-            for component in components
+            self._component(part, count, delta, engine) for part, count in parts
         ]
-        probability = combine_independent(d.probability for d in decisions)
-        return DispatchResult(probability, tuple(decisions), engine.statistics)
+        return DispatchResult(
+            combine_independent(d.probability for d in decisions),
+            tuple(decisions),
+            engine.statistics,
+        )
 
     def _forced(
-        self, lineage: Lineage, strategy: str, engine: ExactConfidenceEngine
+        self, clauses: Sequence[Clause], engine: ExactConfidenceEngine
     ) -> DispatchResult:
-        stats = lineage.stats(test_hierarchy=False)
-        shape = (stats.clause_count, stats.variable_count)
+        strategy = self.policy.strategy
+        clauses = simplify_clauses(clauses, engine.clause_probability)
+        shape = (len(clauses), _variable_count(clauses))
         if strategy == STRATEGY_MONTE_CARLO:
-            if lineage.is_false or lineage.is_true:
-                p = 0.0 if lineage.is_false else 1.0
+            if not clauses or not clauses[0]:  # ⊥ or ⊤
+                p = 1.0 if clauses else 0.0
             else:
                 p = approximate_confidence(
-                    lineage,
+                    _lineage(clauses, engine.registry),
                     engine.registry,
                     self.policy.epsilon,
                     self.policy.delta,
@@ -413,26 +418,40 @@ class ConfidenceDispatcher:
                 ).estimate
             return DispatchResult(p, (ComponentDecision(strategy, p, *shape),))
         # Forced sprout raises UnsafeLineageError on a non-root elimination.
-        p = engine.probability(lineage, roots_only=strategy == STRATEGY_SPROUT)
+        p = engine.probability(clauses, roots_only=strategy == STRATEGY_SPROUT)
         return DispatchResult(
             p, (ComponentDecision(strategy, p, *shape),), engine.statistics
         )
 
-    def _dispatch_component(
-        self, component: Lineage, delta: float, engine: ExactConfidenceEngine
+    def _component(
+        self,
+        clauses: List[Clause],
+        variable_count: int,
+        delta: float,
+        engine: ExactConfidenceEngine,
     ) -> ComponentDecision:
-        stats = component.stats(test_hierarchy=False)
-        shape = (stats.clause_count, stats.variable_count)
+        shape = (len(clauses), variable_count)
         # One ws-tree call labels itself closed-form / sprout / exact.
-        # Safety is found constructively rather than pre-tested (the
-        # O(V^2) laminarity test would dominate on the very lineages safe
-        # evaluation makes cheap).
+        # Safety is found constructively rather than pre-tested.
         try:
-            p = engine.probability(component)
+            p = engine.probability(clauses)
             return ComponentDecision(engine.label, p, *shape)
         except CostBudgetExceededError:
             pass
         result = approximate_confidence(
-            component, engine.registry, self.policy.epsilon, delta, self.rng
+            _lineage(clauses, engine.registry),
+            engine.registry,
+            self.policy.epsilon,
+            delta,
+            self.rng,
         )
         return ComponentDecision(STRATEGY_MONTE_CARLO, result.estimate, *shape)
+
+
+def _variable_count(clauses: Sequence[Clause]) -> int:
+    return len({var for clause in clauses for var, _ in clause})
+
+
+def _lineage(clauses: Sequence[Clause], registry: VariableRegistry) -> Lineage:
+    """The object form of simplified clauses, for the Monte-Carlo engines."""
+    return Lineage.from_clauses((Condition(clause) for clause in clauses), registry)

@@ -46,24 +46,28 @@ at its top (case 1 or 2), ``sprout`` if every elimination was on a root,
 **Memo scope.**  Subproblem results (with their label rank) are memoized
 for the life of the engine, which the dispatcher creates per confidence
 call -- one aggregate of one statement -- so groups and components of a
-statement share sub-lineages, and nothing outlives the statement (a
-rolled-back variable id reused with another distribution can never hit a
-stale entry).  ``max_subproblems`` bounds only the subproblems below a
-non-root elimination, so a hierarchical lineage never exceeds it.
+statement share sub-lineages, and nothing outlives the statement.
+``max_subproblems`` bounds only the subproblems below a non-root
+elimination, so a hierarchical lineage never exceeds it.
+
+**Input.**  :meth:`ExactConfidenceEngine.probability` takes a
+:class:`~repro.core.lineage.Lineage` or simplified canonical clauses.
+The dispatcher splits a group with :func:`components` and makes one call
+per component, so each gets its own budget.  Distributions are read in
+place (:meth:`~repro.core.variables.VariableRegistry.distributions`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.core.conditions import Atom
-from repro.core.lineage import Lineage
+from repro.core.lineage import Clause, Lineage
 from repro.core.variables import VariableRegistry
 from repro.errors import CostBudgetExceededError, UnsafeLineageError
 
-Clause = Tuple[Atom, ...]
 Subproblem = Tuple[Clause, ...]
+Distributions = Dict[int, Mapping[int, float]]
 
 #: How a call was evaluated, indexed by rank (a node's rank is the highest
 #: of its own step and its children's): closed at the top, root
@@ -83,7 +87,7 @@ class ExactStatistics:
     subproblems: int = 0
 
 
-def _product(clause: Clause, distributions: Dict[int, Dict[int, float]]) -> float:
+def _product(clause: Clause, distributions: Distributions) -> float:
     p = 1.0
     for var, value in clause:
         p *= distributions[var].get(value, 0.0)
@@ -105,24 +109,40 @@ class ExactConfidenceEngine:
         #: The label (see ``LABELS``) of the latest :meth:`probability` call.
         self.label = LABELS[_CLOSED]
         self._memo: Dict[Subproblem, Tuple[float, int]] = {}
-        self._distributions: Dict[int, Dict[int, float]] = {}
+        self._distributions: Distributions = {}
         self._roots_only = False
         self._spent = 0
 
-    def probability(self, lineage: Lineage, roots_only: bool = False) -> float:
+    def load(self, clauses: Iterable[Clause]) -> None:
+        """Read the distributions of the clauses' variables that this
+        engine has not read yet."""
+        distributions = self._distributions
+        missing = {
+            var for clause in clauses for var, _ in clause if var not in distributions
+        }
+        if missing:
+            distributions.update(zip(missing, self.registry.distributions(missing)))
+
+    def clause_probability(self, clause: Clause) -> float:
+        """P(clause), the product of its atoms' marginals; the clause's
+        variables must be :meth:`load`-ed."""
+        return _product(clause, self._distributions)
+
+    def probability(
+        self, lineage: Union[Lineage, Sequence[Clause]], roots_only: bool = False
+    ) -> float:
         """P(lineage), exactly; :attr:`label` says how it was evaluated.
+        ``lineage`` is a :class:`Lineage` or simplified canonical clauses.
 
         Raises :class:`CostBudgetExceededError` when ``max_subproblems``
         is set and this call exceeds it below a non-root elimination, and
         :class:`UnsafeLineageError` under ``roots_only`` when the lineage
         needs a non-root elimination.
         """
-        clauses = tuple(sorted(clause.atoms for clause in lineage.simplified().clauses))
-        distributions = self._distributions
-        for clause in clauses:
-            for var, _ in clause:
-                if var not in distributions:
-                    distributions[var] = self.registry.distribution(var)
+        if isinstance(lineage, Lineage):
+            lineage = [clause.atoms for clause in lineage.simplified().clauses]
+        clauses = tuple(sorted(lineage))
+        self.load(clauses)
         self._roots_only = roots_only
         self._spent = 0
         probability, rank = self._solve(clauses, False)
@@ -258,6 +278,57 @@ class ExactConfidenceEngine:
         result = (probability, rank)
         memo[clauses] = result
         return result
+
+
+def components(clauses: Sequence[Clause]) -> List[Tuple[List[Clause], int]]:
+    """The clauses split into groups that share no variables (union-find),
+    each with its variable count; the groups' disjunctions are independent
+    events.  ``clauses`` are simplified and free of ⊤.
+
+    A group keeps the clauses' order.  Groups come in the order of their
+    union-find roots, where merging a clause's variables keeps the root of
+    its *first* variable in ``frozenset`` iteration order.  That order is
+    the one the dispatcher multiplies the components' probabilities in
+    and runs their Monte-Carlo fallbacks in, and so fixes the answer's
+    last bits and the session RNG's draws.
+    """
+    parent: Dict[int, int] = {}
+    setdefault = parent.setdefault
+    for clause in clauses:
+        if len(clause) == 1:
+            first = clause[0][0]
+        else:
+            first = next(iter(frozenset([var for var, _ in clause])))
+        head = setdefault(first, first)
+        while parent[head] != head:
+            head = parent[head]
+        for var, _ in clause:
+            root = setdefault(var, var)
+            if root == head:
+                continue
+            while parent[root] != root:
+                parent[root] = parent[parent[root]]
+                root = parent[root]
+            if root != head:
+                parent[root] = head
+    roots: Dict[int, int] = {}
+    for var in parent:
+        root = var
+        while parent[root] != root:
+            root = parent[root]
+        roots[var] = root
+    groups: Dict[int, List[Clause]] = {}
+    for clause in clauses:
+        root = roots[clause[0][0]]
+        group = groups.get(root)
+        if group is None:
+            groups[root] = [clause]
+        else:
+            group.append(clause)
+    sizes = dict.fromkeys(groups, 0)
+    for root in roots.values():
+        sizes[root] += 1
+    return [(groups[root], sizes[root]) for root in sorted(groups)]
 
 
 def _unsafe() -> UnsafeLineageError:

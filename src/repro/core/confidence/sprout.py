@@ -40,8 +40,8 @@ def safe_lineage_confidence(lineage: Lineage) -> float:
     single clauses and fully independent clause sets finish in closed
     form.  Every step removes a variable from each clause it keeps, so the
     work is polynomial.  It completes on every hierarchical lineage (the
-    variables' clause sets are laminar -- :meth:`Lineage.stats`); a
-    connected component with no root variable raises
+    variables' clause sets are laminar); a connected component with no
+    root variable raises
     :class:`~repro.errors.UnsafeLineageError`.
     """
     engine = ExactConfidenceEngine(lineage.arena.registry)

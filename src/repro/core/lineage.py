@@ -1,37 +1,32 @@
-"""The lineage IR: the one input of every confidence method.
+"""The lineage IR and the clause decode of ``conf()``.
 
 The lineage of a (distinct) result tuple is a disjunction of conjunctive
-local conditions -- one clause per duplicate of the tuple.  This module
-holds the single representation of it:
+local conditions -- one clause per duplicate of the tuple.  A clause is
+canonical: its atom tuple, sorted by variable, with the top padding
+dropped and a repeated atom merged (:meth:`Condition.of`'s rules).
 
-- a :class:`ClauseArena` *interns* clauses and caches, per interned
-  clause, its variable set and marginal probability -- computed once no
-  matter how many groups, engines, or recursion levels touch the clause;
-- a :class:`Lineage` is an immutable clause sequence over an arena, built
-  columnar-ly from a U-relation's condition columns (one memoized decode
-  pass for the whole relation, see :func:`group_lineages`), carrying:
+- :func:`row_clauses` reads every row's clause off a U-relation's
+  condition columns in one array pass; ``conf()`` hands the clauses of
+  each group the array pass of :mod:`repro.core.confidence.columnar`
+  declines straight to the dispatcher, which works on these atom tuples
+  throughout (:mod:`repro.core.confidence.dispatch`);
+- :func:`simplify_clauses` drops the clauses that cannot matter:
+  ⊤ collapses the disjunction, zero-probability and duplicate clauses go,
+  and a clause with a kept subset is absorbed;
+- a :class:`Lineage` is the object form -- an immutable clause sequence
+  over a :class:`ClauseArena`, which interns clauses and caches each
+  one's variable set and marginal probability.  ``aconf()`` builds one
+  per declined group (:func:`group_lineages`), and so does ``conf()``
+  for a component whose exact evaluation blows its budget: the
+  Monte-Carlo engines (:mod:`~repro.core.confidence.karp_luby`,
+  :mod:`~repro.core.confidence.dklr`) and the enumeration oracles of
+  :mod:`~repro.core.confidence.naive` take a ``Lineage``.  It shares the
+  simplification and :func:`closed_form` (⊥/⊤, a single clause's atom
+  product, 1 − ∏(1 − P(clause)) over pairwise variable-disjoint clauses)
+  with the atom tuples.
 
-  * **simplification** -- certain/contradictory/zero-probability clause
-    elimination, duplicate removal, and subsumption absorption;
-  * **independence partitioning** -- union-find over shared variables
-    splits the clause set into components whose disjunctions are
-    independent events (probabilities combine as 1 − ∏(1 − pᵢ));
-  * **closed forms** -- ⊥/⊤, single clause (atom product), and fully
-    independent clause sets (no shared variables at all:
-    1 − ∏(1 − P(clause)));
-  * **structural statistics** -- clause/variable/atom counts, width, and
-    the hierarchicity test (are the variables' clause sets laminar?).
-
-The cost-based dispatcher (:mod:`repro.core.confidence.dispatch`) reads
-these statistics to pick an algorithm per independent component; every
-engine (:mod:`~repro.core.confidence.exact`,
-:mod:`~repro.core.confidence.karp_luby`,
-:mod:`~repro.core.confidence.dklr`, :mod:`~repro.core.confidence.sprout`)
-takes a ``Lineage``, and so do the enumeration oracles of
-:mod:`~repro.core.confidence.naive` that the tests check them against.
-Below a lineage's top the exact ws-tree recursion works on the clauses'
-atom tuples -- the arena's interning keys -- rather than on ``Lineage``
-objects.
+The exact ws-tree recursion (:mod:`repro.core.confidence.exact`) takes
+either form and works on the atom tuples below its top.
 
 This module deliberately imports only :mod:`repro.core.conditions` and
 :mod:`repro.core.variables`, so every layer above (engines, SQL) can
@@ -43,6 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -53,25 +49,24 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TypeVar,
 )
 
-from repro.core.conditions import Condition, TRUE_CONDITION
-from repro.core.variables import VariableRegistry
-from repro.errors import ConfidenceError
+import numpy as np
+
+from repro.core.conditions import Atom, Condition
+from repro.core.variables import TOP_VARIABLE, VariableRegistry
+
+#: A canonical clause: a :class:`Condition`'s atom tuple.
+Clause = Tuple[Atom, ...]
+C = TypeVar("C", Clause, Condition)
 
 
 class ClauseArena:
-    """Interning table for clauses, with per-clause derived-data caches.
-
-    Conditions are canonical (sorted, deduplicated atom tuples), so the
-    atom tuple is the identity of a clause.  The arena maps it to one
-    shared :class:`Condition` object and caches the two facts every
-    confidence method keeps re-deriving: the clause's variable set and its
-    marginal probability under a registry.  One arena is shared by all
-    lineages built together (all groups of one ``conf()`` call, and every
-    component/cofactor derived from them), so the caches amortize across
-    the whole computation.
-    """
+    """Interning table for clauses: the atom tuple is a clause's identity.
+    The arena maps it to one shared :class:`Condition` and caches the
+    clause's variable set and marginal probability under a registry, for
+    all lineages built together (the groups of one ``aconf()`` call)."""
 
     __slots__ = ("registry", "_interned", "_probabilities", "_variables")
 
@@ -108,30 +103,64 @@ class ClauseArena:
         return len(self._interned)
 
 
+
 @dataclass(frozen=True)
 class LineageStats:
-    """Structural statistics the dispatcher's cost model reads."""
+    """Structural statistics of a lineage."""
 
     clause_count: int
     variable_count: int
-    atom_count: int
-    max_width: int
-    #: No two clauses share a variable (closed form applies).
-    independent: bool
-    #: The variables' clause-index sets are laminar (nested or disjoint),
-    #: so SPROUT-style safe evaluation applies; None when the test was
-    #: skipped because the lineage is too large to test cheaply.
-    hierarchical: Optional[bool] = None
 
 
 #: Above this clause width, simplification falls back to a linear
 #: absorption scan instead of enumerating 2^k atom subsets.
 _SUBSET_ENUMERATION_WIDTH = 12
 
-#: Above this many variables, Lineage.stats() skips the O(V^2)
-#: hierarchicity test (the dispatcher probes safety constructively
-#: instead, see dispatch.py).
-_HIERARCHY_TEST_VARIABLE_LIMIT = 64
+
+def simplify_clauses(
+    clauses: Sequence[Clause], probability: Callable[[Clause], float]
+) -> Sequence[Clause]:
+    """The clauses of a disjunction that can matter, given each clause's
+    marginal ``probability``:
+
+    - a certain (empty) clause makes the disjunction ⊤: ``[()]``;
+    - zero-probability clauses (an atom outside its variable's support)
+      never hold in any world: dropped;
+    - duplicate clauses: dropped;
+    - subsumed clauses (a kept clause's atoms ⊆ this clause's atoms):
+      absorbed, by enumerating atom subsets for narrow clauses and a
+      linear scan for wide ones.
+
+    Clauses are visited shortest first, so the kept ones come in that
+    order -- unless none is dropped: then ``clauses`` itself is returned,
+    in its own order.
+    """
+    kept: List[Clause] = []
+    kept_keys: Set[Clause] = set()
+    kept_widths: Set[int] = set()
+    for clause in sorted(clauses, key=len):
+        if not clause:
+            return [()]
+        if clause in kept_keys or probability(clause) <= 0.0:
+            continue
+        width = len(clause)
+        if width > _SUBSET_ENUMERATION_WIDTH:
+            absorbed = any(set(k).issubset(clause) for k in kept)
+        else:
+            # Only subsets as wide as some kept clause can be one.
+            absorbed = False
+            for size in range(1, width):
+                if size in kept_widths and not kept_keys.isdisjoint(
+                    itertools.combinations(clause, size)
+                ):
+                    absorbed = True
+                    break
+        if absorbed:
+            continue
+        kept.append(clause)
+        kept_keys.add(clause)
+        kept_widths.add(width)
+    return clauses if len(kept) == len(clauses) else kept
 
 
 class Lineage:
@@ -149,7 +178,6 @@ class Lineage:
         "_simplified_form",
         "_variables",
         "_stats",
-        "_components",
     )
 
     def __init__(
@@ -165,7 +193,6 @@ class Lineage:
         self._simplified_form: Optional["Lineage"] = None
         self._variables: Optional[FrozenSet[int]] = None
         self._stats: Optional[LineageStats] = None
-        self._components: Optional[List["Lineage"]] = None
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -214,201 +241,36 @@ class Lineage:
         return [probability(clause) for clause in self.clauses]
 
     # -- statistics ---------------------------------------------------------
-    def stats(self, test_hierarchy: bool = True) -> LineageStats:
-        """Clause/variable/atom counts, width, independence, hierarchicity.
-
-        Counts are computed once and cached.  The hierarchicity test is
-        quadratic in the variable count, so it runs only when requested
-        (``test_hierarchy``) and only up to
-        ``_HIERARCHY_TEST_VARIABLE_LIMIT`` variables -- ``hierarchical``
-        is None when unknown.  The hot evaluation paths (dispatcher, safe
-        evaluator) never request it: they probe safety constructively
-        instead, which fails fast on the first root-less component.
-        """
+    def stats(self) -> LineageStats:
+        """Clause and variable counts, computed once."""
         if self._stats is None:
-            atom_count = 0
-            max_width = 0
-            for clause in self.clauses:
-                width = len(clause.atoms)
-                atom_count += width
-                if width > max_width:
-                    max_width = width
-            variable_count = len(self.variables())
-            # Independent == every variable occurs in exactly one clause;
-            # with per-clause dedup already done by Condition, that is
-            # equivalent to "total atoms == distinct variables".
-            independent = atom_count == variable_count
-            self._stats = LineageStats(
-                clause_count=len(self.clauses),
-                variable_count=variable_count,
-                atom_count=atom_count,
-                max_width=max_width,
-                independent=independent,
-                hierarchical=True if independent else None,
-            )
-        stats = self._stats
-        if (
-            test_hierarchy
-            and stats.hierarchical is None
-            and stats.variable_count <= _HIERARCHY_TEST_VARIABLE_LIMIT
-        ):
-            stats = LineageStats(
-                clause_count=stats.clause_count,
-                variable_count=stats.variable_count,
-                atom_count=stats.atom_count,
-                max_width=stats.max_width,
-                independent=stats.independent,
-                hierarchical=self._laminar_clause_sets(),
-            )
-            self._stats = stats
-        return stats
-
-    def _laminar_clause_sets(self) -> bool:
-        """The hierarchicity test, transplanted from queries to lineage.
-
-        For subgoals, Dalvi-Suciu tractability demands the subgoal sets of
-        any two variables be nested or disjoint.  The lineage analog uses
-        clause-index sets: when they form a laminar family, every
-        connected component has a variable occurring in all its clauses (a
-        *root*), recursively -- so SPROUT-style safe evaluation
-        (``repro.core.confidence.sprout.safe_lineage_confidence``) runs to
-        completion.  The converse needs one value per variable: with
-        several, root eliminations can succeed on a family that is not
-        laminar (clauses on different values of a root never meet).
-        """
-        clause_sets: Dict[int, Set[int]] = {}
-        variables_of = self.arena.variables
-        for index, clause in enumerate(self.clauses):
-            for var in variables_of(clause):
-                clause_sets.setdefault(var, set()).add(index)
-        sets = list(clause_sets.values())
-        for i, a in enumerate(sets):
-            for b in sets[i + 1:]:
-                if not (a <= b or b <= a or not (a & b)):
-                    return False
-        return True
+            self._stats = LineageStats(len(self.clauses), len(self.variables()))
+        return self._stats
 
     # -- simplification -----------------------------------------------------
     def simplified(self) -> "Lineage":
-        """Eliminate clauses that cannot matter.
-
-        - a certain (empty) clause makes the lineage ⊤: collapse to it;
-        - zero-probability clauses (an atom outside its variable's support)
-          never hold in any world: dropped;
-        - duplicate clauses: dropped (interning makes this a set test);
-        - subsumed clauses (a kept clause's atoms ⊆ this clause's atoms):
-          absorbed, by enumerating atom subsets for narrow clauses and a
-          linear scan for wide ones.
+        """The lineage after :func:`simplify_clauses`.
 
         Idempotent and cached: a lineage that is already minimal marks
         itself via the ``_simplified`` flag; one that is not remembers its
-        simplified form, so repeated dispatch over cached group lineages
-        pays the pass once.
+        simplified form, so repeated use of a cached group lineage pays
+        the pass once.
         """
         if self._simplified:
             return self
         if self._simplified_form is not None:
             return self._simplified_form
-        probability = self.arena.probability
-        kept: List[Condition] = []
-        kept_keys: Set[Tuple] = set()
-        for clause in sorted(self.clauses, key=len):
-            if not clause.atoms:
-                out = Lineage((TRUE_CONDITION,), self.arena, _simplified=True)
-                self._simplified_form = out
-                return out
-            if clause.atoms in kept_keys:
-                continue
-            if probability(clause) <= 0.0:
-                continue
-            absorbed = False
-            width = len(clause.atoms)
-            if width <= 2:
-                # The overwhelmingly common widths, inlined: a width-1
-                # clause can only be absorbed by ⊤ (already collapsed
-                # above); width-2 by one of its two atoms.
-                if width == 2:
-                    a, b = clause.atoms
-                    absorbed = (a,) in kept_keys or (b,) in kept_keys
-            elif width <= _SUBSET_ENUMERATION_WIDTH:
-                for size in range(1, width):  # proper, non-empty subsets
-                    for subset in itertools.combinations(clause.atoms, size):
-                        if subset in kept_keys:
-                            absorbed = True
-                            break
-                    if absorbed:
-                        break
-            else:
-                absorbed = any(k.subsumes(clause) for k in kept)
-            if absorbed:
-                continue
-            kept.append(clause)
-            kept_keys.add(clause.atoms)
-        if len(kept) == len(self.clauses):
+        arena = self.arena
+        interned = arena._interned
+        atoms = [clause.atoms for clause in self.clauses]
+        kept = simplify_clauses(
+            atoms, lambda clause: arena.probability(interned[clause])
+        )
+        if kept is atoms:
             self._simplified = True  # nothing changed; avoid re-allocating
             return self
-        out = Lineage(kept, self.arena, _simplified=True)
+        out = Lineage((interned[clause] for clause in kept), arena, _simplified=True)
         self._simplified_form = out
-        return out
-
-    # -- independence partitioning ------------------------------------------
-    def components(self) -> List["Lineage"]:
-        """Partition clauses into groups sharing no variables (union-find).
-
-        Clauses in different components are independent events, so
-        P(⋁ all) = 1 − ∏ᵢ (1 − P(componentᵢ)).  Certain clauses (no
-        variables) each form their own component.  The partition is
-        cached (lineages are immutable).
-        """
-        if self._components is not None:
-            return self._components
-        parent: Dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        variables_of = self.arena.variables
-        clause_vars = [variables_of(c) for c in self.clauses]
-        for vs in clause_vars:
-            for var in vs:
-                if var not in parent:
-                    parent[var] = var
-        for vs in clause_vars:
-            it = iter(vs)
-            first = next(it, None)
-            if first is None:
-                continue
-            ra = find(first)
-            for other in it:
-                rb = find(other)
-                if ra != rb:
-                    parent[rb] = ra
-
-        grouped: Dict[Optional[int], List[Condition]] = {}
-        trivial: List[Condition] = []
-        for clause, vs in zip(self.clauses, clause_vars):
-            if not vs:
-                trivial.append(clause)
-                continue
-            grouped.setdefault(find(next(iter(vs))), []).append(clause)
-
-        if len(grouped) == 1 and not trivial:
-            # Connected: the component IS this lineage; reuse it (and its
-            # cached variables/stats) instead of re-materializing.
-            self._components = [self]
-            return self._components
-        out = [
-            Lineage(clauses, self.arena, _simplified=self._simplified)
-            for _, clauses in sorted(grouped.items())
-        ]
-        out.extend(
-            Lineage((c,), self.arena, _simplified=self._simplified)
-            for c in trivial
-        )
-        self._components = out
         return out
 
     # -- semantics (the enumeration oracles) ---------------------------------
@@ -423,27 +285,27 @@ class Lineage:
 
     # -- closed forms ---------------------------------------------------------
     def closed_form_probability(self) -> Optional[float]:
-        """P(lineage) when a closed form applies, else None.
-
-        Forms, cheapest first: ⊥ → 0; ⊤ (certain clause) → 1; a single
-        clause → its atom-marginal product; pairwise variable-disjoint
-        clauses → 1 − ∏(1 − P(clauseᵢ)) by independence.  Callers should
+        """P(lineage) by :func:`closed_form`, or 1 when a clause is ⊤;
+        None when no closed form applies.  Callers should
         :meth:`simplified` first so zero-probability and duplicate clauses
-        do not mask a form.
-        """
-        if not self.clauses:
-            return 0.0
+        do not mask a form."""
         if self.is_true:
             return 1.0
-        probability = self.arena.probability
-        if len(self.clauses) == 1:
-            return probability(self.clauses[0])
-        if self.stats(test_hierarchy=False).independent:
-            complement = 1.0
-            for clause in self.clauses:
-                complement *= 1.0 - probability(clause)
-            return 1.0 - complement
-        return None
+        return closed_form(self.clauses, self.arena.probability)
+
+
+def closed_form(
+    clauses: Sequence[C], probability: Callable[[C], float]
+) -> Optional[float]:
+    """P(⋁ clauses) when a closed form applies, else None: ⊥ → 0, a single
+    clause → its atom-marginal product, pairwise variable-disjoint clauses
+    → 1 − ∏(1 − P(clauseᵢ)) by independence.  A clause is a
+    :class:`Condition` or its atom tuple."""
+    if len(clauses) <= 1:
+        return probability(clauses[0]) if clauses else 0.0
+    if sum(map(len, clauses)) != len({var for clause in clauses for var, _ in clause}):
+        return None  # some variable occurs in two clauses
+    return combine_independent(map(probability, clauses))
 
 
 def combine_independent(probabilities: Iterable[float]) -> float:
@@ -459,11 +321,7 @@ def combine_independent(probabilities: Iterable[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def group_lineages(
-    urel,
-    row_groups: Sequence[Sequence[int]],
-    arena: Optional[ClauseArena] = None,
-) -> List[Lineage]:
+def group_lineages(urel, row_groups: Sequence[Sequence[int]]) -> List[Lineage]:
     """Per-group lineages read straight off a U-relation's condition
     columns.
 
@@ -474,7 +332,7 @@ def group_lineages(
     contradictory conditions (possible only before a consistency filter
     runs) represent no world and contribute no clause.
     """
-    arena = arena if arena is not None else ClauseArena(urel.registry)
+    arena = ClauseArena(urel.registry)
     conditions = urel.conditions()
     return [
         Lineage(
@@ -488,3 +346,37 @@ def group_lineages(
         for indexes in row_groups
     ]
 
+
+
+def row_clauses(urel) -> List[Optional[Clause]]:
+    """Per row of a U-relation, the atoms of ``urel.conditions()``: its
+    canonical clause, or None for a contradictory row.  With int64
+    condition arrays (:meth:`URelation.condition_arrays`) that is one
+    stable sort of each row's atoms by variable: the top padding sorts
+    first and is dropped, an atom equal to its left neighbour is merged,
+    and a variable repeated with another value makes the row
+    contradictory.  Without arrays the conditions are decoded."""
+    arrays = urel.condition_arrays()
+    if arrays is None:
+        return [
+            None if condition is None else condition.atoms
+            for condition in urel.conditions()
+        ]
+    variables, values = arrays  # shape (cond_arity, rows)
+    order = np.argsort(variables, axis=0, kind="stable")
+    variables = np.take_along_axis(variables, order, axis=0)
+    values = np.take_along_axis(values, order, axis=0)
+    repeated = (variables[1:] == variables[:-1]) & (variables[1:] != TOP_VARIABLE)
+    keep = variables != TOP_VARIABLE
+    keep[1:] &= ~repeated
+    # Consecutive runs of cond_arity atoms are the rows' clauses.
+    atoms = zip(variables.T.ravel().tolist(), values.T.ravel().tolist())
+    out: List[Optional[Clause]] = list(zip(*[atoms] * len(variables)))
+    for row in np.flatnonzero(~keep.all(axis=0)).tolist():
+        out[row] = tuple(
+            atom for atom, kept in zip(out[row], keep[:, row].tolist()) if kept
+        )
+    conflicting = (repeated & (values[1:] != values[:-1])).any(axis=0)
+    for row in np.flatnonzero(conflicting).tolist():
+        out[row] = None
+    return out

@@ -295,6 +295,15 @@ class VariableRegistry:
         except KeyError as error:
             raise VariableError(f"unknown variable id {error.args[0]}") from None
 
+    def distributions(self, variables: Iterable[int]) -> List[Mapping[int, float]]:
+        """The distribution of each variable, not copied: the bulk look-up
+        of the confidence engines, which only read them."""
+        own, durable = self._own, self.durable._own
+        try:
+            return [own.get(var) or durable[var] for var in variables]
+        except KeyError as error:
+            raise VariableError(f"unknown variable id {error.args[0]}") from None
+
     def domain_size(self, var: int) -> int:
         self._require(var)
         return len(self._distributions[var])

@@ -1,0 +1,230 @@
+"""``conf()`` on the clause path against the ``Lineage``-based dispatch of
+:mod:`reference.confidence`.
+
+Seeded U-relations are written straight into the wide encoding, so their
+condition columns hold what a translation can leave there: a variable
+joined with itself (merged, or contradictory with another value),
+multi-valued ``repair key`` variables, ``TOP_VARIABLE`` padding between
+real atoms, zero-probability atoms, clauses wider than the subset
+enumeration of simplification, NULL and NaN group keys, and relations on
+both sides of the array kernels' 16-row threshold.  Under ``auto`` (with
+the default budget and with a budget of one subproblem, which sends the
+crossing components to Monte Carlo) and under every forced policy, every
+group must get the same probability to the bit, the same decisions, the
+same ws-tree counters and the same EXPLAIN event as the oracle's, or both
+must refuse the input.
+"""
+
+import math
+import random
+
+import pytest
+
+from reference import confidence as reference
+from repro.core import aggregates as agg
+from repro.core.confidence import dispatch
+from repro.core.confidence.dispatch import (
+    STRATEGY_MONTE_CARLO,
+    ConfidenceDispatcher,
+    DispatchPolicy,
+)
+from repro.core.lineage import row_clauses
+from repro.core.urelation import URelation, condition_columns
+from repro.core.variables import TOP_VARIABLE, VariableRegistry
+from repro.engine.kernels import _NUMPY_MIN_ROWS
+from repro.engine.relation import Relation
+from repro.engine.schema import Column, Schema
+from repro.engine.types import FLOAT
+from repro.errors import UnsafeLineageError
+
+NAN = float("nan")
+KEYS = (0.0, 1.0, 2.0, None, NAN)
+
+POLICIES = {
+    "auto": DispatchPolicy(),
+    "auto, budget 1": DispatchPolicy(exact_budget=1, epsilon=0.3, delta=0.3),
+    "exact": DispatchPolicy(strategy="exact"),
+    "sprout": DispatchPolicy(strategy="sprout"),
+    "monte-carlo": DispatchPolicy(strategy="monte-carlo", epsilon=0.3, delta=0.3),
+}
+
+
+def _variables(registry, rng, count):
+    """Booleans and multi-valued variables, some with a zero-probability
+    alternative."""
+    variables = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            variables.append(registry.fresh_boolean(rng.uniform(0.1, 0.9)))
+            continue
+        weights = [rng.uniform(0.1, 1.0) for _ in range(rng.randint(3, 4))]
+        if rng.random() < 0.3:
+            weights[rng.randrange(len(weights))] = 0.0
+        variables.append(registry.fresh([w / sum(weights) for w in weights]))
+    return variables
+
+
+def _atoms(registry, rng, pool, width):
+    """``width`` atoms over distinct variables of ``pool``; now and then a
+    value outside the domain, a variable joined with itself, or a
+    contradiction."""
+    atoms = []
+    for var in rng.sample(pool, width):
+        domain = registry.domain(var)
+        value = 7 if rng.random() < 0.05 else rng.choice(domain)
+        atoms.append((var, value))
+    if atoms and rng.random() < 0.15:
+        var, value = rng.choice(atoms)
+        if rng.random() < 0.5:
+            value = next(v for v in registry.domain(var) if v != value)
+        atoms.append((var, value))
+    return atoms
+
+
+def _row(registry, rng, key, atoms, cond_arity):
+    """One wide row: the atoms at random condition positions, padding at
+    the others."""
+    slots = [(TOP_VARIABLE, rng.randrange(2), 1.0)] * cond_arity
+    for position, (var, value) in zip(rng.sample(range(cond_arity), len(atoms)), atoms):
+        slots[position] = (var, value, registry.probability(var, value))
+    return (key,) + tuple(x for slot in slots for x in slot)
+
+
+def generated(seed, stored=False):
+    rng = random.Random(seed)
+    registry = VariableRegistry()
+    wide = seed % 7 == 3
+    cond_arity = rng.randint(14, 15) if wide else rng.randint(1, 4)
+    pool = _variables(registry, rng, rng.randint(16, 18) if wide else rng.randint(3, 9))
+    count = rng.randint(1, _NUMPY_MIN_ROWS - 1) if seed % 2 else rng.randint(17, 60)
+    rows = []
+    for _ in range(count):
+        key = rng.choice(KEYS)
+        if wide:
+            width = rng.randint(11, cond_arity - 1)
+        else:
+            width = 0 if rng.random() < 0.03 else rng.randint(1, min(cond_arity, len(pool)))
+        atoms = _atoms(registry, rng, pool, width)[:cond_arity]
+        rows.append(_row(registry, rng, key, atoms, cond_arity))
+        if wide and rng.random() < 0.3:
+            # a wider clause over the same atoms: absorbed by a linear scan
+            extra = [var for var in pool if var not in {v for v, _ in atoms}]
+            if extra and len(atoms) < cond_arity:
+                atoms = atoms + [(extra[0], registry.domain(extra[0])[-1])]
+                rows.append(_row(registry, rng, key, atoms, cond_arity))
+    rng.shuffle(rows)
+    schema = Schema([Column("g", FLOAT)] + condition_columns(cond_arity))
+    relation = Relation(schema, rows)
+    if stored:
+        relation.source = ("t", seed)
+    return URelation(relation, 1, cond_arity, registry)
+
+
+def _outcome(conf, urel, policy, seed):
+    """(rows, per-group decisions and ws-tree counters, EXPLAIN events) of
+    one ``conf()`` call, or the refusal, as comparable text."""
+    dispatcher = ConfidenceDispatcher(policy, random.Random(seed))
+    with dispatch.trace_confidence() as events:
+        try:
+            rows, results = conf(urel, dispatcher)
+        except UnsafeLineageError as error:
+            return f"refused: {error}"
+    return repr(
+        (
+            rows,
+            [(r.decisions, None if r.ws_tree is None else vars(r.ws_tree)) for r in results],
+            events,
+            [event.render() for event in events],
+        )
+    )
+
+
+def _system(urel, dispatcher):
+    results = []
+    group_probabilities = dispatcher.group_probabilities
+
+    def recording(*args):
+        out = group_probabilities(*args)
+        results.extend(out)
+        return out
+
+    dispatcher.group_probabilities = recording
+    return agg.conf(urel, ["g"], dispatcher=dispatcher).rows, results
+
+
+def _reference(urel, dispatcher):
+    return reference.conf(urel, ["g"], dispatcher)
+
+
+SEEDS = range(120)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_conf_agrees_with_the_lineage_dispatch(seed):
+    urel = generated(seed)
+    assert row_clauses(urel) == [
+        None if condition is None else condition.atoms for condition in urel.conditions()
+    ]
+    for name, policy in POLICIES.items():
+        expected = _outcome(_reference, urel, policy, seed)
+        assert _outcome(_system, urel, policy, seed) == expected, name
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3, 10])
+def test_a_stored_snapshot_decodes_once(seed, monkeypatch):
+    urel = generated(seed, stored=True)
+    decoded = []
+    monkeypatch.setattr(
+        agg, "row_clauses", lambda u: decoded.append(1) or row_clauses(u)
+    )
+    policy = POLICIES["exact"]
+    first = _outcome(_system, urel, policy, seed)
+    assert first == _outcome(_reference, urel, policy, seed)
+    assert _outcome(_system, urel, policy, seed) == first
+    assert len(decoded) == 1
+
+
+def test_the_generator_covers_every_shape():
+    shapes = set()
+    for seed in SEEDS:
+        urel = generated(seed)
+        columns = urel.relation.columns()
+        arity = urel.cond_arity
+        shapes.add("arrays" if urel.condition_arrays() is not None else "no arrays")
+        for row, clause in zip(urel.relation.rows, urel.conditions()):
+            variables = [row[1 + 3 * i] for i in range(arity)]
+            real = [v for v in variables if v != TOP_VARIABLE]
+            if clause is None:
+                shapes.add("contradictory")
+            elif len(set(real)) < len(real):
+                shapes.add("self-join")
+            if real and len(real) < arity:
+                shapes.add("padding")
+            if not real:
+                shapes.add("certain")
+            if clause is not None and len(clause) > 12:
+                shapes.add("wide")
+            if clause is not None and clause.probability(urel.registry) == 0.0:
+                shapes.add("zero probability")
+        keys = columns[0]
+        if any(k is None for k in keys):
+            shapes.add("NULL key")
+        if any(isinstance(k, float) and math.isnan(k) for k in keys):
+            shapes.add("NaN key")
+        if any(len(urel.registry.domain(v)) > 2 for v in urel.registry.variables()):
+            shapes.add("multi-valued")
+        _, results = _system(
+            urel, ConfidenceDispatcher(POLICIES["auto, budget 1"], random.Random(seed))
+        )
+        for result in results:
+            if len(result.decisions) > 1:
+                shapes.add("components")
+            if any(d.strategy == STRATEGY_MONTE_CARLO for d in result.decisions):
+                shapes.add("monte-carlo fallback")
+        if _outcome(_system, urel, POLICIES["sprout"], seed).startswith("refused"):
+            shapes.add("sprout refuses")
+    assert shapes == {
+        "arrays", "no arrays", "contradictory", "self-join", "padding", "certain",
+        "wide", "zero probability", "NULL key", "NaN key", "multi-valued",
+        "components", "monte-carlo fallback", "sprout refuses",
+    }

@@ -131,14 +131,15 @@ class TestStrategySelection:
             lineages.append(lineage)
         forced = ConfidenceDispatcher(DispatchPolicy(strategy="exact"))
         exact = [forced.probability(lineage).probability for lineage in lineages]
-        auto = ConfidenceDispatcher().group_probabilities(lineages)
+        groups = [[clause.atoms for clause in lineage] for lineage in lineages]
+        auto = ConfidenceDispatcher().group_probabilities(groups, registry)
         strategies = {d.strategy for result in auto for d in result.decisions}
         assert STRATEGY_EXACT in strategies and STRATEGY_MONTE_CARLO not in strategies
         assert [r.probability for r in auto] == pytest.approx(exact, abs=1e-9)
         tiny = ConfidenceDispatcher(
             DispatchPolicy(exact_budget=1, epsilon=0.1, delta=0.05),
             random.Random(11),
-        ).group_probabilities(lineages)
+        ).group_probabilities(groups, registry)
         assert {d.strategy for r in tiny for d in r.decisions} == {STRATEGY_MONTE_CARLO}
         for result, truth in zip(tiny, exact):
             assert result.probability == pytest.approx(truth, rel=0.3)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from reference.confidence import is_hierarchical
 from repro.core.conditions import Condition
 from repro.core.confidence.exact import ExactConfidenceEngine
 from repro.core.confidence.naive import confidence_by_enumeration
@@ -59,7 +60,7 @@ def random_hierarchical(seed, depth=2, max_worlds=4096):
 @pytest.mark.parametrize("seed", range(10))
 def test_random_hierarchical_lineages_match_enumeration_and_exact(seed):
     lineage, registry = random_hierarchical(seed)
-    assert lineage.stats().hierarchical is not False
+    assert is_hierarchical(lineage)
     p = safe_lineage_confidence(lineage)
     assert p == pytest.approx(confidence_by_enumeration(lineage, registry), abs=1e-12)
     assert p == pytest.approx(

@@ -10,8 +10,9 @@ certain (⊤) clause -- and ``conf_hard``-shaped lineages (order ∧ customer
 - its label is ``sprout`` or ``closed-form`` exactly when a reference
   safe-plan search (components, then a variable in every clause,
   recursively) succeeds; every hierarchical lineage (laminar clause
-  sets, :meth:`Lineage.stats`) gets such a label, and when each variable
-  occurs with one value only the two notions coincide;
+  sets, :func:`reference.confidence.is_hierarchical`) gets such a label,
+  and when each variable occurs with one value only the two notions
+  coincide;
 - root-only mode raises exactly where the label is ``exact``;
 - at ``exact_budget=1`` a hierarchical component is still ``sprout``,
   never ``monte-carlo``.
@@ -21,6 +22,7 @@ import random
 
 import pytest
 
+from reference.confidence import is_hierarchical
 from repro.core.conditions import TRUE_CONDITION, Condition
 from repro.core.confidence.dispatch import (
     STRATEGY_CLOSED_FORM,
@@ -30,7 +32,7 @@ from repro.core.confidence.dispatch import (
     ConfidenceDispatcher,
     DispatchPolicy,
 )
-from repro.core.confidence.exact import ExactConfidenceEngine
+from repro.core.confidence.exact import ExactConfidenceEngine, components
 from repro.core.confidence.naive import confidence_by_enumeration
 from repro.core.lineage import Lineage
 from repro.core.variables import VariableRegistry
@@ -160,8 +162,7 @@ def test_one_recursion_against_enumeration_and_hierarchy(shape, seed):
 
     safe = engine.label != STRATEGY_EXACT
     assert safe == has_safe_plan([clause.atoms for clause in simplified.clauses])
-    hierarchical = simplified.stats(test_hierarchy=True).hierarchical
-    assert hierarchical is not None
+    hierarchical = is_hierarchical(simplified)
     if hierarchical:
         assert safe
     if single_valued(simplified):
@@ -179,7 +180,7 @@ def test_one_recursion_against_enumeration_and_hierarchy(shape, seed):
     )
     decisions = tiny.probability(lineage).decisions
     for component, decision in zip(_components(simplified), decisions):
-        if component.stats(test_hierarchy=True).hierarchical:
+        if is_hierarchical(component):
             assert decision.strategy in (STRATEGY_CLOSED_FORM, STRATEGY_SPROUT)
         elif single_valued(component):
             assert decision.strategy in (STRATEGY_EXACT, STRATEGY_MONTE_CARLO)
@@ -189,7 +190,10 @@ def _components(simplified):
     """The components the dispatcher hands out, one per decision."""
     if simplified.closed_form_probability() is not None:
         return [simplified]
-    return simplified.components()
+    return [
+        Lineage.from_clauses(map(Condition, part), simplified.arena.registry)
+        for part, _ in components([clause.atoms for clause in simplified])
+    ]
 
 
 def test_the_generator_covers_both_labels_and_every_shape():
@@ -206,7 +210,7 @@ def test_the_generator_covers_both_labels_and_every_shape():
         if simplified.is_true:
             shapes.add("certain")
         if not single_valued(simplified) and engine.label != STRATEGY_EXACT:
-            if not simplified.stats(test_hierarchy=True).hierarchical:
+            if not is_hierarchical(simplified):
                 shapes.add("safe but not laminar")
     for shape in ("random", "conf_hard"):
         assert {(shape, STRATEGY_SPROUT), (shape, STRATEGY_EXACT)} <= labels

@@ -11,7 +11,6 @@ from repro.core import urelation
 from repro.core.conditions import Condition, TRUE_CONDITION
 from repro.core.confidence import dispatch
 from repro.core.confidence.dispatch import ConfidenceDispatcher, DispatchPolicy
-from repro.core.confidence.exact import ExactConfidenceEngine
 from repro.core.repair_key import repair_key
 from repro.core.urelation import URelation
 from repro.core.variables import VariableRegistry
@@ -229,7 +228,7 @@ class TestArrayPass:
 
     @pytest.fixture
     def lineages_built(self, monkeypatch):
-        """Every group lineage the aggregates build (the engines derive
+        """Every group lineage aconf() builds (the engines derive
         components and cofactors from these, which are not counted)."""
         built = []
         group_lineages = agg.group_lineages
@@ -242,12 +241,26 @@ class TestArrayPass:
         monkeypatch.setattr(agg, "group_lineages", counting)
         return built
 
-    def test_no_lineage_is_built_for_an_answered_group(self, registry, lineages_built):
+    @pytest.fixture
+    def dispatched(self, monkeypatch):
+        """Every clause group conf() hands to the dispatcher."""
+        groups = []
+        group_probabilities = ConfidenceDispatcher.group_probabilities
+
+        def recording(self, clause_groups, registry):
+            groups.extend(clause_groups)
+            return group_probabilities(self, clause_groups, registry)
+
+        monkeypatch.setattr(ConfidenceDispatcher, "group_probabilities", recording)
+        return groups
+
+    def test_nothing_is_decoded_for_answered_groups(self, registry, dispatched, monkeypatch):
+        monkeypatch.setattr(agg, "row_clauses", None)  # never called
         result = agg.conf(self.mixed(registry, crossing=False), ["g"])
         assert [row[1] for row in result] == [pytest.approx(0.6 * 0.875)] * 6
-        assert lineages_built == []
+        assert dispatched == []
 
-    def test_lineages_are_built_for_declined_groups_only(self, registry, lineages_built):
+    def test_declined_groups_only_reach_the_dispatcher(self, registry, dispatched):
         urel = self.mixed(registry)
         with dispatch.trace_confidence() as events:
             result = agg.conf(urel, ["g"])
@@ -257,8 +270,8 @@ class TestArrayPass:
         assert result.rows[6][1] == pytest.approx(
             tuple_confidence_by_enumeration(urel, (6,))
         )
-        assert len(lineages_built) == 1  # the crossing group's, nobody else's
-        assert list(lineages_built[0]) == urel.conditions()[-3:]
+        # the crossing group's clauses, nobody else's
+        assert dispatched == [[c.atoms for c in urel.conditions()[-3:]]]
 
     def test_aconf_takes_the_same_shortcut(self, registry, lineages_built):
         urel = self.mixed(registry, crossing=False)
@@ -323,7 +336,6 @@ class TestArrayPass:
             )
             agg.conf(urel, ["g"], dispatcher=dispatcher)
             agg.aconf(urel, 0.3, 0.3, ["g"], dispatcher=dispatcher, base_seed=1)
-        agg.conf(urel, ["g"], engine=ExactConfidenceEngine(registry))
         with pytest.raises(AssertionError):
             agg.conf(urel, ["g"])
 

@@ -5,12 +5,14 @@ import random
 import pytest
 
 from repro.core.conditions import Condition, TRUE_CONDITION
+from repro.core.confidence.exact import components
 from repro.core.confidence.naive import confidence_by_enumeration
 from repro.core.lineage import (
     ClauseArena,
     Lineage,
     combine_independent,
     group_lineages,
+    simplify_clauses,
 )
 from repro.core.urelation import URelation
 from repro.core.variables import VariableRegistry
@@ -132,46 +134,48 @@ class TestSimplification:
         lin = Lineage.from_clauses([atom(x)], registry).simplified()
         assert lin.simplified() is lin
 
+    def test_clauses_keep_their_order_when_none_goes(self):
+        clauses = [((2, 1), (3, 1)), ((1, 1),)]
+        assert simplify_clauses(clauses, lambda c: 0.5) is clauses
+
+    def test_kept_clauses_come_shortest_first(self):
+        wide = tuple((var, 1) for var in range(1, 15))
+        clauses = [((20, 1), (21, 1)), wide + ((15, 1),), ((30, 1),), wide, ((30, 1),)]
+        assert simplify_clauses(clauses, lambda c: 0.5) == [
+            ((30, 1),), ((20, 1), (21, 1)), wide  # the wider one absorbed
+        ]
+
+    def test_certain_and_zero_probability_clauses(self):
+        zero = lambda c: 0.0 if (9, 1) in c else 0.5
+        assert simplify_clauses([((1, 1),), ()], zero) == [()]
+        assert simplify_clauses([((1, 1),), ((9, 1), (2, 1))], zero) == [((1, 1),)]
+
 
 class TestComponents:
+    """The dispatcher's split of a simplified group (the exact engine's
+    :func:`components`), on atom tuples."""
+
     def test_disjoint_clauses_split(self, registry):
         x = registry.fresh_boolean(0.5)
         y = registry.fresh_boolean(0.5)
-        lin = Lineage.from_clauses([atom(x), atom(y)], registry)
-        components = lin.components()
-        assert len(components) == 2
+        assert len(components([((x, 1),), ((y, 1),)])) == 2
 
     def test_shared_variable_joins(self, registry):
+        x, y, z = (registry.fresh_boolean(0.5) for _ in range(3))
+        assert components([((x, 1), (y, 1)), ((y, 1), (z, 1))]) == [
+            ([((x, 1), (y, 1)), ((y, 1), (z, 1))], 3)
+        ]
+
+    def test_connected_clauses_keep_their_order(self, registry):
         x = registry.fresh_boolean(0.5)
         y = registry.fresh_boolean(0.5)
-        z = registry.fresh_boolean(0.5)
-        lin = Lineage.from_clauses(
-            [clause((x, 1), (y, 1)), clause((y, 1), (z, 1))], registry
-        )
-        assert len(lin.components()) == 1
+        clauses = [((x, 1), (y, 1)), ((x, 0),)]
+        assert components(clauses) == [(clauses, 2)]
 
-    def test_certain_clauses_each_own_component(self, registry):
-        lin = Lineage((TRUE_CONDITION, TRUE_CONDITION), ClauseArena(registry))
-        assert len(lin.components()) == 2
-
-    def test_connected_lineage_is_its_own_component(self, registry):
-        x = registry.fresh_boolean(0.5)
-        y = registry.fresh_boolean(0.5)
-        lin = Lineage.from_clauses([clause((x, 1), (y, 1)), atom(x, 0)], registry)
-        assert lin.components() == [lin] and lin.components()[0] is lin
-
-    def test_components_keep_the_simplified_mark(self, registry):
-        x = registry.fresh_boolean(0.5)
-        y = registry.fresh_boolean(0.5)
-        lin = Lineage.from_clauses([atom(x), atom(y), atom(x)], registry).simplified()
-        assert all(part.simplified() is part for part in lin.components())
-
-    def test_components_share_arena(self, registry):
-        x = registry.fresh_boolean(0.5)
-        y = registry.fresh_boolean(0.5)
-        lin = Lineage.from_clauses([atom(x), atom(y)], registry)
-        for component in lin.components():
-            assert component.arena is lin.arena
+    def test_each_component_counts_its_variables(self, registry):
+        x, y, z = (registry.fresh_boolean(0.5) for _ in range(3))
+        parts = components([((x, 1),), ((y, 1), (z, 0)), ((x, 0),)])
+        assert sorted(parts) == [([((x, 1),), ((x, 0),)], 1), ([((y, 1), (z, 0))], 2)]
 
 
 class TestClosedForms:
@@ -202,53 +206,13 @@ class TestClosedForms:
 
 
 class TestStats:
-    def test_counts_and_width(self, registry):
+    def test_counts(self, registry):
         x = registry.fresh_boolean(0.5)
         y = registry.fresh_boolean(0.5)
         lin = Lineage.from_clauses([clause((x, 1), (y, 1)), atom(x)], registry)
         stats = lin.stats()
         assert stats.clause_count == 2
         assert stats.variable_count == 2
-        assert stats.atom_count == 3
-        assert stats.max_width == 2
-        assert not stats.independent
-
-    def test_independent_stat(self, registry):
-        x = registry.fresh_boolean(0.5)
-        y = registry.fresh_boolean(0.5)
-        lin = Lineage.from_clauses([atom(x), atom(y)], registry)
-        assert lin.stats().independent
-        assert lin.stats().hierarchical is True
-
-    def test_hierarchical_two_level(self, registry):
-        # {r ∧ s1, r ∧ s2}: cl(r) = {0,1}, cl(si) = {i} -- laminar.
-        r = registry.fresh_boolean(0.5)
-        s = [registry.fresh_boolean(0.5) for _ in range(2)]
-        lin = Lineage.from_clauses(
-            [clause((r, 1), (s[0], 1)), clause((r, 1), (s[1], 1))], registry
-        )
-        assert lin.stats().hierarchical is True
-
-    def test_hierarchy_test_skipped_above_the_variable_limit(self, registry):
-        variables = [registry.fresh_boolean(0.5) for _ in range(70)]
-        lin = Lineage.from_clauses(
-            [clause((a, 1), (b, 1)) for a, b in zip(variables, variables[1:])],
-            registry,
-        )
-        assert lin.stats().hierarchical is None
-
-    def test_non_hierarchical_crossing(self, registry):
-        # {x∧y, y∧z, z∧w}: cl(y)={0,1}, cl(z)={1,2} cross.
-        x, y, z, w = (registry.fresh_boolean(0.5) for _ in range(4))
-        lin = Lineage.from_clauses(
-            [
-                clause((x, 1), (y, 1)),
-                clause((y, 1), (z, 1)),
-                clause((z, 1), (w, 1)),
-            ],
-            registry,
-        )
-        assert lin.stats().hierarchical is False
 
 
 class TestGroupLineages:
@@ -287,11 +251,12 @@ class TestRandomized:
         rng = random.Random(11)
         for _ in range(20):
             lin, registry = random_dnf(8, 6, 3, rng, domain_size=3)
-            components = lin.components()
-            assert sorted(c.atoms for part in components for c in part) == sorted(
-                c.atoms for c in lin
-            )
-            for i, part in enumerate(components):
-                assert len(part.components()) == 1
-                for other in components[i + 1:]:
-                    assert not part.variables() & other.variables()
+            clauses = [c.atoms for c in lin.simplified()]
+            parts = components(clauses)
+            assert sorted(c for part, _ in parts for c in part) == sorted(clauses)
+            variables = [{var for c in part for var, _ in c} for part, _ in parts]
+            assert [count for _, count in parts] == [len(vs) for vs in variables]
+            for i, (part, _) in enumerate(parts):
+                assert len(components(part)) == 1
+                for other in variables[i + 1:]:
+                    assert not variables[i] & other

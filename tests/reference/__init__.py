@@ -9,6 +9,9 @@ answered by both and compared.
 
 :mod:`reference.constructs` is the row-at-a-time ``repair key`` and
 ``pick tuples`` that the constructs' array passes are checked against.
+
+:mod:`reference.confidence` is the ``Lineage``-based ``conf()`` dispatch
+that the clause path of the confidence dispatcher is checked against.
 """
 
 from contextlib import contextmanager

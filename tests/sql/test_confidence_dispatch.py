@@ -164,7 +164,7 @@ class TestSeededDeterminism:
 
 
 def _kept(relation, kind):
-    """The entries of ``kind`` ("groups" / "lineages") kept in the
+    """The entries of ``kind`` ("groups" / "clauses") kept in the
     relation's column cell."""
     return {
         key: value
@@ -174,9 +174,9 @@ def _kept(relation, kind):
 
 
 class TestLineageCache:
-    """Grouping and group lineages are kept per table version on base-table
-    snapshots only; a query result keeps nothing (it dies with its
-    statement, and over SQL nobody ever asked twice)."""
+    """Grouping and the rows' decoded clauses are kept per table version on
+    base-table snapshots only; a query result keeps nothing (it dies with
+    its statement, and over SQL nobody ever asked twice)."""
 
     STORE = (
         "create table picks as "
@@ -193,27 +193,28 @@ class TestLineageCache:
         assert not urel.relation._columns.derived
         assert sorted(first.rows) == sorted(second.rows)
 
-    def test_repeated_conf_on_a_snapshot_reuses_grouping_and_lineages(self, db):
+    def test_repeated_conf_on_a_snapshot_reuses_grouping_and_clauses(self, db):
         db.execute(self.STORE)
         urel = db.urelation("picks")
         first = agg.conf(urel, ["player"])
-        # One grouping entry (shared with esum/ecount) plus one lineage
-        # entry for this grouping.
-        groups, lineages = _kept(urel.relation, "groups"), _kept(urel.relation, "lineages")
-        assert len(groups) == 1 and len(lineages) == 1
+        # One grouping entry (shared with esum/ecount) plus one entry of
+        # decoded clauses.
+        groups, clauses = _kept(urel.relation, "groups"), _kept(urel.relation, "clauses")
+        assert len(groups) == 1 and len(clauses) == 1
         second = agg.conf(urel, ["player"])
         assert _kept(urel.relation, "groups") == groups
-        after = _kept(urel.relation, "lineages")
-        assert after.keys() == lineages.keys()
-        assert all(after[key] is lineages[key] for key in after)
+        after = _kept(urel.relation, "clauses")
+        assert after.keys() == clauses.keys()
+        assert all(after[key] is clauses[key] for key in after)
         assert sorted(first.rows) == sorted(second.rows)
 
-    def test_distinct_groupings_get_distinct_entries(self, db):
+    def test_distinct_groupings_share_the_decoded_clauses(self, db):
         db.execute(self.STORE)
         urel = db.urelation("picks")
         agg.conf(urel, ["player"])
         agg.conf(urel, ["player", "final"])
-        assert len(_kept(urel.relation, "lineages")) == 2
+        assert len(_kept(urel.relation, "groups")) == 2
+        assert len(_kept(urel.relation, "clauses")) == 1
 
     def test_stored_urelation_snapshot_caches_across_reads(self, db):
         db.execute(self.STORE)
@@ -222,7 +223,7 @@ class TestLineageCache:
         again = db.urelation("picks")
         # Unchanged table -> same snapshot object -> cache carried over.
         assert again.relation is first.relation
-        assert _kept(again.relation, "lineages")
+        assert _kept(again.relation, "clauses")
 
     def test_mutation_invalidates_via_fresh_snapshot(self, db):
         db.execute(self.STORE)
@@ -231,7 +232,7 @@ class TestLineageCache:
         db.execute("delete from picks where player = 'Bryant'")
         fresh = db.urelation("picks")
         assert fresh.relation is not first.relation
-        assert not _kept(fresh.relation, "lineages")
+        assert not _kept(fresh.relation, "clauses")
 
 
 class TestDispatcherSharedAcrossQueries:

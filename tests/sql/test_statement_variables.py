@@ -197,16 +197,16 @@ def test_concurrent_sessions_never_share_an_id():
     store.close()
 
 
-def test_repeated_conf_over_a_stored_urelation_hits_its_lineage_cache(monkeypatch):
+def test_repeated_conf_over_a_stored_urelation_hits_its_clause_cache(monkeypatch):
     db = MayBMS(seed=3, confidence_strategy="exact")
     populate(db)
     db.execute(STORE)
-    built = []
-    original = aggregates.group_lineages
+    decoded = []
+    original = aggregates.row_clauses
     monkeypatch.setattr(
         aggregates,
-        "group_lineages",
-        lambda *args: built.append(1) or original(*args),
+        "row_clauses",
+        lambda *args: decoded.append(1) or original(*args),
     )
     dispatcher = db.executor.dispatcher
 
@@ -215,11 +215,11 @@ def test_repeated_conf_over_a_stored_urelation_hits_its_lineage_cache(monkeypatc
         return aggregates.conf(db.urelation("u"), ["k"], dispatcher=dispatcher).rows
 
     first = conf_of_u()
-    assert len(built) == 1
+    assert len(decoded) == 1
     assert db.query(WALK.format(low=0)).rows  # a minting statement between
-    count = len(built)
+    count = len(decoded)
     assert conf_of_u() == first
-    assert len(built) == count  # u's lineages came from the cache
+    assert len(decoded) == count  # u's clauses came from the cache
 
 
 def test_raw_transaction_inserts_promote_live_scopes_and_refuse_dead_ones():
