@@ -61,9 +61,7 @@ class AtomTable(NamedTuple):
 
     def probabilities(self, registry: VariableRegistry):
         """Per distinct atom, its marginal: one registry look-up each.
-        The stored ``_p{i}`` columns are not used -- under a registry
-        clone with other distributions they are stale.  Atoms on the top variable are
-        padding and always true."""
+        Atoms on the top variable are padding and always true."""
         out = np.array(
             registry.probabilities(
                 self.atom_variables.tolist(), self.atom_values.tolist()

@@ -18,7 +18,7 @@ each other, as in GROUP BY.
 
 Like ``repair key``, the construct is one array pass over the input's
 columns: probabilities are checked once, the variables are minted as
-one block of ids, and the output columns ``columns + (var, 1, p)`` are
+one block of ids, and the output columns ``columns + (var, 1)`` are
 built without any row tuple.
 """
 
@@ -89,10 +89,11 @@ def pick_tuples(
         [{0: 1.0 - p, 1: p} for p in kept.tolist()], label if name_hint else None
     )
     cond_arity = 1 if n else 0
-    condition = ((codes + start).tolist(), [1] * n, kept[codes].tolist())
-    wide = Schema(tuple(schema) + tuple(condition_columns(cond_arity)))
+    condition = ((codes + start).tolist(), [1] * n)
+    pairs = condition_columns(cond_arity)
+    wide = Schema(tuple(schema) + tuple(pairs))
     return URelation(
-        Relation.from_columns(wide, columns + condition[: 3 * cond_arity], n),
+        Relation.from_columns(wide, columns + condition[: len(pairs)], n),
         len(schema),
         cond_arity,
         registry,

@@ -21,7 +21,7 @@ together, and so do NaNs of a FLOAT key, as in GROUP BY), each group's
 total weight is one ``np.bincount`` (which adds a group's weights left
 to right in row order), every row gets its rank in its group and
 ``p = w / total``, the group variables are minted as one block of ids,
-and the output columns ``columns + (var, alternative, p)`` are gathered
+and the output columns ``columns + (var, alternative)`` are gathered
 in group order.  Rows are built only if a caller reads them.
 Inside SQL the registry is the statement's scope, so nothing is logged
 until a statement stores the rows.
@@ -132,15 +132,15 @@ def repair_key(
     condition = (
         np.where(chosen, (np.cumsum(keyed) - 1 + start)[group], TOP_VARIABLE).tolist(),
         np.where(chosen, alternative, 0).tolist(),
-        chance.tolist(),
     )
     payload = columns
     if len(order) < n or (order != np.arange(n)).any():
         payload = ColumnBatch(columns, n).take(order.tolist()).columns
     cond_arity = 1 if len(order) else 0
-    wide = Schema(tuple(schema) + tuple(condition_columns(cond_arity)))
+    pairs = condition_columns(cond_arity)
+    wide = Schema(tuple(schema) + tuple(pairs))
     return URelation(
-        Relation.from_columns(wide, payload + condition[: 3 * cond_arity], len(order)),
+        Relation.from_columns(wide, payload + condition[: len(pairs)], len(order)),
         len(schema),
         cond_arity,
         registry,

@@ -36,27 +36,11 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.urelation import (
-    PROB_PREFIX,
-    URelation,
-    VAL_PREFIX,
-    VAR_PREFIX,
-    condition_columns,
-)
-from repro.core.variables import TOP_VARIABLE, VariableRegistry
+from repro.core.urelation import URelation, atom_positions, condition_columns
+from repro.core.variables import VariableRegistry
 from repro.engine import algebra, planner
-from repro.engine.expressions import (
-    BoolOp,
-    ColumnRef,
-    Comparison,
-    ConsistencyPredicate,
-    Expr,
-    Literal,
-    PositionRef,
-)
-from repro.engine.relation import Relation
+from repro.engine.expressions import BoolOp, ConsistencyPredicate, Expr, PositionRef
 from repro.engine.schema import Column, Schema
-from repro.engine.types import FLOAT, INTEGER
 from repro.errors import PlanError, SchemaError
 
 
@@ -74,13 +58,10 @@ def u_project(urel: URelation, items: Sequence[Tuple[Expr, str]]) -> URelation:
     """π over payload expressions; condition columns are appended and no
     duplicate elimination takes place (parsimonious projection)."""
     out_items: List[Tuple[Expr, str]] = list(items)
-    base = urel.payload_arity
-    for i in range(urel.cond_arity):
-        for offset, (prefix, typ) in enumerate(
-            ((VAR_PREFIX, INTEGER), (VAL_PREFIX, INTEGER), (PROB_PREFIX, FLOAT))
-        ):
-            position = base + 3 * i + offset
-            out_items.append((PositionRef(position, typ), f"{prefix}{i}"))
+    for position, column in enumerate(
+        condition_columns(urel.cond_arity), urel.payload_arity
+    ):
+        out_items.append((PositionRef(position, column.type), column.name))
     return URelation.from_plan(
         algebra.Project(urel.plan, out_items),
         len(items),
@@ -92,38 +73,37 @@ def u_project(urel: URelation, items: Sequence[Tuple[Expr, str]]) -> URelation:
 def u_columns(
     plan: algebra.PlanNode,
     payload: Sequence[int],
-    triples: Sequence[int],
+    atoms: Sequence[Tuple[int, int]],
     registry: VariableRegistry,
 ) -> URelation:
     """The U-relation made of ``plan``'s columns at positions
-    ``payload`` and its condition triples starting at positions
-    ``triples``, in that order: payload columns keep their names and
-    qualifiers (positional item names let them clash across the inputs
-    of a join), the triples are renumbered ``_v0..``."""
+    ``payload`` and its condition pairs at the (variable, value)
+    positions ``atoms``, in that order: payload columns keep their names
+    and qualifiers (positional item names let them clash across the
+    inputs of a join), the pairs are renumbered ``_v0..``."""
     schema = plan.schema()
-    positions = list(payload) + [start + k for start in triples for k in range(3)]
+    positions = list(payload) + [p for atom in atoms for p in atom]
     items = [(PositionRef(p, schema[p].type), f"_c{k}") for k, p in enumerate(positions)]
-    columns = [schema[p] for p in payload] + condition_columns(len(triples))
+    columns = [schema[p] for p in payload] + condition_columns(len(atoms))
     return URelation.from_plan(
         algebra.Relabel(algebra.Project(plan, items), Schema(columns)),
         len(payload),
-        len(triples),
+        len(atoms),
         registry,
     )
 
 
 def consistency_predicate(
-    left_payload: int,
-    left_cond: int,
-    right_payload: int,
-    right_cond: int,
+    left_atoms: Sequence[Tuple[int, int]],
+    right_atoms: Sequence[Tuple[int, int]],
 ) -> Optional[Expr]:
-    """The join consistency filter over a concatenated wide row.
+    """The join consistency filter over a concatenated wide row, whose
+    left and right condition pairs sit at the (variable, value)
+    positions ``left_atoms`` and ``right_atoms``.
 
-    Left triples start at ``left_payload``; right triples start at
-    ``left_payload + 3*left_cond + right_payload``.  For every pair (i, j)
-    require  V_i ≠ V'_j  ∨  D_i = D'_j.  The reserved top variable never
-    conflicts (it has a single value), so padding is harmless.
+    For every pair (i, j) require  V_i ≠ V'_j  ∨  D_i = D'_j.  The
+    reserved top variable never conflicts (it has a single value), so
+    padding is harmless.
 
     Emitted as a dedicated :class:`ConsistencyPredicate` rather than a
     generic AND-of-OR tree: this filter runs once per candidate joined row
@@ -131,16 +111,7 @@ def consistency_predicate(
     engines give it a specialized kernel (vectorized over the integer
     condition columns in the batch engine).
     """
-    left_base = left_payload
-    right_base = left_payload + 3 * left_cond + right_payload
-    pairs: List[Tuple[int, int, int, int]] = []
-    for i in range(left_cond):
-        vi = left_base + 3 * i
-        di = left_base + 3 * i + 1
-        for j in range(right_cond):
-            vj = right_base + 3 * j
-            dj = right_base + 3 * j + 1
-            pairs.append((vi, di, vj, dj))
+    pairs = [left + right for left in left_atoms for right in right_atoms]
     if not pairs:
         return None
     return ConsistencyPredicate(pairs)
@@ -172,10 +143,13 @@ def u_join(
     # join schema has no duplicates.
     right = _shift_condition_names(right, left.cond_arity)
 
+    # Payload columns, then the renumbered condition pairs.
+    left_width = len(left.schema)
+    right_start = left_width + right.payload_arity
+    left_atoms = atom_positions(left.payload_arity, left.cond_arity)
+    right_atoms = atom_positions(right_start, right.cond_arity)
     join_predicate = predicate
-    consistency = consistency_predicate(
-        left.payload_arity, left.cond_arity, right.payload_arity, right.cond_arity
-    )
+    consistency = consistency_predicate(left_atoms, right_atoms)
     if consistency is not None:
         join_predicate = (
             consistency
@@ -184,14 +158,10 @@ def u_join(
         )
 
     joined = algebra.Join(left.plan, right.plan, join_predicate)
-    # Payload columns, then the renumbered condition triples.
-    left_width = len(left.schema)
-    right_start = left_width + right.payload_arity
     return u_columns(
         joined,
         [*range(left.payload_arity), *range(left_width, right_start)],
-        [left.payload_arity + 3 * i for i in range(left.cond_arity)]
-        + [right_start + 3 * i for i in range(right.cond_arity)],
+        left_atoms + right_atoms,
         registry,
     )
 
@@ -237,14 +207,11 @@ def _shared_registry(left: URelation, right: URelation) -> VariableRegistry:
 
 
 def _shift_condition_names(urel: URelation, offset: int) -> URelation:
-    """Rename the condition triples ``_v0.._vk`` to start at ``offset``."""
+    """Rename the condition pairs ``_v0.._vk`` to start at ``offset``."""
     if offset == 0 or urel.cond_arity == 0:
         return urel
     columns = list(urel.schema[: urel.payload_arity])
-    for i in range(urel.cond_arity):
-        columns.append(Column(f"{VAR_PREFIX}{offset + i}", INTEGER))
-        columns.append(Column(f"{VAL_PREFIX}{offset + i}", INTEGER))
-        columns.append(Column(f"{PROB_PREFIX}{offset + i}", FLOAT))
+    columns += condition_columns(urel.cond_arity, offset)
     return urel.with_schema(Schema(columns))
 
 

@@ -571,9 +571,13 @@ class MayBMS(_SessionBase):
         self.storage: Optional[DurabilityManager] = None
         if path is not None:
             self.storage = DurabilityManager(path)
-            self.recovery_stats = self.storage.recover_into(
-                self.catalog, self.registry
-            )
+            try:
+                self.recovery_stats = self.storage.recover_into(
+                    self.catalog, self.registry
+                )
+            except BaseException:
+                self.storage.close()  # releases the directory lock
+                raise
         self.wal = WriteAheadLog(sink=self.storage)
         policy = DispatchPolicy(
             strategy=confidence_strategy, exact_budget=exact_budget
@@ -729,14 +733,8 @@ class MayBMS(_SessionBase):
         ``MayBMS(path=...)``; calling this instead raises.
 
         Tables are replayed from the WAL; the variable registry is restored
-        from the WAL's ``register_variable`` records.  For logs predating
-        variable logging (hand-built WALs), the registry is reconstructed
-        from the inline probability columns of the recovered U-relations --
-        the wide encoding is self-describing (see
-        :func:`repro.core.urelation.rebuild_registry`).
+        from the WAL's ``register_variable`` records.
         """
-        from repro.core.urelation import rebuild_registry
-
         if self.storage is not None:
             raise DurabilityError(
                 "recover() replays the in-memory WAL, which durable "
@@ -751,19 +749,6 @@ class MayBMS(_SessionBase):
             path="",
         )
         self.wal.replay(recovered.catalog, recovered.registry)
-        if not self.wal.has_variable_records():
-            urelations = []
-            for entry in recovered.catalog.entries():
-                if entry.is_urelation:
-                    urelations.append(
-                        URelation(
-                            entry.table.snapshot(),
-                            int(entry.properties["payload_arity"]),
-                            int(entry.properties["cond_arity"]),
-                            recovered.registry,
-                        )
-                    )
-            rebuild_registry(urelations, recovered.registry)
         return recovered
 
 

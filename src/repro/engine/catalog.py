@@ -34,8 +34,8 @@ class CatalogEntry:
         self.table = table
         self.kind = kind
         #: Kind-specific metadata.  For U-relations the core layer stores
-        #: ``cond_arity`` (number of (variable, assignment, probability)
-        #: column triples) and ``payload_arity`` here.
+        #: ``cond_arity`` (number of (variable, assignment) column pairs)
+        #: and ``payload_arity`` here.
         self.properties: Dict[str, Any] = dict(properties or {})
 
     @property

@@ -66,7 +66,7 @@ except ImportError:  # non-POSIX platform: single-writer check unavailable
 from repro import faults as _faults
 from repro.engine import sanitizer as _sanitizer
 from repro.engine import segments as segment_codec
-from repro.engine.catalog import Catalog
+from repro.engine.catalog import KIND_URELATION, Catalog
 from repro.errors import DegradedError, DurabilityError, RecoveryError
 
 LOCK_NAME = "LOCK"
@@ -151,30 +151,30 @@ def scan_committed(data: bytes) -> Tuple[List[Tuple[Any, ...]], int]:
     return records[:committed_count], committed_bytes
 
 
-def count_dml_units(records: Sequence[Sequence[Any]]) -> int:
-    """Commit units carrying DML (anything beyond variable registrations).
-
-    Drives the auto-checkpoint cadence.  Logs written before SELECTs
-    minted into statement scopes hold hundreds of variable-only units per
-    repair-key statement; recovery must not count them as commits.
-    """
-    count = 0
-    unit_has_dml = False
-    for record in records:
-        op = record[0] if record else None
-        if op == "begin":
-            unit_has_dml = False
-        elif op == "commit":
-            if unit_has_dml:
-                count += 1
-        elif op != "register_variable":
-            unit_has_dml = True
-    return count
-
-
 def count_commit_markers(records: Sequence[Sequence[Any]]) -> int:
-    """Commit units of any kind (the denominator of fsyncs-per-commit)."""
+    """Commit units: the auto-checkpoint cadence and the denominator of
+    fsyncs-per-commit."""
     return sum(1 for record in records if record and record[0] == "commit")
+
+
+def check_condition_layout(
+    name: str, columns: Sequence[Any], kind: str, properties: Dict[str, Any]
+) -> None:
+    """Refuse a stored U-relation whose width is not its payload plus one
+    (variable, value) column pair per condition: a store written when each
+    condition also carried a probability column, which this version does
+    not read (nor convert)."""
+    if kind != KIND_URELATION:
+        return
+    payload = int(properties.get("payload_arity", 0))
+    conditions = int(properties.get("cond_arity", 0))
+    if len(columns) != payload + 2 * conditions:
+        raise RecoveryError(
+            f"table {name!r} has {len(columns)} columns for {payload} payload "
+            f"columns and {conditions} condition(s): the old U-relation "
+            "layout with a probability column per condition, which this "
+            "version does not read; cannot recover"
+        )
 
 
 # -- manifest (format 2) serialization -----------------------------------------
@@ -290,9 +290,8 @@ class DurabilityManager:
         self._wal_retry_backoff = max(
             0.0, float(os.environ.get("REPRO_WAL_RETRY_BACKOFF", "0.02"))
         )
-        #: Commit units with DML content appended since the last checkpoint
-        #: (drives the session's periodic auto-checkpoint; see
-        #: :func:`count_dml_units`).
+        #: Commit units appended since the last checkpoint (drives the
+        #: session's periodic auto-checkpoint).
         self.commits_since_checkpoint = 0
         self._closed = False
         self._lock_handle: Optional[Any] = None
@@ -324,12 +323,12 @@ class DurabilityManager:
         self._checkpoint_lock = _sanitizer.wrap_lock(
             "DurabilityManager._checkpoint_lock"
         )
-        # Group-commit state: a queue of (ticket, frames, dml_units,
-        # commit_markers) entries protected by a condition variable, plus
-        # the id of the highest ticket made durable and the failures to
-        # report to individual waiters.
+        # Group-commit state: a queue of (ticket, frames, commit_markers)
+        # entries protected by a condition variable, plus the id of the
+        # highest ticket made durable and the failures to report to
+        # individual waiters.
         self._gc_cond = _sanitizer.wrap_condition("DurabilityManager._gc_cond")
-        self._gc_queue: List[Tuple[int, bytes, int, int]] = []
+        self._gc_queue: List[Tuple[int, bytes, int]] = []
         self._gc_ticket = 0
         self._gc_durable = 0
         #: Highest ticket handed to a leader -- tickets at or below it are
@@ -451,7 +450,9 @@ class DurabilityManager:
         retained, so no committed data is lost.  Raises
         :class:`RecoveryError`, deleting nothing, when no manifest loads
         but the directory holds checkpointed data it cannot read (corrupt
-        manifests, or a format-1 ``checkpoint.json``).  Returns counters
+        manifests, or a format-1 ``checkpoint.json``), or when a checkpoint
+        or the WAL holds a U-relation in the old layout (see
+        :func:`check_condition_layout`).  Returns counters
         (``checkpoint_tables``, ``replayed_records``, ``fallbacks``,
         ``checkpoint_format``) for diagnostics.  The catalog and registry
         must be empty/fresh.
@@ -528,6 +529,31 @@ class DurabilityManager:
                     f"all {len(bad_manifests)} checkpoint manifest(s) in "
                     f"{self.path!r} are corrupt; cannot recover"
                 )
+        # Read the committed WAL chain from the checkpoint's epoch up to
+        # the newest log present (more than one epoch exists after a crash
+        # between rotation and the manifest becoming durable, or after an
+        # epoch fallback), and refuse a store in the old U-relation layout
+        # before any file is swept or truncated.
+        wal_epochs = [e for e in self._list_wal_epochs() if e >= base_epoch]
+        logs: List[Tuple[int, str, int, List[Tuple[Any, ...]], int]] = []
+        for epoch in wal_epochs:
+            wal_file = self._wal_path(epoch)
+            try:
+                with open(wal_file, "rb") as handle:
+                    raw = handle.read()
+            except OSError:
+                continue
+            records, committed_bytes = scan_committed(raw)
+            logs.append((epoch, wal_file, len(raw), records, committed_bytes))
+        for decoded in chosen[2] if chosen is not None else []:
+            check_condition_layout(
+                decoded["table"], decoded["columns"],
+                decoded["table_kind"], decoded["properties"],
+            )
+        for _, _, _, records, _ in logs:
+            for record in records:
+                if record[0] == "create_table":
+                    check_condition_layout(*record[1:5])
         for path in bad_manifests:
             try:
                 os.remove(path)
@@ -555,24 +581,13 @@ class DurabilityManager:
                         pass
         self._sweep_stale_wal_files(wal_floor)
         self._sweep_orphan_files(chosen[1] if chosen is not None else None)
-        # Replay the committed WAL chain from the checkpoint's epoch up to
-        # the newest log present (more than one epoch exists after a crash
-        # between rotation and the manifest becoming durable, or after an
-        # epoch fallback).  Only the newest log -- the one this session
+        # Replay the chain.  Only the newest log -- the one this session
         # appends to -- gets its torn/uncommitted tail physically
         # truncated; older epochs are finalized and read-only.
         replayed: List[Tuple[Any, ...]] = []
-        wal_epochs = [e for e in self._list_wal_epochs() if e >= base_epoch]
         self._epoch = max([base_epoch] + wal_epochs)
-        for position, epoch in enumerate(wal_epochs):
-            wal_file = self._wal_path(epoch)
-            try:
-                with open(wal_file, "rb") as handle:
-                    raw = handle.read()
-            except OSError:
-                continue
-            records, committed_bytes = scan_committed(raw)
-            if position == len(wal_epochs) - 1 and committed_bytes < len(raw):
+        for epoch, wal_file, size, records, committed_bytes in logs:
+            if epoch == self._epoch and committed_bytes < size:
                 # Truncate garbage before this session appends: new commits
                 # written after a bad frame would be unreadable at the next
                 # recovery, and a valid-but-uncommitted tail would get
@@ -586,7 +601,7 @@ class DurabilityManager:
         # Seed the auto-checkpoint counter with the replayed chain: a
         # crash-looping workload that never reaches checkpoint_every fresh
         # commits per life would otherwise grow the WAL without bound.
-        self.commits_since_checkpoint = count_dml_units(replayed)
+        self.commits_since_checkpoint = count_commit_markers(replayed)
         stats["replayed_records"] = len(replayed)
         # Tables whose contents came purely from their segment (untouched
         # by WAL replay) are clean: the next checkpoint re-links them.
@@ -677,13 +692,12 @@ class DurabilityManager:
         if not records:
             return
         buffer = b"".join(encode_frame(record) for record in records)
-        dml_units = count_dml_units(records)
         commit_markers = count_commit_markers(records)
         cond = self._gc_cond
         with cond:
             self._gc_ticket += 1
             ticket = self._gc_ticket
-            self._gc_queue.append((ticket, buffer, dml_units, commit_markers))
+            self._gc_queue.append((ticket, buffer, commit_markers))
             while self._gc_durable < ticket:
                 if self._closed and ticket > self._gc_inflight_top:
                     # Our frames were dropped from the queue (or will never
@@ -709,7 +723,7 @@ class DurabilityManager:
                 with _condition_released(cond):
                     try:
                         self._append_with_retry(
-                            b"".join(chunk for _, chunk, _, _ in batch)
+                            b"".join(chunk for _, chunk, _ in batch)
                         )
                     except BaseException as exc:
                         # Distributed below to EVERY ticket in the batch:
@@ -719,14 +733,11 @@ class DurabilityManager:
                 self._gc_leader_running = False
                 top = batch[-1][0]
                 if error is None:
-                    self.commits_since_checkpoint += sum(
-                        units for _, _, units, _ in batch
-                    )
-                    self.commit_count += sum(
-                        markers for _, _, _, markers in batch
-                    )
+                    committed = sum(markers for _, _, markers in batch)
+                    self.commits_since_checkpoint += committed
+                    self.commit_count += committed
                 else:
-                    for waiter_ticket, _, _, _ in batch:
+                    for waiter_ticket, _, _ in batch:
                         self._gc_failures[waiter_ticket] = error
                 self._gc_durable = max(self._gc_durable, top)
                 cond.notify_all()

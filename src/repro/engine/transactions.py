@@ -301,7 +301,9 @@ class Transaction:
             return entry.table
         props = entry.properties
         base, arity = int(props.get("payload_arity", 0)), int(props.get("cond_arity", 0))
-        named = {row[base + 3 * i] for row in rows for i in range(arity)}
+        # Variable ids sit at every other column after the payload (the
+        # condition pairs of repro.core.urelation).
+        named = {v for row in rows for v in row[base : base + 2 * arity : 2]}
         minted = registry.minted(named)
         for var in named.difference(var for var, _, _ in minted):
             if var not in registry:
@@ -562,8 +564,7 @@ class WriteAheadLog:
     memory.  Variable registrations travel only in the redo records of
     the transaction that stores rows naming them: a SELECT's ``repair
     key`` / ``pick tuples`` variables live in its statement scope and are
-    never logged.  Recovery still reads older logs in which they appear
-    as variable-only units.
+    never logged.
 
     The log is thread-safe: one WAL is shared by every session of a
     multi-session store, and concurrent commits must not interleave their
@@ -603,10 +604,6 @@ class WriteAheadLog:
     def records(self) -> List[Tuple[Any, ...]]:
         with self._mutex:
             return list(self._records)
-
-    def has_variable_records(self) -> bool:
-        with self._mutex:
-            return any(r and r[0] == "register_variable" for r in self._records)
 
     def replay(
         self,

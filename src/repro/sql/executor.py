@@ -26,7 +26,7 @@ from repro.core.confidence.dispatch import ConfidenceDispatcher, DispatchPolicy
 from repro.core.pick_tuples import pick_tuples
 from repro.core.repair_key import repair_key
 from repro.core.translate import u_columns, u_join, u_project, u_rename, u_select, u_union
-from repro.core.urelation import URelation
+from repro.core.urelation import URelation, atom_positions
 from repro.core.variables import VariableRegistry
 from repro.engine import algebra, planner
 from repro.engine.catalog import KIND_STANDARD, KIND_URELATION, Catalog
@@ -1312,17 +1312,18 @@ def _in_from_order(
     body: URelation, sources: Sequence[URelation], order: Sequence[int]
 ) -> URelation:
     """``body``, the join of ``sources`` folded in ``order``, with its
-    payload columns and condition triples back in FROM order."""
-    payload_at, triples_at = {}, {}
-    payload, triples = 0, body.payload_arity
+    payload columns and condition pairs back in FROM order."""
+    atoms = atom_positions(body.payload_arity, body.cond_arity)
+    payload_at, atoms_at = {}, {}
+    payload, atom_count = 0, 0
     for i in order:
-        payload_at[i], triples_at[i] = payload, triples
+        payload_at[i], atoms_at[i] = payload, atom_count
         payload += sources[i].payload_arity
-        triples += 3 * sources[i].cond_arity
+        atom_count += sources[i].cond_arity
     return u_columns(
         body.plan,
         [payload_at[i] + k for i, s in enumerate(sources) for k in range(s.payload_arity)],
-        [triples_at[i] + 3 * k for i, s in enumerate(sources) for k in range(s.cond_arity)],
+        [atoms[atoms_at[i] + k] for i, s in enumerate(sources) for k in range(s.cond_arity)],
         body.registry,
     )
 

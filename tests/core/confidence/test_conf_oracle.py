@@ -84,9 +84,9 @@ def _atoms(registry, rng, pool, width):
 def _row(registry, rng, key, atoms, cond_arity):
     """One wide row: the atoms at random condition positions, padding at
     the others."""
-    slots = [(TOP_VARIABLE, rng.randrange(2), 1.0)] * cond_arity
-    for position, (var, value) in zip(rng.sample(range(cond_arity), len(atoms)), atoms):
-        slots[position] = (var, value, registry.probability(var, value))
+    slots = [(TOP_VARIABLE, rng.randrange(2))] * cond_arity
+    for position, atom in zip(rng.sample(range(cond_arity), len(atoms)), atoms):
+        slots[position] = atom
     return (key,) + tuple(x for slot in slots for x in slot)
 
 
@@ -192,7 +192,7 @@ def test_the_generator_covers_every_shape():
         arity = urel.cond_arity
         shapes.add("arrays" if urel.condition_arrays() is not None else "no arrays")
         for row, clause in zip(urel.relation.rows, urel.conditions()):
-            variables = [row[1 + 3 * i] for i in range(arity)]
+            variables = [row[1 + 2 * i] for i in range(arity)]
             real = [v for v in variables if v != TOP_VARIABLE]
             if clause is None:
                 shapes.add("contradictory")

@@ -51,7 +51,7 @@ def build(registry, arity, rows):
         assert len(atoms) == arity
         row = [g]
         for var, value in atoms:
-            row += [var, value, registry.probability(var, value)]
+            row += [var, value]
         wide.append(tuple(row))
     return URelation(Relation(schema, wide), 1, arity, registry)
 
@@ -260,7 +260,7 @@ class TestPadding:
         x = registry.fresh_boolean(0.5)
         urel = build(registry, 2, [(0, [(x, 1), TOP]), (0, [(x, 1), TOP])])
         rows = list(urel.relation.rows)
-        rows[1] = rows[1][:5] + (3,) + rows[1][6:]  # (TOP, 3)
+        rows[1] = rows[1][:4] + (3,) + rows[1][5:]  # (TOP, 3)
         urel = URelation(Relation(urel.relation.schema, rows), 1, 2, registry)
         assert dict(agg.conf(urel, ["g"]).rows) == {0: 0.5}
         assert urel.condition_probabilities() == [0.5, 0.5]
@@ -296,13 +296,13 @@ class TestEdges:
         monkeypatch.setattr(urelation_module, "_NUMPY_MIN_ROWS", 20)
         assert hierarchical_confidences(urel, [[i] for i in range(20)]) is not None
         holed = list(urel.relation.rows)
-        holed[3] = (3, None, None, None)
+        holed[3] = (3, None, None)
         urel = URelation(Relation(urel.relation.schema, holed), 1, 1, registry)
         assert hierarchical_confidences(urel, [[i] for i in range(20)]) is None
 
-    def test_registry_clone_is_read_not_the_stored_probabilities(self, monkeypatch):
-        # The _p columns were written under the original registry; the
-        # clone gives x another distribution (all mass on {1, 2}).
+    def test_the_bound_registry_is_read(self, monkeypatch):
+        # The same rows bound to a clone that gives x another
+        # distribution (all mass on {1, 2}).
         registry = VariableRegistry()
         x = registry.fresh([0.5, 0.25, 0.25])
         y = registry.fresh_boolean(0.5)
@@ -311,7 +311,6 @@ class TestEdges:
         clone = registry.copy()
         clone.restore(x, {0: 0.0, 1: 0.5, 2: 0.5})
         conditioned = URelation(stored.relation, 1, 2, clone)
-        assert [row[3] for row in conditioned.relation.rows] == [0.5, 0.25, 0.25]
         got = assert_agree(conditioned, monkeypatch)
         assert got[0][0] == pytest.approx(0.25)  # (0 + 0.5) * 0.5
         assert got[1][0] == pytest.approx(0.25)

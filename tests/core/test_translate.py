@@ -19,7 +19,7 @@ from repro.core.translate import (
     u_select,
     u_union,
 )
-from repro.core.urelation import URelation
+from repro.core.urelation import URelation, atom_positions
 from repro.core.variables import VariableRegistry
 from repro.core.worlds import enumerate_worlds
 from repro.engine import algebra, planner
@@ -190,12 +190,12 @@ class TestJoin:
             assert instance == [(value, value)]
 
     def test_consistency_predicate_none_when_no_conditions(self):
-        assert consistency_predicate(2, 0, 3, 0) is None
-        assert consistency_predicate(2, 1, 3, 0) is None
+        assert consistency_predicate([], []) is None
+        assert consistency_predicate(atom_positions(2, 1), []) is None
 
     def test_consistency_predicate_pair_count(self):
-        predicate = consistency_predicate(1, 2, 1, 3)
-        # 2x3 pairs of triples -> 6 (V_i ≠ V'_j ∨ D_i = D'_j) conjuncts,
+        predicate = consistency_predicate(atom_positions(1, 2), atom_positions(6, 3))
+        # 2x3 condition pairs -> 6 (V_i ≠ V'_j ∨ D_i = D'_j) conjuncts,
         # carried as a specialized kernel expression.
         from repro.engine.expressions import ConsistencyPredicate
 
@@ -208,7 +208,8 @@ class TestJoin:
         from repro.engine.expressions import conjunction
         from repro.engine.schema import Schema as _Schema
 
-        predicate = consistency_predicate(1, 1, 1, 1)
+        # Left payload at 0, its pair at 1-2; right payload at 3, pair at 4-5.
+        predicate = consistency_predicate(atom_positions(1, 1), atom_positions(4, 1))
         generic = conjunction(
             [
                 BoolOp(
@@ -217,18 +218,18 @@ class TestJoin:
                         Comparison(
                             "<>",
                             _pos(1, INTEGER),
-                            _pos(5, INTEGER),
+                            _pos(4, INTEGER),
                         ),
-                        Comparison("=", _pos(2, INTEGER), _pos(6, INTEGER)),
+                        Comparison("=", _pos(2, INTEGER), _pos(5, INTEGER)),
                     ],
                 )
             ]
         )
         schema = _Schema([])
         rows = [
-            (0, 7, 1, 0.5, 0, 7, 1, 0.5),  # same var, same value: keep
-            (0, 7, 1, 0.5, 0, 7, 2, 0.5),  # same var, different value: drop
-            (0, 7, 1, 0.5, 0, 8, 2, 0.5),  # different vars: keep
+            (0, 7, 1, 0, 7, 1),  # same var, same value: keep
+            (0, 7, 1, 0, 7, 2),  # same var, different value: drop
+            (0, 7, 1, 0, 8, 2),  # different vars: keep
         ]
         fast = predicate.compile(schema)
         slow = generic.compile(schema)
@@ -371,7 +372,7 @@ class TestLazyPlans:
         chain = self._chain(r, s)
         assert chain.cond_arity == r.cond_arity + s.cond_arity
         assert chain.relation.schema == chain.schema
-        assert len(chain.relation.schema) == chain.payload_arity + 3 * chain.cond_arity
+        assert len(chain.relation.schema) == chain.payload_arity + 2 * chain.cond_arity
 
     def test_ill_typed_predicate_is_rejected_when_composed(self, r_and_s):
         r, s, x, y = r_and_s

@@ -1,5 +1,4 @@
-"""Tests for U-relations: the wide encoding, world semantics, and
-vertical decomposition."""
+"""Tests for U-relations: the wide encoding and world semantics."""
 
 import random
 
@@ -9,16 +8,15 @@ from repro.core import urelation as urelation_module
 from repro.core.conditions import Condition, TRUE_CONDITION
 from repro.core.urelation import (
     URelation,
+    atom_positions,
     condition_columns,
-    decode_condition,
+    decode_condition_columns,
     encode_condition,
-    vertical_decompose,
-    vertical_recompose,
 )
 from repro.core.variables import TOP_VARIABLE, VariableRegistry
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema
-from repro.engine.types import FLOAT, INTEGER, TEXT
+from repro.engine.types import INTEGER, TEXT
 from repro.errors import ConditionError, SchemaError
 
 
@@ -49,47 +47,47 @@ class TestEncoding:
         urel, _ = simple
         assert urel.payload_arity == 2
         assert urel.cond_arity == 1
-        assert urel.relation.schema.names == ["name", "score", "_v0", "_d0", "_p0"]
+        assert urel.relation.schema.names == ["name", "score", "_v0", "_d0"]
 
-    def test_true_condition_padded_with_top(self, simple):
-        urel, _ = simple
-        row = urel.relation.rows[2]
-        assert row[2] == TOP_VARIABLE and row[3] == 0 and row[4] == 1.0
-
-    def test_probability_columns_cached(self, simple, registry):
+    def test_conditions_are_pairs(self, simple):
         urel, x = simple
-        assert urel.relation.rows[0][4] == pytest.approx(0.4)
-        assert urel.relation.rows[1][4] == pytest.approx(0.6)
+        assert [row[2:] for row in urel.relation.rows] == [
+            (x, 0), (x, 1), (TOP_VARIABLE, 0)
+        ]
+
+    def test_atom_positions(self):
+        assert atom_positions(2, 3) == [(2, 3), (4, 5), (6, 7)]
+        names = [c.name for c in condition_columns(2, 1)]
+        assert names == ["_v1", "_d1", "_v2", "_d2"]
 
     def test_decode_roundtrip(self, registry):
         x = registry.fresh([0.5, 0.5])
         y = registry.fresh([0.5, 0.5])
         condition = Condition.of([(x, 1), (y, 0)])
-        encoded = encode_condition(condition, 3, registry)
-        decoded = decode_condition((0,) + encoded, 1, 3)
-        assert decoded == condition
+        encoded = encode_condition(condition, 3)
+        assert encoded[4:] == (TOP_VARIABLE, 0)
+        schema = Schema([Column("a", INTEGER)] + condition_columns(3))
+        relation = Relation(schema, [(0,) + encoded])
+        assert decode_condition_columns(relation, 1, 3) == [condition]
 
     def test_encode_overflow_rejected(self, registry):
         x = registry.fresh([0.5, 0.5])
         y = registry.fresh([0.5, 0.5])
         condition = Condition.of([(x, 1), (y, 0)])
         with pytest.raises(ConditionError):
-            encode_condition(condition, 1, registry)
+            encode_condition(condition, 1)
 
     def test_mismatched_rows_conditions(self, registry):
         schema = Schema.of(("a", INTEGER))
         with pytest.raises(SchemaError):
             URelation.from_conditions(schema, [(1,)], [], registry)
 
-    def test_from_wide_infers_arity(self, simple, registry):
-        urel, _ = simple
-        adopted = URelation.from_wide(urel.relation, 2, registry)
-        assert adopted.cond_arity == 1
-
-    def test_from_wide_bad_width(self, registry):
-        relation = Relation(Schema.of(("a", INTEGER), ("b", INTEGER)), [])
-        with pytest.raises(SchemaError):
-            URelation.from_wide(relation, 1, registry)
+    def test_width_must_match_arities(self, registry):
+        relation = Relation(Schema.of(("a", INTEGER), ("b", INTEGER), ("c", INTEGER)), [])
+        assert URelation(relation, 1, 1, registry).cond_arity == 1
+        for payload_arity in (0, 2):
+            with pytest.raises(SchemaError):
+                URelation(relation, payload_arity, 1, registry)
 
     def test_t_certain_wrap(self, registry):
         relation = Relation(Schema.of(("a", INTEGER)), [(1,)])
@@ -133,7 +131,7 @@ class TestMaintenance:
         urel, _ = simple
         padded = urel.pad_to(3)
         assert padded.cond_arity == 3
-        assert len(padded.relation.schema) == 2 + 9
+        assert len(padded.relation.schema) == 2 + 6
         # Conditions unchanged semantically.
         for (r1, c1), (r2, c2) in zip(
             urel.rows_with_conditions(), padded.rows_with_conditions()
@@ -153,98 +151,12 @@ class TestMaintenance:
         )
         assert len(urel.normalized()) == 1
 
-    def test_refresh_probabilities(self, simple, registry):
-        urel, x = simple
-        # Tamper with the cached probability column, then refresh.
-        rows = [list(r) for r in urel.relation.rows]
-        rows[0][4] = 0.999
-        tampered = URelation(
-            Relation(urel.relation.schema, [tuple(r) for r in rows]),
-            2, 1, registry,
-        )
-        fresh = tampered.refresh_probabilities()
-        assert fresh.relation.rows[0][4] == pytest.approx(0.4)
-
     def test_pretty_renders_conditions(self, simple):
         urel, _ = simple
         text = urel.pretty()
         assert "condition" in text and "↦" in text
-
-
-class TestVerticalDecomposition:
-    def test_decompose_shapes(self, simple):
-        urel, _ = simple
-        parts = vertical_decompose(urel)
-        assert set(parts) == {"name", "score"}
-        assert parts["name"].payload_schema.names == ["_tid", "name"]
-        assert len(parts["name"]) == 3
-
-    def test_recompose_roundtrip(self, simple):
-        urel, _ = simple
-        parts = vertical_decompose(urel)
-        back = vertical_recompose(parts, ["name", "score"])
-        original = sorted(
-            (row, cond) for row, cond in urel.rows_with_conditions()
-        )
-        recomposed = sorted(
-            (row, cond) for row, cond in back.rows_with_conditions()
-        )
-        assert original == recomposed
-
-    def test_recompose_reorders_columns(self, simple):
-        urel, _ = simple
-        parts = vertical_decompose(urel)
-        back = vertical_recompose(parts, ["score", "name"])
-        assert back.payload_schema.names == ["score", "name"]
-        assert sorted(back.payload_relation().rows) == [(1, "a"), (2, "b"), (3, "c")]
-
-    def test_attribute_level_uncertainty(self, registry):
-        """Different attributes of one tuple can vary independently --
-        the whole point of the vertical decomposition."""
-        x = registry.fresh([0.5, 0.5], name="x")
-        y = registry.fresh([0.5, 0.5], name="y")
-        tid_schema = Schema.of(("_tid", INTEGER), ("a", TEXT))
-        tid_schema2 = Schema.of(("_tid", INTEGER), ("b", INTEGER))
-        part_a = URelation.from_conditions(
-            tid_schema,
-            [(0, "low"), (0, "high")],
-            [Condition.atom(x, 0), Condition.atom(x, 1)],
-            registry,
-        )
-        part_b = URelation.from_conditions(
-            tid_schema2,
-            [(0, 10), (0, 20)],
-            [Condition.atom(y, 0), Condition.atom(y, 1)],
-            registry,
-        )
-        combined = vertical_recompose({"a": part_a, "b": part_b}, ["a", "b"])
-        assert combined.payload_schema.names == ["a", "b"]
-        # 2 alternatives x 2 alternatives = 4 possible combined tuples.
-        assert len(combined) == 4
-        # In the world x=0, y=1 the tuple is ("low", 20).
-        world = combined.in_world({x: 0, y: 1})
-        assert world.rows == [("low", 20)]
-
-    def test_recompose_drops_contradictions(self, registry):
-        x = registry.fresh([0.5, 0.5], name="x")
-        schema_a = Schema.of(("_tid", INTEGER), ("a", TEXT))
-        schema_b = Schema.of(("_tid", INTEGER), ("b", INTEGER))
-        # Both attributes depend on the same variable: only the agreeing
-        # combinations survive.
-        part_a = URelation.from_conditions(
-            schema_a,
-            [(0, "low"), (0, "high")],
-            [Condition.atom(x, 0), Condition.atom(x, 1)],
-            registry,
-        )
-        part_b = URelation.from_conditions(
-            schema_b,
-            [(0, 10), (0, 20)],
-            [Condition.atom(x, 0), Condition.atom(x, 1)],
-            registry,
-        )
-        combined = vertical_recompose({"a": part_a, "b": part_b}, ["a", "b"])
-        assert sorted(combined.payload_relation().rows) == [("high", 20), ("low", 10)]
+        assert "⊤" in text and "0.4" in text and "(3 rows)" in text
+        assert urel.pretty(max_rows=1).count("↦") == 1
 
 
 class TestConditionProbabilities:
@@ -257,7 +169,7 @@ class TestConditionProbabilities:
         for number, atoms in enumerate(atom_rows):
             row = [number]
             for var, value in atoms:
-                row += [var, value, 1.0]  # stored probabilities are not read
+                row += [var, value]
             rows.append(tuple(row))
         return URelation(Relation(schema, rows), 1, arity, registry)
 

@@ -10,7 +10,7 @@ from repro.engine.catalog import (
 )
 from repro.engine.schema import Schema
 from repro.engine.storage import Table
-from repro.engine.types import FLOAT, INTEGER, TEXT
+from repro.engine.types import INTEGER, TEXT
 from repro.errors import CatalogError, TableExistsError, TableNotFoundError
 
 
@@ -20,7 +20,7 @@ def catalog():
     c.create_table("plain", Schema.of(("a", INTEGER)))
     c.create_table(
         "probs",
-        Schema.of(("a", INTEGER), ("_v0", INTEGER), ("_d0", INTEGER), ("_p0", FLOAT)),
+        Schema.of(("a", INTEGER), ("_v0", INTEGER), ("_d0", INTEGER)),
         KIND_URELATION,
         {"payload_arity": 1, "cond_arity": 1},
     )
@@ -97,7 +97,8 @@ class TestIntrospection:
         rows = [r for r in catalog.sys_columns() if r[0] == "probs"]
         flags = {name: is_cond for _, _, name, _, is_cond in rows}
         assert flags["a"] is False
-        assert flags["_v0"] is True and flags["_p0"] is True
+        assert flags["_v0"] is True and flags["_d0"] is True
+        assert "_p0" not in flags
 
     def test_sys_columns_types(self, catalog):
         rows = [r for r in catalog.sys_columns() if r[0] == "plain"]

@@ -166,11 +166,11 @@ class TestKernels:
 
 class TestConsistencyKernel:
     def _wide_schema(self):
-        # payload, then two condition triples (v, d, p) x 2.
+        # payload, then two condition pairs (v, d) x 2.
         return Schema.of(
             ("x", INTEGER),
-            ("_v0", INTEGER), ("_d0", INTEGER), ("_p0", FLOAT),
-            ("_v1", INTEGER), ("_d1", INTEGER), ("_p1", FLOAT),
+            ("_v0", INTEGER), ("_d0", INTEGER),
+            ("_v1", INTEGER), ("_d1", INTEGER),
         )
 
     def _random_rows(self, count, rng):
@@ -179,8 +179,8 @@ class TestConsistencyKernel:
             rows.append(
                 (
                     rng.randrange(5),
-                    rng.randrange(4), rng.randrange(3), 0.5,
-                    rng.randrange(4), rng.randrange(3), 0.5,
+                    rng.randrange(4), rng.randrange(3),
+                    rng.randrange(4), rng.randrange(3),
                 )
             )
         return rows
@@ -190,7 +190,7 @@ class TestConsistencyKernel:
         """The vectorized kernel (NumPy path kicks in at count=200) agrees
         with the row closure on random condition columns."""
         schema = self._wide_schema()
-        predicate = ConsistencyPredicate([(1, 2, 4, 5)])
+        predicate = ConsistencyPredicate([(1, 2, 3, 4)])
         rows = self._random_rows(count, random.Random(42))
         assert _run_kernel(predicate, schema, rows) == _run_rowwise(
             predicate, schema, rows
@@ -198,7 +198,7 @@ class TestConsistencyKernel:
 
     def test_multi_pair(self):
         schema = self._wide_schema()
-        predicate = ConsistencyPredicate([(1, 2, 4, 5), (4, 5, 1, 2)])
+        predicate = ConsistencyPredicate([(1, 2, 3, 4), (3, 4, 1, 2)])
         rows = self._random_rows(64, random.Random(7))
         assert _run_kernel(predicate, schema, rows) == _run_rowwise(
             predicate, schema, rows
@@ -206,11 +206,11 @@ class TestConsistencyKernel:
 
     def test_semantics(self):
         schema = self._wide_schema()
-        predicate = ConsistencyPredicate([(1, 2, 4, 5)])
+        predicate = ConsistencyPredicate([(1, 2, 3, 4)])
         rows = [
-            (0, 3, 1, 0.5, 3, 1, 0.5),  # same variable, same value: keep
-            (0, 3, 1, 0.5, 3, 2, 0.5),  # same variable, different value: drop
-            (0, 3, 1, 0.5, 9, 2, 0.5),  # different variables: keep
+            (0, 3, 1, 3, 1),  # same variable, same value: keep
+            (0, 3, 1, 3, 2),  # same variable, different value: drop
+            (0, 3, 1, 9, 2),  # different variables: keep
         ]
         assert _run_kernel(predicate, schema, rows) == [True, False, True]
 

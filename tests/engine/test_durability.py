@@ -9,11 +9,11 @@ import struct
 
 import pytest
 
+from repro import MayBMS
 from repro.core.variables import VariableRegistry
 from repro.engine.catalog import KIND_URELATION, Catalog
 from repro.engine.durability import (
     DurabilityManager,
-    count_dml_units,
     decode_manifest,
     encode_frame,
     encode_manifest,
@@ -26,7 +26,7 @@ from repro.engine.schema import Schema
 from repro.engine.storage import Table
 from repro.engine.transactions import Transaction, WriteAheadLog
 from repro.engine.types import FLOAT, INTEGER, TEXT
-from repro.errors import RecoveryError, StorageError
+from repro.errors import MayBMSError, RecoveryError, StorageError
 
 
 class TestFrameFormat:
@@ -78,13 +78,6 @@ class TestFrameFormat:
             encode_frame(r) for r in [("begin",), ("insert", "t", 1, [1])]
         )
         assert scan_committed(data) == ([], 0)
-
-    def test_count_dml_units(self):
-        assert count_dml_units([
-            ("begin",), ("insert", "t", 1, [1]), ("commit",),
-            ("begin",), ("register_variable", 1, "x", [[0, 1.0]]), ("commit",),
-            ("begin",), ("commit",),
-        ]) == 1
 
 
 class TestTableState:
@@ -200,17 +193,23 @@ class TestDurabilityManager:
         assert recovered.table("t").insert((9,)) == 4
         again.close()
 
-    def test_commit_counter_counts_dml_units_only(self, tmp_path):
-        """Variable-registration units don't advance the auto-checkpoint
-        counter: one repair-key statement can log hundreds of them."""
-        manager = DurabilityManager(str(tmp_path / "db"))
+    def test_commit_counter_counts_commit_units(self, tmp_path):
+        path = str(tmp_path / "db")
+        manager = DurabilityManager(path)
         manager.append([
-            ("begin",), ("insert", "t", 1, [1]), ("commit",),
-            ("begin",), ("register_variable", 1, "x1", [[0, 0.5], [1, 0.5]]),
+            ("begin",),
+            ("create_table", "t", [["x", "INTEGER"]], "standard", {}),
             ("commit",),
-            ("begin",), ("delete_row", "t", 1), ("commit",),
+            ("begin",), ("insert", "t", 1, [1]), ("commit",),
         ])
-        assert manager.commits_since_checkpoint == 2
+        manager.append([("begin",), ("delete_row", "t", 1), ("commit",)])
+        assert manager.commits_since_checkpoint == 3
+        assert manager.commit_count == 3
+        manager.close()
+        again = DurabilityManager(path)
+        again.recover_into(Catalog(), VariableRegistry())
+        assert again.commits_since_checkpoint == 3
+        again.close()
 
     def test_recovery_truncates_bad_tail_bytes(self, tmp_path):
         path = str(tmp_path / "db")
@@ -419,11 +418,11 @@ class TestDurabilityManager:
         txn.register_variable(registry, var, "coin", {0: 0.5, 1: 0.5})
         txn.create_table(
             "u",
-            Schema.of(("a", INTEGER), ("_v0", INTEGER), ("_d0", INTEGER), ("_p0", FLOAT)),
+            Schema.of(("a", INTEGER), ("_v0", INTEGER), ("_d0", INTEGER)),
             kind=KIND_URELATION,
             properties={"payload_arity": 1, "cond_arity": 1},
         )
-        txn.insert("u", (1, var, 0, 0.5))
+        txn.insert("u", (1, var, 0))
         txn.commit()
         manager.close()
 
@@ -810,6 +809,135 @@ class TestFormat1Checkpoint:
             if name != "LOCK"
         }
         assert after == before
+
+
+def _file_bytes(path):
+    contents = {}
+    for name in os.listdir(path):
+        with open(os.path.join(path, name), "rb") as handle:
+            contents[name] = handle.read()
+    return contents
+
+
+def _store_triple_layout_urelation(txn):
+    """Create and fill ``u`` in the layout stores had before conditions
+    became (variable, value) pairs: a probability column per condition."""
+    txn.create_table(
+        "u",
+        Schema.of(("a", INTEGER), ("_v0", INTEGER), ("_d0", INTEGER), ("_p0", FLOAT)),
+        kind=KIND_URELATION,
+        properties={"payload_arity": 1, "cond_arity": 1},
+    )
+    txn.insert("u", (1, 1, 0, 0.5))
+    txn.commit()
+
+
+class TestTripleLayoutStore:
+    """A store holding a U-relation with a probability column per
+    condition is refused, not converted, and recovery touches no file."""
+
+    @staticmethod
+    def _assert_refused(path):
+        before = _file_bytes(path)
+        manager = DurabilityManager(path)
+        catalog = Catalog()
+        with pytest.raises(RecoveryError, match="'u'.*old U-relation layout"):
+            manager.recover_into(catalog, VariableRegistry())
+        manager.close()
+        assert _file_bytes(path) == before
+        for _ in range(2):  # the refused open releases the directory lock
+            with pytest.raises(RecoveryError, match="old U-relation layout"):
+                MayBMS(path=path)
+        assert _file_bytes(path) == before
+
+    def test_checkpointed_store_refused(self, tmp_path):
+        path = str(tmp_path / "db")
+        manager = DurabilityManager(path)
+        catalog, registry = Catalog(), VariableRegistry()
+        var = registry.scope().mint([{0: 0.5, 1: 0.5}], lambda _: "coin")
+        txn = Transaction(catalog, WriteAheadLog(sink=manager))
+        txn.register_variable(registry, var, "coin", {0: 0.5, 1: 0.5})
+        _store_triple_layout_urelation(txn)
+        manager.checkpoint(catalog, registry)
+        manager.close()
+        assert _manifests(path)
+        # Debris a recovery would sweep: an orphan segment and a temp file.
+        for name in ("seg-orphan.seg", "checkpoint.tmp"):
+            with open(os.path.join(path, name), "wb") as handle:
+                handle.write(b"debris")
+        self._assert_refused(path)
+
+    def test_wal_only_store_refused(self, tmp_path):
+        path = str(tmp_path / "db")
+        manager = DurabilityManager(path)
+        _store_triple_layout_urelation(
+            Transaction(Catalog(), WriteAheadLog(sink=manager))
+        )
+        wal_file = manager.wal_path
+        manager.close()
+        assert not _manifests(path)
+        # A torn tail a recovery would truncate.
+        with open(wal_file, "ab") as handle:
+            handle.write(b"\x01\x02 torn")
+        self._assert_refused(path)
+
+
+class TestInMemoryRecover:
+    def test_recovered_session_answers_conf_queries(self):
+        db = MayBMS()
+        db.begin()
+        db.transaction.create_table(
+            "r", Schema.of(("k", INTEGER), ("v", TEXT), ("w", FLOAT))
+        )
+        db.commit()
+        db.begin()
+        for row in [(1, "a", 1.0), (1, "b", 3.0), (2, "c", 2.0)]:
+            db.transaction.insert("r", row)
+        db.commit()
+
+        # Create the uncertain table through a WAL-logged transaction:
+        # materialize the repair into a stored U-relation.
+        urel = db.uncertain_query(
+            "select k, v from (repair key k in r weight by w) x"
+        )
+        db.begin()
+        db.transaction.create_table(
+            "maybe",
+            urel.relation.schema.unqualified(),
+            kind="urelation",
+            properties={
+                "payload_arity": urel.payload_arity,
+                "cond_arity": urel.cond_arity,
+            },
+        )
+        for row in urel.relation:
+            db.transaction.insert("maybe", row)
+        db.commit()
+
+        before = db.query("select k, v, conf() as p from maybe group by k, v")
+
+        recovered = db.recover()
+        after = recovered.query(
+            "select k, v, conf() as p from maybe group by k, v"
+        )
+        assert sorted(after.rows) == sorted(before.rows)
+
+    def test_log_without_variable_records_refuses_conf(self):
+        """Rows naming variables the log never registered: the registry is
+        the only place a probability lives, so conf() must fail, not
+        answer."""
+        db = MayBMS()
+        db.wal.append_committed([
+            ("create_table", "u",
+             [["a", "INTEGER"], ["_v0", "INTEGER"], ["_d0", "INTEGER"]],
+             KIND_URELATION, {"payload_arity": 1, "cond_arity": 1}),
+            ("insert", "u", 1, (1, 7, 0)),
+            ("insert", "u", 2, (2, 7, 1)),
+        ])
+        recovered = db.recover()
+        assert len(recovered.catalog.table("u")) == 2
+        with pytest.raises(MayBMSError):
+            recovered.query("select a, conf() as p from u group by a")
 
 
 class TestDurabilityCounters:

@@ -46,7 +46,7 @@ def _group_rows(registry, rng, groups=12, vars_per_group=5, clauses=6):
         for _ in range(clauses):
             atoms = [(v, 1) for v in rng.sample(vars_, 3)]
             rows.append(
-                (g,) + encode_condition(Condition.of(atoms), COND_ARITY, registry)
+                (g,) + encode_condition(Condition.of(atoms), COND_ARITY)
             )
     return rows
 
@@ -64,7 +64,7 @@ def _component_rows(registry, rng, groups=2, islands=4):
                 atoms = [(v, 1) for v in rng.sample(vars_, 2)]
                 rows.append(
                     (g,)
-                    + encode_condition(Condition.of(atoms), COND_ARITY, registry)
+                    + encode_condition(Condition.of(atoms), COND_ARITY)
                 )
     return rows
 
@@ -155,7 +155,7 @@ class TestArrayPassThenPool:
             for _ in range(4):
                 atoms = [(root, 1), (registry.fresh_boolean(rng.uniform(0.2, 0.8)), 1)]
                 rows.append(
-                    (g,) + encode_condition(Condition.of(atoms), COND_ARITY, registry)
+                    (g,) + encode_condition(Condition.of(atoms), COND_ARITY)
                 )
         rng.shuffle(rows)
         return _plain(rows, registry)

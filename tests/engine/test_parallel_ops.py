@@ -55,7 +55,7 @@ def _mc_workload(registry, rng, groups=8, vars_per_group=6, clauses=8):
         for _ in range(clauses):
             atoms = [(v, 1) for v in rng.sample(vars_, 3)]
             rows.append(
-                (g,) + encode_condition(Condition.of(atoms), COND_ARITY, registry)
+                (g,) + encode_condition(Condition.of(atoms), COND_ARITY)
             )
     return URelation(Relation(COND_SCHEMA, rows), 1, COND_ARITY, registry)
 

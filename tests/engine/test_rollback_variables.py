@@ -17,6 +17,10 @@ from repro.db import MayBMS
 from repro.errors import TableExistsError, VariableError
 
 
+def _registrations(db):
+    return [r for r in db.wal.records() if r[0] == "register_variable"]
+
+
 @pytest.fixture
 def db():
     db = MayBMS(seed=1)
@@ -63,7 +67,7 @@ class TestRollbackUnregisters:
         db.rollback()
         assert "u" not in [name.lower() for name in db.tables()]
         assert len(db.registry) == 0, "rolled-back variables must unregister"
-        assert not db.wal.has_variable_records()
+        assert not _registrations(db)
 
     def test_rollback_of_pick_tuples(self, db):
         db.begin()
@@ -71,7 +75,7 @@ class TestRollbackUnregisters:
         assert len(db.registry) > 0
         db.rollback()
         assert len(db.registry) == 0
-        assert not db.wal.has_variable_records()
+        assert not _registrations(db)
 
     def test_commit_keeps_variables(self, db):
         db.begin()
@@ -109,7 +113,7 @@ class TestRollbackUnregisters:
         # are untouched.
         result = db.uncertain_query("select * from repair key k in t weight by p r")
         assert len(db.registry) == 0
-        assert not db.wal.has_variable_records()
+        assert not _registrations(db)
         assert len(result.relation) == 4
         assert result.registry.durable is db.registry
         assert [result.registry.name(v) for v in (1, 2)] == ["rk1[1]", "rk1[2]"]

@@ -124,11 +124,11 @@ class TestWriteAheadLog:
         txn = Transaction(catalog, wal)
         txn.create_table(
             "uu",
-            Schema.of(("a", INTEGER), ("_v0", INTEGER), ("_d0", INTEGER), ("_p0", FLOAT)),
+            Schema.of(("a", INTEGER), ("_v0", INTEGER), ("_d0", INTEGER)),
             kind=KIND_URELATION,
             properties={"payload_arity": 1, "cond_arity": 1},
         )
-        txn.insert("uu", (1, 1, 0, 0.5))
+        txn.insert("uu", (1, 1, 0))
         txn.commit()
         recovered = wal.replay()
         entry = recovered.entry("uu")

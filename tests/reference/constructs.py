@@ -103,10 +103,10 @@ def repair_key(
     append = out.append
     for survivors, distribution in plan:
         if distribution is None:
-            append(rows[survivors[0]] + (TOP_VARIABLE, 0, 1.0))
+            append(rows[survivors[0]] + (TOP_VARIABLE, 0))
             continue
         for alternative, index in enumerate(survivors):
-            append(rows[index] + (var, alternative, distribution[alternative]))
+            append(rows[index] + (var, alternative))
         var += 1
 
     cond_arity = 1 if out else 0
@@ -193,7 +193,7 @@ def pick_tuples(
         [{0: 1.0 - p, 1: p} for p in kept], label if name_hint else None
     )
     out = [
-        row + (start + ordinal, 1, kept[ordinal])
+        row + (start + ordinal, 1)
         for row, ordinal in zip(rows, ordinals)
     ]
 

@@ -255,7 +255,7 @@ def test_raw_transaction_inserts_promote_live_scopes_and_refuse_dead_ones():
         db.transaction.insert_many("maybe", orphans)
     db.rollback()
     with pytest.raises(VariableError, match="unknown variable id"):
-        db.execute("insert into maybe values (0, 1, 0.5, 99999, 0, 1.0)")
+        db.execute("insert into maybe values (0, 1, 0.5, 99999, 0)")
     assert set(db.registry.variables()) == named
     assert len(db.urelation("maybe").relation) == len(rows)
 

@@ -46,7 +46,7 @@ class TestTableManagement:
         db.execute("create table u as select * from (pick tuples from t) s")
         rows = [r for r in db.sys_columns() if r[0] == "u"]
         condition_flags = [r[4] for r in rows]
-        assert condition_flags[-3:] == [True, True, True]
+        assert condition_flags[-3:] == [False, True, True]  # payload, then (_v0, _d0)
 
 
 class TestQueryInterfaces:
