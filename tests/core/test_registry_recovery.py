@@ -1,77 +1,69 @@
-"""Tests for registry reconstruction from inline probability columns, and
-end-to-end crash recovery through the WAL."""
+"""Tests for restoring the variable registry from the write-ahead log's
+``register_variable`` records, the only place a stored probability lives,
+and for end-to-end crash recovery through the WAL."""
 
 import pytest
 
 from repro import MayBMS
-from repro.core.conditions import Condition
-from repro.core.repair_key import repair_key
-from repro.core.urelation import URelation, rebuild_registry
-from repro.core.variables import VariableRegistry
-from repro.engine.relation import Relation
 from repro.engine.schema import Schema
 from repro.engine.types import FLOAT, INTEGER, TEXT
-from repro.errors import ConditionError
 
 
-class TestRebuildRegistry:
-    def test_roundtrip_from_repair_key(self):
-        schema = Schema.of(("k", INTEGER), ("w", FLOAT))
-        relation = Relation(schema, [(1, 1.0), (1, 3.0), (2, 1.0), (2, 1.0)])
-        original = VariableRegistry()
-        urel = repair_key(relation, ["k"], original, weight_by="w")
+@pytest.fixture
+def db():
+    session = MayBMS()
+    session.execute("create table r (k integer, v text, w float)")
+    session.execute(
+        "insert into r values (1, 'a', 1.0), (1, 'b', 3.0), (2, 'c', 2.0)"
+    )
+    return session
 
-        rebuilt = rebuild_registry([urel])
-        for var in original.variables():
-            assert rebuilt.distribution(var) == pytest.approx(
-                original.distribution(var)
+
+class TestRegistryFromLog:
+    def test_roundtrip_from_repair_key(self, db):
+        db.execute(
+            "create table maybe as select * from (repair key k in r weight by w) x"
+        )
+        variables = sorted(db.registry.variables())
+        assert variables
+        recovered = db.recover()
+        assert sorted(recovered.registry.variables()) == variables
+        for var in variables:
+            assert recovered.registry.distribution(var) == pytest.approx(
+                db.registry.distribution(var)
             )
 
-    def test_unreferenced_mass_goes_to_sink(self):
-        """A variable whose value 0 never appears in any stored tuple gets
-        the missing probability mass on a sink value."""
-        registry = VariableRegistry()
-        var = registry.fresh([0.25, 0.75])
-        schema = Schema.of(("a", INTEGER),)
-        # Only the value-1 alternative is referenced by a tuple.
-        urel = URelation.from_conditions(
-            schema, [(1,)], [Condition.atom(var, 1)], registry
+    def test_multiple_urelations_merge(self, db):
+        db.execute(
+            "create table chosen as select * from (repair key k in r weight by w) x"
         )
-        rebuilt = rebuild_registry([urel])
-        assert rebuilt.probability(var, 1) == pytest.approx(0.75)
-        # Mass 0.25 lives on some other value; total is 1.
-        assert sum(rebuilt.distribution(var).values()) == pytest.approx(1.0)
-        assert rebuilt.probability(var, 1 + 1) == pytest.approx(0.25)
+        db.execute(
+            "create table picked as select * from "
+            "(pick tuples from r independently with probability 0.5) y"
+        )
+        query = (
+            "select c.v, conf() as p from chosen c, picked p "
+            "where c.k = p.k group by c.v"
+        )
+        before = db.query(query)
+        recovered = db.recover()
+        assert sorted(recovered.registry.variables()) == sorted(
+            db.registry.variables()
+        )
+        assert sorted(recovered.query(query).rows) == pytest.approx(sorted(before.rows))
 
-    def test_inconsistent_probabilities_rejected(self):
-        registry = VariableRegistry()
-        var = registry.fresh([0.5, 0.5])
-        schema = Schema.of(("a", INTEGER),)
-        urel = URelation.from_conditions(
-            schema, [(1,), (2,)],
-            [Condition.atom(var, 0), Condition.atom(var, 0)], registry,
+    def test_rolled_back_variables_stay_out(self, db):
+        db.execute(
+            "create table chosen as select * from (repair key k in r weight by w) x"
         )
-        # Tamper with one cached probability.
-        rows = [list(r) for r in urel.relation.rows]
-        rows[1][3] = 0.9
-        tampered = URelation(
-            Relation(urel.relation.schema, [tuple(r) for r in rows]),
-            1, 1, registry,
+        kept = sorted(db.registry.variables())
+        db.begin()
+        db.execute(
+            "create table picked as select * from (pick tuples from r) y"
         )
-        with pytest.raises(ConditionError):
-            rebuild_registry([tampered])
-
-    def test_multiple_urelations_merge(self):
-        registry = VariableRegistry()
-        schema = Schema.of(("k", INTEGER), ("w", FLOAT))
-        u1 = repair_key(
-            Relation(schema, [(1, 1.0), (1, 1.0)]), ["k"], registry, weight_by="w"
-        )
-        u2 = repair_key(
-            Relation(schema, [(2, 1.0), (2, 3.0)]), ["k"], registry, weight_by="w"
-        )
-        rebuilt = rebuild_registry([u1, u2])
-        assert len(list(rebuilt.variables())) == 2
+        db.rollback()
+        recovered = db.recover()
+        assert sorted(recovered.registry.variables()) == kept
 
 
 class TestEndToEndRecovery:
@@ -112,8 +104,4 @@ class TestEndToEndRecovery:
         after = recovered.query(
             "select k, v, conf() as p from maybe group by k, v"
         )
-        before_map = {row[:2]: row[2] for row in before}
-        after_map = {row[:2]: row[2] for row in after}
-        assert set(before_map) == set(after_map)
-        for key in before_map:
-            assert after_map[key] == pytest.approx(before_map[key])
+        assert sorted(after.rows) == sorted(before.rows)

@@ -55,6 +55,13 @@ class TestEncoding:
             (x, 0), (x, 1), (TOP_VARIABLE, 0)
         ]
 
+    def test_true_condition_padded_with_top(self, simple):
+        urel, _ = simple
+        row = urel.relation.rows[2]
+        assert row == ("c", 3, TOP_VARIABLE, 0)
+        padded = urel.pad_to(3).relation.rows[2]
+        assert padded[2:] == (TOP_VARIABLE, 0) * 3
+
     def test_atom_positions(self):
         assert atom_positions(2, 3) == [(2, 3), (4, 5), (6, 7)]
         names = [c.name for c in condition_columns(2, 1)]
@@ -158,6 +165,18 @@ class TestMaintenance:
         assert "⊤" in text and "0.4" in text and "(3 rows)" in text
         assert urel.pretty(max_rows=1).count("↦") == 1
 
+    def test_pretty_marks_contradictions_and_t_certain_rows(self, simple, registry):
+        urel, x = simple
+        schema = Schema(tuple(urel.relation.schema) + tuple(condition_columns(1, 1)))
+        rows = [("a", 1, x, 0, x, 1), ("b", 2, x, 1, TOP_VARIABLE, 0)]
+        wide = URelation(Relation(schema, rows), 2, 2, registry)
+        contradiction, alive = wide.pretty().splitlines()[2:4]
+        assert contradiction.split(" | ")[-2].strip() == "⊥"
+        assert contradiction.split(" | ")[-1].strip() == "0"
+        assert alive.split(" | ")[-1].strip() == "0.6"
+        certain = URelation.t_certain(urel.payload_relation(), registry)
+        for line in certain.pretty().splitlines()[2:5]:
+            assert [c.strip() for c in line.split(" | ")[-2:]] == ["⊤", "1"]
 
 class TestConditionProbabilities:
     """The array product and the row loop are the same arithmetic."""

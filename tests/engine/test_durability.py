@@ -883,45 +883,6 @@ class TestTripleLayoutStore:
 
 
 class TestInMemoryRecover:
-    def test_recovered_session_answers_conf_queries(self):
-        db = MayBMS()
-        db.begin()
-        db.transaction.create_table(
-            "r", Schema.of(("k", INTEGER), ("v", TEXT), ("w", FLOAT))
-        )
-        db.commit()
-        db.begin()
-        for row in [(1, "a", 1.0), (1, "b", 3.0), (2, "c", 2.0)]:
-            db.transaction.insert("r", row)
-        db.commit()
-
-        # Create the uncertain table through a WAL-logged transaction:
-        # materialize the repair into a stored U-relation.
-        urel = db.uncertain_query(
-            "select k, v from (repair key k in r weight by w) x"
-        )
-        db.begin()
-        db.transaction.create_table(
-            "maybe",
-            urel.relation.schema.unqualified(),
-            kind="urelation",
-            properties={
-                "payload_arity": urel.payload_arity,
-                "cond_arity": urel.cond_arity,
-            },
-        )
-        for row in urel.relation:
-            db.transaction.insert("maybe", row)
-        db.commit()
-
-        before = db.query("select k, v, conf() as p from maybe group by k, v")
-
-        recovered = db.recover()
-        after = recovered.query(
-            "select k, v, conf() as p from maybe group by k, v"
-        )
-        assert sorted(after.rows) == sorted(before.rows)
-
     def test_log_without_variable_records_refuses_conf(self):
         """Rows naming variables the log never registered: the registry is
         the only place a probability lives, so conf() must fail, not

@@ -351,6 +351,45 @@ class TestUncertainQueries:
         assert result.single_value() == pytest.approx(4.0)
 
 
+class TestConditionLayout:
+    """Every operator that builds condition columns writes (variable,
+    value) pairs only; the probabilities stay in the registry."""
+
+    REPAIR = "(repair key name in items weight by qty)"
+    PICK = "(pick tuples from items with probability 0.5)"
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            f"select * from {REPAIR} r",
+            f"select * from {PICK} s",
+            f"select name from {REPAIR} r",
+            f"select r.name, s.qty from {REPAIR} r, {PICK} s where r.name = s.name",
+            f"select r.name from {REPAIR} r, {PICK} s where r.name = s.name "
+            f"union all select name from {PICK} t",
+        ],
+        ids=["repair_key", "pick_tuples", "project", "join", "union_pad"],
+    )
+    def test_result_conditions_are_pairs(self, db, sql):
+        urel = db.uncertain_query(sql)
+        assert urel.cond_arity >= 1
+        names = urel.relation.schema.names[urel.payload_arity:]
+        assert names == [
+            f"{prefix}{i}" for i in range(urel.cond_arity) for prefix in ("_v", "_d")
+        ]
+        for condition in urel.conditions():
+            for var, value in condition.atoms:
+                assert 0.0 < urel.registry.probability(var, value) <= 1.0
+
+    def test_stored_table_and_its_log_records_hold_pairs(self, db):
+        db.execute(f"create table half as select * from {self.PICK} s")
+        table = db.catalog.table("half")
+        assert table.schema.names == ["name", "qty", "price", "_v0", "_d0"]
+        inserts = [r for r in db.wal.records() if r[:2] == ("insert", "half")]
+        assert len(inserts) == 4
+        assert all(len(record[3]) == 5 for record in inserts)
+
+
 class TestTransactionsThroughSql:
     def test_begin_rollback(self, db):
         db.execute("begin")
