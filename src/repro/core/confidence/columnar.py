@@ -60,14 +60,9 @@ class AtomTable(NamedTuple):
     atom_values: Any
 
     def probabilities(self, registry: VariableRegistry):
-        """Per distinct atom, its marginal: one registry look-up each.
-        Atoms on the top variable are padding and always true."""
-        out = np.array(
-            registry.probabilities(
-                self.atom_variables.tolist(), self.atom_values.tolist()
-            ),
-            dtype=np.float64,
-        )
+        """Per distinct atom, its marginal: one registry gather.  Atoms on
+        the top variable are padding and always true."""
+        out = registry.probabilities(self.atom_variables, self.atom_values)
         out[self.atom_variables == TOP_VARIABLE] = 1.0
         return out
 

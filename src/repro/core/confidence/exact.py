@@ -53,21 +53,23 @@ elimination, so a hierarchical lineage never exceeds it.
 **Input.**  :meth:`ExactConfidenceEngine.probability` takes a
 :class:`~repro.core.lineage.Lineage` or simplified canonical clauses.
 The dispatcher splits a group with :func:`components` and makes one call
-per component, so each gets its own budget.  Distributions are read in
-place (:meth:`~repro.core.variables.VariableRegistry.distributions`).
+per component, so each gets its own budget.  Each variable's distribution
+is read once per engine
+(:meth:`~repro.core.variables.VariableRegistry.distributions`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.lineage import Clause, Lineage
 from repro.core.variables import VariableRegistry
 from repro.errors import CostBudgetExceededError, UnsafeLineageError
 
 Subproblem = Tuple[Clause, ...]
-Distributions = Dict[int, Mapping[int, float]]
+#: Per variable, its chances indexed by domain value.
+Distributions = Dict[int, Sequence[float]]
 
 #: How a call was evaluated, indexed by rank (a node's rank is the highest
 #: of its own step and its children's): closed at the top, root
@@ -90,7 +92,8 @@ class ExactStatistics:
 def _product(clause: Clause, distributions: Distributions) -> float:
     p = 1.0
     for var, value in clause:
-        p *= distributions[var].get(value, 0.0)
+        chances = distributions[var]
+        p *= chances[value] if 0 <= value < len(chances) else 0.0
     return p
 
 
@@ -261,7 +264,7 @@ class ExactConfidenceEngine:
                 kept.append(clause)
         probability = 0.0
         rank = _ROOTS if on_root else _ANY
-        for value, p_value in distributions[variable].items():
+        for value, p_value in enumerate(distributions[variable]):
             if p_value == 0.0:
                 continue
             bucket = rests.get(value)

@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.lineage import Lineage
-from repro.core.variables import VariableRegistry
+from repro.core.variables import VariableRegistry, cumulative
 from repro.errors import ConfidenceError
 
 #: Below this sample count the NumPy batch setup outweighs the win.
@@ -60,12 +61,16 @@ class KarpLubyEstimator:
         registry: VariableRegistry,
         rng: Optional[random.Random] = None,
     ):
-        self.registry = registry
         self.rng = rng if rng is not None else random.Random(0)
         self.lineage = lineage.simplified()
         self.clause_probabilities = self.lineage.clause_probabilities()
         self.total_weight = sum(self.clause_probabilities)  # U = Σ pᵢ
         self.variables = sorted(self.lineage.variables())
+        #: Per variable, its running chance sums (see ``cumulative``): what
+        #: both samplers draw against, read from the registry once.
+        self._draws = [
+            cumulative(chances) for chances in registry.distributions(self.variables)
+        ]
         self._cumulative = list(itertools.accumulate(self.clause_probabilities))
         self.samples_drawn = 0
 
@@ -101,11 +106,12 @@ class KarpLubyEstimator:
         clause = self.lineage.clauses[index]
         fixed = {var: value for var, value in clause}
         world: Dict[int, int] = {}
-        for var in self.variables:
+        draw = self.rng.random
+        for var, sums in zip(self.variables, self._draws):
             if var in fixed:
                 world[var] = fixed[var]
             else:
-                world[var] = self.registry.sample_value(var, self.rng)
+                world[var] = bisect_right(sums, draw())
         first = self.lineage.first_satisfied_clause(world)
         # ``clause`` is satisfied by construction, so first is not None and
         # first <= index.
@@ -159,12 +165,8 @@ class KarpLubyEstimator:
 
         # Sample every variable's column from its marginal distribution.
         worlds = np.empty((samples, len(variables)), dtype=np.int64)
-        for j, var in enumerate(variables):
-            distribution = self.registry.distribution(var)
-            values = np.fromiter(distribution.keys(), dtype=np.int64)
-            cumulative = np.cumsum(np.fromiter(distribution.values(), dtype=np.float64))
-            draws = np.searchsorted(cumulative, rng.random(samples), side="right")
-            worlds[:, j] = values[np.minimum(draws, len(values) - 1)]
+        for j, sums in enumerate(self._draws):
+            worlds[:, j] = np.searchsorted(sums, rng.random(samples), side="right")
 
         # Choose a clause per sample with probability pᵢ/U and force its
         # atoms into those samples' worlds.

@@ -86,7 +86,9 @@ def pick_tuples(
 
     kept = chances[firsts]
     start = registry.mint(
-        [{0: 1.0 - p, 1: p} for p in kept.tolist()], label if name_hint else None
+        np.full(len(kept), 2),
+        np.column_stack((1.0 - kept, kept)).ravel(),
+        label if name_hint else None,
     )
     cond_arity = 1 if n else 0
     condition = ((codes + start).tolist(), [1] * n)

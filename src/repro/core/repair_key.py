@@ -119,15 +119,14 @@ def repair_key(
     chosen = survivors[group] > 1  # rows of groups that need a variable
     chance = np.where(chosen, weights[order] / totals[group], 1.0)
     keyed = survivors > 1
-    chances = chance[chosen].tolist()
-    ends = np.cumsum(survivors[keyed]).tolist()
-    distributions = [dict(enumerate(chances[a:b])) for a, b in zip([0] + ends, ends)]
     named = firsts[keyed].tolist()
 
     def label(i: int) -> str:
         return f"{name_hint}[{','.join(map(str, key(named[i])))}]"
 
-    start = registry.mint(distributions, None if name_hint is None else label)
+    start = registry.mint(
+        survivors[keyed], chance[chosen], None if name_hint is None else label
+    )
     alternative = np.arange(len(order)) - (np.cumsum(survivors) - survivors)[group]
     condition = (
         np.where(chosen, (np.cumsum(keyed) - 1 + start)[group], TOP_VARIABLE).tolist(),

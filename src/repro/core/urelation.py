@@ -292,9 +292,9 @@ class URelation:
         from the condition columns.
 
         Atom marginals are multiplied without materializing Condition
-        objects at all -- a column at a time (one bulk registry look-up
-        per condition column, :meth:`VariableRegistry.probabilities`)
-        when the variable columns have int64 mirrors, row by row
+        objects at all -- a column at a time (after one registry gather
+        over all condition columns, :meth:`VariableRegistry.probabilities`)
+        when the condition columns have int64 mirrors, row by row
         otherwise; both compute ``1.0 * p1 * ... * pk`` in column order,
         so they agree to the last bit.  Rows with a repeated variable
         (possible only before a consistency filter runs) fall back to the
@@ -305,9 +305,9 @@ class URelation:
             return [1.0] * n
         columns = self.relation.columns()
         atoms = atom_positions(self.payload_arity, self.cond_arity)
-        variables = self._condition_mirrors(0)
-        if variables is not None:
-            return self._array_condition_probabilities(columns, atoms, variables)
+        arrays = self.condition_arrays()
+        if arrays is not None:
+            return self._array_condition_probabilities(columns, atoms, *arrays)
         probability = self.registry.probability
         out: List[float] = []
         if self.cond_arity == 1:
@@ -345,17 +345,16 @@ class URelation:
         self,
         columns: Sequence[Sequence[Any]],
         atoms: Sequence[Tuple[int, int]],
-        variables: Sequence[np.ndarray],
+        variables: np.ndarray,
+        values: np.ndarray,
     ) -> List[float]:
+        marginals = self.registry.probabilities(variables, values)
+        marginals[variables == TOP_VARIABLE] = 1.0  # whatever the value
         product = np.ones(len(variables[0]))
         repeated = np.zeros(len(product), dtype=bool)
-        for i, (var_at, value_at) in enumerate(atoms):
-            marginals = np.array(
-                self.registry.probabilities(columns[var_at], columns[value_at])
-            )
+        for i in range(len(atoms)):
+            product *= marginals[i]
             padding = variables[i] == TOP_VARIABLE
-            marginals[padding] = 1.0  # whatever the value
-            product *= marginals
             for j in range(i):
                 repeated |= (variables[i] == variables[j]) & ~padding
         out = product.tolist()

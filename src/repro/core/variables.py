@@ -12,20 +12,34 @@ candidate tuple) and ``pick tuples`` (Boolean, one per tuple or duplicate
 group) into the running statement's scope, and become durable only when
 stored rows name them.  Variable id ``0`` is reserved for the always-true
 atom used to pad condition columns in the wide relational encoding.
+
+The table is three arrays indexed by variable id: ``start`` (an int64
+offset into ``chances``, -1 where the id is not registered), ``width``
+(the domain size k) and the flat float64 ``chances``.  Every domain is
+``0..k-1``, and P(var = d) is ``chances[start[var] + d]``; a value outside
+the domain has probability 0.  A bulk marginal look-up is therefore one
+NumPy gather, and a Boolean variable costs 32 bytes (two int64 and two
+float64 slots), at most twice that with the slack of capacity doubling.
+Growing *replaces* the arrays (a reader holding the old ones keeps a
+consistent view), a slot's chances are written before its ``start``, and
+the chances of an unregistered id are never overwritten, so readers take
+no lock.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 import threading
 import weakref
-from collections import ChainMap
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Mapping, MutableMapping,
-    Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
+    Sequence, Tuple, Union,
 )
+
+import numpy as np
 
 from repro.errors import InvalidDistributionError, VariableError
 
@@ -36,15 +50,18 @@ TOP_VARIABLE = 0
 _SUM_TOLERANCE = 1e-9
 
 Assignment = Mapping[int, int]
+#: ``(first id, start, width, chances)``: see the module docstring.
+_Table = Tuple[int, np.ndarray, np.ndarray, np.ndarray]
+_EMPTY: _Table = (0, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
 
 
 class VariableRegistry:
     """Registry of independent finite random variables.
 
-    Distributions map integer domain values to probabilities in [0, 1]
-    summing to 1.  Zero-probability alternatives are allowed (they arise
-    from zero weights and zero pick probabilities) and simply never occur
-    in any world with positive probability.
+    Distributions map the domain values ``0..k-1`` to probabilities in
+    [0, 1] summing to 1.  Zero-probability alternatives are allowed (they
+    arise from zero weights and zero pick probabilities) and simply never
+    occur in any world with positive probability.
 
     A registry is either *durable* -- the store's world table, the one
     stored U-relations are bound to -- or a *statement scope* over one
@@ -64,22 +81,22 @@ class VariableRegistry:
         #: The registry stored rows are bound to: ``self``, or the one a
         #: scope falls through to.
         self.durable: VariableRegistry = self if durable is None else durable
-        #: The variables registered here (a scope: the ones it minted).
-        self._own: Dict[int, Dict[int, float]] = {}
+        #: The variables registered here (a scope: the ones it minted), as
+        #: arrays from the first id on; replaced whole when it grows.
+        self._table: _Table = _EMPTY
+        #: How many slots of the table's ``chances`` are taken.
+        self._filled = 0
         self._names: Dict[int, str] = {}
         #: Lazily named id blocks ``(start, stop, namer)``, in id order:
         #: ``namer(i)`` names the block's ``i``-th variable when asked.
         self._blocks: List[Tuple[int, int, Callable[[int], str]]] = []
         self._block_starts: List[int] = []
-        self._distributions: MutableMapping[int, Dict[int, float]]
         if durable is not None:
-            self._distributions = ChainMap(self._own, durable._own)
             with durable._mutex:
                 durable._scopes.add(self)
             return
-        self._own[TOP_VARIABLE] = {0: 1.0}
+        self._write(np.array([TOP_VARIABLE]), np.array([1]), np.array([1.0]))
         self._names[TOP_VARIABLE] = "top"
-        self._distributions = self._own
         self._next_id = 1
         #: Mutation counter (any change) and the counter value of the most
         #: recent change that touched an id below ``_sealed``, the frontier
@@ -91,7 +108,7 @@ class VariableRegistry:
         self._version = 0
         self._nonappend_version = 0
         self._sealed = 0
-        #: Guards id allocation and the distribution maps: concurrent
+        #: Guards id allocation and every write to the tables: concurrent
         #: statements reserve ids and promote variables while a checkpoint
         #: thread serializes the whole registry.
         self._mutex = threading.RLock()
@@ -107,25 +124,94 @@ class VariableRegistry:
         """A fresh statement scope over this registry's durable one."""
         return VariableRegistry(self.durable)
 
+    # -- the arrays (writers hold the durable mutex) ---------------------------
+    def _room(self, first: int, span: int, fill: int) -> _Table:
+        """The table, replaced by a copy with room for the ids
+        ``first..first+span-1`` and ``fill`` chances if it lacks it."""
+        table = self._table
+        _, start, width, chances = table
+        if span > len(start) or fill > len(chances):
+            grown = np.full(max(span, 2 * len(start)), -1, np.int64)
+            grown[: len(start)] = start
+            widths = np.zeros(len(grown), np.int64)
+            widths[: len(width)] = width
+            flat = np.zeros(max(fill, 2 * len(chances)))
+            flat[: self._filled] = chances[: self._filled]
+            table = self._table = (first, grown, widths, flat)
+        return table
+
+    def _write(self, ids: np.ndarray, widths: np.ndarray, chances: np.ndarray) -> None:
+        """Register ``ids`` with the given domain sizes and their chances
+        laid end to end (the starts are written last)."""
+        first = self._table[0] if len(self._table[1]) else int(ids.min())
+        local = ids - first
+        filled = self._filled
+        _, start, width, flat = self._room(
+            first, int(local.max()) + 1, filled + len(chances)
+        )
+        flat[filled : filled + len(chances)] = chances
+        width[local] = widths
+        start[local] = filled + np.cumsum(widths) - widths
+        self._filled = filled + len(chances)
+
+    def _put(self, var: int, chances: Sequence[float]) -> None:
+        """:meth:`_write` of one durable variable, without array set-up."""
+        filled = self._filled
+        _, start, width, flat = self._room(0, var + 1, filled + len(chances))
+        flat[filled : filled + len(chances)] = chances
+        width[var] = len(chances)
+        start[var] = filled
+        self._filled = filled + len(chances)
+
+    def _slot(self, var: int) -> int:
+        """Where ``var``'s chances start in this registry's own table, or
+        -1 when it is not registered here."""
+        first, start, _, _ = self._table
+        i = var - first
+        return start.item(i) if 0 <= i < len(start) else -1
+
+    def _find(self, var: int) -> Tuple[np.ndarray, int, int]:
+        """``(chances, start, width)`` of ``var``, here or in the durable
+        registry."""
+        for registry in (self, self.durable):
+            first, start, width, chances = registry._table
+            i = int(var) - first
+            if 0 <= i < len(start) and start.item(i) >= 0:
+                return chances, start.item(i), width.item(i)
+        raise VariableError(f"unknown variable id {var}")
+
+    def _ids(self) -> np.ndarray:
+        """Every id registered here or in the durable registry (top
+        included), ascending."""
+        tables = (self._table, self.durable._table)
+        return np.union1d(*(np.flatnonzero(t[1] >= 0) + t[0] for t in tables))
+
     # -- creation -------------------------------------------------------------
     def mint(
         self,
-        distributions: Sequence[Dict[int, float]],
+        widths: Union[Sequence[int], np.ndarray],
+        chances: Union[Sequence[float], np.ndarray],
         namer: Optional[Callable[[int], str]] = None,
     ) -> int:
-        """Register one variable per (already validated) distribution
-        under one contiguous block of fresh ids, reserved from the durable
-        frontier under one lock acquisition; returns the block's first id.
-        ``namer(i)`` names the ``i``-th variable when someone asks
-        (:meth:`name`); without it the name is ``x<id>``."""
+        """Register one (already validated) variable per domain size in
+        ``widths``, their ``chances`` laid end to end, under one contiguous
+        block of fresh ids, reserved from the durable frontier under one
+        lock acquisition; returns the block's first id.  ``namer(i)``
+        names the ``i``-th variable when someone asks (:meth:`name`);
+        without it the name is ``x<id>``."""
         durable = self.durable
-        count = len(distributions)
+        count = len(widths)
         with durable._mutex:
             start = durable._next_id
             durable._next_id = start + count
-            self._own.update(zip(range(start, start + count), distributions))
-            if durable is self and count:
-                self._version += 1  # pure append: snapshotted ids untouched
+            if count:
+                self._write(
+                    np.arange(start, start + count),
+                    np.asarray(widths, dtype=np.int64),
+                    np.asarray(chances, dtype=np.float64),
+                )
+                if durable is self:
+                    self._version += 1  # pure append: snapshotted ids untouched
         if namer is not None and count:
             self._blocks.append((start, start + count, namer))
             self._block_starts.append(start)
@@ -139,14 +225,15 @@ class VariableRegistry:
         """Create a new independent variable and return its id.
 
         ``distribution`` is either a sequence of probabilities (domain is
-        ``0..len-1``) or a mapping from domain values to probabilities.
+        ``0..len-1``) or a mapping from the domain values ``0..k-1`` to
+        probabilities.
         """
-        if isinstance(distribution, Mapping):
-            dist = {int(v): float(p) for v, p in distribution.items()}
-        else:
-            dist = {i: float(p) for i, p in enumerate(distribution)}
-        _validate_distribution(dist)
-        var = self.mint([dist])
+        chances = _dense(
+            distribution.items()
+            if isinstance(distribution, Mapping)
+            else enumerate(distribution)
+        )
+        var = self.mint([len(chances)], chances)
         if name is not None:
             with self.durable._mutex:
                 self._names[var] = name
@@ -162,12 +249,12 @@ class VariableRegistry:
         if var == TOP_VARIABLE:
             raise VariableError("variable id 0 (the top atom) cannot be unregistered")
         with self._mutex:
-            if var not in self._own:
+            if self._slot(var) < 0:
                 raise VariableError(f"unknown variable id {var}")
             if self._holds.get(var, 1) > 1:
                 self._holds[var] -= 1
                 return
-            del self._own[var]
+            self._table[1][var] = -1
             self._names.pop(var, None)
             self._touch(var)
 
@@ -182,15 +269,11 @@ class VariableRegistry:
         var = int(var)
         if var == TOP_VARIABLE:
             raise VariableError("variable id 0 is reserved for the top atom")
-        items = (
-            distribution.items()
-            if isinstance(distribution, Mapping)
-            else distribution
+        chances = _dense(
+            distribution.items() if isinstance(distribution, Mapping) else distribution
         )
-        dist = {int(v): float(p) for v, p in items}
-        _validate_distribution(dist)
         with self._mutex:
-            self._own[var] = dist
+            self._put(var, chances)
             self._names[var] = name if name is not None else f"x{var}"
             self._next_id = max(self._next_id, var + 1)
             self._touch(var)
@@ -201,12 +284,13 @@ class VariableRegistry:
         or take one more hold on it when it already is (two transactions
         storing one held result: the check and the insertion are one step
         under the mutex).  Each promotion is undone by one
-        :meth:`unregister`."""
+        :meth:`unregister`.  ``distribution`` is one :meth:`minted` gave."""
+        chances = [distribution[value] for value in range(len(distribution))]
         with self._mutex:
-            if var in self._own:
+            if self._slot(var) >= 0:
                 self._holds[var] = self._holds.get(var, 1) + 1
                 return
-            self._own[var] = dict(distribution)
+            self._put(var, chances)
             self._names[var] = name
             self._touch(var)
 
@@ -226,12 +310,19 @@ class VariableRegistry:
         (:meth:`promote`)."""
         with self._mutex:
             scopes = list(self._scopes)
-        wanted = set(variables)
-        return sorted(
-            (var, scope.name(var), scope._own[var])
-            for scope in scopes
-            for var in wanted & scope._own.keys()
-        )
+        wanted = np.fromiter(set(variables), dtype=np.int64)
+        out: List[Tuple[int, str, Dict[int, float]]] = []
+        for scope in scopes:
+            first, start, width, chances = scope._table
+            local = wanted - first
+            local = local[(local >= 0) & (local < len(start))]
+            local = local[start[local] >= 0]
+            flat = chances.tolist() if len(local) else []
+            spans = zip(local.tolist(), start[local].tolist(), width[local].tolist())
+            for i, at, k in spans:
+                distribution = dict(enumerate(flat[at : at + k]))
+                out.append((first + i, scope.name(first + i), distribution))
+        return sorted(out)
 
     def fresh_boolean(self, probability_true: float, name: Optional[str] = None) -> int:
         """A Boolean variable: domain {0, 1}, P(1) = probability_true."""
@@ -240,23 +331,27 @@ class VariableRegistry:
             raise InvalidDistributionError(
                 f"boolean probability {p} outside [0, 1]"
             )
-        return self.fresh({0: 1.0 - p, 1: p}, name)
+        return self.fresh([1.0 - p, p], name)
 
     # -- lookup ---------------------------------------------------------------
     def __contains__(self, var: int) -> bool:
-        return var in self._distributions
+        try:
+            self._find(var)
+        except VariableError:
+            return False
+        return True
 
     def __len__(self) -> int:
         """Number of user variables (the reserved top variable excluded)."""
-        return len(self._distributions) - 1
+        return len(self._ids()) - 1
 
     def variables(self) -> Iterator[int]:
-        """All user variable ids (top excluded), in creation order."""
-        return (v for v in self._distributions if v != TOP_VARIABLE)
+        """All user variable ids (top excluded), ascending."""
+        return iter(self._ids()[1:].tolist())
 
     def name(self, var: int) -> str:
-        self._require(var)
-        if var not in self._own:
+        if self._slot(var) < 0:
+            self._find(var)
             return self.durable.name(var)
         name = self._names.get(var)
         if name is None:
@@ -269,48 +364,51 @@ class VariableRegistry:
         return name
 
     def domain(self, var: int) -> Tuple[int, ...]:
-        self._require(var)
-        return tuple(self._distributions[var])
+        return tuple(range(self._find(var)[2]))
+
+    def chances(self, var: int) -> np.ndarray:
+        """``var``'s chances, indexed by domain value (a read-only view)."""
+        chances, start, width = self._find(var)
+        view = chances[start : start + width]
+        view.flags.writeable = False
+        return view
 
     def distribution(self, var: int) -> Dict[int, float]:
-        self._require(var)
-        return dict(self._distributions[var])
+        return dict(enumerate(self.chances(var).tolist()))
 
     def probability(self, var: int, value: int) -> float:
         """P(var = value); 0.0 for values outside the declared domain."""
-        self._require(var)
-        return self._distributions[var].get(value, 0.0)
+        chances, start, width = self._find(var)
+        return chances.item(start + value) if 0 <= value < width else 0.0
 
-    def probabilities(
-        self, variables: Iterable[int], values: Iterable[int]
-    ) -> List[float]:
-        """:meth:`probability` of each ``(variable, value)`` pair -- the
-        bulk look-up of the array kernels, one dict access per atom."""
-        own, durable = self._own, self.durable._own
-        try:
-            return [
-                (own.get(var) or durable[var]).get(value, 0.0)
-                for var, value in zip(variables, values)
-            ]
-        except KeyError as error:
-            raise VariableError(f"unknown variable id {error.args[0]}") from None
+    def probabilities(self, variables: Any, values: Any) -> np.ndarray:
+        """:meth:`probability` of each ``(variable, value)`` pair, given
+        as two equal-shape int64 arrays -- the bulk look-up of the array
+        kernels, one gather per table."""
+        variables = np.asarray(variables, dtype=np.int64)
+        values = np.asarray(values, dtype=np.int64)
+        known, out = _gather(self._table, variables, values)
+        if self is not self.durable:
+            durable_known, durable_out = _gather(self.durable._table, variables, values)
+            out = np.where(known, out, durable_out)
+            known |= durable_known
+        _require_all(variables, known)
+        return out
 
-    def distributions(self, variables: Iterable[int]) -> List[Mapping[int, float]]:
-        """The distribution of each variable, not copied: the bulk look-up
-        of the confidence engines, which only read them."""
-        own, durable = self._own, self.durable._own
-        try:
-            return [own.get(var) or durable[var] for var in variables]
-        except KeyError as error:
-            raise VariableError(f"unknown variable id {error.args[0]}") from None
-
-    def domain_size(self, var: int) -> int:
-        self._require(var)
-        return len(self._distributions[var])
-
-    def _require(self, var: int) -> None:
-        if var not in self._distributions:
-            raise VariableError(f"unknown variable id {var}")
+    def distributions(self, variables: Iterable[int]) -> List[List[float]]:
+        """The chances of each variable, indexed by domain value: the bulk
+        look-up of the confidence engines, one gather for all of them."""
+        ids = np.fromiter(variables, dtype=np.int64)
+        at, widths = _spans(self._table, ids)
+        if self is not self.durable:
+            durable_at, durable_widths = _spans(self.durable._table, ids)
+            widths = np.where(at >= 0, widths, durable_widths)
+            at = np.maximum(at, durable_at)
+        _require_all(ids, at >= 0)
+        ends = np.cumsum(widths)
+        values = np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - widths, widths)
+        flat = self.probabilities(np.repeat(ids, widths), values).tolist()
+        return [flat[end - k : end] for end, k in zip(ends.tolist(), widths.tolist())]
 
     # -- whole-registry views ----------------------------------------------------
     def world_count(self, variables: Optional[Iterable[int]] = None) -> int:
@@ -318,16 +416,17 @@ class VariableRegistry:
         over the given variables (default: all user variables)."""
         count = 1
         for var in variables if variables is not None else self.variables():
-            positive = sum(1 for p in self._distributions[var].values() if p > 0)
-            count *= max(positive, 1)
+            count *= max(int(np.count_nonzero(self.chances(var) > 0)), 1)
         return count
 
     def copy(self) -> "VariableRegistry":
         """An independent copy of a durable registry (what-if evaluation)."""
         clone = VariableRegistry()
         with self._mutex:
-            clone._own.update((v, dict(d)) for v, d in self._own.items())
-            clone._names.update((v, self.name(v)) for v in self._own)
+            first, start, width, chances = self._table
+            clone._table = (first, start.copy(), width.copy(), chances.copy())
+            clone._filled = self._filled
+            clone._names = {var: self.name(var) for var in self._ids().tolist()}
             clone._next_id = self._next_id
         return clone
 
@@ -362,41 +461,47 @@ class VariableRegistry:
         """
         with self._mutex:
             self._sealed = self._next_id
+            _, start, width, chances = self._table
+            ids = np.flatnonzero(start >= 0)
+            ids = ids[ids >= max(min_id, TOP_VARIABLE + 1)]
+            flat = chances.tolist()
             return {
                 "next_id": self._next_id,
                 "variables": [
-                    [var, self.name(var), sorted(self._own[var].items())]
-                    for var in self._own
-                    if var != TOP_VARIABLE and var >= min_id
+                    [var, self.name(var), list(enumerate(flat[at : at + k]))]
+                    for var, at, k in zip(
+                        ids.tolist(), start[ids].tolist(), width[ids].tolist()
+                    )
                 ],
             }
 
-    def restore_state(self, state: Mapping[str, object]) -> None:
+    def restore_state(self, state: Mapping[str, Any]) -> None:
         """Restore a :meth:`dump_state` snapshot into this registry (and
-        seal its frontier, as the dump did)."""
-        for var, name, dist in state["variables"]:  # type: ignore[index]
-            self.restore(var, dist, name)
-        next_id = int(state["next_id"])  # type: ignore[arg-type]
+        seal its frontier, as the dump did): its variables are checked in
+        one array pass and installed in one write."""
+        variables = state["variables"]
+        ids = np.array([var for var, _, _ in variables], dtype=np.int64)
+        widths = np.array([len(dist) for _, _, dist in variables], dtype=np.int64)
+        values = np.array([v for _, _, dist in variables for v, _ in dist], np.int64)
+        chances = np.array([p for _, _, dist in variables for _, p in dist], np.float64)
+        if (ids == TOP_VARIABLE).any():
+            raise VariableError("variable id 0 is reserved for the top atom")
+        _validate_all(widths, values, chances)
+        next_id = int(state["next_id"])
         with self._mutex:
+            if len(ids):
+                self._write(ids, widths, chances)
+                self._names.update(zip(ids.tolist(), (n for _, n, _ in variables)))
+                next_id = max(next_id, int(ids.max()) + 1)
+                self._touch(int(ids.min()))
             self._next_id = max(self._next_id, next_id)
             self._sealed = max(self._sealed, next_id)
 
     # -- sampling --------------------------------------------------------------
     def sample_value(self, var: int, rng: random.Random) -> int:
         """Sample a domain value of ``var`` from its distribution."""
-        self._require(var)
-        u = rng.random()
-        acc = 0.0
-        dist = self._distributions[var]
-        last = None
-        for value, p in dist.items():
-            acc += p
-            last = value
-            if u < acc:
-                return value
-        # Floating point slack: return the last value.
-        assert last is not None
-        return last
+        sums = cumulative(self.chances(var).tolist())
+        return bisect.bisect_right(sums, rng.random())
 
     def sample_assignment(
         self,
@@ -423,11 +528,61 @@ class VariableRegistry:
         return p
 
 
-def _validate_distribution(dist: Dict[int, float]) -> None:
-    if not dist:
+def cumulative(chances: Iterable[float]) -> List[float]:
+    """The running sums of ``chances``, added left to right, the last one
+    replaced by infinity: ``bisect_right(sums, u)`` of a draw ``u`` is
+    then the first value whose running sum exceeds ``u`` (the last value
+    when floating point slack leaves none)."""
+    sums = list(itertools.accumulate(chances))
+    sums[-1] = math.inf
+    return sums
+
+
+def _spans(table: _Table, variables: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per variable, where ``table`` has its chances start (-1 where it
+    does not register it) and how many there are (0 there)."""
+    first, start, width, _ = table
+    if not len(start):
+        return np.full(variables.shape, -1), np.zeros(variables.shape, np.int64)
+    local = variables - first
+    at = np.where((local >= 0) & (local < len(start)), start.take(local, mode="clip"), -1)
+    return at, np.where(at >= 0, width.take(local, mode="clip"), 0)
+
+
+def _gather(
+    table: _Table, variables: np.ndarray, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per pair, whether ``table`` registers the variable, and the
+    probability it gives the value (0.0 where it does not)."""
+    at, width = _spans(table, variables)
+    inside = (values >= 0) & (values < width)  # so at >= 0
+    chances = table[3].take(at + values, mode="clip") if len(table[3]) else 0.0
+    return at >= 0, np.where(inside, chances, 0.0)
+
+
+def _require_all(variables: np.ndarray, known: np.ndarray) -> None:
+    if not known.all():
+        raise VariableError(f"unknown variable id {variables[~known][0]}")
+
+
+def _dense(items: Iterable[Tuple[int, float]]) -> List[float]:
+    """The chances of ``(value, probability)`` pairs, checked to be a
+    distribution over ``0..k-1``."""
+    pairs = sorted((int(v), float(p)) for v, p in items)
+    chances = [p for _, p in pairs]
+    _validate([v for v, _ in pairs], chances)
+    return chances
+
+
+def _validate(values: Sequence[int], chances: Sequence[float]) -> None:
+    if not chances:
         raise InvalidDistributionError("distribution must have at least one value")
+    if list(values) != list(range(len(chances))):
+        raise InvalidDistributionError(
+            f"domain {list(values)} is not 0..{len(chances) - 1}"
+        )
     total = 0.0
-    for value, p in dist.items():
+    for value, p in zip(values, chances):
         if not math.isfinite(p) or p < 0.0:
             raise InvalidDistributionError(
                 f"probability {p!r} for value {value} is not in [0, 1]"
@@ -437,3 +592,23 @@ def _validate_distribution(dist: Dict[int, float]) -> None:
         raise InvalidDistributionError(
             f"distribution sums to {total!r}, expected 1.0"
         )
+
+
+def _validate_all(widths: np.ndarray, values: np.ndarray, chances: np.ndarray) -> None:
+    """:func:`_validate` of many distributions laid end to end, in one
+    array pass; the first bad one is reported as :func:`_validate` would."""
+    owner = np.repeat(np.arange(len(widths)), widths)
+    offsets = np.cumsum(widths) - widths
+    bad = np.bincount(
+        owner,
+        weights=~(np.isfinite(chances) & (chances >= 0.0))
+        | (values != np.arange(len(values)) - offsets[owner]),
+        minlength=len(widths),
+    ) > 0
+    # bincount adds each distribution left to right, as _validate does.
+    totals = np.bincount(owner, weights=chances, minlength=len(widths))
+    bad |= (widths < 1) | (np.abs(totals - 1.0) > _SUM_TOLERANCE)
+    if bad.any():
+        i = int(np.argmax(bad))
+        at = slice(offsets[i], offsets[i] + widths[i])
+        _validate(values[at].tolist(), chances[at].tolist())

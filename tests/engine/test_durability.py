@@ -5,6 +5,7 @@ recovery / rotation / epoch-fallback protocol."""
 import glob
 import json
 import os
+import shutil
 import struct
 
 import pytest
@@ -414,7 +415,7 @@ class TestDurabilityManager:
         registry = VariableRegistry()
         wal = WriteAheadLog(sink=manager)
         txn = Transaction(catalog, wal)
-        var = registry.scope().mint([{0: 0.5, 1: 0.5}], lambda _: "coin")
+        var = registry.scope().mint([2], [0.5, 0.5], lambda _: "coin")
         txn.register_variable(registry, var, "coin", {0: 0.5, 1: 0.5})
         txn.create_table(
             "u",
@@ -434,6 +435,23 @@ class TestDurabilityManager:
         assert entry.properties["cond_arity"] == 1
         assert recovered_registry.distribution(var) == {0: 0.5, 1: 0.5}
         assert recovered_registry.name(var) == "coin"
+
+    def test_store_from_the_dict_registry_reopens(self, tmp_path):
+        """``data/registry_store`` was written by the registry of per-variable
+        dicts: a repair-key table in a checkpoint segment, then a crash
+        after a pick-tuples table committed to the WAL.  The array registry
+        reopens it with the same variables, names, chances and answers."""
+        data = os.path.join(os.path.dirname(__file__), "data")
+        path = str(tmp_path / "db")
+        shutil.copytree(os.path.join(data, "registry_store"), path)
+        with open(os.path.join(data, "registry_store.json")) as handle:
+            expected = json.load(handle)
+        with MayBMS(path=path) as db:
+            state = json.loads(json.dumps(db.registry.dump_state()))
+            rows = sorted(db.query(expected["query"]).rows)
+        assert state["next_id"] == expected["registry"]["next_id"]
+        assert sorted(state["variables"]) == sorted(expected["registry"]["variables"])
+        assert [list(row) for row in rows] == expected["rows"]
 
 
 def _segments(path):
@@ -854,7 +872,7 @@ class TestTripleLayoutStore:
         path = str(tmp_path / "db")
         manager = DurabilityManager(path)
         catalog, registry = Catalog(), VariableRegistry()
-        var = registry.scope().mint([{0: 0.5, 1: 0.5}], lambda _: "coin")
+        var = registry.scope().mint([2], [0.5, 0.5], lambda _: "coin")
         txn = Transaction(catalog, WriteAheadLog(sink=manager))
         txn.register_variable(registry, var, "coin", {0: 0.5, 1: 0.5})
         _store_triple_layout_urelation(txn)

@@ -166,7 +166,7 @@ class TestWalReplayFidelity:
 
         wal = WriteAheadLog()
         registry = VariableRegistry()
-        var = registry.scope().mint([{0: 0.2, 1: 0.8}])
+        var = registry.scope().mint([2], [0.2, 0.8])
         txn = Transaction(catalog, wal)
         txn.register_variable(registry, var, "choice", {0: 0.2, 1: 0.8})
         txn.commit()

@@ -98,7 +98,11 @@ def repair_key(
     def label(i: int) -> str:
         return f"{name_hint}[{','.join(map(str, _key(rows[keyed[i]], positions)))}]"
 
-    var = registry.mint(distributions, None if name_hint is None else label)
+    var = registry.mint(
+        [len(d) for d in distributions],
+        [p for d in distributions for p in d.values()],
+        None if name_hint is None else label,
+    )
     out: List[tuple] = []
     append = out.append
     for survivors, distribution in plan:
@@ -190,7 +194,9 @@ def pick_tuples(
 
     kept = [probabilities[i] for i in firsts]
     start = registry.mint(
-        [{0: 1.0 - p, 1: p} for p in kept], label if name_hint else None
+        [2] * len(kept),
+        [q for p in kept for q in (1.0 - p, p)],
+        label if name_hint else None,
     )
     out = [
         row + (start + ordinal, 1)
