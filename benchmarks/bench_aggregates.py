@@ -16,7 +16,6 @@ import pytest
 from conftest import timed
 
 from repro.core import aggregates as agg
-from repro.core.conditions import Condition
 from repro.core.urelation import URelation
 from repro.core.variables import VariableRegistry
 from repro.engine.relation import Relation
@@ -35,10 +34,8 @@ def chained_urelation(n_rows, chain_width=2):
     schema = Schema.of(("g", INTEGER), ("v", INTEGER))
     rows, conditions = [], []
     for i in range(n_rows):
-        atoms = [(variables[i + k], 1) for k in range(chain_width)]
-        condition = Condition.of(atoms)
         rows.append((1, i))
-        conditions.append(condition)
+        conditions.append(tuple((variables[i + k], 1) for k in range(chain_width)))
     return URelation.from_conditions(schema, rows, conditions, registry)
 
 
@@ -50,7 +47,7 @@ def independent_urelation(n_rows):
     for i in range(n_rows):
         var = registry.fresh([0.5, 0.5])
         rows.append((1, i))
-        conditions.append(Condition.atom(var, 1))
+        conditions.append(((var, 1),))
     return URelation.from_conditions(schema, rows, conditions, registry)
 
 

@@ -11,8 +11,9 @@ disjoint clauses: one decomposition step).  The approximation's cost is
 roughly flat -- the DKLR sample count depends on ε, δ and the lineage's mean,
 not its ratio -- so the exact algorithm wins at both ends and the
 approximation is competitive only in the middle band, which is the
-paper's claimed shape.  Instances are :class:`repro.core.lineage.Lineage`
-values from :mod:`repro.datagen.random_dnf`.
+paper's claimed shape.  Instances are clause lists from
+:mod:`repro.datagen.random_dnf`, simplified as the dispatcher simplifies
+them before the exact engine sees them.
 
 C-ACONF additionally validates the (ε,δ) guarantee and DKLR's
 variance-adaptive sample counts.
@@ -27,6 +28,7 @@ from conftest import timed
 from repro.core.confidence.dklr import approximate_confidence
 from repro.core.confidence.exact import ExactConfidenceEngine
 from repro.core.confidence.karp_luby import KarpLubyEstimator
+from repro.core.lineage import simplify_clauses
 from repro.datagen.random_dnf import random_dnf, ratio_sweep_instances
 
 CLAUSES = 40
@@ -43,9 +45,31 @@ def aconf(lineage, registry, epsilon, delta, rng):
     return approximate_confidence(lineage, registry, epsilon, delta, rng).estimate
 
 
+def simplified(clauses, registry):
+    """The clauses as the dispatcher hands them to the exact engine."""
+    engine = ExactConfidenceEngine(registry)
+    engine.load(clauses)
+    return simplify_clauses(clauses, engine.clause_probability)
+
+
+def variable_count(clauses):
+    return len({var for clause in clauses for var, _ in clause})
+
+
+def dnf(*args):
+    """A simplified :func:`random_dnf` instance."""
+    clauses, registry = random_dnf(*args)
+    return simplified(clauses, registry), registry
+
+
 def sweep_instances(seed=101):
     rng = random.Random(seed)
-    return ratio_sweep_instances(CLAUSES, RATIOS, WIDTH, rng)
+    return [
+        (ratio, simplified(clauses, registry), registry)
+        for ratio, clauses, registry in ratio_sweep_instances(
+            CLAUSES, RATIOS, WIDTH, rng
+        )
+    ]
 
 
 class TestCrossoverShape:
@@ -65,7 +89,7 @@ class TestCrossoverShape:
             rows.append(
                 (
                     ratio,
-                    len(lineage.variables()),
+                    variable_count(lineage),
                     exact_seconds * 1e3,
                     approx_seconds * 1e3,
                     p_exact,
@@ -97,9 +121,7 @@ class TestCrossoverShape:
         rows = []
         for n_clauses in (4, 8, 16, 32, 64):
             rng = random.Random(300 + n_clauses)
-            lineage, registry = random_dnf(
-                max(2, n_clauses // 2), n_clauses, WIDTH, rng
-            )
+            lineage, registry = dnf(max(2, n_clauses // 2), n_clauses, WIDTH, rng)
             # One engine per call, as the dispatcher builds them: its
             # statistics (and memo) are this call's alone.
             engine = ExactConfidenceEngine(registry)
@@ -107,7 +129,7 @@ class TestCrossoverShape:
             rows.append(
                 (
                     n_clauses,
-                    len(lineage.variables()),
+                    variable_count(lineage),
                     seconds * 1e3,
                     engine.statistics.subproblems,
                     engine.statistics.memo_hits,
@@ -158,7 +180,7 @@ class TestAconfGuarantee:
     def test_epsilon_delta_guarantee_sweep(self, benchmark, report):
         """C-ACONF: empirical failure rate of the (ε,δ) promise."""
         rng = random.Random(9)
-        lineage, registry = random_dnf(8, 10, 2, rng)
+        lineage, registry = dnf(8, 10, 2, rng)
         exact = ExactConfidenceEngine(registry).probability(lineage)
         failures = 0
         runs = 25

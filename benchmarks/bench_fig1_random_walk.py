@@ -13,6 +13,7 @@ import pytest
 from conftest import timed
 
 from repro import MayBMS
+from repro.core.lineage import row_clauses
 from repro.datagen.markov import (
     FIGURE1_MATRIX,
     FIGURE1_STATES,
@@ -87,9 +88,10 @@ class TestFigure1Exactness:
         )
         assert len(r2) == 8 and r2.cond_arity == 1
         variables = set()
-        for payload, condition in r2.rows_with_conditions():
-            variables |= condition.variables()
-            assert condition.probability(r2.registry) == pytest.approx(payload[3])
+        for row, clause in zip(r2.relation.rows, row_clauses(r2)):
+            variables |= {var for var, _ in clause}
+            p = r2.registry.assignment_probability(dict(clause))
+            assert p == pytest.approx(row[3])
         assert len(variables) == 3  # the figure's x, y, z
 
     def test_three_step_equals_matrix_cube(self):

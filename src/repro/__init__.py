@@ -27,7 +27,7 @@ Quickstart::
 from repro.db import MayBMS
 from repro.core.urelation import URelation
 from repro.core.variables import VariableRegistry
-from repro.core.conditions import Atom, Condition
+from repro.core.lineage import Atom
 from repro.core.repair_key import repair_key
 from repro.core.pick_tuples import pick_tuples
 from repro.engine.relation import Relation
@@ -42,7 +42,6 @@ __all__ = [
     "URelation",
     "VariableRegistry",
     "Atom",
-    "Condition",
     "repair_key",
     "pick_tuples",
     "Relation",

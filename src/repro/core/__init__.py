@@ -7,9 +7,8 @@ relational algebra (Section 2.3), and the confidence computation engines
 """
 
 from repro.core.variables import VariableRegistry, TOP_VARIABLE
-from repro.core.conditions import Atom, Condition, TRUE_CONDITION
+from repro.core.lineage import Atom
 from repro.core.urelation import URelation
-from repro.core.worlds import enumerate_worlds, world_probability
 from repro.core.repair_key import repair_key
 from repro.core.pick_tuples import pick_tuples
 
@@ -17,11 +16,7 @@ __all__ = [
     "VariableRegistry",
     "TOP_VARIABLE",
     "Atom",
-    "Condition",
-    "TRUE_CONDITION",
     "URelation",
-    "enumerate_worlds",
-    "world_probability",
     "repair_key",
     "pick_tuples",
 ]

@@ -21,20 +21,18 @@ numerical results in the various possible worlds".
 from __future__ import annotations
 
 import math
-import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.confidence import dispatch
 from repro.core.confidence.columnar import hierarchical_confidences
 from repro.core.confidence.dispatch import ConfidenceDispatcher, DispatchPolicy
 from repro.core.confidence.dklr import aconf_unit_seed
-from repro.core.lineage import Lineage, group_lineages, row_clauses
+from repro.core.lineage import group_lineages
 from repro.core.urelation import URelation
 from repro.engine.physical import key_rows
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema
-from repro.engine.types import FLOAT, INTEGER
-from repro.errors import ConfidenceError
+from repro.engine.types import FLOAT
 
 
 def _group_rows(
@@ -76,31 +74,6 @@ def _groups(
         ("groups", positions), lambda: _group_rows(urel, positions)
     )
     return positions, projections, row_groups
-
-
-def _lineages(
-    urel: URelation,
-    positions: Tuple[int, ...],
-    row_groups: Sequence[Sequence[int]],
-    ordinals: Sequence[int],
-) -> List[Lineage]:
-    """The lineages of the groups at ``ordinals``, kept like
-    :func:`_groups` keeps the grouping: a repeated ``aconf()`` over an
-    unchanged stored U-relation re-uses interned clauses and their
-    probability caches."""
-    if not ordinals:
-        return []  # and no decode of the condition columns
-    key = (
-        "lineages",
-        positions,
-        urel.payload_arity,
-        urel.cond_arity,
-        id(urel.registry.durable),
-        tuple(ordinals),
-    )
-    return urel.relation.derived(
-        key, lambda: group_lineages(urel, [row_groups[g] for g in ordinals])
-    )
 
 
 def _array_pass(
@@ -154,8 +127,8 @@ def conf(
     Groups whose clauses form a tree are answered straight from the
     condition columns, all at once
     (:func:`~repro.core.confidence.columnar.hierarchical_confidences`).
-    Every other group's clauses, read off the condition columns as atom
-    tuples (:func:`~repro.core.lineage.row_clauses`), go through the
+    Every other group's clauses
+    (:func:`~repro.core.lineage.group_lineages`) go through the
     cost-based dispatcher (:mod:`repro.core.confidence.dispatch`), which
     picks closed-form / SPROUT safe evaluation / exact ws-trees / Monte
     Carlo per independent component.
@@ -168,16 +141,7 @@ def conf(
     # No call at all for a relation the array pass answered whole: the
     # traced run counts the groups that reach the dispatcher.
     if pending:
-        # Kept like the grouping: one entry per relation, whatever the
-        # grouping.
-        clauses = urel.relation.derived(
-            ("clauses", urel.payload_arity, urel.cond_arity),
-            lambda: row_clauses(urel),
-        )
-        groups = [
-            [clauses[i] for i in row_groups[g] if clauses[i] is not None]
-            for g in pending
-        ]
+        groups = group_lineages(urel, [row_groups[g] for g in pending])
         results = dispatcher.group_probabilities(groups, urel.registry)
     for g, result in zip(pending, results):
         probabilities[g] = result.probability
@@ -193,9 +157,9 @@ def aconf(
     delta: float,
     group_columns: Sequence[str] = (),
     result_name: str = "aconf",
-    rng: Optional[random.Random] = None,
     dispatcher: Optional[ConfidenceDispatcher] = None,
-    base_seed: Optional[int] = None,
+    *,
+    base_seed: int,
 ) -> Relation:
     """Approximate confidence: ``aconf(ε, δ)``.
 
@@ -205,45 +169,38 @@ def aconf(
     dispatcher's closed forms and safe evaluation); everything else runs
     the Karp-Luby estimator under the DKLR optimal Monte-Carlo driver.
 
-    With ``base_seed`` (the store/session seed, wired by the SQL
-    executor) each group's Monte-Carlo run is pinned to its own
-    deterministic stream via :func:`~repro.core.confidence.dklr.aconf_unit_seed`,
-    so the answer is a pure function of (seed, data): the same store seed
-    gives the same values in any session, and a group's stream does not
-    depend on which other groups the array pass answered.  An explicit
-    ``rng`` overrides it: draws come from it sequentially (the legacy
-    behaviour).
+    Each group's Monte-Carlo run is pinned to its own deterministic
+    stream, derived from ``base_seed`` (the store/session seed, wired by
+    the SQL executor) and the group's ordinal via
+    :func:`~repro.core.confidence.dklr.aconf_unit_seed`, so the answer is
+    a pure function of (seed, data): the same store seed gives the same
+    values in any session, and a group's stream does not depend on which
+    other groups the array pass answered.
     """
-    deterministic = base_seed is not None and rng is None
     if dispatcher is None:
-        dispatcher = ConfidenceDispatcher(rng=rng)
-    elif rng is not None:
-        dispatcher = ConfidenceDispatcher(dispatcher.policy, rng=rng)
+        dispatcher = ConfidenceDispatcher()
     positions, projections, row_groups = _groups(urel, group_columns)
     probabilities, pending = _array_pass(urel, row_groups, dispatcher.policy)
-    detail = f"epsilon={epsilon:g}, delta={delta:g}"
-    lineages = _lineages(urel, positions, row_groups, pending)
-    if deterministic:
-        # Streams are numbered by group ordinal, so a group's answer does
-        # not depend on which other groups the array pass answered.
+    results = []
+    if pending:
+        groups = group_lineages(urel, [row_groups[g] for g in pending])
         results = [
             dispatcher.approximate(
-                lineage,
+                clauses,
+                urel.registry,
                 epsilon,
                 delta,
                 unit_seed=aconf_unit_seed(base_seed, ordinal),
             )
-            for ordinal, lineage in zip(pending, lineages)
-        ]
-    else:
-        results = [
-            dispatcher.approximate(lineage, epsilon, delta)
-            for lineage in lineages
+            for ordinal, clauses in zip(pending, groups)
         ]
     for g, result in zip(pending, results):
         probabilities[g] = result.probability
     dispatch.record_aggregate(
-        "aconf", results, detail=detail, vectorized=len(row_groups) - len(pending)
+        "aconf",
+        results,
+        detail=f"epsilon={epsilon:g}, delta={delta:g}",
+        vectorized=len(row_groups) - len(pending),
     )
     return _result(urel, positions, result_name, projections, probabilities)
 

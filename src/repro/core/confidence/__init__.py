@@ -3,9 +3,9 @@
 Computing ``conf`` of a result tuple means computing the probability of
 its lineage -- a disjunction of conjunctive local conditions over
 independent finite random variables, one clause per duplicate of the
-tuple.  This is #P-hard in general.  Every method takes the one lineage
-type, :class:`repro.core.lineage.Lineage`, and SQL reaches each through
-one path:
+tuple.  This is #P-hard in general.  Every method reads the one clause
+form, canonical atom tuples (:data:`repro.core.lineage.Clause`), and SQL
+reaches each through one path:
 
 - :mod:`repro.core.confidence.columnar` -- SPROUT's aggregation plan [5]
   as array kernels: every tree-shaped ``conf()`` / ``aconf()`` group of a
@@ -17,16 +17,15 @@ one path:
   * :mod:`repro.core.confidence.exact` -- the Koch-Olteanu exact
     algorithm: variable elimination + decomposition into independent
     clause subsets, with cost-estimation heuristics [3], as one recursion
-    that labels a run with root eliminations only as SPROUT's safe plan;
-  * :mod:`repro.core.confidence.sprout` -- that recursion's root-only
-    mode on one lineage (:func:`safe_lineage_confidence`);
+    that labels a run with root eliminations only as SPROUT's safe plan,
+    and refuses any other elimination in its root-only mode;
   * :mod:`repro.core.confidence.karp_luby` -- the Karp-Luby unbiased
     estimator adapted to confidence computation, under
     :mod:`repro.core.confidence.dklr` -- the Dagum-Karp-Luby-Ross optimal
-    Monte Carlo driver giving the ``aconf(ε,δ)`` guarantee [2];
+    Monte Carlo driver giving the ``aconf(ε,δ)`` guarantee [2].
 
-- :mod:`repro.core.confidence.naive` -- exponential oracles (enumeration,
-  inclusion-exclusion) used for testing.
+The exponential oracles (world enumeration, inclusion-exclusion) live
+with the tests, in ``tests/reference``.
 """
 
 from repro.core.confidence.exact import ExactConfidenceEngine
@@ -37,11 +36,6 @@ from repro.core.confidence.dispatch import (
     DispatchPolicy,
     trace_confidence,
 )
-from repro.core.confidence.naive import (
-    confidence_by_enumeration,
-    confidence_by_inclusion_exclusion,
-)
-from repro.core.confidence.sprout import safe_lineage_confidence
 
 __all__ = [
     "ExactConfidenceEngine",
@@ -50,7 +44,4 @@ __all__ = [
     "ConfidenceDispatcher",
     "DispatchPolicy",
     "trace_confidence",
-    "confidence_by_enumeration",
-    "confidence_by_inclusion_exclusion",
-    "safe_lineage_confidence",
 ]

@@ -11,7 +11,7 @@ Under ``auto`` and ``sprout`` the SQL aggregates ask the array pass first
 clauses form a tree.  :meth:`ConfidenceDispatcher.group_probabilities`
 gets the others -- all groups under a forced ``exact`` / ``monte-carlo``,
 or below the array kernels' size threshold -- as canonical clauses
-(:func:`~repro.core.lineage.row_clauses`), not ``Lineage`` objects.  It
+(:func:`~repro.core.lineage.group_lineages`).  It
 simplifies each group (:func:`~repro.core.lineage.simplify_clauses`),
 answers pairwise variable-disjoint clauses in closed form, and otherwise
 splits the group into independent components
@@ -26,14 +26,14 @@ of the exact ws-tree recursion, which labels what it did:
    first non-root elimination): still exact, but bounded;
 4. **monte-carlo** -- the Karp-Luby estimator under the DKLR driver when
    the budget blows: an (ε,δ)-approximation with the policy's default
-   parameters, on a ``Lineage`` built for that component only.
+   parameters, on that component's clauses only.
 
 Components share no variables, so their results combine by independence:
 P(⋁ all) = 1 − ∏(1 − P(componentᵢ)).  One engine, and so one ws-tree
 memo, serves one ``group_probabilities`` / ``approximate`` call -- one
 aggregate of one statement; the dispatcher itself keeps no per-statement
 state.  ``aconf()`` goes through :meth:`ConfidenceDispatcher.approximate`
-with one ``Lineage`` per group.
+once per group, with the same clauses.
 
 The decisions taken are recorded per aggregate call when a
 :func:`trace_confidence` scope is active; the SQL ``EXPLAIN`` statement
@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.conditions import Condition
 from repro.core.confidence.dklr import approximate_confidence
 from repro.core.confidence.exact import (
     LABELS,
@@ -62,7 +61,6 @@ from repro.core.confidence.exact import (
 )
 from repro.core.lineage import (
     Clause,
-    Lineage,
     closed_form,
     combine_independent,
     simplify_clauses,
@@ -276,19 +274,14 @@ class ConfidenceDispatcher:
         self.policy = policy
 
     # -- public API ---------------------------------------------------------
-    def probability(self, lineage: Lineage) -> DispatchResult:
-        """P(lineage) with per-component strategy choice (the ``conf()``
-        semantics: exact unless the exact budget blows, in which case the
-        affected component degrades to an (ε,δ) estimate)."""
-        clauses = [clause.atoms for clause in lineage.clauses]
-        return self.group_probabilities([clauses], lineage.arena.registry)[0]
-
     def group_probabilities(
         self, groups: Sequence[Sequence[Clause]], registry: VariableRegistry
     ) -> List[DispatchResult]:
-        """:meth:`probability` of each group, sharing one ws-tree memo.  A
-        group is the canonical clauses of its rows, in row order, over the
-        variables of ``registry``."""
+        """P(⋁ clauses) of each group with per-component strategy choice
+        (the ``conf()`` semantics: exact unless the exact budget blows, in
+        which case the affected component degrades to an (ε,δ) estimate),
+        sharing one ws-tree memo.  A group is the canonical clauses of its
+        rows, in row order, over the variables of ``registry``."""
         engine = self._engine(registry)
         engine.load(chain.from_iterable(groups))
         if self.policy.strategy == "auto":
@@ -297,18 +290,19 @@ class ConfidenceDispatcher:
 
     def approximate(
         self,
-        lineage: Lineage,
+        clauses: Sequence[Clause],
+        registry: VariableRegistry,
         epsilon: float,
         delta: float,
         unit_seed: Optional[int] = None,
     ) -> DispatchResult:
-        """The ``aconf(ε, δ)`` semantics: any estimate p̂ with
-        P(|p̂ − p| > ε·p) < δ.
+        """The ``aconf(ε, δ)`` semantics for one group of canonical
+        clauses: any estimate p̂ with P(|p̂ − p| > ε·p) < δ.
 
         Exact answers satisfy the guarantee trivially, so cheap exact
         routes are taken when available: closed forms always, the ws-tree
         recursion when it needs root eliminations only (SPROUT's safe
-        plan).  Otherwise the whole lineage goes to the DKLR-driven
+        plan).  Otherwise the whole group goes to the DKLR-driven
         Karp-Luby estimator (whole, not per component: the (ε,δ)
         guarantee is proved for a single estimator run and does not
         survive per-component recombination).
@@ -316,26 +310,24 @@ class ConfidenceDispatcher:
         ``unit_seed`` pins the Monte-Carlo route to a private deterministic
         stream (see :func:`approximate_confidence`); the exact routes are
         deterministic regardless, so a fresh dispatcher and the store's
-        long-lived one return the same answer for the same (lineage, seed).
+        long-lived one return the same answer for the same (clauses, seed).
         """
-        lineage = lineage.simplified()
-        stats = lineage.stats()
-        decision_shape = (stats.clause_count, stats.variable_count)
-        strategy = self.policy.strategy
-        registry = lineage.arena.registry
         engine = ExactConfidenceEngine(registry)
+        engine.load(clauses)
+        clauses = simplify_clauses(clauses, engine.clause_probability)
+        shape = (len(clauses), _variable_count(clauses))
+        strategy = self.policy.strategy
         if strategy in ("auto", STRATEGY_SPROUT):
-            closed = lineage.closed_form_probability()
+            closed = closed_form(clauses, engine.clause_probability)
             if closed is not None:
                 return DispatchResult(
-                    closed,
-                    (ComponentDecision(STRATEGY_CLOSED_FORM, closed, *decision_shape),),
+                    closed, (ComponentDecision(STRATEGY_CLOSED_FORM, closed, *shape),)
                 )
             try:
-                p = engine.probability(lineage, roots_only=True)
+                p = engine.probability(clauses, roots_only=True)
                 return DispatchResult(
                     p,
-                    (ComponentDecision(STRATEGY_SPROUT, p, *decision_shape),),
+                    (ComponentDecision(STRATEGY_SPROUT, p, *shape),),
                     engine.statistics,
                 )
             except UnsafeLineageError:
@@ -344,22 +336,15 @@ class ConfidenceDispatcher:
                 if strategy == STRATEGY_SPROUT:
                     raise
         if strategy == STRATEGY_EXACT:
-            p = engine.probability(lineage)
+            p = engine.probability(clauses)
             return DispatchResult(
-                p,
-                (ComponentDecision(STRATEGY_EXACT, p, *decision_shape),),
-                engine.statistics,
+                p, (ComponentDecision(STRATEGY_EXACT, p, *shape),), engine.statistics
             )
-        result = approximate_confidence(
-            lineage, registry, epsilon, delta, self.rng, unit_seed=unit_seed
-        )
+        estimate = approximate_confidence(
+            clauses, registry, epsilon, delta, self.rng, unit_seed=unit_seed
+        ).estimate
         return DispatchResult(
-            result.estimate,
-            (
-                ComponentDecision(
-                    STRATEGY_MONTE_CARLO, result.estimate, *decision_shape
-                ),
-            ),
+            estimate, (ComponentDecision(STRATEGY_MONTE_CARLO, estimate, *shape),)
         )
 
     # -- internals ----------------------------------------------------------
@@ -410,7 +395,7 @@ class ConfidenceDispatcher:
                 p = 1.0 if clauses else 0.0
             else:
                 p = approximate_confidence(
-                    _lineage(clauses, engine.registry),
+                    clauses,
                     engine.registry,
                     self.policy.epsilon,
                     self.policy.delta,
@@ -439,7 +424,7 @@ class ConfidenceDispatcher:
         except CostBudgetExceededError:
             pass
         result = approximate_confidence(
-            _lineage(clauses, engine.registry),
+            clauses,
             engine.registry,
             self.policy.epsilon,
             delta,
@@ -451,7 +436,3 @@ class ConfidenceDispatcher:
 def _variable_count(clauses: Sequence[Clause]) -> int:
     return len({var for clause in clauses for var, _ in clause})
 
-
-def _lineage(clauses: Sequence[Clause], registry: VariableRegistry) -> Lineage:
-    """The object form of simplified clauses, for the Monte-Carlo engines."""
-    return Lineage.from_clauses((Condition(clause) for clause in clauses), registry)

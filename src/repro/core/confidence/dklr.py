@@ -36,10 +36,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.confidence.karp_luby import KarpLubyEstimator
-from repro.core.lineage import Lineage
+from repro.core.lineage import Clause
 from repro.core.variables import VariableRegistry
 from repro.errors import ConfidenceError
 
@@ -217,14 +217,14 @@ def _blocked_main_run(
 
 
 def approximate_confidence(
-    lineage: Lineage,
+    clauses: Sequence[Clause],
     registry: VariableRegistry,
     epsilon: float = 0.1,
     delta: float = 0.05,
     rng: Optional[random.Random] = None,
     unit_seed: Optional[int] = None,
 ) -> ApproximationResult:
-    """``aconf(ε, δ)``: DKLR-driven Karp-Luby approximation of P(lineage).
+    """``aconf(ε, δ)``: DKLR-driven Karp-Luby approximation of P(⋁ clauses).
 
     The AA guarantee on the Bernoulli mean μ_Z = p/U transfers to
     p = U·μ_Z because U is a known constant: relative error is preserved
@@ -236,12 +236,13 @@ def approximate_confidence(
     layout of :func:`_blocked_main_run`.  This is how a seeded aconf()
     answer stays reproducible across stores and sessions -- every group
     carries its own seed, derived from the store seed via
-    :func:`aconf_unit_seed`.  Without it, draws come from ``rng`` (the
-    session RNG), the legacy behaviour.
+    :func:`aconf_unit_seed`.  Without it, draws come from ``rng``: the
+    session RNG, for ``conf()``'s Monte-Carlo fallback and forced
+    ``monte-carlo`` policy.
     """
     if unit_seed is not None:
         rng = random.Random(fnv_mix(unit_seed, 0))
-    estimator = KarpLubyEstimator(lineage, registry, rng)
+    estimator = KarpLubyEstimator(clauses, registry, rng)
     if estimator.is_trivial:
         return ApproximationResult(estimator.trivial_probability, 0, 0, 0)
     main_run = (

@@ -21,11 +21,11 @@ worlds partition by x's value, so
 where D | x = v drops clauses disagreeing on x and consumes agreeing
 atoms.
 
-**One recursion.**  A subproblem is a sorted tuple of clause atom tuples
-(the keys a :class:`~repro.core.lineage.ClauseArena` interns clauses by),
-never a ``Lineage`` object.  At each node one pass over the clauses
-computes the variables' occurrence counts and the union-find partition
-together; then the node takes the first case that applies:
+**One recursion.**  A subproblem is a sorted tuple of canonical clauses
+(:data:`~repro.core.lineage.Clause` atom tuples).  At each node one pass
+over the clauses computes the variables' occurrence counts and the
+union-find partition together; then the node takes the first case that
+applies:
 
 1. ⊥ → 0, ⊤ → 1, a single clause → its atom product;
 2. pairwise variable-disjoint clauses → 1 − ∏(1 − P(clauseᵢ));
@@ -37,11 +37,13 @@ together; then the node takes the first case that applies:
 **SPROUT is a mode of it.**  A *root* variable occurs in every clause, so
 it always has the most occurrences and the heuristic eliminates roots
 first.  An evaluation that eliminated roots only is SPROUT's safe plan
-for a hierarchical lineage (:mod:`repro.core.confidence.sprout`), so each
-call is labelled with how it went: ``closed-form`` if the lineage closed
-at its top (case 1 or 2), ``sprout`` if every elimination was on a root,
-``exact`` otherwise.  ``roots_only`` refuses a non-root elimination with
-:class:`~repro.errors.UnsafeLineageError`.
+for a hierarchical lineage, so each call is labelled with how it went:
+``closed-form`` if the lineage closed at its top (case 1 or 2),
+``sprout`` if every elimination was on a root, ``exact`` otherwise.
+``roots_only`` refuses a non-root elimination with
+:class:`~repro.errors.UnsafeLineageError`: SPROUT's safe plan on one
+lineage is ``ExactConfidenceEngine(registry).probability(clauses,
+roots_only=True)``.
 
 **Memo scope.**  Subproblem results (with their label rank) are memoized
 for the life of the engine, which the dispatcher creates per confidence
@@ -50,8 +52,8 @@ statement share sub-lineages, and nothing outlives the statement.
 ``max_subproblems`` bounds only the subproblems below a non-root
 elimination, so a hierarchical lineage never exceeds it.
 
-**Input.**  :meth:`ExactConfidenceEngine.probability` takes a
-:class:`~repro.core.lineage.Lineage` or simplified canonical clauses.
+**Input.**  :meth:`ExactConfidenceEngine.probability` takes canonical
+clauses, best simplified (:func:`~repro.core.lineage.simplify_clauses`).
 The dispatcher splits a group with :func:`components` and makes one call
 per component, so each gets its own budget.  Each variable's distribution
 is read once per engine
@@ -61,9 +63,10 @@ is read once per engine
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.lineage import Clause, Lineage
+from repro.core.lineage import Clause
+from repro.core.lineage import clause_probability as _product
 from repro.core.variables import VariableRegistry
 from repro.errors import CostBudgetExceededError, UnsafeLineageError
 
@@ -87,14 +90,6 @@ class ExactStatistics:
     clause_leaves: int = 0
     memo_hits: int = 0
     subproblems: int = 0
-
-
-def _product(clause: Clause, distributions: Distributions) -> float:
-    p = 1.0
-    for var, value in clause:
-        chances = distributions[var]
-        p *= chances[value] if 0 <= value < len(chances) else 0.0
-    return p
 
 
 class ExactConfidenceEngine:
@@ -132,23 +127,21 @@ class ExactConfidenceEngine:
         return _product(clause, self._distributions)
 
     def probability(
-        self, lineage: Union[Lineage, Sequence[Clause]], roots_only: bool = False
+        self, clauses: Sequence[Clause], roots_only: bool = False
     ) -> float:
-        """P(lineage), exactly; :attr:`label` says how it was evaluated.
-        ``lineage`` is a :class:`Lineage` or simplified canonical clauses.
+        """P(⋁ clauses), exactly; :attr:`label` says how it was evaluated.
+        ``roots_only`` is SPROUT's safe plan: root eliminations only.
 
         Raises :class:`CostBudgetExceededError` when ``max_subproblems``
         is set and this call exceeds it below a non-root elimination, and
         :class:`UnsafeLineageError` under ``roots_only`` when the lineage
         needs a non-root elimination.
         """
-        if isinstance(lineage, Lineage):
-            lineage = [clause.atoms for clause in lineage.simplified().clauses]
-        clauses = tuple(sorted(lineage))
-        self.load(clauses)
+        subproblem = tuple(sorted(clauses))
+        self.load(subproblem)
         self._roots_only = roots_only
         self._spent = 0
-        probability, rank = self._solve(clauses, False)
+        probability, rank = self._solve(subproblem, False)
         self.label = LABELS[rank]
         return probability
 

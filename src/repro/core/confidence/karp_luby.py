@@ -33,11 +33,12 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_right
-from typing import Dict, Optional
+from functools import partial
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.lineage import Lineage
+from repro.core.lineage import Clause, clause_probability, simplify_clauses
 from repro.core.variables import VariableRegistry, cumulative
 from repro.errors import ConfidenceError
 
@@ -46,56 +47,54 @@ _VECTOR_MIN_SAMPLES = 64
 
 
 class KarpLubyEstimator:
-    """Sampler for the Karp-Luby Bernoulli variable of a lineage.
+    """Sampler for the Karp-Luby Bernoulli variable of a disjunction of
+    canonical clauses.
 
-    Construction simplifies the lineage (drops zero-probability /
-    duplicate / subsumed clauses) unless it is already simplified, and
-    reads clause probabilities from the IR's interned-clause cache.
-    ``is_trivial`` reports lineages whose probability is 0 or 1 outright;
-    callers must check it before sampling.
+    Construction simplifies the clauses (drops zero-probability /
+    duplicate / subsumed clauses; simplified clauses stay as they are, in
+    their order) and reads every variable's chances from the registry
+    once.  ``is_trivial`` reports disjunctions whose probability is 0 or 1
+    outright; callers must check it before sampling.
     """
 
     def __init__(
         self,
-        lineage: Lineage,
+        clauses: Sequence[Clause],
         registry: VariableRegistry,
         rng: Optional[random.Random] = None,
     ):
         self.rng = rng if rng is not None else random.Random(0)
-        self.lineage = lineage.simplified()
-        self.clause_probabilities = self.lineage.clause_probabilities()
+        variables = sorted({var for clause in clauses for var, _ in clause})
+        distributions = dict(zip(variables, registry.distributions(variables)))
+        probability = partial(clause_probability, distributions=distributions)
+        self.clauses = simplify_clauses(clauses, probability)
+        self.clause_probabilities = [probability(clause) for clause in self.clauses]
         self.total_weight = sum(self.clause_probabilities)  # U = Σ pᵢ
-        self.variables = sorted(self.lineage.variables())
+        kept = {var for clause in self.clauses for var, _ in clause}
+        self.variables = [var for var in variables if var in kept]
         #: Per variable, its running chance sums (see ``cumulative``): what
-        #: both samplers draw against, read from the registry once.
-        self._draws = [
-            cumulative(chances) for chances in registry.distributions(self.variables)
-        ]
+        #: both samplers draw against.
+        self._draws = [cumulative(distributions[var]) for var in self.variables]
         self._cumulative = list(itertools.accumulate(self.clause_probabilities))
         self.samples_drawn = 0
 
     # -- trivial cases ------------------------------------------------------
     @property
     def is_trivial(self) -> bool:
-        return self.lineage.is_false or self.lineage.is_true
+        return not self.clauses or not self.clauses[0]
 
     @property
     def trivial_probability(self) -> float:
-        if self.lineage.is_false:
+        if not self.clauses:
             return 0.0
-        if self.lineage.is_true:
+        if not self.clauses[0]:  # simplified ⊤ is the single clause ()
             return 1.0
         raise ConfidenceError("lineage is not trivial")
 
     # -- sampling -------------------------------------------------------------
     def _sample_clause_index(self) -> int:
         u = self.rng.random() * self.total_weight
-        # Linear scan with early exit; clause counts here are query-result
-        # duplicate counts, typically small.  Bisect would also work.
-        for i, acc in enumerate(self._cumulative):
-            if u < acc:
-                return i
-        return len(self._cumulative) - 1
+        return min(bisect_right(self._cumulative, u), len(self._cumulative) - 1)
 
     def sample(self) -> int:
         """Draw one Bernoulli sample Z (see module docstring)."""
@@ -103,8 +102,8 @@ class KarpLubyEstimator:
             raise ConfidenceError("sampling a trivial lineage; use trivial_probability")
         self.samples_drawn += 1
         index = self._sample_clause_index()
-        clause = self.lineage.clauses[index]
-        fixed = {var: value for var, value in clause}
+        clauses = self.clauses
+        fixed = dict(clauses[index])
         world: Dict[int, int] = {}
         draw = self.rng.random
         for var, sums in zip(self.variables, self._draws):
@@ -112,10 +111,15 @@ class KarpLubyEstimator:
                 world[var] = fixed[var]
             else:
                 world[var] = bisect_right(sums, draw())
-        first = self.lineage.first_satisfied_clause(world)
-        # ``clause`` is satisfied by construction, so first is not None and
-        # first <= index.
-        return 1 if first == index else 0
+        # Z = 1 iff no clause before the chosen one (which the world
+        # satisfies by construction) is satisfied too.
+        for i in range(index):
+            for var, value in clauses[i]:
+                if world[var] != value:
+                    break
+            else:
+                return 0
+        return 1
 
     def estimate(self, samples: int) -> float:
         """Fixed-sample-count estimate U · mean(Z) of the confidence.
@@ -134,7 +138,7 @@ class KarpLubyEstimator:
 
         With ``seed`` the draws come from a private ``random.Random(seed)``
         stream instead of this estimator's rng, which is what makes a
-        block of samples a pure function of (lineage, seed, count): the
+        block of samples a pure function of (clauses, seed, count): the
         seeded aconf path hands each main-run block its own seed so the
         count is reproduced exactly on any run.
         """
@@ -176,8 +180,8 @@ class KarpLubyEstimator:
         chosen = np.searchsorted(
             cumulative_weight, rng.random(samples) * self.total_weight, side="right"
         )
-        chosen = np.minimum(chosen, len(self.lineage.clauses) - 1)
-        for clause_index, clause in enumerate(self.lineage.clauses):
+        chosen = np.minimum(chosen, len(self.clauses) - 1)
+        for clause_index, clause in enumerate(self.clauses):
             rows = chosen == clause_index
             if not rows.any():
                 continue
@@ -186,7 +190,7 @@ class KarpLubyEstimator:
 
         # First satisfied clause per sample; Z = (first == chosen).
         first = np.full(samples, -1, dtype=np.int64)
-        for clause_index, clause in enumerate(self.lineage.clauses):
+        for clause_index, clause in enumerate(self.clauses):
             satisfied = np.ones(samples, dtype=bool)
             for var, value in clause:
                 satisfied &= worlds[:, column_of[var]] == value

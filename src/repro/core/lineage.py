@@ -1,115 +1,83 @@
-"""The lineage IR and the clause decode of ``conf()``.
+"""The clause form of lineage, and the clause decode of ``conf()`` /
+``aconf()``.
 
 The lineage of a (distinct) result tuple is a disjunction of conjunctive
-local conditions -- one clause per duplicate of the tuple.  A clause is
-canonical: its atom tuple, sorted by variable, with the top padding
-dropped and a repeated atom merged (:meth:`Condition.of`'s rules).
+local conditions -- one clause per duplicate of the tuple, read off the
+U-relation's condition columns (Section 2.1).  A clause is a canonical
+atom tuple (:data:`Clause`): sorted by variable, with the top padding
+dropped and a repeated atom merged (:func:`canonical_clause`).  It is
+the only clause form: the array pass, the dispatcher, the exact ws-tree
+recursion and the Monte-Carlo engines all read these tuples.
 
 - :func:`row_clauses` reads every row's clause off a U-relation's
-  condition columns in one array pass; ``conf()`` hands the clauses of
-  each group the array pass of :mod:`repro.core.confidence.columnar`
-  declines straight to the dispatcher, which works on these atom tuples
-  throughout (:mod:`repro.core.confidence.dispatch`);
+  condition columns in one array pass, and :func:`group_lineages` hands
+  ``conf()`` and ``aconf()`` the clauses of the groups the array pass of
+  :mod:`repro.core.confidence.columnar` declines;
 - :func:`simplify_clauses` drops the clauses that cannot matter:
   ⊤ collapses the disjunction, zero-probability and duplicate clauses go,
   and a clause with a kept subset is absorbed;
-- a :class:`Lineage` is the object form -- an immutable clause sequence
-  over a :class:`ClauseArena`, which interns clauses and caches each
-  one's variable set and marginal probability.  ``aconf()`` builds one
-  per declined group (:func:`group_lineages`), and so does ``conf()``
-  for a component whose exact evaluation blows its budget: the
-  Monte-Carlo engines (:mod:`~repro.core.confidence.karp_luby`,
-  :mod:`~repro.core.confidence.dklr`) and the enumeration oracles of
-  :mod:`~repro.core.confidence.naive` take a ``Lineage``.  It shares the
-  simplification and :func:`closed_form` (⊥/⊤, a single clause's atom
-  product, 1 − ∏(1 − P(clause)) over pairwise variable-disjoint clauses)
-  with the atom tuples.
+- :func:`closed_form` answers ⊥/⊤, a single clause's atom product and
+  1 − ∏(1 − P(clause)) over pairwise variable-disjoint clauses.
 
-The exact ws-tree recursion (:mod:`repro.core.confidence.exact`) takes
-either form and works on the atom tuples below its top.
+A clause's marginal is its atoms' chances multiplied left to right
+(:func:`clause_probability`).
 
-This module deliberately imports only :mod:`repro.core.conditions` and
-:mod:`repro.core.variables`, so every layer above (engines, SQL) can
-depend on it without cycles.
+This module deliberately imports only :mod:`repro.core.variables`, so
+every layer above (engines, SQL) can depend on it without cycles.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
     Set,
     Tuple,
-    TypeVar,
 )
 
 import numpy as np
 
-from repro.core.conditions import Atom, Condition
-from repro.core.variables import TOP_VARIABLE, VariableRegistry
+from repro.core.variables import TOP_VARIABLE
 
-#: A canonical clause: a :class:`Condition`'s atom tuple.
+if TYPE_CHECKING:
+    from repro.core.urelation import URelation
+
+#: One assignment ``variable ↦ value`` of a condition.
+Atom = Tuple[int, int]
+#: A canonical clause: consistent atoms, one per variable, sorted by variable.
 Clause = Tuple[Atom, ...]
-C = TypeVar("C", Clause, Condition)
+#: Per variable, its chances indexed by domain value.
+Distributions = Mapping[int, Sequence[float]]
 
 
-class ClauseArena:
-    """Interning table for clauses: the atom tuple is a clause's identity.
-    The arena maps it to one shared :class:`Condition` and caches the
-    clause's variable set and marginal probability under a registry, for
-    all lineages built together (the groups of one ``aconf()`` call)."""
-
-    __slots__ = ("registry", "_interned", "_probabilities", "_variables")
-
-    def __init__(self, registry: VariableRegistry):
-        self.registry = registry
-        self._interned: Dict[Tuple, Condition] = {}
-        self._probabilities: Dict[Tuple, float] = {}
-        self._variables: Dict[Tuple, FrozenSet[int]] = {}
-
-    def intern(self, clause: Condition) -> Condition:
-        """The shared representative of an equal clause."""
-        existing = self._interned.get(clause.atoms)
-        if existing is None:
-            self._interned[clause.atoms] = clause
-            return clause
-        return existing
-
-    def probability(self, clause: Condition) -> float:
-        """P(clause) -- atom-marginal product, computed once per clause."""
-        p = self._probabilities.get(clause.atoms)
-        if p is None:
-            p = clause.probability(self.registry)
-            self._probabilities[clause.atoms] = p
-        return p
-
-    def variables(self, clause: Condition) -> FrozenSet[int]:
-        vs = self._variables.get(clause.atoms)
-        if vs is None:
-            vs = clause.variables()
-            self._variables[clause.atoms] = vs
-        return vs
-
-    def __len__(self) -> int:
-        return len(self._interned)
+def canonical_clause(atoms: Iterable[Atom]) -> Optional[Clause]:
+    """The canonical clause of a conjunction of atoms, or None when two
+    atoms give one variable different values.  Atoms on the top variable
+    are padding and always true: they are dropped."""
+    by_var: Dict[int, int] = {}
+    for var, value in atoms:
+        if var == TOP_VARIABLE:
+            continue
+        if by_var.setdefault(var, value) != value:
+            return None
+    return tuple(sorted(by_var.items()))
 
 
-
-@dataclass(frozen=True)
-class LineageStats:
-    """Structural statistics of a lineage."""
-
-    clause_count: int
-    variable_count: int
+def clause_probability(clause: Clause, distributions: Distributions) -> float:
+    """P(clause): the chances of its atoms multiplied left to right, 0 for
+    a value outside its variable's domain."""
+    p = 1.0
+    for var, value in clause:
+        chances = distributions[var]
+        p *= chances[value] if 0 <= value < len(chances) else 0.0
+    return p
 
 
 #: Above this clause width, simplification falls back to a linear
@@ -133,7 +101,7 @@ def simplify_clauses(
 
     Clauses are visited shortest first, so the kept ones come in that
     order -- unless none is dropped: then ``clauses`` itself is returned,
-    in its own order.
+    in its own order.  Simplifying simplified clauses returns them.
     """
     kept: List[Clause] = []
     kept_keys: Set[Clause] = set()
@@ -163,144 +131,13 @@ def simplify_clauses(
     return clauses if len(kept) == len(clauses) else kept
 
 
-class Lineage:
-    """An immutable disjunction of conjunctive clauses over an arena.
-
-    Clause order is preserved (the Karp-Luby estimator's canonical-witness
-    tie-break depends on a fixed order).  The empty lineage is identically
-    false; a lineage containing the empty clause is identically true.
-    """
-
-    __slots__ = (
-        "clauses",
-        "arena",
-        "_simplified",
-        "_simplified_form",
-        "_variables",
-        "_stats",
-    )
-
-    def __init__(
-        self,
-        clauses: Iterable[Condition],
-        arena: ClauseArena,
-        _simplified: bool = False,
-    ):
-        intern = arena.intern
-        self.clauses: Tuple[Condition, ...] = tuple(intern(c) for c in clauses)
-        self.arena = arena
-        self._simplified = _simplified
-        self._simplified_form: Optional["Lineage"] = None
-        self._variables: Optional[FrozenSet[int]] = None
-        self._stats: Optional[LineageStats] = None
-
-    # -- constructors -------------------------------------------------------
-    @staticmethod
-    def from_clauses(
-        clauses: Iterable[Optional[Condition]],
-        registry: VariableRegistry,
-        arena: Optional[ClauseArena] = None,
-    ) -> "Lineage":
-        """Build from decoded conditions; ``None`` entries (contradictory
-        conditions, representing no world) are dropped."""
-        arena = arena if arena is not None else ClauseArena(registry)
-        return Lineage((c for c in clauses if c is not None), arena)
-
-    # -- protocol -----------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.clauses)
-
-    def __iter__(self) -> Iterator[Condition]:
-        return iter(self.clauses)
-
-    def __repr__(self) -> str:
-        if not self.clauses:
-            return "⊥"
-        return " ∨ ".join(f"({c!r})" for c in self.clauses)
-
-    # -- classification -----------------------------------------------------
-    @property
-    def is_false(self) -> bool:
-        return not self.clauses
-
-    @property
-    def is_true(self) -> bool:
-        return any(not clause.atoms for clause in self.clauses)
-
-    def variables(self) -> FrozenSet[int]:
-        if self._variables is None:
-            out: Set[int] = set()
-            variables_of = self.arena.variables
-            for clause in self.clauses:
-                out.update(variables_of(clause))
-            self._variables = frozenset(out)
-        return self._variables
-
-    def clause_probabilities(self) -> List[float]:
-        probability = self.arena.probability
-        return [probability(clause) for clause in self.clauses]
-
-    # -- statistics ---------------------------------------------------------
-    def stats(self) -> LineageStats:
-        """Clause and variable counts, computed once."""
-        if self._stats is None:
-            self._stats = LineageStats(len(self.clauses), len(self.variables()))
-        return self._stats
-
-    # -- simplification -----------------------------------------------------
-    def simplified(self) -> "Lineage":
-        """The lineage after :func:`simplify_clauses`.
-
-        Idempotent and cached: a lineage that is already minimal marks
-        itself via the ``_simplified`` flag; one that is not remembers its
-        simplified form, so repeated use of a cached group lineage pays
-        the pass once.
-        """
-        if self._simplified:
-            return self
-        if self._simplified_form is not None:
-            return self._simplified_form
-        arena = self.arena
-        interned = arena._interned
-        atoms = [clause.atoms for clause in self.clauses]
-        kept = simplify_clauses(
-            atoms, lambda clause: arena.probability(interned[clause])
-        )
-        if kept is atoms:
-            self._simplified = True  # nothing changed; avoid re-allocating
-            return self
-        out = Lineage((interned[clause] for clause in kept), arena, _simplified=True)
-        self._simplified_form = out
-        return out
-
-    # -- semantics (the enumeration oracles) ---------------------------------
-    def satisfied_by(self, assignment: Mapping[int, int]) -> bool:
-        return any(clause.satisfied_by(assignment) for clause in self.clauses)
-
-    def first_satisfied_clause(self, assignment: Mapping[int, int]) -> Optional[int]:
-        for i, clause in enumerate(self.clauses):
-            if clause.satisfied_by(assignment):
-                return i
-        return None
-
-    # -- closed forms ---------------------------------------------------------
-    def closed_form_probability(self) -> Optional[float]:
-        """P(lineage) by :func:`closed_form`, or 1 when a clause is ⊤;
-        None when no closed form applies.  Callers should
-        :meth:`simplified` first so zero-probability and duplicate clauses
-        do not mask a form."""
-        if self.is_true:
-            return 1.0
-        return closed_form(self.clauses, self.arena.probability)
-
-
 def closed_form(
-    clauses: Sequence[C], probability: Callable[[C], float]
+    clauses: Sequence[Clause], probability: Callable[[Clause], float]
 ) -> Optional[float]:
     """P(⋁ clauses) when a closed form applies, else None: ⊥ → 0, a single
     clause → its atom-marginal product, pairwise variable-disjoint clauses
-    → 1 − ∏(1 − P(clauseᵢ)) by independence.  A clause is a
-    :class:`Condition` or its atom tuple."""
+    → 1 − ∏(1 − P(clauseᵢ)) by independence.  ``clauses`` are simplified,
+    so ⊤ is the single clause ``()``."""
     if len(clauses) <= 1:
         return probability(clauses[0]) if clauses else 0.0
     if sum(map(len, clauses)) != len({var for clause in clauses for var, _ in clause}):
@@ -321,47 +158,39 @@ def combine_independent(probabilities: Iterable[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def group_lineages(urel, row_groups: Sequence[Sequence[int]]) -> List[Lineage]:
-    """Per-group lineages read straight off a U-relation's condition
-    columns.
+def group_lineages(
+    urel: "URelation", row_groups: Sequence[Sequence[int]]
+) -> List[List[Clause]]:
+    """Per group of row indexes, the clauses of its rows in row order.
 
-    One memoized columnar decode covers the whole relation (see
-    :meth:`repro.core.urelation.URelation.conditions`); the decoded
-    conditions are interned into one shared arena so equal clauses across
-    groups share their probability/variable caches.  Rows with
-    contradictory conditions (possible only before a consistency filter
-    runs) represent no world and contribute no clause.
+    One decode of the condition columns (:func:`row_clauses`) serves the
+    relation: it is kept with the relation like the grouping is
+    (:meth:`~repro.engine.relation.Relation.derived`), so every
+    ``conf()`` / ``aconf()`` over an unchanged stored U-relation reads the
+    same clauses.  Rows with contradictory conditions (possible only
+    before a consistency filter runs) represent no world and contribute
+    no clause.
     """
-    arena = ClauseArena(urel.registry)
-    conditions = urel.conditions()
+    clauses: Sequence[Optional[Clause]] = urel.relation.derived(
+        ("clauses", urel.payload_arity, urel.cond_arity), lambda: row_clauses(urel)
+    )
     return [
-        Lineage(
-            (
-                conditions[index]
-                for index in indexes
-                if conditions[index] is not None
-            ),
-            arena,
-        )
-        for indexes in row_groups
+        [clause for clause in (clauses[i] for i in rows) if clause is not None]
+        for rows in row_groups
     ]
 
 
-
-def row_clauses(urel) -> List[Optional[Clause]]:
-    """Per row of a U-relation, the atoms of ``urel.conditions()``: its
-    canonical clause, or None for a contradictory row.  With int64
-    condition arrays (:meth:`URelation.condition_arrays`) that is one
-    stable sort of each row's atoms by variable: the top padding sorts
-    first and is dropped, an atom equal to its left neighbour is merged,
-    and a variable repeated with another value makes the row
-    contradictory.  Without arrays the conditions are decoded."""
+def row_clauses(urel: "URelation") -> Sequence[Optional[Clause]]:
+    """Per row of a U-relation, its canonical clause, or None for a
+    contradictory row.  With int64 condition arrays
+    (:meth:`URelation.condition_arrays`) that is one stable sort of each
+    row's atoms by variable: the top padding sorts first and is dropped,
+    an atom equal to its left neighbour is merged, and a variable repeated
+    with another value makes the row contradictory.  Without arrays each
+    row is decoded on its own (:func:`_decoded_clauses`)."""
     arrays = urel.condition_arrays()
     if arrays is None:
-        return [
-            None if condition is None else condition.atoms
-            for condition in urel.conditions()
-        ]
+        return _decoded_clauses(urel)
     variables, values = arrays  # shape (cond_arity, rows)
     order = np.argsort(variables, axis=0, kind="stable")
     variables = np.take_along_axis(variables, order, axis=0)
@@ -371,12 +200,30 @@ def row_clauses(urel) -> List[Optional[Clause]]:
     keep[1:] &= ~repeated
     # Consecutive runs of cond_arity atoms are the rows' clauses.
     atoms = zip(variables.T.ravel().tolist(), values.T.ravel().tolist())
-    out: List[Optional[Clause]] = list(zip(*[atoms] * len(variables)))
+    clauses: List[Clause] = list(zip(*[atoms] * len(variables)))
     for row in np.flatnonzero(~keep.all(axis=0)).tolist():
-        out[row] = tuple(
-            atom for atom, kept in zip(out[row], keep[:, row].tolist()) if kept
+        clauses[row] = tuple(
+            atom for atom, kept in zip(clauses[row], keep[:, row].tolist()) if kept
         )
+    out: List[Optional[Clause]] = list(clauses)
     conflicting = (repeated & (values[1:] != values[:-1])).any(axis=0)
     for row in np.flatnonzero(conflicting).tolist():
         out[row] = None
+    return out
+
+
+def _decoded_clauses(urel: "URelation") -> Sequence[Optional[Clause]]:
+    """:func:`canonical_clause` of each row's condition pairs (the columns
+    after the payload), memoized on the raw atoms: translated results
+    repeat a few conditions across many rows."""
+    if urel.cond_arity == 0:
+        return [()] * len(urel.relation)
+    start = urel.payload_arity
+    pairs = urel.relation.columns()[start : start + 2 * urel.cond_arity]
+    memo: Dict[Tuple[int, ...], Optional[Clause]] = {}
+    out: List[Optional[Clause]] = []
+    for flat in zip(*pairs):
+        if flat not in memo:
+            memo[flat] = canonical_clause(zip(flat[0::2], flat[1::2]))
+        out.append(memo[flat])
     return out

@@ -21,11 +21,11 @@ not exposed as SQL.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.conditions import Condition, TRUE_CONDITION
+from repro.core.lineage import Clause, canonical_clause, row_clauses
 from repro.core.variables import TOP_VARIABLE, VariableRegistry
 from repro.engine import algebra, planner
 from repro.engine.kernels import _NUMPY_MIN_ROWS
@@ -55,49 +55,19 @@ def atom_positions(base: int, cond_arity: int) -> List[Tuple[int, int]]:
     return [(base + 2 * i, base + 2 * i + 1) for i in range(cond_arity)]
 
 
-def encode_condition(condition: Condition, cond_arity: int) -> tuple:
-    """Flatten a condition into ``cond_arity`` (var, val) pairs, padding
+def encode_condition(clause: Clause, cond_arity: int) -> tuple:
+    """Flatten a clause into ``cond_arity`` (var, val) pairs, padding
     with the reserved always-true atom."""
-    if len(condition) > cond_arity:
+    if len(clause) > cond_arity:
         raise ConditionError(
-            f"condition {condition!r} needs {len(condition)} pairs, "
+            f"condition {clause!r} needs {len(clause)} pairs, "
             f"encoding has {cond_arity}"
         )
     flat: List[int] = []
-    for atom in condition:
+    for atom in clause:
         flat.extend(atom)
-    flat.extend((TOP_VARIABLE, 0) * (cond_arity - len(condition)))
+    flat.extend((TOP_VARIABLE, 0) * (cond_arity - len(clause)))
     return tuple(flat)
-
-
-def decode_condition_columns(
-    relation: Relation, payload_arity: int, cond_arity: int
-) -> List[Optional[Condition]]:
-    """Decode every row's condition from the relation's *columns*
-    (None for a row whose atoms contradict each other, possible only for
-    rows of a join before its consistency filter runs).
-
-    It reads the (var, val) condition columns straight out of the cached
-    column view and memoizes Condition construction on the raw atom
-    tuple -- translated query results repeat a small set of conditions
-    across many rows, so most rows hit the memo instead of re-sorting and
-    re-deduplicating atoms.
-    """
-    n = len(relation)
-    if cond_arity == 0:
-        return [TRUE_CONDITION] * n
-    columns = relation.columns()
-    atom_columns = [
-        columns[p] for atom in atom_positions(payload_arity, cond_arity) for p in atom
-    ]
-    memo: Dict[tuple, Optional[Condition]] = {}
-    out: List[Optional[Condition]] = []
-    for flat in zip(*atom_columns):
-        condition = memo.get(flat)
-        if condition is None and flat not in memo:
-            condition = memo[flat] = Condition.of(zip(flat[0::2], flat[1::2]))
-        out.append(condition)
-    return out
 
 
 class URelation:
@@ -211,11 +181,12 @@ class URelation:
     def from_conditions(
         payload_schema: Schema,
         rows: Sequence[tuple],
-        conditions: Sequence[Condition],
+        conditions: Sequence[Clause],
         registry: VariableRegistry,
         cond_arity: Optional[int] = None,
     ) -> "URelation":
-        """Build a U-relation from payload rows and parallel conditions."""
+        """Build a U-relation from payload rows and parallel conditions,
+        each a canonical clause."""
         if len(rows) != len(conditions):
             raise SchemaError(
                 f"{len(rows)} rows but {len(conditions)} conditions"
@@ -251,18 +222,6 @@ class URelation:
             return self.relation  # t-certain: nothing to drop
         return self.relation.project_positions(list(range(self.payload_arity)))
 
-    def rows_with_conditions(self) -> Iterator[Tuple[tuple, Optional[Condition]]]:
-        conditions = self.conditions()
-        payload_arity = self.payload_arity
-        for row, condition in zip(self.relation, conditions):
-            yield row[:payload_arity], condition
-
-    def conditions(self) -> List[Optional[Condition]]:
-        """Per-row decoded conditions (columnar + memoized decode)."""
-        return decode_condition_columns(
-            self.relation, self.payload_arity, self.cond_arity
-        )
-
     def _condition_mirrors(self, offset: int) -> Optional[List[np.ndarray]]:
         """The int64 mirrors of the variable (``offset`` 0) or value
         (``offset`` 1) columns, or None when the relation is shorter than
@@ -291,14 +250,15 @@ class URelation:
         """Per-row marginal probability of each row's condition, straight
         from the condition columns.
 
-        Atom marginals are multiplied without materializing Condition
-        objects at all -- a column at a time (after one registry gather
+        Atom marginals are multiplied without decoding clauses at all --
+        a column at a time (after one registry gather
         over all condition columns, :meth:`VariableRegistry.probabilities`)
         when the condition columns have int64 mirrors, row by row
         otherwise; both compute ``1.0 * p1 * ... * pk`` in column order,
         so they agree to the last bit.  Rows with a repeated variable
-        (possible only before a consistency filter runs) fall back to the
-        full decode so duplicates count once and contradictions yield 0.
+        (possible only before a consistency filter runs) fall back to
+        their canonical clause, so duplicates count once and contradictions
+        yield 0.
         """
         n = len(self.relation)
         if self.cond_arity == 0:
@@ -366,8 +326,10 @@ class URelation:
 
     def _decoded_probability(self, flat: Sequence[int]) -> float:
         """P(condition) of one row given as ``(v0, d0, v1, d1, ...)``."""
-        condition = Condition.of(zip(flat[0::2], flat[1::2]))
-        return 0.0 if condition is None else condition.probability(self.registry)
+        clause = canonical_clause(zip(flat[0::2], flat[1::2]))
+        if clause is None:
+            return 0.0
+        return self.registry.assignment_probability(dict(clause))
 
     def __len__(self) -> int:
         return len(self.relation)
@@ -379,17 +341,6 @@ class URelation:
         )
 
     # -- possible-worlds semantics ---------------------------------------------------
-    def in_world(self, assignment: Mapping[int, int], distinct: bool = False) -> Relation:
-        """Instantiate this U-relation in the world given by a total
-        assignment: the payload rows whose condition is satisfied."""
-        payload_arity = self.payload_arity
-        rows = []
-        for row, condition in zip(self.relation, self.conditions()):
-            if condition is not None and condition.satisfied_by(assignment):
-                rows.append(row[:payload_arity])
-        result = Relation(self.payload_schema, rows)
-        return result.distinct() if distinct else result
-
     def possible_payloads(self) -> Relation:
         """Distinct payload tuples possible in at least one world with
         positive probability (the core of the ``possible`` construct)."""
@@ -422,22 +373,6 @@ class URelation:
         rows = [row + padding for row in self.relation]
         return URelation(Relation(schema, rows), self.payload_arity, cond_arity, self.registry)
 
-    def normalized(self) -> "URelation":
-        """Drop rows with contradictory or zero-probability conditions and
-        re-encode each condition minimally (sorted, deduplicated, padded)."""
-        payload_schema = self.payload_schema
-        payload_arity = self.payload_arity
-        rows: List[tuple] = []
-        conditions: List[Condition] = []
-        for row, condition in zip(self.relation, self.conditions()):
-            if condition is None:
-                continue
-            if condition.probability(self.registry) <= 0.0:
-                continue
-            rows.append(row[:payload_arity])
-            conditions.append(condition)
-        return URelation.from_conditions(payload_schema, rows, conditions, self.registry)
-
     # -- presentation ----------------------------------------------------------
     def pretty(self, max_rows: Optional[int] = None) -> str:
         """Figure-1 style rendering: payload columns, a symbolic
@@ -445,12 +380,12 @@ class URelation:
         header = list(self.payload_schema.names) + ["condition", "P"]
         body = []
         rows = self.relation.rows[:max_rows]
-        for row, condition in zip(rows, self.conditions()):
-            if condition is None:
+        for row, clause in zip(rows, row_clauses(self)):
+            if clause is None:
                 text, prob = "⊥", 0.0
             else:
-                text = repr(condition)
-                prob = condition.probability(self.registry)
+                text = " ∧ ".join(f"x{var}↦{val}" for var, val in clause) or "⊤"
+                prob = self.registry.assignment_probability(dict(clause))
             cells = ["NULL" if v is NULL else str(v) for v in row[: self.payload_arity]]
             body.append(cells + [text, f"{prob:.6g}"])
         widths = [len(h) for h in header]

@@ -13,8 +13,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from repro.core.conditions import Condition
-from repro.core.lineage import Lineage
+from repro.core.lineage import Clause
 from repro.core.variables import VariableRegistry
 
 
@@ -44,11 +43,12 @@ def random_dnf(
     domain_size: int = 2,
     registry: Optional[VariableRegistry] = None,
     variables: Optional[List[int]] = None,
-) -> Tuple[Lineage, VariableRegistry]:
-    """A random lineage: each clause picks ``clause_width`` distinct variables
-    and one domain value each.  Contradictory clauses cannot arise (one
-    atom per variable per clause); duplicate clauses can and are kept, as
-    real lineage has duplicates too."""
+) -> Tuple[List[Clause], VariableRegistry]:
+    """A random lineage as canonical clauses: each clause picks
+    ``clause_width`` distinct variables and one domain value each.
+    Contradictory clauses cannot arise (one atom per variable per clause);
+    duplicate clauses can and are kept, as real lineage has duplicates
+    too."""
     if registry is None or variables is None:
         registry, variables = random_registry(n_variables, rng, domain_size)
     clauses = []
@@ -56,10 +56,8 @@ def random_dnf(
     for _ in range(n_clauses):
         chosen = rng.sample(variables, width)
         atoms = [(var, rng.randrange(domain_size)) for var in chosen]
-        condition = Condition.of(atoms)
-        assert condition is not None
-        clauses.append(condition)
-    return Lineage.from_clauses(clauses, registry), registry
+        clauses.append(tuple(sorted(atoms)))
+    return clauses, registry
 
 
 def ratio_sweep_instances(
@@ -68,7 +66,7 @@ def ratio_sweep_instances(
     clause_width: int,
     rng: random.Random,
     domain_size: int = 2,
-) -> List[Tuple[float, Lineage, VariableRegistry]]:
+) -> List[Tuple[float, List[Clause], VariableRegistry]]:
     """One instance per requested variable-to-clause ratio.
 
     The clause count stays fixed at ``base_clauses``; the variable pool is
@@ -79,8 +77,8 @@ def ratio_sweep_instances(
     instances = []
     for ratio in ratios:
         n_variables = max(clause_width, int(round(ratio * base_clauses)))
-        lineage, registry = random_dnf(
+        clauses, registry = random_dnf(
             n_variables, base_clauses, clause_width, rng, domain_size
         )
-        instances.append((ratio, lineage, registry))
+        instances.append((ratio, clauses, registry))
     return instances

@@ -1,5 +1,5 @@
-"""``conf()`` on the clause path against the ``Lineage``-based dispatch of
-:mod:`reference.confidence`.
+"""``conf()`` on the clause path against the reference dispatch of
+:mod:`reference.confidence`, which decodes each row on its own.
 
 Seeded U-relations are written straight into the wide encoding, so their
 condition columns hold what a translation can leave there: a variable
@@ -28,6 +28,7 @@ from repro.core.confidence.dispatch import (
     ConfidenceDispatcher,
     DispatchPolicy,
 )
+from repro.core import lineage
 from repro.core.lineage import row_clauses
 from repro.core.urelation import URelation, condition_columns
 from repro.core.variables import TOP_VARIABLE, VariableRegistry
@@ -156,18 +157,46 @@ def _reference(urel, dispatcher):
     return reference.conf(urel, ["g"], dispatcher)
 
 
+#: aconf()'s (ε, δ) and store seed in the runs below.
+ACONF = (0.3, 0.3, 17)
+
+
+def _system_aconf(urel, dispatcher):
+    results = []
+    approximate = dispatcher.approximate
+
+    def recording(*args, **kwargs):
+        results.append(approximate(*args, **kwargs))
+        return results[-1]
+
+    dispatcher.approximate = recording
+    epsilon, delta, seed = ACONF
+    rows = agg.aconf(urel, epsilon, delta, ["g"], dispatcher=dispatcher, base_seed=seed)
+    return rows.rows, results
+
+
+def _reference_aconf(urel, dispatcher):
+    return reference.aconf(urel, ["g"], dispatcher, *ACONF)
+
+
 SEEDS = range(120)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_conf_agrees_with_the_lineage_dispatch(seed):
     urel = generated(seed)
-    assert row_clauses(urel) == [
-        None if condition is None else condition.atoms for condition in urel.conditions()
-    ]
+    assert row_clauses(urel) == reference.row_conditions(urel)
     for name, policy in POLICIES.items():
         expected = _outcome(_reference, urel, policy, seed)
         assert _outcome(_system, urel, policy, seed) == expected, name
+
+
+@pytest.mark.parametrize("seed", range(0, 120, 5))
+def test_aconf_agrees_with_the_reference_dispatch(seed):
+    urel = generated(seed)
+    for name, policy in POLICIES.items():
+        expected = _outcome(_reference_aconf, urel, policy, seed)
+        assert _outcome(_system_aconf, urel, policy, seed) == expected, name
 
 
 @pytest.mark.parametrize("seed", [0, 2, 3, 10])
@@ -175,7 +204,7 @@ def test_a_stored_snapshot_decodes_once(seed, monkeypatch):
     urel = generated(seed, stored=True)
     decoded = []
     monkeypatch.setattr(
-        agg, "row_clauses", lambda u: decoded.append(1) or row_clauses(u)
+        lineage, "row_clauses", lambda u: decoded.append(1) or row_clauses(u)
     )
     policy = POLICIES["exact"]
     first = _outcome(_system, urel, policy, seed)
@@ -191,7 +220,7 @@ def test_the_generator_covers_every_shape():
         columns = urel.relation.columns()
         arity = urel.cond_arity
         shapes.add("arrays" if urel.condition_arrays() is not None else "no arrays")
-        for row, clause in zip(urel.relation.rows, urel.conditions()):
+        for row, clause in zip(urel.relation.rows, reference.row_conditions(urel)):
             variables = [row[1 + 2 * i] for i in range(arity)]
             real = [v for v in variables if v != TOP_VARIABLE]
             if clause is None:
@@ -204,7 +233,7 @@ def test_the_generator_covers_every_shape():
                 shapes.add("certain")
             if clause is not None and len(clause) > 12:
                 shapes.add("wide")
-            if clause is not None and clause.probability(urel.registry) == 0.0:
+            if clause is not None and reference.clause_probability(clause, urel.registry) == 0.0:
                 shapes.add("zero probability")
         keys = columns[0]
         if any(k is None for k in keys):

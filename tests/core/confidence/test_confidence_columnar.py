@@ -4,7 +4,7 @@ Every generated U-relation is answered three ways: by
 :func:`hierarchical_confidences` (through ``agg.conf`` and directly), by
 the per-lineage dispatcher with the array pass held off (its size
 threshold ``_NUMPY_MIN_ROWS`` raised above every input), and
-by possible-worlds enumeration (:mod:`repro.core.worlds`, at most 12
+by possible-worlds enumeration (:mod:`reference.worlds`, at most 12
 variables per group).  The exact paths must agree to 1e-12, and a group
 the array pass cannot evaluate must be *declined* -- left to the
 dispatcher -- never guessed.
@@ -14,13 +14,13 @@ import random
 
 import pytest
 
+from reference.worlds import tuple_confidence_by_enumeration
 from repro.core import aggregates as agg
 from repro.core import urelation as urelation_module
 from repro.core.confidence.columnar import hierarchical_confidences
 from repro.core.confidence.dispatch import STRATEGY_VECTORIZED, trace_confidence
 from repro.core.urelation import URelation, condition_columns
 from repro.core.variables import TOP_VARIABLE, VariableRegistry
-from repro.core.worlds import tuple_confidence_by_enumeration
 from repro.db import MayBMS
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema

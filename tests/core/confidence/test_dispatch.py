@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.core.conditions import Condition
+from reference.naive import confidence_by_enumeration
 from repro.core.confidence.dispatch import (
     STRATEGY_CLOSED_FORM,
     STRATEGY_EXACT,
@@ -20,56 +20,50 @@ from repro.core.confidence.dispatch import (
     DispatchPolicy,
     trace_confidence,
 )
-from repro.core.confidence.naive import confidence_by_enumeration
-from repro.core.confidence.sprout import safe_lineage_confidence
-from repro.core.lineage import Lineage
+from repro.core.confidence.exact import ExactConfidenceEngine
+from repro.core.lineage import canonical_clause
 from repro.core.variables import VariableRegistry
 from repro.datagen.random_dnf import random_dnf
 from repro.errors import ConfidenceError, UnsafeLineageError
 
 
 def clause(*atoms):
-    condition = Condition.of(list(atoms))
+    condition = canonical_clause(atoms)
     assert condition is not None
     return condition
+
+
+def one(dispatcher, clauses, registry):
+    """The ``conf()`` dispatch of a single group."""
+    return dispatcher.group_probabilities([clauses], registry)[0]
 
 
 def two_level_hierarchical(registry, fanout=3):
     """{r ∧ s₁, ..., r ∧ s_k}: hierarchical but not closed-form."""
     r = registry.fresh_boolean(0.6)
     children = [registry.fresh_boolean(0.3) for _ in range(fanout)]
-    return Lineage.from_clauses(
-        [clause((r, 1), (s, 1)) for s in children], registry
-    )
+    return [clause((r, 1), (s, 1)) for s in children]
 
 
 def non_hierarchical_chain(registry, length=4):
     """{x₁∧x₂, x₂∧x₃, ...}: crossing clause sets, no root variable."""
     variables = [registry.fresh_boolean(0.5) for _ in range(length + 1)]
-    return Lineage.from_clauses(
-        [
-            clause((variables[i], 1), (variables[i + 1], 1))
-            for i in range(length)
-        ],
-        registry,
-    )
+    return [clause((variables[i], 1), (variables[i + 1], 1)) for i in range(length)]
 
 
 class TestStrategySelection:
     def test_independent_clauses_use_closed_form(self):
         registry = VariableRegistry()
         variables = [registry.fresh_boolean(0.4) for _ in range(4)]
-        lin = Lineage.from_clauses(
-            [Condition.atom(v, 1) for v in variables], registry
-        )
-        result = ConfidenceDispatcher().probability(lin)
+        lin = [((v, 1),) for v in variables]
+        result = one(ConfidenceDispatcher(), lin, registry)
         assert {d.strategy for d in result.decisions} == {STRATEGY_CLOSED_FORM}
         assert result.probability == pytest.approx(1.0 - 0.6 ** 4)
 
     def test_hierarchical_lineage_uses_sprout(self):
         registry = VariableRegistry()
         lin = two_level_hierarchical(registry)
-        result = ConfidenceDispatcher().probability(lin)
+        result = one(ConfidenceDispatcher(), lin, registry)
         assert {d.strategy for d in result.decisions} == {STRATEGY_SPROUT}
         assert result.probability == pytest.approx(
             confidence_by_enumeration(lin, registry)
@@ -78,7 +72,7 @@ class TestStrategySelection:
     def test_non_hierarchical_falls_to_exact(self):
         registry = VariableRegistry()
         lin = non_hierarchical_chain(registry)
-        result = ConfidenceDispatcher().probability(lin)
+        result = one(ConfidenceDispatcher(), lin, registry)
         assert {d.strategy for d in result.decisions} == {STRATEGY_EXACT}
         assert result.probability == pytest.approx(
             confidence_by_enumeration(lin, registry)
@@ -89,7 +83,7 @@ class TestStrategySelection:
         lin = non_hierarchical_chain(registry, length=6)
         policy = DispatchPolicy(exact_budget=1, epsilon=0.05, delta=0.01)
         dispatcher = ConfidenceDispatcher(policy, random.Random(3))
-        result = dispatcher.probability(lin)
+        result = one(dispatcher, lin, registry)
         assert {d.strategy for d in result.decisions} == {STRATEGY_MONTE_CARLO}
         truth = confidence_by_enumeration(lin, registry)
         assert result.probability == pytest.approx(truth, rel=0.05)
@@ -99,13 +93,8 @@ class TestStrategySelection:
         hierarchical = two_level_hierarchical(registry)
         dense = non_hierarchical_chain(registry)
         lone = registry.fresh_boolean(0.5)
-        lin = Lineage.from_clauses(
-            list(hierarchical.clauses)
-            + list(dense.clauses)
-            + [Condition.atom(lone, 1)],
-            registry,
-        )
-        result = ConfidenceDispatcher().probability(lin)
+        lin = hierarchical + dense + [((lone, 1),)]
+        result = one(ConfidenceDispatcher(), lin, registry)
         strategies = sorted(d.strategy for d in result.decisions)
         assert strategies == [STRATEGY_CLOSED_FORM, STRATEGY_EXACT, STRATEGY_SPROUT]
         assert result.probability == pytest.approx(
@@ -130,8 +119,8 @@ class TestStrategySelection:
             )
             lineages.append(lineage)
         forced = ConfidenceDispatcher(DispatchPolicy(strategy="exact"))
-        exact = [forced.probability(lineage).probability for lineage in lineages]
-        groups = [[clause.atoms for clause in lineage] for lineage in lineages]
+        exact = [one(forced, lineage, registry).probability for lineage in lineages]
+        groups = lineages
         auto = ConfidenceDispatcher().group_probabilities(groups, registry)
         strategies = {d.strategy for result in auto for d in result.decisions}
         assert STRATEGY_EXACT in strategies and STRATEGY_MONTE_CARLO not in strategies
@@ -146,9 +135,7 @@ class TestStrategySelection:
 
     def test_empty_lineage(self):
         registry = VariableRegistry()
-        result = ConfidenceDispatcher().probability(
-            Lineage.from_clauses([], registry)
-        )
+        result = one(ConfidenceDispatcher(), [], registry)
         assert result.probability == 0.0
         assert result.decisions[0].strategy == STRATEGY_CLOSED_FORM
 
@@ -160,7 +147,7 @@ class TestForcedStrategies:
         dispatcher = ConfidenceDispatcher(
             DispatchPolicy(strategy="exact")
         )
-        result = dispatcher.probability(lin)
+        result = one(dispatcher, lin, registry)
         assert [d.strategy for d in result.decisions] == [STRATEGY_EXACT]
         assert result.probability == pytest.approx(
             confidence_by_enumeration(lin, registry)
@@ -173,7 +160,7 @@ class TestForcedStrategies:
             DispatchPolicy(strategy="sprout")
         )
         with pytest.raises(UnsafeLineageError):
-            dispatcher.probability(lin)
+            one(dispatcher, lin, registry)
 
     def test_forced_monte_carlo(self):
         registry = VariableRegistry()
@@ -182,7 +169,7 @@ class TestForcedStrategies:
             DispatchPolicy(strategy="monte-carlo", epsilon=0.05, delta=0.01),
             random.Random(5),
         )
-        result = dispatcher.probability(lin)
+        result = one(dispatcher, lin, registry)
         assert [d.strategy for d in result.decisions] == [STRATEGY_MONTE_CARLO]
         truth = confidence_by_enumeration(lin, registry)
         assert result.probability == pytest.approx(truth, rel=0.05)
@@ -208,7 +195,7 @@ class TestDifferentialRandomized:
             )
             registry_count += 1
             dispatcher = ConfidenceDispatcher()
-            result = dispatcher.probability(lin)
+            result = one(dispatcher, lin, registry)
             truth = confidence_by_enumeration(lin, registry)
             strategies_seen.update(d.strategy for d in result.decisions)
             assert result.probability == pytest.approx(truth, abs=1e-9), (
@@ -224,7 +211,8 @@ class TestDifferentialRandomized:
         for fanout in (1, 2, 4, 7):
             registry = VariableRegistry()
             lin = two_level_hierarchical(registry, fanout)
-            assert safe_lineage_confidence(lin) == pytest.approx(
+            safe = ExactConfidenceEngine(registry).probability(lin, roots_only=True)
+            assert safe == pytest.approx(
                 confidence_by_enumeration(lin, registry)
             )
 
@@ -234,15 +222,12 @@ class TestDifferentialRandomized:
         root = registry.fresh({0: 0.2, 1: 0.5, 2: 0.3})
         child_a = registry.fresh_boolean(0.4)
         child_b = registry.fresh_boolean(0.7)
-        lin = Lineage.from_clauses(
-            [
-                clause((root, 1), (child_a, 1)),
-                clause((root, 1), (child_b, 1)),
-                clause((root, 2), (child_a, 1)),
-            ],
-            registry,
-        )
-        result = ConfidenceDispatcher().probability(lin)
+        lin = [
+            clause((root, 1), (child_a, 1)),
+            clause((root, 1), (child_b, 1)),
+            clause((root, 2), (child_a, 1)),
+        ]
+        result = one(ConfidenceDispatcher(), lin, registry)
         assert result.probability == pytest.approx(
             confidence_by_enumeration(lin, registry)
         )
@@ -252,15 +237,15 @@ class TestApproximate:
     def test_closed_form_shortcut(self):
         registry = VariableRegistry()
         x = registry.fresh_boolean(0.3)
-        lin = Lineage.from_clauses([Condition.atom(x, 1)], registry)
-        result = ConfidenceDispatcher().approximate(lin, 0.1, 0.05)
+        lin = [((x, 1),)]
+        result = ConfidenceDispatcher().approximate(lin, registry, 0.1, 0.05)
         assert result.decisions[0].strategy == STRATEGY_CLOSED_FORM
         assert result.probability == pytest.approx(0.3)
 
     def test_hierarchical_shortcut(self):
         registry = VariableRegistry()
         lin = two_level_hierarchical(registry)
-        result = ConfidenceDispatcher().approximate(lin, 0.1, 0.05)
+        result = ConfidenceDispatcher().approximate(lin, registry, 0.1, 0.05)
         assert result.decisions[0].strategy == STRATEGY_SPROUT
         assert result.probability == pytest.approx(
             confidence_by_enumeration(lin, registry)
@@ -275,15 +260,12 @@ class TestApproximate:
         epsilon = 0.1
         for trial in range(10):
             lin, registry = random_dnf(6, 5, 3, rng, domain_size=2)
-            lin = lin.simplified()
-            if lin.is_false or lin.is_true:
-                continue
             truth = confidence_by_enumeration(lin, registry)
             dispatcher = ConfidenceDispatcher(
                 DispatchPolicy(strategy="monte-carlo"),
                 random.Random(100 + trial),
             )
-            result = dispatcher.approximate(lin, epsilon, 0.02)
+            result = dispatcher.approximate(lin, registry, epsilon, 0.02)
             assert abs(result.probability - truth) <= epsilon * truth, (
                 trial,
                 result.probability,
@@ -298,7 +280,7 @@ class TestDeterminism:
         policy = DispatchPolicy(strategy="monte-carlo")
         a = ConfidenceDispatcher(policy, random.Random(42))
         b = ConfidenceDispatcher(policy, random.Random(42))
-        assert a.probability(lin).probability == b.probability(lin).probability
+        assert one(a, lin, registry).probability == one(b, lin, registry).probability
 
     def test_different_seeds_differ(self):
         rng = random.Random(7)
@@ -306,7 +288,7 @@ class TestDeterminism:
         policy = DispatchPolicy(strategy="monte-carlo")
         a = ConfidenceDispatcher(policy, random.Random(1))
         b = ConfidenceDispatcher(policy, random.Random(2))
-        assert a.probability(lin).probability != b.probability(lin).probability
+        assert one(a, lin, registry).probability != one(b, lin, registry).probability
 
 
 class TestTracing:
@@ -317,7 +299,7 @@ class TestTracing:
         lin = two_level_hierarchical(registry)
         dispatcher = ConfidenceDispatcher()
         with trace_confidence() as events:
-            result = dispatcher.probability(lin)
+            result = one(dispatcher, lin, registry)
             dispatch_module.record_aggregate("conf", [result])
         assert len(events) == 1
         assert events[0].aggregate == "conf"

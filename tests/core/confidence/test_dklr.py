@@ -9,7 +9,6 @@ import random
 
 import pytest
 
-from repro.core.conditions import Condition
 from repro.core.confidence.dklr import (
     ApproximationResult,
     aa_estimate,
@@ -17,14 +16,14 @@ from repro.core.confidence.dklr import (
     stopping_rule_estimate,
 )
 from repro.core.confidence.exact import ExactConfidenceEngine
-from repro.core.lineage import Lineage
+from repro.core.lineage import canonical_clause
 from repro.core.variables import VariableRegistry
 from repro.datagen.random_dnf import random_dnf
 from repro.errors import ConfidenceError
 
 
-def lineage(registry, *clauses):
-    return Lineage.from_clauses(clauses, registry)
+def lineage(*clauses):
+    return list(clauses)
 
 
 def exact_probability(lin, registry):
@@ -113,16 +112,15 @@ class TestAconf:
         return r
 
     def test_trivial_dnfs_exact_without_sampling(self, registry):
-        result = approximate_confidence(lineage(registry), registry)
+        result = approximate_confidence(lineage(), registry)
         assert result.estimate == 0.0
         assert result.total_samples == 0
 
     def test_matches_exact_within_epsilon(self, registry):
         lin = lineage(
-            registry,
-            Condition.of([(1, 0), (2, 0)]),
-            Condition.atom(3, 1),
-            Condition.of([(2, 1), (4, 0)]),
+            canonical_clause([(1, 0), (2, 0)]),
+            ((3, 1),),
+            canonical_clause([(2, 1), (4, 0)]),
         )
         exact = exact_probability(lin, registry)
         estimate = aconf(lin, registry, 0.05, 0.05, random.Random(7))
@@ -139,13 +137,13 @@ class TestAconf:
     def test_scaling_transfer(self, registry):
         """The relative guarantee on μ_Z transfers through U: confirm the
         result is U * mean, not mean."""
-        clause = Condition.atom(1, 1)  # p = 0.6
-        result = approximate_confidence(lineage(registry, clause), registry, 0.1, 0.1)
+        clause = ((1, 1),)  # p = 0.6
+        result = approximate_confidence(lineage(clause), registry, 0.1, 0.1)
         # Single clause: Z == 1 always, estimate must be exactly U = 0.6.
         assert result.estimate == pytest.approx(0.6)
 
     def test_tighter_epsilon_uses_more_samples(self, registry):
-        lin = lineage(registry, Condition.atom(1, 0), Condition.of([(2, 0), (3, 0)]))
+        lin = lineage(((1, 0),), canonical_clause([(2, 0), (3, 0)]))
         loose = approximate_confidence(lin, registry, 0.2, 0.1, random.Random(8))
         tight = approximate_confidence(lin, registry, 0.05, 0.1, random.Random(8))
         assert tight.total_samples > loose.total_samples

@@ -10,23 +10,27 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.conditions import Condition, TRUE_CONDITION
-from repro.core.confidence.exact import ExactConfidenceEngine
-from repro.core.confidence.naive import (
+from reference.naive import (
     confidence_by_enumeration,
     confidence_by_inclusion_exclusion,
 )
-from repro.core.lineage import Lineage
+from repro.core.confidence.exact import ExactConfidenceEngine
+from repro.core.lineage import canonical_clause, simplify_clauses
 from repro.core.variables import VariableRegistry
 from repro.datagen.random_dnf import random_dnf
 from repro.errors import CostBudgetExceededError, UnsafeLineageError
 
 
+def simplified(clauses, registry):
+    """The clauses as the dispatcher hands them to the engine."""
+    engine = ExactConfidenceEngine(registry)
+    engine.load(clauses)
+    return simplify_clauses(clauses, engine.clause_probability)
+
+
 def exact_probability(clauses, registry):
-    """The exact engine on a lineage, or on a clause list made one."""
-    if not isinstance(clauses, Lineage):
-        clauses = Lineage.from_clauses(clauses, registry)
-    return ExactConfidenceEngine(registry).probability(clauses)
+    """The exact engine on simplified clauses."""
+    return ExactConfidenceEngine(registry).probability(simplified(clauses, registry))
 
 
 @pytest.fixture
@@ -42,30 +46,30 @@ class TestBaseCases:
         assert exact_probability([], registry) == 0.0
 
     def test_true(self, registry):
-        assert exact_probability([TRUE_CONDITION], registry) == 1.0
+        assert exact_probability([()], registry) == 1.0
 
     def test_single_atom(self, registry):
-        assert exact_probability([Condition.atom(1, 0)], registry) == pytest.approx(0.5)
+        assert exact_probability([((1, 0),)], registry) == pytest.approx(0.5)
 
     def test_single_clause_product(self, registry):
-        clause = Condition.of([(1, 0), (2, 1)])
+        clause = canonical_clause([(1, 0), (2, 1)])
         assert exact_probability([clause], registry) == pytest.approx(0.15)
 
     def test_independent_clauses(self, registry):
-        lineage = [Condition.atom(1, 0), Condition.atom(2, 0)]
+        lineage = [((1, 0),), ((2, 0),)]
         assert exact_probability(lineage, registry) == pytest.approx(1 - 0.5 * 0.5)
 
     def test_exclusive_alternatives_sum(self, registry):
-        lineage = [Condition.atom(1, 0), Condition.atom(1, 1)]
+        lineage = [((1, 0),), ((1, 1),)]
         assert exact_probability(lineage, registry) == pytest.approx(0.8)
 
     def test_exhaustive_alternatives_give_one(self, registry):
-        lineage = [Condition.atom(1, v) for v in (0, 1, 2)]
+        lineage = [((1, v),) for v in (0, 1, 2)]
         assert exact_probability(lineage, registry) == pytest.approx(1.0)
 
     def test_subsumed_duplicate_lineage(self, registry):
-        weak = Condition.atom(1, 0)
-        strong = Condition.of([(1, 0), (2, 0)])
+        weak = ((1, 0),)
+        strong = canonical_clause([(1, 0), (2, 0)])
         assert exact_probability([weak, strong], registry) == pytest.approx(0.5)
 
 
@@ -102,8 +106,8 @@ class TestAgainstOracles:
 
     def test_monotonicity_adding_clause(self, registry):
         """Adding a clause can only increase the probability."""
-        base = [Condition.of([(1, 0), (2, 1)])]
-        bigger = base + [Condition.atom(3, 0)]
+        base = [canonical_clause([(1, 0), (2, 1)])]
+        bigger = base + [((3, 0),)]
         assert exact_probability(bigger, registry) >= exact_probability(base, registry)
 
 
@@ -129,8 +133,8 @@ class TestEngineInternals:
         registry = VariableRegistry()
         x = registry.fresh([0.5, 0.5])
         y = registry.fresh([0.5, 0.5])
-        lineage = Lineage.from_clauses(
-            [Condition.atom(x, 0), Condition.atom(y, 0)], registry
+        lineage = simplified(
+            [((x, 0),), ((y, 0),)], registry
         )
         engine = ExactConfidenceEngine(registry)
         assert engine.probability(lineage) == pytest.approx(0.75)
@@ -144,8 +148,8 @@ class TestEngineInternals:
         registry = VariableRegistry()
         r = registry.fresh_boolean(0.5)
         rest = [registry.fresh_boolean(0.5) for _ in range(3)]
-        lineage = Lineage.from_clauses(
-            [Condition.of([(r, 1), (v, 1)]) for v in rest], registry
+        lineage = simplified(
+            [canonical_clause([(r, 1), (v, 1)]) for v in rest], registry
         )
         engine = ExactConfidenceEngine(registry)
         assert engine.probability(lineage) == pytest.approx(0.5 * (1 - 0.5 ** 3))
@@ -157,8 +161,8 @@ class TestEngineInternals:
         x = registry.fresh([0.5, 0.5])
         y = registry.fresh([0.5, 0.5])
         # Chained clauses sharing x and y: elimination must occur.
-        lineage = Lineage.from_clauses(
-            [Condition.of([(x, 0), (y, 0)]), Condition.of([(x, 1), (y, 1)])],
+        lineage = simplified(
+            [canonical_clause([(x, 0), (y, 0)]), canonical_clause([(x, 1), (y, 1)])],
             registry,
         )
         engine = ExactConfidenceEngine(registry)
@@ -174,11 +178,11 @@ class TestEngineInternals:
         # a occurs in all three clauses; b, c in one or two each.  Only
         # eliminating a first finishes in one elimination: a=0 leaves the
         # independent {b=0, c=0}, a=1 the single clause b=1.
-        lineage = Lineage.from_clauses(
+        lineage = simplified(
             [
-                Condition.of([(a, 0), (b, 0)]),
-                Condition.of([(a, 0), (c, 0)]),
-                Condition.of([(a, 1), (b, 1)]),
+                canonical_clause([(a, 0), (b, 0)]),
+                canonical_clause([(a, 0), (c, 0)]),
+                canonical_clause([(a, 1), (b, 1)]),
             ],
             registry,
         )
@@ -191,8 +195,8 @@ class TestEngineInternals:
     def test_non_root_elimination_is_labelled_exact(self):
         registry = VariableRegistry()
         v = [registry.fresh_boolean(0.5) for _ in range(4)]
-        lineage = Lineage.from_clauses(
-            [Condition.of([(v[i], 1), (v[i + 1], 1)]) for i in range(3)], registry
+        lineage = simplified(
+            [canonical_clause([(v[i], 1), (v[i + 1], 1)]) for i in range(3)], registry
         )
         engine = ExactConfidenceEngine(registry)
         engine.probability(lineage)
@@ -207,34 +211,34 @@ class TestEngineInternals:
         clauses = []
         for _ in range(100):
             var = registry.fresh([0.9, 0.1])
-            clauses.append(Condition.atom(var, 1))
+            clauses.append(((var, 1),))
         p = exact_probability(clauses, registry)
         assert p == pytest.approx(1 - 0.9 ** 100)
 
 
 class TestRecursionOnClauseTuples:
-    """The engine expands sorted tuples of the arena's clause atom tuples,
-    with a memo that lives as long as the engine."""
+    """The engine expands sorted tuples of canonical clauses, with a memo
+    that lives as long as the engine."""
 
     def test_clause_order_does_not_change_the_answer(self):
         rng = random.Random(21)
         lineage, registry = random_dnf(7, 9, 3, rng, domain_size=3)
-        shuffled = list(lineage.clauses)
+        shuffled = list(lineage)
         rng.shuffle(shuffled)
-        again = Lineage.from_clauses(shuffled, registry)
+        again = simplified(shuffled, registry)
         assert exact_probability(again, registry) == pytest.approx(
             exact_probability(lineage, registry), abs=1e-12
         )
 
     def test_memo_is_keyed_by_the_sorted_clause_tuples(self):
-        # The same clauses in another order, in another arena: one memo
-        # entry serves both.
+        # The same clauses in another order: one memo entry serves both.
         rng = random.Random(4)
-        lineage, registry = random_dnf(6, 8, 2, rng)
+        raw, registry = random_dnf(6, 8, 2, rng)
+        lineage = simplified(raw, registry)
         engine = ExactConfidenceEngine(registry)
         first = engine.probability(lineage)
         hits = engine.statistics.memo_hits
-        reversed_copy = Lineage.from_clauses(reversed(lineage.clauses), registry)
+        reversed_copy = list(reversed(lineage))
         assert engine.probability(reversed_copy) == first
         assert engine.statistics.memo_hits == hits + 1
 
@@ -248,16 +252,16 @@ class TestRecursionOnClauseTuples:
         second.probability(lineage)
         assert second.statistics.memo_hits == first.statistics.memo_hits
 
-    def test_cofactors_leave_the_lineage_arena_alone(self):
+    def test_cofactors_leave_the_input_clauses_alone(self):
         rng = random.Random(9)
         lineage, registry = random_dnf(5, 10, 3, rng)
-        interned = len(lineage.arena)
+        before = list(lineage)
         ExactConfidenceEngine(registry).probability(lineage)
-        assert len(lineage.arena) == interned
+        assert lineage == before
 
     def test_zero_probability_clauses_are_simplified_away(self, registry):
         impossible = registry.fresh({0: 1.0, 1: 0.0})
-        clauses = [Condition.of([(impossible, 1), (1, 0)]), Condition.atom(2, 1)]
+        clauses = [canonical_clause([(impossible, 1), (1, 0)]), ((2, 1),)]
         assert exact_probability(clauses, registry) == pytest.approx(0.3)
 
     def test_budget_raises_when_exceeded(self):
@@ -299,9 +303,9 @@ class TestRecursionOnClauseTuples:
         for value in range(3):
             for _ in range(3):
                 x, y = registry.fresh_boolean(0.5), registry.fresh_boolean(0.4)
-                clauses.append(Condition.of([(r, value), (x, 1), (y, 1)]))
-                clauses.append(Condition.of([(r, value), (x, 0)]))
-        lineage = Lineage.from_clauses(clauses, registry)
+                clauses.append(canonical_clause([(r, value), (x, 1), (y, 1)]))
+                clauses.append(canonical_clause([(r, value), (x, 0)]))
+        lineage = simplified(clauses, registry)
         engine = ExactConfidenceEngine(registry, max_subproblems=1)
         assert engine.probability(lineage) == pytest.approx(
             ExactConfidenceEngine(registry).probability(lineage), abs=1e-15
@@ -313,8 +317,8 @@ class TestRecursionOnClauseTuples:
         x = registry.fresh([0.5, 0.5])
         y = registry.fresh([0.5, 0.5])
         # x=0 leaves the certain clause (⊤); x=1 leaves the clause y=1.
-        lineage = Lineage.from_clauses(
-            [Condition.atom(x, 0), Condition.of([(x, 1), (y, 1)])], registry
+        lineage = simplified(
+            [((x, 0),), canonical_clause([(x, 1), (y, 1)])], registry
         )
         engine = ExactConfidenceEngine(registry)
         assert engine.probability(lineage) == pytest.approx(0.75)

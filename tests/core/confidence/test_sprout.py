@@ -1,5 +1,5 @@
-"""Tests for SPROUT-style safe evaluation on one lineage
-(:func:`safe_lineage_confidence`): against world enumeration and the exact
+"""Tests for SPROUT-style safe evaluation on one lineage (the ws-tree
+recursion in its root-only mode): against world enumeration and the exact
 engine on hierarchical lineages, and refusal on the rest."""
 
 import random
@@ -7,19 +7,26 @@ import random
 import pytest
 
 from reference.confidence import is_hierarchical
-from repro.core.conditions import Condition
+from reference.naive import confidence_by_enumeration
 from repro.core.confidence.exact import ExactConfidenceEngine
-from repro.core.confidence.naive import confidence_by_enumeration
-from repro.core.confidence.sprout import safe_lineage_confidence
-from repro.core.lineage import Lineage
+from repro.core.lineage import canonical_clause, simplify_clauses
 from repro.core.variables import VariableRegistry
 from repro.errors import ConfidenceError, UnsafeLineageError, UnsafeQueryError
 
 
 def clause(*atoms):
-    condition = Condition.of(list(atoms))
+    condition = canonical_clause(atoms)
     assert condition is not None
     return condition
+
+
+def safe_confidence(clauses, registry):
+    """SPROUT's safe plan on one lineage: the clauses simplified as the
+    dispatcher simplifies them, then the root-only recursion."""
+    engine = ExactConfidenceEngine(registry)
+    engine.load(clauses)
+    kept = simplify_clauses(clauses, engine.clause_probability)
+    return engine.probability(kept, roots_only=True)
 
 
 def fresh(registry, rng):
@@ -52,8 +59,9 @@ def random_hierarchical(seed, depth=2, max_worlds=4096):
         clauses = []
         for _ in range(rng.randint(1, 2)):  # one or two independent components
             clauses.extend(hierarchical_clauses(registry, rng, depth))
-        lineage = Lineage.from_clauses([clause(*atoms) for atoms in clauses], registry)
-        if registry.world_count(lineage.variables()) <= max_worlds:
+        lineage = [clause(*atoms) for atoms in clauses]
+        variables = {var for atoms in lineage for var, _ in atoms}
+        if registry.world_count(variables) <= max_worlds:
             return lineage, registry
 
 
@@ -61,7 +69,7 @@ def random_hierarchical(seed, depth=2, max_worlds=4096):
 def test_random_hierarchical_lineages_match_enumeration_and_exact(seed):
     lineage, registry = random_hierarchical(seed)
     assert is_hierarchical(lineage)
-    p = safe_lineage_confidence(lineage)
+    p = safe_confidence(lineage, registry)
     assert p == pytest.approx(confidence_by_enumeration(lineage, registry), abs=1e-12)
     assert p == pytest.approx(
         ExactConfidenceEngine(registry).probability(lineage), abs=1e-12
@@ -82,7 +90,7 @@ def test_two_level_shape_is_one_root_elimination(seed):
         for _ in range(rng.randint(1, 4))
     ]
     clauses.append(clause((root, registry.domain(root)[0])))
-    lineage = Lineage.from_clauses(clauses, registry)
+    lineage = clauses
     engine = ExactConfidenceEngine(registry)
     p = engine.probability(lineage, roots_only=True)
     assert p == pytest.approx(confidence_by_enumeration(lineage, registry), abs=1e-12)
@@ -93,22 +101,19 @@ def test_duplicate_and_subsumed_clauses_are_simplified_first():
     registry = VariableRegistry()
     r = registry.fresh_boolean(0.6)
     s = registry.fresh_boolean(0.5)
-    lineage = Lineage.from_clauses(
-        [clause((r, 1), (s, 1)), clause((r, 1), (s, 1)), clause((r, 1))], registry
-    )
-    assert safe_lineage_confidence(lineage) == pytest.approx(0.6)
+    lineage = [clause((r, 1), (s, 1)), clause((r, 1), (s, 1)), clause((r, 1))]
+    assert safe_confidence(lineage, registry) == pytest.approx(0.6)
 
 
 def test_component_without_a_root_variable_is_refused():
     # x1∧y1, x1∧y2, x2∧y2: a connected component no variable spans.
     registry = VariableRegistry()
     x1, y1, y2, x2 = (registry.fresh_boolean(0.5) for _ in range(4))
-    lineage = Lineage.from_clauses(
-        [clause((x1, 1), (y1, 1)), clause((x1, 1), (y2, 1)), clause((x2, 1), (y2, 1))],
-        registry,
-    )
+    lineage = [
+        clause((x1, 1), (y1, 1)), clause((x1, 1), (y2, 1)), clause((x2, 1), (y2, 1))
+    ]
     with pytest.raises(UnsafeLineageError):
-        safe_lineage_confidence(lineage)
+        safe_confidence(lineage, registry)
 
 
 def test_refusal_below_the_root_is_detected_too():
@@ -116,16 +121,13 @@ def test_refusal_below_the_root_is_detected_too():
     registry = VariableRegistry()
     r = registry.fresh_boolean(0.7)
     x1, y1, y2, x2 = (registry.fresh_boolean(0.5) for _ in range(4))
-    lineage = Lineage.from_clauses(
-        [
-            clause((r, 1), (x1, 1), (y1, 1)),
-            clause((r, 1), (x1, 1), (y2, 1)),
-            clause((r, 1), (x2, 1), (y2, 1)),
-        ],
-        registry,
-    )
+    lineage = [
+        clause((r, 1), (x1, 1), (y1, 1)),
+        clause((r, 1), (x1, 1), (y2, 1)),
+        clause((r, 1), (x2, 1), (y2, 1)),
+    ]
     with pytest.raises(UnsafeLineageError):
-        safe_lineage_confidence(lineage)
+        safe_confidence(lineage, registry)
 
 
 def test_refusal_keeps_its_error_names():

@@ -23,7 +23,7 @@ import random
 import pytest
 
 from reference.confidence import is_hierarchical
-from repro.core.conditions import TRUE_CONDITION, Condition
+from reference.naive import confidence_by_enumeration
 from repro.core.confidence.dispatch import (
     STRATEGY_CLOSED_FORM,
     STRATEGY_EXACT,
@@ -33,8 +33,7 @@ from repro.core.confidence.dispatch import (
     DispatchPolicy,
 )
 from repro.core.confidence.exact import ExactConfidenceEngine, components
-from repro.core.confidence.naive import confidence_by_enumeration
-from repro.core.lineage import Lineage
+from repro.core.lineage import canonical_clause, closed_form, simplify_clauses
 from repro.core.variables import VariableRegistry
 from repro.datagen.random_dnf import random_dnf
 from repro.errors import UnsafeLineageError
@@ -52,7 +51,7 @@ def random_lineage(seed):
         if rng.random() < 0.3:
             weights[rng.randrange(domain_size)] = 0.0
         variables.append(registry.fresh([w / sum(weights) for w in weights]))
-    lineage, _ = random_dnf(
+    clauses, _ = random_dnf(
         len(variables),
         rng.randint(1, 8),
         rng.randint(1, 4),
@@ -61,20 +60,18 @@ def random_lineage(seed):
         registry=registry,
         variables=variables,
     )
-    clauses = list(lineage.clauses)
     for _ in range(rng.randint(0, 2)):
         clauses.append(rng.choice(clauses))  # a duplicate
     for _ in range(rng.randint(0, 2)):  # an absorbed clause
-        extended = Condition.of(
-            rng.choice(clauses).atoms
-            + ((rng.choice(variables), rng.randrange(domain_size)),)
+        extended = canonical_clause(
+            rng.choice(clauses) + ((rng.choice(variables), rng.randrange(domain_size)),)
         )
         if extended is not None:
             clauses.append(extended)
     if rng.random() < 0.05:
-        clauses.append(TRUE_CONDITION)
+        clauses.append(())
     rng.shuffle(clauses)
-    return Lineage.from_clauses(clauses, registry), registry
+    return clauses, registry
 
 
 def conf_hard_lineage(seed):
@@ -85,7 +82,7 @@ def conf_hard_lineage(seed):
     customers = [registry.fresh_boolean(0.8) for _ in range(rng.randint(1, 3))]
     years = [registry.fresh_boolean(0.7) for _ in range(rng.randint(1, 3))]
     clauses = [
-        Condition.of(
+        canonical_clause(
             [
                 (registry.fresh_boolean(0.8), 1),
                 (rng.choice(customers), 1),
@@ -94,7 +91,14 @@ def conf_hard_lineage(seed):
         )
         for _ in range(rng.randint(1, 4))
     ]
-    return Lineage.from_clauses(clauses, registry), registry
+    return clauses, registry
+
+
+def simplify(clauses, registry):
+    """The clauses as the dispatcher hands them to the engine, and P(clause)."""
+    engine = ExactConfidenceEngine(registry)
+    engine.load(clauses)
+    return simplify_clauses(clauses, engine.clause_probability), engine.clause_probability
 
 
 def has_safe_plan(clauses):
@@ -137,10 +141,10 @@ def has_safe_plan(clauses):
     return True
 
 
-def single_valued(lineage):
+def single_valued(clauses):
     values = {}
-    for clause in lineage.clauses:
-        for var, value in clause.atoms:
+    for clause in clauses:
+        for var, value in clause:
             if values.setdefault(var, value) != value:
                 return False
     return True
@@ -155,13 +159,13 @@ CASES = [("random", seed) for seed in range(120)] + [
 def test_one_recursion_against_enumeration_and_hierarchy(shape, seed):
     make = random_lineage if shape == "random" else conf_hard_lineage
     lineage, registry = make(seed)
-    simplified = lineage.simplified()
+    simplified, probability = simplify(lineage, registry)
     engine = ExactConfidenceEngine(registry)
-    p = engine.probability(lineage)
+    p = engine.probability(simplified)
     assert p == pytest.approx(confidence_by_enumeration(lineage, registry), abs=1e-12)
 
     safe = engine.label != STRATEGY_EXACT
-    assert safe == has_safe_plan([clause.atoms for clause in simplified.clauses])
+    assert safe == has_safe_plan(simplified)
     hierarchical = is_hierarchical(simplified)
     if hierarchical:
         assert safe
@@ -170,30 +174,27 @@ def test_one_recursion_against_enumeration_and_hierarchy(shape, seed):
 
     roots_only = ExactConfidenceEngine(registry)
     if safe:
-        assert roots_only.probability(lineage, roots_only=True) == p
+        assert roots_only.probability(simplified, roots_only=True) == p
     else:
         with pytest.raises(UnsafeLineageError):
-            roots_only.probability(lineage, roots_only=True)
+            roots_only.probability(simplified, roots_only=True)
 
     tiny = ConfidenceDispatcher(
         DispatchPolicy(exact_budget=1), random.Random(seed)
     )
-    decisions = tiny.probability(lineage).decisions
-    for component, decision in zip(_components(simplified), decisions):
+    decisions = tiny.group_probabilities([lineage], registry)[0].decisions
+    for component, decision in zip(_components(simplified, probability), decisions):
         if is_hierarchical(component):
             assert decision.strategy in (STRATEGY_CLOSED_FORM, STRATEGY_SPROUT)
         elif single_valued(component):
             assert decision.strategy in (STRATEGY_EXACT, STRATEGY_MONTE_CARLO)
 
 
-def _components(simplified):
+def _components(simplified, probability):
     """The components the dispatcher hands out, one per decision."""
-    if simplified.closed_form_probability() is not None:
+    if closed_form(simplified, probability) is not None:
         return [simplified]
-    return [
-        Lineage.from_clauses(map(Condition, part), simplified.arena.registry)
-        for part, _ in components([clause.atoms for clause in simplified])
-    ]
+    return [part for part, _ in components(simplified)]
 
 
 def test_the_generator_covers_both_labels_and_every_shape():
@@ -201,13 +202,13 @@ def test_the_generator_covers_both_labels_and_every_shape():
     for shape, seed in CASES:
         make = random_lineage if shape == "random" else conf_hard_lineage
         lineage, registry = make(seed)
+        simplified, _ = simplify(lineage, registry)
         engine = ExactConfidenceEngine(registry)
-        engine.probability(lineage)
+        engine.probability(simplified)
         labels.add((shape, engine.label))
-        simplified = lineage.simplified()
         if len(simplified) < len(lineage):
             shapes.add("simplified away")
-        if simplified.is_true:
+        if simplified == [()]:
             shapes.add("certain")
         if not single_valued(simplified) and engine.label != STRATEGY_EXACT:
             if not is_hierarchical(simplified):

@@ -1,23 +1,22 @@
 """Tests for conf / aconf / tconf / possible / esum / ecount against the
 possible-worlds oracles."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference.confidence import row_conditions
+from reference.worlds import (
+    expected_aggregate_by_enumeration,
+    tuple_confidence_by_enumeration,
+)
 from repro.core import aggregates as agg
-from repro.core import urelation
-from repro.core.conditions import Condition, TRUE_CONDITION
+from repro.core import lineage, urelation
 from repro.core.confidence import dispatch
 from repro.core.confidence.dispatch import ConfidenceDispatcher, DispatchPolicy
 from repro.core.repair_key import repair_key
 from repro.core.urelation import URelation
+from repro.core.lineage import canonical_clause
 from repro.core.variables import VariableRegistry
-from repro.core.worlds import (
-    expected_aggregate_by_enumeration,
-    tuple_confidence_by_enumeration,
-)
 from repro.db import MayBMS
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
@@ -39,7 +38,7 @@ def urel(registry):
     return URelation.from_conditions(
         schema,
         [("a", 1), ("a", 1), ("b", 2)],
-        [Condition.atom(x, 1), Condition.atom(y, 1), Condition.atom(x, 0)],
+        [((x, 1),), ((y, 1),), ((x, 0),)],
         registry,
     )
 
@@ -85,9 +84,12 @@ class TestConf:
 
 
 class TestAconf:
-    def test_approximates_conf(self, urel):
-        rng = random.Random(11)
-        result = agg.aconf(urel, 0.05, 0.05, ["k"], result_name="p", rng=rng)
+    @pytest.mark.parametrize("strategy", ["auto", "monte-carlo"])
+    def test_approximates_conf(self, urel, strategy):
+        dispatcher = ConfidenceDispatcher(DispatchPolicy(strategy=strategy))
+        result = agg.aconf(
+            urel, 0.05, 0.05, ["k"], result_name="p", dispatcher=dispatcher, base_seed=11
+        )
         by_key = {row[0]: row[1] for row in result}
         assert by_key["a"] == pytest.approx(0.82, rel=0.1)
         assert by_key["b"] == pytest.approx(0.3, rel=0.1)
@@ -96,7 +98,7 @@ class TestAconf:
         certain = URelation.t_certain(
             Relation(Schema.of(("a", INTEGER)), [(1,)]), registry
         )
-        result = agg.aconf(certain, 0.1, 0.1, ["a"], result_name="p")
+        result = agg.aconf(certain, 0.1, 0.1, ["a"], result_name="p", base_seed=0)
         assert result.rows[0][1] == 1.0
 
 
@@ -122,7 +124,7 @@ class TestPossible:
         urel = URelation.from_conditions(
             schema,
             [(1,), (1,), (2,)],
-            [Condition.atom(x, 1), Condition.atom(x, 1), Condition.atom(x, 0)],
+            [((x, 1),), ((x, 1),), ((x, 0),)],
             registry,
         )
         result = agg.possible(urel)
@@ -151,7 +153,7 @@ class TestExpectations:
         schema = Schema.of(("v", INTEGER))
         urel = URelation.from_conditions(
             schema, [(NULL,), (4,)],
-            [Condition.atom(x, 0), Condition.atom(x, 1)], registry,
+            [((x, 0),), ((x, 1),)], registry,
         )
         assert agg.esum(urel, "v", [], result_name="e").single_value() == pytest.approx(2.0)
 
@@ -182,7 +184,7 @@ class TestExpectations:
         for g, v, p in rows:
             var = registry.fresh_boolean(p)
             payload.append((g, v))
-            conditions.append(Condition.atom(var, 1))
+            conditions.append(((var, 1),))
         urel = URelation.from_conditions(schema, payload, conditions, registry)
         result = agg.esum(urel, "v", [], result_name="e").single_value()
         oracle = expected_aggregate_by_enumeration(urel, 1)
@@ -215,20 +217,20 @@ class TestArrayPass:
             for _ in range(3):
                 rows.append((g,))
                 conditions.append(
-                    Condition.of([(root, 1), (registry.fresh_boolean(0.5), 1)])
+                    canonical_clause([(root, 1), (registry.fresh_boolean(0.5), 1)])
                 )
         if crossing:
             x1, y1, y2, x2 = (registry.fresh_boolean(0.5) for _ in range(4))
             for a, b in ((x1, y1), (x1, y2), (y2, x2)):
                 rows.append((6,))
-                conditions.append(Condition.of([(a, 1), (b, 1)]))
+                conditions.append(canonical_clause([(a, 1), (b, 1)]))
         return URelation.from_conditions(
             Schema.of(("g", INTEGER)), rows, conditions, registry
         )
 
     @pytest.fixture
     def lineages_built(self, monkeypatch):
-        """Every group lineage aconf() builds (the engines derive
+        """Every group's clauses aconf() reads (the engines derive
         components and cofactors from these, which are not counted)."""
         built = []
         group_lineages = agg.group_lineages
@@ -255,7 +257,7 @@ class TestArrayPass:
         return groups
 
     def test_nothing_is_decoded_for_answered_groups(self, registry, dispatched, monkeypatch):
-        monkeypatch.setattr(agg, "row_clauses", None)  # never called
+        monkeypatch.setattr(lineage, "row_clauses", None)  # never called
         result = agg.conf(self.mixed(registry, crossing=False), ["g"])
         assert [row[1] for row in result] == [pytest.approx(0.6 * 0.875)] * 6
         assert dispatched == []
@@ -271,7 +273,7 @@ class TestArrayPass:
             tuple_confidence_by_enumeration(urel, (6,))
         )
         # the crossing group's clauses, nobody else's
-        assert dispatched == [[c.atoms for c in urel.conditions()[-3:]]]
+        assert dispatched == [row_conditions(urel)[-3:]]
 
     def test_aconf_takes_the_same_shortcut(self, registry, lineages_built):
         urel = self.mixed(registry, crossing=False)
@@ -348,4 +350,4 @@ class TestArrayPass:
         with pytest.raises(UnsafeLineageError):
             agg.conf(self.mixed(registry), ["g"], dispatcher=sprout)
         with pytest.raises(UnsafeLineageError):
-            agg.aconf(self.mixed(registry), 0.1, 0.1, ["g"], dispatcher=sprout)
+            agg.aconf(self.mixed(registry), 0.1, 0.1, ["g"], dispatcher=sprout, base_seed=0)

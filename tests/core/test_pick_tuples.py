@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference.confidence import clause_probability, row_conditions
+from reference.worlds import relation_distribution, rows_with_conditions
 from repro.core.pick_tuples import pick_tuples
 from repro.core.variables import VariableRegistry
-from repro.core.worlds import relation_distribution
 from repro.engine.expressions import ColumnRef
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
@@ -33,19 +34,19 @@ class TestAllSubsets:
     def test_probability_column(self, items):
         registry = VariableRegistry()
         urel = pick_tuples(items, registry, probability="p")
-        for payload, condition in urel.rows_with_conditions():
-            assert condition.probability(registry) == pytest.approx(payload[1])
+        for payload, condition in rows_with_conditions(urel):
+            assert clause_probability(condition, registry) == pytest.approx(payload[1])
 
     def test_probability_constant(self, items):
         registry = VariableRegistry()
         urel = pick_tuples(items, registry, probability=0.25)
-        for _, condition in urel.rows_with_conditions():
-            assert condition.probability(registry) == pytest.approx(0.25)
+        for _, condition in rows_with_conditions(urel):
+            assert clause_probability(condition, registry) == pytest.approx(0.25)
 
     def test_probability_expression(self, items):
         registry = VariableRegistry()
         urel = pick_tuples(items, registry, probability=ColumnRef("p"))
-        probs = [c.probability(registry) for c in urel.conditions()]
+        probs = [clause_probability(c, registry) for c in row_conditions(urel)]
         assert probs == pytest.approx([0.9, 0.5, 0.1])
 
     def test_empty_input(self):
@@ -64,7 +65,7 @@ class TestAllSubsets:
         relation = Relation(schema, [(1, 0.0), (2, 1.0)])
         registry = VariableRegistry()
         urel = pick_tuples(relation, registry, probability="p")
-        probs = [c.probability(registry) for c in urel.conditions()]
+        probs = [clause_probability(c, registry) for c in row_conditions(urel)]
         assert probs == pytest.approx([0.0, 1.0])
 
 

@@ -11,9 +11,15 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference.confidence import clause_probability, row_conditions
+from reference.worlds import (
+    enumerate_worlds,
+    in_world,
+    relation_distribution,
+    rows_with_conditions,
+)
 from repro.core.repair_key import repair_key
 from repro.core.variables import VariableRegistry
-from repro.core.worlds import enumerate_worlds, relation_distribution
 from repro.engine.expressions import Arithmetic, ColumnRef, Literal
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
@@ -49,7 +55,7 @@ class TestBasicSemantics:
         urel = repair_key(fitness, ["init"], registry, weight_by="p")
         # In every world, exactly one Final per Init survives.
         for world, _ in enumerate_worlds(registry):
-            instance = urel.in_world(world)
+            instance = in_world(urel, world)
             by_init = {}
             for row in instance:
                 by_init.setdefault(row[0], []).append(row)
@@ -59,17 +65,17 @@ class TestBasicSemantics:
     def test_probabilities_are_normalized_weights(self, fitness):
         registry = VariableRegistry()
         urel = repair_key(fitness, ["init"], registry, weight_by="p")
-        for payload, condition in urel.rows_with_conditions():
-            assert condition.probability(registry) == pytest.approx(payload[2])
+        for payload, condition in rows_with_conditions(urel):
+            assert clause_probability(condition, registry) == pytest.approx(payload[2])
 
     def test_uniform_when_no_weight(self):
         schema = Schema.of(("k", INTEGER), ("v", TEXT))
         relation = Relation(schema, [(1, "a"), (1, "b"), (1, "c"), (2, "z")])
         registry = VariableRegistry()
         urel = repair_key(relation, ["k"], registry)
-        for payload, condition in urel.rows_with_conditions():
+        for payload, condition in rows_with_conditions(urel):
             expected = 1.0 / 3.0 if payload[0] == 1 else 1.0
-            assert condition.probability(registry) == pytest.approx(expected)
+            assert clause_probability(condition, registry) == pytest.approx(expected)
 
     def test_empty_key_single_global_choice(self):
         schema = Schema.of(("v", TEXT), ("w", FLOAT))
@@ -87,14 +93,14 @@ class TestBasicSemantics:
         registry = VariableRegistry()
         urel = repair_key(relation, ["k"], registry)
         assert len(registry) == 0  # no variable created
-        condition = urel.conditions()[0]
-        assert condition.is_true
+        condition = row_conditions(urel)[0]
+        assert condition == ()
 
     def test_key_already_valid_means_one_world(self, fitness):
         registry = VariableRegistry()
         urel = repair_key(fitness, ["init", "final"], registry, weight_by="p")
         assert len(registry) == 0
-        assert all(c.is_true for c in urel.conditions())
+        assert all(c == () for c in row_conditions(urel))
 
     def test_empty_relation(self):
         schema = Schema.of(("k", INTEGER))
@@ -121,7 +127,7 @@ class TestWeights:
             registry,
             weight_by=Arithmetic("*", ColumnRef("w"), Literal(10.0)),
         )
-        probs = [c.probability(registry) for c in urel.conditions()]
+        probs = [clause_probability(c, registry) for c in row_conditions(urel)]
         assert probs == pytest.approx([1 / 3, 2 / 3])
 
     def test_weight_callable(self):
@@ -129,7 +135,7 @@ class TestWeights:
         relation = Relation(schema, [(1, 1.0), (1, 3.0)])
         registry = VariableRegistry()
         urel = repair_key(relation, ["k"], registry, weight_by=lambda row: row[1])
-        probs = [c.probability(registry) for c in urel.conditions()]
+        probs = [clause_probability(c, registry) for c in row_conditions(urel)]
         assert probs == pytest.approx([0.25, 0.75])
 
     def test_zero_weight_tuple_dropped_from_hypothesis_space(self):
@@ -220,9 +226,9 @@ class TestAgainstWorldsOracle:
         urel = repair_key(relation, ["k"], registry, weight_by="w")
         # Per key group, the conditions' probabilities sum to 1.
         sums = {}
-        for payload, condition in urel.rows_with_conditions():
-            sums[payload[0]] = sums.get(payload[0], 0.0) + condition.probability(
-                registry
+        for payload, condition in rows_with_conditions(urel):
+            sums[payload[0]] = sums.get(payload[0], 0.0) + clause_probability(
+                condition, registry
             )
         for total in sums.values():
             assert total == pytest.approx(1.0)

@@ -9,7 +9,9 @@ no duplicate elimination, consistency filtering on joins).
 
 import pytest
 
-from repro.core.conditions import Condition, TRUE_CONDITION
+from reference.confidence import row_conditions
+from reference.worlds import enumerate_worlds, in_world, rows_with_conditions
+from repro.core.lineage import row_clauses
 from repro.core.repair_key import repair_key
 from repro.core.translate import (
     consistency_predicate,
@@ -21,7 +23,6 @@ from repro.core.translate import (
 )
 from repro.core.urelation import URelation, atom_positions
 from repro.core.variables import VariableRegistry
-from repro.core.worlds import enumerate_worlds
 from repro.engine import algebra, planner
 from repro.engine.expressions import (
     Arithmetic,
@@ -50,13 +51,13 @@ def r_and_s(registry):
     r = URelation.from_conditions(
         Schema.of(("a", INTEGER), ("b", TEXT)),
         [(1, "p"), (2, "q"), (2, "r")],
-        [Condition.atom(x, 0), Condition.atom(x, 1), Condition.atom(y, 1)],
+        [((x, 0),), ((x, 1),), ((y, 1),)],
         registry,
     )
     s = URelation.from_conditions(
         Schema.of(("a", INTEGER), ("c", FLOAT)),
         [(1, 1.5), (2, 2.5)],
-        [Condition.atom(x, 0), Condition.atom(x, 0)],
+        [((x, 0),), ((x, 0),)],
         registry,
     )
     return r, s, x, y
@@ -69,7 +70,7 @@ def worlds_of(registry):
 def assert_commutes(result: URelation, oracle, registry):
     """For every world w: result instantiated in w == oracle(w)."""
     for world, _ in worlds_of(registry):
-        got = sorted(result.in_world(world).rows)
+        got = sorted(in_world(result, world).rows)
         expected = sorted(oracle(world))
         assert got == expected, f"world {world}: {got} != {expected}"
 
@@ -80,7 +81,7 @@ class TestSelect:
         selected = u_select(r, Comparison("=", ColumnRef("a"), Literal(2)))
 
         def oracle(world):
-            return [row for row in r.in_world(world) if row[0] == 2]
+            return [row for row in in_world(r, world) if row[0] == 2]
 
         assert_commutes(selected, oracle, registry)
 
@@ -97,7 +98,7 @@ class TestProject:
         projected = u_project(r, [(ColumnRef("b"), "b")])
 
         def oracle(world):
-            return [(row[1],) for row in r.in_world(world)]
+            return [(row[1],) for row in in_world(r, world)]
 
         assert_commutes(projected, oracle, registry)
 
@@ -106,7 +107,7 @@ class TestProject:
         r = URelation.from_conditions(
             Schema.of(("a", INTEGER), ("b", INTEGER)),
             [(1, 10), (1, 20)],
-            [Condition.atom(x, 0), Condition.atom(x, 1)],
+            [((x, 0),), ((x, 1),)],
             registry,
         )
         projected = u_project(r, [(ColumnRef("a"), "a")])
@@ -119,7 +120,7 @@ class TestProject:
         )
 
         def oracle(world):
-            return [(row[0] * 10,) for row in r.in_world(world)]
+            return [(row[0] * 10,) for row in in_world(r, world)]
 
         assert_commutes(projected, oracle, registry)
 
@@ -135,8 +136,8 @@ class TestJoin:
 
         def oracle(world):
             out = []
-            for left in r.in_world(world):
-                for right in s.in_world(world):
+            for left in in_world(r, world):
+                for right in in_world(s, world):
                     if left[0] == right[0]:
                         out.append(left + right)
             return out
@@ -154,7 +155,7 @@ class TestJoin:
             Comparison("=", ColumnRef("a", "r"), ColumnRef("a", "s")),
         )
         # Contradictory combination (x=1 ∧ x=0) must not be present.
-        for condition in joined.conditions():
+        for condition in row_conditions(joined):
             assert condition is not None
 
     def test_cross_join_arity(self, r_and_s):
@@ -177,7 +178,7 @@ class TestJoin:
         r = URelation.from_conditions(
             Schema.of(("a", INTEGER),),
             [(1,), (2,)],
-            [Condition.atom(x, 0), Condition.atom(x, 1)],
+            [((x, 0),), ((x, 1),)],
             registry,
         )
         joined = u_join(r, r, None, left_alias="r1", right_alias="r2")
@@ -185,7 +186,7 @@ class TestJoin:
         # dropped by the consistency filter at probability level -- they
         # may appear as rows only if the filter kept them, so check worlds.
         for world, _ in enumerate_worlds(registry):
-            instance = sorted(joined.in_world(world).rows)
+            instance = sorted(in_world(joined, world).rows)
             value = 1 if world[x] == 0 else 2
             assert instance == [(value, value)]
 
@@ -246,8 +247,8 @@ class TestUnion:
 
         def oracle(world):
             return (
-                [(row[0],) for row in r.in_world(world)]
-                + [(row[0],) for row in s.in_world(world)]
+                [(row[0],) for row in in_world(r, world)]
+                + [(row[0],) for row in in_world(s, world)]
             )
 
         assert_commutes(unioned, oracle, registry)
@@ -260,7 +261,7 @@ class TestUnion:
         wide = URelation.from_conditions(
             Schema.of(("a", INTEGER)),
             [(1,)],
-            [Condition.of([(x, 0)])],
+            [((x, 0),)],
             registry,
         )
         unioned = u_union(wide, narrow)
@@ -299,8 +300,8 @@ class TestComposition:
 
         def oracle(world):
             out = []
-            for row in r.in_world(world):
-                for lrow in lookup.in_world(world):
+            for row in in_world(r, world):
+                for lrow in in_world(lookup, world):
                     if row[1] == lrow[0] and row[1] < 40:
                         out.append((row[1], lrow[0], lrow[1]))
             return out
@@ -352,8 +353,8 @@ class TestLazyPlans:
         first = chain.relation
         assert chain.relation is first
         assert len(chain) == len(first.rows)
-        assert list(chain.rows_with_conditions())
-        assert chain.conditions() and chain.condition_probabilities()
+        assert list(rows_with_conditions(chain))
+        assert row_clauses(chain) and chain.condition_probabilities()
         assert len(runs) == 1
 
     def test_operators_on_a_read_urelation_scan_its_rows(self, r_and_s):

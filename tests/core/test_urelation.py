@@ -4,13 +4,14 @@ import random
 
 import pytest
 
+from reference.confidence import clause_probability
+from reference.worlds import in_world, normalized, rows_with_conditions
 from repro.core import urelation as urelation_module
-from repro.core.conditions import Condition, TRUE_CONDITION
+from repro.core.lineage import canonical_clause, row_clauses
 from repro.core.urelation import (
     URelation,
     atom_positions,
     condition_columns,
-    decode_condition_columns,
     encode_condition,
 )
 from repro.core.variables import TOP_VARIABLE, VariableRegistry
@@ -35,7 +36,7 @@ def simple(registry):
         URelation.from_conditions(
             schema,
             [("a", 1), ("b", 2), ("c", 3)],
-            [Condition.atom(x, 0), Condition.atom(x, 1), TRUE_CONDITION],
+            [((x, 0),), ((x, 1),), ()],
             registry,
         ),
         x,
@@ -70,17 +71,17 @@ class TestEncoding:
     def test_decode_roundtrip(self, registry):
         x = registry.fresh([0.5, 0.5])
         y = registry.fresh([0.5, 0.5])
-        condition = Condition.of([(x, 1), (y, 0)])
+        condition = canonical_clause([(x, 1), (y, 0)])
         encoded = encode_condition(condition, 3)
         assert encoded[4:] == (TOP_VARIABLE, 0)
         schema = Schema([Column("a", INTEGER)] + condition_columns(3))
         relation = Relation(schema, [(0,) + encoded])
-        assert decode_condition_columns(relation, 1, 3) == [condition]
+        assert row_clauses(URelation(relation, 1, 3, registry)) == [condition]
 
     def test_encode_overflow_rejected(self, registry):
         x = registry.fresh([0.5, 0.5])
         y = registry.fresh([0.5, 0.5])
-        condition = Condition.of([(x, 1), (y, 0)])
+        condition = canonical_clause([(x, 1), (y, 0)])
         with pytest.raises(ConditionError):
             encode_condition(condition, 1)
 
@@ -106,9 +107,9 @@ class TestEncoding:
 class TestWorldSemantics:
     def test_in_world(self, simple):
         urel, x = simple
-        world0 = urel.in_world({x: 0})
+        world0 = in_world(urel, {x: 0})
         assert sorted(world0.rows) == [("a", 1), ("c", 3)]
-        world1 = urel.in_world({x: 1})
+        world1 = in_world(urel, {x: 1})
         assert sorted(world1.rows) == [("b", 2), ("c", 3)]
 
     def test_possible_payloads(self, simple):
@@ -119,7 +120,7 @@ class TestWorldSemantics:
         x = registry.fresh([0.0, 1.0])
         schema = Schema.of(("a", INTEGER))
         urel = URelation.from_conditions(
-            schema, [(1,), (2,)], [Condition.atom(x, 0), Condition.atom(x, 1)], registry
+            schema, [(1,), (2,)], [((x, 0),), ((x, 1),)], registry
         )
         possible = urel.possible_payloads()
         assert possible.rows == [(2,)]
@@ -128,7 +129,7 @@ class TestWorldSemantics:
         x = registry.fresh([0.5, 0.5])
         schema = Schema.of(("a", INTEGER))
         urel = URelation.from_conditions(
-            schema, [(1,), (1,)], [Condition.atom(x, 0), Condition.atom(x, 1)], registry
+            schema, [(1,), (1,)], [((x, 0),), ((x, 1),)], registry
         )
         assert len(urel.possible_payloads()) == 1
 
@@ -141,7 +142,7 @@ class TestMaintenance:
         assert len(padded.relation.schema) == 2 + 6
         # Conditions unchanged semantically.
         for (r1, c1), (r2, c2) in zip(
-            urel.rows_with_conditions(), padded.rows_with_conditions()
+            rows_with_conditions(urel), rows_with_conditions(padded)
         ):
             assert r1 == r2 and c1 == c2
 
@@ -154,9 +155,9 @@ class TestMaintenance:
         x = registry.fresh([0.0, 1.0])
         schema = Schema.of(("a", INTEGER))
         urel = URelation.from_conditions(
-            schema, [(1,), (2,)], [Condition.atom(x, 0), Condition.atom(x, 1)], registry
+            schema, [(1,), (2,)], [((x, 0),), ((x, 1),)], registry
         )
-        assert len(urel.normalized()) == 1
+        assert len(normalized(urel)) == 1
 
     def test_pretty_renders_conditions(self, simple):
         urel, _ = simple
@@ -210,10 +211,10 @@ class TestConditionProbabilities:
         monkeypatch.setattr(urelation_module, "_NUMPY_MIN_ROWS", 2**62)
         assert urel.condition_arrays() is None
         assert vectorized == urel.condition_probabilities()
-        # Condition.probability multiplies in variable order, not column
+        # A clause's probability multiplies in variable order, not column
         # order: equal up to rounding only.
         assert vectorized == pytest.approx(
-            [Condition.of(atoms).probability(registry) for atoms in atom_rows]
+            [clause_probability(canonical_clause(atoms), registry) for atoms in atom_rows]
         )
 
     def test_repeated_variable_rows_keep_the_decode(self, registry):

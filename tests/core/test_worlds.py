@@ -3,16 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.conditions import Condition, TRUE_CONDITION
-from repro.core.urelation import URelation
-from repro.core.variables import VariableRegistry
-from repro.core.worlds import (
+from reference.worlds import (
     enumerate_worlds,
     expected_aggregate_by_enumeration,
     relation_distribution,
     tuple_confidence_by_enumeration,
     world_probability,
 )
+from repro.core.urelation import URelation
+from repro.core.variables import VariableRegistry
 from repro.engine.schema import Schema
 from repro.engine.types import INTEGER, TEXT
 
@@ -73,7 +72,7 @@ class TestOracles:
         return URelation.from_conditions(
             schema,
             [("a", 1), ("a", 1), ("b", 2)],
-            [Condition.atom(x, 1), Condition.atom(y, 1), Condition.atom(x, 0)],
+            [((x, 1),), ((y, 1),), ((x, 0),)],
             registry,
         )
 

@@ -18,10 +18,10 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core import aggregates as agg
-from repro.core.conditions import Condition
 from repro.core.confidence import dispatch
 from repro.core.confidence.dispatch import ConfidenceDispatcher, DispatchPolicy
 from repro.core.confidence.dklr import aconf_unit_seed, fnv_mix
+from repro.core.lineage import canonical_clause
 from repro.core.urelation import URelation, condition_columns, encode_condition
 from repro.core.variables import VariableRegistry
 from repro.db import MayBMS
@@ -46,7 +46,7 @@ def _group_rows(registry, rng, groups=12, vars_per_group=5, clauses=6):
         for _ in range(clauses):
             atoms = [(v, 1) for v in rng.sample(vars_, 3)]
             rows.append(
-                (g,) + encode_condition(Condition.of(atoms), COND_ARITY)
+                (g,) + encode_condition(canonical_clause(atoms), COND_ARITY)
             )
     return rows
 
@@ -64,7 +64,7 @@ def _component_rows(registry, rng, groups=2, islands=4):
                 atoms = [(v, 1) for v in rng.sample(vars_, 2)]
                 rows.append(
                     (g,)
-                    + encode_condition(Condition.of(atoms), COND_ARITY)
+                    + encode_condition(canonical_clause(atoms), COND_ARITY)
                 )
     return rows
 
@@ -155,7 +155,7 @@ class TestArrayPassThenPool:
             for _ in range(4):
                 atoms = [(root, 1), (registry.fresh_boolean(rng.uniform(0.2, 0.8)), 1)]
                 rows.append(
-                    (g,) + encode_condition(Condition.of(atoms), COND_ARITY)
+                    (g,) + encode_condition(canonical_clause(atoms), COND_ARITY)
                 )
         rng.shuffle(rows)
         return _plain(rows, registry)
@@ -164,15 +164,15 @@ class TestArrayPassThenPool:
     def _pooled(urel, policy, workers, answer):
         """The aggregate's rows with every group the array pass declines
         answered on a pool of ``workers`` threads by ``answer(dispatcher,
-        ordinal, lineage)``; returns (rows, declined group ordinals)."""
+        ordinal, clauses)``; returns (rows, declined group ordinals)."""
         positions, projections, row_groups = agg._groups(urel, ["g"])
         probabilities, declined = agg._array_pass(urel, row_groups, policy)
-        lineages = agg._lineages(urel, positions, row_groups, declined)
+        lineages = agg.group_lineages(urel, [row_groups[g] for g in declined])
 
         def unit(job):
-            ordinal, lineage = job
+            ordinal, clauses = job
             dispatcher = ConfidenceDispatcher(policy)
-            return answer(dispatcher, ordinal, lineage)
+            return answer(dispatcher, ordinal, clauses)
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             answers = list(pool.map(unit, zip(declined, lineages)))
@@ -196,9 +196,9 @@ class TestArrayPassThenPool:
             urel,
             policy,
             2,
-            lambda dispatcher, ordinal, lineage: dispatcher.probability(
-                lineage
-            ).probability,
+            lambda dispatcher, ordinal, clauses: dispatcher.group_probabilities(
+                [clauses], urel.registry
+            )[0].probability,
         )
         assert rows == expected
         assert len(declined) == 8  # the crossing groups; no tree reaches the pool
@@ -221,8 +221,8 @@ class TestArrayPassThenPool:
             urel,
             policy,
             workers,
-            lambda dispatcher, ordinal, lineage: dispatcher.approximate(
-                lineage, 0.3, 0.2, unit_seed=aconf_unit_seed(5, ordinal)
+            lambda dispatcher, ordinal, clauses: dispatcher.approximate(
+                clauses, urel.registry, 0.3, 0.2, unit_seed=aconf_unit_seed(5, ordinal)
             ).probability,
         )
         assert declined

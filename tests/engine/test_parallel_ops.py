@@ -13,8 +13,8 @@ import random
 import pytest
 
 from repro.core import aggregates as agg
-from repro.core.conditions import Condition
 from repro.core.confidence.dispatch import ConfidenceDispatcher, DispatchPolicy
+from repro.core.lineage import canonical_clause
 from repro.core.urelation import URelation, condition_columns, encode_condition
 from repro.core.variables import VariableRegistry
 from repro.db import MayBMS
@@ -55,7 +55,7 @@ def _mc_workload(registry, rng, groups=8, vars_per_group=6, clauses=8):
         for _ in range(clauses):
             atoms = [(v, 1) for v in rng.sample(vars_, 3)]
             rows.append(
-                (g,) + encode_condition(Condition.of(atoms), COND_ARITY)
+                (g,) + encode_condition(canonical_clause(atoms), COND_ARITY)
             )
     return URelation(Relation(COND_SCHEMA, rows), 1, COND_ARITY, registry)
 

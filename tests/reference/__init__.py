@@ -10,8 +10,11 @@ answered by both and compared.
 :mod:`reference.constructs` is the row-at-a-time ``repair key`` and
 ``pick tuples`` that the constructs' array passes are checked against.
 
-:mod:`reference.confidence` is the ``Lineage``-based ``conf()`` dispatch
-that the clause path of the confidence dispatcher is checked against.
+:mod:`reference.confidence` decodes each row's condition on its own and
+runs the ``conf()`` dispatch that the clause path of the confidence
+dispatcher is checked against.  :mod:`reference.worlds` enumerates the
+possible worlds, and :mod:`reference.naive` computes confidence from them
+and by inclusion-exclusion: the exponential oracles.
 """
 
 from contextlib import contextmanager

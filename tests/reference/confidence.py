@@ -1,88 +1,131 @@
-"""The ``Lineage``-based ``conf()`` dispatch: the oracle the clause path of
+"""The reference ``conf()`` dispatch: the oracle the clause path of
 :mod:`repro.core.aggregates` and :mod:`repro.core.confidence.dispatch` is
 checked against.
 
-Every group the array pass declines becomes a :class:`Lineage` of decoded
-:class:`Condition` objects (:func:`group_lineages`); the dispatcher then
-simplifies it, tries the whole-lineage closed form, splits it into
-``Lineage`` components and makes one exact-engine call per component,
-falling back to Monte Carlo on a blown budget.  The system must agree with
-it to the bit: the same probabilities, the same per-component decisions
-in the same order, the same ws-tree counters and the same EXPLAIN events.
+Every row's condition is decoded on its own (:func:`row_conditions`): its
+(variable, value) pairs with the top padding dropped, one value per
+variable, sorted -- or None when a variable gets two values.  Every group
+the array pass declines becomes the list of its rows' clauses; the
+dispatch below then simplifies it, tries the whole-group closed form,
+splits it into components by a union-find of its own and makes one
+exact-engine call per component, falling back to Monte Carlo on a blown
+budget.  :func:`aconf` runs each declined group through the whole-group
+routes of ``aconf()`` instead, the Monte-Carlo one on the group's own
+seeded stream.  The system must agree with both to the bit: the same
+probabilities, the same per-component decisions in the same order, the
+same ws-tree counters and the same EXPLAIN events.
 
+:func:`clause_probability` and :func:`satisfied` are the clause semantics
+the oracles of :mod:`reference.worlds` and :mod:`reference.naive` share.
 :func:`is_hierarchical` is the laminar-clause-set test the generated
 ws-tree tests use as a second opinion on the engine's labels.
 """
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.core import aggregates
-from repro.core.conditions import TRUE_CONDITION, Condition
 from repro.core.confidence import dispatch
 from repro.core.confidence.dispatch import (
     STRATEGY_CLOSED_FORM,
+    STRATEGY_EXACT,
     STRATEGY_MONTE_CARLO,
     STRATEGY_SPROUT,
     ComponentDecision,
     ConfidenceDispatcher,
     DispatchResult,
 )
-from repro.core.confidence.dklr import approximate_confidence
+from repro.core.confidence.dklr import aconf_unit_seed, approximate_confidence
 from repro.core.confidence.exact import ExactConfidenceEngine
-from repro.core.lineage import Lineage, combine_independent, group_lineages
+from repro.core.lineage import combine_independent
 from repro.core.urelation import URelation
-from repro.errors import CostBudgetExceededError
+from repro.core.variables import TOP_VARIABLE, VariableRegistry
+from repro.errors import CostBudgetExceededError, UnsafeLineageError
 
 #: Above this clause width, absorption is a linear scan.
 SUBSET_ENUMERATION_WIDTH = 12
 
 
-def simplified(lineage: Lineage) -> Lineage:
-    """⊤ collapses the lineage; zero-probability, duplicate and subsumed
-    clauses go.  Clauses are visited shortest first; the lineage itself
-    is returned when none goes."""
-    probability = lineage.arena.probability
-    kept: List[Condition] = []
+def row_conditions(urel: URelation) -> List[Optional[tuple]]:
+    """Per row, its condition pairs as a canonical clause, or None for a
+    contradictory row: one row at a time, straight off the wide rows."""
+    base = urel.payload_arity
+    out: List[Optional[tuple]] = []
+    for row in urel.relation.rows:
+        atoms: Optional[Dict[int, int]] = {}
+        for i in range(urel.cond_arity):
+            var, value = row[base + 2 * i], row[base + 2 * i + 1]
+            if var == TOP_VARIABLE:
+                continue
+            if atoms.setdefault(var, value) != value:
+                atoms = None
+                break
+        out.append(None if atoms is None else tuple(sorted(atoms.items())))
+    return out
+
+
+def clause_probability(clause: tuple, registry: VariableRegistry) -> float:
+    """P(clause): the product of its atoms' chances."""
+    p = 1.0
+    for var, value in clause:
+        p *= registry.probability(var, value)
+        if p == 0.0:
+            return 0.0
+    return p
+
+
+def satisfied(clause: tuple, world: Mapping[int, int]) -> bool:
+    """Does the assignment give every atom's variable its value?"""
+    return all(world.get(var) == value for var, value in clause)
+
+
+def simplified(clauses: Sequence[tuple], registry: VariableRegistry) -> List[tuple]:
+    """⊤ collapses the clauses; zero-probability, duplicate and subsumed
+    clauses go.  Clauses are visited shortest first; they keep their own
+    order when none goes."""
+    kept: List[tuple] = []
     kept_keys: Set[tuple] = set()
-    for clause in sorted(lineage.clauses, key=len):
-        if not clause.atoms:
-            return Lineage((TRUE_CONDITION,), lineage.arena)
-        if clause.atoms in kept_keys or probability(clause) <= 0.0:
+    for clause in sorted(clauses, key=len):
+        if not clause:
+            return [()]
+        if clause in kept_keys or clause_probability(clause, registry) <= 0.0:
             continue
-        width = len(clause.atoms)
+        width = len(clause)
         if width <= SUBSET_ENUMERATION_WIDTH:
             absorbed = any(
                 subset in kept_keys
                 for size in range(1, width)
-                for subset in itertools.combinations(clause.atoms, size)
+                for subset in itertools.combinations(clause, size)
             )
         else:
-            absorbed = any(k.subsumes(clause) for k in kept)
+            absorbed = any(set(k) <= set(clause) for k in kept)
         if not absorbed:
             kept.append(clause)
-            kept_keys.add(clause.atoms)
-    if len(kept) == len(lineage.clauses):
-        return lineage
-    return Lineage(kept, lineage.arena)
+            kept_keys.add(clause)
+    return list(clauses) if len(kept) == len(clauses) else kept
 
 
-def closed_form(lineage: Lineage) -> Optional[float]:
+def _variables(clauses: Sequence[tuple]) -> Set[int]:
+    return {var for clause in clauses for var, _ in clause}
+
+
+def closed_form(
+    clauses: Sequence[tuple], registry: VariableRegistry
+) -> Optional[float]:
     """⊥ → 0, ⊤ → 1, one clause → its atom product, pairwise
     variable-disjoint clauses → 1 − ∏(1 − P(clause)); else None."""
-    if not lineage.clauses:
+    if not clauses:
         return 0.0
-    if lineage.is_true:
+    if not all(clauses):
         return 1.0
-    probability = lineage.arena.probability
-    if len(lineage.clauses) == 1:
-        return probability(lineage.clauses[0])
-    if sum(map(len, lineage.clauses)) == lineage.stats().variable_count:
-        return combine_independent(map(probability, lineage.clauses))
+    if len(clauses) == 1:
+        return clause_probability(clauses[0], registry)
+    if sum(map(len, clauses)) == len(_variables(clauses)):
+        return combine_independent(clause_probability(c, registry) for c in clauses)
     return None
 
 
-def components(lineage: Lineage) -> List[Lineage]:
+def components(clauses: Sequence[tuple]) -> List[Sequence[tuple]]:
     """Union-find over shared variables, each clause's variables merged
     into the set of its first one (``frozenset`` order); the components
     in the order of their roots."""
@@ -94,7 +137,7 @@ def components(lineage: Lineage) -> List[Lineage]:
             x = parent[x]
         return x
 
-    clause_vars = [clause.variables() for clause in lineage.clauses]
+    clause_vars = [frozenset(var for var, _ in clause) for clause in clauses]
     for variables in clause_vars:
         for var in variables:
             parent.setdefault(var, var)
@@ -108,23 +151,23 @@ def components(lineage: Lineage) -> List[Lineage]:
             root = find(other)
             if root != head:
                 parent[root] = head
-    grouped: Dict[int, List[Condition]] = {}
-    for clause, variables in zip(lineage.clauses, clause_vars):
+    grouped: Dict[int, List[tuple]] = {}
+    for clause, variables in zip(clauses, clause_vars):
         grouped.setdefault(find(next(iter(variables))), []).append(clause)
     if len(grouped) == 1:
-        return [lineage]
-    return [Lineage(clauses, lineage.arena) for _, clauses in sorted(grouped.items())]
+        return [clauses]
+    return [part for _, part in sorted(grouped.items())]
 
 
-def is_hierarchical(lineage: Lineage) -> bool:
+def is_hierarchical(clauses: Sequence[tuple]) -> bool:
     """Are the variables' clause-index sets laminar (nested or disjoint)?
     Then every connected component has a variable occurring in all its
     clauses (a root), recursively, and safe evaluation completes.  The
     converse needs one value per variable: with several, root eliminations
     can succeed on a family that is not laminar."""
     clause_sets: Dict[int, Set[int]] = {}
-    for index, clause in enumerate(lineage.clauses):
-        for var in clause.variables():
+    for index, clause in enumerate(clauses):
+        for var, _ in clause:
             clause_sets.setdefault(var, set()).add(index)
     sets = list(clause_sets.values())
     return all(
@@ -134,20 +177,21 @@ def is_hierarchical(lineage: Lineage) -> bool:
     )
 
 
-def _shape(lineage: Lineage):
-    stats = lineage.stats()
-    return stats.clause_count, stats.variable_count
+def _shape(clauses: Sequence[tuple]):
+    return len(clauses), len(_variables(clauses))
 
 
 def _auto(
-    dispatcher: ConfidenceDispatcher, lineage: Lineage, engine: ExactConfidenceEngine
+    dispatcher: ConfidenceDispatcher,
+    clauses: Sequence[tuple],
+    engine: ExactConfidenceEngine,
 ) -> DispatchResult:
-    closed = closed_form(lineage)
+    closed = closed_form(clauses, engine.registry)
     if closed is not None:
         return DispatchResult(
-            closed, (ComponentDecision(STRATEGY_CLOSED_FORM, closed, *_shape(lineage)),)
+            closed, (ComponentDecision(STRATEGY_CLOSED_FORM, closed, *_shape(clauses)),)
         )
-    parts = components(lineage)
+    parts = components(clauses)
     delta = dispatcher.policy.delta / len(parts)
     decisions = []
     for part in parts:
@@ -166,34 +210,39 @@ def _auto(
 
 
 def _forced(
-    dispatcher: ConfidenceDispatcher, lineage: Lineage, engine: ExactConfidenceEngine
+    dispatcher: ConfidenceDispatcher,
+    clauses: Sequence[tuple],
+    engine: ExactConfidenceEngine,
 ) -> DispatchResult:
     policy = dispatcher.policy
-    decision = lambda p: (ComponentDecision(policy.strategy, p, *_shape(lineage)),)
+    decision = lambda p: (ComponentDecision(policy.strategy, p, *_shape(clauses)),)
     if policy.strategy == STRATEGY_MONTE_CARLO:
-        if lineage.is_false or lineage.is_true:
-            p = 0.0 if lineage.is_false else 1.0
+        if not clauses or not all(clauses):
+            p = 0.0 if not clauses else 1.0
         else:
             p = approximate_confidence(
-                lineage, engine.registry, policy.epsilon, policy.delta, dispatcher.rng
+                clauses, engine.registry, policy.epsilon, policy.delta, dispatcher.rng
             ).estimate
         return DispatchResult(p, decision(p))
-    p = engine.probability(lineage, roots_only=policy.strategy == STRATEGY_SPROUT)
+    p = engine.probability(clauses, roots_only=policy.strategy == STRATEGY_SPROUT)
     return DispatchResult(p, decision(p), engine.statistics)
 
 
 def group_probabilities(
-    dispatcher: ConfidenceDispatcher, lineages: Sequence[Lineage]
+    dispatcher: ConfidenceDispatcher,
+    groups: Sequence[Sequence[tuple]],
+    registry: VariableRegistry,
 ) -> List[DispatchResult]:
-    """One result per lineage under ``dispatcher``'s policy, drawing from
-    its RNG, with one exact engine (one memo) for the whole call."""
-    if not lineages:
-        return []
+    """One result per group of clauses under ``dispatcher``'s policy,
+    drawing from its RNG, with one exact engine (one memo) for the whole
+    call."""
     policy = dispatcher.policy
     budget = policy.exact_budget if policy.strategy == "auto" else None
-    engine = ExactConfidenceEngine(lineages[0].arena.registry, max_subproblems=budget)
+    engine = ExactConfidenceEngine(registry, max_subproblems=budget)
     step = _auto if policy.strategy == "auto" else _forced
-    return [step(dispatcher, simplified(lineage), engine) for lineage in lineages]
+    return [
+        step(dispatcher, simplified(clauses, registry), engine) for clauses in groups
+    ]
 
 
 def conf(
@@ -201,14 +250,84 @@ def conf(
 ):
     """``(rows, dispatch results of the declined groups)`` of ``conf()``:
     the array pass as the system runs it, then every declined group's
-    lineage through the dispatch above.  Records its EXPLAIN event like
-    the aggregate does."""
+    clauses, decoded by :func:`row_conditions`, through the dispatch
+    above.  Records its EXPLAIN event like the aggregate does."""
     positions, projections, row_groups = aggregates._groups(urel, group_columns)
     probabilities, pending = aggregates._array_pass(urel, row_groups, dispatcher.policy)
-    lineages = group_lineages(urel, [row_groups[g] for g in pending])
-    results = group_probabilities(dispatcher, lineages)
+    conditions = row_conditions(urel)
+    groups = [
+        [conditions[i] for i in row_groups[g] if conditions[i] is not None]
+        for g in pending
+    ]
+    results = group_probabilities(dispatcher, groups, urel.registry)
     for g, result in zip(pending, results):
         probabilities[g] = result.probability
     dispatch.record_aggregate("conf", results, vectorized=len(row_groups) - len(pending))
     relation = aggregates._result(urel, positions, "conf", projections, probabilities)
+    return relation.rows, results
+
+
+def approximate(
+    dispatcher: ConfidenceDispatcher,
+    clauses: Sequence[tuple],
+    registry: VariableRegistry,
+    epsilon: float,
+    delta: float,
+    unit_seed: int,
+) -> DispatchResult:
+    """``aconf()`` of one group: the closed form or SPROUT's safe plan when
+    the policy allows them, the ws-tree under a forced ``exact``, else the
+    DKLR run on the group's own seeded stream."""
+    policy = dispatcher.policy
+    clauses = simplified(clauses, registry)
+    engine = ExactConfidenceEngine(registry)
+    decision = lambda strategy, p: (ComponentDecision(strategy, p, *_shape(clauses)),)
+    if policy.strategy in ("auto", STRATEGY_SPROUT):
+        closed = closed_form(clauses, registry)
+        if closed is not None:
+            return DispatchResult(closed, decision(STRATEGY_CLOSED_FORM, closed))
+        try:
+            p = engine.probability(clauses, roots_only=True)
+            return DispatchResult(p, decision(STRATEGY_SPROUT, p), engine.statistics)
+        except UnsafeLineageError:
+            if policy.strategy == STRATEGY_SPROUT:
+                raise
+    if policy.strategy == STRATEGY_EXACT:
+        p = engine.probability(clauses)
+        return DispatchResult(p, decision(STRATEGY_EXACT, p), engine.statistics)
+    p = approximate_confidence(
+        clauses, registry, epsilon, delta, dispatcher.rng, unit_seed=unit_seed
+    ).estimate
+    return DispatchResult(p, decision(STRATEGY_MONTE_CARLO, p))
+
+
+def aconf(
+    urel: URelation,
+    group_columns: Sequence[str],
+    dispatcher: ConfidenceDispatcher,
+    epsilon: float,
+    delta: float,
+    base_seed: int,
+):
+    """``(rows, dispatch results of the declined groups)`` of ``aconf()``,
+    like :func:`conf`: the array pass, then each declined group through
+    :func:`approximate` with the stream of its ordinal."""
+    positions, projections, row_groups = aggregates._groups(urel, group_columns)
+    probabilities, pending = aggregates._array_pass(urel, row_groups, dispatcher.policy)
+    conditions = row_conditions(urel)
+    results = []
+    for g in pending:
+        clauses = [conditions[i] for i in row_groups[g] if conditions[i] is not None]
+        seed = aconf_unit_seed(base_seed, g)
+        results.append(
+            approximate(dispatcher, clauses, urel.registry, epsilon, delta, seed)
+        )
+        probabilities[g] = results[-1].probability
+    dispatch.record_aggregate(
+        "aconf",
+        results,
+        detail=f"epsilon={epsilon:g}, delta={delta:g}",
+        vectorized=len(row_groups) - len(pending),
+    )
+    relation = aggregates._result(urel, positions, "aconf", projections, probabilities)
     return relation.rows, results

@@ -6,17 +6,19 @@ the product of the per-variable assignment probabilities.  This module
 enumerates them.  It is exponential by design -- it exists so that every
 other component (translation, repair-key, confidence computation,
 aggregates) can be tested against ground truth on small instances.
+
+Row conditions are decoded by :func:`reference.confidence.row_conditions`,
+one row at a time, not by the system's array decode.
 """
 
-from __future__ import annotations
-
 import itertools
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from repro.core.conditions import Condition
 from repro.core.urelation import URelation
 from repro.core.variables import VariableRegistry
 from repro.engine.relation import Relation
+
+from .confidence import clause_probability, row_conditions, satisfied
 
 World = Dict[int, int]
 
@@ -58,21 +60,60 @@ def world_probability(registry: VariableRegistry, world: Mapping[int, int]) -> f
     return registry.assignment_probability(world)
 
 
-def tuple_confidence_by_enumeration(
-    urel: URelation, payload: tuple
-) -> float:
+def _variables(clauses) -> List[int]:
+    return sorted({var for clause in clauses if clause is not None for var, _ in clause})
+
+
+def rows_with_conditions(urel: URelation) -> List[Tuple[tuple, Optional[tuple]]]:
+    """(payload, condition) per row; the condition is None for a
+    contradictory row."""
+    return [
+        (row[: urel.payload_arity], clause)
+        for row, clause in zip(urel.relation, row_conditions(urel))
+    ]
+
+
+def in_world(
+    urel: URelation, assignment: Mapping[int, int], distinct: bool = False
+) -> Relation:
+    """The U-relation instantiated in the world given by a total
+    assignment: the payload rows whose condition is satisfied."""
+    payload_arity = urel.payload_arity
+    rows = [
+        row[:payload_arity]
+        for row, clause in zip(urel.relation, row_conditions(urel))
+        if clause is not None and satisfied(clause, assignment)
+    ]
+    result = Relation(urel.payload_schema, rows)
+    return result.distinct() if distinct else result
+
+
+def normalized(urel: URelation) -> URelation:
+    """The rows with a consistent, positive-probability condition, each
+    condition re-encoded minimally (sorted, deduplicated, padded)."""
+    rows: List[tuple] = []
+    clauses = []
+    for row, clause in zip(urel.relation, row_conditions(urel)):
+        if clause is None or clause_probability(clause, urel.registry) <= 0.0:
+            continue
+        rows.append(row[: urel.payload_arity])
+        clauses.append(clause)
+    return URelation.from_conditions(urel.payload_schema, rows, clauses, urel.registry)
+
+
+def tuple_confidence_by_enumeration(urel: URelation, payload: tuple) -> float:
     """Oracle for ``conf``: the total probability of worlds in which the
     given payload tuple appears at least once."""
-    relevant: List[Condition] = []
-    for row, condition in urel.rows_with_conditions():
-        if condition is not None and row == payload:
-            relevant.append(condition)
+    relevant = [
+        clause
+        for row, clause in zip(urel.relation, row_conditions(urel))
+        if clause is not None and row[: urel.payload_arity] == payload
+    ]
     if not relevant:
         return 0.0
-    variables = sorted(set().union(*(c.variables() for c in relevant)))
     total = 0.0
-    for world, p in enumerate_worlds(urel.registry, variables):
-        if any(c.satisfied_by(world) for c in relevant):
+    for world, p in enumerate_worlds(urel.registry, _variables(relevant)):
+        if any(satisfied(clause, world) for clause in relevant):
             total += p
     return total
 
@@ -85,15 +126,10 @@ def relation_distribution(
     Returns (relation, probability) pairs, with equal relations merged.
     Exponential; for tests on small inputs only.
     """
-    variables = sorted(
-        set().union(
-            *(c.variables() for c in urel.conditions() if c is not None),
-            frozenset(),
-        )
-    )
     buckets: List[Tuple[Relation, float]] = []
+    variables = _variables(row_conditions(urel))
     for world, p in enumerate_worlds(urel.registry, variables):
-        instance = urel.in_world(world, distinct=distinct)
+        instance = in_world(urel, world, distinct=distinct)
         for i, (existing, acc) in enumerate(buckets):
             if existing == instance:
                 buckets[i] = (existing, acc + p)
@@ -109,13 +145,12 @@ def expected_aggregate_by_enumeration(
 ) -> float:
     """Oracle for ``esum`` (with a value column) / ``ecount`` (without):
     E[sum or count of the instantiated relation] by world enumeration."""
-    conditions = [c for c in urel.conditions() if c is not None]
+    conditions = [clause for clause in row_conditions(urel) if clause is not None]
     if not conditions:
         return 0.0
-    variables = sorted(set().union(*(c.variables() for c in conditions)))
     expected = 0.0
-    for world, p in enumerate_worlds(urel.registry, variables):
-        instance = urel.in_world(world)
+    for world, p in enumerate_worlds(urel.registry, _variables(conditions)):
+        instance = in_world(urel, world)
         if value_position is None:
             expected += p * len(instance)
         else:

@@ -10,6 +10,8 @@
 import numpy as np
 import pytest
 
+from reference.confidence import clause_probability
+from reference.worlds import rows_with_conditions
 from repro import MayBMS
 from repro.datagen.markov import (
     FIGURE1_MATRIX,
@@ -49,20 +51,20 @@ class TestFigure1:
         assert urel.cond_arity == 1
         # Three variables (one per Init state), as in the figure's x, y, z.
         variables = set()
-        for _, condition in urel.rows_with_conditions():
-            variables.update(condition.variables())
+        for _, condition in rows_with_conditions(urel):
+            variables.update(var for var, _ in condition)
         assert len(variables) == 3
         # Marginals equal the matrix entries.
-        for payload, condition in urel.rows_with_conditions():
-            assert condition.probability(urel.registry) == pytest.approx(payload[3])
+        for payload, condition in rows_with_conditions(urel):
+            assert clause_probability(condition, urel.registry) == pytest.approx(payload[3])
 
     def test_per_group_exclusivity(self, db):
         urel = db.uncertain_query(
             "select * from (repair key player, init in ft weight by p) r2"
         )
         by_init = {}
-        for payload, condition in urel.rows_with_conditions():
-            by_init.setdefault(payload[1], set()).update(condition.variables())
+        for payload, condition in rows_with_conditions(urel):
+            by_init.setdefault(payload[1], set()).update(var for var, _ in condition)
         # Same variable within a group, different across groups.
         assert all(len(vs) == 1 for vs in by_init.values())
         assert len(set.union(*by_init.values())) == 3

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import MayBMS
+from repro.core.lineage import row_clauses
 from repro.core.urelation import URelation
 from repro.engine.relation import Relation
 from repro.engine.types import NULL
@@ -377,8 +378,8 @@ class TestConditionLayout:
         assert names == [
             f"{prefix}{i}" for i in range(urel.cond_arity) for prefix in ("_v", "_d")
         ]
-        for condition in urel.conditions():
-            for var, value in condition.atoms:
+        for condition in row_clauses(urel):
+            for var, value in condition:
                 assert 0.0 < urel.registry.probability(var, value) <= 1.0
 
     def test_stored_table_and_its_log_records_hold_pairs(self, db):

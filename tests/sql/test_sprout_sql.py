@@ -15,9 +15,9 @@ import random
 
 import pytest
 
+from reference.confidence import row_conditions
+from reference.naive import confidence_by_enumeration
 from repro.core import urelation
-from repro.core.confidence.naive import confidence_by_enumeration
-from repro.core.lineage import group_lineages
 from repro.db import MayBMS
 
 #: r(a, g) ⋈ s(a, b): per group g, the clauses r_a ∧ s_ab -- every r
@@ -59,12 +59,12 @@ def by_enumeration(db, body):
     """Per group, P(lineage) by enumerating its variables' worlds."""
     urel = db.execute("select r.g " + body).urelation
     groups = {}
-    for index, row in enumerate(urel.relation.rows):
-        groups.setdefault(row[0], []).append(index)
-    lineages = group_lineages(urel, list(groups.values()))
+    for row, clause in zip(urel.relation.rows, row_conditions(urel)):
+        if clause is not None:
+            groups.setdefault(row[0], []).append(clause)
     return {
-        g: confidence_by_enumeration(lineage, urel.registry)
-        for g, lineage in zip(groups, lineages)
+        g: confidence_by_enumeration(clauses, urel.registry)
+        for g, clauses in groups.items()
     }
 
 

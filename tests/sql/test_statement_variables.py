@@ -16,7 +16,7 @@ import tracemalloc
 
 import pytest
 
-from repro.core import aggregates
+from repro.core import aggregates, lineage
 from repro.db import MayBMS
 from repro.engine.durability import decode_manifest
 from repro.errors import VariableError
@@ -202,9 +202,9 @@ def test_repeated_conf_over_a_stored_urelation_hits_its_clause_cache(monkeypatch
     populate(db)
     db.execute(STORE)
     decoded = []
-    original = aggregates.row_clauses
+    original = lineage.row_clauses
     monkeypatch.setattr(
-        aggregates,
+        lineage,
         "row_clauses",
         lambda *args: decoded.append(1) or original(*args),
     )
