@@ -82,14 +82,11 @@ def _array_pass(
     """What :func:`hierarchical_confidences` answers before any clause
     is decoded: (probability per group, ordinals of the groups it left to
     the dispatcher).  It leaves all of them when the policy forces the
-    exact or the Monte-Carlo engine, and when the condition columns have
-    no int64 arrays (:meth:`URelation.condition_arrays`)."""
-    if policy.strategy in ("auto", dispatch.STRATEGY_SPROUT):
-        answer = hierarchical_confidences(urel, row_groups)
-        if answer is not None:
-            probabilities, answered = answer
-            return probabilities.tolist(), (~answered).nonzero()[0].tolist()
-    return [None] * len(row_groups), list(range(len(row_groups)))
+    exact or the Monte-Carlo engine."""
+    if policy.strategy not in ("auto", dispatch.STRATEGY_SPROUT):
+        return [None] * len(row_groups), list(range(len(row_groups)))
+    probabilities, answered = hierarchical_confidences(urel, row_groups)
+    return probabilities.tolist(), (~answered).nonzero()[0].tolist()
 
 
 def _result(

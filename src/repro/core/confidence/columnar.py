@@ -35,7 +35,7 @@ Python, taken here for all groups in one pass.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,18 +48,18 @@ class AtomTable(NamedTuple):
     :func:`intern_atoms`; the index arrays have the columns' shape."""
 
     #: Distinct variable ids, ascending.
-    variables: Any
+    variables: np.ndarray
     #: Per atom, the position of its variable in ``variables``.
-    variable_index: Any
+    variable_index: np.ndarray
     #: Per atom, its rank among the distinct atoms in (variable, value)
     #: order: equal atoms get equal ranks, and sorting by rank sorts by
     #: variable first.
-    atom_index: Any
+    atom_index: np.ndarray
     #: Per distinct atom, its variable id and its value.
-    atom_variables: Any
-    atom_values: Any
+    atom_variables: np.ndarray
+    atom_values: np.ndarray
 
-    def probabilities(self, registry: VariableRegistry):
+    def probabilities(self, registry: VariableRegistry) -> np.ndarray:
         """Per distinct atom, its marginal: one registry gather.  Atoms on
         the top variable are padding and always true."""
         out = registry.probabilities(self.atom_variables, self.atom_values)
@@ -67,7 +67,7 @@ class AtomTable(NamedTuple):
         return out
 
 
-def intern_atoms(variables, values) -> AtomTable:
+def intern_atoms(variables: np.ndarray, values: np.ndarray) -> AtomTable:
     """Number the distinct variables and the distinct ``(variable,
     value)`` atoms of two equal-shape int64 arrays.  All atoms on the top
     variable are one atom, whatever their value."""
@@ -90,14 +90,11 @@ def intern_atoms(variables, values) -> AtomTable:
 
 def hierarchical_confidences(
     urel: URelation, row_groups: Sequence[Sequence[int]]
-) -> Optional[Tuple[Any, Any]]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """``(probabilities, answered)``, one entry per group of row indexes:
     the exact confidence of every group whose clauses pass the three
-    checks, and which groups those are.  None when there are no condition
-    arrays to work on (:meth:`URelation.condition_arrays`)."""
+    checks, and which groups those are."""
     arrays = urel.condition_arrays()
-    if arrays is None:
-        return None
     n_groups = len(row_groups)
     sizes = np.fromiter(map(len, row_groups), dtype=np.int64, count=n_groups)
     rows = np.fromiter(
@@ -107,15 +104,15 @@ def hierarchical_confidences(
     table = intern_atoms(arrays[0][:, rows], arrays[1][:, rows])
     variable, atom = table.variable_index, table.atom_index
     arity, n_variables = len(variable), len(table.variables)
-    top = np.flatnonzero(table.variables == TOP_VARIABLE)
-    top = int(top[0]) if len(top) else -1
+    tops = np.flatnonzero(table.variables == TOP_VARIABLE)
+    top = int(tops[0]) if len(tops) else -1
 
     # Per column, the distinct (group, variable) pairs: how many variables
     # a group has there, checks (a) and (b), and the handle for (c).
     declined = np.zeros(n_groups, dtype=bool)
     distinct = np.empty((n_groups, arity), dtype=np.int64)
-    pair_of_row: List[Any] = []
-    real_pairs: List[Any] = []
+    pair_of_row: List[np.ndarray] = []
+    real_pairs: List[np.ndarray] = []
     for column in range(arity):
         pairs, inverse = np.unique(
             group * n_variables + variable[column], return_inverse=True
@@ -140,7 +137,8 @@ def hierarchical_confidences(
     pattern_of_row = pattern_of_group[group]
 
     probabilities = np.zeros(n_groups)
-    marginal = None  # the registry is read only once a group is left to answer
+    # The registry is read only once a group is left to answer.
+    marginal: Optional[np.ndarray] = None
     for number, order in enumerate(orders[first]):
         chosen = np.flatnonzero(pattern_of_row == number)
         parent = np.empty(len(group), dtype=np.int64)
@@ -162,7 +160,12 @@ def hierarchical_confidences(
     return probabilities, ~declined
 
 
-def _reduce(group, variables, atoms, marginal) -> Tuple[Any, Any]:
+def _reduce(
+    group: np.ndarray,
+    variables: List[np.ndarray],
+    atoms: List[np.ndarray],
+    marginal: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
     """Evaluate tree-shaped groups bottom-up.  ``variables`` and ``atoms``
     hold one array per level, root first; returns the groups present and
     their probabilities."""
@@ -175,7 +178,7 @@ def _reduce(group, variables, atoms, marginal) -> Tuple[Any, Any]:
     boundary = np.ones(len(group), dtype=bool)
     boundary[1:] = group[1:] != group[:-1]
     atom_starts = [boundary]
-    variable_starts = []
+    variable_starts: List[np.ndarray] = []
     for level_variable, level_atom in zip(variables, atoms):
         level_variable = level_variable[order]
         boundary = boundary.copy()

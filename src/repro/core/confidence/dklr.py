@@ -228,7 +228,9 @@ def approximate_confidence(
 
     The AA guarantee on the Bernoulli mean μ_Z = p/U transfers to
     p = U·μ_Z because U is a known constant: relative error is preserved
-    under scaling.
+    under scaling.  U = Σ P(clause) can exceed 1, and so can U·μ̂_Z; the
+    estimate is clamped to 1, which only moves it toward p, so the
+    guarantee still holds and every answer is a probability.
 
     With ``unit_seed`` the estimate is fully deterministic for that seed:
     the pilot/variance phases draw sequentially from a private RNG seeded
@@ -250,7 +252,7 @@ def approximate_confidence(
     )
     result = aa_estimate(estimator.sample, epsilon, delta, main_run=main_run)
     return ApproximationResult(
-        estimate=estimator.total_weight * result.estimate,
+        estimate=min(estimator.total_weight * result.estimate, 1.0),
         pilot_samples=result.pilot_samples,
         variance_samples=result.variance_samples,
         main_samples=result.main_samples,

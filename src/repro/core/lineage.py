@@ -182,16 +182,12 @@ def group_lineages(
 
 def row_clauses(urel: "URelation") -> Sequence[Optional[Clause]]:
     """Per row of a U-relation, its canonical clause, or None for a
-    contradictory row.  With int64 condition arrays
-    (:meth:`URelation.condition_arrays`) that is one stable sort of each
-    row's atoms by variable: the top padding sorts first and is dropped,
-    an atom equal to its left neighbour is merged, and a variable repeated
-    with another value makes the row contradictory.  Without arrays each
-    row is decoded on its own (:func:`_decoded_clauses`)."""
-    arrays = urel.condition_arrays()
-    if arrays is None:
-        return _decoded_clauses(urel)
-    variables, values = arrays  # shape (cond_arity, rows)
+    contradictory row: one stable sort of each row's atoms by variable
+    over the condition arrays (:meth:`URelation.condition_arrays`).  The
+    top padding sorts first and is dropped, an atom equal to its left
+    neighbour is merged, and a variable repeated with another value makes
+    the row contradictory."""
+    variables, values = urel.condition_arrays()  # shape (cond_arity, rows)
     order = np.argsort(variables, axis=0, kind="stable")
     variables = np.take_along_axis(variables, order, axis=0)
     values = np.take_along_axis(values, order, axis=0)
@@ -209,21 +205,4 @@ def row_clauses(urel: "URelation") -> Sequence[Optional[Clause]]:
     conflicting = (repeated & (values[1:] != values[:-1])).any(axis=0)
     for row in np.flatnonzero(conflicting).tolist():
         out[row] = None
-    return out
-
-
-def _decoded_clauses(urel: "URelation") -> Sequence[Optional[Clause]]:
-    """:func:`canonical_clause` of each row's condition pairs (the columns
-    after the payload), memoized on the raw atoms: translated results
-    repeat a few conditions across many rows."""
-    if urel.cond_arity == 0:
-        return [()] * len(urel.relation)
-    start = urel.payload_arity
-    pairs = urel.relation.columns()[start : start + 2 * urel.cond_arity]
-    memo: Dict[Tuple[int, ...], Optional[Clause]] = {}
-    out: List[Optional[Clause]] = []
-    for flat in zip(*pairs):
-        if flat not in memo:
-            memo[flat] = canonical_clause(zip(flat[0::2], flat[1::2]))
-        out.append(memo[flat])
     return out

@@ -21,14 +21,13 @@ not exposed as SQL.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.lineage import Clause, canonical_clause, row_clauses
 from repro.core.variables import TOP_VARIABLE, VariableRegistry
 from repro.engine import algebra, planner
-from repro.engine.kernels import _NUMPY_MIN_ROWS
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema
 from repro.engine.types import INTEGER, NULL
@@ -222,97 +221,53 @@ class URelation:
             return self.relation  # t-certain: nothing to drop
         return self.relation.project_positions(list(range(self.payload_arity)))
 
-    def _condition_mirrors(self, offset: int) -> Optional[List[np.ndarray]]:
-        """The int64 mirrors of the variable (``offset`` 0) or value
-        (``offset`` 1) columns, or None when the relation is shorter than
-        the kernels' ``_NUMPY_MIN_ROWS`` or a column has no exact mirror
-        (a NULL)."""
-        relation = self.relation
-        if len(relation) < _NUMPY_MIN_ROWS:
-            return None
-        mirrors = [
-            relation.mirror(atom[offset], "int64")
-            for atom in atom_positions(self.payload_arity, self.cond_arity)
-        ]
-        return None if any(mirror is None for mirror in mirrors) else mirrors
-
-    def condition_arrays(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    def condition_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The condition columns as two int64 arrays of shape
-        ``(cond_arity, rows)`` -- variables and values -- or None (no
-        condition columns, or see :meth:`_condition_mirrors`)."""
-        variables = self._condition_mirrors(0) if self.cond_arity else None
-        values = self._condition_mirrors(1) if variables is not None else None
-        if variables is None or values is None:
-            return None
-        return np.stack(variables), np.stack(values)
+        ``(cond_arity, rows)`` -- variables and values -- at every size.
+        A t-certain relation reads as one column of ``TOP_VARIABLE``
+        padding: its rows' conditions are all true.
+
+        The writers admit only 64-bit integers into condition columns
+        (:meth:`~repro.engine.transactions.Transaction.insert`), so a
+        column without an exact int64 mirror is corrupt: ConditionError.
+        """
+        relation = self.relation
+        if self.cond_arity == 0:
+            padding = np.zeros((1, len(relation)), dtype=np.int64)
+            return padding, padding
+
+        def mirror(position: int) -> np.ndarray:
+            column = relation.mirror(position, "int64")
+            if column is None:
+                raise ConditionError(
+                    f"condition column {relation.schema[position].name} holds "
+                    "a value that is not a 64-bit integer"
+                )
+            return column
+
+        atoms = atom_positions(self.payload_arity, self.cond_arity)
+        return (
+            np.stack([mirror(var_at) for var_at, _ in atoms]),
+            np.stack([mirror(value_at) for _, value_at in atoms]),
+        )
 
     def condition_probabilities(self) -> List[float]:
         """Per-row marginal probability of each row's condition, straight
         from the condition columns.
 
-        Atom marginals are multiplied without decoding clauses at all --
-        a column at a time (after one registry gather
-        over all condition columns, :meth:`VariableRegistry.probabilities`)
-        when the condition columns have int64 mirrors, row by row
-        otherwise; both compute ``1.0 * p1 * ... * pk`` in column order,
-        so they agree to the last bit.  Rows with a repeated variable
-        (possible only before a consistency filter runs) fall back to
-        their canonical clause, so duplicates count once and contradictions
-        yield 0.
+        Atom marginals are multiplied a column at a time, without decoding
+        clauses, after one registry gather over all condition columns
+        (:meth:`VariableRegistry.probabilities`): ``1.0 * p1 * ... * pk``
+        in column order.  Rows with a repeated variable (possible only
+        before a consistency filter runs) fall back to their canonical
+        clause, so duplicates count once and contradictions yield 0.
         """
-        n = len(self.relation)
-        if self.cond_arity == 0:
-            return [1.0] * n
-        columns = self.relation.columns()
-        atoms = atom_positions(self.payload_arity, self.cond_arity)
-        arrays = self.condition_arrays()
-        if arrays is not None:
-            return self._array_condition_probabilities(columns, atoms, *arrays)
-        probability = self.registry.probability
-        out: List[float] = []
-        if self.cond_arity == 1:
-            memo: Dict[Tuple[int, int], float] = {}
-            ((var_at, value_at),) = atoms
-            for var, value in zip(columns[var_at], columns[value_at]):
-                key = (var, value)
-                p = memo.get(key)
-                if p is None:
-                    p = probability(var, value)
-                    memo[key] = p
-                out.append(p)
-            return out
-        atom_columns = [columns[p] for atom in atoms for p in atom]
-        arity = self.cond_arity
-        for flat in zip(*atom_columns):
-            p = 1.0
-            seen: List[int] = []
-            duplicate = False
-            for k in range(arity):
-                var = flat[2 * k]
-                if var == TOP_VARIABLE:
-                    continue
-                if var in seen:
-                    duplicate = True
-                    break
-                seen.append(var)
-                p *= probability(var, flat[2 * k + 1])
-            if duplicate:
-                p = self._decoded_probability(flat)
-            out.append(p)
-        return out
-
-    def _array_condition_probabilities(
-        self,
-        columns: Sequence[Sequence[Any]],
-        atoms: Sequence[Tuple[int, int]],
-        variables: np.ndarray,
-        values: np.ndarray,
-    ) -> List[float]:
+        variables, values = self.condition_arrays()
         marginals = self.registry.probabilities(variables, values)
         marginals[variables == TOP_VARIABLE] = 1.0  # whatever the value
         product = np.ones(len(variables[0]))
         repeated = np.zeros(len(product), dtype=bool)
-        for i in range(len(atoms)):
+        for i in range(len(variables)):
             product *= marginals[i]
             padding = variables[i] == TOP_VARIABLE
             for j in range(i):
@@ -320,13 +275,15 @@ class URelation:
         out = product.tolist()
         for row in np.flatnonzero(repeated).tolist():
             out[row] = self._decoded_probability(
-                [columns[p][row] for atom in atoms for p in atom]
+                variables[:, row].tolist(), values[:, row].tolist()
             )
         return out
 
-    def _decoded_probability(self, flat: Sequence[int]) -> float:
-        """P(condition) of one row given as ``(v0, d0, v1, d1, ...)``."""
-        clause = canonical_clause(zip(flat[0::2], flat[1::2]))
+    def _decoded_probability(
+        self, variables: Sequence[int], values: Sequence[int]
+    ) -> float:
+        """P(condition) of one row given as its variables and values."""
+        clause = canonical_clause(zip(variables, values))
         if clause is None:
             return 0.0
         return self.registry.assignment_probability(dict(clause))

@@ -49,12 +49,15 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.engine import sanitizer as _sanitizer
 from repro.engine.catalog import Catalog, CatalogEntry
+from repro.engine.columnar import int_array
 from repro.engine.schema import Column, Schema
 from repro.engine.storage import Table
 from repro.engine.types import type_from_name
-from repro.errors import LockTimeout, TransactionError, VariableError
+from repro.errors import ConditionError, LockTimeout, TransactionError, VariableError
 
 #: Pseudo-table serializing checkpoints against in-flight writers: every
 #: writing statement holds it shared (for the whole transaction, once the
@@ -130,10 +133,12 @@ class Transaction:
 
     All mutations must flow through the transaction's methods to be
     undoable.  ``commit`` publishes redo records to the WAL (if any);
-    ``rollback`` applies the undo journal in reverse.  Given the durable
-    variable ``registry``, rows inserted into a U-relation table promote
-    the statement-minted variables they name, and a row naming an unknown
-    variable is refused.
+    ``rollback`` applies the undo journal in reverse.  Rows inserted into
+    or updated in a U-relation table are admitted by one check
+    (:meth:`_admit`): condition cells must be 64-bit integers
+    (``ConditionError`` otherwise), the statement-minted variables they
+    name are promoted into the durable variable ``registry``, and a row
+    naming an unknown variable is refused (``VariableError``).
     """
 
     def __init__(
@@ -169,7 +174,7 @@ class Transaction:
     # -- mutations ----------------------------------------------------------
     def insert(self, table_name: str, row: Sequence[Any]) -> int:
         self._require_active()
-        table = self._promote_named(table_name, (row,))
+        table = self._admit(self.catalog.entry(table_name), (row,))
         tid = table.insert(row)
         self._undo.append(_UndoInsert(table, tid))
         self._redo.append(("insert", table_name, tid, list(table.get(tid))))
@@ -179,7 +184,7 @@ class Transaction:
         self, table_name: str, rows: Sequence[Sequence[Any]]
     ) -> List[int]:
         self._require_active()
-        table = self._promote_named(table_name, rows)
+        table = self._admit(self.catalog.entry(table_name), rows)
         tids = table.insert_many(rows)
         for tid in tids:
             self._undo.append(_UndoInsert(table, tid))
@@ -196,7 +201,7 @@ class Transaction:
 
     def update(self, table_name: str, tid: int, row: Sequence[Any]) -> tuple:
         self._require_active()
-        table = self.catalog.table(table_name)
+        table = self._admit(self.catalog.entry(table_name), (row,))
         old = table.update(tid, row)
         self._undo.append(_UndoUpdate(table, tid, old))
         self._redo.append(("update_row", table_name, tid, list(table.get(tid))))
@@ -221,11 +226,14 @@ class Transaction:
         update is journaled before the next transform runs -- a transform
         raising mid-scan leaves only undoable changes behind."""
         self._require_active()
-        table = self.catalog.table(table_name)
+        entry = self.catalog.entry(table_name)
+        table = entry.table
         touched: List[Tuple[int, tuple]] = []
         for tid, row in list(table.items()):
             if predicate(row):
-                old = table.update(tid, transform(row))
+                new = transform(row)
+                self._admit(entry, (new,))
+                old = table.update(tid, new)
                 self._undo.append(_UndoUpdate(table, tid, old))
                 self._redo.append(
                     ("update_row", table_name, tid, list(table.get(tid)))
@@ -292,18 +300,37 @@ class Transaction:
             ("register_variable", int(var), name, sorted(distribution.items()))
         )
 
-    def _promote_named(self, table_name: str, rows: Sequence[Sequence[Any]]) -> Table:
-        """The table ``rows`` go into, after promoting the variables they
-        name when it is a U-relation table (see the class docstring)."""
-        entry = self.catalog.entry(table_name)
-        registry = self.registry
-        if registry is None or not entry.is_urelation or not rows:
+    def _admit(self, entry: CatalogEntry, rows: Sequence[Sequence[Any]]) -> Table:
+        """The table ``rows`` go into, once their condition cells have been
+        checked and the variables they name promoted, when it is a
+        U-relation table (see the class docstring).  Nothing is written
+        before every row passes."""
+        if not entry.is_urelation or not rows:
             return entry.table
+        if any(len(row) != len(entry.table.schema) for row in rows):
+            return entry.table  # which refuses the row (StorageError)
         props = entry.properties
         base, arity = int(props.get("payload_arity", 0)), int(props.get("cond_arity", 0))
-        # Variable ids sit at every other column after the payload (the
-        # condition pairs of repro.core.urelation).
-        named = {v for row in rows for v in row[base : base + 2 * arity : 2]}
+        # The condition pairs of repro.core.urelation: a variable id, then
+        # its value, after the payload.
+        variables: List[Any] = []
+        for position in range(base, base + 2 * arity):
+            cells = [row[position] for row in rows]
+            mirror = int_array(cells, len(cells))
+            if mirror is None:
+                bad = next(v for v in cells if int_array([v], 1) is None)
+                raise ConditionError(
+                    f"condition column {entry.table.schema[position].name} of "
+                    f"{entry.table.name} cannot hold "
+                    f"{'NULL' if bad is None else repr(bad)}: conditions are "
+                    "pairs of 64-bit integers"
+                )
+            if (position - base) % 2 == 0:
+                variables.append(mirror)
+        registry = self.registry
+        if registry is None:
+            return entry.table
+        named = set(np.concatenate(variables).tolist())
         minted = registry.minted(named)
         for var in named.difference(var for var, _, _ in minted):
             if var not in registry:

@@ -6,8 +6,8 @@ condition columns hold what a translation can leave there: a variable
 joined with itself (merged, or contradictory with another value),
 multi-valued ``repair key`` variables, ``TOP_VARIABLE`` padding between
 real atoms, zero-probability atoms, clauses wider than the subset
-enumeration of simplification, NULL and NaN group keys, and relations on
-both sides of the array kernels' 16-row threshold.  Under ``auto`` (with
+enumeration of simplification, NULL and NaN group keys, and relations of
+0 to 60 rows.  Under ``auto`` (with
 the default budget and with a budget of one subproblem, which sends the
 crossing components to Monte Carlo) and under every forced policy, every
 group must get the same probability to the bit, the same decisions, the
@@ -32,7 +32,6 @@ from repro.core import lineage
 from repro.core.lineage import row_clauses
 from repro.core.urelation import URelation, condition_columns
 from repro.core.variables import TOP_VARIABLE, VariableRegistry
-from repro.engine.kernels import _NUMPY_MIN_ROWS
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema
 from repro.engine.types import FLOAT
@@ -91,13 +90,15 @@ def _row(registry, rng, key, atoms, cond_arity):
     return (key,) + tuple(x for slot in slots for x in slot)
 
 
-def generated(seed, stored=False):
+def generated(seed, stored=False, count=None):
+    """A seeded U-relation; ``count`` overrides its drawn row count."""
     rng = random.Random(seed)
     registry = VariableRegistry()
     wide = seed % 7 == 3
     cond_arity = rng.randint(14, 15) if wide else rng.randint(1, 4)
     pool = _variables(registry, rng, rng.randint(16, 18) if wide else rng.randint(3, 9))
-    count = rng.randint(1, _NUMPY_MIN_ROWS - 1) if seed % 2 else rng.randint(17, 60)
+    drawn = rng.randint(1, 15) if seed % 2 else rng.randint(17, 60)
+    count = drawn if count is None else count
     rows = []
     for _ in range(count):
         key = rng.choice(KEYS)
@@ -219,7 +220,6 @@ def test_the_generator_covers_every_shape():
         urel = generated(seed)
         columns = urel.relation.columns()
         arity = urel.cond_arity
-        shapes.add("arrays" if urel.condition_arrays() is not None else "no arrays")
         for row, clause in zip(urel.relation.rows, reference.row_conditions(urel)):
             variables = [row[1 + 2 * i] for i in range(arity)]
             real = [v for v in variables if v != TOP_VARIABLE]
@@ -253,7 +253,49 @@ def test_the_generator_covers_every_shape():
         if _outcome(_system, urel, POLICIES["sprout"], seed).startswith("refused"):
             shapes.add("sprout refuses")
     assert shapes == {
-        "arrays", "no arrays", "contradictory", "self-join", "padding", "certain",
+        "contradictory", "self-join", "padding", "certain",
         "wide", "zero probability", "NULL key", "NaN key", "multi-valued",
         "components", "monte-carlo fallback", "sprout refuses",
     }
+
+
+def _with_edge_rows(urel):
+    """``urel`` with its first rows (as many as it has) replaced by an
+    all-⊤ row, a row naming one variable twice with one value, and a
+    contradictory row."""
+    arity = urel.cond_arity
+    var = next(iter(urel.registry.variables()))
+    a, b = urel.registry.domain(var)[:2]
+    padding = [(TOP_VARIABLE, 1)] * (arity - 2)
+    edges = [
+        [(TOP_VARIABLE, 0), (TOP_VARIABLE, 1)] + padding,
+        [(var, a), (var, a)] + padding,
+        [(var, a), (var, b)] + padding,
+    ]
+    rows = list(urel.relation.rows)
+    for i, atoms in enumerate(edges[: len(rows)]):
+        rows[i] = (rows[i][0],) + tuple(x for atom in atoms for x in atom)
+    relation = Relation(urel.relation.schema, rows)
+    return URelation(relation, 1, arity, urel.registry)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 15, 16, 17])
+@pytest.mark.parametrize("seed", [0, 1, 3, 5])  # two to fourteen condition pairs
+def test_every_size_decodes_and_answers_like_the_reference(seed, count):
+    urel = _with_edge_rows(generated(seed, count=count))
+    conditions = reference.row_conditions(urel)
+    assert row_clauses(urel) == conditions
+    expected = [
+        0.0 if clause is None else reference.clause_probability(clause, urel.registry)
+        for clause in conditions
+    ]
+    assert urel.condition_probabilities() == pytest.approx(expected, abs=1e-12)
+    exact = ConfidenceDispatcher(POLICIES["exact"])
+    for columns in (["g"], []):
+        got = agg.conf(urel, columns).rows
+        want = reference.conf(urel, columns, exact)[0]
+        assert [repr(row[:-1]) for row in got] == [repr(row[:-1]) for row in want]
+        for row, truth in zip(got, want):
+            assert row[-1] == pytest.approx(truth[-1], abs=1e-12)
+    if count == 0:
+        assert agg.conf(urel, []).rows == [(0.0,)]

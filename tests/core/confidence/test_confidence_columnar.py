@@ -2,8 +2,8 @@
 
 Every generated U-relation is answered three ways: by
 :func:`hierarchical_confidences` (through ``agg.conf`` and directly), by
-the per-lineage dispatcher with the array pass held off (its size
-threshold ``_NUMPY_MIN_ROWS`` raised above every input), and
+the per-lineage dispatcher under the forced ``exact`` policy (which
+skips the array pass), and
 by possible-worlds enumeration (:mod:`reference.worlds`, at most 12
 variables per group).  The exact paths must agree to 1e-12, and a group
 the array pass cannot evaluate must be *declined* -- left to the
@@ -16,29 +16,29 @@ import pytest
 
 from reference.worlds import tuple_confidence_by_enumeration
 from repro.core import aggregates as agg
-from repro.core import urelation as urelation_module
 from repro.core.confidence.columnar import hierarchical_confidences
-from repro.core.confidence.dispatch import STRATEGY_VECTORIZED, trace_confidence
+from repro.core.confidence.dispatch import (
+    STRATEGY_VECTORIZED,
+    ConfidenceDispatcher,
+    DispatchPolicy,
+    trace_confidence,
+)
 from repro.core.urelation import URelation, condition_columns
 from repro.core.variables import TOP_VARIABLE, VariableRegistry
 from repro.db import MayBMS
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema
 from repro.engine.types import INTEGER
+from repro.errors import ConditionError
 
 EXACT = 1e-12
 TOP = (TOP_VARIABLE, 0)
 
 
-@pytest.fixture(autouse=True)
-def no_size_cutoff(monkeypatch):
-    """Let hand-sized relations through (the cut-off has its own test)."""
-    monkeypatch.setattr(urelation_module, "_NUMPY_MIN_ROWS", 1)
-
-
-def array_pass_off(patch):
-    """Leave every group to the per-lineage dispatcher."""
-    patch.setattr(urelation_module, "_NUMPY_MIN_ROWS", 2**62)
+def per_lineage():
+    """A dispatcher that leaves every group to the per-lineage ws-tree:
+    forced ``exact`` never enters the array pass."""
+    return ConfidenceDispatcher(DispatchPolicy(strategy="exact"))
 
 
 def build(registry, arity, rows):
@@ -56,16 +56,11 @@ def build(registry, arity, rows):
     return URelation(Relation(schema, wide), 1, arity, registry)
 
 
-def answers(urel, monkeypatch):
+def answers(urel):
     """``{g: (array pass or None when declined, per-lineage, enumeration)}``."""
     projections, row_groups = agg._group_rows(urel, (0,))
-    result = hierarchical_confidences(urel, row_groups)
-    assert result is not None
-    probabilities, answered = result
-    with monkeypatch.context() as patch:
-        array_pass_off(patch)
-        assert hierarchical_confidences(urel, row_groups) is None
-        reference = dict(agg.conf(urel, ["g"]).rows)
+    probabilities, answered = hierarchical_confidences(urel, row_groups)
+    reference = dict(agg.conf(urel, ["g"], dispatcher=per_lineage()).rows)
     out = {}
     for (g,), p, ok in zip(projections, probabilities.tolist(), answered.tolist()):
         out[g] = (
@@ -76,10 +71,10 @@ def answers(urel, monkeypatch):
     return out
 
 
-def assert_agree(urel, monkeypatch, declined=()):
+def assert_agree(urel, declined=()):
     """The three ways agree; exactly the groups in ``declined`` were left
     to the dispatcher, and ``agg.conf`` answers those correctly too."""
-    got = answers(urel, monkeypatch)
+    got = answers(urel)
     assert {g for g, (array, _, _) in got.items() if array is None} == set(declined)
     with trace_confidence() as events:
         through_conf = dict(agg.conf(urel, ["g"]).rows)
@@ -98,17 +93,17 @@ def assert_agree(urel, monkeypatch, declined=()):
 
 
 class TestTupleIndependentJoins:
-    def test_one_column(self, monkeypatch):
+    def test_one_column(self):
         registry = VariableRegistry()
         rows = []
         for g in range(4):
             for _ in range(1 + g):
                 rows.append((g, [(registry.fresh_boolean(0.1 + 0.2 * g), 1)]))
-        got = assert_agree(build(registry, 1, rows), monkeypatch)
+        got = assert_agree(build(registry, 1, rows))
         assert got[0][0] == pytest.approx(0.1)
         assert got[2][0] == pytest.approx(1 - 0.5 ** 3)
 
-    def test_two_columns_root_in_either_position(self, monkeypatch):
+    def test_two_columns_root_in_either_position(self):
         # R(x) join S(x, y): {r ^ s1, ..., r ^ sk}.  Group 0 has the root
         # in the second column (the conf_safe layout: orders, customer),
         # group 1 in the first.
@@ -116,11 +111,11 @@ class TestTupleIndependentJoins:
         r0, r1 = registry.fresh_boolean(0.8), registry.fresh_boolean(0.6)
         rows = [(0, [(registry.fresh_boolean(0.5), 1), (r0, 1)]) for _ in range(3)]
         rows += [(1, [(r1, 1), (registry.fresh_boolean(0.3), 1)]) for _ in range(4)]
-        got = assert_agree(build(registry, 2, rows), monkeypatch)
+        got = assert_agree(build(registry, 2, rows))
         assert got[0][0] == pytest.approx(0.8 * (1 - 0.5 ** 3))
         assert got[1][0] == pytest.approx(0.6 * (1 - 0.7 ** 4))
 
-    def test_three_columns_nested(self, monkeypatch):
+    def test_three_columns_nested(self):
         # R(x), S(x, y), T(x, y, z): t determines s determines r.
         registry = VariableRegistry()
         rows = []
@@ -132,9 +127,9 @@ class TestTupleIndependentJoins:
                     for _ in range(1 + g):
                         t = registry.fresh_boolean(0.5)
                         rows.append((g, [(s, 1), (t, 1), (r, 1)]))
-        assert_agree(build(registry, 3, rows), monkeypatch)
+        assert_agree(build(registry, 3, rows))
 
-    def test_several_roots_per_group(self, monkeypatch):
+    def test_several_roots_per_group(self):
         # group by nation: many customers, each with its orders.
         registry = VariableRegistry()
         rows = []
@@ -143,22 +138,21 @@ class TestTupleIndependentJoins:
                 customer = registry.fresh_boolean(0.8)
                 for _ in range(random.Random(g).randrange(1, 4)):
                     rows.append((g, [(registry.fresh_boolean(0.8), 1), (customer, 1)]))
-        assert_agree(build(registry, 2, rows), monkeypatch)
+        assert_agree(build(registry, 2, rows))
 
 
 class TestRepairKeyAlternatives:
-    def test_values_of_one_variable_add_up(self, monkeypatch):
+    def test_values_of_one_variable_add_up(self):
         registry = VariableRegistry()
         x = registry.fresh([0.2, 0.3, 0.5])
         got = assert_agree(
             build(registry, 1, [(0, [(x, 0)]), (0, [(x, 2)]), (1, [(x, 1)])]),
-            monkeypatch,
         )
         # Combined as independent events this would be 1 - 0.8 * 0.5 = 0.6.
         assert got[0][0] == pytest.approx(0.7)
         assert got[1][0] == pytest.approx(0.3)
 
-    def test_one_variable_across_groups_and_under_alternatives(self, monkeypatch):
+    def test_one_variable_across_groups_and_under_alternatives(self):
         # The random walk: x picks the first step, y_a the second step out
         # of state a; the same x serves every group.
         registry = VariableRegistry()
@@ -168,31 +162,31 @@ class TestRepairKeyAlternatives:
         for final in range(2):
             for a in range(3):
                 rows.append((final, [(x, a), (y[a], final)]))
-        got = assert_agree(build(registry, 2, rows), monkeypatch)
+        got = assert_agree(build(registry, 2, rows))
         assert got[0][0] == pytest.approx(0.6)
         assert got[1][0] == pytest.approx(0.4)
 
-    def test_one_child_value_under_two_parent_values(self, monkeypatch):
+    def test_one_child_value_under_two_parent_values(self):
         # (x=0 ^ y=1) v (x=1 ^ y=1) v (x=0 ^ y=0): y determines the
         # *variable* x, not its value.
         registry = VariableRegistry()
         x, y = registry.fresh([0.3, 0.3, 0.4]), registry.fresh([0.25, 0.75])
         rows = [(0, [(x, 0), (y, 1)]), (0, [(x, 1), (y, 1)]), (0, [(x, 0), (y, 0)])]
-        got = assert_agree(build(registry, 2, rows), monkeypatch)
+        got = assert_agree(build(registry, 2, rows))
         assert got[0][0] == pytest.approx(0.3 * 1.0 + 0.3 * 0.75)
 
 
 class TestClauseHygiene:
-    def test_duplicate_clauses_count_once(self, monkeypatch):
+    def test_duplicate_clauses_count_once(self):
         registry = VariableRegistry()
         x = registry.fresh([0.4, 0.6])
         r, s = registry.fresh_boolean(0.5), registry.fresh_boolean(0.5)
         rows = [(0, [(x, 1), TOP])] * 3 + [(1, [(r, 1), (s, 1)])] * 2
-        got = assert_agree(build(registry, 2, rows), monkeypatch)
+        got = assert_agree(build(registry, 2, rows))
         assert got[0][0] == 0.6
         assert got[1][0] == 0.25
 
-    def test_zero_probability_atoms(self, monkeypatch):
+    def test_zero_probability_atoms(self):
         registry = VariableRegistry()
         never = registry.fresh([1.0, 0.0])
         x = registry.fresh_boolean(0.5)
@@ -203,12 +197,12 @@ class TestClauseHygiene:
             (2, [(x, 1), (never, 0)]),
             (3, [(x, 7), (never, 0)]),  # a value outside the domain
         ]
-        got = assert_agree(build(registry, 2, rows), monkeypatch)
+        got = assert_agree(build(registry, 2, rows))
         assert [got[g][0] for g in range(4)] == [0.0, 0.0, 0.5, 0.0]
 
 
 class TestPadding:
-    def test_union_of_arities(self, monkeypatch):
+    def test_union_of_arities(self):
         # A union of a one-table branch (padded) and a join branch: groups
         # of one branch each are answered, column order chosen per group;
         # a group holding rows of both is declined (check a).
@@ -224,38 +218,37 @@ class TestPadding:
             (3, [(fresh(0.5), 1), TOP]),
             (3, [(fresh(0.5), 1), (fresh(0.5), 1)]),
         ]
-        got = assert_agree(build(registry, 2, rows), monkeypatch, declined=[3])
+        got = assert_agree(build(registry, 2, rows), declined=[3])
         assert got[0][0] == pytest.approx(0.7)
         assert got[2][0] == 0.3
 
-    def test_wider_clause_absorbed_by_a_padded_one_is_declined(self, monkeypatch):
+    def test_wider_clause_absorbed_by_a_padded_one_is_declined(self):
         # x v (x ^ y) = x: what mixing padding with atoms can hide.
         registry = VariableRegistry()
         x, y = registry.fresh_boolean(0.5), registry.fresh_boolean(0.5)
         got = assert_agree(
             build(registry, 2, [(0, [(x, 1), TOP]), (0, [(x, 1), (y, 1)])]),
-            monkeypatch,
             declined=[0],
         )
         assert got[0][1] == pytest.approx(0.5)
 
-    def test_all_top_column_is_exact(self, monkeypatch):
+    def test_all_top_column_is_exact(self):
         registry = VariableRegistry()
         rows = [
             (g, [TOP, (registry.fresh_boolean(0.1 * (1 + g)), 1), TOP])
             for g in range(5)
             for _ in range(1 + g % 2)
         ]
-        got = assert_agree(build(registry, 3, rows), monkeypatch)
+        got = assert_agree(build(registry, 3, rows))
         assert got[0][0] == 0.1  # not 1 - (1 - 0.1)
         assert got[2][0] == pytest.approx(0.3)
 
-    def test_certain_rows(self, monkeypatch):
+    def test_certain_rows(self):
         registry = VariableRegistry()
-        got = assert_agree(build(registry, 1, [(0, [TOP]), (0, [TOP])]), monkeypatch)
+        got = assert_agree(build(registry, 1, [(0, [TOP]), (0, [TOP])]))
         assert got[0][0] == 1.0
 
-    def test_top_atoms_are_true_whatever_their_value(self, monkeypatch):
+    def test_top_atoms_are_true_whatever_their_value(self):
         registry = VariableRegistry()
         x = registry.fresh_boolean(0.5)
         urel = build(registry, 2, [(0, [(x, 1), TOP]), (0, [(x, 1), TOP])])
@@ -272,9 +265,10 @@ class TestEdges:
         urel = build(registry, 2, [])
         assert agg.conf(urel, ["g"]).rows == []
         assert agg.conf(urel, []).rows == [(0.0,)]
-        assert hierarchical_confidences(urel, []) is None  # nothing to sort
+        probabilities, answered = hierarchical_confidences(urel, [])
+        assert len(probabilities) == len(answered) == 0
 
-    def test_conf_without_group_by(self, monkeypatch):
+    def test_conf_without_group_by(self):
         registry = VariableRegistry()
         r = registry.fresh_boolean(0.5)
         rows = [(g, [(r, 1), (registry.fresh_boolean(0.5), 1)]) for g in range(3)]
@@ -282,25 +276,26 @@ class TestEdges:
         with trace_confidence() as events:
             got = agg.conf(urel, []).rows
         assert events[0].render() == "conf: 1 group(s) via sprout[vectorized]"
-        with monkeypatch.context() as patch:
-            array_pass_off(patch)
-            assert got[0][0] == pytest.approx(agg.conf(urel, []).rows[0][0], abs=EXACT)
+        reference = agg.conf(urel, [], dispatcher=per_lineage()).rows[0][0]
+        assert got[0][0] == pytest.approx(reference, abs=EXACT)
         assert got == [(pytest.approx(0.5 * (1 - 0.5 ** 3)),)]
 
-    def test_size_cutoff_and_nulls_leave_everything_to_the_dispatcher(self, monkeypatch):
+    def test_every_size_is_answered_and_a_null_condition_is_refused(self):
         registry = VariableRegistry()
         rows = [(g, [(registry.fresh_boolean(0.5), 1)]) for g in range(20)]
-        urel = build(registry, 1, rows)
-        monkeypatch.setattr(urelation_module, "_NUMPY_MIN_ROWS", 21)
-        assert hierarchical_confidences(urel, [[i] for i in range(20)]) is None
-        monkeypatch.setattr(urelation_module, "_NUMPY_MIN_ROWS", 20)
-        assert hierarchical_confidences(urel, [[i] for i in range(20)]) is not None
+        for size in (1, 2, 15, 16, 20):
+            urel = build(registry, 1, rows[:size])
+            probabilities, answered = hierarchical_confidences(
+                urel, [[i] for i in range(size)]
+            )
+            assert answered.all() and probabilities.tolist() == [0.5] * size
         holed = list(urel.relation.rows)
         holed[3] = (3, None, None)
         urel = URelation(Relation(urel.relation.schema, holed), 1, 1, registry)
-        assert hierarchical_confidences(urel, [[i] for i in range(20)]) is None
+        with pytest.raises(ConditionError):
+            hierarchical_confidences(urel, [[i] for i in range(20)])
 
-    def test_the_bound_registry_is_read(self, monkeypatch):
+    def test_the_bound_registry_is_read(self):
         # The same rows bound to a clone that gives x another
         # distribution (all mass on {1, 2}).
         registry = VariableRegistry()
@@ -311,10 +306,10 @@ class TestEdges:
         clone = registry.copy()
         clone.restore(x, {0: 0.0, 1: 0.5, 2: 0.5})
         conditioned = URelation(stored.relation, 1, 2, clone)
-        got = assert_agree(conditioned, monkeypatch)
+        got = assert_agree(conditioned)
         assert got[0][0] == pytest.approx(0.25)  # (0 + 0.5) * 0.5
         assert got[1][0] == pytest.approx(0.25)
-        assert assert_agree(stored, monkeypatch)[0][0] == pytest.approx(0.375)
+        assert assert_agree(stored)[0][0] == pytest.approx(0.375)
 
 
 # -- shapes it must decline -----------------------------------------------------------
@@ -324,11 +319,11 @@ def explain(db, sql):
     return "\n".join(row[0] for row in db.execute("explain " + sql).relation.rows)
 
 
-def both_ways(db, sql, monkeypatch):
+def both_ways(db, sql):
     rows = sorted(db.query(sql).rows)
-    with monkeypatch.context() as patch:
-        array_pass_off(patch)
-        reference = sorted(db.query(sql).rows)
+    db.set_confidence_strategy("exact")
+    reference = sorted(db.query(sql).rows)
+    db.set_confidence_strategy("auto")
     assert [row[:-1] for row in rows] == [row[:-1] for row in reference]
     for row, expected in zip(rows, reference):
         assert row[-1] == pytest.approx(expected[-1], abs=EXACT)
@@ -336,7 +331,7 @@ def both_ways(db, sql, monkeypatch):
 
 
 class TestDeclined:
-    def test_self_join_puts_one_variable_in_two_columns(self, monkeypatch):
+    def test_self_join_puts_one_variable_in_two_columns(self):
         db = MayBMS(seed=1)
         db.execute("create table t (k integer, v integer)")
         db.execute(
@@ -348,27 +343,24 @@ class TestDeclined:
             "(pick tuples from t independently with probability 0.5) x"
         )
         sql = "select x.k, conf() as p from u x, u y where x.k = y.k group by x.k"
-        rows = both_ways(db, sql, monkeypatch)
+        rows = both_ways(db, sql)
         # Three tuples per key, each present with 0.5: P(at least one).
         assert [p for _, p in rows] == [pytest.approx(1 - 0.5 ** 3)] * 6
         assert "conf: 6 group(s) via" in explain(db, sql)
         assert STRATEGY_VECTORIZED not in explain(db, sql)
 
-    def test_check_b_alone_stands_between_a_shared_variable_and_a_wrong_answer(
-        self, monkeypatch
-    ):
+    def test_check_b_alone_stands_between_a_shared_variable_and_a_wrong_answer(self):
         # (a ^ b) v (c ^ a): every column's variable determines the other
         # column's (check c passes either way round), yet a is shared.
         registry = VariableRegistry()
         a, b, c = (registry.fresh_boolean(0.5) for _ in range(3))
         got = assert_agree(
             build(registry, 2, [(0, [(a, 1), (b, 1)]), (0, [(c, 1), (a, 1)])]),
-            monkeypatch,
             declined=[0],
         )
         assert got[0][1] == pytest.approx(0.5 * 0.75)  # not 1 - 0.75 ** 2
 
-    def test_conf_hard_three_way_join(self, monkeypatch):
+    def test_conf_hard_three_way_join(self):
         db = MayBMS(seed=2)
         db.execute("create table o (okey integer, ckey integer, yr integer)")
         db.execute("create table c (ckey integer, nation integer)")
@@ -388,7 +380,7 @@ class TestDeclined:
             "select c.nation, conf() as p from u_o o, u_c c, u_y y "
             "where o.ckey = c.ckey and o.yr = y.yr group by c.nation"
         )
-        rows = both_ways(db, sql, monkeypatch)
+        rows = both_ways(db, sql)
         assert len(rows) == 2
         text = explain(db, sql)
         assert STRATEGY_VECTORIZED not in text and "exact" in text
@@ -396,7 +388,7 @@ class TestDeclined:
         for row, exact in zip(rows, sorted(db.query(sql).rows)):
             assert row[1] == pytest.approx(exact[1], abs=EXACT)
 
-    def test_only_the_crossing_group_falls_back(self, monkeypatch):
+    def test_only_the_crossing_group_falls_back(self):
         registry = VariableRegistry()
         fresh = registry.fresh_boolean
         rows = []
@@ -409,7 +401,7 @@ class TestDeclined:
         x1, x2, y1, y2 = fresh(0.5), fresh(0.5), fresh(0.5), fresh(0.5)
         rows += [(1, [(x1, 1), (y1, 1)]), (1, [(x1, 1), (y2, 1)]), (1, [(x2, 1), (y2, 1)])]
         urel = build(registry, 2, rows)
-        assert_agree(urel, monkeypatch, declined=[1])
+        assert_agree(urel, declined=[1])
         with trace_confidence() as events:
             agg.conf(urel, ["g"])
         assert events[0].render().startswith(
@@ -448,7 +440,7 @@ def small_tree(registry, rng, depth, variables=10):
 
 
 class TestGenerated:
-    def test_random_trees_are_answered_and_agree(self, monkeypatch):
+    def test_random_trees_are_answered_and_agree(self):
         rng = random.Random(20090629)
         for trial in range(150):
             registry = VariableRegistry()
@@ -464,9 +456,9 @@ class TestGenerated:
                         atoms[column] = atom
                     rows += [(g, atoms)] * rng.randrange(1, 3)
             rng.shuffle(rows)
-            assert_agree(build(registry, arity, rows), monkeypatch)
+            assert_agree(build(registry, arity, rows))
 
-    def test_random_clauses_are_never_guessed(self, monkeypatch):
+    def test_random_clauses_are_never_guessed(self):
         # Arbitrary clauses over a small variable pool: whatever the array
         # pass answers must be right, whatever it declines the dispatcher
         # answers; across the sweep both must happen.
@@ -491,7 +483,7 @@ class TestGenerated:
                         if consistent:
                             atoms.append((var, value))
                     rows.append((g, atoms))
-            got = answers(build(registry, arity, rows), monkeypatch)
+            got = answers(build(registry, arity, rows))
             for g, (array, reference, truth) in got.items():
                 assert reference == pytest.approx(truth, abs=EXACT), (trial, g)
                 if array is None:

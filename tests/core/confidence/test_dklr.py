@@ -147,3 +147,60 @@ class TestAconf:
         loose = approximate_confidence(lin, registry, 0.2, 0.1, random.Random(8))
         tight = approximate_confidence(lin, registry, 0.05, 0.1, random.Random(8))
         assert tight.total_samples > loose.total_samples
+
+
+def _binomial_bound(n, p, alpha=1e-3):
+    """The least k with P(Binomial(n, p) > k) <= alpha."""
+    tail = 1.0
+    for k in range(n + 1):
+        tail -= math.comb(n, k) * p**k * (1 - p) ** (n - k)
+        if tail <= alpha:
+            return k
+    return n
+
+
+def _coverage_instance(seed):
+    """Random DNFs whose exact answers the ws-tree gives: a few wide
+    clauses over four-valued variables (near 0), a middle family, and many
+    narrow clauses (near 1, where U = Σ P(clause) is far above 1)."""
+    rng = random.Random(seed)
+    if seed % 3 == 0:
+        return random_dnf(6, 3, 3, rng, domain_size=4)
+    if seed % 3 == 1:
+        return random_dnf(8, 6, 2, rng)
+    return random_dnf(8, 16, 2, rng)
+
+
+class TestCoverage:
+    """Over many seeded runs, ``aconf(ε, δ)`` misses the exact answer by
+    more than ε·p no more often than a Binomial(runs, δ) count allows, and
+    every estimate is a probability.  Even seeds take the seeded ``aconf``
+    stream, odd ones a session RNG (``conf()``'s Monte-Carlo fallback)."""
+
+    RUNS = 200
+
+    @pytest.mark.parametrize("epsilon, delta", [(0.2, 0.1), (0.15, 0.05)])
+    def test_failures_stay_under_the_binomial_bound(self, epsilon, delta):
+        failures, exacts = 0, []
+        for seed in range(self.RUNS):
+            clauses, registry = _coverage_instance(seed)
+            exact = exact_probability(clauses, registry)
+            if seed % 2:
+                result = approximate_confidence(
+                    clauses, registry, epsilon, delta, random.Random(seed)
+                )
+            else:
+                result = approximate_confidence(
+                    clauses, registry, epsilon, delta, unit_seed=seed
+                )
+            assert 0.0 <= result.estimate <= 1.0, seed
+            failures += abs(result.estimate - exact) > epsilon * exact
+            exacts.append(exact)
+        assert min(exacts) < 0.05 and max(exacts) > 0.95
+        assert failures <= _binomial_bound(self.RUNS, delta)
+
+    def test_estimates_above_one_are_clamped(self):
+        # Unclamped, U·mean(Z) is 1.027 on this instance and stream.
+        clauses, registry = random_dnf(100, 100, 3, random.Random(7))
+        result = approximate_confidence(clauses, registry, 0.2, 0.1, random.Random(7))
+        assert result.estimate <= 1.0

@@ -10,7 +10,7 @@ from reference.worlds import (
     tuple_confidence_by_enumeration,
 )
 from repro.core import aggregates as agg
-from repro.core import lineage, urelation
+from repro.core import lineage
 from repro.core.confidence import dispatch
 from repro.core.confidence.dispatch import ConfidenceDispatcher, DispatchPolicy
 from repro.core.repair_key import repair_key
@@ -285,15 +285,17 @@ class TestArrayPass:
         )
         assert lineages_built == []
 
-    def test_aconf_numbers_its_sample_streams_by_group(self, registry, monkeypatch):
+    def test_aconf_numbers_its_sample_streams_by_group(self, registry):
         # The declined group's Monte-Carlo stream is seeded with its
-        # ordinal among all groups, array pass or not.
+        # ordinal among all groups, array pass or not: forced Monte Carlo
+        # skips the pass and samples every group.
         urel = self.mixed(registry)
         dispatcher = ConfidenceDispatcher(DispatchPolicy(exact_budget=1))
         with_pass = agg.aconf(urel, 0.2, 0.2, ["g"], dispatcher=dispatcher, base_seed=9)
-        monkeypatch.setattr(urelation, "_NUMPY_MIN_ROWS", 2**62)
-        without = agg.aconf(urel, 0.2, 0.2, ["g"], dispatcher=dispatcher, base_seed=9)
+        sampled = ConfidenceDispatcher(DispatchPolicy(strategy="monte-carlo"))
+        without = agg.aconf(urel, 0.2, 0.2, ["g"], dispatcher=sampled, base_seed=9)
         assert with_pass.rows[6] == without.rows[6]
+        assert with_pass.rows[:6] != without.rows[:6]
 
     def test_seeded_answers_are_a_function_of_the_seed(self):
         # Seeded aconf() and Monte-Carlo conf() answers repeat on a fresh

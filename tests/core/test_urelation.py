@@ -6,7 +6,6 @@ import pytest
 
 from reference.confidence import clause_probability
 from reference.worlds import in_world, normalized, rows_with_conditions
-from repro.core import urelation as urelation_module
 from repro.core.lineage import canonical_clause, row_clauses
 from repro.core.urelation import (
     URelation,
@@ -180,7 +179,8 @@ class TestMaintenance:
             assert [c.strip() for c in line.split(" | ")[-2:]] == ["⊤", "1"]
 
 class TestConditionProbabilities:
-    """The array product and the row loop are the same arithmetic."""
+    """The column-at-a-time product is the row-at-a-time product's
+    arithmetic, at every size."""
 
     @staticmethod
     def wide(registry, arity, atom_rows):
@@ -193,8 +193,9 @@ class TestConditionProbabilities:
             rows.append(tuple(row))
         return URelation(Relation(schema, rows), 1, arity, registry)
 
+    @pytest.mark.parametrize("rows", [1, 15, 60])
     @pytest.mark.parametrize("arity", [1, 2, 3])
-    def test_bit_identical_with_and_without_numpy(self, registry, arity, monkeypatch):
+    def test_bit_identical_to_the_row_product(self, registry, arity, rows):
         rng = random.Random(arity)
         pool = [registry.fresh([0.1, 0.2, 0.7]) for _ in range(12)]
         top = (TOP_VARIABLE, 0)
@@ -203,14 +204,18 @@ class TestConditionProbabilities:
                 top if rng.random() < 0.2 else (var, rng.randrange(4))
                 for var in rng.sample(pool, arity)
             ]
-            for _ in range(60)
+            for _ in range(rows)
         ]
         urel = self.wide(registry, arity, atom_rows)
         vectorized = urel.condition_probabilities()
-        # Below the size threshold the loop runs, with no NumPy arrays.
-        monkeypatch.setattr(urelation_module, "_NUMPY_MIN_ROWS", 2**62)
-        assert urel.condition_arrays() is None
-        assert vectorized == urel.condition_probabilities()
+        by_row = []
+        for atoms in atom_rows:
+            p = 1.0  # 1.0 * p1 * ... * pk in column order
+            for var, value in atoms:
+                if var != TOP_VARIABLE:
+                    p *= registry.probability(var, value)
+            by_row.append(p)
+        assert vectorized == by_row
         # A clause's probability multiplies in variable order, not column
         # order: equal up to rounding only.
         assert vectorized == pytest.approx(
@@ -224,12 +229,19 @@ class TestConditionProbabilities:
         atom_rows[7] = [(x, 1), (x, 0)]  # a contradiction is no world
         atom_rows[9] = [(TOP_VARIABLE, 0), (TOP_VARIABLE, 0)]
         urel = self.wide(registry, 2, atom_rows)
-        assert urel.condition_arrays() is not None
         got = urel.condition_probabilities()
         assert (got[0], got[3], got[7], got[9]) == (0.375, 0.75, 0.0, 1.0)
 
-    def test_short_relations_and_nulls_stay_on_the_loop(self, registry):
+    def test_arrays_at_every_size_and_a_null_is_refused(self, registry):
         x = registry.fresh([0.25, 0.75])
-        assert self.wide(registry, 1, [[(x, 1)]] * 15).condition_arrays() is None
-        urel = self.wide(registry, 1, [[(x, 1)]] * 16)
-        assert urel.condition_arrays() is not None
+        for rows in (0, 1, 15, 16):
+            variables, values = self.wide(registry, 1, [[(x, 1)]] * rows).condition_arrays()
+            assert variables.shape == values.shape == (1, rows)
+        # A t-certain relation reads as one column of padding.
+        certain = URelation.t_certain(self.wide(registry, 0, [[]] * 3).relation, registry)
+        variables, _ = certain.condition_arrays()
+        assert variables.tolist() == [[TOP_VARIABLE] * 3]
+        assert certain.condition_probabilities() == [1.0] * 3
+        urel = self.wide(registry, 1, [[(x, 1)], [(None, None)]])
+        with pytest.raises(ConditionError):
+            urel.condition_probabilities()

@@ -176,19 +176,26 @@ def _kept(relation, kind):
 class TestLineageCache:
     """Grouping and the rows' decoded clauses are kept per table version on
     base-table snapshots only; a query result keeps nothing (it dies with
-    its statement, and over SQL nobody ever asked twice)."""
+    its statement, and over SQL nobody ever asked twice).  Clauses are
+    decoded for the groups the array pass leaves to the dispatcher; the
+    forced ``exact`` policy leaves it all of them."""
 
     STORE = (
         "create table picks as "
         "select * from (repair key player, init in ft weight by p) r"
     )
 
+    @staticmethod
+    def conf(urel, columns):
+        exact = ConfidenceDispatcher(DispatchPolicy(strategy="exact"))
+        return agg.conf(urel, columns, dispatcher=exact)
+
     def test_query_result_keeps_nothing(self, db):
         urel = db.uncertain_query(
             "select * from (repair key player, init in ft weight by p) r"
         )
-        first = agg.conf(urel, ["player"])
-        second = agg.conf(urel, ["player"])
+        first = self.conf(urel, ["player"])
+        second = self.conf(urel, ["player"])
         assert urel.relation.source is None
         assert not urel.relation._columns.derived
         assert sorted(first.rows) == sorted(second.rows)
@@ -196,12 +203,12 @@ class TestLineageCache:
     def test_repeated_conf_on_a_snapshot_reuses_grouping_and_clauses(self, db):
         db.execute(self.STORE)
         urel = db.urelation("picks")
-        first = agg.conf(urel, ["player"])
+        first = self.conf(urel, ["player"])
         # One grouping entry (shared with esum/ecount) plus one entry of
         # decoded clauses.
         groups, clauses = _kept(urel.relation, "groups"), _kept(urel.relation, "clauses")
         assert len(groups) == 1 and len(clauses) == 1
-        second = agg.conf(urel, ["player"])
+        second = self.conf(urel, ["player"])
         assert _kept(urel.relation, "groups") == groups
         after = _kept(urel.relation, "clauses")
         assert after.keys() == clauses.keys()
@@ -211,15 +218,15 @@ class TestLineageCache:
     def test_distinct_groupings_share_the_decoded_clauses(self, db):
         db.execute(self.STORE)
         urel = db.urelation("picks")
-        agg.conf(urel, ["player"])
-        agg.conf(urel, ["player", "final"])
+        self.conf(urel, ["player"])
+        self.conf(urel, ["player", "final"])
         assert len(_kept(urel.relation, "groups")) == 2
         assert len(_kept(urel.relation, "clauses")) == 1
 
     def test_stored_urelation_snapshot_caches_across_reads(self, db):
         db.execute(self.STORE)
         first = db.urelation("picks")
-        agg.conf(first, ["player"])
+        self.conf(first, ["player"])
         again = db.urelation("picks")
         # Unchanged table -> same snapshot object -> cache carried over.
         assert again.relation is first.relation
@@ -228,7 +235,7 @@ class TestLineageCache:
     def test_mutation_invalidates_via_fresh_snapshot(self, db):
         db.execute(self.STORE)
         first = db.urelation("picks")
-        agg.conf(first, ["player"])
+        self.conf(first, ["player"])
         db.execute("delete from picks where player = 'Bryant'")
         fresh = db.urelation("picks")
         assert fresh.relation is not first.relation

@@ -9,11 +9,14 @@ from repro.engine.relation import Relation
 from repro.engine.types import NULL
 from repro.errors import (
     AnalysisError,
+    ConditionError,
     MayBMSError,
     SchemaError,
+    StorageError,
     TableExistsError,
     TableNotFoundError,
     TransactionError,
+    VariableError,
 )
 
 
@@ -389,6 +392,70 @@ class TestConditionLayout:
         inserts = [r for r in db.wal.records() if r[:2] == ("insert", "half")]
         assert len(inserts) == 4
         assert all(len(record[3]) == 5 for record in inserts)
+
+
+
+class TestConditionWriters:
+    """Every writer of a U-relation table refuses a condition cell that
+    is not a 64-bit integer, or that names an unknown variable, with a
+    typed error; the statement leaves the table as it was."""
+
+    @pytest.fixture
+    def u(self, db):
+        db.execute("create table t (k integer, v integer, p float)")
+        db.execute("insert into t values (1, 1, 0.5), (1, 2, 0.5), (2, 1, 1.0)")
+        db.execute("create table u as select * from (repair key k in t weight by p) r")
+        assert db.table("u").schema.names == ["k", "v", "p", "_v0", "_d0"]
+        return db
+
+    @pytest.mark.parametrize(
+        "sql, error",
+        [
+            ("insert into u values (3, 3, 0.2, NULL, NULL)", ConditionError),
+            ("insert into u values (3, 3, 0.2, 1, NULL)", ConditionError),
+            ("insert into u values (3, 3, 0.2, 'x', 0)", ConditionError),
+            ("insert into u values (3, 3, 0.2, 1.5, 0)", ConditionError),
+            (f"insert into u values (3, 3, 0.2, 1, {2**63})", ConditionError),
+            ("insert into u values (3, 3, 0.2, 987654, 0)", VariableError),
+            ("update u set _v0 = NULL", ConditionError),
+            ("update u set _d0 = NULL where k = 2", ConditionError),
+            ("update u set _v0 = 987654", VariableError),
+        ],
+    )
+    def test_bad_conditions_are_refused(self, u, sql, error):
+        reads = [
+            "select k, conf() as p from u group by k order by k",
+            "select k, v, tconf() as p from u order by k, v",
+        ]
+        before = sorted(map(repr, u.table("u").rows))
+        answers = [u.query(read).rows for read in reads]
+        with pytest.raises(error):
+            u.execute(sql)
+        assert sorted(map(repr, u.table("u").rows)) == before
+        assert [u.query(read).rows for read in reads] == answers
+
+    def test_the_transaction_api_checks_too(self, u):
+        before = sorted(map(repr, u.table("u").rows))
+        tid, row = next(iter(u.catalog.table("u").items()))
+        u.begin()
+        with pytest.raises(ConditionError):
+            u.transaction.update("u", tid, row[:3] + (None, 0))
+        with pytest.raises(VariableError):
+            u.transaction.update("u", tid, row[:3] + (987654, 0))
+        with pytest.raises(ConditionError):
+            u.transaction.insert_many("u", [row, row[:3] + (row[3], True)])
+        with pytest.raises(StorageError):
+            u.transaction.insert("u", row[:3])
+        assert sorted(map(repr, u.table("u").rows)) == before
+        u.rollback()
+
+    def test_inside_a_transaction_the_statement_alone_rolls_back(self, u):
+        u.execute("begin")
+        u.execute("insert into u values (3, 3, 0.2, 0, 0)")
+        with pytest.raises(ConditionError):
+            u.execute("update u set _v0 = NULL where k = 3")
+        u.execute("commit")
+        assert (3, 3, 0.2, 0, 0) in u.table("u").rows
 
 
 class TestTransactionsThroughSql:

@@ -5,7 +5,6 @@ import threading
 
 import pytest
 
-from repro.core import urelation
 from repro.core.confidence import dispatch
 from repro.db import MayBMS
 from repro.engine import algebra, planner
@@ -282,17 +281,29 @@ class TestConfidenceFragment:
             "aconf: 12 group(s) via sprout[vectorized] x12 (epsilon=0.1, delta=0.1)"
         )
 
-    def test_declined_groups_show_their_dispatcher_strategies(self, shop, monkeypatch):
+    def test_declined_groups_show_their_dispatcher_strategies(self, shop):
         fragment = self._fragment(shop, self.HARD)
         assert fragment.startswith("conf: 3 group(s) via ")
         assert "vectorized" not in fragment and "exact" in fragment
-        # Below the array pass's size threshold every group is declined:
-        # the old label, same groups.
-        monkeypatch.setattr(urelation, "_NUMPY_MIN_ROWS", 2**62)
-        assert self._fragment(shop, self.HARD) == fragment
-        without = self._fragment(shop, self.SAFE)
-        assert without.startswith("conf: 12 group(s) via ") and "sprout" in without
-        assert "vectorized" not in without
+
+    @pytest.mark.parametrize("orders", [3, 300])
+    def test_the_label_does_not_depend_on_the_row_count(self, orders):
+        session = MayBMS(seed=5)
+        session.execute("create table orders (okey integer, ckey integer)")
+        session.execute("create table customers (ckey integer)")
+        session.execute(
+            "insert into orders values "
+            + ", ".join(f"({o}, {o % 3})" for o in range(orders))
+        )
+        session.execute("insert into customers values (0), (1), (2)")
+        for table in ("orders", "customers"):
+            session.execute(
+                f"create table u_{table} as select * from "
+                f"(pick tuples from {table} independently with probability 0.8) x"
+            )
+        assert self._fragment(session, self.SAFE) == (
+            "conf: 3 group(s) via sprout[vectorized] x3"
+        )
 
     def test_ws_tree_line_carries_the_calls_statistics(self, shop, monkeypatch):
         engines = []
@@ -331,7 +342,7 @@ class TestConfidenceFragment:
                 "explain select a, conf() as p from u group by a"
             ).relation.rows
         ]
-        assert lines[-1] == "  conf: 3 group(s) via closed-form x3"
+        assert lines[-1] == "  conf: 3 group(s) via sprout[vectorized] x3"
 
 
 class TestTraceBuffersPerThread:
@@ -446,4 +457,4 @@ class TestTraceBuffersPerThread:
         assert not any(thread.is_alive() for thread in threads)
         # One relational and one confidence fragment each, never another
         # session's.
-        assert outcomes == [(2, "conf: 2 group(s) via closed-form x2")] * 100
+        assert outcomes == [(2, "conf: 2 group(s) via sprout[vectorized] x2")] * 100

@@ -6,9 +6,10 @@ with probability p``.  A hierarchical two-table join and a
 non-hierarchical three-table join, both grouped, get ``conf()`` three
 ways: under the ``auto`` strategy (the array pass and SPROUT wherever
 they apply), under a forced ``exact``, and by enumerating the worlds of
-each group's lineage.  All three must agree to 1e-9.  ``auto`` runs once
-more with the array pass off, so that every group goes through the
-per-lineage evaluator as well.
+each group's lineage.  All three must agree to 1e-9.  Every group's
+clauses, decoded row by row by the reference, also go through the
+dispatcher's per-lineage evaluator under ``auto``, which the array pass
+otherwise spares them.
 """
 
 import random
@@ -17,7 +18,7 @@ import pytest
 
 from reference.confidence import row_conditions
 from reference.naive import confidence_by_enumeration
-from repro.core import urelation
+from repro.core.confidence.dispatch import ConfidenceDispatcher
 from repro.db import MayBMS
 
 #: r(a, g) ⋈ s(a, b): per group g, the clauses r_a ∧ s_ab -- every r
@@ -55,17 +56,30 @@ def load(seed):
     return db
 
 
-def by_enumeration(db, body):
-    """Per group, P(lineage) by enumerating its variables' worlds."""
+def lineages(db, body):
+    """(registry, per group its clauses), decoded one row at a time."""
     urel = db.execute("select r.g " + body).urelation
     groups = {}
     for row, clause in zip(urel.relation.rows, row_conditions(urel)):
         if clause is not None:
             groups.setdefault(row[0], []).append(clause)
+    return urel.registry, groups
+
+
+def by_enumeration(db, body):
+    """Per group, P(lineage) by enumerating its variables' worlds."""
+    registry, groups = lineages(db, body)
     return {
-        g: confidence_by_enumeration(clauses, urel.registry)
+        g: confidence_by_enumeration(clauses, registry)
         for g, clauses in groups.items()
     }
+
+
+def per_lineage(db, body):
+    """Per group, the ``auto`` dispatcher's answer for its clauses alone."""
+    registry, groups = lineages(db, body)
+    results = ConfidenceDispatcher().group_probabilities(list(groups.values()), registry)
+    return {g: result.probability for g, result in zip(groups, results)}
 
 
 def conf_sql(body):
@@ -84,19 +98,17 @@ def strategies(db, body):
 
 @pytest.mark.parametrize("body", [HIERARCHICAL, THREE_WAY], ids=["hierarchical", "three-way"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_auto_exact_and_enumeration_agree(seed, body, monkeypatch):
+def test_auto_exact_and_enumeration_agree(seed, body):
     db = load(seed)
     truth = by_enumeration(db, body)
     auto = conf(db, body)
-    with monkeypatch.context() as patch:
-        patch.setattr(urelation, "_NUMPY_MIN_ROWS", 2**62)
-        per_lineage = conf(db, body)
+    dispatched = per_lineage(db, body)
     db.set_confidence_strategy("exact", exact_budget=None)
     exact = conf(db, body)
-    assert auto.keys() == per_lineage.keys() == exact.keys() == truth.keys()
+    assert auto.keys() == dispatched.keys() == exact.keys() == truth.keys()
     for g, p in truth.items():
         assert auto[g] == pytest.approx(p, abs=1e-9)
-        assert per_lineage[g] == pytest.approx(p, abs=1e-9)
+        assert dispatched[g] == pytest.approx(p, abs=1e-9)
         assert exact[g] == pytest.approx(p, abs=1e-9)
 
 
