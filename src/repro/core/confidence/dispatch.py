@@ -40,7 +40,7 @@ The decisions taken are recorded per aggregate call when a
 renders them next to the relational plan fragments (with the call's
 ws-tree subproblem and memo-hit counts when the recursion expanded), and the
 :class:`~repro.db.MayBMS` facade exposes the policy as a tuning knob
-(``confidence_strategy`` / ``REPRO_CONF_STRATEGY``).
+(``MayBMS(confidence_strategy=...)``).
 """
 
 from __future__ import annotations

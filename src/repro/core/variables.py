@@ -395,6 +395,15 @@ class VariableRegistry:
         _require_all(variables, known)
         return out
 
+    def widths(self, variables: np.ndarray) -> np.ndarray:
+        """The domain size of each of ``variables`` (an int64 array), 0
+        where no registry it reaches registers the id."""
+        widths = _spans(self._table, variables)[1]
+        if self is not self.durable:
+            durable = _spans(self.durable._table, variables)[1]
+            widths = np.where(widths > 0, widths, durable)
+        return widths
+
     def distributions(self, variables: Iterable[int]) -> List[List[float]]:
         """The chances of each variable, indexed by domain value: the bulk
         look-up of the confidence engines, one gather for all of them."""

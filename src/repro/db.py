@@ -45,7 +45,6 @@ whole batch of commits durable.
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -483,9 +482,9 @@ class _SessionBase:
 class MayBMS(_SessionBase):
     """A probabilistic database store, which is also its root session.
 
-    - ``seed`` drives every Monte-Carlo draw of the session (``aconf`` and
-      the dispatcher's fallback), so approximate results are reproducible;
-      defaults to the ``REPRO_SEED`` environment variable, then 0.
+    - ``seed`` (default 0) drives every Monte-Carlo draw of the session
+      (``aconf`` and the dispatcher's fallback), so approximate results
+      are reproducible.
       ``aconf`` derives a per-group sample stream from the seed
       (:func:`repro.core.confidence.dklr.aconf_unit_seed`), so its
       estimates are a pure function of the seed and the data.
@@ -493,8 +492,7 @@ class MayBMS(_SessionBase):
       ``"auto"`` (the default; one budgeted ws-tree run per independent
       lineage component, labelled closed-form / sprout / exact, and Monte
       Carlo when the budget blows) or a forced
-      ``"sprout"`` / ``"exact"`` / ``"monte-carlo"``.  Defaults to the
-      ``REPRO_CONF_STRATEGY`` environment variable, then ``"auto"``.
+      ``"sprout"`` / ``"exact"`` / ``"monte-carlo"``.
     - ``exact_budget`` caps the exact engine's ws-tree subproblems per
       component below a non-root elimination before ``conf()`` degrades
       to an (ε,δ) estimate; None means never degrade.
@@ -502,19 +500,19 @@ class MayBMS(_SessionBase):
       appended to an on-disk write-ahead log (fsynced per commit) under
       that directory, and reopening ``MayBMS(path=...)`` recovers the
       catalog *and the variable registry* — a recovered session answers
-      ``conf()`` over repair-key tables bit-identically.  Defaults to the
-      ``REPRO_DB_PATH`` environment variable; unset/empty means in-memory.
+      ``conf()`` over repair-key tables bit-identically.  None (the
+      default) means in-memory.
     - ``checkpoint_every`` (durable sessions): automatically write a
       snapshot checkpoint and rotate the WAL after this many commits
-      (``REPRO_CHECKPOINT_EVERY``, default 256; 0 disables).  ``CHECKPOINT``
-      is also a SQL statement, and :meth:`checkpoint` forces one.
+      (default 256; 0 disables).  ``CHECKPOINT`` is also a SQL
+      statement, and :meth:`checkpoint` forces one.
       Concurrent commits of a durable store coalesce into one fsync
       performed by a group leader; a single committer still gets one
       fsync per commit, and every commit blocks until durable.
     - ``lock_timeout``: seconds a statement waits for a table lock before
-      failing with :class:`TransactionError` (``REPRO_LOCK_TIMEOUT``,
-      default 30).  The timeout is the deadlock backstop for explicit
-      transactions that acquire locks in conflicting orders.
+      failing with :class:`TransactionError` (default 30).  The timeout
+      is the deadlock backstop for explicit transactions that acquire
+      locks in conflicting orders.
     - ``faults``: arm deterministic fault injection (a
       ``"site=action@trigger,..."`` spec string or a ``{site: action}``
       mapping; see :mod:`repro.faults`) before the store opens, so even
@@ -527,16 +525,14 @@ class MayBMS(_SessionBase):
 
     def __init__(
         self,
-        seed: Optional[int] = None,
-        confidence_strategy: Optional[str] = None,
+        seed: int = 0,
+        confidence_strategy: str = "auto",
         exact_budget: Optional[int] = DispatchPolicy.exact_budget,
         path: Optional[str] = None,
-        checkpoint_every: Optional[int] = None,
-        lock_timeout: Optional[float] = None,
+        checkpoint_every: int = 256,
+        lock_timeout: float = 30.0,
         faults: Optional[Union[str, Dict[str, str]]] = None,
     ):
-        if seed is None:
-            seed = int(os.environ.get("REPRO_SEED", "0"))
         if faults:
             # Arm fault injection BEFORE storage opens, so recovery-time
             # failpoints (recovery.manifest.read, segment.read/decode)
@@ -544,18 +540,6 @@ class MayBMS(_SessionBase):
             # syntax and site catalog live in :mod:`repro.faults`;
             # REPRO_FAULTS covers the environment surface.
             _faults.arm(faults, seed=seed)
-        if confidence_strategy is None:
-            confidence_strategy = os.environ.get("REPRO_CONF_STRATEGY", "auto")
-        if path is None:
-            path = os.environ.get("REPRO_DB_PATH") or None
-        elif not path:
-            # An explicit empty path forces an in-memory session even when
-            # REPRO_DB_PATH is set (used by recover()).
-            path = None
-        if checkpoint_every is None:
-            checkpoint_every = int(os.environ.get("REPRO_CHECKPOINT_EVERY", "256"))
-        if lock_timeout is None:
-            lock_timeout = float(os.environ.get("REPRO_LOCK_TIMEOUT", "30"))
         self.seed = seed
         self.path = path
         self.checkpoint_every = checkpoint_every
@@ -746,7 +730,6 @@ class MayBMS(_SessionBase):
             seed=self.seed,
             confidence_strategy=policy.strategy,
             exact_budget=policy.exact_budget,
-            path="",
         )
         self.wal.replay(recovered.catalog, recovered.registry)
         return recovered

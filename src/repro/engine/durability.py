@@ -70,6 +70,11 @@ from repro.engine.catalog import KIND_URELATION, Catalog
 from repro.errors import DegradedError, DurabilityError, RecoveryError
 
 LOCK_NAME = "LOCK"
+#: A failed WAL append is retried this many times before the store
+#: degrades to read-only; the n-th retry first sleeps
+#: ``WAL_RETRY_BACKOFF * 2**(n-1)`` seconds.
+WAL_RETRIES = 2
+WAL_RETRY_BACKOFF = 0.02
 MANIFEST_FORMAT = 2
 
 _HEADER = struct.Struct(">II")  # (payload length, crc32 of payload)
@@ -284,12 +289,6 @@ class DurabilityManager:
         #: WAL append attempts beyond the first that eventually succeeded
         #: (transient-failure absorption by the retry-with-backoff).
         self.wal_retries = 0
-        self._wal_retry_limit = max(
-            0, int(os.environ.get("REPRO_WAL_RETRIES", "2"))
-        )
-        self._wal_retry_backoff = max(
-            0.0, float(os.environ.get("REPRO_WAL_RETRY_BACKOFF", "0.02"))
-        )
         #: Commit units appended since the last checkpoint (drives the
         #: session's periodic auto-checkpoint).
         self.commits_since_checkpoint = 0
@@ -747,16 +746,16 @@ class DurabilityManager:
 
     def _append_with_retry(self, buffer: bytes) -> None:
         """Write + fsync under the file mutex, absorbing transient I/O
-        failures with bounded exponential backoff (``REPRO_WAL_RETRIES`` /
-        ``REPRO_WAL_RETRY_BACKOFF``); each failed attempt has already been
-        truncated away by :meth:`_write_durably`, so a retry is a clean
-        re-append.  The backoff sleeps outside the mutex.  When the budget
+        failures with bounded exponential backoff (:data:`WAL_RETRIES`
+        retries, :data:`WAL_RETRY_BACKOFF` seconds doubling); each failed
+        attempt has already been truncated away by :meth:`_write_durably`,
+        so a retry is a clean re-append.  The backoff sleeps outside the mutex.  When the budget
         is spent the store degrades to read-only."""
-        attempts = self._wal_retry_limit + 1
+        attempts = WAL_RETRIES + 1
         last: Optional[OSError] = None
         for attempt in range(attempts):
             if attempt:
-                time.sleep(self._wal_retry_backoff * (2 ** (attempt - 1)))
+                time.sleep(WAL_RETRY_BACKOFF * (2 ** (attempt - 1)))
             try:
                 with self._file_mutex:
                     self._require_open()

@@ -135,10 +135,11 @@ class Transaction:
     undoable.  ``commit`` publishes redo records to the WAL (if any);
     ``rollback`` applies the undo journal in reverse.  Rows inserted into
     or updated in a U-relation table are admitted by one check
-    (:meth:`_admit`): condition cells must be 64-bit integers
-    (``ConditionError`` otherwise), the statement-minted variables they
-    name are promoted into the durable variable ``registry``, and a row
-    naming an unknown variable is refused (``VariableError``).
+    (:meth:`_admit`): condition cells must be 64-bit integers, each value
+    inside its variable's domain (``ConditionError`` otherwise), the
+    statement-minted variables they name are promoted into the durable
+    variable ``registry``, and a row naming an unknown variable is
+    refused (``VariableError``).
     """
 
     def __init__(
@@ -314,6 +315,7 @@ class Transaction:
         # The condition pairs of repro.core.urelation: a variable id, then
         # its value, after the payload.
         variables: List[Any] = []
+        values: List[Any] = []
         for position in range(base, base + 2 * arity):
             cells = [row[position] for row in rows]
             mirror = int_array(cells, len(cells))
@@ -325,16 +327,30 @@ class Transaction:
                     f"{'NULL' if bad is None else repr(bad)}: conditions are "
                     "pairs of 64-bit integers"
                 )
-            if (position - base) % 2 == 0:
-                variables.append(mirror)
+            (values if (position - base) % 2 else variables).append(mirror)
         registry = self.registry
         if registry is None:
             return entry.table
-        named = set(np.concatenate(variables).tolist())
-        minted = registry.minted(named)
-        for var in named.difference(var for var, _, _ in minted):
-            if var not in registry:
-                raise VariableError(f"row names unknown variable id {var}")
+        ids, vals = np.concatenate(variables), np.concatenate(values)
+        minted = registry.minted(ids.tolist())
+        # Domain sizes: registered variables' from the registry, minted
+        # ones' from their distributions; 0 marks an unknown id.
+        widths = registry.widths(ids)
+        if minted:
+            minted_ids = np.array([var for var, _, _ in minted])
+            minted_widths = np.array([len(d) for _, _, d in minted])
+            at = np.searchsorted(minted_ids, ids).clip(max=len(minted) - 1)
+            widths = np.where(minted_ids[at] == ids, minted_widths[at], widths)
+        unknown = np.flatnonzero(widths == 0)
+        if len(unknown):
+            raise VariableError(f"row names unknown variable id {ids[unknown[0]]}")
+        outside = np.flatnonzero((vals < 0) | (vals >= widths))
+        if len(outside):
+            i = outside[0]
+            raise ConditionError(
+                f"condition value {vals[i]} of variable {ids[i]} in "
+                f"{entry.table.name} is outside its domain 0..{widths[i] - 1}"
+            )
         for var, name, distribution in minted:
             self.register_variable(registry, var, name, distribution)
         return entry.table

@@ -162,7 +162,7 @@ class ServerBusyError(ServingError):
 
 class StatementTimeout(ServingError):
     """The server aborted a statement that ran past the configured
-    statement timeout (``REPRO_STATEMENT_TIMEOUT`` /
+    statement timeout (``MayBMSServer(statement_timeout=...)`` /
     ``--statement-timeout``).  The statement's effects are rolled back
     (statement-level atomicity) and the session -- including an open
     explicit transaction -- stays intact, so the client can retry or

@@ -36,8 +36,8 @@ Actions: ``error`` (``OSError(EIO)``), ``enospc`` (``OSError(ENOSPC)``),
 timeouts can interrupt), and the cooperative directives ``torn``,
 ``corrupt``, ``truncate``, ``drop``, ``short``.
 
-Probabilistic triggers draw from one :class:`random.Random` seeded like
-``REPRO_SEED`` (explicitly via :func:`arm`, or ``REPRO_FAULTS_SEED``),
+Probabilistic triggers draw from one :class:`random.Random` seeded
+explicitly via :func:`arm`, or from ``REPRO_FAULTS_SEED`` (default 0),
 so a failing torture run replays bit-identically from its printed seed.
 
 Arming surfaces: ``REPRO_FAULTS`` (read at import, so a server started
@@ -314,7 +314,7 @@ def _arm_from_environment() -> None:
     spec = os.environ.get("REPRO_FAULTS", "").strip()
     if not spec:
         return
-    seed = int(os.environ.get("REPRO_FAULTS_SEED", os.environ.get("REPRO_SEED", "0")))
+    seed = int(os.environ.get("REPRO_FAULTS_SEED", "0"))
     arm(spec, seed=seed)
 
 

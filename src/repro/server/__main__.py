@@ -18,6 +18,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from repro.db import MayBMS
 from repro.errors import ServingError
 from repro.server.server import DEFAULT_HOST, MayBMSServer
 
@@ -37,39 +38,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--port", type=int, default=8642, help="bind port (0 = ephemeral)"
     )
-    parser.add_argument("--seed", type=int, default=None, help="session RNG seed")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="session RNG seed (default %(default)s)"
+    )
     parser.add_argument(
         "--checkpoint-every",
         type=int,
-        default=None,
-        help="auto-checkpoint after this many commits (default 256)",
+        default=256,
+        help="auto-checkpoint after this many commits; 0 disables "
+        "(default %(default)s)",
     )
     parser.add_argument(
         "--lock-timeout",
         type=float,
-        default=None,
-        help="seconds a statement waits for a table lock (default 30)",
+        default=30.0,
+        help="seconds a statement waits for a table lock (default %(default)s)",
     )
-    # The three limits are validated by MayBMSServer, exactly as the
-    # environment variables that back them are.
+    # The three limits are validated by MayBMSServer.
     parser.add_argument(
         "--max-connections",
         default=None,
         help="refuse connections beyond this many concurrent clients "
-        "(default: REPRO_SERVER_MAX_CONNECTIONS, else unlimited)",
+        "(default: unlimited)",
     )
     parser.add_argument(
         "--max-statements",
         default=None,
         help="refuse statements beyond this many in flight across all "
-        "clients (default: REPRO_SERVER_MAX_STATEMENTS, else unlimited)",
+        "clients (default: unlimited)",
     )
     parser.add_argument(
         "--statement-timeout",
         default=None,
         help="abort statements running longer than this many seconds with "
-        "a StatementTimeout wire error (default: REPRO_STATEMENT_TIMEOUT, "
-        "else unlimited)",
+        "a StatementTimeout wire error (default: unlimited)",
     )
     return parser
 
@@ -77,31 +79,37 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        server = MayBMSServer(
-            host=args.host,
-            port=args.port,
-            path=args.path,
-            seed=args.seed,
-            checkpoint_every=args.checkpoint_every,
-            lock_timeout=args.lock_timeout,
-            max_connections=args.max_connections,
-            max_active_statements=args.max_statements,
-            statement_timeout=args.statement_timeout,
+    # The store outlives the server: closing it after server.close() (or
+    # when a refused limit exits) rolls back what the disconnected
+    # sessions left open and writes the final checkpoint.
+    with MayBMS(
+        seed=args.seed,
+        path=args.path,
+        checkpoint_every=args.checkpoint_every,
+        lock_timeout=args.lock_timeout,
+    ) as db:
+        try:
+            server = MayBMSServer(
+                db,
+                host=args.host,
+                port=args.port,
+                max_connections=args.max_connections,
+                max_active_statements=args.max_statements,
+                statement_timeout=args.statement_timeout,
+            )
+        except ServingError as exc:
+            parser.error(str(exc))
+        store = args.path if args.path else "in-memory"
+        print(
+            f"maybms-server listening on {server.host}:{server.port} (store={store})",
+            flush=True,
         )
-    except ServingError as exc:
-        parser.error(str(exc))
-    store = args.path if args.path else "in-memory"
-    print(
-        f"maybms-server listening on {server.host}:{server.port} (store={store})",
-        flush=True,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
+        finally:
+            server.close()
     return 0
 
 

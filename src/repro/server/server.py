@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import os
 import socket
 import threading
 from contextlib import contextmanager
@@ -55,17 +54,12 @@ from repro.server import protocol
 DEFAULT_HOST = "127.0.0.1"
 
 
-def _limit(value: Any, setting: str, env: str, parse: type) -> Any:
-    """One server limit: ``value`` (a keyword argument or command-line
-    flag) when given, else the environment variable ``env``, else None
-    (unlimited).  Whichever source it comes from, a value that does not
-    ``parse`` to a positive finite number raises :class:`ServingError`
-    naming that source."""
+def _limit(value: Any, setting: str, parse: type) -> Any:
+    """One server limit: None (unlimited) when ``value`` is None, else
+    ``value`` parsed as a positive finite number.  A value that does not
+    ``parse`` to one raises :class:`ServingError` naming ``setting``."""
     if value is None:
-        value = os.environ.get(env, "").strip()
-        if not value:
-            return None
-        setting = env
+        return None
     try:
         number = parse(str(value).strip())
     except ValueError:
@@ -128,71 +122,45 @@ class _StatementDeadline:
 class MayBMSServer:
     """A threaded socket server over one (optionally durable) store.
 
-    ``port=0`` binds an ephemeral port (see :attr:`port` after
-    construction).  Pass ``db`` to serve an existing store -- e.g. an
-    in-process benchmark that wants to read the store's fsync counters --
-    otherwise one is created from the remaining keyword arguments and
-    closed with the server.
+    ``db`` is the store to serve; whoever opened it closes it, after
+    :meth:`close`.  ``port=0`` binds an ephemeral port (see :attr:`port`
+    after construction).
 
-    ``max_connections`` / ``max_active_statements`` (env defaults
-    ``REPRO_SERVER_MAX_CONNECTIONS`` / ``REPRO_SERVER_MAX_STATEMENTS``;
-    None = unlimited) are the backpressure caps; refusals are counted in
+    ``max_connections`` / ``max_active_statements`` (None = unlimited)
+    are the backpressure caps; refusals are counted in
     :attr:`connections_rejected` / :attr:`statements_rejected` and
-    surfaced by the ``stats`` wire op.  ``statement_timeout`` (env default
-    ``REPRO_STATEMENT_TIMEOUT``) is in seconds.  A limit that is not a
-    positive number raises :class:`~repro.errors.ServingError`.
+    surfaced by the ``stats`` wire op.  ``statement_timeout`` is in
+    seconds (None = unlimited).  A limit that is not a positive number
+    raises :class:`~repro.errors.ServingError`.
     """
 
     def __init__(
         self,
-        db: Optional[MayBMS] = None,
+        db: MayBMS,
         host: str = DEFAULT_HOST,
         port: int = 0,
-        path: Optional[str] = None,
-        seed: Optional[int] = None,
-        checkpoint_every: Optional[int] = None,
-        lock_timeout: Optional[float] = None,
         backlog: int = 64,
         max_connections: Optional[int] = None,
         max_active_statements: Optional[int] = None,
         statement_timeout: Optional[float] = None,
     ):
-        # Validated before anything is opened or bound.
+        # Validated before anything is bound.
         self.max_connections: Optional[int] = _limit(
-            max_connections,
-            "max_connections (--max-connections)",
-            "REPRO_SERVER_MAX_CONNECTIONS",
-            int,
+            max_connections, "max_connections (--max-connections)", int
         )
         self.max_active_statements: Optional[int] = _limit(
-            max_active_statements,
-            "max_active_statements (--max-statements)",
-            "REPRO_SERVER_MAX_STATEMENTS",
-            int,
+            max_active_statements, "max_active_statements (--max-statements)", int
         )
         #: Seconds a statement may run before it is aborted with a
         #: :class:`StatementTimeout` wire error (None = unlimited).
         self.statement_timeout: Optional[float] = _limit(
-            statement_timeout,
-            "statement_timeout (--statement-timeout)",
-            "REPRO_STATEMENT_TIMEOUT",
-            float,
+            statement_timeout, "statement_timeout (--statement-timeout)", float
         )
         self._statement_gate: Optional[threading.BoundedSemaphore] = (
             threading.BoundedSemaphore(self.max_active_statements)
             if self.max_active_statements is not None
             else None
         )
-        if db is None:
-            db = MayBMS(
-                seed=seed,
-                path=path if path is not None else "",
-                checkpoint_every=checkpoint_every,
-                lock_timeout=lock_timeout,
-            )
-            self._owns_db = True
-        else:
-            self._owns_db = False
         self.db = db
         self.connections_rejected = 0
         self.statements_rejected = 0
@@ -284,11 +252,11 @@ class MayBMSServer:
         return self
 
     def close(self) -> None:
-        """Stop accepting, disconnect clients, close the store.
+        """Stop accepting and disconnect clients; the store stays open.
 
         Idle handler threads block in ``recv``; shutting their sockets
         down wakes them immediately, so they run their own session
-        cleanup (rollback + close) before the store is closed."""
+        cleanup (rollback + close) before this returns."""
         self._stopping.set()
         try:
             self._listener.close()
@@ -306,8 +274,6 @@ class MayBMSServer:
                 pass
         for thread in threads:
             thread.join(timeout=5)
-        if self._owns_db:
-            self.db.close()
 
     def __enter__(self) -> "MayBMSServer":
         return self

@@ -250,7 +250,7 @@ class TestDurabilityManager:
         import repro.engine.durability as durability_module
         from repro.errors import DegradedError
 
-        monkeypatch.setenv("REPRO_WAL_RETRIES", "0")
+        monkeypatch.setattr("repro.engine.durability.WAL_RETRIES", 0)
         path = str(tmp_path / "db")
         manager = DurabilityManager(path)
         manager.append([
@@ -297,8 +297,8 @@ class TestDurabilityManager:
         extra attempt, and recovery sees exactly one copy of the unit."""
         import repro.engine.durability as durability_module
 
-        monkeypatch.setenv("REPRO_WAL_RETRIES", "2")
-        monkeypatch.setenv("REPRO_WAL_RETRY_BACKOFF", "0.001")
+        monkeypatch.setattr("repro.engine.durability.WAL_RETRIES", 2)
+        monkeypatch.setattr("repro.engine.durability.WAL_RETRY_BACKOFF", 0.001)
         path = str(tmp_path / "db")
         manager = DurabilityManager(path)
         # Prime the WAL handle so the flaky fsync below hits the data
@@ -1011,8 +1011,8 @@ class TestFailpointInjection:
         from repro import MayBMS, faults
         from repro.errors import DegradedError
 
-        monkeypatch.setenv("REPRO_WAL_RETRIES", "1")
-        monkeypatch.setenv("REPRO_WAL_RETRY_BACKOFF", "0.001")
+        monkeypatch.setattr("repro.engine.durability.WAL_RETRIES", 1)
+        monkeypatch.setattr("repro.engine.durability.WAL_RETRY_BACKOFF", 0.001)
         path, db = self._populated_store(tmp_path)
         # Two attempts (first + one retry), both injected to fail.
         faults.arm("wal.fsync=error")
@@ -1028,8 +1028,8 @@ class TestFailpointInjection:
     ):
         from repro import MayBMS, faults
 
-        monkeypatch.setenv("REPRO_WAL_RETRIES", "2")
-        monkeypatch.setenv("REPRO_WAL_RETRY_BACKOFF", "0.001")
+        monkeypatch.setattr("repro.engine.durability.WAL_RETRIES", 2)
+        monkeypatch.setattr("repro.engine.durability.WAL_RETRY_BACKOFF", 0.001)
         path, db = self._populated_store(tmp_path)
         faults.arm("wal.fsync=error@1")
         db.execute("insert into t values (9, 1.0)")
@@ -1109,7 +1109,7 @@ class TestFailpointInjection:
         from repro import faults
         from repro.errors import DegradedError, DurabilityError
 
-        monkeypatch.setenv("REPRO_WAL_RETRIES", "0")
+        monkeypatch.setattr("repro.engine.durability.WAL_RETRIES", 0)
         path = str(tmp_path / "db")
         manager = DurabilityManager(path)
         manager.append([

@@ -16,66 +16,55 @@ import pytest
 from repro import faults
 from repro.client import Client
 from repro.errors import ServerError
+from repro.db import MayBMS
 from repro.server import MayBMSServer
+from serving import serve
 
 
 @pytest.fixture
 def server(tmp_path):
-    server = MayBMSServer(path=str(tmp_path / "store")).start()
-    yield server
-    server.close()
+    with serve(str(tmp_path / "store")) as server:
+        yield server
 
 
 class TestStatementTimeout:
     def test_runaway_statement_aborts_and_session_survives(self, tmp_path):
-        server = MayBMSServer(
-            path=str(tmp_path / "store"), statement_timeout=0.3
-        ).start()
-        try:
-            with Client(server.host, server.port) as client:
-                client.execute("create table t (k integer)")
-                # Stall the next WAL write far past the deadline; the
-                # delay is sliced so the watchdog's async abort can land.
-                faults.arm("wal.write=delay:10000@1")
-                began = time.monotonic()
-                with pytest.raises(ServerError) as info:
-                    client.execute("insert into t values (1)")
-                elapsed = time.monotonic() - began
-                faults.disarm()
-                assert info.value.error_type == "StatementTimeout"
-                assert elapsed < 5.0, "watchdog did not interrupt the delay"
+        with serve(str(tmp_path / "store"), statement_timeout=0.3) as server:
+            try:
+                with Client(server.host, server.port) as client:
+                    client.execute("create table t (k integer)")
+                    # Stall the next WAL write far past the deadline; the
+                    # delay is sliced so the watchdog's async abort can land.
+                    faults.arm("wal.write=delay:10000@1")
+                    began = time.monotonic()
+                    with pytest.raises(ServerError) as info:
+                        client.execute("insert into t values (1)")
+                    elapsed = time.monotonic() - began
+                    faults.disarm()
+                    assert info.value.error_type == "StatementTimeout"
+                    assert elapsed < 5.0, "watchdog did not interrupt the delay"
 
-                # The statement rolled back and the session keeps serving.
-                assert client.query("select k from t").rows == []
-                client.execute("insert into t values (2)")
-                assert client.query("select k from t").rows == [(2,)]
-                serving = client.server_stats()["serving"]
-                assert serving["statements_timed_out"] == 1
-                assert serving["statement_timeout"] == 0.3
-        finally:
-            faults.disarm()
-            server.close()
+                    # The statement rolled back and the session keeps serving.
+                    assert client.query("select k from t").rows == []
+                    client.execute("insert into t values (2)")
+                    assert client.query("select k from t").rows == [(2,)]
+                    serving = client.server_stats()["serving"]
+                    assert serving["statements_timed_out"] == 1
+                    assert serving["statement_timeout"] == 0.3
+            finally:
+                faults.disarm()
 
     def test_fast_statements_unaffected(self, tmp_path):
-        server = MayBMSServer(
-            path=str(tmp_path / "store"), statement_timeout=5.0
-        ).start()
-        try:
+        with serve(str(tmp_path / "store"), statement_timeout=5.0) as server:
             with Client(server.host, server.port) as client:
                 client.execute("create table t (k integer)")
                 client.execute("insert into t values (1)")
                 serving = client.server_stats()["serving"]
                 assert serving["statements_timed_out"] == 0
-        finally:
-            server.close()
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STATEMENT_TIMEOUT", "2.5")
-        server = MayBMSServer().start()
-        try:
-            assert server.statement_timeout == 2.5
-        finally:
-            server.close()
+    def test_keyword_sets_timeout(self):
+        with MayBMS() as db:
+            assert MayBMSServer(db, statement_timeout=2.5).statement_timeout == 2.5
 
     def test_unset_reports_none(self, server):
         with Client(server.host, server.port) as client:
@@ -169,30 +158,27 @@ class TestClientRetry:
         """ServerBusyError keeps the connection and transaction intact,
         so the client retries any statement after a backoff -- here until
         a deliberately stalled statement frees the single slot."""
-        server = MayBMSServer(
-            path=str(tmp_path / "store"), max_active_statements=1
-        ).start()
-        try:
-            slow = Client(server.host, server.port)
-            slow.execute("create table t (k integer)")
-            faults.arm("wal.write=delay:1500@1")
-            stalled = threading.Thread(
-                target=slow.execute, args=("insert into t values (1)",)
-            )
-            stalled.start()
-            time.sleep(0.3)  # let the stalled insert occupy the slot
-            with Client(
-                server.host, server.port, retries=10, backoff=0.05
-            ) as fast:
-                result = fast.query("select k from t")
-                assert result.retries >= 1
-                assert fast.read_only is False
-            stalled.join()
-            faults.disarm()
-            slow.close()
-        finally:
-            faults.disarm()
-            server.close()
+        with serve(str(tmp_path / "store"), max_active_statements=1) as server:
+            try:
+                slow = Client(server.host, server.port)
+                slow.execute("create table t (k integer)")
+                faults.arm("wal.write=delay:1500@1")
+                stalled = threading.Thread(
+                    target=slow.execute, args=("insert into t values (1)",)
+                )
+                stalled.start()
+                time.sleep(0.3)  # let the stalled insert occupy the slot
+                with Client(
+                    server.host, server.port, retries=10, backoff=0.05
+                ) as fast:
+                    result = fast.query("select k from t")
+                    assert result.retries >= 1
+                    assert fast.read_only is False
+                stalled.join()
+                faults.disarm()
+                slow.close()
+            finally:
+                faults.disarm()
 
 
 class TestServingErrorCounters:

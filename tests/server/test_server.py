@@ -18,9 +18,11 @@ import time
 import pytest
 
 from repro.client import Client, ClientResult
+from repro.db import MayBMS
 from repro.errors import ProtocolError, ServerError, ServingError
 from repro.server import MayBMSServer, protocol
 from repro.server.__main__ import main as server_main
+from serving import serve
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -28,16 +30,14 @@ SRC = os.path.join(REPO_ROOT, "src")
 
 @pytest.fixture
 def server(tmp_path):
-    server = MayBMSServer(path=str(tmp_path / "store")).start()
-    yield server
-    server.close()
+    with serve(str(tmp_path / "store")) as server:
+        yield server
 
 
 @pytest.fixture
 def memory_server():
-    server = MayBMSServer().start()
-    yield server
-    server.close()
+    with serve() as server:
+        yield server
 
 
 class TestRoundTrips:
@@ -161,14 +161,44 @@ class TestShutdown:
     def test_close_with_idle_clients_is_prompt(self, tmp_path):
         """Idle handler threads block in recv; close() must wake them by
         shutting their sockets down instead of waiting out join timeouts."""
-        server = MayBMSServer(path=str(tmp_path / "store")).start()
-        clients = [Client(server.host, server.port) for _ in range(3)]
-        clients[0].execute("create table t (a integer)")
-        started = time.time()
-        server.close()
-        assert time.time() - started < 3.0, "close() hung on idle clients"
-        for client in clients:
-            client._closed = True  # sockets are dead; skip the close handshake
+        with serve(str(tmp_path / "store")) as server:
+            clients = [Client(server.host, server.port) for _ in range(3)]
+            clients[0].execute("create table t (a integer)")
+            started = time.time()
+            server.close()
+            assert time.time() - started < 3.0, "close() hung on idle clients"
+            for client in clients:
+                client._closed = True  # sockets are dead; skip the close handshake
+
+    def test_close_leaves_the_store_to_its_opener(self):
+        with MayBMS() as db:
+            server = MayBMSServer(db).start()
+            with Client(server.host, server.port) as client:
+                client.execute("create table t (a integer)")
+                client.begin()
+                client.execute("insert into t values (1)")
+            server.close()
+            # The disconnected session rolled back; the store still serves.
+            db.execute("insert into t values (2)")
+            assert db.query("select a from t").rows == [(2,)]
+
+    def test_main_closes_the_store_it_opened(self, tmp_path, monkeypatch):
+        """``python -m repro.server`` opens the store, serves it, and
+        closes it once serving ends: the final checkpoint is written and
+        the directory lock released."""
+        path = str(tmp_path / "store")
+        serve_forever = MayBMSServer.serve_forever
+
+        def serve_one_statement(server):
+            threading.Thread(target=serve_forever, args=(server,), daemon=True).start()
+            with Client(server.host, server.port) as client:
+                client.execute("create table t (a integer)")
+
+        monkeypatch.setattr(MayBMSServer, "serve_forever", serve_one_statement)
+        assert server_main(["--port", "0", "--path", path]) == 0
+        with MayBMS(path=path) as db:
+            assert db.recovery_stats["replayed_records"] == 0
+            assert db.tables() == ["t"]
 
 
 class TestConcurrentClients:
@@ -220,9 +250,7 @@ class TestConcurrentClients:
                 assert f"c{i}" in names
 
     def test_group_commit_amortizes_fsyncs(self, tmp_path):
-        server = MayBMSServer(path=str(tmp_path / "store"))
-        server.start()
-        try:
+        with serve(str(tmp_path / "store")) as server:
             with Client(server.host, server.port) as setup:
                 for i in range(self.CLIENTS):
                     setup.execute(f"create table t{i} (a integer)")
@@ -253,8 +281,6 @@ class TestConcurrentClients:
             assert fsyncs < commits, (
                 f"group commit never batched: {fsyncs} fsyncs for {commits} commits"
             )
-        finally:
-            server.close()
 
 
 class TestKillMinusNine:
@@ -331,8 +357,7 @@ class TestKillMinusNine:
 
 class TestBackpressure:
     def test_connections_beyond_cap_refused_cleanly(self):
-        server = MayBMSServer(max_connections=2).start()
-        try:
+        with serve(max_connections=2) as server:
             a = Client(server.host, server.port)
             b = Client(server.host, server.port)
             with pytest.raises(ServerError) as excinfo:
@@ -357,12 +382,9 @@ class TestBackpressure:
                     time.sleep(0.05)
             c.close()
             b.close()
-        finally:
-            server.close()
 
     def test_statements_beyond_cap_refused_and_retryable(self):
-        server = MayBMSServer(max_active_statements=1).start()
-        try:
+        with serve(max_active_statements=1) as server:
             with Client(server.host, server.port) as client:
                 # Hold the only slot so the next statement finds the server
                 # saturated -- deterministic, no timing games.
@@ -376,12 +398,9 @@ class TestBackpressure:
                 assert (
                     client.server_stats()["serving"]["statements_rejected"] == 1
                 )
-        finally:
-            server.close()
 
     def test_statement_refusal_keeps_open_transaction(self):
-        server = MayBMSServer(max_active_statements=1).start()
-        try:
+        with serve(max_active_statements=1) as server:
             with Client(server.host, server.port) as client:
                 client.execute("create table t (a integer)")
                 client.begin()
@@ -394,49 +413,34 @@ class TestBackpressure:
                 client.commit()
                 rows = client.query("select a from t order by a").rows
                 assert rows == [(1,), (3,)]
-        finally:
-            server.close()
 
     @pytest.mark.parametrize("value", ["0", "-1", "abc"])
-    @pytest.mark.parametrize("source", ["keyword", "cli", "env"])
+    @pytest.mark.parametrize("source", ["keyword", "cli"])
     @pytest.mark.parametrize(
-        "keyword, flag, env",
+        "keyword, flag",
         [
-            ("max_connections", "--max-connections", "REPRO_SERVER_MAX_CONNECTIONS"),
-            ("max_active_statements", "--max-statements", "REPRO_SERVER_MAX_STATEMENTS"),
-            ("statement_timeout", "--statement-timeout", "REPRO_STATEMENT_TIMEOUT"),
+            ("max_connections", "--max-connections"),
+            ("max_active_statements", "--max-statements"),
+            ("statement_timeout", "--statement-timeout"),
         ],
     )
     def test_invalid_limit_is_refused_from_every_source(
-        self, keyword, flag, env, source, value, monkeypatch, capsys
+        self, keyword, flag, source, value, tmp_path, capsys
     ):
         # Each limit means the same from every source: a non-positive or
         # malformed value is refused before the server binds, by name.
         if source == "cli":
+            path = str(tmp_path / "store")
             with pytest.raises(SystemExit) as exit_info:
-                server_main(["--port", "0", flag, value])
+                server_main(["--port", "0", "--path", path, flag, value])
             assert exit_info.value.code == 2
             assert flag in capsys.readouterr().err
+            # The refusal left no store open: its directory lock is free.
+            MayBMS(path=path).close()
             return
-        if source == "env":
-            monkeypatch.setenv(env, value)
-            kwargs, named = {}, env
-        else:
-            kwargs, named = {keyword: value}, keyword
-        with pytest.raises(ServingError, match=named):
-            MayBMSServer(**kwargs)
-
-    def test_env_default_caps_connections(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVER_MAX_CONNECTIONS", "1")
-        server = MayBMSServer().start()
-        try:
-            assert server.max_connections == 1
-            with Client(server.host, server.port):
-                with pytest.raises(ServerError) as excinfo:
-                    Client(server.host, server.port)
-                assert excinfo.value.error_type == "ServerBusyError"
-        finally:
-            server.close()
+        with MayBMS() as db:
+            with pytest.raises(ServingError, match=keyword):
+                MayBMSServer(db, **{keyword: value})
 
 
 class TestParallelConfidenceOverTheWire:
@@ -458,8 +462,7 @@ class TestParallelConfidenceOverTheWire:
         ids=["conf", "aconf", "esum", "ecount"],
     )
     def test_parallel_clients_get_the_lone_answer(self, query):
-        server = MayBMSServer(seed=3).start()
-        try:
+        with serve(seed=3) as server:
             # Forced Monte Carlo: conf() and aconf() really sample.
             server.db.set_confidence_strategy("monte-carlo")
             values = ", ".join(
@@ -494,8 +497,6 @@ class TestParallelConfidenceOverTheWire:
                 thread.join(timeout=120)
             assert not errors, errors
             assert answers == [expected] * self.CLIENTS
-        finally:
-            server.close()
 
     def test_snapshot_counters_over_the_wire(self, memory_server):
         with Client(memory_server.host, memory_server.port) as client:

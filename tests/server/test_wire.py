@@ -27,6 +27,7 @@ from repro.engine.types import BOOLEAN, FLOAT, INTEGER, TEXT
 from repro.errors import ProtocolError
 from repro.server import MayBMSServer, protocol
 from repro.sql.executor import StatementResult
+from serving import serve
 
 #: A tiny result (JSON rows) and one large enough for column blocks.
 SIZES = {"json": 3, "columnar": protocol._COLUMNAR_MIN_ROWS + 5}
@@ -64,7 +65,7 @@ def served():
             f"create table u_{label} as "
             f"pick tuples from cases_{label} independently with probability 0.5"
         )
-    server = MayBMSServer(db=db).start()
+    server = MayBMSServer(db).start()
     client = Client(server.host, server.port)
     yield db, client
     client.close()
@@ -293,8 +294,7 @@ def test_hostile_frame_raises_protocol_error(frame):
 
 
 def test_hostile_frames_drop_only_their_connection():
-    with MayBMSServer() as server:
-        server.start()
+    with serve() as server:
         with Client(server.host, server.port) as bystander:
             bystander.execute("create table t (a integer)")
             before = bystander.server_stats()["serving"]["recv_errors"]

@@ -93,11 +93,6 @@ class TestFacadeKnobs:
         db.set_confidence_strategy("auto", exact_budget=None)  # never degrade
         assert db.confidence_policy.exact_budget is None
 
-    def test_env_strategy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CONF_STRATEGY", "exact")
-        session = MayBMS()
-        assert session.confidence_policy.strategy == "exact"
-
     def test_invalid_strategy_rejected(self, db):
         from repro.errors import ConfidenceError
 
@@ -155,10 +150,7 @@ class TestSeededDeterminism:
     def test_same_seed_reproduces_aconf(self):
         assert self._aconf_rows(123) == self._aconf_rows(123)
 
-    def test_repro_seed_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEED", "55")
-        assert MayBMS().seed == 55
-        monkeypatch.delenv("REPRO_SEED")
+    def test_seed_keyword(self):
         assert MayBMS().seed == 0
         assert MayBMS(seed=9).seed == 9
 

@@ -397,8 +397,9 @@ class TestConditionLayout:
 
 class TestConditionWriters:
     """Every writer of a U-relation table refuses a condition cell that
-    is not a 64-bit integer, or that names an unknown variable, with a
-    typed error; the statement leaves the table as it was."""
+    is not a 64-bit integer, names an unknown variable, or holds a value
+    outside its variable's domain, with a typed error; the statement
+    leaves the table as it was."""
 
     @pytest.fixture
     def u(self, db):
@@ -420,6 +421,13 @@ class TestConditionWriters:
             ("update u set _v0 = NULL", ConditionError),
             ("update u set _d0 = NULL where k = 2", ConditionError),
             ("update u set _v0 = 987654", VariableError),
+            # Key 1's variable (var) has domain {0, 1}, key 2's has {0}.
+            ("insert into u values (2, 2, 0.5, {var}, 7)", ConditionError),
+            ("update u set _d0 = 99", ConditionError),
+            ("update u set _d0 = 1 where k = 2", ConditionError),
+            ("update u set _d0 = -1 where k = 1", ConditionError),
+            # The padding atom (variable 0) has domain {0}.
+            ("insert into u values (3, 3, 0.2, 0, 1)", ConditionError),
         ],
     )
     def test_bad_conditions_are_refused(self, u, sql, error):
@@ -429,8 +437,9 @@ class TestConditionWriters:
         ]
         before = sorted(map(repr, u.table("u").rows))
         answers = [u.query(read).rows for read in reads]
+        var = next(row[3] for row in u.table("u").rows if row[0] == 1)
         with pytest.raises(error):
-            u.execute(sql)
+            u.execute(sql.format(var=var))
         assert sorted(map(repr, u.table("u").rows)) == before
         assert [u.query(read).rows for read in reads] == answers
 
@@ -446,6 +455,28 @@ class TestConditionWriters:
             u.transaction.insert_many("u", [row, row[:3] + (row[3], True)])
         with pytest.raises(StorageError):
             u.transaction.insert("u", row[:3])
+        assert sorted(map(repr, u.table("u").rows)) == before
+        u.rollback()
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda txn, tid, row: txn.insert("u", row[:4] + (2,)),
+            lambda txn, tid, row: txn.insert_many("u", [row, row[:4] + (-1,)]),
+            lambda txn, tid, row: txn.update("u", tid, row[:4] + (7,)),
+            lambda txn, tid, row: txn.update_where(
+                "u", lambda r: True, lambda r: r[:4] + (7,)
+            ),
+        ],
+        ids=["insert", "insert_many", "update", "update_where"],
+    )
+    def test_values_outside_the_domain_are_refused(self, u, write):
+        # A row of key 1, whose variable has domain {0, 1}.
+        tid, row = next(item for item in u.catalog.table("u").items() if item[1][0] == 1)
+        before = sorted(map(repr, u.table("u").rows))
+        u.begin()
+        with pytest.raises(ConditionError, match="outside its domain"):
+            write(u.transaction, tid, row)
         assert sorted(map(repr, u.table("u").rows)) == before
         u.rollback()
 

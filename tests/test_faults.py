@@ -18,7 +18,7 @@ from repro import MayBMS, faults
 from repro.client import Client
 from repro.errors import FaultInjected
 from repro.faults import FaultRegistry, parse_spec
-from repro.server.server import MayBMSServer
+from serving import serve
 
 
 class TestSpecParsing:
@@ -230,12 +230,9 @@ class TestSiteCoverage:
 
     def test_wire_sites_fire(self):
         faults.arm({site: "delay:0" for site in WIRE_SITES})
-        server = MayBMSServer(port=0).start()
-        try:
+        with serve(port=0) as server:
             with Client(server.host, server.port) as client:
                 assert client.ping()
-        finally:
-            server.close()
         hits = faults.stats()["hits"]
         for site in WIRE_SITES:
             assert hits.get(site, 0) >= 1, f"site {site} never hit: {hits}"

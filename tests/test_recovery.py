@@ -1,7 +1,7 @@
 """End-to-end durability tests through the MayBMS facade: close/reopen and
 kill/reopen round trips, differential comparison of recovered vs. live
-answers (certain and probabilistic), torn-tail truncation, CHECKPOINT as a
-SQL statement, and the REPRO_DB_PATH environment knob."""
+answers (certain and probabilistic), torn-tail truncation, and CHECKPOINT
+as a SQL statement."""
 
 import glob
 import os
@@ -78,6 +78,17 @@ class TestCloseReopen:
             db.execute("insert into t values (2)")
         with MayBMS(path=path) as db:
             assert sorted(db.query("select x from t").rows) == [(1,), (2,)]
+
+    def test_recover_api_rejected_on_durable_sessions(self, tmp_path):
+        """recover() replays the in-memory WAL, which durable sessions
+        truncate on flush -- it must raise, not hand back an empty db."""
+        from repro.errors import DurabilityError
+
+        db = MayBMS(path=str(tmp_path / "db"))
+        db.execute("create table t (x integer)")
+        with pytest.raises(DurabilityError, match="reopen MayBMS"):
+            db.recover()
+        db.close()
 
 
 class TestKillAfterCommit:
@@ -310,33 +321,6 @@ class TestTransactionsAndDurability:
 
         reopened = MayBMS(path=path)
         assert list(reopened.catalog.table("t").items()) == live
-
-
-class TestEnvironmentKnob:
-    def test_repro_db_path(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "envdb")
-        monkeypatch.setenv("REPRO_DB_PATH", path)
-        db = MayBMS()
-        assert db.is_durable
-        db.execute("create table t (x integer)")
-        db.execute("insert into t values (5)")
-        db.close()
-
-        again = MayBMS()
-        assert again.query("select x from t").rows == [(5,)]
-        again.close()
-
-    def test_recover_api_rejected_on_durable_sessions(self, tmp_path, monkeypatch):
-        """recover() replays the in-memory WAL, which durable sessions
-        truncate on flush -- it must raise, not hand back an empty db."""
-        from repro.errors import DurabilityError
-
-        monkeypatch.setenv("REPRO_DB_PATH", str(tmp_path / "envdb2"))
-        db = MayBMS()
-        db.execute("create table t (x integer)")
-        with pytest.raises(DurabilityError, match="reopen MayBMS"):
-            db.recover()
-        db.close()
 
 
 class TestCommitFailureAtomicity:

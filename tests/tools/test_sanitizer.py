@@ -225,16 +225,13 @@ class TestEnablement:
 
     def test_sanitizer_group_served_over_the_wire(self, sanitized_env, tmp_path):
         from repro.client import Client
-        from repro.server import MayBMSServer
+        from serving import serve
 
-        server = MayBMSServer(path=str(tmp_path / "store")).start()
-        try:
+        with serve(path=str(tmp_path / "store")) as server:
             with Client("127.0.0.1", server.port) as client:
                 client.execute("create table t (a integer, p float)")
                 client.execute("insert into t values (1, 0.5), (2, 0.9)")
                 groups = client.server_stats()
-        finally:
-            server.close()
         san = groups["sanitizer"]
         assert san["sanitizer_violations_total"] == 0
         assert san["sanitizer_pins_active"] == 0
