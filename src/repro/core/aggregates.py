@@ -126,9 +126,12 @@ def conf(
     (:func:`~repro.core.confidence.columnar.hierarchical_confidences`).
     Every other group's clauses
     (:func:`~repro.core.lineage.group_lineages`) go through the
-    cost-based dispatcher (:mod:`repro.core.confidence.dispatch`), which
-    picks closed-form / SPROUT safe evaluation / exact ws-trees / Monte
-    Carlo per independent component.
+    cost-based dispatcher (:mod:`repro.core.confidence.dispatch`).  Under
+    ``auto`` it splits them into independent components in one more
+    array pass, which answers single clauses in closed form and trees by
+    SPROUT's reduction; only the other components take the exact ws-tree
+    recursion, or Monte Carlo when it exceeds its budget.  A forced
+    strategy runs its algorithm on every group.
     """
     positions, projections, row_groups = _groups(urel, group_columns)
     if dispatcher is None:

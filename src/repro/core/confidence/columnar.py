@@ -30,6 +30,13 @@ group's clauses into sub-formulas over disjoint variable sets, one per
 value, and so on down the columns -- the root eliminations the ws-tree
 recursion (:mod:`repro.core.confidence.exact`) runs per lineage in
 Python, taken here for all groups in one pass.
+
+A declined group is often a tree in parts.  :func:`split_components`,
+which the dispatcher runs over all the declined groups at once, splits
+each group whose clauses have one width into its independent components
+and makes the same checks and the same reduction per component, so that
+single clauses and trees are answered here and only the other components
+reach the ws-tree.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.lineage import Clause
 from repro.core.urelation import URelation
 from repro.core.variables import TOP_VARIABLE, VariableRegistry
 
@@ -158,6 +166,211 @@ def hierarchical_confidences(
             )
             probabilities[answered] = values
     return probabilities, ~declined
+
+
+#: What :func:`split_components` made of a component: a single clause
+#: (or a whole group of pairwise variable-disjoint clauses) in closed
+#: form, a tree answered by :func:`_reduce`, or declined.
+CLOSED, TREE, DECLINED = 0, 1, 2
+
+
+class ComponentSplit(NamedTuple):
+    """The independent components of the groups :func:`split_components`
+    split, in order of (group, smallest variable id).  A group whose
+    clauses are pairwise variable-disjoint is one closed-form entry."""
+
+    #: Per entry: its group's ordinal, its clause and variable counts, its
+    #: kind and its probability (NaN where declined).
+    group: np.ndarray
+    clauses: np.ndarray
+    variables: np.ndarray
+    kind: np.ndarray
+    probability: np.ndarray
+    #: Per entry, its clauses in group order where it is declined, else None.
+    declined: List[Optional[List[Clause]]]
+    #: The groups left whole: those with no clause, the certain clause or
+    #: clauses of different widths (only those can absorb one another).
+    whole: List[int]
+
+
+def split_components(
+    groups: Sequence[Sequence[Clause]], registry: VariableRegistry
+) -> ComponentSplit:
+    """Split every group of canonical clauses of one width into its
+    independent components in one array pass, and answer the components
+    that need no ws-tree: single clauses, and trees (:func:`_reduce`).
+
+    Zero-probability and duplicate clauses are dropped first, as
+    :func:`~repro.core.lineage.simplify_clauses` drops them, so a group's
+    components are those of its simplified clauses.  Components are
+    labelled by min-label hooking over the (group, variable) pairs.
+    The tree check reads each clause's atoms in order of descending
+    occurrence count within the component, ties by variable id: a
+    component is a tree when no variable takes two positions and the
+    variable at each position determines the one before it (checks (b)
+    and (c) above; (a) holds at one width).
+    """
+    n_groups = len(groups)
+    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=n_groups)
+    clauses = list(chain.from_iterable(groups))
+    width = np.fromiter(map(len, clauses), dtype=np.int64, count=len(clauses))
+    group = np.repeat(np.arange(n_groups), sizes)
+    low = np.zeros(n_groups, dtype=np.int64)
+    high = np.zeros(n_groups, dtype=np.int64)
+    filled = np.flatnonzero(sizes)
+    if len(filled):
+        starts = (np.cumsum(sizes) - sizes)[filled]
+        low[filled] = np.minimum.reduceat(width, starts)
+        high[filled] = np.maximum.reduceat(width, starts)
+    split = (low == high) & (low > 0)
+    fields: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * 4 + [np.empty(0)]
+    declined: List[Optional[List[Clause]]] = []
+    for k in sorted(set(low[split].tolist())):
+        rows = np.flatnonzero((split & (low == k))[group])
+        part, part_declined = _split_width(
+            [clauses[i] for i in rows.tolist()], group[rows], k, registry
+        )
+        fields = [np.concatenate(pair) for pair in zip(fields, part)]
+        declined += part_declined
+    if np.any(np.diff(fields[0]) < 0):
+        # Groups of several widths: back into group order.
+        order = np.argsort(fields[0], kind="stable")
+        fields = [field[order] for field in fields]
+        declined = [declined[i] for i in order.tolist()]
+    return ComponentSplit(*fields, declined, np.flatnonzero(~split).tolist())
+
+
+def _split_width(
+    clauses: List[Clause], group: np.ndarray, k: int, registry: VariableRegistry
+) -> Tuple[List[np.ndarray], List[Optional[List[Clause]]]]:
+    """:func:`split_components` on clauses of width ``k`` and their
+    groups' ordinals (ascending): the entries' fields and clauses."""
+    atoms = np.fromiter(
+        chain.from_iterable(chain.from_iterable(clauses)),
+        dtype=np.int64,
+        count=2 * k * len(clauses),
+    ).reshape(len(clauses), k, 2)
+    table = intern_atoms(atoms[:, :, 0], atoms[:, :, 1])
+    atom, marginal = table.atom_index, table.probabilities(registry)
+    # P(clause): its atoms multiplied left to right, as clause_probability.
+    chance = marginal[atom]
+    probability = chance[:, 0].copy()
+    for column in range(1, k):
+        probability *= chance[:, column]
+    present = group[np.diff(group, prepend=-1) != 0]
+
+    # Drop zero-probability clauses, and each clause equal to an earlier
+    # one of its group.
+    keep = probability > 0.0
+    order = np.lexsort(tuple(atom.T[::-1]) + (group,))
+    same = (atom[order[1:]] == atom[order[:-1]]).all(axis=1)
+    same &= group[order[1:]] == group[order[:-1]]
+    keep[order[1:][same]] = False
+    live = np.flatnonzero(keep)
+    group, atom, probability = group[live], atom[live], probability[live]
+    variable = table.variable_index[live]
+
+    # Components: min-label hooking with pointer jumping over the (group,
+    # variable) pairs, each clause an edge from its first pair to each
+    # other.  A root is hooked only below a smaller one, so each
+    # component's label is its smallest pair: components come in order
+    # of (group, smallest variable id).
+    stride = len(table.variables)
+    pairs, pair = np.unique(group[:, None] * stride + variable, return_inverse=True)
+    pair = pair.reshape(variable.shape)
+    tail, head = pair[:, 1:].ravel(), np.repeat(pair[:, 0], k - 1)
+    label = np.arange(len(pairs))
+    while True:
+        above, below = label[tail], label[head]
+        apart = above != below
+        if not apart.any():
+            break
+        above, below = above[apart], below[apart]
+        np.minimum.at(label, np.maximum(above, below), np.minimum(above, below))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    roots = label == np.arange(len(pairs))
+    names = np.flatnonzero(roots)
+    pair_component = (np.cumsum(roots) - 1)[label]
+    component = pair_component[pair[:, 0]]
+    first_clause = np.full(len(names), len(component))
+    np.minimum.at(first_clause, component, np.arange(len(component)))
+    clause_count = np.bincount(component, minlength=len(names))
+    variable_count = np.bincount(pair_component, minlength=len(names))
+    component_group = pairs[names] // stride
+
+    # The tree check, and the trees' probabilities.
+    count = np.bincount(pair.ravel(), minlength=len(pairs))
+    by_count = np.argsort(-count[pair] * stride + variable, axis=1)
+    pair = np.take_along_axis(pair, by_count, axis=1)
+    kind = np.full(len(names), TREE)
+    seat = np.empty(len(pairs), dtype=np.int64)
+    parent = np.empty(len(pairs), dtype=np.int64)
+    for column in range(k):
+        seat[pair[:, column]] = column
+    for column in range(k):
+        moved = seat[pair[:, column]] != column
+        if column:
+            parent[pair[:, column]] = pair[:, column - 1]
+            moved |= parent[pair[:, column]] != pair[:, column - 1]
+        kind[component[moved]] = DECLINED
+    kind[clause_count == 1] = CLOSED
+    values = probability[first_clause]
+    trees = np.flatnonzero(kind[component] == TREE)
+    if len(trees):
+        answered, reduced = _reduce(
+            component[trees],
+            list(np.take_along_axis(variable, by_count, axis=1)[trees].T),
+            list(np.take_along_axis(atom, by_count, axis=1)[trees].T),
+            marginal,
+        )
+        values[answered] = reduced
+    values[kind == DECLINED] = np.nan
+
+    # A group of pairwise variable-disjoint clauses, or of none left, is
+    # one entry: 1 - prod(1 - p) over its clauses in order, a lone
+    # clause's p, or 0.
+    span = int(present[-1]) + 1
+    live_count = np.bincount(group, minlength=span)[present]
+    separate = live_count == np.bincount(component_group, minlength=span)[present]
+    lone, lone_count = present[separate], live_count[separate]
+    alone = np.zeros(span, dtype=bool)
+    alone[lone] = True
+    lone_p = np.zeros(len(lone))
+    rows = np.flatnonzero(alone[group])
+    if len(rows):
+        filled = lone_count > 0
+        starts = np.cumsum(lone_count) - lone_count
+        lone_p[filled] = 1.0 - np.multiply.reduceat(1.0 - probability[rows], starts[filled])
+        single = lone_count == 1
+        lone_p[single] = probability[rows[starts[single]]]
+    source = np.flatnonzero(~alone[component_group])
+    fields = [
+        np.concatenate((field[source], whole))
+        for field, whole in zip(
+            (component_group, clause_count, variable_count, kind, values),
+            (lone, lone_count, lone_count * k, np.full(len(lone), CLOSED), lone_p),
+        )
+    ]
+    source = np.concatenate([source, np.full(len(lone), -1)])
+    order = np.argsort(fields[0], kind="stable")
+    fields = [field[order] for field in fields]
+    source = source[order]
+
+    # The declined components' clauses, in group order.
+    declined: List[Optional[List[Clause]]] = [None] * len(source)
+    at = np.flatnonzero(fields[3] == DECLINED)
+    if len(at):
+        rows = np.flatnonzero(kind[component] == DECLINED)
+        rows = rows[np.argsort(component[rows], kind="stable")]
+        originals = live[rows].tolist()
+        ends = np.cumsum(clause_count[source[at]]).tolist()
+        for entry, start, end in zip(at.tolist(), [0] + ends[:-1], ends):
+            declined[entry] = [clauses[i] for i in originals[start:end]]
+    return fields, declined
 
 
 def _reduce(

@@ -7,26 +7,37 @@ This module is the piece that actually chooses -- per ``conf()`` group
 and per independent component -- which algorithm runs.
 
 Under ``auto`` and ``sprout`` the SQL aggregates ask the array pass first
-(:mod:`repro.core.confidence.columnar`), which answers the groups whose
-clauses form a tree.  :meth:`ConfidenceDispatcher.group_probabilities`
-gets the others -- all groups under a forced ``exact`` / ``monte-carlo``,
-or below the array kernels' size threshold -- as canonical clauses
-(:func:`~repro.core.lineage.group_lineages`).  It
-simplifies each group (:func:`~repro.core.lineage.simplify_clauses`),
-answers pairwise variable-disjoint clauses in closed form, and otherwise
-splits the group into independent components
-(:func:`~repro.core.confidence.exact.components`), each taking one call
-of the exact ws-tree recursion, which labels what it did:
+(:func:`~repro.core.confidence.columnar.hierarchical_confidences`), which
+answers the groups whose clauses form a tree.
+:meth:`ConfidenceDispatcher.group_probabilities` gets the others -- all
+groups under a forced ``exact`` / ``monte-carlo`` -- as canonical clauses
+(:func:`~repro.core.lineage.group_lineages`).  Under ``auto`` one array
+pass over all of them
+(:func:`~repro.core.confidence.columnar.split_components`) drops
+zero-probability and duplicate clauses, answers a group of pairwise
+variable-disjoint clauses in closed form, and otherwise splits each group
+into independent components, in order of their smallest variable id.  A
+component is labelled by what it takes:
 
-1. **closed form** -- the component is a single clause;
-2. **sprout** -- every elimination was on a root variable: SPROUT's safe
-   plan for a hierarchical component, polynomial-time and exact;
-3. **exact** -- a non-root elimination happened: the Koch-Olteanu
-   ws-tree under a *cost budget* (``exact_budget`` subproblems below the
+1. **closed form** -- the component is a single clause: its atom product;
+2. **sprout** -- its clauses form a tree: SPROUT's safe plan, evaluated
+   by the array reduction of the group pass, exact;
+3. **exact** -- anything else goes to the Koch-Olteanu ws-tree recursion
+   (:mod:`repro.core.confidence.exact`), which labels what it did: a
+   non-root elimination makes it ``exact`` (a hierarchical component
+   whose variables take several values can still come out ``sprout``).
+   It runs under a *cost budget* (``exact_budget`` subproblems below the
    first non-root elimination): still exact, but bounded;
 4. **monte-carlo** -- the Karp-Luby estimator under the DKLR driver when
    the budget blows: an (ε,δ)-approximation with the policy's default
    parameters, on that component's clauses only.
+
+A group whose clauses have more than one width (only then can one clause
+absorb another) takes the per-group route instead: it is simplified
+(:func:`~repro.core.lineage.simplify_clauses`), closed as a whole when
+its clauses are pairwise variable-disjoint, and otherwise split by
+:func:`~repro.core.confidence.exact.components`, every component one
+ws-tree call.
 
 Components share no variables, so their results combine by independence:
 P(⋁ all) = 1 − ∏(1 − P(componentᵢ)).  One engine, and so one ws-tree
@@ -38,7 +49,8 @@ once per group, with the same clauses.
 The decisions taken are recorded per aggregate call when a
 :func:`trace_confidence` scope is active; the SQL ``EXPLAIN`` statement
 renders them next to the relational plan fragments (with the call's
-ws-tree subproblem and memo-hit counts when the recursion expanded), and the
+ws-tree subproblem and memo-hit counts, over the components the recursion
+answered, when it expanded anything), and the
 :class:`~repro.db.MayBMS` facade exposes the policy as a tuning knob
 (``MayBMS(confidence_strategy=...)``).
 """
@@ -52,6 +64,9 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.core.confidence.columnar import CLOSED, split_components
 from repro.core.confidence.dklr import approximate_confidence
 from repro.core.confidence.exact import (
     LABELS,
@@ -281,12 +296,63 @@ class ConfidenceDispatcher:
         (the ``conf()`` semantics: exact unless the exact budget blows, in
         which case the affected component degrades to an (ε,δ) estimate),
         sharing one ws-tree memo.  A group is the canonical clauses of its
-        rows, in row order, over the variables of ``registry``."""
+        rows, in row order, over the variables of ``registry``.
+
+        Under ``auto`` one array pass
+        (:func:`~repro.core.confidence.columnar.split_components`) splits
+        the groups whose clauses have one width into components and
+        answers the single clauses and the trees; only the other
+        components reach the ws-tree, and only groups of mixed widths
+        take the per-group route."""
         engine = self._engine(registry)
-        engine.load(chain.from_iterable(groups))
-        if self.policy.strategy == "auto":
-            return [self._auto(clauses, engine) for clauses in groups]
-        return [self._forced(clauses, engine) for clauses in groups]
+        if self.policy.strategy != "auto":
+            engine.load(chain.from_iterable(groups))
+            return [self._forced(clauses, engine) for clauses in groups]
+        split = split_components(groups, registry)
+        engine.load(
+            chain(
+                chain.from_iterable(filter(None, split.declined)),
+                chain.from_iterable(groups[g] for g in split.whole),
+            )
+        )
+        bounds = np.searchsorted(split.group, np.arange(len(groups) + 1)).tolist()
+        entries = list(
+            zip(
+                split.kind.tolist(),
+                split.probability.tolist(),
+                split.clauses.tolist(),
+                split.variables.tolist(),
+                split.declined,
+            )
+        )
+        whole = set(split.whole)
+        results = []
+        for g, clauses in enumerate(groups):
+            if g in whole:
+                results.append(self._auto(clauses, engine))
+                continue
+            parts = entries[bounds[g] : bounds[g + 1]]
+            kind, p, count, variables, _ = parts[0]
+            if len(parts) == 1 and kind == CLOSED:
+                decision = ComponentDecision(STRATEGY_CLOSED_FORM, p, count, variables)
+                results.append(DispatchResult(p, (decision,)))
+                continue
+            # δ split over all of the group's components, as in _auto.
+            delta = self.policy.delta / len(parts)
+            decisions = tuple(
+                ComponentDecision(LABELS[kind], p, count, variables)
+                if part is None
+                else self._component(part, variables, delta, engine)
+                for kind, p, count, variables, part in parts
+            )
+            results.append(
+                DispatchResult(
+                    combine_independent(d.probability for d in decisions),
+                    decisions,
+                    engine.statistics,
+                )
+            )
+        return results
 
     def approximate(
         self,

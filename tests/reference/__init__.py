@@ -12,7 +12,8 @@ answered by both and compared.
 
 :mod:`reference.confidence` decodes each row's condition on its own and
 runs the ``conf()`` dispatch that the clause path of the confidence
-dispatcher is checked against.  :mod:`reference.worlds` enumerates the
+dispatcher is checked against, on the frozen ws-tree recursion of
+:mod:`reference.ws_tree`.  :mod:`reference.worlds` enumerates the
 possible worlds, and :mod:`reference.naive` computes confidence from them
 and by inclusion-exclusion: the exponential oracles.
 """

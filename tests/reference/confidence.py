@@ -6,14 +6,23 @@ Every row's condition is decoded on its own (:func:`row_conditions`): its
 (variable, value) pairs with the top padding dropped, one value per
 variable, sorted -- or None when a variable gets two values.  Every group
 the array pass declines becomes the list of its rows' clauses; the
-dispatch below then simplifies it, tries the whole-group closed form,
-splits it into components by a union-find of its own and makes one
-exact-engine call per component, falling back to Monte Carlo on a blown
-budget.  :func:`aconf` runs each declined group through the whole-group
-routes of ``aconf()`` instead, the Monte-Carlo one on the group's own
-seeded stream.  The system must agree with both to the bit: the same
-probabilities, the same per-component decisions in the same order, the
-same ws-tree counters and the same EXPLAIN events.
+dispatch below then simplifies it, tries the whole-group closed form and
+splits it into components (:func:`reference.ws_tree.components`, in order
+of their smallest variable id).  In a group whose clauses all have one
+width, a single clause is closed form and a tree (:func:`is_tree`) is
+``sprout``, answered by an uncounted run of the frozen recursion of
+:mod:`reference.ws_tree`; every other component makes one call of the
+call's counted ws-tree, falling back to Monte Carlo on a blown budget,
+which leaves the counters and the memo as they were.  :func:`aconf` runs
+each declined group through the whole-group routes of ``aconf()``
+instead, the Monte-Carlo one on the group's own seeded stream.
+
+The system must give the same decisions (strategy, clause and variable
+counts) in the same order, the same Monte-Carlo draws, the same ws-tree
+counters and the same EXPLAIN events.  Probabilities agree to 1e-12
+absolute: the system answers trees by array reductions and runs a
+recursion that folds private variables into clause weights, so their
+last bits may differ from the frozen recursion's.
 
 :func:`clause_probability` and :func:`satisfied` are the clause semantics
 the oracles of :mod:`reference.worlds` and :mod:`reference.naive` share.
@@ -36,11 +45,12 @@ from repro.core.confidence.dispatch import (
     DispatchResult,
 )
 from repro.core.confidence.dklr import aconf_unit_seed, approximate_confidence
-from repro.core.confidence.exact import ExactConfidenceEngine
 from repro.core.lineage import combine_independent
 from repro.core.urelation import URelation
 from repro.core.variables import TOP_VARIABLE, VariableRegistry
 from repro.errors import CostBudgetExceededError, UnsafeLineageError
+
+from reference.ws_tree import WsTree, components
 
 #: Above this clause width, absorption is a linear scan.
 SUBSET_ENUMERATION_WIDTH = 12
@@ -125,40 +135,6 @@ def closed_form(
     return None
 
 
-def components(clauses: Sequence[tuple]) -> List[Sequence[tuple]]:
-    """Union-find over shared variables, each clause's variables merged
-    into the set of its first one (``frozenset`` order); the components
-    in the order of their roots."""
-    parent: Dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    clause_vars = [frozenset(var for var, _ in clause) for clause in clauses]
-    for variables in clause_vars:
-        for var in variables:
-            parent.setdefault(var, var)
-    for variables in clause_vars:
-        it = iter(variables)
-        first = next(it, None)
-        if first is None:
-            continue
-        head = find(first)
-        for other in it:
-            root = find(other)
-            if root != head:
-                parent[root] = head
-    grouped: Dict[int, List[tuple]] = {}
-    for clause, variables in zip(clauses, clause_vars):
-        grouped.setdefault(find(next(iter(variables))), []).append(clause)
-    if len(grouped) == 1:
-        return [clauses]
-    return [part for _, part in sorted(grouped.items())]
-
-
 def is_hierarchical(clauses: Sequence[tuple]) -> bool:
     """Are the variables' clause-index sets laminar (nested or disjoint)?
     Then every connected component has a variable occurring in all its
@@ -181,22 +157,65 @@ def _shape(clauses: Sequence[tuple]):
     return len(clauses), len(_variables(clauses))
 
 
+def is_tree(clauses: Sequence[tuple]) -> bool:
+    """With each clause's variables in order of descending occurrence
+    count (ties: lower id first), does every variable keep one position
+    and one variable before it?  Then the clauses form a tree and the
+    recursion evaluates them by root eliminations."""
+    counts: Dict[int, int] = {}
+    for clause in clauses:
+        for var, _ in clause:
+            counts[var] = counts.get(var, 0) + 1
+    seat: Dict[int, tuple] = {}
+    for clause in clauses:
+        chain = sorted((var for var, _ in clause), key=lambda var: (-counts[var], var))
+        for depth, var in enumerate(chain):
+            above = chain[depth - 1] if depth else None
+            if seat.setdefault(var, (depth, above)) != (depth, above):
+                return False
+    return True
+
+
+def _counted(engine: WsTree, clauses: Sequence[tuple]) -> float:
+    """One counted ws-tree call; a blown budget leaves the counters and
+    the memo as they were."""
+    before, entries = dict(vars(engine.statistics)), len(engine._memo)
+    try:
+        return engine.probability(clauses)
+    except CostBudgetExceededError:
+        vars(engine.statistics).update(before)
+        while len(engine._memo) > entries:
+            engine._memo.popitem()
+        raise
+
+
 def _auto(
     dispatcher: ConfidenceDispatcher,
     clauses: Sequence[tuple],
-    engine: ExactConfidenceEngine,
+    engine: WsTree,
 ) -> DispatchResult:
+    one_width = len({len(clause) for clause in clauses}) == 1 and all(clauses)
+    clauses = simplified(clauses, engine.registry)
     closed = closed_form(clauses, engine.registry)
     if closed is not None:
         return DispatchResult(
             closed, (ComponentDecision(STRATEGY_CLOSED_FORM, closed, *_shape(clauses)),)
         )
-    parts = components(clauses)
+    parts = [part for part, _ in components(clauses)]
     delta = dispatcher.policy.delta / len(parts)
     decisions = []
     for part in parts:
+        if one_width and len(part) == 1:
+            p = clause_probability(part[0], engine.registry)
+            decisions.append(ComponentDecision(STRATEGY_CLOSED_FORM, p, *_shape(part)))
+            continue
+        if one_width and is_tree(part):
+            tree = WsTree(engine.registry)
+            p = tree.probability(part)
+            decisions.append(ComponentDecision(tree.label, p, *_shape(part)))
+            continue
         try:
-            p = engine.probability(part)
+            p = _counted(engine, part)
             decisions.append(ComponentDecision(engine.label, p, *_shape(part)))
             continue
         except CostBudgetExceededError:
@@ -212,7 +231,7 @@ def _auto(
 def _forced(
     dispatcher: ConfidenceDispatcher,
     clauses: Sequence[tuple],
-    engine: ExactConfidenceEngine,
+    engine: WsTree,
 ) -> DispatchResult:
     policy = dispatcher.policy
     decision = lambda p: (ComponentDecision(policy.strategy, p, *_shape(clauses)),)
@@ -238,10 +257,11 @@ def group_probabilities(
     call."""
     policy = dispatcher.policy
     budget = policy.exact_budget if policy.strategy == "auto" else None
-    engine = ExactConfidenceEngine(registry, max_subproblems=budget)
-    step = _auto if policy.strategy == "auto" else _forced
+    engine = WsTree(registry, max_subproblems=budget)
+    if policy.strategy == "auto":
+        return [_auto(dispatcher, clauses, engine) for clauses in groups]
     return [
-        step(dispatcher, simplified(clauses, registry), engine) for clauses in groups
+        _forced(dispatcher, simplified(clauses, registry), engine) for clauses in groups
     ]
 
 
@@ -280,7 +300,7 @@ def approximate(
     DKLR run on the group's own seeded stream."""
     policy = dispatcher.policy
     clauses = simplified(clauses, registry)
-    engine = ExactConfidenceEngine(registry)
+    engine = WsTree(registry)
     decision = lambda strategy, p: (ComponentDecision(strategy, p, *_shape(clauses)),)
     if policy.strategy in ("auto", STRATEGY_SPROUT):
         closed = closed_form(clauses, registry)
