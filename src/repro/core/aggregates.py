@@ -128,10 +128,13 @@ def conf(
     (:func:`~repro.core.lineage.group_lineages`) go through the
     cost-based dispatcher (:mod:`repro.core.confidence.dispatch`).  Under
     ``auto`` it splits them into independent components in one more
-    array pass, which answers single clauses in closed form and trees by
-    SPROUT's reduction; only the other components take the exact ws-tree
-    recursion, or Monte Carlo when it exceeds its budget.  A forced
-    strategy runs its algorithm on every group.
+    array pass, which answers single clauses in closed form, trees by
+    SPROUT's reduction, and crossing components whose variables take one
+    value each by Shannon expansion on a small cutset, every world a
+    two-level tree (Jha, Olteanu and Suciu, EDBT 2010); only the other
+    components take the exact ws-tree recursion, or Monte Carlo when it
+    exceeds its budget.  A forced strategy runs its algorithm on every
+    group.
     """
     positions, projections, row_groups = _groups(urel, group_columns)
     if dispatcher is None:

@@ -35,8 +35,16 @@ A declined group is often a tree in parts.  :func:`split_components`,
 which the dispatcher runs over all the declined groups at once, splits
 each group whose clauses have one width into its independent components
 and makes the same checks and the same reduction per component, so that
-single clauses and trees are answered here and only the other components
-reach the ws-tree.
+single clauses and trees are answered here.
+
+A component that crosses is not given up either.  Jha, Olteanu and Suciu
+("Bridging the gap between intensional and extensional query evaluation
+in probabilistic databases", EDBT 2010) condition on the few variables
+that stand in the way of a safe plan and evaluate each conditioned world
+safely.  :func:`_condition` does that for all crossing components at
+once: Shannon expansion on a small cutset, the worlds enumerated in
+arrays, each world a two-level tree.  Only the components that are too
+large, or whose variables take several values, reach the ws-tree.
 """
 
 from __future__ import annotations
@@ -170,7 +178,8 @@ def hierarchical_confidences(
 
 #: What :func:`split_components` made of a component: a single clause
 #: (or a whole group of pairwise variable-disjoint clauses) in closed
-#: form, a tree answered by :func:`_reduce`, or declined.
+#: form, a tree answered by :func:`_reduce`, or declined -- answered by
+#: :func:`_condition` or left to the ws-tree.
 CLOSED, TREE, DECLINED = 0, 1, 2
 
 
@@ -180,13 +189,14 @@ class ComponentSplit(NamedTuple):
     clauses are pairwise variable-disjoint is one closed-form entry."""
 
     #: Per entry: its group's ordinal, its clause and variable counts, its
-    #: kind and its probability (NaN where declined).
+    #: kind and its probability (NaN where left to the ws-tree).
     group: np.ndarray
     clauses: np.ndarray
     variables: np.ndarray
     kind: np.ndarray
     probability: np.ndarray
-    #: Per entry, its clauses in group order where it is declined, else None.
+    #: Per entry, its clauses in group order where it is left to the
+    #: ws-tree, else None.
     declined: List[Optional[List[Clause]]]
     #: The groups left whole: those with no clause, the certain clause or
     #: clauses of different widths (only those can absorb one another).
@@ -194,11 +204,16 @@ class ComponentSplit(NamedTuple):
 
 
 def split_components(
-    groups: Sequence[Sequence[Clause]], registry: VariableRegistry
+    groups: Sequence[Sequence[Clause]],
+    registry: VariableRegistry,
+    exact_budget: Optional[int],
 ) -> ComponentSplit:
     """Split every group of canonical clauses of one width into its
     independent components in one array pass, and answer the components
-    that need no ws-tree: single clauses, and trees (:func:`_reduce`).
+    that need no ws-tree: single clauses, trees (:func:`_reduce`), and
+    crossing components small enough to condition on a cutset
+    (:func:`_condition`; ``exact_budget`` bounds its worlds as it bounds
+    the ws-tree's subproblems, None for no bound).
 
     Zero-probability and duplicate clauses are dropped first, as
     :func:`~repro.core.lineage.simplify_clauses` drops them, so a group's
@@ -228,7 +243,7 @@ def split_components(
     for k in sorted(set(low[split].tolist())):
         rows = np.flatnonzero((split & (low == k))[group])
         part, part_declined = _split_width(
-            [clauses[i] for i in rows.tolist()], group[rows], k, registry
+            [clauses[i] for i in rows.tolist()], group[rows], k, registry, exact_budget
         )
         fields = [np.concatenate(pair) for pair in zip(fields, part)]
         declined += part_declined
@@ -241,7 +256,11 @@ def split_components(
 
 
 def _split_width(
-    clauses: List[Clause], group: np.ndarray, k: int, registry: VariableRegistry
+    clauses: List[Clause],
+    group: np.ndarray,
+    k: int,
+    registry: VariableRegistry,
+    exact_budget: Optional[int],
 ) -> Tuple[List[np.ndarray], List[Optional[List[Clause]]]]:
     """:func:`split_components` on clauses of width ``k`` and their
     groups' ordinals (ascending): the entries' fields and clauses."""
@@ -319,16 +338,22 @@ def _split_width(
         kind[component[moved]] = DECLINED
     kind[clause_count == 1] = CLOSED
     values = probability[first_clause]
+    atom = np.take_along_axis(atom, by_count, axis=1)
     trees = np.flatnonzero(kind[component] == TREE)
     if len(trees):
         answered, reduced = _reduce(
             component[trees],
             list(np.take_along_axis(variable, by_count, axis=1)[trees].T),
-            list(np.take_along_axis(atom, by_count, axis=1)[trees].T),
+            list(atom[trees].T),
             marginal,
         )
         values[answered] = reduced
     values[kind == DECLINED] = np.nan
+    if (kind == DECLINED).any():
+        _condition(
+            values, kind, component, pair, atom, count, pair_component,
+            clause_count, marginal, exact_budget,
+        )
 
     # A group of pairwise variable-disjoint clauses, or of none left, is
     # one entry: 1 - prod(1 - p) over its clauses in order, a lone
@@ -360,17 +385,162 @@ def _split_width(
     fields = [field[order] for field in fields]
     source = source[order]
 
-    # The declined components' clauses, in group order.
+    # The clauses of the declined components left unanswered, in group
+    # order.
     declined: List[Optional[List[Clause]]] = [None] * len(source)
-    at = np.flatnonzero(fields[3] == DECLINED)
+    at = np.flatnonzero(np.isnan(fields[4]))
     if len(at):
-        rows = np.flatnonzero(kind[component] == DECLINED)
+        rows = np.flatnonzero(np.isnan(values[component]))
         rows = rows[np.argsort(component[rows], kind="stable")]
         originals = live[rows].tolist()
         ends = np.cumsum(clause_count[source[at]]).tolist()
         for entry, start, end in zip(at.tolist(), [0] + ends[:-1], ends):
             declined[entry] = [clauses[i] for i in originals[start:end]]
     return fields, declined
+
+
+#: The most (clause, world) rows :func:`_condition` expands at once, and so
+#: the most one component may expand to: its clause count times 2^|S|.
+#: Measured on ``conf_hard`` (seed 11, ``bench`` scale, fresh engines): a
+#: component of 2^13-2^14 rows costs 0.9 ms conditioned and 1.1 ms in the
+#: ws-tree, one of 2^15-2^16 rows 2.6 ms against 1.4 ms.  A cap of 2^15
+#: saved another 0.24 of 5.3 ms per statement in the dispatcher and
+#: raised the server's peak RSS by 0.5 MB more over 900 statements.
+CONDITIONING_ROWS = 2**13
+
+
+def _condition(
+    values: np.ndarray,
+    kind: np.ndarray,
+    component: np.ndarray,
+    pair: np.ndarray,
+    atom: np.ndarray,
+    count: np.ndarray,
+    pair_component: np.ndarray,
+    clause_count: np.ndarray,
+    marginal: np.ndarray,
+    budget: Optional[int],
+) -> None:
+    """Answer, in place in ``values``, the declined components that
+    Shannon expansion on a small cutset S turns into two-level trees.
+
+    ``pair`` and ``atom`` hold each clause's (group, variable) pairs and
+    atoms in the tree check's order, ``count`` each pair's occurrences.
+    S is the shared pairs that sit behind the first column of some clause,
+    so every clause keeps at most one shared pair outside S, its first.  A
+    component qualifies when each of its pairs carries one atom (an event
+    that holds or not), when its clause count times 2^|S| is at most
+    :data:`CONDITIONING_ROWS` and 2^|S| at most ``budget``.  In each world
+    over S a clause is alive when its S-atoms hold; with its private atoms
+    folded into a weight w, the alive clauses under one remaining shared
+    pair r and those under none are independent, and
+
+        P(component) = Σ_world P(world) · (1 − ∏ᵣ (1 − pᵣ (1 − ∏ᵢ (1 − wᵢ)))
+                                                   · ∏ⱼ (1 − wⱼ)).
+    """
+    # A pair with two atoms disqualifies its component.
+    pair_atom = np.empty(len(count), dtype=np.int64)
+    pair_atom[pair.ravel()] = atom.ravel()
+    ok = kind == DECLINED
+    ok[component[(pair_atom[pair] != atom).any(axis=1)]] = False
+    cut = np.zeros(len(count), dtype=bool)
+    cut[pair[:, 1:].ravel()] = True
+    cut &= count > 1
+    cutset = np.flatnonzero(cut)
+    bits = np.bincount(pair_component[cutset], minlength=len(kind))
+    # Past the cap's bit length a component is too large anyway; no shift
+    # overflows.
+    worlds = np.left_shift(1, np.minimum(bits, CONDITIONING_ROWS.bit_length()))
+    ok &= clause_count * worlds <= CONDITIONING_ROWS
+    if budget is not None:
+        ok &= worlds <= budget
+    chosen = np.flatnonzero(ok)
+    if not len(chosen):
+        return
+
+    # The chosen components' clauses, each component's run in order of
+    # its remaining shared pair (-1: none).
+    rows = np.flatnonzero(ok[component])
+    head = pair[rows, 0]
+    residual = np.where(cut[head], -1, head)
+    order = np.lexsort((residual, component[rows]))
+    rows, residual = rows[order], residual[order]
+    # Each S pair's bit within its component, in the tree check's order.
+    cutset = cutset[ok[pair_component[cutset]]]
+    cutset = cutset[np.lexsort((cutset, -count[cutset], pair_component[cutset]))]
+    home = pair_component[cutset]
+    bit = np.zeros(len(count), dtype=np.int64)
+    bit[cutset] = np.arange(len(cutset)) - np.searchsorted(home, home)
+    # Per chosen component and bit: the chances that its S atom holds and
+    # fails (1 past the component's own bits).
+    slot = np.zeros(len(kind), dtype=np.int64)
+    slot[chosen] = np.arange(len(chosen))
+    width = int(bits[chosen].max())
+    holds = np.ones((len(chosen), width))
+    fails = np.ones((len(chosen), width))
+    chance = marginal[pair_atom[cutset]]
+    holds[slot[home], bit[cutset]] = chance
+    fails[slot[home], bit[cutset]] = 1.0 - chance
+
+    pairs = pair[rows]
+    inside = cut[pairs]
+    need = np.bitwise_or.reduce(
+        np.where(inside, np.left_shift(1, bit[pairs]), 0), axis=1
+    ).astype(np.int32)
+    chances = marginal[atom[rows]]
+    head_chance = chances[:, 0]
+    spare = 1.0 - np.where(inside[:, 1:], 1.0, chances[:, 1:]).prod(axis=1)
+
+    # Row-level indexes fit in int32: a chunk holds at most
+    # CONDITIONING_ROWS rows.
+    clauses = clause_count[chosen].astype(np.int32)
+    worlds = worlds[chosen].astype(np.int32)
+    first_clause = np.cumsum(clauses, dtype=np.int32) - clauses
+    cost = clauses.astype(np.int64) * worlds
+    ends = np.cumsum(cost)
+    start = 0
+    while start < len(chosen):
+        stop = int(
+            np.searchsorted(ends, ends[start] - cost[start] + CONDITIONING_ROWS, "right")
+        )
+        # The chunk's worlds, component by component; its rows, world by
+        # world: each (world, clause) pair once, the dead ones dropped.
+        span = worlds[start:stop]
+        owner = np.repeat(np.arange(start, stop, dtype=np.int32), span)
+        local = np.arange(len(owner), dtype=np.int32)
+        local -= np.repeat(np.cumsum(span, dtype=np.int32) - span, span)
+        per = clauses[owner]
+        shift = first_clause[owner] - (np.cumsum(per, dtype=np.int32) - per)
+        world = np.repeat(np.arange(len(owner), dtype=np.int32), per)
+        clause = np.arange(len(world), dtype=np.int32)
+        clause += np.repeat(shift, per)
+        required = need[clause]
+        alive = local[world] & required == required
+        del required
+        world, clause = world[alive], clause[alive]
+        # Per (world, remaining pair): ∏ (1 − w) over its alive clauses,
+        # then per world the product of the independent terms.
+        r = residual[clause]
+        edge = np.ones(len(world), dtype=bool)
+        edge[1:] = (world[1:] != world[:-1]) | (r[1:] != r[:-1])
+        starts = np.flatnonzero(edge)
+        term = np.multiply.reduceat(spare[clause], starts)
+        under = r[starts] >= 0
+        term[under] = 1.0 - head_chance[clause[starts[under]]] * (1.0 - term[under])
+        world = world[starts]
+        edge = np.ones(len(world), dtype=bool)
+        edge[1:] = world[1:] != world[:-1]
+        starts = np.flatnonzero(edge)
+        either = 1.0 - np.multiply.reduceat(term, starts)
+        world = world[starts]
+        at, local = owner[world], local[world]
+        chance = np.ones(len(world))
+        for b in range(int(bits[chosen[start:stop]].max())):
+            chance *= np.where(local >> b & 1, holds[at, b], fails[at, b])
+        values[chosen[start:stop]] = np.bincount(
+            at - start, weights=chance * either, minlength=stop - start
+        )
+        start = stop
 
 
 def _reduce(

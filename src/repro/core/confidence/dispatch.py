@@ -22,12 +22,20 @@ component is labelled by what it takes:
 1. **closed form** -- the component is a single clause: its atom product;
 2. **sprout** -- its clauses form a tree: SPROUT's safe plan, evaluated
    by the array reduction of the group pass, exact;
-3. **exact** -- anything else goes to the Koch-Olteanu ws-tree recursion
-   (:mod:`repro.core.confidence.exact`), which labels what it did: a
-   non-root elimination makes it ``exact`` (a hierarchical component
-   whose variables take several values can still come out ``sprout``).
-   It runs under a *cost budget* (``exact_budget`` subproblems below the
-   first non-root elimination): still exact, but bounded;
+3. **exact** -- a crossing component whose variables each take one value
+   is conditioned on a small cutset in the same array pass, as Jha,
+   Olteanu and Suciu bridge intensional and extensional evaluation (EDBT
+   2010): Shannon expansion on the cutset S, every world a two-level
+   tree, when its clause count times 2^|S| is at most
+   :data:`~repro.core.confidence.columnar.CONDITIONING_ROWS` and 2^|S| at
+   most ``exact_budget``.  Such a component is non-hierarchical, and the
+   recursion would label it ``exact`` too.  Anything else goes to the
+   Koch-Olteanu ws-tree recursion (:mod:`repro.core.confidence.exact`),
+   which labels what it did: a non-root elimination makes it ``exact``
+   (a hierarchical component whose variables take several values can
+   still come out ``sprout``).  It runs under a *cost budget*
+   (``exact_budget`` subproblems below the first non-root elimination):
+   still exact, but bounded;
 4. **monte-carlo** -- the Karp-Luby estimator under the DKLR driver when
    the budget blows: an (ε,δ)-approximation with the policy's default
    parameters, on that component's clauses only.
@@ -50,7 +58,8 @@ The decisions taken are recorded per aggregate call when a
 :func:`trace_confidence` scope is active; the SQL ``EXPLAIN`` statement
 renders them next to the relational plan fragments (with the call's
 ws-tree subproblem and memo-hit counts, over the components the recursion
-answered, when it expanded anything), and the
+answered -- not those conditioned in arrays -- when it expanded
+anything), and the
 :class:`~repro.db.MayBMS` facade exposes the policy as a tuning knob
 (``MayBMS(confidence_strategy=...)``).
 """
@@ -301,14 +310,15 @@ class ConfidenceDispatcher:
         Under ``auto`` one array pass
         (:func:`~repro.core.confidence.columnar.split_components`) splits
         the groups whose clauses have one width into components and
-        answers the single clauses and the trees; only the other
-        components reach the ws-tree, and only groups of mixed widths
-        take the per-group route."""
+        answers the single clauses, the trees and the crossing
+        components it can condition on a small cutset within the exact
+        budget; only the other components reach the ws-tree, and only
+        groups of mixed widths take the per-group route."""
         engine = self._engine(registry)
         if self.policy.strategy != "auto":
             engine.load(chain.from_iterable(groups))
             return [self._forced(clauses, engine) for clauses in groups]
-        split = split_components(groups, registry)
+        split = split_components(groups, registry, self.policy.exact_budget)
         engine.load(
             chain(
                 chain.from_iterable(filter(None, split.declined)),

@@ -84,7 +84,13 @@ class URelation:
     """
 
     __slots__ = (
-        "_relation", "_plan", "schema", "payload_arity", "cond_arity", "registry"
+        "_relation",
+        "_plan",
+        "_conditions",
+        "schema",
+        "payload_arity",
+        "cond_arity",
+        "registry",
     )
 
     def __init__(
@@ -111,6 +117,8 @@ class URelation:
                 f"U-relation schema has {len(schema)} columns, "
                 f"expected {payload_arity} payload + {conditions} condition"
             )
+        #: The stacked condition arrays, once read (the rows never change).
+        self._conditions: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: The wide schema: payload columns, then the condition pairs.
         self.schema = schema
         self.payload_arity = payload_arity
@@ -230,10 +238,17 @@ class URelation:
         The writers admit only 64-bit integers into condition columns
         (:meth:`~repro.engine.transactions.Transaction.insert`), so a
         column without an exact int64 mirror is corrupt: ConditionError.
+        The arrays are stacked once per U-relation and read-only.
         """
+        if self._conditions is None:
+            self._conditions = self._stack_conditions()
+        return self._conditions
+
+    def _stack_conditions(self) -> Tuple[np.ndarray, np.ndarray]:
         relation = self.relation
         if self.cond_arity == 0:
             padding = np.zeros((1, len(relation)), dtype=np.int64)
+            padding.flags.writeable = False
             return padding, padding
 
         def mirror(position: int) -> np.ndarray:
@@ -246,10 +261,10 @@ class URelation:
             return column
 
         atoms = atom_positions(self.payload_arity, self.cond_arity)
-        return (
-            np.stack([mirror(var_at) for var_at, _ in atoms]),
-            np.stack([mirror(value_at) for _, value_at in atoms]),
-        )
+        variables = np.stack([mirror(var_at) for var_at, _ in atoms])
+        values = np.stack([mirror(value_at) for _, value_at in atoms])
+        variables.flags.writeable = values.flags.writeable = False
+        return variables, values
 
     def condition_probabilities(self) -> List[float]:
         """Per-row marginal probability of each row's condition, straight

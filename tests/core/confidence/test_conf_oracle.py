@@ -23,9 +23,10 @@ import random
 import pytest
 
 from reference import confidence as reference
+from reference.ws_tree import components
 from reference.worlds import tuple_confidence_by_enumeration
 from repro.core import aggregates as agg
-from repro.core.confidence import dispatch
+from repro.core.confidence import columnar, dispatch
 from repro.core.confidence.dispatch import (
     STRATEGY_MONTE_CARLO,
     ConfidenceDispatcher,
@@ -446,11 +447,46 @@ def test_the_joined_generator_covers_every_route():
     }
 
 
+def _conditioned(urel):
+    """How many components of the declined groups the reference says the
+    array pass conditions on their cutsets under the default policy."""
+    _, _, row_groups = agg._groups(urel, ["g"])
+    policy = DispatchPolicy()
+    _, pending = agg._array_pass(urel, row_groups, policy)
+    conditions = reference.row_conditions(urel)
+    count = 0
+    for g in pending:
+        clauses = [conditions[i] for i in row_groups[g] if conditions[i] is not None]
+        if len({len(clause) for clause in clauses}) != 1:
+            continue
+        for part, _ in components(reference.simplified(clauses, urel.registry)):
+            count += (
+                len(part) > 1
+                and not reference.is_tree(part)
+                and reference.conditioned(part, policy.exact_budget)
+            )
+    return count
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_only_crossing_components_reach_the_ws_tree(seed):
     """On boolean conf_hard-shaped lineage a component is a tree exactly
-    when it is hierarchical: every component that reaches the ws-tree is
-    labelled ``exact`` there, and every ``exact`` decision made one call."""
-    strategies, calls = _split_routes(joined(seed, booleans=True))
+    when it is hierarchical, and a crossing one is conditioned on its
+    cutset in arrays unless it is too large: every component that reaches
+    the ws-tree is labelled ``exact`` there, and every ``exact`` decision
+    that the pass left made one call."""
+    urel = joined(seed, booleans=True)
+    strategies, calls = _split_routes(urel)
     assert set(calls) <= {"exact"}
-    assert len(calls) == strategies.count("exact")
+    assert len(calls) == strategies.count("exact") - _conditioned(urel)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_a_small_cap_leaves_crossing_components_to_the_ws_tree(seed, monkeypatch):
+    """The same under a cap of 8 (clause, world) rows, which leaves most
+    crossing components to the ws-tree."""
+    monkeypatch.setattr(columnar, "CONDITIONING_ROWS", 8)
+    urel = joined(seed, booleans=True)
+    strategies, calls = _split_routes(urel)
+    assert set(calls) <= {"exact"}
+    assert len(calls) == strategies.count("exact") - _conditioned(urel)

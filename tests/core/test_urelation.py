@@ -245,3 +245,12 @@ class TestConditionProbabilities:
         urel = self.wide(registry, 1, [[(x, 1)], [(None, None)]])
         with pytest.raises(ConditionError):
             urel.condition_probabilities()
+
+    def test_arrays_are_stacked_once_and_read_only(self, registry):
+        x = registry.fresh([0.25, 0.75])
+        urel = self.wide(registry, 2, [[(x, 1), (TOP_VARIABLE, 0)]] * 4)
+        variables, values = urel.condition_arrays()
+        again = urel.condition_arrays()
+        assert again[0] is variables and again[1] is values
+        with pytest.raises(ValueError):
+            variables[0, 0] = x

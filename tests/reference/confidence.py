@@ -9,11 +9,13 @@ the array pass declines becomes the list of its rows' clauses; the
 dispatch below then simplifies it, tries the whole-group closed form and
 splits it into components (:func:`reference.ws_tree.components`, in order
 of their smallest variable id).  In a group whose clauses all have one
-width, a single clause is closed form and a tree (:func:`is_tree`) is
-``sprout``, answered by an uncounted run of the frozen recursion of
-:mod:`reference.ws_tree`; every other component makes one call of the
-call's counted ws-tree, falling back to Monte Carlo on a blown budget,
-which leaves the counters and the memo as they were.  :func:`aconf` runs
+width, a single clause is closed form, a tree (:func:`is_tree`) is
+``sprout`` and a component the array pass conditions on its cutset
+(:func:`conditioned`) is ``exact``, both answered by an uncounted run of
+the frozen recursion of :mod:`reference.ws_tree`, which must label them
+so; every other component makes one call of the call's counted ws-tree,
+falling back to Monte Carlo on a blown budget, which leaves the counters
+and the memo as they were.  :func:`aconf` runs
 each declined group through the whole-group routes of ``aconf()``
 instead, the Monte-Carlo one on the group's own seeded stream.
 
@@ -34,7 +36,7 @@ import itertools
 from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.core import aggregates
-from repro.core.confidence import dispatch
+from repro.core.confidence import columnar, dispatch
 from repro.core.confidence.dispatch import (
     STRATEGY_CLOSED_FORM,
     STRATEGY_EXACT,
@@ -176,6 +178,38 @@ def is_tree(clauses: Sequence[tuple]) -> bool:
     return True
 
 
+def cutset(clauses: Sequence[tuple]) -> Set[int]:
+    """The variables the array pass conditions a component on: those
+    occurring in two clauses or more that some clause orders after its
+    first, in the order of :func:`is_tree`."""
+    counts: Dict[int, int] = {}
+    for clause in clauses:
+        for var, _ in clause:
+            counts[var] = counts.get(var, 0) + 1
+    out: Set[int] = set()
+    for clause in clauses:
+        chain = sorted((var for var, _ in clause), key=lambda var: (-counts[var], var))
+        out.update(var for var in chain[1:] if counts[var] > 1)
+    return out
+
+
+def conditioned(clauses: Sequence[tuple], budget: Optional[int]) -> bool:
+    """Does the array pass answer this component of one width, neither a
+    single clause nor a tree, by Shannon expansion on its
+    :func:`cutset`?  Each variable must take one value in it; its clause
+    count times 2^|cutset| must be at most ``CONDITIONING_ROWS``, and
+    2^|cutset| at most the exact budget."""
+    values: Dict[int, int] = {}
+    for clause in clauses:
+        for var, value in clause:
+            if values.setdefault(var, value) != value:
+                return False
+    worlds = 2 ** len(cutset(clauses))
+    return len(clauses) * worlds <= columnar.CONDITIONING_ROWS and (
+        budget is None or worlds <= budget
+    )
+
+
 def _counted(engine: WsTree, clauses: Sequence[tuple]) -> float:
     """One counted ws-tree call; a blown budget leaves the counters and
     the memo as they were."""
@@ -213,6 +247,12 @@ def _auto(
             tree = WsTree(engine.registry)
             p = tree.probability(part)
             decisions.append(ComponentDecision(tree.label, p, *_shape(part)))
+            continue
+        if one_width and conditioned(part, engine.max_subproblems):
+            tree = WsTree(engine.registry)
+            p = tree.probability(part)
+            assert tree.label == STRATEGY_EXACT
+            decisions.append(ComponentDecision(STRATEGY_EXACT, p, *_shape(part)))
             continue
         try:
             p = _counted(engine, part)

@@ -240,7 +240,7 @@ class TestConfidenceFragment:
         session = MayBMS(seed=5)
         session.execute("create table orders (okey integer, ckey integer, yr integer)")
         session.execute("create table customers (ckey integer, nation integer)")
-        session.execute("create table years (yr integer)")
+        session.execute("create table years (yr integer, era integer, w float)")
         session.execute(
             "insert into customers values "
             + ", ".join(f"({c}, {c % 3})" for c in range(12))
@@ -251,12 +251,21 @@ class TestConfidenceFragment:
             # below crosses (customer x year), no tree.
             + ", ".join(f"({o}, {o % 12}, {2000 + o // 12 % 4})" for o in range(60))
         )
-        session.execute("insert into years values (2000), (2001), (2002), (2003)")
-        for table in ("orders", "customers", "years"):
+        session.execute(
+            "insert into years values (2000, 0, 1.0), (2001, 1, 1.0), "
+            "(2002, 0, 2.0), (2003, 1, 3.0)"
+        )
+        for table in ("orders", "customers"):
             session.execute(
                 f"create table u_{table} as select * from "
                 f"(pick tuples from {table} independently with probability 0.8) x"
             )
+        # A year is one value of its era's variable: each nation's crossing
+        # component is multi-valued, so it reaches the ws-tree.
+        session.execute(
+            "create table u_years as select yr from "
+            "(repair key era in years weight by w) x"
+        )
         return session
 
     SAFE = (
